@@ -3,9 +3,9 @@
 
 Three checks over one small topology-shared sweep:
 
-1. **Parallel == serial, bitwise** — the sweep run serially
-   (``workers=0``, shared in-process plan cache) and with a 2-worker
-   process pool must store byte-identical result documents for every
+1. **Parallel == serial, bitwise** — the sweep run on the inline
+   executor (``workers=0``, one plan cache) and on 2 forked workers
+   must store byte-identical result documents for every
    job (``repro.campaign.result/1`` is canonical JSON of deterministic
    quantities only, so scheduling cannot leak in).
 2. **Repeat sweep == 100% cache hits** — a fresh campaign pointed at

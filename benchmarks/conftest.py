@@ -5,7 +5,7 @@ expensive simulations run once per pytest session.  Scales are adjustable
 through environment variables:
 
 * ``REPRO_BENCH_STEPS``          time steps per run (default 2; paper: 50)
-* ``REPRO_BENCH_RANKS``          low-res rank sweep (default ``3,6,12,24,48``)
+* ``REPRO_BENCH_RANKS``          low-res rank sweep (default ``3,6,12,24,48,96``)
 * ``REPRO_BENCH_DUAL_RANKS``     dual-turbine sweep (default ``6,12,24``)
 * ``REPRO_BENCH_REFINED_RANKS``  refined sweep (default ``6,12,24,48``)
 * ``REPRO_BENCH_REFINE``         refined-mesh refinement factor (default 2;

@@ -14,9 +14,10 @@ Commands:
 * ``partition`` — compare RCB and multilevel decompositions (Figs. 4-5).
 * ``project`` — print the §6 exascale capability projection.
 * ``campaign`` — run (or resume) a sweep of jobs through the campaign
-  service: async queue, worker pool, content-addressed result cache,
-  and (``--supervised``) job-level fault domains with retry/backoff,
-  hang detection, and poison-job quarantine (see ``docs/campaign.md``).
+  service: content-addressed result cache, durable manifest, and the
+  supervisor protocol (inline or in forked worker fault domains) with
+  retry/backoff, hang detection, and poison-job quarantine (see
+  ``docs/campaign.md``).
 * ``analyze`` — repro-lint (RL001-RL010) + kernel sanitizer (KS001-KS005)
   over the source tree (see ``docs/static_analysis.md``).
 
@@ -40,9 +41,10 @@ import numpy as np
 EXIT_CODES = """\
 exit codes:
   0  success
-  1  runtime failure (solver failure, failed campaign jobs, bad input file)
+  1  runtime failure (solver failure, campaign spec/coordinator error,
+     bad input file)
   2  usage error (unknown command, flag, or workload)
-  3  campaign finished but quarantined poison jobs (supervised mode)
+  3  campaign finished but quarantined jobs that ran out of attempts
 """
 
 
@@ -414,15 +416,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     def on_start(name: str = "", total: int = 0, workers: int = 0, **_kw):
         progress["total"] = total
-        mode = "supervised" if _kw.get("supervised") else "pool"
         print(
             f"campaign {name}: {total} jobs, "
-            f"{workers or 'in-process'} workers ({mode})",
+            + (f"{workers} workers" if workers else "inline"),
             file=sys.stderr,
         )
 
     def on_job(job_id: str = "", status: str = "", **kw):
-        if status in ("cached", "done", "failed", "quarantined"):
+        if status in ("cached", "done", "quarantined"):
             progress["finished"] += 1
         line = (
             f"  [{progress['finished']}/{progress['total']}] "
@@ -441,14 +442,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     hub.subscribe("campaign_start", on_start)
     hub.subscribe("campaign_job", on_job)
 
-    policy = None
-    if args.supervised:
-        policy = SupervisorPolicy(
-            max_attempts=args.max_attempts,
-            job_timeout_s=args.job_timeout,
-            heartbeat_timeout_s=args.heartbeat,
-        )
-        policy.validate()
+    policy = SupervisorPolicy(
+        max_attempts=args.max_attempts,
+        job_timeout_s=args.job_timeout,
+        heartbeat_timeout_s=args.heartbeat,
+    )
 
     try:
         store_dir = args.store or None
@@ -501,16 +499,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         counts = summary["status_counts"]
         note = (
             f"done {counts['done']}/{summary['total_jobs']}, "
-            f"failed {counts['failed']}, "
+            f"quarantined {counts['quarantined']}, "
             f"cache hits {summary['cache_hits']}, "
-            f"plan shared {summary['plan_shared']}"
+            f"plan shared {summary['plan_shared']}, "
+            f"retries {summary['retries']}, "
+            f"requeues {summary['requeues']}"
         )
-        if summary.get("supervised"):
-            note += (
-                f"; quarantined {counts.get('quarantined', 0)}, "
-                f"retries {summary.get('retries', 0)}, "
-                f"requeues {summary.get('requeues', 0)}"
-            )
         text = format_table(
             f"campaign: {summary['name']}",
             ["job", "status", "attempts", "cached", "wall [s]", "result"],
@@ -532,8 +526,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             note=note,
         )
     _deliver(args, text, "campaign summary")
-    if summary.get("status_counts", {}).get("failed"):
-        return 1
     if summary.get("status_counts", {}).get("quarantined"):
         # All non-poison jobs finished; quarantined entries carry their
         # failure context in the manifest.
@@ -706,7 +698,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_cp.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker processes (0 = run jobs in-process, serially)",
+        help="forked worker processes, each a killable fault domain "
+             "(0 = run jobs inline in this process, serially; cannot "
+             "be combined with --job-timeout/--heartbeat)",
     )
     p_cp.add_argument(
         "--max-jobs", type=int, default=None, metavar="N",
@@ -728,27 +722,21 @@ def main(argv: list[str] | None = None) -> int:
              "spec's base",
     )
     p_cp.add_argument(
-        "--supervised", action="store_true",
-        help="run jobs in supervised fault domains: taxonomy-classified "
-             "retry with backoff, lease/heartbeat hang detection, "
-             "poison-job quarantine (exit code 3 when any job is "
-             "quarantined); workers=0 behaves as one worker process",
-    )
-    p_cp.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="supervised: executions per job before quarantine "
-             "(default 3; transient failures only — deterministic "
-             "failures quarantine immediately)",
+        "--max-attempts", type=int, default=1, metavar="N",
+        help="executions per job before quarantine and exit code 3 "
+             "(default 1 = never retry; only transient failures are "
+             "retried, with backoff — deterministic failures quarantine "
+             "immediately)",
     )
     p_cp.add_argument(
         "--job-timeout", type=float, default=0.0, metavar="SEC",
-        help="supervised: wall-clock budget per job attempt "
-             "(0 = unlimited)",
+        help="wall-clock budget per job attempt; the worker is killed "
+             "and the job requeued (0 = unlimited; needs --workers >= 1)",
     )
     p_cp.add_argument(
         "--heartbeat", type=float, default=0.0, metavar="SEC",
-        help="supervised: kill an attempt whose per-step heartbeat has "
-             "stalled this long (0 = disabled)",
+        help="kill an attempt whose per-step heartbeat has stalled "
+             "this long (0 = disabled; needs --workers >= 1)",
     )
     _add_output_flags(p_cp, ["table", "json"], "table")
     _add_list_flag(p_cp)
@@ -760,12 +748,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if hasattr(args, "workload"):
-        from repro.mesh import WORKLOADS
+        from repro.mesh import list_workloads
 
-        if args.workload not in WORKLOADS:
+        known = [name for name, _desc in list_workloads()]
+        if args.workload not in known:
             parser.error(
                 f"unknown workload {args.workload!r}; known: "
-                f"{', '.join(sorted(WORKLOADS))} (see --list)"
+                f"{', '.join(known)} (see --list)"
             )
     try:
         return args.func(args)

@@ -37,10 +37,7 @@ RL003   unseeded RNG: ``default_rng()`` with no seed — every stochastic
         choice in the stack must replay bit-identically.
 RL004   direct smoother construction: naming a smoother class instead of
         :func:`repro.smoothers.make_smoother`.  The factory is the only
-        supported entry point — the ``make_sgs2`` helper and the
-        deprecated result aliases were removed — so this rule statically
-        promotes the remaining runtime ``DeprecationWarning`` on direct
-        class construction.
+        supported entry point, and this rule is its only enforcement.
 RL005   unaccounted kernel: a function in the device-kernel packages
         performs bulk data motion (sort / scatter / segmented reduce /
         dense matmul via ``@``) with no recording call reachable in its
@@ -52,7 +49,9 @@ RL006   unbalanced phase push/pop: ``phase_scope`` used outside a
 RL007   resource typestate (path-sensitive, :mod:`.protocol`): a halo
         ``exchange_halo_begin`` that can leave its function without
         ``exchange_halo_finish``, a durable write missing the
-        tmp→fsync→replace pairing, or a phase push unpopped on some path.
+        tmp→fsync→replace pairing (or any ``os.replace``/``os.rename``
+        in the package outside ``repro.durable``), or a phase push
+        unpopped on some path.
 RL008   collective consistency (:mod:`.protocol`): a collective
         reachable under a rank-dependent branch — deadlock risk.
 RL009   reduction contracts (:mod:`.protocol`): ``@reduction_contract``
@@ -697,12 +696,10 @@ def lint_paths(paths: list[str]) -> AnalysisReport:
 
 # -- baseline ----------------------------------------------------------------
 
+#: /2 keys carry the enclosing qualname and an occurrence index, so
+#: identical line text at two sites in one file cannot collide onto one
+#: key and mask the second finding.
 BASELINE_SCHEMA = "repro.analysis-baseline/2"
-#: Accepted for reading (one-shot migration): /1 keyed findings by
-#: (rule, path, line-text) only, so identical line text at two sites in
-#: one file collided onto one key and the second finding was silently
-#: masked.  /2 keys add the enclosing qualname and an occurrence index.
-LEGACY_BASELINE_SCHEMA = "repro.analysis-baseline/1"
 
 
 def _baseline_keys(
@@ -712,7 +709,7 @@ def _baseline_keys(
 
     The occurrence index counts same-(rule, path, qualname, text)
     findings in line order, so two hits on textually identical lines get
-    distinct keys — the /1 collision this schema exists to fix.
+    distinct keys.
     """
     order = sorted(
         range(len(findings)),
@@ -752,32 +749,26 @@ def _source_lines(paths: set[str]) -> dict[str, list[str]]:
 def load_baseline(path: str) -> set[tuple]:
     """Load a baseline file into the set of grandfathered finding keys.
 
-    ``/2`` entries load as 5-tuples, legacy ``/1`` entries as 3-tuples
-    (matched with their historical any-occurrence semantics); any other
-    schema is an error.
+    Any schema other than :data:`BASELINE_SCHEMA` is an error.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema")
-    if schema == BASELINE_SCHEMA:
-        return {
-            (
-                e["rule"],
-                e["path"],
-                e.get("qualname", ""),
-                e.get("line_text", ""),
-                int(e.get("occurrence", 0)),
-            )
-            for e in doc.get("findings", [])
-        }
-    if schema == LEGACY_BASELINE_SCHEMA:
-        return {
-            (e["rule"], e["path"], e.get("line_text", ""))
-            for e in doc.get("findings", [])
-        }
-    raise ValueError(
-        f"{path}: schema {schema!r} != {BASELINE_SCHEMA!r}"
-    )
+    if schema != BASELINE_SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported schema {schema!r} "
+            f"(expected {BASELINE_SCHEMA!r})"
+        )
+    return {
+        (
+            e["rule"],
+            e["path"],
+            e.get("qualname", ""),
+            e.get("line_text", ""),
+            int(e.get("occurrence", 0)),
+        )
+        for e in doc.get("findings", [])
+    }
 
 
 def write_baseline(path: str, report: AnalysisReport) -> None:
@@ -808,8 +799,7 @@ def apply_baseline(report: AnalysisReport, baseline: set[tuple]) -> None:
     keys = _baseline_keys(report.findings, lines)
     live: list[Finding] = []
     for f, key in zip(report.findings, keys):
-        legacy_key = (key[0], key[1], key[3])
-        if key in baseline or legacy_key in baseline:
+        if key in baseline:
             report.baselined.append(f)
         else:
             live.append(f)

@@ -20,7 +20,9 @@ RL007 — **resource typestate**.  Three protocol state machines walked
       neither replaced nor cleaned.  Exception paths are exempt: the
       ``finally``-with-``exists``-guard cleanup idiom is the sanctioned
       shape.  Only functions that call ``os.replace``/``os.rename`` are
-      checked.
+      checked — and inside the ``repro`` package only
+      :mod:`repro.durable` may: a call anywhere else is a finding (a
+      hand-copied commit instead of ``atomic_write``).
     * phase balance (the RL006 upgrade from syntax to paths): raw
       ``_phase_stack.append`` must be popped (``.pop()`` or the
       ``_pop_phase`` helper — the interprocedural edge) on every path.
@@ -316,11 +318,17 @@ def _durable_events(node: CFGNode) -> list[tuple]:
     return events
 
 
+#: The one module allowed to commit a file by rename.
+_DURABLE_MODULE = "repro.durable"
+
+
 def _check_durable_write(decl: FunctionDecl) -> list[_RawFinding]:
-    if not any(
-        _chain_is(c, "os", "replace") or _chain_is(c, "os", "rename")
+    renames = [
+        c
         for c in decl.calls
-    ):
+        if _chain_is(c, "os", "replace") or _chain_is(c, "os", "rename")
+    ]
+    if not renames:
         return []
     cfg = build_cfg(decl.node)
     findings: dict[tuple, _RawFinding] = {}
@@ -328,6 +336,19 @@ def _check_durable_write(decl: FunctionDecl) -> list[_RawFinding]:
     def emit(key: tuple, line: int, message: str) -> None:
         if key not in findings:
             findings[key] = _RawFinding("RL007", line, message, decl.node)
+
+    if (
+        decl.module.split(".")[0] == "repro"
+        and decl.module != _DURABLE_MODULE
+    ):
+        for call in renames:
+            emit(
+                ("outside", call.lineno),
+                call.lineno,
+                f"os.replace/os.rename outside {_DURABLE_MODULE}: commit "
+                "files through atomic_write, the one audited tmp write → "
+                "fsync → replace",
+            )
 
     # State: (phase, last_write_line); phases: clean/written/synced/done.
     def step(node: CFGNode, state):

@@ -1,9 +1,10 @@
-"""Campaign service: async job queue, worker pool, result cache.
+"""Campaign service: sweeps, result cache, one supervisor protocol.
 
 See ``docs/campaign.md`` for the job model, manifest schema, cache
-semantics, and the supervised execution mode (job-level fault domains:
-retry/backoff, leases + heartbeats, quarantine, failure breaker).  The
-CLI entry point is ``python -m repro campaign``.
+semantics, and the execution model (every job runs through the
+supervisor protocol — lease, outcome file, retry/backoff, quarantine,
+failure breaker — inline or in forked worker fault domains).  The CLI
+entry point is ``python -m repro campaign``.
 """
 
 from repro.campaign.job import (

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import SimulationConfig
-from repro.mesh.turbine import WORKLOADS
+from repro.mesh.turbine import list_workloads
 from repro.serialize import (
     as_int,
     as_str,
@@ -94,10 +94,10 @@ class JobSpec:
 
     def validate(self) -> None:
         """Raise on unknown workloads / invalid step counts / bad overrides."""
-        if self.workload not in WORKLOADS:
+        known = [name for name, _desc in list_workloads()]
+        if self.workload not in known:
             raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"known: {sorted(WORKLOADS)}"
+                f"unknown workload {self.workload!r}; known: {known}"
             )
         if self.steps < 1:
             raise ValueError("steps must be >= 1")

@@ -1,14 +1,15 @@
 """The ``repro.campaign/1`` manifest: durable per-job campaign state.
 
 One JSON document per campaign directory records the sweep spec and the
-status of every job (``pending`` -> ``running`` -> ``done``/``failed``),
-so a killed campaign is re-entrant: ``campaign resume`` reloads the
-manifest, skips every ``done`` job outright, and re-dispatches the rest
+status of every job (``pending`` -> ``running`` ->
+``done``/``quarantined``), so a killed campaign is re-entrant:
+``campaign resume`` reloads the manifest, skips every ``done`` or
+``quarantined`` job outright, and re-dispatches the rest
 (``running`` jobs resume from their per-job checkpoint ring when one
 exists).
 
-Every mutation rewrites the whole document atomically (tmp +
-``os.replace``), the same durability idiom as the checkpoint ring — a
+Every mutation rewrites the whole document atomically
+(:func:`repro.durable.atomic_write`, as the checkpoint ring does) — a
 kill at any instant leaves either the old or the new manifest, never a
 torn one.
 """
@@ -20,15 +21,18 @@ import os
 from typing import Any
 
 from repro.campaign.job import CampaignSpec, JobSpec
+from repro.durable import atomic_write
 
 #: Format tag of the manifest document.
 MANIFEST_FORMAT = "repro.campaign/1"
 
-#: Allowed job states.  ``quarantined`` is the supervised runner's
-#: poison-job terminal state: the job exhausted its retry budget (or
-#: failed deterministically) and is skipped by later resumes; its entry
-#: keeps the full failure context (taxonomy, exception type, truncated
-#: traceback, per-attempt history) for post-mortems.
+#: Allowed job states.  ``quarantined`` is the poison-job terminal
+#: state: the job exhausted its attempt budget (or failed
+#: deterministically) and is skipped by later resumes; its entry keeps
+#: the full failure context (taxonomy, exception type, truncated
+#: traceback, per-attempt history) for post-mortems.  ``failed`` is no
+#: longer written — it stays loadable for directories earlier versions
+#: wrote, and such jobs are re-queued on resume.
 JOB_STATUSES = ("pending", "running", "done", "failed", "quarantined")
 
 
@@ -64,13 +68,8 @@ class CampaignManifest:
 
     def save(self) -> None:
         """Atomically persist the manifest."""
-        os.makedirs(self.root, exist_ok=True)
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        atomic_write(self.path, text.encode("utf-8"))
 
     @classmethod
     def load(cls, root: str) -> "CampaignManifest":

@@ -7,9 +7,9 @@ same job already ran; the stored canonical result document is returned
 byte-identically (documents are written in canonical JSON, so the
 on-disk bytes themselves are deterministic).
 
-Writes are atomic (tmp + ``os.replace``, the checkpoint ring's idiom) so
-a killed campaign never leaves a truncated result to poison later
-lookups; a corrupt or foreign file is treated as a miss and overwritten.
+Writes are atomic (:func:`repro.durable.atomic_write`) so a killed
+campaign never leaves a truncated result to poison later lookups; a
+corrupt or foreign file is treated as a miss and overwritten.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import os
 
 from repro.campaign.job import RESULT_FORMAT
+from repro.durable import atomic_write
 from repro.serialize import canonical_json
 
 
@@ -27,8 +28,8 @@ class ResultStore:
     ``injector`` (a :class:`~repro.resilience.injection.FaultInjector`)
     arms deterministic write faults: each :meth:`put` consults the
     injector's ``io_fail`` windows at site ``"store_put"`` before
-    touching the filesystem, so chaos runs can exercise the supervised
-    runner's store-retry path without a real flaky disk.
+    touching the filesystem, so chaos runs can exercise the supervisor's
+    store-retry path without a real flaky disk.
     """
 
     def __init__(self, root: str, injector=None) -> None:
@@ -79,12 +80,7 @@ class ResultStore:
             "store_put", path
         ):
             raise OSError(f"injected store write fault: {path}")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write(path, canonical_json(doc).encode("utf-8"))
         return path
 
     def __contains__(self, digest: str) -> bool:

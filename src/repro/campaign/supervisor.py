@@ -1,9 +1,18 @@
-"""Supervised campaign execution: a fault domain around every job.
+"""The supervisor protocol: the one way a campaign job runs.
 
 At exascale, node mean-time-between-failures makes job death the steady
 state of a thousand-job sweep, not the exception — the campaign layer
-itself has to degrade gracefully.  This module wraps each job attempt in
-a *fault domain* supervised from outside the worker process:
+itself has to degrade gracefully.  Every job goes through the same
+protocol — intake (cache, budget, lease liveness) -> attempt under a
+lease -> ``outcome-NNN.json`` -> classify -> done / retry / quarantine —
+on one of two executors picked from ``Campaign.workers``:
+
+* ``workers == 0`` runs each attempt inline in the coordinator (same
+  lease, same outcome file, same classification; needs no ``fork``).
+  There is no process to kill, so timeouts, heartbeat kills and
+  worker-fault chaos are rejected at ``Campaign`` construction.
+* ``workers >= 1`` runs attempts in long-lived forked worker processes,
+  each a *fault domain* supervised from outside:
 
 * **Retry with exponential backoff, classified by taxonomy** — a failed
   attempt is classified through the resilience taxonomy
@@ -27,8 +36,8 @@ a *fault domain* supervised from outside the worker process:
   is marked ``quarantined`` in the manifest with its full failure
   context (taxonomy, exception type, truncated traceback, per-attempt
   history); the sweep continues and the CLI exit code distinguishes
-  "all done" (0), "done with quarantined" (3), and supervisor failure
-  (1).
+  "all done" (0), "done with quarantined" (3), and spec/coordinator
+  error (1).
 * **Failure-storm breaker** — a rolling failure-rate window that
   halves the number of concurrently dispatched jobs when failures
   cluster (``campaign.breaker_trips``), restoring capacity after a
@@ -55,8 +64,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.assembly.plan import PlanCache
+from repro.durable import atomic_write
 from repro.resilience.guards import TRANSIENT_FAILURE_KINDS, classify_failure
-from repro.resilience.injection import FaultInjector
 
 #: Exit code a worker uses for an injected hard crash (``os._exit``).
 CRASH_EXIT_CODE = 86
@@ -101,14 +111,19 @@ def failure_context(exc: BaseException) -> dict[str, Any]:
 
 @dataclass
 class SupervisorPolicy:
-    """Supervised-execution knobs (``Campaign(policy=...)``).
+    """Supervisor knobs (``Campaign(policy=...)``).
+
+    ``policy=None`` there means ``SupervisorPolicy(max_attempts=1)``:
+    never retry.
 
     Attributes:
         max_attempts: executions allowed per job before quarantine
             (1 = never retry).
         job_timeout_s: wall-clock budget per attempt; 0 disables.
+            Needs a worker process to kill (``workers >= 1``).
         heartbeat_timeout_s: kill an attempt whose lease beat has not
             advanced for this long (hang detection); 0 disables.
+            Needs ``workers >= 1`` likewise.
         poll_s: supervisor poll interval.
         backoff_base_s: first retry delay; attempt ``k`` waits
             ``min(backoff_base_s * backoff_factor**k, backoff_max_s)``
@@ -177,23 +192,14 @@ def lease_path(job_dir: str) -> str:
 
 
 def write_lease(job_dir: str, nonce: str, beat: int = 0) -> None:
-    """Atomically (tmp + ``os.replace``) write this process's lease."""
-    os.makedirs(job_dir, exist_ok=True)
-    path = lease_path(job_dir)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "pid": os.getpid(),
-                "nonce": nonce,
-                "beat": int(beat),
-                "stamp": time.time(),
-            },
-            fh,
-        )
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Atomically write this process's lease."""
+    lease = {
+        "pid": os.getpid(),
+        "nonce": nonce,
+        "beat": int(beat),
+        "stamp": time.time(),
+    }
+    atomic_write(lease_path(job_dir), json.dumps(lease).encode("utf-8"))
 
 
 def read_lease(job_dir: str) -> dict[str, Any] | None:
@@ -241,32 +247,7 @@ def lease_is_live(lease: dict[str, Any] | None) -> bool:
     return lease is not None and pid_alive(int(lease.get("pid", -1)))
 
 
-# -- worker-side execution ----------------------------------------------------
-
-#: Per-worker-process plan cache (long-lived across that worker's jobs).
-_PLAN_CACHE = None
-
-
-def _worker_plan_cache():
-    from repro.assembly.plan import PlanCache
-
-    global _PLAN_CACHE
-    if _PLAN_CACHE is None:
-        _PLAN_CACHE = PlanCache()
-    return _PLAN_CACHE
-
-
-def _init_worker() -> None:
-    """Start a worker process with a fresh plan cache.
-
-    Under the fork start method a child would otherwise inherit whatever
-    cache the coordinating process had populated (e.g. from an earlier
-    in-process campaign), muddying the setup-sharing accounting.
-    """
-    from repro.assembly.plan import PlanCache
-
-    global _PLAN_CACHE
-    _PLAN_CACHE = PlanCache()
+# -- attempt execution (either executor) --------------------------------------
 
 
 def _ring_has_checkpoints(path: str) -> bool:
@@ -281,19 +262,22 @@ def _ring_has_checkpoints(path: str) -> bool:
 
 
 def execute_job_payload(
-    payload: dict, on_sim: Callable[[Any], None] | None = None
+    payload: dict, on_sim: Callable[[Any], None], plan_cache: PlanCache
 ) -> dict:
-    """Run one job to completion (module-level: picklable for pools).
+    """Run one job to completion.
 
     The payload and the returned document are plain JSON-shaped dicts so
     they cross the process boundary untouched.  Failures are reported in
     the return value — never raised — with their full
     :func:`failure_context` (taxonomy class, exception type, truncated
-    traceback), so one bad job cannot poison the pool and post-mortems
-    never require a rerun.
+    traceback), so one bad job cannot poison its executor and
+    post-mortems never require a rerun.
 
-    ``on_sim`` (supervised workers) is invoked with the constructed
-    simulation before it runs, to attach heartbeat/chaos hooks.
+    ``on_sim`` is invoked with the constructed simulation before it
+    runs, to attach heartbeat/chaos hooks.  ``plan_cache`` is the
+    executor's long-lived cache: consecutive jobs with identical mesh
+    topology adopt each other's captured assembly plans (unless the
+    spec sets ``share_setup`` false).
     """
     from repro.core.simulation import NaluWindSimulation
     from repro.resilience.checkpoint import CheckpointError
@@ -325,9 +309,8 @@ def execute_job_payload(
             resumed = False
             sim = NaluWindSimulation(job.workload, config)
         if payload.get("share_setup", True):
-            sim.world.plan_cache = _worker_plan_cache()
-        if on_sim is not None:
-            on_sim(sim)
+            sim.world.plan_cache = plan_cache
+        on_sim(sim)
         report = sim.run(job.steps)
         doc = canonical_result(sim, report, job)
         return {
@@ -351,13 +334,18 @@ def _outcome_path(job_dir: str, attempt: int) -> str:
 
 
 def _write_outcome(path: str, outcome: dict) -> None:
-    """Atomically persist a worker outcome document."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(outcome, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Atomically persist an attempt outcome document."""
+    atomic_write(path, json.dumps(outcome).encode("utf-8"))
+
+
+def _load_outcome(path: str) -> dict:
+    """The attempt's outcome document; unreadable/torn is itself a
+    classified (``io_error``) failure outcome."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        return failure_context(exc)
 
 
 def _stall_forever() -> None:  # pragma: no cover - killed by supervisor
@@ -381,12 +369,12 @@ def _install_ckpt_tripwire(kind: str) -> None:
     os.replace = tripwire
 
 
-def _run_attempt(payload: dict) -> None:
-    """Execute one supervised job attempt inside a worker process.
+def _run_attempt(payload: dict, plan_cache: PlanCache) -> None:
+    """Execute one job attempt (in a worker process, or inline).
 
     Acquires the job lease, beats it on every completed step, honours
     any injected process fault at its configured point, and atomically
-    writes the outcome document the supervisor polls for.
+    writes the outcome document the supervisor reads.
     """
     job_dir = payload["job_dir"]
     nonce = payload["nonce"]
@@ -416,37 +404,46 @@ def _run_attempt(payload: dict) -> None:
         if point == "run" and kind:
             sim.world.hub.subscribe("checkpoint", lambda **_kw: trip("run"))
 
-    outcome = execute_job_payload(payload, on_sim=on_sim)
+    outcome = execute_job_payload(payload, on_sim, plan_cache)
     trip("store")
     _write_outcome(_outcome_path(job_dir, attempt), outcome)
     release_lease(job_dir)
 
 
+def _attempt(payload: dict, plan_cache: PlanCache) -> None:
+    """:func:`_run_attempt`, never raising: the executor must survive."""
+    try:
+        _run_attempt(payload, plan_cache)
+    except Exception as exc:  # noqa: BLE001 - executor must survive
+        # Even a broken attempt reports a classified outcome
+        # (failure_context) instead of killing its executor.
+        try:
+            _write_outcome(
+                _outcome_path(payload["job_dir"], int(payload["attempt"])),
+                {**failure_context(exc), "wall_s": 0.0},
+            )
+            release_lease(payload["job_dir"])
+        except OSError:
+            # Outcome unreportable (disk full, job dir gone).  Inline,
+            # the missing file reads back as an io_error outcome; a
+            # forked worker is reaped by hang/timeout detection and the
+            # taxonomy recorded there as worker_hang/job_timeout.
+            pass
+
+
 def _worker_main(task_q) -> None:
-    """Long-lived worker loop: lease, execute, report, repeat."""
-    _init_worker()
+    """Long-lived worker loop: lease, execute, report, repeat.
+
+    The plan cache is created here, after the fork: a child must not
+    inherit whatever the coordinating process had populated, or the
+    setup-sharing accounting would be muddied.
+    """
+    plan_cache = PlanCache()
     while True:
         payload = task_q.get()
         if payload is None:
             return
-        try:
-            _run_attempt(payload)
-        except Exception as exc:  # noqa: BLE001 - worker must survive
-            # Even a broken attempt reports a classified outcome
-            # (failure_context) instead of killing the worker loop.
-            try:
-                _write_outcome(
-                    _outcome_path(
-                        payload["job_dir"], int(payload["attempt"])
-                    ),
-                    {**failure_context(exc), "wall_s": 0.0},
-                )
-                release_lease(payload["job_dir"])
-            except OSError:
-                # Outcome unreportable (job dir gone): the supervisor's
-                # hang/timeout detection reaps this attempt instead; the
-                # taxonomy is recorded there as worker_hang/job_timeout.
-                pass
+        _attempt(payload, plan_cache)
 
 
 # -- failure-storm breaker ----------------------------------------------------
@@ -514,9 +511,10 @@ class FailureBreaker:
 
 
 class _WorkerHandle:
-    """One supervised worker process and its in-flight attempt state."""
+    """One forked worker process and its in-flight attempt state."""
 
     def __init__(self, ctx, index: int) -> None:
+        self.ctx = ctx
         self.index = index
         self.task_q = ctx.SimpleQueue()
         self.proc = ctx.Process(
@@ -534,27 +532,22 @@ class _WorkerHandle:
 
 
 class Supervisor:
-    """Drives one campaign run with job-level fault domains.
+    """Drains one campaign run through the attempt protocol.
 
-    Owns the worker pool, the retry/quarantine state machine, hang
-    detection, and the failure breaker; mutates the campaign's manifest
-    and metrics exactly like the unsupervised runner so summaries stay
-    uniform.
+    Owns intake, the retry/quarantine state machine, the failure
+    breaker, and both executors (inline and forked workers, with hang
+    detection for the latter); reads its policy and chaos injector from
+    the campaign and mutates the campaign's manifest and metrics.
     """
 
-    def __init__(
-        self,
-        campaign,
-        policy: SupervisorPolicy,
-        chaos: FaultInjector | None = None,
-    ) -> None:
-        policy.validate()
+    def __init__(self, campaign) -> None:
         self.campaign = campaign
-        self.policy = policy
-        self.chaos = chaos
+        self.policy: SupervisorPolicy = campaign.policy
+        self.chaos = campaign.chaos
         self.metrics = campaign.metrics
         self.hub = campaign.hub
         self.manifest = campaign.manifest
+        policy = self.policy
         self.breaker = FailureBreaker(
             max(1, campaign.workers),
             window=policy.breaker_window,
@@ -562,7 +555,6 @@ class Supervisor:
             threshold=policy.breaker_threshold,
             cooldown=policy.breaker_cooldown,
         )
-        self._ctx = multiprocessing.get_context("fork")
 
     # -- intake --------------------------------------------------------------
 
@@ -640,7 +632,11 @@ class Supervisor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, worker: _WorkerHandle, item: tuple) -> None:
+    def _begin(self, item: tuple, pid: int) -> dict:
+        """Open one attempt: mark it running, return its payload.
+
+        ``pid`` is the executor process that will hold the job lease.
+        """
         job, digest, attempt, try_resume = item
         camp = self.campaign
         job_dir = camp._job_dir(job)
@@ -667,10 +663,7 @@ class Supervisor:
         except OSError:
             pass
         self.manifest.mark(
-            digest,
-            "running",
-            lease={"pid": worker.proc.pid, "nonce": nonce},
-            attempt=attempt,
+            digest, "running", lease={"pid": pid, "nonce": nonce}
         )
         self.hub.emit(
             "campaign_job",
@@ -680,18 +673,24 @@ class Supervisor:
             attempt=attempt,
             resume=try_resume,
         )
+        return payload
+
+    def _dispatch(self, worker: _WorkerHandle, item: tuple) -> None:
+        payload = self._begin(item, worker.proc.pid)
+        job, digest, attempt, _try_resume = item
         worker.job = (job, digest, attempt, time.monotonic())
-        worker.job_dir = job_dir
+        worker.job_dir = payload["job_dir"]
         worker.last_beat = -1
         worker.last_beat_change = time.monotonic()
         worker.task_q.put(payload)
 
-    def _respawn(self, worker: _WorkerHandle) -> _WorkerHandle:
+    @staticmethod
+    def _respawn(worker: _WorkerHandle) -> _WorkerHandle:
         """Replace a dead/killed worker process (crash-proof pool)."""
         if worker.proc.is_alive():  # pragma: no cover - defensive
             worker.proc.kill()
         worker.proc.join(timeout=5)
-        return _WorkerHandle(self._ctx, worker.index)
+        return _WorkerHandle(worker.ctx, worker.index)
 
     # -- outcome handling ----------------------------------------------------
 
@@ -832,9 +831,21 @@ class Supervisor:
             error=context.get("error", ""),
         )
 
-    def _record_outcome(self, ok: bool) -> None:
-        """Feed the breaker; count and announce trips."""
-        if self.breaker.record(ok):
+    def _settle(
+        self, job, digest: str, attempt: int, outcome: dict, delayed: list
+    ) -> None:
+        """Close one attempt: store its result, or retry/quarantine.
+
+        ``outcome`` is the attempt's outcome document or a failure
+        context the supervisor built itself (crash, hang, timeout).
+        Feeds the breaker; counts and announces trips.
+        """
+        context: dict | None = outcome
+        if outcome.get("ok"):
+            context = self._on_success(job, digest, attempt, outcome)
+        if context is not None:
+            self._on_failure(job, digest, attempt, context, delayed)
+        if self.breaker.record(context is None):
             self.metrics.counter("campaign.breaker_trips").inc()
             self.hub.emit(
                 "breaker_trip",
@@ -842,28 +853,45 @@ class Supervisor:
                 capacity=self.breaker.capacity,
             )
 
-    # -- poll loop -----------------------------------------------------------
+    @staticmethod
+    def _promote_due(ready: list, delayed: list) -> None:
+        """Move retries whose backoff has elapsed to the head of
+        ``ready``: finish wounded jobs before opening new fault domains."""
+        now = time.monotonic()
+        due = [d for d in delayed if d[0] <= now]
+        if due:
+            delayed[:] = [d for d in delayed if d[0] > now]
+            ready[:0] = [
+                (job, digest, attempt, True)
+                for _t, job, digest, attempt in due
+            ]
+
+    # -- inline executor -----------------------------------------------------
+
+    def _run_inline(self, ready: list, delayed: list) -> None:
+        """Run attempts one at a time in this process."""
+        plan_cache = PlanCache()
+        while ready or delayed:
+            self._promote_due(ready, delayed)
+            if not ready:
+                time.sleep(self.policy.poll_s)
+                continue
+            item = ready.pop(0)
+            job, digest, attempt, _try_resume = item
+            payload = self._begin(item, os.getpid())
+            _attempt(payload, plan_cache)
+            outcome = _load_outcome(_outcome_path(payload["job_dir"], attempt))
+            self._settle(job, digest, attempt, outcome, delayed)
+
+    # -- forked-worker executor ----------------------------------------------
 
     def _poll_worker(self, worker: _WorkerHandle, delayed: list) -> bool:
         """Check one busy worker; True when its attempt finished."""
         job, digest, attempt, dispatched = worker.job
         outcome_file = _outcome_path(worker.job_dir, attempt)
         if os.path.exists(outcome_file):
-            try:
-                with open(outcome_file, encoding="utf-8") as fh:
-                    outcome = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                outcome = failure_context(exc)
-            if outcome.get("ok"):
-                context = self._on_success(job, digest, attempt, outcome)
-                if context is None:
-                    self._record_outcome(True)
-                else:
-                    self._on_failure(job, digest, attempt, context, delayed)
-                    self._record_outcome(False)
-            else:
-                self._on_failure(job, digest, attempt, outcome, delayed)
-                self._record_outcome(False)
+            outcome = _load_outcome(outcome_file)
+            self._settle(job, digest, attempt, outcome, delayed)
             worker.job = None
             return True
         if worker.proc.exitcode is not None:
@@ -877,8 +905,7 @@ class Supervisor:
                 "taxonomy": "worker_crash",
                 "traceback": "",
             }
-            self._on_failure(job, digest, attempt, context, delayed)
-            self._record_outcome(False)
+            self._settle(job, digest, attempt, context, delayed)
             worker.job = None
             return True
         now = time.monotonic()
@@ -913,33 +940,20 @@ class Supervisor:
                 "taxonomy": taxonomy,
                 "traceback": "",
             }
-            self._on_failure(job, digest, attempt, context, delayed)
-            self._record_outcome(False)
+            self._settle(job, digest, attempt, context, delayed)
             worker.job = None
             return True
         return False
 
-    def run(self, max_jobs: int | None = None) -> None:
-        """Drain the campaign under supervision."""
-        camp = self.campaign
-        ready = self._intake(max_jobs)
-        if not ready:
-            return
-        n_workers = max(1, camp.workers)
-        workers = [_WorkerHandle(self._ctx, i) for i in range(n_workers)]
-        delayed: list[tuple] = []  # (ready_at, job, digest, attempt)
+    def _run_forked(self, ready: list, delayed: list) -> None:
+        """Run attempts in ``campaign.workers`` forked worker processes."""
+        ctx = multiprocessing.get_context("fork")
+        workers = [
+            _WorkerHandle(ctx, i) for i in range(self.campaign.workers)
+        ]
         try:
             while ready or delayed or any(w.busy for w in workers):
-                now = time.monotonic()
-                due = [d for d in delayed if d[0] <= now]
-                if due:
-                    delayed[:] = [d for d in delayed if d[0] > now]
-                    # Retries re-enter at the head: finish wounded jobs
-                    # before opening new fault domains.
-                    ready[:0] = [
-                        (job, digest, attempt, True)
-                        for _t, job, digest, attempt in due
-                    ]
+                self._promote_due(ready, delayed)
                 busy = sum(1 for w in workers if w.busy)
                 for i, worker in enumerate(workers):
                     if not ready or busy >= self.breaker.allowed:
@@ -967,3 +981,14 @@ class Supervisor:
                 if worker.proc.is_alive():  # pragma: no cover - stuck
                     worker.proc.kill()
                     worker.proc.join(timeout=5)
+
+    def run(self, max_jobs: int | None = None) -> None:
+        """Drain the campaign: intake, then the executor ``workers`` picks."""
+        ready = self._intake(max_jobs)
+        if not ready:
+            return
+        delayed: list[tuple] = []  # (ready_at, job, digest, attempt)
+        if self.campaign.workers == 0:
+            self._run_inline(ready, delayed)
+        else:
+            self._run_forked(ready, delayed)

@@ -19,7 +19,6 @@ from repro.mesh.turbine import (
     PAPER_TABLE1,
     ROTOR_RADIUS,
     TurbineMeshSystem,
-    WORKLOADS,
     list_workloads,
     make_background_only,
     make_turbine_dual,
@@ -40,7 +39,6 @@ __all__ = [
     "ROTOR_RADIUS",
     "RigidRotation",
     "TurbineMeshSystem",
-    "WORKLOADS",
     "build_block_topology",
     "geometric_stretching",
     "graded_axis",

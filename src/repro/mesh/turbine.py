@@ -112,8 +112,8 @@ def _make_background(
     )
 
 
-#: Name -> builder registry populated by :func:`register_workload`.
-#: (``WORKLOADS`` below aliases it for existing callers.)
+#: Name -> builder registry populated by :func:`register_workload`;
+#: read it through :func:`list_workloads` / :func:`make_workload`.
 _WORKLOAD_REGISTRY: dict[str, Callable[..., TurbineMeshSystem]] = {}
 
 
@@ -255,9 +255,6 @@ def make_turbine_dual() -> TurbineMeshSystem:
     )
 
 
-#: Back-compat alias of the registry (same mutable mapping).
-WORKLOADS = _WORKLOAD_REGISTRY
-
 #: Paper mesh-node counts for Table 1 side-by-side reporting.
 PAPER_TABLE1 = {
     "turbine_low": 23_022_027,
@@ -269,9 +266,9 @@ PAPER_TABLE1 = {
 def make_workload(name: str, **kwargs) -> TurbineMeshSystem:
     """Build one of the named Table 1 workloads."""
     try:
-        builder = WORKLOADS[name]
+        builder = _WORKLOAD_REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown workload {name!r}; known: {sorted(WORKLOADS)}"
+            f"unknown workload {name!r}; known: {sorted(_WORKLOAD_REGISTRY)}"
         ) from None
     return builder(**kwargs)

@@ -25,9 +25,9 @@ JSON floats round-trip exactly too (shortest-repr encoding).
 
 Durability properties:
 
-* **atomic writes** — serialize to a temp file in the target directory,
-  ``fsync``, then ``os.replace``: a crash mid-write never clobbers an
-  existing good checkpoint;
+* **atomic writes** — :func:`repro.durable.atomic_write` (temp file in
+  the target directory, ``fsync``, then ``os.replace``): a crash
+  mid-write never clobbers an existing good checkpoint;
 * **corruption detection** — magic, schema, per-array and payload CRC32
   checks on load raise :class:`CheckpointCorruptionError` instead of
   returning garbage;
@@ -49,6 +49,8 @@ import zlib
 from typing import Any
 
 import numpy as np
+
+from repro.durable import atomic_write
 
 #: Container magic (8 bytes, includes the container revision).
 MAGIC = b"RPCKPT01"
@@ -268,7 +270,6 @@ class CheckpointManager:
         transient failures; the retention ring is pruned only after the
         new checkpoint is safely on disk.
         """
-        os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(self.directory, FILE_PATTERN.format(step=step))
         blob = serialize_checkpoint(arrays, meta)
         last_exc: Exception | None = None
@@ -293,16 +294,9 @@ class CheckpointManager:
         """temp file + fsync + rename; never clobbers a good checkpoint."""
         if self.injector is not None and self.injector.on_io("write", path):
             raise OSError(f"injected I/O fault writing {path}")
-        tmp = path + ".tmp"
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        # One writer per ring: a fixed suffix lets the retry after a kill
+        # overwrite the (large) temp the dead attempt left behind.
+        atomic_write(path, blob, tmp_suffix=".tmp")
 
     def _prune(self, protect: str) -> None:
         """Delete ring entries beyond ``keep`` (never the one just written)."""

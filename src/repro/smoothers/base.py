@@ -11,59 +11,12 @@ records honest per-rank roofline work.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
-
 import numpy as np
 from scipy import sparse
 
 from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix, spmv_bytes
 from repro.linalg.parvector import ParVector
-
-#: True while :func:`repro.smoothers.factory.make_smoother` constructs an
-#: instance — the sanctioned path — so constructors stay silent.
-_IN_FACTORY = False
-
-
-@contextmanager
-def factory_construction():
-    """Mark smoother construction as factory-driven (no deprecation)."""
-    global _IN_FACTORY
-    prev = _IN_FACTORY
-    _IN_FACTORY = True
-    try:
-        yield
-    finally:
-        _IN_FACTORY = prev
-
-
-#: Registry name to suggest for each deprecated constructor.
-_FACTORY_NAMES = {
-    "JacobiSmoother": "jacobi",
-    "L1JacobiSmoother": "l1_jacobi",
-    "HybridGS": "hybrid_gs",
-    "TwoStageGS": "two_stage_gs",
-    "ChebyshevSmoother": "chebyshev",
-}
-
-
-def warn_direct_construction(obj: object, cls: type) -> None:
-    """Deprecate direct smoother construction outside the factory.
-
-    Only fires for the exact class (so subclass ``super().__init__`` chains
-    warn once) and only outside :func:`factory_construction`.
-    ``stacklevel=3`` attributes the warning to the caller of ``__init__``.
-    """
-    if _IN_FACTORY or type(obj) is not cls:
-        return
-    name = _FACTORY_NAMES.get(cls.__name__, cls.__name__)
-    warnings.warn(
-        f"Direct construction of {cls.__name__} is deprecated; use "
-        f"repro.smoothers.make_smoother({name!r}, A, **opts) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def rank_nnz_shares(A: sparse.csr_matrix, offsets: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.krylov.api import reduction_contract
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import BlockSplitting, warn_direct_construction
+from repro.smoothers.base import BlockSplitting
 
 
 def estimate_dinv_a_eigmax(
@@ -64,7 +64,6 @@ class ChebyshevSmoother:
         eig_max: float | None = None,
         overlap: bool = False,
     ) -> None:
-        warn_direct_construction(self, ChebyshevSmoother)
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.A = A

@@ -4,8 +4,8 @@ Every relaxation scheme in :mod:`repro.smoothers` is reachable through one
 registry with uniform keyword options, mirroring how hypre selects
 smoothers by an enum + a small option set rather than per-class
 constructors.  :func:`make_smoother` is the only sanctioned construction
-path; direct class construction is deprecated (see
-:func:`repro.smoothers.base.warn_direct_construction`).
+path; repro-lint's RL004 flags direct class construction anywhere else
+in ``src/``.
 
 Registry names and their options:
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.linalg.parcsr import ParCSRMatrix
-from repro.smoothers.base import factory_construction
 from repro.smoothers.chebyshev import ChebyshevSmoother
 from repro.smoothers.gauss_seidel import HybridGS
 from repro.smoothers.jacobi import JacobiSmoother, L1JacobiSmoother
@@ -128,5 +127,4 @@ def make_smoother(name: str, A: ParCSRMatrix, **opts):
         raise ValueError(
             f"unknown smoother {name!r}; options {list(SMOOTHER_NAMES)}"
         ) from None
-    with factory_construction():
-        return builder(A, **opts)
+    return builder(A, **opts)

@@ -15,18 +15,13 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import (
-    BlockSplitting,
-    record_local_spmv,
-    warn_direct_construction,
-)
+from repro.smoothers.base import BlockSplitting, record_local_spmv
 
 
 class HybridGS:
     """Hybrid Gauss-Seidel with exact block-local triangular solves.
 
-    .. deprecated:: direct construction — use
-       ``make_smoother("hybrid_gs", A, ...)``.
+    Construct through ``make_smoother("hybrid_gs", A, ...)``.
     """
 
     def __init__(
@@ -35,7 +30,6 @@ class HybridGS:
         outer_sweeps: int = 1,
         symmetric: bool = False,
     ) -> None:
-        warn_direct_construction(self, HybridGS)
         self.A = A
         self.split = BlockSplitting(A)
         self.outer_sweeps = outer_sweeps

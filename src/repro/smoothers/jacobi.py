@@ -13,18 +13,16 @@ import numpy as np
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import BlockSplitting, warn_direct_construction
+from repro.smoothers.base import BlockSplitting
 
 
 class JacobiSmoother:
     """Damped (point) Jacobi: ``x += omega * D^-1 (b - A x)``.
 
-    .. deprecated:: direct construction — use
-       ``make_smoother("jacobi", A, omega=..., sweeps=...)``.
+    Construct through ``make_smoother("jacobi", A, omega=..., sweeps=...)``.
     """
 
     def __init__(self, A: ParCSRMatrix, omega: float = 0.8, sweeps: int = 1) -> None:
-        warn_direct_construction(self, JacobiSmoother)
         self.A = A
         self.omega = omega
         self.sweeps = sweeps
@@ -61,7 +59,6 @@ class L1JacobiSmoother(JacobiSmoother):
     """
 
     def __init__(self, A: ParCSRMatrix, sweeps: int = 1) -> None:
-        warn_direct_construction(self, L1JacobiSmoother)
         super().__init__(A, omega=1.0, sweeps=sweeps)
         M = abs(A.A)
         l1 = np.asarray(M.sum(axis=1)).ravel() - np.abs(A.diagonal())

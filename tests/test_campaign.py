@@ -1,10 +1,12 @@
 """Tests for the campaign service: job specs, sweep expansion, the
 content-addressed result store, the durable manifest, the runner
 (cache-hit bitwise identity, resume-after-kill, setup sharing), and the
-supervised execution layer (crash-at-every-boundary fault domains,
-hang detection, lease takeover, quarantine, failure breaker)."""
+supervisor protocol on both executors (inline == fork, crash-at-every-
+boundary fault domains, hang detection, lease takeover, quarantine,
+failure breaker)."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -310,6 +312,15 @@ class TestCampaignRunner:
         assert len(camp.store) == 0
 
 
+#: Overrides that make a job fail deterministically: a NaN injected
+#: into a halo exchange with solver recovery off.
+POISON = {
+    "faults": [{"kind": "exchange_nan", "at": 40, "entries": 1}],
+    "fault_seed": 7,
+    "recovery": {"enabled": False},
+}
+
+
 def fast_policy(**kw):
     kw.setdefault("backoff_base_s", 0.01)
     kw.setdefault("backoff_max_s", 0.05)
@@ -339,6 +350,42 @@ class TestSupervisorPolicy:
             backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.3
         )
         assert [p.backoff(k) for k in range(4)] == [0.1, 0.2, 0.3, 0.3]
+
+
+class TestExecutorChoice:
+    """``workers`` picks the executor; what it cannot do fails loudly."""
+
+    HANG = FaultInjector((FaultSpec(kind="worker_hang", at=0, point="run"),))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"policy": SupervisorPolicy(job_timeout_s=5.0)},
+            {"policy": SupervisorPolicy(heartbeat_timeout_s=5.0)},
+            {"chaos": HANG},
+        ],
+        ids=["job_timeout", "heartbeat", "worker_fault_chaos"],
+    )
+    def test_inline_rejects_what_needs_a_process_to_kill(
+        self, tmp_path, kwargs
+    ):
+        with pytest.raises(ValueError, match="workers=0"):
+            Campaign(tiny_spec(), str(tmp_path / "c"), workers=0, **kwargs)
+        Campaign(tiny_spec(), str(tmp_path / "c"), workers=1, **kwargs)
+
+    def test_inline_accepts_store_io_chaos(self, tmp_path):
+        chaos = FaultInjector((FaultSpec(kind="io_fail", at=0, entries=1),))
+        Campaign(tiny_spec(), str(tmp_path / "c"), workers=0, chaos=chaos)
+
+    def test_workers_without_fork_fail_at_construction(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(RuntimeError, match="workers=0"):
+            Campaign(tiny_spec(), str(tmp_path / "c"), workers=1)
+        Campaign(tiny_spec(), str(tmp_path / "c"), workers=0)
 
 
 class TestFailureContext:
@@ -532,16 +579,7 @@ class TestSupervisedRunner:
         # whose taxonomy is non-transient: no retry budget burned,
         # immediate quarantine with the traceback persisted.
         spec = tiny_spec(name="det", seeds=(0,), steps=2)
-        spec.base = merge_overrides(
-            spec.base,
-            {
-                "faults": [
-                    {"kind": "exchange_nan", "at": 40, "entries": 1}
-                ],
-                "fault_seed": 7,
-                "recovery": {"enabled": False},
-            },
-        )
+        spec.base = merge_overrides(spec.base, POISON)
         job = spec.expand()[0]
         camp = Campaign(
             spec,
@@ -625,19 +663,84 @@ class TestSupervisedRunner:
         assert s["status_counts"]["done"] == 1
         assert s["lease_expired"] == 1
 
-    def test_supervised_matches_unsupervised_bitwise(self, tmp_path):
+    def test_inline_matches_fork_bitwise_same_protocol(self, tmp_path):
+        # One protocol, two executors: identical stored bytes, and the
+        # same artefacts left behind (outcome file, attempts-free entry).
         spec = tiny_spec(name="par")
-        plain = Campaign(spec, str(tmp_path / "plain"))
-        plain.run()
-        sup = Campaign(
-            spec, str(tmp_path / "sup"), workers=2, policy=fast_policy()
-        )
-        s = sup.run()
-        assert s["status_counts"]["done"] == 2
-        assert s["supervised"] is True
+        inline = Campaign(spec, str(tmp_path / "inline"), workers=0)
+        fork = Campaign(spec, str(tmp_path / "fork"), workers=2)
+        for camp in (inline, fork):
+            s = camp.run()
+            assert s["status_counts"]["done"] == 2
+            assert "supervised" not in s
+            for job in camp.jobs:
+                assert os.listdir(camp._job_dir(job)) == ["outcome-000.json"]
+                entry = camp.manifest.jobs[job.digest()]
+                assert "attempts" not in entry
+                assert "attempts" not in s["jobs"][job.digest()]
         for job in spec.expand():
             d = job.digest()
-            assert plain.store.get_bytes(d) == sup.store.get_bytes(d)
+            assert inline.store.get_bytes(d) is not None
+            assert inline.store.get_bytes(d) == fork.store.get_bytes(d)
+
+    def test_inline_retries_a_transient_failure(self, tmp_path):
+        # Retry/backoff is protocol, not executor: a store fault window
+        # wider than the in-attempt budget costs the inline attempt
+        # (io_error, transient), and the job is re-run after backoff.
+        spec = tiny_spec(name="inline_retry", seeds=(0,))
+        job = spec.expand()[0]
+        chaos = FaultInjector(
+            (FaultSpec(kind="io_fail", at=0, entries=2, job=job.digest()),)
+        )
+        camp = Campaign(
+            spec,
+            str(tmp_path / "c"),
+            policy=fast_policy(max_attempts=2, store_io_retries=1),
+            chaos=chaos,
+        )
+        s = camp.run()
+        assert s["status_counts"]["done"] == 1
+        assert s["retries"] == 1 and s["store_retries"] == 1
+        entry = camp.manifest.jobs[job.digest()]
+        assert [a["taxonomy"] for a in entry["attempts"]] == ["io_error"]
+        assert sorted(os.listdir(camp._job_dir(job))) == [
+            "outcome-000.json", "outcome-001.json",
+        ]
+
+    def test_default_policy_quarantines_after_one_attempt(self, tmp_path):
+        # policy=None is max_attempts=1 on the one path there is: a job
+        # out of attempts is quarantined (never "failed"), inline too.
+        spec = tiny_spec(name="det1", seeds=(0,), steps=2)
+        spec.base = merge_overrides(spec.base, POISON)
+        camp = Campaign(spec, str(tmp_path / "c"))
+        s = camp.run()
+        digest = camp.jobs[0].digest()
+        assert s["status_counts"]["quarantined"] == 1
+        assert s["status_counts"]["failed"] == 0
+        assert s["retries"] == 0 and s["jobs_failed"] == 1
+        assert s["jobs"][digest]["attempts"] == 1
+        entry = camp.manifest.jobs[digest]
+        assert entry["status"] == "quarantined"
+        assert entry["taxonomy"].startswith("nonfinite")
+        assert entry["error_type"] == "SolverFailure"
+        assert "SolverFailure" in entry["traceback"]
+        assert len(entry["traceback"]) <= 2000
+        assert [a["attempt"] for a in entry["attempts"]] == [0]
+
+    def test_legacy_failed_entry_loads_and_is_requeued(self, tmp_path):
+        # Earlier versions wrote status "failed"; nothing does any more,
+        # but such a directory must still resume.
+        spec = tiny_spec(name="legacy", seeds=(0,))
+        root = str(tmp_path / "c")
+        manifest = CampaignManifest(root, spec)
+        manifest.register(spec.expand())
+        (entry,) = manifest.jobs.values()
+        entry.update(status="failed", error="boom", wall_s=0.1)
+        manifest.save()
+        s = Campaign.resume(root).run()
+        assert s["jobs_run"] == 1
+        assert s["status_counts"]["done"] == 1
+        assert s["status_counts"]["failed"] == 0
 
 
 @pytest.mark.slow
@@ -688,31 +791,34 @@ class TestCampaignCLI:
     def test_supervised_run_exits_0(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
         rc = main(
-            ["campaign", spec, "--supervised", "-d", str(tmp_path / "c"),
+            ["campaign", spec, "--workers", "1", "--max-attempts", "2",
+             "--job-timeout", "60", "-d", str(tmp_path / "c"),
              "--format", "json"]
         )
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["supervised"] is True
+        assert "supervised" not in summary
+        assert summary["workers"] == 1
         assert summary["status_counts"]["done"] == 1
 
-    def test_quarantined_jobs_exit_3(self, tmp_path, capsys):
-        doc = tiny_spec(name="cli_poison", seeds=(0,), steps=2).to_dict()
-        doc["base"] = merge_overrides(
-            doc["base"],
-            {
-                "faults": [
-                    {"kind": "exchange_nan", "at": 40, "entries": 1}
-                ],
-                "fault_seed": 7,
-                "recovery": {"enabled": False},
-            },
+    def test_inline_with_timeout_exits_1(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path)
+        rc = main(
+            ["campaign", spec, "--job-timeout", "60",
+             "-d", str(tmp_path / "c")]
         )
+        assert rc == 1
+        assert "workers=0" in capsys.readouterr().err
+
+    def test_quarantined_jobs_exit_3(self, tmp_path, capsys):
+        # Default flags: inline, one attempt — still quarantine + exit 3.
+        doc = tiny_spec(name="cli_poison", seeds=(0,), steps=2).to_dict()
+        doc["base"] = merge_overrides(doc["base"], POISON)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         rc = main(
-            ["campaign", str(path), "--supervised", "--max-attempts", "2",
-             "-d", str(tmp_path / "c"), "--format", "json"]
+            ["campaign", str(path), "-d", str(tmp_path / "c"),
+             "--format", "json"]
         )
         assert rc == 3
         summary = json.loads(capsys.readouterr().out)

@@ -27,6 +27,7 @@ from repro.analysis.protocol import (
 )
 
 PATH = "src/repro/comm/fixture.py"
+DURABLE = "src/repro/durable.py"
 
 
 def _cfg(src):
@@ -283,6 +284,8 @@ class TestHaloTypestate:
 
 
 class TestDurableWriteProtocol:
+    # The protocol DFA has one legitimate subject inside the package:
+    # repro.durable.  Fixtures are analyzed under its path.
     def test_replace_without_fsync_fires(self):
         rep = _analyze(
             """
@@ -293,7 +296,8 @@ class TestDurableWriteProtocol:
                 with open(tmp, "wb") as fh:
                     fh.write(blob)
                 os.replace(tmp, path)
-            """
+            """,
+            DURABLE,
         )
         assert _rules(rep) == ["RL007"]
         f = rep.findings[0]
@@ -310,7 +314,8 @@ class TestDurableWriteProtocol:
                     fh.write(blob)
                     os.fsync(fh.fileno())
                 os.replace(tmp, path)
-            """
+            """,
+            DURABLE,
         )
         assert not rep.findings
 
@@ -326,31 +331,40 @@ class TestDurableWriteProtocol:
                     os.fsync(fh.fileno())
                 if commit:
                     os.replace(tmp, path)
-            """
+            """,
+            DURABLE,
         )
         assert _rules(rep) == ["RL007"]
         assert "neither os.replace'd nor cleaned" in rep.findings[0].message
 
-    def test_finally_unlink_cleanup_idiom_is_quiet(self):
-        # The shipped _write_atomic shape: exception exits are exempt and
-        # the exists-guarded unlink clears the temp on failure.
-        rep = _analyze(
-            """
-            import os
+    #: The shipped ``atomic_write`` shape: exception exits are exempt and
+    #: the exists-guarded unlink clears the temp on failure.
+    SANCTIONED = """
+        import os
 
-            def save(path, blob):
-                tmp = path + ".tmp"
-                try:
-                    with open(tmp, "wb") as fh:
-                        fh.write(blob)
-                        os.fsync(fh.fileno())
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-            """
-        )
-        assert not rep.findings
+        def save(path, blob):
+            tmp = path + ".tmp"
+            try:
+                with open(tmp, "wb") as fh:
+                    fh.write(blob)
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        """
+
+    def test_finally_unlink_cleanup_idiom_is_quiet(self):
+        assert not _analyze(self.SANCTIONED, DURABLE).findings
+
+    def test_rename_outside_the_durable_module_fires(self):
+        # Even a protocol-perfect hand copy is a finding inside the
+        # package: a sixth commit site must go through atomic_write.
+        rep = _analyze(self.SANCTIONED, "src/repro/campaign/ledger.py")
+        assert _rules(rep) == ["RL007"]
+        f = rep.findings[0]
+        assert f.line == 10 and "atomic_write" in f.message
+        assert not _analyze(self.SANCTIONED, "tools/migrate.py").findings
 
     def test_functions_without_replace_are_not_checked(self):
         rep = _analyze(
