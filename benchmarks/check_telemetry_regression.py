@@ -9,7 +9,12 @@ iteration counts drift beyond tolerance.  Works on the artifacts
 Usage::
 
     python benchmarks/check_telemetry_regression.py baseline.json current.json \
-        [--phase-tol 0.5] [--iters-tol 0.1] [--min-phase-seconds 0.005]
+        [--phase-tol 0.5] [--iters-tol 0.1] [--min-phase-seconds 0.005] \
+        [--exact comm. ops. profile. assembly. amg.]
+
+``--exact`` is for comparing a parent commit's trace with a change's (same
+workload, same seed): every counter *and gauge* of the named families must
+then be identical, which is what a host-only optimisation promises.
 
 Pure-stdlib on purpose (no ``repro`` import) so CI can run it without
 installing the package.
@@ -52,9 +57,21 @@ def compare(
     phase_tol: float,
     iters_tol: float,
     min_phase_seconds: float,
+    exact: tuple[str, ...] = (),
 ) -> list[str]:
     """Return a list of failure strings (empty = pass)."""
     failures: list[str] = []
+
+    # Families promised bit-identical (parent-vs-change traces).
+    for section in ("counters", "gauges"):
+        bsec = base.get("metrics", {}).get(section, {})
+        csec = cur.get("metrics", {}).get(section, {})
+        for key in sorted(set(bsec) | set(csec)):
+            if key.startswith(exact) and bsec.get(key) != csec.get(key):
+                failures.append(
+                    f"exact family: {section[:-1]} {key!r} differs "
+                    f"({bsec.get(key)} -> {csec.get(key)})"
+                )
 
     # Per-phase wall time.  Tiny phases are pure noise on wall clocks, so
     # only phases above `min_phase_seconds` in the baseline gate.
@@ -190,6 +207,11 @@ def main(argv: list[str] | None = None) -> int:
         "--min-phase-seconds", type=float, default=0.005,
         help="ignore phases below this baseline wall time (default 5 ms)",
     )
+    ap.add_argument(
+        "--exact", nargs="*", default=[], metavar="PREFIX",
+        help="counter/gauge name prefixes that must match exactly "
+        "(parent-vs-change traces), e.g. comm. ops. profile. assembly. amg.",
+    )
     args = ap.parse_args(argv)
 
     base = load(args.baseline)
@@ -203,7 +225,8 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     failures = compare(
-        base, cur, args.phase_tol, args.iters_tol, args.min_phase_seconds
+        base, cur, args.phase_tol, args.iters_tol, args.min_phase_seconds,
+        tuple(args.exact),
     )
     if failures:
         print(f"TELEMETRY REGRESSION ({len(failures)} failures):")

@@ -25,7 +25,7 @@ import zlib
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,9 +60,14 @@ def payload_checksum(payload: Any) -> int:
     checksum is over raw value bytes, so any single-bit corruption of a
     delivered array flips it.
     """
-    crc = 0
     if isinstance(payload, np.ndarray):
-        return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+        try:
+            # Straight over the array's buffer: no bytes copy.
+            return zlib.crc32(payload)
+        except ValueError:
+            # Strided view: pack to C order, the bytes ``tobytes`` reads.
+            return zlib.crc32(np.ascontiguousarray(payload))
+    crc = 0
     if isinstance(payload, (tuple, list)):
         for p in payload:
             crc = zlib.crc32(payload_checksum(p).to_bytes(4, "little"), crc)
@@ -70,7 +75,7 @@ def payload_checksum(payload: Any) -> int:
     return zlib.crc32(repr(payload).encode())
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageEnvelope:
     """One point-to-point message on the simulated wire.
 
@@ -222,42 +227,72 @@ class SimWorld:
     # -- mailbox primitives (used by SimComm) -------------------------------
 
     def _post(self, src: int, dst: int, payload: Any) -> None:
-        """Post one point-to-point message from ``src`` to ``dst``.
+        """Post one point-to-point message from ``src`` to ``dst``: the
+        one-message case of :meth:`_post_batch`, accounted on its own."""
+        self._post_batch(((src, dst),), (payload,))
 
-        The payload travels in a sequence-numbered, checksummed
+    def _post_batch(
+        self,
+        channels: Iterable[tuple[int, int]],
+        payloads: Iterable[Any],
+        round_sums: tuple[list[tuple[int, int, int]], int, int] | None = None,
+    ) -> None:
+        """Post messages on ``(src, dst)`` ``channels``, in order.
+
+        The one implementation of the envelope protocol.  Every payload
+        travels in a sequence-numbered, checksummed
         :class:`MessageEnvelope`.  When a fault injector is installed it
-        sees every envelope (:meth:`FaultInjector.on_post`) and may drop
-        it, corrupt the payload in flight, or duplicate it; traffic and
-        the per-message ``exchange`` hub event are recorded once per
-        envelope that left the sender (a dropped message was still sent —
-        it is lost on the wire, not at the source).
+        sees every envelope (:meth:`FaultInjector.on_post`), in posting
+        order, and may drop it, corrupt the payload in flight, or
+        duplicate it.
+
+        Wire accounting is one traffic record (and, while someone
+        observes ``exchange``, one ``kind="p2p"`` hub event) per
+        transmission that left the sender: a dropped message was still
+        sent — it is lost on the wire, not at the source — and a
+        duplicate transmits twice.  A caller that knows the whole round
+        beforehand passes ``round_sums`` (the arguments of
+        :meth:`TrafficLog.record_round`): first transmissions are then
+        recorded once for the round, only injected extra transmissions
+        one by one, and the aggregates come out the same.
         """
-        key = (src, dst)
-        seq = self._next_seq.get(key, 0)
-        self._next_seq[key] = seq + 1
-        env = MessageEnvelope(
-            seq=seq, src=src, dst=dst, phase=self.phase, payload=payload
-        )
-        envelopes: Sequence[MessageEnvelope] = (env,)
-        if self.fault_injector is not None:
-            envelopes = self.fault_injector.on_post(env)
-        # Wire accounting: one record per transmission.  A drop still
-        # transmits once (and vanishes); a duplicate transmits twice.
-        n_wire = max(1, len(envelopes))
-        nbytes = _nbytes(payload)
-        for _ in range(n_wire):
-            self.traffic.record_message(src, dst, nbytes, self.phase)
-            self.hub.emit(
-                "exchange",
-                kind="p2p",
-                src=src,
-                dst=dst,
-                nbytes=nbytes,
-                phase=self.phase,
+        phase = self.phase
+        next_seq, boxes = self._next_seq, self._mailboxes
+        injector = self.fault_injector
+        observed = self.hub.has("exchange")
+        # Transmissions per message that ``round_sums`` already covers.
+        covered = 0 if round_sums is None else 1
+        for key, payload in zip(channels, payloads):
+            seq = next_seq.get(key, 0)
+            next_seq[key] = seq + 1
+            src, dst = key
+            env = MessageEnvelope(
+                seq, src, dst, phase, payload, payload_checksum(payload)
             )
-        if envelopes:
-            box = self._mailboxes.setdefault(key, deque())
-            box.extend(envelopes)
+            envelopes: Sequence[MessageEnvelope] = (
+                (env,) if injector is None else injector.on_post(env)
+            )
+            if envelopes:
+                box = boxes.get(key)
+                if box is None:
+                    box = boxes[key] = deque()
+                box.extend(envelopes)
+            n_wire = len(envelopes) or 1
+            if observed or n_wire > covered:
+                nbytes = _nbytes(payload)
+                for _ in range(n_wire - covered):
+                    self.traffic.record_message(src, dst, nbytes, phase)
+                for _ in range(n_wire if observed else 0):
+                    self.hub.emit(
+                        "exchange",
+                        kind="p2p",
+                        src=src,
+                        dst=dst,
+                        nbytes=nbytes,
+                        phase=phase,
+                    )
+        if round_sums is not None:
+            self.traffic.record_round(*round_sums, phase)
 
     def _take(self, src: int, dst: int) -> Any:
         """Receive the oldest pending payload on channel ``(src, dst)``.

@@ -18,19 +18,22 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class MessageRecord:
-    """One point-to-point message.
+    """One point-to-point message, or one summary of many.
 
     Attributes:
-        src: sending rank.
-        dst: receiving rank.
-        nbytes: payload size in bytes.
+        src: sending rank (``-1`` for a round summary: many senders).
+        dst: receiving rank (``-1`` for a round summary).
+        nbytes: payload bytes (the total of a summary record).
         phase: phase label active when the message was sent.
+        count: messages the record stands for.  Summing it over
+            :attr:`TrafficLog.messages` gives ``message_count()``.
     """
 
     src: int
     dst: int
     nbytes: int
     phase: str
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,11 @@ class CollectiveRecord:
 class TrafficLog:
     """Accumulates communication records with cheap aggregate summaries.
 
-    The full per-message list is retained (tests inspect it); aggregates are
-    maintained incrementally so the cost model does not re-scan the log.
+    ``messages`` is the detailed list: one record per individually posted
+    message, one *summary* record per bulk call (:meth:`record_messages`,
+    :meth:`record_round` — a halo round is one record, not one per
+    message, so the list grows with rounds).  Every query reads the
+    incrementally maintained aggregates, never the list.
     """
 
     def __init__(self) -> None:
@@ -87,11 +93,38 @@ class TrafficLog:
         detailed list receives a single summary record (high-volume setup
         phases would otherwise dominate the log's memory).
         """
-        self.messages.append(MessageRecord(src, dst, int(nbytes), phase))
+        self.messages.append(
+            MessageRecord(src, dst, int(nbytes), phase, int(count))
+        )
         self._msg_count[phase] += int(count)
         self._msg_bytes[phase] += int(nbytes)
         self._rank_msg_count[(phase, src)] += int(count)
         self._rank_msg_bytes[(phase, src)] += int(nbytes)
+
+    def record_round(
+        self,
+        per_source: list[tuple[int, int, int]],
+        count: int,
+        nbytes: int,
+        phase: str,
+    ) -> None:
+        """Record one whole exchange round from its precomputed sums.
+
+        ``per_source`` lists ``(src, messages, bytes)`` for every rank
+        that sends at least one message; ``count``/``nbytes`` are their
+        totals.  Aggregates update exactly as one :meth:`record_message`
+        per message would (an empty round leaves no trace, not even its
+        phase label); the detailed list receives one summary record.
+        """
+        if not count:
+            return
+        self.messages.append(MessageRecord(-1, -1, nbytes, phase, count))
+        self._msg_count[phase] += count
+        self._msg_bytes[phase] += nbytes
+        rank_count, rank_bytes = self._rank_msg_count, self._rank_msg_bytes
+        for src, n, b in per_source:
+            rank_count[(phase, src)] += n
+            rank_bytes[(phase, src)] += b
 
     def record_collective(
         self, kind: str, world_size: int, nbytes: int, phase: str

@@ -31,12 +31,15 @@ class ParVector:
                 f"data shape {data.shape} does not match offsets ({self.n})"
             )
         self.data = data
+        self._sizes: list[int] | None = None
 
     # -- construction helpers -------------------------------------------------
 
     def like(self, data: np.ndarray | None = None) -> "ParVector":
         """New vector on the same distribution."""
-        return ParVector(self.world, self.offsets, data)
+        v = ParVector(self.world, self.offsets, data)
+        v._sizes = self._sizes
+        return v
 
     def copy(self) -> "ParVector":
         """Deep copy."""
@@ -48,25 +51,27 @@ class ParVector:
         """Zero-copy view of rank's owned slice."""
         return self.data[self.offsets[rank] : self.offsets[rank + 1]]
 
-    def locals(self) -> list[np.ndarray]:
-        """Views for all ranks."""
-        return [self.local(r) for r in range(self.world.size)]
+    @property
+    def sizes(self) -> list[int]:
+        """Per-rank owned lengths.
+
+        Derived once per distribution, not per operation: vectors made
+        by :meth:`like` / :meth:`copy` share the list.
+        """
+        if self._sizes is None:
+            self._sizes = np.diff(self.offsets).tolist()
+        return self._sizes
 
     # -- instrumented BLAS-1 ------------------------------------------------------
 
     def _record_local(self, kernel: str, flops_per_entry: float, streams: int) -> None:
-        ops = self.world.ops
-        phase = self.world.phase
-        sizes = np.diff(self.offsets)
-        for r in range(self.world.size):
-            ln = int(sizes[r])
-            ops.record(
-                phase,
-                r,
-                kernel,
-                flops=flops_per_entry * ln,
-                nbytes=8.0 * streams * ln,
-            )
+        sizes = self.sizes
+        self.world.ops.record_ranks(
+            self.world.phase,
+            kernel,
+            [flops_per_entry * ln for ln in sizes],
+            [8.0 * streams * ln for ln in sizes],
+        )
 
     def axpy(self, alpha: float, x: "ParVector") -> "ParVector":
         """``self += alpha * x`` in place (2 flops/entry, 3 streams)."""
@@ -121,15 +126,11 @@ def fused_dots(
         for r in range(world_size)
     ]
     # Per-rank compute share: k simultaneous dots stream 2k vectors.
-    first = pairs[0][0]
-    sizes = np.diff(first.offsets)
-    for r in range(world_size):
-        ln = int(sizes[r])
-        world.ops.record(
-            world.phase,
-            r,
-            "multidot",
-            flops=2.0 * k * ln,
-            nbytes=8.0 * 2 * k * ln,
-        )
+    sizes = pairs[0][0].sizes
+    world.ops.record_ranks(
+        world.phase,
+        "multidot",
+        [2.0 * k * ln for ln in sizes],
+        [8.0 * 2 * k * ln for ln in sizes],
+    )
     return np.asarray(world.allreduce(partials, sum), dtype=np.float64)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Sequence
 
 
 @dataclass
@@ -56,6 +58,35 @@ class OpRecorder:
         """Record one kernel invocation's work."""
         self._tallies[(phase, rank)].add(flops, nbytes, launches)
         self._kernel_tallies[(phase, kernel)].add(flops, nbytes, launches)
+
+    def record_ranks(
+        self,
+        phase: str,
+        kernel: str,
+        flops: Sequence[float],
+        nbytes: Sequence[float],
+        launches: int | Sequence[int] = 1,
+        ranks: Sequence[int] | None = None,
+    ) -> None:
+        """Record one kernel invocation on each of many ranks at once.
+
+        ``flops[i]``/``nbytes[i]`` (and ``launches[i]``, unless one count
+        serves every rank) are the work of rank ``ranks[i]`` — of rank
+        ``i`` when ``ranks`` is omitted.  Tallies accumulate in the given
+        order, so the result is exactly that of one :meth:`record` call
+        per rank.
+        """
+        if len(flops) == 0:
+            return
+        if ranks is None:
+            ranks = range(len(flops))
+        if isinstance(launches, int):
+            launches = repeat(launches)
+        tallies = self._tallies
+        kernel_tally = self._kernel_tallies[(phase, kernel)]
+        for r, f, b, n in zip(ranks, flops, nbytes, launches):
+            tallies[(phase, r)].add(f, b, n)
+            kernel_tally.add(f, b, n)
 
     def record_alloc(self, rank: int, nbytes: float) -> None:
         """Record a device allocation (negative ``nbytes`` frees)."""

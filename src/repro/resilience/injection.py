@@ -335,7 +335,7 @@ class FaultInjector:
     def on_post(self, envelope: Any) -> list[Any]:
         """Transform one posted point-to-point envelope.
 
-        Called by :meth:`SimWorld._post` for every p2p message.  Returns
+        Called by :meth:`SimWorld._post_batch` for every p2p message.  Returns
         the envelopes that actually land in the mailbox: ``[]`` for a
         drop, ``[env]`` untouched, ``[env]`` with a corrupted payload
         (the checksum is *not* restamped — that is the point), or

@@ -14,38 +14,24 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix, spmv_bytes
 from repro.linalg.parvector import ParVector
 
 
 def rank_nnz_shares(A: sparse.csr_matrix, offsets: np.ndarray) -> np.ndarray:
     """Nonzeros per rank-owned row block of a global matrix."""
-    row_nnz = np.diff(A.indptr)
-    nranks = len(offsets) - 1
-    out = np.zeros(nranks, dtype=np.int64)
-    for r in range(nranks):
-        out[r] = int(row_nnz[offsets[r] : offsets[r + 1]].sum())
-    return out
+    return np.diff(A.indptr[offsets]).astype(np.int64)
 
 
-def record_local_spmv(
-    world: SimWorld,
-    rank_nnz: np.ndarray,
-    offsets: np.ndarray,
-    kernel: str,
-) -> None:
-    """Record one block-local SpMV (no communication) for every rank."""
-    phase = world.phase
-    for r in range(len(rank_nnz)):
-        nrows = int(offsets[r + 1] - offsets[r])
-        world.ops.record(
-            phase,
-            r,
-            kernel,
-            flops=2.0 * float(rank_nnz[r]),
-            nbytes=spmv_bytes(int(rank_nnz[r]), nrows),
-        )
+def local_spmv_work(
+    rank_nnz: np.ndarray, offsets: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """Per-rank ``(flops, bytes)`` of one block-local SpMV (no
+    communication), as :meth:`OpRecorder.record_ranks` takes them."""
+    return (
+        (2.0 * rank_nnz).tolist(),
+        spmv_bytes(rank_nnz, np.diff(offsets)).tolist(),
+    )
 
 
 class BlockSplitting:
@@ -68,8 +54,14 @@ class BlockSplitting:
             raise ValueError("smoother requires a nonzero diagonal")
         self.D = d
         self.Dinv = 1.0 / d
-        self.L_rank_nnz = rank_nnz_shares(self.L, self.offsets)
-        self.U_rank_nnz = rank_nnz_shares(self.U, self.offsets)
+        # Per-rank work of every application kernel, derived once here.
+        L_nnz = rank_nnz_shares(self.L, self.offsets)
+        U_nnz = rank_nnz_shares(self.U, self.offsets)
+        sizes = np.diff(self.offsets)
+        self._L_work = local_spmv_work(L_nnz, self.offsets)
+        self._U_work = local_spmv_work(U_nnz, self.offsets)
+        self._bd_work = local_spmv_work(L_nnz + U_nnz + sizes, self.offsets)
+        self._scale_work = ((1.0 * sizes).tolist(), (24.0 * sizes).tolist())
         # Setup work: extracting the splitting is one pass over the local
         # matrix per rank (recorded so preconditioner-setup phases that
         # build smoothers are visible to the cost model).
@@ -86,16 +78,16 @@ class BlockSplitting:
 
     def record_tri(self, lower: bool, kernel: str) -> None:
         """Record one block-local triangular SpMV."""
-        record_local_spmv(
-            self.world,
-            self.L_rank_nnz if lower else self.U_rank_nnz,
-            self.offsets,
-            kernel,
+        self.world.ops.record_ranks(
+            self.world.phase, kernel, *(self._L_work if lower else self._U_work)
         )
+
+    def record_bd_residual(self, kernel: str) -> None:
+        """Record one block-diagonal residual SpMV (``L + U + D``)."""
+        self.world.ops.record_ranks(self.world.phase, kernel, *self._bd_work)
 
     def record_diag_scale(self, kernel: str = "dscale") -> None:
         """Record one diagonal scaling pass."""
-        phase = self.world.phase
-        for r in range(len(self.L_rank_nnz)):
-            n = int(self.offsets[r + 1] - self.offsets[r])
-            self.world.ops.record(phase, r, kernel, flops=float(n), nbytes=24.0 * n)
+        self.world.ops.record_ranks(
+            self.world.phase, kernel, *self._scale_work
+        )

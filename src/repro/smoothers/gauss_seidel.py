@@ -15,7 +15,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import BlockSplitting, record_local_spmv
+from repro.smoothers.base import BlockSplitting
 
 
 class HybridGS:
@@ -44,12 +44,7 @@ class HybridGS:
         out = spsolve_triangular(M, rhs, lower=lower)
         # Triangular solves move the same data as an SpMV but serialize on
         # level sets: cost the traffic, with extra launches for the levels.
-        record_local_spmv(
-            self.A.world,
-            self.split.L_rank_nnz if lower else self.split.U_rank_nnz,
-            self.split.offsets,
-            "gs_trisolve",
-        )
+        self.split.record_tri(lower, "gs_trisolve")
         return out
 
     def _local_sweep(self, res: np.ndarray) -> np.ndarray:
@@ -57,12 +52,7 @@ class HybridGS:
         if self.symmetric:
             sp = self.split
             bd_res = res - (sp.L @ g + sp.U @ g + sp.D * g)
-            record_local_spmv(
-                self.A.world,
-                sp.L_rank_nnz + sp.U_rank_nnz + np.diff(sp.offsets),
-                sp.offsets,
-                "gs_bd_residual",
-            )
+            sp.record_bd_residual("gs_bd_residual")
             g = g + self._tri_solve(bd_res, lower=False)
         return g
 

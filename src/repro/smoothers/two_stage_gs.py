@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
-from repro.smoothers.base import BlockSplitting, record_local_spmv
+from repro.smoothers.base import BlockSplitting
 
 
 class TwoStageGS:
@@ -56,12 +56,6 @@ class TwoStageGS:
         self.inner_sweeps = inner_sweeps
         self.outer_sweeps = outer_sweeps
         self.symmetric = symmetric
-        # Block-diagonal operator for stage-internal residuals.
-        self._bd_rank_nnz = (
-            self.split.L_rank_nnz
-            + self.split.U_rank_nnz
-            + np.diff(A.row_offsets)
-        )
 
     # -- stages -----------------------------------------------------------------
 
@@ -84,9 +78,7 @@ class TwoStageGS:
         if self.symmetric:
             # Block-local residual, then the backward stage (eqs. 13-14).
             bd_res = res - (sp.L @ g + sp.U @ g + sp.D * g)
-            record_local_spmv(
-                self.A.world, self._bd_rank_nnz, sp.offsets, "tsgs_bd_residual"
-            )
+            sp.record_bd_residual("tsgs_bd_residual")
             g = g + self._jr_solve(bd_res, lower=False)
         return g
 

@@ -325,6 +325,22 @@ class TestAMGRefresh:
         with pytest.raises(ValueError):
             h.refresh(other)
 
+    def test_refresh_on_pressure_hierarchy_keeps_every_pattern(
+        self, assemble_tiny_pressure
+    ):
+        """refresh_values compares indptr and indices, so this passes only
+        if every refreshed Galerkin product has exactly the pattern its
+        level was set up with."""
+        _w, A, _rhs = assemble_tiny_pressure(3)
+        h = AMGHierarchy(A)
+        assert len(h.levels) >= 3
+        before = [lvl.A.A.copy() for lvl in h.levels]
+        h.refresh()
+        for lvl, ref in zip(h.levels, before):
+            assert np.array_equal(lvl.A.A.indptr, ref.indptr)
+            assert np.array_equal(lvl.A.A.indices, ref.indices)
+            assert np.allclose(lvl.A.A.data, ref.data, rtol=1e-12, atol=1e-12)
+
     def test_pressure_system_refresh_between_rebuilds(self):
         cfg = SimulationConfig(nranks=2, precond_rebuild_every=3)
         w = SimWorld(cfg.nranks)

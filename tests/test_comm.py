@@ -275,6 +275,15 @@ class TestEnvelopeTransport:
         a[3] += 1e-12
         assert payload_checksum(a) != before
 
+    def test_payload_checksum_is_crc_of_value_bytes(self):
+        """Computed over the array's buffer, no copy — and still the
+        CRC32 of the C-order value bytes for slices and strided views."""
+        import zlib
+
+        a = np.arange(24.0)
+        for view in (a, a[3:11], a[::3], a.reshape(4, 6).T, a[:0]):
+            assert payload_checksum(view) == zlib.crc32(view.tobytes())
+
     def test_payload_checksum_covers_tuple_payloads(self):
         idx = np.arange(3)
         vals = np.ones(3)
@@ -455,6 +464,204 @@ class TestHaloRetryProtocol:
             exchange_halo(w, pat, owned)
         assert ei.value.last_error == "truncated"
         w.purge_pending()
+
+
+def ring_halo(nranks=5, per_rank=6, seed=0):
+    """A pattern where every rank needs entries of both ring neighbors
+    and of one rank further away (uneven message counts and sizes)."""
+    rng = np.random.default_rng(seed)
+    offs = np.arange(nranks + 1) * per_rank
+    ext = []
+    for r in range(nranks):
+        need = []
+        for hop, k in ((-1, 2), (1, 3), (2, 1 + r % 2)):
+            q = (r + hop) % nranks
+            need.append(offs[q] + rng.choice(per_rank, k, replace=False))
+        ext.append(np.unique(np.concatenate(need)))
+    return offs, build_exchange_pattern(offs, ext), ext
+
+
+def traffic_queries(log):
+    """Every query the cost model, telemetry and gauges read."""
+    from repro.obs.metrics import MetricsRegistry
+
+    reg = MetricsRegistry()
+    log.publish_metrics(reg)
+    phases = log.phases()
+    return {
+        "phases": phases,
+        "count": [log.message_count(ph) for ph in [None, *phases]],
+        "bytes": [log.message_bytes(ph) for ph in [None, *phases]],
+        "max_rank": [
+            (log.max_rank_messages(ph), log.max_rank_bytes(ph))
+            for ph in phases
+        ],
+        "rank_totals": log.rank_totals(),
+        "gauges": reg.as_dict(),
+    }
+
+
+class TestRoundRecording:
+    """A halo round is recorded once, from the pattern's tables; every
+    aggregate must equal recording its transmissions one by one."""
+
+    def test_round_sums_equal_the_per_rank_description(self):
+        _offs, pat, ext = ring_halo()
+        per_source, count, nbytes = pat.round_sums
+        assert count == pat.total_messages() == len(pat.channels)
+        assert nbytes == 8 * pat.total_halo_entries()
+        assert per_source == [
+            (
+                r,
+                rx.n_neighbors_send,
+                8 * sum(idx.size for _dst, idx in rx.send_to),
+            )
+            for r, rx in enumerate(pat.per_rank)
+        ]
+        assert pat.ext_bounds == np.cumsum([0, *map(len, ext)]).tolist()
+
+    def test_rounds_match_per_message_recording(self):
+        """Clean rounds, a round with an injected duplicate and one with
+        a dropped-then-retried message, against a log that records every
+        observed transmission with ``record_message``."""
+        offs, pat, ext = ring_halo()
+        w = SimWorld(len(offs) - 1)
+        n_msgs = pat.total_messages()
+        w.fault_injector = FaultInjector(
+            (
+                FaultSpec("message_duplicate", at=n_msgs + 3),
+                FaultSpec("message_drop", at=2 * n_msgs + 5),
+            )
+        )
+        reference = TrafficLog()
+        w.hub.subscribe(
+            "exchange",
+            lambda kind, phase, src=None, dst=None, nbytes=0: (
+                reference.record_message(src, dst, nbytes, phase)
+                if kind == "p2p"
+                else None
+            ),
+        )
+        x = np.random.default_rng(1).standard_normal(offs[-1])
+        for phase in ("clean", "duplicate", "drop", "clean"):
+            with w.phase_scope(phase):
+                got = exchange_halo(w, pat, x)
+            for r, ids in enumerate(ext):
+                assert np.array_equal(got[r], x[ids])
+        assert w.metrics.counter_total("comm.duplicates_discarded") == 1
+        assert w.metrics.counter_total("comm.retries") == 1
+        assert reference.message_count() == 4 * n_msgs + 2
+
+        assert traffic_queries(w.traffic) == traffic_queries(reference)
+        # One summary per round plus one record per extra transmission:
+        # the list grows with rounds, not with messages.
+        assert len(w.traffic.messages) == 4 + 2
+        assert sum(m.count for m in w.traffic.messages) == 4 * n_msgs + 2
+
+    def test_empty_round_leaves_no_trace(self):
+        offs = np.array([0, 4, 8])
+        pat = build_exchange_pattern(offs, [np.array([]), np.array([])])
+        w = SimWorld(2)
+        with w.phase_scope("quiet"):
+            ext = exchange_halo(w, pat, np.arange(8.0))
+        assert [e.size for e in ext] == [0, 0]
+        assert w.traffic.phases() == [] and w.traffic.messages == []
+
+
+@pytest.fixture(scope="module")
+def pressure_matrix(assemble_tiny_pressure):
+    """Assembled pressure-Poisson operator of the tiny turbine, 4 ranks."""
+    return assemble_tiny_pressure(4)
+
+
+class TestFaultModelSeesSameWire:
+    """Posting order, sequence numbers and the retry protocol are the
+    fault model's coordinates.  The pinned values were produced by the
+    per-message implementation this one replaced (commit 9fce510)."""
+
+    SPECS = (
+        FaultSpec("message_drop", at=3),
+        FaultSpec("message_corrupt", at=7),
+        FaultSpec("message_duplicate", at=12),
+        FaultSpec("message_drop", at=20),
+    )
+    FIRED = [
+        ("message_drop", "pin/halo", 1, 2, 1),
+        ("message_corrupt", "pin/halo", 1, 2, 2),
+        ("message_duplicate", "pin/halo", 2, 0, 2),
+        ("message_drop", "pin/halo", 1, 2, 5),
+    ]
+    COUNTERS = {
+        "comm.retries": 3,
+        "comm.drops_detected": 2,
+        "comm.corrupt_detected": 1,
+        "comm.duplicates_discarded": 1,
+    }
+
+    def test_fired_faults_and_counters_match_pins(self, pressure_matrix):
+        w, A, rhs = pressure_matrix
+        assert A.pattern.total_messages() == 8
+        x = A.new_vector(rhs.data.copy())
+        clean = A.matvec(x).data.copy()
+        before = {k: w.metrics.counter_total(k) for k in self.COUNTERS}
+        sent = w.traffic.message_count()
+        events = []
+        off = w.hub.subscribe(
+            "exchange", lambda kind, **_kw: events.append(kind)
+        )
+        w.fault_injector = FaultInjector(self.SPECS, seed=11)
+        try:
+            with w.phase_scope("pin/halo"):
+                results = [
+                    A.matvec(x).data.copy(),
+                    A.matvec(x, overlap=True).data.copy(),
+                    A.matvec(x).data.copy(),
+                ]
+        finally:
+            fired = w.fault_injector.fired
+            w.fault_injector = None
+            off()
+        for y in results:
+            assert np.array_equal(y, clean)
+        assert [
+            (f["kind"], f["phase"], f["src"], f["dst"], f["seq"])
+            for f in fired
+        ] == self.FIRED
+        assert {
+            k: w.metrics.counter_total(k) - before[k] for k in self.COUNTERS
+        } == self.COUNTERS
+        # 3 rounds of 8, 3 re-posts, 1 duplicate: one event each.
+        assert w.traffic.message_count() - sent == 28
+        assert events.count("p2p") == 28
+        assert w.pending_messages() == 0
+
+    def test_exhaustion_still_escalates(self, pressure_matrix):
+        w, A, rhs = pressure_matrix
+        x = A.new_vector(rhs.data.copy())
+        clean = A.matvec(x).data.copy()
+        # Drop the first-received message and both its re-posts.  The
+        # round posts 8 messages, re-posts are opportunities 8 and 9; a
+        # spec does not count an opportunity an earlier spec fired on.
+        src, dst = A.pattern.receives[0][:2]
+        first = A.pattern.channels.index((src, dst))
+        w.fault_injector = FaultInjector(
+            (
+                FaultSpec("message_drop", at=first),
+                FaultSpec("message_drop", at=7),
+                FaultSpec("message_drop", at=7),
+            )
+        )
+        try:
+            with pytest.raises(CommRetriesExhaustedError) as ei:
+                A.matvec(x, overlap=True)
+        finally:
+            w.fault_injector = None
+            w.purge_pending()
+        assert (ei.value.src, ei.value.dst) == (src, dst)
+        assert ei.value.attempts == 1 + w.comm_max_retries == 3
+        assert ei.value.last_error == "dropped"
+        # The ladder's purge released the pattern: the next round is clean.
+        assert np.array_equal(A.matvec(x).data, clean)
 
 
 class TestLeakDetection:

@@ -18,13 +18,9 @@ import pytest
 from scipy import sparse
 
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
 from repro.core.config import SolverConfig
-from repro.core.operators import boundary_mass_flux, mass_flux
-from repro.core.physics import PressurePoissonSystem
 from repro.krylov import CG, PipelinedCG, make_krylov_solver, orthogonalize
 from repro.linalg import ParCSRMatrix
-from repro.mesh import make_turbine_tiny
 from repro.resilience.injection import FaultInjector, FaultSpec
 from repro.smoothers import make_smoother
 
@@ -51,21 +47,9 @@ def par(A, nranks=4):
 
 
 @pytest.fixture(scope="module")
-def pressure_system():
+def pressure_system(assemble_tiny_pressure):
     """Assembled pressure-Poisson matrix from the tiny turbine mesh."""
-    cfg = SimulationConfig(nranks=3)
-    w = SimWorld(cfg.nranks)
-    comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-    pres = PressurePoissonSystem(comp, cfg, PhaseTimers())
-    u = np.tile([8.0, 0, 0], (comp.n, 1))
-    mdot = mass_flux(comp, u, cfg.density)
-    bflux = boundary_mass_flux(comp, u, cfg.density)
-    A, rhs = pres.assemble(
-        mdot=mdot,
-        pressure_correction_bc=np.zeros(comp.n),
-        boundary_flux=bflux,
-    )
-    return w, A, rhs
+    return assemble_tiny_pressure(3)
 
 
 class TestReductionContracts:

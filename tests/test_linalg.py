@@ -167,6 +167,246 @@ class TestParCSR:
         assert np.allclose(y.data, A @ x.data, atol=1e-10)
 
 
+def reference_blocks(A, row_offsets, col_offsets):
+    """Per-rank (diag, offd, col_map_offd), split the way hypre describes
+    it: one rank's rows at a time, straight from the global matrix."""
+    out = []
+    for r in range(len(row_offsets) - 1):
+        rlo, rhi = row_offsets[r], row_offsets[r + 1]
+        clo, chi = col_offsets[r], col_offsets[r + 1]
+        rows = sparse.csr_matrix(A)[rlo:rhi].tocoo()
+        own = (rows.col >= clo) & (rows.col < chi)
+        diag = sparse.csr_matrix(
+            (rows.data[own], (rows.row[own], rows.col[own] - clo)),
+            shape=(rhi - rlo, chi - clo),
+        )
+        col_map = np.unique(rows.col[~own])
+        offd = sparse.csr_matrix(
+            (
+                rows.data[~own],
+                (rows.row[~own], np.searchsorted(col_map, rows.col[~own])),
+            ),
+            shape=(rhi - rlo, col_map.size),
+        )
+        out.append((diag, offd, col_map))
+    return out
+
+
+def reference_matvec(blocks, row_offsets, col_offsets, xv):
+    """``yl = diag @ xl`` then ``yl += offd @ ext`` on every rank."""
+    y = np.zeros(row_offsets[-1])
+    for r, (diag, offd, col_map) in enumerate(blocks):
+        yl = diag @ xv[col_offsets[r] : col_offsets[r + 1]]
+        if offd.nnz:
+            yl += offd @ xv[col_map]
+        y[row_offsets[r] : row_offsets[r + 1]] = yl
+    return y
+
+
+def record_reference_round(world, blocks, row_offsets, col_offsets, overlap):
+    """What one matvec must add to the logs, one rank / message at a time."""
+    for r, (_diag, _offd, col_map) in enumerate(blocks):
+        owners = np.searchsorted(col_offsets, col_map, side="right") - 1
+        for src in np.unique(owners):
+            world.traffic.record_message(
+                int(src), r, 8 * int((owners == src).sum()), world.phase
+            )
+    for r, (diag, offd, _cm) in enumerate(blocks):
+        nrows = diag.shape[0]
+        nnz = diag.nnz + offd.nnz
+        if not overlap:
+            world.ops.record(
+                world.phase, r, "spmv", flops=2.0 * nnz,
+                nbytes=spmv_bytes(nnz, nrows),
+                launches=2 if offd.nnz else 1,
+            )
+            continue
+        world.ops.record(
+            world.phase, r, "spmv", flops=2.0 * diag.nnz,
+            nbytes=spmv_bytes(diag.nnz, nrows), launches=1,
+        )
+        if offd.nnz:
+            world.ops.record(
+                world.phase, r, "spmv", flops=2.0 * offd.nnz,
+                nbytes=spmv_bytes(nnz, nrows) - spmv_bytes(diag.nnz, nrows),
+                launches=1,
+            )
+
+
+def log_snapshot(world):
+    """Every tally and traffic aggregate a run is priced from."""
+    ops, tr = world.ops, world.traffic
+    as_tuple = lambda t: (t.flops, t.bytes, t.launches)  # noqa: E731
+    return {
+        "rank_tallies": {k: as_tuple(t) for k, t in ops._tallies.items()},
+        "kernel_tallies": {
+            k: as_tuple(t) for k, t in ops._kernel_tallies.items()
+        },
+        "messages": {ph: tr.message_count(ph) for ph in tr.phases()},
+        "bytes": {ph: tr.message_bytes(ph) for ph in tr.phases()},
+        "max_rank": {
+            ph: (tr.max_rank_messages(ph), tr.max_rank_bytes(ph))
+            for ph in tr.phases()
+        },
+        "rank_totals": tr.rank_totals(),
+    }
+
+
+@st.composite
+def partitioned_operators(draw):
+    """Random sparse operator x random block partition: square or
+    rectangular, uneven cuts, ranks that own no rows or no columns."""
+    nranks = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 48))
+    square = draw(st.booleans())
+    ncols = n if square else draw(st.integers(1, 48))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+
+    def cuts(size):
+        inner = np.sort(rng.integers(0, size + 1, nranks - 1))
+        return np.concatenate([[0], inner, [size]]).astype(np.int64)
+
+    row_offsets = cuts(n)
+    col_offsets = row_offsets if square else cuts(ncols)
+    A = sparse.random(
+        n, ncols, density=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+        random_state=seed, format="csr",
+    )
+    if draw(st.booleans()):
+        # Block-diagonal only: every rank's offd is empty.
+        owner_r = np.searchsorted(row_offsets, A.tocoo().row, side="right")
+        owner_c = np.searchsorted(col_offsets, A.tocoo().col, side="right")
+        coo = A.tocoo()
+        keep = owner_r == owner_c
+        A = sparse.csr_matrix(
+            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=A.shape
+        )
+    return nranks, A, row_offsets, col_offsets, rng.standard_normal(ncols)
+
+
+class TestStackedParity:
+    """The rank-stacked kernels against per-rank references the library
+    did not compute: bitwise results, entry-for-entry accounting."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=partitioned_operators(), overlap=st.booleans())
+    def test_matvec_and_residual_match_per_rank_reference(self, case, overlap):
+        nranks, A, ro, co, xv = case
+        blocks = reference_blocks(A, ro, co)
+        y_ref = reference_matvec(blocks, ro, co, xv)
+
+        w = SimWorld(nranks)
+        M = ParCSRMatrix(w, A, ro, co)
+        for mine, (diag, offd, col_map) in zip(M.blocks, blocks):
+            assert np.array_equal(mine.col_map_offd, col_map)
+            for got, want in ((mine.diag, diag), (mine.offd, offd)):
+                assert got.shape == want.shape
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+
+        ref = SimWorld(nranks)
+        x = ParVector(w, co, xv)
+        with w.phase_scope("apply"), ref.phase_scope("apply"):
+            y = M.matvec(x, overlap=overlap)
+            record_reference_round(ref, blocks, ro, co, overlap)
+        assert np.array_equal(y.data, y_ref)
+        assert log_snapshot(w) == log_snapshot(ref)
+
+        # Into a caller's vector, and the residual on top of it.
+        out = M.new_vector(np.full(ro[-1], np.nan))
+        assert M.matvec(x, y=out, overlap=overlap) is out
+        assert np.array_equal(out.data, y_ref)
+        bv = np.random.default_rng(1).standard_normal(ro[-1])
+        res = M.residual(M.new_vector(bv), x, overlap=overlap)
+        r_ref = y_ref.copy()
+        r_ref *= -1.0
+        r_ref += bv
+        assert np.array_equal(res.data, r_ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=partitioned_operators())
+    def test_sync_and_overlap_agree_on_every_total(self, case):
+        nranks, A, ro, co, xv = case
+        totals = []
+        for overlap in (False, True):
+            w = SimWorld(nranks)
+            M = ParCSRMatrix(w, A, ro, co)
+            M.matvec(ParVector(w, co, xv), overlap=overlap)
+            t = w.ops.total()
+            totals.append(
+                (t.flops, t.bytes, t.launches, w.traffic.message_count(),
+                 w.traffic.message_bytes())
+            )
+        assert totals[0] == totals[1]
+
+    def test_rank_update_reaches_stacked_and_per_rank_storage(self):
+        w, M, rng = random_system(n=60, nranks=4, density=0.2, seed=5)
+        blocks = M.blocks  # built before the update: views, not copies
+        before_D, before_O = M.D.data.copy(), M.O.data.copy()
+        rank = 2
+        s, e = M.A.indptr[M.row_offsets[rank]], M.A.indptr[M.row_offsets[rank + 1]]
+        M.update_rank_values(rank, rng.standard_normal(e - s))
+
+        assert np.shares_memory(blocks[rank].diag.data, M.D.data)
+        assert np.shares_memory(blocks[rank].offd.data, M.O.data)
+        assert not np.array_equal(M.D.data, before_D)
+        assert not np.array_equal(M.O.data, before_O)
+        want = reference_blocks(M.A, M.row_offsets, M.col_offsets)
+        for mine, (diag, offd, _cm) in zip(blocks, want):
+            assert np.array_equal(mine.diag.data, diag.data)
+            assert np.array_equal(mine.offd.data, offd.data)
+        # Other ranks' values are untouched, and the kernels see the update.
+        lo = M.D.indptr[M.row_offsets[rank]]
+        assert np.array_equal(M.D.data[:lo], before_D[:lo])
+        xv = rng.standard_normal(M.shape[1])
+        assert np.array_equal(
+            M.matvec(M.new_vector(xv)).data,
+            reference_matvec(want, M.row_offsets, M.col_offsets, xv),
+        )
+
+
+class TestRefreshValues:
+    def _tridiag(self, n=8):
+        return sparse.diags(
+            [-1.0, 2.0, -1.0], [-1, 0, 1], (n, n), format="csr"
+        )
+
+    @pytest.mark.parametrize("move_to", [(0, 5), (3, 6)])
+    def test_equal_nnz_different_pattern_rejected(self, move_to):
+        """Same shape, same nnz, one entry elsewhere — in the same row
+        (indices differ) or another row (indptr differs): the values must
+        not be scattered into the old pattern's slots."""
+        w = SimWorld(2)
+        M = ParCSRMatrix(w, self._tridiag(), np.array([0, 4, 8]))
+        moved = self._tridiag().tolil()
+        moved[0, 1] = 0.0
+        moved[move_to] = 7.0
+        moved = sparse.csr_matrix(moved)
+        moved.eliminate_zeros()
+        assert moved.shape == M.shape and moved.nnz == M.nnz
+        stored = [M.A.data] + [
+            m.data for b in M.blocks for m in (b.diag, b.offd)
+        ]
+        before = [d.copy() for d in stored]
+        with pytest.raises(ValueError, match="identical sparsity pattern"):
+            M.refresh_values(moved)
+        for got, want in zip(stored, before):
+            assert np.array_equal(got, want)
+
+    def test_equal_pattern_refreshes_every_form(self):
+        w = SimWorld(2)
+        M = ParCSRMatrix(w, self._tridiag(), np.array([0, 4, 8]))
+        blocks = M.blocks
+        M.refresh_values(3.0 * self._tridiag())
+        want = reference_blocks(M.A, M.row_offsets, M.col_offsets)
+        assert np.array_equal(M.A.data, 3.0 * self._tridiag().data)
+        for mine, (diag, offd, _cm) in zip(blocks, want):
+            assert np.array_equal(mine.diag.toarray(), diag.toarray())
+            assert np.array_equal(mine.offd.toarray(), offd.toarray())
+
+
 class TestSpGEMM:
     def test_products_count(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))

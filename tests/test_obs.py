@@ -262,6 +262,49 @@ class TestObserverHub:
         hub = ObserverHub()
         hub.emit("nobody", x=1)  # must not raise
 
+    def test_p2p_events_itemize_what_the_traffic_log_sums(self):
+        """A halo round is one summary record in the traffic log, but an
+        ``exchange`` observer still sees one ``p2p`` event per
+        transmission (injected duplicates included), carrying the same
+        sources and bytes the log aggregates."""
+        from scipy import sparse
+
+        from repro.linalg import ParCSRMatrix
+        from repro.resilience import FaultInjector, FaultSpec
+
+        n, nranks = 60, 4
+        A = sparse.random(n, n, density=0.2, random_state=2, format="csr")
+        w = SimWorld(nranks)
+        M = ParCSRMatrix(
+            w, A + sparse.eye(n), np.linspace(0, n, nranks + 1).astype(int)
+        )
+        w.fault_injector = FaultInjector((FaultSpec("message_duplicate", at=1),))
+        events = []
+        off = w.hub.subscribe("exchange", lambda **kw: events.append(kw))
+        x = M.new_vector(np.ones(n))
+        with w.phase_scope("observed"):
+            M.matvec(x)
+            M.matvec(x, overlap=True)
+            w.comm(0).send(1, np.ones(3))
+            w.comm(1).recv(0)
+        off()
+        with w.phase_scope("unobserved"):
+            M.matvec(x)
+
+        p2p = [e for e in events if e["kind"] == "p2p"]
+        assert len(p2p) == w.traffic.message_count("observed")
+        assert len(p2p) == 2 * M.pattern.total_messages() + 1 + 1
+        assert sum(e["nbytes"] for e in p2p) == w.traffic.message_bytes("observed")
+        assert {e["phase"] for e in p2p} == {"observed"}
+        per_src = {}
+        for e in p2p:
+            per_src[e["src"]] = per_src.get(e["src"], 0) + 1
+        assert max(per_src.values()) == w.traffic.max_rank_messages("observed")
+        assert (
+            w.traffic.message_count("unobserved")
+            == M.pattern.total_messages()
+        )
+
     def test_solve_and_amg_hooks_fire_during_simulation(self):
         cfg = SimulationConfig(nranks=2)
         sim = NaluWindSimulation("turbine_tiny", cfg)
@@ -538,6 +581,27 @@ class TestRegressionChecker:
         rc = checker.main([str(base), str(cur)])
         assert rc == 1
         assert "wall time drift" in capsys.readouterr().out
+
+    def test_exact_families_catch_any_gauge_change(
+        self, tiny_run, tmp_path, capsys
+    ):
+        """--exact: a one-flop change in a named family fails; the same
+        change passes without the flag (gauges are otherwise ungated)."""
+        _sim, report = tiny_run
+        checker = _load_checker()
+        base = tmp_path / "base.json"
+        base.write_text(report.telemetry.to_json())
+        doc = report.telemetry.to_dict()
+        key = next(k for k in doc["metrics"]["gauges"] if k.startswith("ops."))
+        doc["metrics"]["gauges"][key] += 1
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(doc))
+        assert checker.main([str(base), str(cur)]) == 0
+        assert checker.main([str(base), str(cur), "--exact", "comm."]) == 0
+        capsys.readouterr()
+        rc = checker.main([str(base), str(cur), "--exact", "comm.", "ops."])
+        assert rc == 1
+        assert f"exact family: gauge {key!r}" in capsys.readouterr().out
 
     def test_bad_schema_rejected(self, tmp_path):
         checker = _load_checker()

@@ -49,6 +49,31 @@ class TestOpRecorder:
         rec.record("a", 0, "sort", flops=8)
         assert rec.kernel_total("spmv").flops == 5
 
+    def test_record_ranks_equals_one_record_per_rank(self):
+        """Same additions in the same rank order: tallies are bitwise
+        those of per-rank calls, for fractional work, per-rank launch
+        counts and rank subsets alike."""
+        rng = np.random.default_rng(0)
+        flops = (rng.random(5) * 1e3).tolist()
+        nbytes = (rng.random(5) / 3.0).tolist()
+        bulk, single = OpRecorder(), OpRecorder()
+        for _ in range(7):
+            bulk.record_ranks("p", "axpy", flops, nbytes)
+            bulk.record_ranks("p", "spmv", flops, nbytes, [2, 1, 1, 2, 1])
+            bulk.record_ranks("p", "spmv", flops[:2], nbytes[:2], 1, [1, 4])
+            for r in range(5):
+                single.record("p", r, "axpy", flops=flops[r], nbytes=nbytes[r])
+            for r, n in enumerate([2, 1, 1, 2, 1]):
+                single.record(
+                    "p", r, "spmv", flops=flops[r], nbytes=nbytes[r], launches=n
+                )
+            for i, r in enumerate([1, 4]):
+                single.record("p", r, "spmv", flops=flops[i], nbytes=nbytes[i])
+        assert bulk._tallies == single._tallies
+        assert bulk._kernel_tallies == single._kernel_tallies
+        bulk.record_ranks("q", "nothing", [], [])
+        assert bulk.phases() == ["p"] and bulk.kernels("q") == []
+
     def test_peak_alloc_tracks_high_water_mark(self):
         rec = OpRecorder()
         rec.record_alloc(0, 100)
