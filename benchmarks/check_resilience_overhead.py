@@ -39,7 +39,7 @@ def run_once(workload: str, steps: int, guards: bool) -> float:
     report = sim.run(steps)
     elapsed = time.perf_counter() - t0
     # Sanity: nominal runs never trigger recovery, with or without guards.
-    if report.recovery != {}:
+    if report.recovery["events"]:
         raise SystemExit(
             f"nominal run unexpectedly recovered: {report.recovery}"
         )

@@ -45,13 +45,14 @@ RL005   unaccounted kernel: a function in the device-kernel packages
         or a ``record_*``/``_record*`` helper).
 RL006   unbalanced phase push/pop: ``phase_scope`` used outside a
         ``with`` statement, or direct ``_phase_stack``/``_pop_phase``
-        manipulation outside ``SimWorld`` itself.
+        manipulation outside ``SimWorld`` itself.  Syntax suffices: the
+        only push in the package sits in ``phase_scope``'s own
+        ``try/finally``, so no path can leave a label behind.
 RL007   resource typestate (path-sensitive, :mod:`.protocol`): a halo
         ``exchange_halo_begin`` that can leave its function without
-        ``exchange_halo_finish``, a durable write missing the
+        ``exchange_halo_finish``, or a durable write missing the
         tmp→fsync→replace pairing (or any ``os.replace``/``os.rename``
-        in the package outside ``repro.durable``), or a phase push
-        unpopped on some path.
+        in the package outside ``repro.durable``).
 RL008   collective consistency (:mod:`.protocol`): a collective
         reachable under a rank-dependent branch — deadlock risk.
 RL009   reduction contracts (:mod:`.protocol`): ``@reduction_contract``
@@ -86,8 +87,8 @@ RULES: dict[str, str] = {
     "RL005": "bulk kernel with no reachable world.ops.record accounting",
     "RL006": "unbalanced/raw SimWorld phase push/pop",
     "RL007": (
-        "resource typestate: halo begin without finish, unsafe "
-        "tmp-write/fsync/replace, or unbalanced phase push on some path"
+        "resource typestate: halo begin without finish, or unsafe "
+        "tmp-write/fsync/replace"
     ),
     "RL008": (
         "collective reachable under a rank-dependent branch "

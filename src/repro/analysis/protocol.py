@@ -5,7 +5,7 @@ and :mod:`repro.analysis.interproc` (whole-package call graph), these
 rules verify the contracts the comm-avoiding solver stack rests on —
 the ones PR 8's bugs showed cannot be left to vigilance:
 
-RL007 — **resource typestate**.  Three protocol state machines walked
+RL007 — **resource typestate**.  Two protocol state machines walked
     over every CFG path, exception edges included:
 
     * every ``exchange_halo_begin`` must reach exactly one
@@ -23,9 +23,6 @@ RL007 — **resource typestate**.  Three protocol state machines walked
       checked — and inside the ``repro`` package only
       :mod:`repro.durable` may: a call anywhere else is a finding (a
       hand-copied commit instead of ``atomic_write``).
-    * phase balance (the RL006 upgrade from syntax to paths): raw
-      ``_phase_stack.append`` must be popped (``.pop()`` or the
-      ``_pop_phase`` helper — the interprocedural edge) on every path.
 
 RL008 — **collective consistency**.  A collective (``allreduce``/
     ``allgather``/``barrier``/``alltoallv``/``record_collective``, or a
@@ -389,64 +386,6 @@ def _check_durable_write(decl: FunctionDecl) -> list[_RawFinding]:
     return list(findings.values())
 
 
-# -- RL007 (RL006 upgrade): path-sensitive phase balance ----------------------
-
-
-def _phase_events(node: CFGNode) -> list[tuple]:
-    events: list[tuple] = []
-    for call in node_calls(node):
-        if _chain_is(call, "_phase_stack", "append"):
-            events.append(("push", call.lineno))
-        elif _chain_is(call, "_phase_stack", "pop") or _terminal_name(
-            call.func
-        ) == "_pop_phase":
-            events.append(("pop",))
-    return events
-
-
-def _check_phase_balance(decl: FunctionDecl) -> list[_RawFinding]:
-    if not any(
-        _chain_is(c, "_phase_stack", "append")
-        or _chain_is(c, "_phase_stack", "pop")
-        or _terminal_name(c.func) == "_pop_phase"
-        for c in decl.calls
-    ):
-        return []
-    cfg = build_cfg(decl.node)
-    findings: dict[tuple, _RawFinding] = {}
-
-    def step(node: CFGNode, state):
-        depth, first_line = (0, 0) if state is None else state
-        for ev in _phase_events(node):
-            if ev[0] == "push":
-                depth += 1
-                first_line = first_line or ev[1]
-                if depth > 8:
-                    return None
-            else:
-                # A pop below this frame's own pushes balances a
-                # caller-side push (the _pop_phase helper's whole job).
-                depth = max(0, depth - 1)
-                if depth == 0:
-                    first_line = 0
-        return (depth, first_line)
-
-    states = _walk_states(cfg, step)
-    for exit_idx, how in ((EXIT, "return"), (RAISE_EXIT, "exception")):
-        for depth, line in states.get(exit_idx, ()):
-            if depth > 0 and ("leak", line) not in findings:
-                findings[("leak", line)] = _RawFinding(
-                    "RL007",
-                    line or decl.node.lineno,
-                    f"_phase_stack.append here is not popped on some "
-                    f"{how} path: all traffic after the leak is "
-                    "misattributed (use phase_scope, which pops in a "
-                    "finally)",
-                    decl.node,
-                )
-    return list(findings.values())
-
-
 # -- RL008: collective consistency under rank-dependent branches --------------
 
 _RANK_NAMES = ("rank", "is_root")
@@ -709,7 +648,6 @@ def analyze_protocol_sources(
         raw: list[_RawFinding] = []
         raw.extend(_check_halo(decl))
         raw.extend(_check_durable_write(decl))
-        raw.extend(_check_phase_balance(decl))
         raw.extend(_check_collectives(decl, index))
         raw.extend(_check_contract(decl, index))
         lines = lines_by_path.get(decl.path, [])

@@ -37,6 +37,7 @@ from repro.comm.errors import (
 from repro.comm.traffic import TrafficLog
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Span, Tracer
 
 
 def _nbytes(payload: Any) -> int:
@@ -126,6 +127,12 @@ class SimWorld:
         # publishes into a single telemetry stream.
         self.hub = ObserverHub()
         self.metrics = MetricsRegistry()
+        # Host clock: every phase scope opens its span here (the
+        # simulation driver swaps in a tracer fed by ``config.clock``) and
+        # adds the span's duration to the flat per-label record
+        # ``label -> {"total_s", "count"}`` at exit.
+        self.tracer = Tracer()
+        self.phase_wall: dict[str, dict[str, float]] = {}
         # Resilience: optional seeded FaultInjector (see
         # repro.resilience.injection); when set, world-level exchanges give
         # it the chance to corrupt payloads deterministically.
@@ -164,8 +171,13 @@ class SimWorld:
         return self._phase_stack[-1]
 
     @contextmanager
-    def phase_scope(self, label: str) -> Iterator[None]:
-        """Attribute all traffic inside the ``with`` block to ``label``.
+    def phase_scope(self, label: str) -> Iterator[Span]:
+        """Run the ``with`` block as phase ``label`` — the one phase boundary.
+
+        Entering pushes the attribution label (traffic and op counts
+        recorded inside land under it), tells the profiler, and opens the
+        host span, which is yielded: its ``duration`` is the stage's wall
+        time, added to :attr:`phase_wall` at exit, exception or not.
 
         Pushes and pops are checked: exiting verifies the popped label is
         the one this scope pushed, so stack corruption (e.g. an observer
@@ -176,9 +188,27 @@ class SimWorld:
         if self.profiler is not None:
             self.profiler.on_phase_begin(label)
         try:
-            yield
+            with self.tracer.span(label) as span:
+                yield span
         finally:
             self._pop_phase(label)
+            wall = self.phase_wall.setdefault(
+                label, {"total_s": 0.0, "count": 0}
+            )
+            wall["total_s"] += span.duration
+            wall["count"] += 1
+
+    @contextmanager
+    def marked_span(self, name: str, **attrs: Any) -> Iterator[Span]:
+        """Host span plus the profiler marker of the same name and attrs.
+
+        For the run structure around the phases (``step``, ``picard``):
+        no label is pushed and nothing is added to :attr:`phase_wall`.
+        """
+        if self.profiler is not None:
+            self.profiler.on_marker(name, **attrs)
+        with self.tracer.span(name, **attrs) as span:
+            yield span
 
     def assert_phase_balanced(self) -> None:
         """Raise if any :meth:`phase_scope` is still open.

@@ -17,7 +17,6 @@ from repro.core.postprocess import (
     wake_deficit_profile,
 )
 from repro.core.simulation import NaluWindSimulation, SimulationReport
-from repro.core.timers import PhaseTimers
 
 __all__ = [
     "CompositeMesh",
@@ -26,7 +25,6 @@ __all__ = [
     "MomentumSystem",
     "NaluWindSimulation",
     "PHASES",
-    "PhaseTimers",
     "PressurePoissonSystem",
     "ScalarTransportSystem",
     "SimulationConfig",

@@ -294,6 +294,14 @@ class SimulationConfig:
         keys take the dataclass defaults.  The result is
         :meth:`validate`-d before being returned.
         """
+        defaults = cls()
+
+        def solver_block(name: str):
+            # A partial block overrides the owning field's default (the
+            # pressure field's tol/max_iters are not SolverConfig()'s).
+            base = getattr(defaults, name).to_dict()
+            return nested(lambda d: SolverConfig.from_dict({**base, **d}))
+
         config = cls(
             **strict_kwargs(
                 "SimulationConfig",
@@ -314,9 +322,9 @@ class SimulationConfig:
                     "assembly_variant": as_str,
                     "assembly_mode": as_str,
                     "reuse_assembly_plan": as_bool,
-                    "momentum_solver": nested(SolverConfig.from_dict),
-                    "scalar_solver": nested(SolverConfig.from_dict),
-                    "pressure_solver": nested(SolverConfig.from_dict),
+                    "momentum_solver": solver_block("momentum_solver"),
+                    "scalar_solver": solver_block("scalar_solver"),
+                    "pressure_solver": solver_block("pressure_solver"),
                     "sgs_outer": as_int,
                     "sgs_inner": as_int,
                     "amg": nested(AMGOptions.from_dict),

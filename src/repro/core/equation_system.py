@@ -12,6 +12,11 @@ the full pipeline of the paper:
 The phase labels match the paper's per-equation breakdown bars (Figs. 6-7):
 graph+physics (purple), local assembly (green), global assembly (red),
 preconditioner setup (blue), solve (orange).
+
+Every stage runs inside ``world.phase_scope(<label>)`` — the one boundary
+that attributes its traffic and op counts, drives the profiler's rank
+clocks and times it on the host clock — and every equation stage is entered
+in this module.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ from repro.assembly.plan import AssemblyPlan
 from repro.comm.errors import CommError
 from repro.core.composite import CompositeMesh
 from repro.core.config import SimulationConfig
-from repro.core.timers import PhaseTimers
 from repro.krylov import KrylovResult, make_krylov_solver
-from repro.linalg.parcsr import ParCSRMatrix
+from repro.linalg.parcsr import ParCSRMatrix, SparsityPatternError
 from repro.linalg.parvector import ParVector
 from repro.overset.assembler import NodeStatus
 from repro.resilience.guards import (
@@ -75,15 +79,9 @@ class EquationSystem:
 
     name = "equation"
 
-    def __init__(
-        self,
-        comp: CompositeMesh,
-        config: SimulationConfig,
-        timers: PhaseTimers,
-    ) -> None:
+    def __init__(self, comp: CompositeMesh, config: SimulationConfig) -> None:
         self.comp = comp
         self.config = config
-        self.timers = timers
         self.world = comp.world
         self.graph: EquationGraph | None = None
         self.assembler: LocalAssembler | None = None
@@ -123,19 +121,16 @@ class EquationSystem:
         """Stage 1 (run when mesh motion changes connectivity)."""
         if self.assembler is not None:
             self.assembler.release()
-        with self.timers.measure(self.phase("graph")):
-            with self.world.phase_scope(self.phase("graph")):
-                spec = GraphSpec(
-                    n=self.comp.n,
-                    edges=self.comp.edges,
-                    constraint_rows=self.constraint_rows(),
-                )
-                self.graph = EquationGraph(
-                    self.world, self.comp.numbering, spec
-                )
-                self.assembler = LocalAssembler(
-                    self.world, self.graph, mode=self.config.assembly_mode
-                )
+        with self.world.phase_scope(self.phase("graph")):
+            spec = GraphSpec(
+                n=self.comp.n,
+                edges=self.comp.edges,
+                constraint_rows=self.constraint_rows(),
+            )
+            self.graph = EquationGraph(self.world, self.comp.numbering, spec)
+            self.assembler = LocalAssembler(
+                self.world, self.graph, mode=self.config.assembly_mode
+            )
         self._solves_since_setup = 0  # pattern changed: rebuild precond
 
     def _to_new(self, vals_app: np.ndarray) -> np.ndarray:
@@ -194,11 +189,10 @@ class EquationSystem:
         if self.graph is None:
             self.update_graph()
         asmblr = self.assembler
-        with self.timers.measure(self.phase("local_assembly")):
-            with self.world.phase_scope(self.phase("local_assembly")):
-                asmblr.reset()
-                self.fill(asmblr, **kwargs)
-                local = asmblr.finalize()
+        with self.world.phase_scope(self.phase("local_assembly")):
+            asmblr.reset()
+            self.fill(asmblr, **kwargs)
+            local = asmblr.finalize()
         plan = self._active_plan()
         fast = plan is not None and plan.matrix_ready
         # Last iteration's operator is replaced: return its storage first.
@@ -206,23 +200,22 @@ class EquationSystem:
         # is released there.
         if not fast and self._matrix is not None:
             self._matrix.release()
-        with self.timers.measure(self.phase("global_assembly")):
-            with self.world.phase_scope(self.phase("global_assembly")):
-                am = assemble_global_matrix(
-                    self.world,
-                    self.comp.numbering,
-                    local,
-                    variant=self.config.assembly_variant,
-                    name=self.name,
-                    plan=plan,
-                )
-                rhs = assemble_global_vector(
-                    self.world,
-                    self.comp.numbering,
-                    local,
-                    variant=self.config.assembly_variant,
-                    plan=plan,
-                )
+        with self.world.phase_scope(self.phase("global_assembly")):
+            am = assemble_global_matrix(
+                self.world,
+                self.comp.numbering,
+                local,
+                variant=self.config.assembly_variant,
+                name=self.name,
+                plan=plan,
+            )
+            rhs = assemble_global_vector(
+                self.world,
+                self.comp.numbering,
+                local,
+                variant=self.config.assembly_variant,
+                plan=plan,
+            )
         self._matrix = am.matrix
         injector = self.world.fault_injector
         if injector is not None:
@@ -230,6 +223,26 @@ class EquationSystem:
                 am.matrix, self.name, phase=self.phase("global_assembly")
             )
         return am.matrix, rhs
+
+    def assemble_rhs(self, **kwargs) -> ParVector:
+        """RHS-only stages 2 + 3 on the operator of the last :meth:`assemble`.
+
+        For systems that solve several right-hand sides on one shared
+        matrix (momentum: a ``fill_rhs`` hook, one call per component).
+        """
+        asmblr = self.assembler
+        with self.world.phase_scope(self.phase("local_assembly")):
+            asmblr.reset_rhs()
+            self.fill_rhs(asmblr, **kwargs)
+            local = asmblr.finalize()
+        with self.world.phase_scope(self.phase("global_assembly")):
+            return assemble_global_vector(
+                self.world,
+                self.comp.numbering,
+                local,
+                variant=self.config.assembly_variant,
+                plan=self._active_plan(),
+            )
 
     def fill(self, asmblr: LocalAssembler, **kwargs) -> None:
         """Physics fill (subclass hook): add edge/node/constraint values."""
@@ -312,12 +325,16 @@ class EquationSystem:
         # failures: the retry rungs re-drive the exchanges, and one-shot
         # injected faults will not re-fire.
         try:
-            with self.timers.measure(self.phase("precond_setup")):
-                with self.world.phase_scope(self.phase("precond_setup")):
-                    if rebuild or self._precond is None:
-                        self._precond = self.make_preconditioner(A)
-                    else:
+            with self.world.phase_scope(self.phase("precond_setup")):
+                if rebuild or self._precond is None:
+                    self._precond = self.make_preconditioner(A)
+                else:
+                    try:
                         self.refresh_preconditioner(A)
+                    except SparsityPatternError:
+                        # The frozen coarse pattern no longer fits the
+                        # refreshed values: full set-up instead.
+                        self._precond = self.make_preconditioner(A)
             self._solves_since_setup += 1
             result = self._run_krylov(A, b, x0, cfg)
             kind = self._classify_failure(result, policy)
@@ -383,10 +400,9 @@ class EquationSystem:
         self, A: ParCSRMatrix, b: ParVector, x0: ParVector | None, cfg
     ) -> KrylovResult:
         """One Krylov attempt under solve-phase attribution."""
-        with self.timers.measure(self.phase("solve")):
-            with self.world.phase_scope(self.phase("solve")):
-                solver = make_krylov_solver(A, self._precond, cfg)
-                result = solver.solve(b, x0=x0)
+        with self.world.phase_scope(self.phase("solve")):
+            solver = make_krylov_solver(A, self._precond, cfg)
+            result = solver.solve(b, x0=x0)
         injector = self.world.fault_injector
         if injector is not None and injector.on_solve(
             self.name, phase=self.phase("solve")
@@ -463,44 +479,43 @@ class EquationSystem:
         if not operands_are_finite(A, b):
             raise self._failure(result, "nonfinite_operands")
         attempts: list[str] = []
-        with self.timers.measure(self.phase("recovery")):
-            with self.world.phase_scope(self.phase("recovery")):
-                for attempt, action in enumerate(policy.ladder, start=1):
-                    attempts.append(action)
-                    detail = ""
-                    candidate: KrylovResult | None = None
-                    try:
-                        candidate = self._attempt_recovery(
-                            action, A, b, x0, cfg, policy
-                        )
-                        ok = iterate_is_finite(candidate) and (
-                            candidate.converged
-                            or not policy.recover_non_convergence
-                        )
-                        if not ok:
-                            detail = (
-                                f"residual {candidate.residual_norm:.3e}, "
-                                f"converged={candidate.converged}"
-                            )
-                    except Exception as exc:  # noqa: BLE001 - recorded, escalated
-                        ok = False
-                        detail = f"{type(exc).__name__}: {exc}"
-                    event = RecoveryEvent(
-                        equation=self.name,
-                        kind=kind,
-                        action=action,
-                        attempt=attempt,
-                        success=ok,
-                        detail=detail,
+        with self.world.phase_scope(self.phase("recovery")):
+            for attempt, action in enumerate(policy.ladder, start=1):
+                attempts.append(action)
+                detail = ""
+                candidate: KrylovResult | None = None
+                try:
+                    candidate = self._attempt_recovery(
+                        action, A, b, x0, cfg, policy
                     )
-                    self.world.hub.emit("recovery", **event.to_dict())
-                    if ok:
-                        metrics.counter(
-                            "resilience.recoveries",
-                            action=action,
-                            equation=self.name,
-                        ).inc()
-                        return candidate
+                    ok = iterate_is_finite(candidate) and (
+                        candidate.converged
+                        or not policy.recover_non_convergence
+                    )
+                    if not ok:
+                        detail = (
+                            f"residual {candidate.residual_norm:.3e}, "
+                            f"converged={candidate.converged}"
+                        )
+                except Exception as exc:  # noqa: BLE001 - recorded, escalated
+                    ok = False
+                    detail = f"{type(exc).__name__}: {exc}"
+                event = RecoveryEvent(
+                    equation=self.name,
+                    kind=kind,
+                    action=action,
+                    attempt=attempt,
+                    success=ok,
+                    detail=detail,
+                )
+                self.world.hub.emit("recovery", **event.to_dict())
+                if ok:
+                    metrics.counter(
+                        "resilience.recoveries",
+                        action=action,
+                        equation=self.name,
+                    ).inc()
+                    return candidate
         raise self._failure(result, kind, attempts=tuple(attempts))
 
     def _attempt_recovery(
@@ -515,9 +530,8 @@ class EquationSystem:
         """One ladder rung: adjust state/config, retry the solve."""
         if action == "rebuild_precond":
             self.reset_solver_caches()
-            with self.timers.measure(self.phase("precond_setup")):
-                with self.world.phase_scope(self.phase("precond_setup")):
-                    self._precond = self.make_preconditioner(A)
+            with self.world.phase_scope(self.phase("precond_setup")):
+                self._precond = self.make_preconditioner(A)
             self._solves_since_setup = 1
             return self._run_krylov(A, b, x0, cfg)
         if action == "expand_krylov":

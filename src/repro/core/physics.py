@@ -153,7 +153,8 @@ class MomentumSystem(EquationSystem):
         velocity_old: np.ndarray,
         pressure: np.ndarray,
     ) -> None:
-        """RHS only (shared matrix across the three components)."""
+        """RHS only (shared matrix across the three components): the
+        physics hook of :meth:`EquationSystem.assemble_rhs`."""
         comp = self.comp
         cfg = self.config
         tmass = cfg.density * comp.node_volume / cfg.dt

@@ -33,8 +33,6 @@ from repro.core.physics import (
     PressurePoissonSystem,
     ScalarTransportSystem,
 )
-from repro.core.timers import PhaseTimers
-from repro.assembly.global_assembly import assemble_global_vector
 from repro.mesh.turbine import TurbineMeshSystem, make_workload
 from repro.obs.telemetry import (
     AMGSetupStats,
@@ -70,9 +68,9 @@ class SimulationReport:
     peak_alloc_bytes: float
     wall_times: dict[str, float]
     divergence_norms: list[float] = field(default_factory=list)
-    #: Recovery summary (``{}`` for a clean run; otherwise failures /
-    #: recoveries-by-action counts and the raw event list — see
-    #: :func:`repro.resilience.policy.summarize_events`).
+    #: Recovery summary: failures / recoveries-by-action counts and the
+    #: raw event list (zero / empty for a clean run) — see
+    #: :func:`repro.resilience.policy.summarize_events`.
     recovery: dict[str, Any] = field(default_factory=dict)
     #: Full machine-readable telemetry (attached by ``run()``).
     telemetry: RunTelemetry | None = None
@@ -125,14 +123,11 @@ class NaluWindSimulation:
                 pricer=CostModel(machine),
                 ops=self.world.ops,
             )
-        # One tracer backs the phase timers, so flat per-phase totals and
-        # the nested span timeline come from the same measurements.
-        self.tracer = (
-            Tracer(clock=self.config.clock)
-            if self.config.clock is not None
-            else Tracer()
-        )
-        self.timers = PhaseTimers(tracer=self.tracer)
+        # The world's tracer is the run's tracer: phase scopes open their
+        # spans on it, the step/picard/checkpoint/restart spans join them.
+        if self.config.clock is not None:
+            self.world.tracer = Tracer(clock=self.config.clock)
+        self.tracer = self.world.tracer
         # AMG setup stats arrive through the world's observer hub (the
         # hierarchy is built deep inside the pressure preconditioner).
         self.amg_setups: list[AMGSetupStats] = []
@@ -154,11 +149,9 @@ class NaluWindSimulation:
         self.comp = CompositeMesh(
             self.world, self.system, self.config.partition_method
         )
-        self.momentum = MomentumSystem(self.comp, self.config, self.timers)
-        self.pressure = PressurePoissonSystem(
-            self.comp, self.config, self.timers
-        )
-        self.scalar = ScalarTransportSystem(self.comp, self.config, self.timers)
+        self.momentum = MomentumSystem(self.comp, self.config)
+        self.pressure = PressurePoissonSystem(self.comp, self.config)
+        self.scalar = ScalarTransportSystem(self.comp, self.config)
         self.systems = (self.momentum, self.pressure, self.scalar)
         self.initialize_fields()
         self.step_snapshots: list[dict[str, PhaseAggregate]] = []
@@ -302,15 +295,13 @@ class NaluWindSimulation:
         """Fold the run's failure/recovery events into a report summary.
 
         When durable checkpointing was active, a ``checkpoint`` section
-        (writes/restores/retry counts) rides along; a nominal run without
-        checkpoints keeps the legacy empty-dict shape.
+        (writes/restores/retry counts) rides along.
         """
         summary = summarize_events(self.recovery_events)
         m = self.world.metrics
         writes = m.counter_total("resilience.checkpoint.writes")
         restores = m.counter_total("resilience.checkpoint.restores")
         if writes or restores:
-            summary = dict(summary)
             summary["checkpoint"] = {
                 "writes": int(writes),
                 "restores": int(restores),
@@ -556,7 +547,12 @@ class NaluWindSimulation:
         res = self.momentum.solve(A_m, rhs_u)
         u_star[:, 0] = self._new_to_app(res.x.data)
         for c in (1, 2):
-            rhs_c = self._momentum_rhs_only(c)
+            rhs_c = self.momentum.assemble_rhs(
+                component=c,
+                velocity=self.velocity,
+                velocity_old=self.velocity_old,
+                pressure=self.pressure_field,
+            )
             res = self.momentum.solve(A_m, rhs_c)
             u_star[:, c] = self._new_to_app(res.x.data)
         # SIMPLE-style velocity under-relaxation on free rows: damps the
@@ -631,31 +627,6 @@ class NaluWindSimulation:
         res_s = self.scalar.solve(A_s, rhs_s)
         self.scalar_field = self._new_to_app(res_s.x.data)
 
-    def _momentum_rhs_only(self, component: int):
-        """Reassemble only the momentum RHS for another component."""
-        m = self.momentum
-        with self.timers.measure(m.phase("local_assembly")):
-            with self.world.phase_scope(m.phase("local_assembly")):
-                m.assembler.reset_rhs()
-                m.fill_rhs(
-                    m.assembler,
-                    component,
-                    self.velocity,
-                    self.velocity_old,
-                    self.pressure_field,
-                )
-                local = m.assembler.finalize()
-        with self.timers.measure(m.phase("global_assembly")):
-            with self.world.phase_scope(m.phase("global_assembly")):
-                rhs = assemble_global_vector(
-                    self.world,
-                    self.comp.numbering,
-                    local,
-                    variant=self.config.assembly_variant,
-                    plan=m._active_plan(),
-                )
-        return rhs
-
     # -- time stepping ----------------------------------------------------------------
 
     def step(self) -> None:
@@ -677,9 +648,7 @@ class NaluWindSimulation:
         try:
             while True:
                 try:
-                    with self.tracer.span(
-                        "step", index=len(self.step_snapshots)
-                    ):
+                    with self.world.marked_span("step", index=self.step_index):
                         self._step_body()
                     break
                 except SolverFailure as failure:
@@ -700,18 +669,13 @@ class NaluWindSimulation:
 
     def _step_body(self) -> None:
         cfg = self.config
-        if self.world.profiler is not None:
-            self.world.profiler.on_marker("step", index=self.step_index)
-        with self.timers.measure("motion"):
-            with self.world.phase_scope("motion"):
-                self.system.advance_rotor(cfg.dt)
-                self.comp.update_connectivity()
+        with self.world.phase_scope("motion"):
+            self.system.advance_rotor(cfg.dt)
+            self.comp.update_connectivity()
         for eq in self.systems:
             eq.update_graph()
         for k in range(cfg.picard_iterations):
-            if self.world.profiler is not None:
-                self.world.profiler.on_marker("picard", index=k)
-            with self.tracer.span("picard", index=k):
+            with self.world.marked_span("picard", index=k):
                 self.picard_iteration()
         self._guard_fields()
         # Mass-conservation diagnostic on free pressure rows (interior
@@ -778,7 +742,10 @@ class NaluWindSimulation:
                 for eq in self.systems
             },
             peak_alloc_bytes=self.world.ops.peak_alloc(),
-            wall_times=self.timers.snapshot(),
+            wall_times={
+                label: wall["total_s"]
+                for label, wall in self.world.phase_wall.items()
+            },
             divergence_norms=list(self.divergence_norms),
             recovery=self._recovery_summary(),
         )

@@ -39,6 +39,10 @@ from repro.comm.simcomm import SimWorld
 from repro.linalg.parvector import ParVector
 
 
+class SparsityPatternError(ValueError):
+    """New values do not have the sparsity pattern the operator stores."""
+
+
 @dataclass
 class RankBlocks:
     """One rank's ParCSR storage."""
@@ -278,7 +282,7 @@ class ParCSRMatrix:
             or not np.array_equal(A_new.indptr, self.A.indptr)
             or not np.array_equal(A_new.indices, self.A.indices)
         ):
-            raise ValueError(
+            raise SparsityPatternError(
                 "refresh_values requires an identical sparsity pattern"
             )
         self.A.data[:] = A_new.data

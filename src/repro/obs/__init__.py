@@ -6,8 +6,9 @@ per-equation breakdowns (Figs. 6-7), strong-scaling NLI statistics
 §4.1).  This package gathers every signal the reproduction produces into
 one structured stream:
 
-* :class:`~repro.obs.tracer.Tracer` — nested, labeled wall-clock spans
-  that back :class:`~repro.core.timers.PhaseTimers`;
+* :class:`~repro.obs.tracer.Tracer` — nested, labeled wall-clock spans;
+  the world owns one and ``SimWorld.phase_scope`` opens every phase's
+  span on it;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges, and
   histograms that solvers, traffic logs, and AMG setup publish into,
   mergeable across simulated ranks;

@@ -9,9 +9,9 @@ figures consume, in one artifact.
 
 :func:`collect_run_telemetry` builds the document from a finished
 :class:`~repro.core.simulation.NaluWindSimulation` by *pulling* from the
-existing instrumentation objects (tracer, timers, traffic log, op
-recorder, solve records, AMG setup stats); it is duck-typed so this
-module keeps zero imports from the rest of ``repro``.
+existing instrumentation objects (the world's tracer and per-phase wall
+record, traffic log, op recorder, solve records, AMG setup stats); it is
+duck-typed so this module keeps zero imports from the rest of ``repro``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class RunTelemetry:
     amg_setups: list[dict[str, Any]] = field(default_factory=list)
     #: MetricsRegistry snapshot (counters / gauges / histograms).
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: Recovery summary (``{}`` for a clean run; see
+    #: Recovery summary (see
     #: :func:`repro.resilience.policy.summarize_events`).  Additive field:
     #: documents without it load as clean runs, so the schema tag stays
     #: ``repro.telemetry/1``.
@@ -220,18 +220,13 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
     """
     world = sim.world
     cfg = sim.config
-    timers = sim.timers
 
     world.traffic.publish_metrics(world.metrics)
     world.ops.publish_metrics(world.metrics)
 
-    if report is not None and getattr(report, "recovery", None):
-        resilience = dict(report.recovery)
-    else:
-        summarize = getattr(sim, "_recovery_summary", None)
-        resilience = dict(summarize()) if summarize is not None else {}
-
-    snap = timers.snapshot(counts=True)
+    resilience = (
+        report.recovery if report is not None else sim._recovery_summary()
+    )
     n_steps = (
         report.n_steps if report is not None else len(sim.step_snapshots)
     )
@@ -253,7 +248,7 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
             "dt": cfg.dt,
         },
         spans=sim.tracer.to_dicts(),
-        phases=snap,
+        phases={label: dict(w) for label, w in world.phase_wall.items()},
         solves=_solves_section(sim.systems),
         traffic=_traffic_section(world.traffic, world.size),
         ops={
@@ -266,7 +261,7 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
         },
         amg_setups=[s.to_dict() for s in sim.amg_setups],
         metrics=world.metrics.as_dict(),
-        resilience=resilience,
+        resilience=dict(resilience),
         divergence_norms=divergence,
         peak_alloc_bytes=float(world.ops.peak_alloc()),
     )

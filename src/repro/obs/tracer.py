@@ -6,10 +6,10 @@ stack and the forest of completed roots.  Span start times are stored
 relative to the tracer's epoch so exported timelines are stable across
 processes (``time.perf_counter`` has an arbitrary zero).
 
-The tracer is the backing store for
-:class:`~repro.core.timers.PhaseTimers`: every ``measure`` block becomes
-a span, so the flat per-phase totals the harness prices and the nested
-timeline the trace exporter renders are two views of one measurement.
+Every :class:`~repro.comm.simcomm.SimWorld` owns one tracer:
+``SimWorld.phase_scope`` opens each phase's span on it and reads the flat
+per-phase totals off the closed span's ``duration``, so the totals and the
+nested timeline the trace exporter renders are one measurement.
 """
 
 from __future__ import annotations

@@ -182,12 +182,10 @@ class RecoveryEvent:
 def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
     """Fold a run's raw failure/recovery event list into a summary.
 
-    Returns ``{}`` for a clean run so reports stay unchanged on the
-    nominal path; otherwise ``{"failures", "recoveries", "events"}``
-    where ``recoveries`` counts successful actions by name.
+    Returns ``{"failures", "recoveries", "events"}`` where
+    ``recoveries`` counts successful actions by name; a clean run has the
+    same keys with zero / empty values.
     """
-    if not events:
-        return {}
     failures = sum(1 for e in events if e.get("event") == "solver_failure")
     recoveries: dict[str, int] = {}
     for e in events:

@@ -9,7 +9,7 @@ def assemble_tiny_pressure():
     """Builder of the assembled pressure-Poisson system of the tiny
     turbine mesh in a uniform stream: ``build(nranks) -> (world, A, rhs)``."""
     from repro.comm import SimWorld
-    from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
+    from repro.core import CompositeMesh, SimulationConfig
     from repro.core.operators import boundary_mass_flux, mass_flux
     from repro.core.physics import PressurePoissonSystem
     from repro.mesh import make_turbine_tiny
@@ -18,7 +18,7 @@ def assemble_tiny_pressure():
         cfg = SimulationConfig(nranks=nranks)
         w = SimWorld(cfg.nranks)
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-        pres = PressurePoissonSystem(comp, cfg, PhaseTimers())
+        pres = PressurePoissonSystem(comp, cfg)
         u = np.tile([8.0, 0, 0], (comp.n, 1))
         A, rhs = pres.assemble(
             mdot=mass_flux(comp, u, cfg.density),

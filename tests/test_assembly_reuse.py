@@ -21,7 +21,7 @@ from repro.assembly import (
     assemble_global_vector,
 )
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
+from repro.core import CompositeMesh, SimulationConfig
 from repro.krylov import (
     CG,
     GMRES,
@@ -198,7 +198,7 @@ class TestGraphRevision:
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
         from repro.core.physics import ScalarTransportSystem
 
-        scal = ScalarTransportSystem(comp, cfg, PhaseTimers())
+        scal = ScalarTransportSystem(comp, cfg)
         E = comp.edges.shape[0]
         kwargs = dict(
             mdot=np.ones(E),
@@ -228,7 +228,7 @@ class TestGraphRevision:
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
         from repro.core.physics import ScalarTransportSystem
 
-        scal = ScalarTransportSystem(comp, cfg, PhaseTimers())
+        scal = ScalarTransportSystem(comp, cfg)
         E = comp.edges.shape[0]
         scal.assemble(
             mdot=np.ones(E),
@@ -347,7 +347,7 @@ class TestAMGRefresh:
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
         from repro.core.physics import PressurePoissonSystem
 
-        pres = PressurePoissonSystem(comp, cfg, PhaseTimers())
+        pres = PressurePoissonSystem(comp, cfg)
         E = comp.edges.shape[0]
         kwargs = dict(
             mdot=np.zeros(E),
@@ -361,6 +361,36 @@ class TestAMGRefresh:
         pres.solve(A, b)  # intermediate solve: numeric refresh, no rebuild
         assert w.metrics.counter("amg.setups").value == 1
         assert w.metrics.counter("amg.refresh_count").value == 1
+
+    def test_refresh_falls_back_to_setup_when_coarse_pattern_moves(self):
+        """scipy's ``@`` omits entries that cancel to exactly 0, so the
+        pattern a coarse level stored at set-up depends on the values: at
+        step 1 here the refreshed level-1 ``R A P`` has 1226 entries, the
+        stored one 1224.  The precond stage then does a full set-up."""
+        from repro.core import NaluWindSimulation
+
+        cfg = SimulationConfig.from_dict(
+            {
+                "nranks": 2,
+                "picard_iterations": 4,
+                "precond_rebuild_every": 4,
+                "pressure_solver": {
+                    "method": "pipelined_cg", "tol": 1e-6, "max_iters": 300,
+                },
+            }
+        )
+        sim = NaluWindSimulation("turbine_tiny", cfg)
+        setups = []
+        sim.world.hub.subscribe(
+            "amg_setup", lambda **_kw: setups.append(sim.world.phase)
+        )
+        report = sim.run(3)
+        assert len(report.step_snapshots) == 3
+        # Three of the four pressure solves of a step refresh; the one
+        # refresh that did not fit was replaced by a set-up inside the
+        # precond stage.
+        assert sim.world.metrics.counter_total("amg.refresh_count") == 8
+        assert set(setups) == {"pressure/precond_setup"}
 
 
 class TestKrylovAPI:

@@ -44,11 +44,21 @@ class TestRoundTrip:
 
     def test_nested_solver_merge_with_defaults(self):
         cfg = SimulationConfig.from_dict(
-            {"pressure_solver": {"method": "cg"}}
+            {"pressure_solver": {"overlap": True}}
         )
-        assert cfg.pressure_solver.method == "cg"
-        # Unspecified nested keys keep the dataclass defaults.
-        assert cfg.pressure_solver.tol == SolverConfig().tol
+        assert cfg.pressure_solver.overlap is True
+        # Unspecified nested keys keep the owning field's defaults — for
+        # pressure tighter than SolverConfig()'s, so a partial override
+        # must not loosen the solve.
+        assert (cfg.pressure_solver.tol, cfg.pressure_solver.max_iters) == (
+            1e-6,
+            300,
+        )
+        cfg.pressure_solver.overlap = False
+        assert cfg == SimulationConfig()
+        assert cfg.stable_hash() == SimulationConfig().stable_hash()
+        cfg = SimulationConfig.from_dict({"momentum_solver": {"method": "cg"}})
+        assert cfg.momentum_solver == SolverConfig(method="cg")
 
     @settings(max_examples=25, deadline=None)
     @given(

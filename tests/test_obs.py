@@ -9,7 +9,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.comm import SimWorld
-from repro.core import NaluWindSimulation, PhaseTimers, SimulationConfig
+from repro.core import NaluWindSimulation, SimulationConfig
 from repro.obs import (
     MetricsRegistry,
     ObserverHub,
@@ -116,59 +116,6 @@ class TestTracer:
         assert tr.roots[0].duration > 0.0
 
 
-class TestPhaseTimers:
-    def test_snapshot_totals_default_shape(self):
-        t = PhaseTimers()
-        with t.measure("a"):
-            pass
-        snap = t.snapshot()
-        assert isinstance(snap["a"], float)
-
-    def test_snapshot_with_counts(self):
-        t = PhaseTimers()
-        for _ in range(3):
-            with t.measure("a"):
-                pass
-        snap = t.snapshot(counts=True)
-        assert snap["a"]["count"] == 3
-        assert snap["a"]["total_s"] == pytest.approx(t.total("a"))
-
-    def test_merge_combines_totals_and_counts(self):
-        t1, t2 = PhaseTimers(), PhaseTimers()
-        with t1.measure("a"):
-            pass
-        with t2.measure("a"):
-            pass
-        with t2.measure("b"):
-            pass
-        out = t1.merge(t2)
-        assert out is t1
-        assert t1.count("a") == 2
-        assert t1.count("b") == 1
-        assert t1.total("a") >= t2.total("a")
-
-    def test_tracer_backed_measure_creates_spans(self):
-        tr = Tracer(clock=FakeClock())
-        t = PhaseTimers(tracer=tr)
-        with tr.span("step"):
-            with t.measure("eq/solve"):
-                pass
-        # Span nested under "step", totals identical to the span duration.
-        spans = tr.find("eq/solve")
-        assert len(spans) == 1
-        assert tr.roots[0].children[0] is spans[0]
-        assert t.total("eq/solve") == pytest.approx(spans[0].duration)
-        assert t.count("eq/solve") == 1
-
-    def test_tracer_backed_measure_survives_exception(self):
-        t = PhaseTimers(tracer=Tracer(clock=FakeClock()))
-        with pytest.raises(RuntimeError):
-            with t.measure("x"):
-                raise RuntimeError("boom")
-        assert t.count("x") == 1
-        assert t.total("x") > 0.0
-
-
 class TestPhaseScope:
     def test_balanced_scopes_ok(self):
         w = SimWorld(2)
@@ -191,6 +138,92 @@ class TestPhaseScope:
         w._phase_stack.append("stray")
         with pytest.raises(RuntimeError, match="unbalanced"):
             cm.__exit__(None, None, None)
+
+
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "data", "phase_boundary_golden.json"
+)
+
+
+class TestPhaseBoundary:
+    """``SimWorld.phase_scope`` attributes, spans and times a phase."""
+
+    def fake_world(self):
+        w = SimWorld(2)
+        w.tracer = Tracer(clock=FakeClock())
+        return w
+
+    def test_scope_span_is_the_stage_dt(self):
+        w = self.fake_world()
+        with w.marked_span("step", index=0):
+            for _ in range(3):
+                with w.phase_scope("eq/solve") as span:
+                    assert w.phase == "eq/solve"
+        # Spans nest under "step"; the flat record is their durations.
+        spans = w.tracer.find("eq/solve")
+        assert w.tracer.roots[0].children == spans and spans[-1] is span
+        assert w.phase_wall == {
+            "eq/solve": {
+                "total_s": sum(s.duration for s in spans),
+                "count": 3,
+            }
+        }
+        assert w.tracer.totals()["eq/solve"] == 3.0
+        assert w.tracer.counts() == {"step": 1, "eq/solve": 3}
+
+    def test_exception_closes_span_and_counts_once(self):
+        w = self.fake_world()
+        with pytest.raises(RuntimeError, match="boom"):
+            with w.phase_scope("x") as span:
+                raise RuntimeError("boom")
+        assert w._phase_stack == ["default"]
+        assert w.tracer.depth == 0
+        assert span.duration == 1.0
+        assert w.phase_wall == {"x": {"total_s": 1.0, "count": 1}}
+
+    def test_fake_clock_forest_matches_parent_golden(self):
+        """Span forest and ``phases`` of turbine_tiny @2 ranks x 2 steps,
+        recorded before the phase boundary moved into ``SimWorld``: the
+        same clock reads per span, so the match is exact."""
+        cfg = SimulationConfig(nranks=2, clock=FakeClock())
+        report = NaluWindSimulation("turbine_tiny", cfg).run(2)
+        t = report.telemetry
+        rows = [
+            [depth, s.name, s.attrs, s.start, s.duration]
+            for root in t.spans
+            for depth, s in Span.from_dict(root).walk()
+        ]
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        assert rows == golden["spans"]
+        assert t.phases == golden["phases"]
+        assert report.wall_times == {
+            label: wall["total_s"] for label, wall in t.phases.items()
+        }
+
+    def test_step_span_index_follows_step_index(self, tmp_path):
+        """After a cold restart the ``step`` span carries the global step
+        index, like the profiler marker and the ``step_complete`` event."""
+        ckpt = str(tmp_path / "ckpt")
+        base = dict(nranks=2, picard_iterations=1, checkpoint_dir=ckpt)
+        NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(checkpoint_every=1, **base)
+        ).run(2)
+        sim = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(restart_from=ckpt, profile=True, **base),
+        )
+        completed = []
+        sim.world.hub.subscribe(
+            "step_complete", lambda step, **_kw: completed.append(step)
+        )
+        sim.run(3)
+        assert [s.attrs for s in sim.tracer.find("step")] == [{"index": 2}]
+        assert [
+            attrs for _t, name, attrs in sim.world.profiler.markers
+            if name == "step"
+        ] == [{"index": 2}]
+        assert completed == [3]
 
 
 class TestMetrics:
@@ -343,13 +376,19 @@ class TestRunTelemetry:
             RunTelemetry.from_dict({"schema": "bogus/9"})
 
     def test_phase_totals_match_phase_timers(self, tiny_run):
+        """``phases`` is the world's per-phase wall record: every phase
+        span summed, the step/picard structure spans left out."""
         sim, report = tiny_run
         t = report.telemetry
-        snap = sim.timers.snapshot(counts=True)
-        assert set(t.phases) == set(snap)
-        for name, st in snap.items():
-            assert t.phases[name]["total_s"] == pytest.approx(st["total_s"])
-            assert t.phases[name]["count"] == st["count"]
+        assert t.phases == sim.world.phase_wall
+        totals, counts = sim.tracer.totals(), sim.tracer.counts()
+        assert set(totals) - set(t.phases) == {"step", "picard"}
+        for name, st in t.phases.items():
+            assert st["total_s"] == pytest.approx(totals[name])
+            assert st["count"] == counts[name]
+        assert report.wall_times == {
+            name: st["total_s"] for name, st in t.phases.items()
+        }
         assert t.phase_total("pressure/solve") > 0.0
 
     def test_traffic_matches_traffic_log(self, tiny_run):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
+from repro.core import CompositeMesh, SimulationConfig
 from repro.core.operators import boundary_mass_flux, mass_flux
 from repro.core.physics import (
     MomentumSystem,
@@ -20,10 +20,9 @@ def setup():
     cfg = SimulationConfig(nranks=3)
     w = SimWorld(cfg.nranks)
     comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-    timers = PhaseTimers()
-    mom = MomentumSystem(comp, cfg, timers)
-    pres = PressurePoissonSystem(comp, cfg, timers)
-    scal = ScalarTransportSystem(comp, cfg, timers)
+    mom = MomentumSystem(comp, cfg)
+    pres = PressurePoissonSystem(comp, cfg)
+    scal = ScalarTransportSystem(comp, cfg)
     return cfg, comp, mom, pres, scal
 
 

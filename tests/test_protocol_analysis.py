@@ -377,44 +377,6 @@ class TestDurableWriteProtocol:
         assert not rep.findings
 
 
-class TestPhaseBalance:
-    def test_early_return_skips_pop(self):
-        rep = _analyze(
-            """
-            def tally(world, flag):
-                world._phase_stack.append("assembly")
-                if flag:
-                    return None
-                world._phase_stack.pop()
-                return None
-            """
-        )
-        assert _rules(rep) == ["RL007"]
-        f = rep.findings[0]
-        assert f.line == 3 and "not popped" in f.message
-
-    def test_balanced_push_pop_is_quiet(self):
-        rep = _analyze(
-            """
-            def tally(world):
-                world._phase_stack.append("assembly")
-                work()
-                world._phase_stack.pop()
-            """
-        )
-        assert not rep.findings
-
-    def test_pop_phase_helper_balances(self):
-        rep = _analyze(
-            """
-            def tally(world):
-                world._phase_stack.append("assembly")
-                _pop_phase(world)
-            """
-        )
-        assert not rep.findings
-
-
 class TestCollectiveConsistency:
     def test_collective_under_rank_guard_fires(self):
         rep = _analyze(

@@ -32,6 +32,9 @@ from repro.resilience import (
     validate_iterate,
 )
 
+#: The recovery summary of a run in which nothing failed.
+CLEAN_RECOVERY = {"failures": 0, "recoveries": {}, "events": []}
+
 
 def result_with(data, residual=1e-8, converged=True):
     w = SimWorld(1)
@@ -142,7 +145,7 @@ class TestPolicyAndSpecs:
             cfg.validate()
 
     def test_summarize_events(self):
-        assert summarize_events([]) == {}
+        assert summarize_events([]) == CLEAN_RECOVERY
         events = [
             {"event": "solver_failure", "equation": "momentum"},
             {"event": "recovery", "action": "rebuild_precond",
@@ -251,8 +254,8 @@ class TestEndToEndRecovery:
     def test_nominal_run_has_empty_recovery(self):
         sim = NaluWindSimulation("turbine_tiny")
         rep = sim.run(2)
-        assert rep.recovery == {}
-        assert rep.telemetry.resilience == {}
+        assert rep.recovery == CLEAN_RECOVERY
+        assert rep.telemetry.resilience == CLEAN_RECOVERY
         assert sim.world.metrics.counter_total("resilience.failures") == 0
         assert sim.world.metrics.counter_total("resilience.recoveries") == 0
 
@@ -315,7 +318,7 @@ class TestEndToEndRecovery:
         )
         sim = NaluWindSimulation("turbine_tiny", cfg)
         rep = sim.run(2)  # completes: nothing acts on the corruption
-        assert rep.recovery == {}
+        assert rep.recovery == CLEAN_RECOVERY
         assert sim.world.metrics.counter_total("resilience.failures") == 0
         # The poisoned solve is silently recorded as non-converged and
         # the simulation marches on — exactly the legacy failure mode
@@ -542,7 +545,7 @@ class TestTransportFaultMatrix:
         sim = NaluWindSimulation("turbine_tiny", fault_cfg(kind, at))
         rep = sim.run(2)
         assert sim.world.fault_injector.exhausted()
-        assert rep.recovery == {}
+        assert rep.recovery == CLEAN_RECOVERY
         assert sim.world.metrics.counter_total(counter) == 1
         expected_retries = 0 if kind == "message_duplicate" else 1
         assert (
