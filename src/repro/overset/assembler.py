@@ -12,8 +12,10 @@ near-body meshes:
    receptors from the blade meshes; blade ``outer``-boundary nodes become
    receptors from the background.
 3. **Donor search** — per receptor, candidate donor cells from a kd-tree on
-   donor cell centroids, trilinear containment via Newton inversion, with
-   inverse-distance fallback for receptors that land between donor cells.
+   donor cell centroids, filtered by the cells' bounding boxes; one batched
+   Newton inversion over every surviving (receptor, candidate) pair decides
+   trilinear containment, with inverse-distance fallback for receptors that
+   land between donor cells.
 
 The result feeds the linear systems as constraint rows (paper §3.1:
 "Boundary-condition nodes, including periodic, Dirichlet, and overset DoFs
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -87,6 +90,49 @@ class OversetConnectivity:
         return [d for d in self.donor_sets if d.receptor_mesh == mesh_index]
 
 
+class _DonorIndex:
+    """Search structures over one mesh, valid while its nodes stay put.
+
+    ``assemble()`` makes one per mesh and drops them when it returns; each
+    structure is built on first use (the background never needs its node
+    tree, a mesh nobody receives from never needs its cell tree).
+    """
+
+    def __init__(self, mesh: HexMesh) -> None:
+        self.mesh = mesh
+
+    @cached_property
+    def node_tree(self) -> cKDTree:
+        return cKDTree(self.mesh.coords)
+
+    @cached_property
+    def _cell_search(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
+        """``(tree, lo, hi)``: centroid kd-tree and padded per-cell AABBs."""
+        corners = self.mesh.coords[self.mesh.cells]  # (ncell, 8, 3)
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        pad = 1e-5 * (hi - lo).max(axis=1, keepdims=True)
+        return cKDTree(corners.mean(axis=1)), lo - pad, hi + pad
+
+    def candidates(
+        self, pts: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest-centroid cells of each point; which can hold it.
+
+        Returns:
+            ``(cand, in_box)``, both ``(m, k)``: cell ids by ascending
+            centroid distance, and whether the point lies in that cell's
+            bounding box padded by 1e-5 of its longest side.  A point with
+            ``|xi| <= 1 + 1e-6`` in a trilinear hex lies within ~3e-6 cell
+            diameters of the corners' convex hull, so no containing cell is
+            flagged out.
+        """
+        tree, lo, hi = self._cell_search
+        _, cand = tree.query(pts, k=k)
+        cand = cand.reshape(pts.shape[0], k)
+        p = pts[:, None, :]
+        return cand, np.all((p >= lo[cand]) & (p <= hi[cand]), axis=2)
+
+
 class OversetAssembler:
     """Builds overset connectivity for background + near-body meshes."""
 
@@ -119,6 +165,7 @@ class OversetAssembler:
         """Run hole cutting, classification, donor search, orphan repair."""
         nb = self.background_index
         bg = self.meshes[nb]
+        index = [_DonorIndex(m) for m in self.meshes]
         statuses = [
             np.full(m.n_nodes, NodeStatus.FIELD, dtype=np.int8)
             for m in self.meshes
@@ -150,12 +197,15 @@ class OversetAssembler:
             if wall is None or wall.size == 0:
                 continue
             hull = self._hull_thickness(mesh)
-            tree = cKDTree(mesh.coords[wall])
-            d, _ = tree.query(bg.coords, k=1)
             cut = (
                 np.full(bg.n_nodes, float(self.hole_distance))
                 if self.hole_distance is not None
                 else np.maximum(hull - 1.2 * spacing, 0.35 * hull)
+            )
+            # Wall distance matters only below the cut distance: the tree
+            # prunes beyond the largest one and reports inf there.
+            d, _ = cKDTree(mesh.coords[wall]).query(
+                bg.coords, k=1, distance_upper_bound=cut.max()
             )
             cand = d < cut
             if not np.any(cand):
@@ -166,7 +216,7 @@ class OversetAssembler:
             # inside the body itself (a classical in-body hole).
             reach = (g @ cand.astype(np.float64)) > 0
             patch = np.flatnonzero(cand | reach)
-            _ds, found = self._search_donors(nb, k, patch)
+            _ds, found = self._search_donors(index, nb, k, patch)
             good = np.zeros(bg.n_nodes, dtype=bool)
             good[patch[found]] = True
             inbody = np.zeros(bg.n_nodes, dtype=bool)
@@ -208,20 +258,23 @@ class OversetAssembler:
         # 3. Donor search with orphan repair: a background receptor whose
         # containment search fails is demoted to FIELD and its hole
         # neighbors are promoted to FRINGE (they sit closer to the wall,
-        # hence deeper inside the donor hull).  Iterate until clean; the
-        # invariant "every HOLE neighbor is HOLE or FRINGE" is maintained
-        # so no active stencil ever touches a frozen hole value.
+        # hence deeper inside the donor hull).  Iterate until clean (every
+        # round bans at least one more node, so it ends); the invariant
+        # "every HOLE neighbor is HOLE or FRINGE" is maintained so no
+        # active stencil ever touches a frozen hole value.
         banned = np.zeros(bg.n_nodes, dtype=bool)
         donor_sets: list[DonorSet] = []
-        for _repair in range(6):
+        while True:
             donor_sets = []
             orphan_ids: list[np.ndarray] = []
             bg_fringe = np.flatnonzero(statuses[nb] == NodeStatus.FRINGE)
             if bg_fringe.size:
-                assigned = self._nearest_mesh(bg.coords[bg_fringe], exclude=nb)
+                assigned = self._nearest_mesh(
+                    index, bg.coords[bg_fringe], exclude=nb
+                )
                 for k in np.unique(assigned):
                     sel = bg_fringe[assigned == k]
-                    ds, found = self._search_donors(nb, int(k), sel)
+                    ds, found = self._search_donors(index, nb, int(k), sel)
                     donor_sets.append(ds)
                     orphan_ids.append(sel[~found])
             orphans = (
@@ -256,19 +309,21 @@ class OversetAssembler:
                 continue
             recs = np.flatnonzero(statuses[k] == NodeStatus.FRINGE)
             if recs.size:
-                ds, _found = self._search_donors(int(k), nb, recs)
+                ds, _found = self._search_donors(index, int(k), nb, recs)
                 donor_sets.append(ds)
         return OversetConnectivity(statuses=statuses, donor_sets=donor_sets)
 
-    def _nearest_mesh(self, pts: np.ndarray, exclude: int) -> np.ndarray:
+    @staticmethod
+    def _nearest_mesh(
+        index: list[_DonorIndex], pts: np.ndarray, exclude: int
+    ) -> np.ndarray:
         """Index of the nearest non-excluded mesh for each point."""
         assigned = np.full(pts.shape[0], -1, dtype=np.int64)
         best_d = np.full(pts.shape[0], np.inf)
-        for k, mesh in enumerate(self.meshes):
+        for k, idx in enumerate(index):
             if k == exclude:
                 continue
-            tree = cKDTree(mesh.coords)
-            d, _ = tree.query(pts, k=1)
+            d, _ = idx.node_tree.query(pts, k=1)
             closer = d < best_d
             best_d[closer] = d[closer]
             assigned[closer] = k
@@ -297,43 +352,45 @@ class OversetAssembler:
         return float(np.median(d))
 
     def _search_donors(
-        self, receptor_mesh: int, donor_mesh: int, receptors: np.ndarray
+        self,
+        index: list[_DonorIndex],
+        receptor_mesh: int,
+        donor_mesh: int,
+        receptors: np.ndarray,
     ) -> tuple[DonorSet, np.ndarray]:
         """Donor cells + weights for a batch of receptor nodes.
+
+        Each receptor takes the nearest-centroid-ranked candidate cell that
+        contains it.  Only candidates whose padded bounding box holds the
+        point can, so those (receptor, candidate) pairs alone are inverted,
+        all in one batch; ``invert_map`` is per-pair deterministic, so the
+        batch finds what a walk down each receptor's list would.
 
         Returns:
             ``(donor_set, found)``: ``found`` flags receptors whose
             containing donor cell was located (the rest use the
             inverse-distance fallback and may be treated as orphans).
         """
-        rmesh = self.meshes[receptor_mesh]
         dmesh = self.meshes[donor_mesh]
-        pts = rmesh.coords[receptors]
+        pts = self.meshes[receptor_mesh].coords[receptors]
         cells = dmesh.cells
-        centroids = dmesh.coords[cells].mean(axis=1)
-        k = min(self.candidate_k, cells.shape[0])
-        tree = cKDTree(centroids)
-        _, cand = tree.query(pts, k=k)
-        cand = np.atleast_2d(cand.reshape(pts.shape[0], k))
-
         m = pts.shape[0]
+        cand, in_box = index[donor_mesh].candidates(
+            pts, min(self.candidate_k, cells.shape[0])
+        )
+        rec, rank = np.nonzero(in_box)  # receptor-major, rank ascending
+        corner_ids = cells[cand[rec, rank]]  # (pairs, 8)
+        xi, ok = invert_map(dmesh.coords[corner_ids], pts[rec])
+        inside = np.flatnonzero(ok & contains(xi, tol=1e-6))
+        hit, first = np.unique(rec[inside], return_index=True)
+        best = inside[first]  # lowest-ranked containing candidate per hit
+
         donors = np.empty((m, 8), dtype=np.int64)
         weights = np.zeros((m, 8))
         found = np.zeros(m, dtype=bool)
-        for j in range(k):
-            todo = np.flatnonzero(~found)
-            if todo.size == 0:
-                break
-            cell_ids = cand[todo, j]
-            corner_ids = cells[cell_ids]  # (t, 8)
-            corners = dmesh.coords[corner_ids]
-            xi, ok = invert_map(corners, pts[todo])
-            inside = ok & contains(xi, tol=1e-6)
-            hit = todo[inside]
-            if hit.size:
-                donors[hit] = corner_ids[inside]
-                weights[hit] = shape_functions(xi[inside])
-                found[hit] = True
+        donors[hit] = corner_ids[best]
+        weights[hit] = shape_functions(xi[best])
+        found[hit] = True
         # Fallback: inverse-distance weights on the nearest candidate cell
         # (receptors slightly outside the donor hull, e.g. at domain rims).
         miss = np.flatnonzero(~found)

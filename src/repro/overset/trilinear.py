@@ -47,16 +47,32 @@ def shape_gradients(xi: np.ndarray) -> np.ndarray:
     """d N_i / d xi_d: ``(m, 8, 3)``."""
     xi = np.atleast_2d(xi)
     terms = 1.0 + xi[:, None, :] * _CORNERS[None, :, :]  # (m, 8, 3)
-    grads = np.empty((xi.shape[0], 8, 3))
-    for d in range(3):
-        others = [a for a in range(3) if a != d]
-        grads[:, :, d] = (
-            0.125
-            * _CORNERS[None, :, d]
-            * terms[:, :, others[0]]
-            * terms[:, :, others[1]]
-        )
-    return grads
+    # Component d is the product of the two *other* directions' terms.
+    return (0.125 * _CORNERS) * (terms[:, :, [1, 0, 0]] * terms[:, :, [2, 2, 1]])
+
+
+def _newton_step(jac_t: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Solve ``jac_t[p] @ dxi[p] = res[p]`` for every pair on its own.
+
+    A singular Jacobian (collapsed cell) gets the pseudo-inverse; the
+    regular pairs of the same batch are still solved exactly as they would
+    be alone.
+    """
+    try:
+        return np.linalg.solve(jac_t, res[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        # LAPACK reports singular exactly when a pivot of the LU is zero,
+        # which is when the determinant of that same LU is.
+        singular = np.linalg.det(jac_t) == 0.0
+        dxi = np.empty_like(res)
+        regular = ~singular
+        dxi[regular] = np.linalg.solve(
+            jac_t[regular], res[regular][:, :, None]
+        )[..., 0]
+        dxi[singular] = (
+            np.linalg.pinv(jac_t[singular]) @ res[singular][:, :, None]
+        )[..., 0]
+        return dxi
 
 
 def invert_map(
@@ -66,6 +82,11 @@ def invert_map(
     tol: float = 1e-24,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert the trilinear map for a batch of (cell, point) pairs.
+
+    Active-set Newton: a pair leaves the batch, frozen at its current
+    ``xi``, at the iteration its residual test passes.  Every operation is
+    per pair, so the ``xi`` and flag of a pair depend on that pair alone —
+    not on which other pairs share the batch, their order, or their number.
 
     Args:
         corners: ``(m, 8, 3)`` physical corner coordinates.
@@ -80,29 +101,27 @@ def invert_map(
     """
     m = points.shape[0]
     xi = np.zeros((m, 3))
-    if m == 0:
-        return xi, np.zeros(0, dtype=bool)
     ok = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    x = xi
+    limit = tol * (np.einsum("mid,mid->m", corners, corners) / 8.0 + 1e-300)
     for _ in range(iters):
-        N = shape_functions(xi)  # (m, 8)
-        xcur = np.einsum("mi,mid->md", N, corners)
-        res = points - xcur
-        r2 = np.einsum("md,md->m", res, res)
-        scale = np.einsum("mid,mid->m", corners, corners) / 8.0 + 1e-300
-        ok = r2 <= tol * scale
-        if np.all(ok):
+        N = shape_functions(x)  # (a, 8)
+        res = points - np.einsum("mi,mid->md", N, corners)
+        done = np.einsum("md,md->m", res, res) <= limit
+        if done.any():
+            ok[active[done]] = True
+            xi[active[done]] = x[done]
+            keep = ~done
+            active = active[keep]
+            x, res, limit = x[keep], res[keep], limit[keep]
+            points, corners = points[keep], corners[keep]
+        if active.size == 0:
             break
-        G = shape_gradients(xi)  # (m, 8, 3)
-        J = np.einsum("mid,mie->mde", G, corners)  # dx/dxi transposed blocks
-        # Solve J^T dxi = res per pair (3x3 systems, batched).
-        try:
-            dxi = np.linalg.solve(np.swapaxes(J, 1, 2), res[:, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # Singular cells: damp with pseudo-inverse.
-            dxi = np.einsum(
-                "mde,me->md", np.linalg.pinv(np.swapaxes(J, 1, 2)), res
-            )
-        xi = np.clip(xi + dxi, -2.0, 2.0)
+        J = np.einsum("mid,mie->mde", shape_gradients(x), corners)
+        # J[p] is dx/dxi transposed; Newton solves J^T dxi = res per pair.
+        x = np.clip(x + _newton_step(np.swapaxes(J, 1, 2), res), -2.0, 2.0)
+    xi[active] = x
     return xi, ok
 
 
