@@ -6,7 +6,9 @@ one line per run, any number of runs.  ``--trace 0`` lines carry the five
 end-to-end metrics of BENCHMARK.json (the row keeps their median and the
 quartiles, so a later row can be judged against this one's spread);
 ``--trace 1`` lines carry the per-layer metrics, of which the row keeps the
-ones that repeat exactly (``COUNTS``).
+ones that repeat exactly (``COUNTS``).  Every row also carries
+``loc.<package>`` of the tree this script runs from, so run it from the
+tree the lines were measured on.
 
     python benchmarks/bench_trajectory.py SHA WORKLOAD LINES.jsonl [...]
 """
@@ -19,10 +21,15 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).parent
+sys.path.insert(0, str(HERE / "e2e"))
+
+from run import lines_of_code  # noqa: E402
+
 OUT = HERE / "results" / "BENCH_trajectory.jsonl"
 COUNTS = (
     "krylov.iters_momentum", "krylov.iters_pressure", "krylov.iters_scalar",
     "comm.messages_per_step", "comm.message_bytes_per_step",
+    "comm.collectives_per_step",
     "perf.flops_per_step", "perf.launches_per_step",
     "amg.levels", "amg.setup_calls", "amg.refresh_calls",
     "overset.assemble_calls", "overset.fringe_nodes", "harness.modeled_nli_s",
@@ -37,6 +44,7 @@ def row(sha: str, workload: str, lines: list[dict]) -> dict:
         "workload": workload,
         "attempted": sum(r["attempted"] for r in lines),
         "failed": sum(r["failed"] for r in lines),
+        "loc": lines_of_code(),
     }
     for name in (m["name"] for m in declared["end_to_end"]):
         vals = [r["metrics"][name]["value"] for r in lines if name in r["metrics"]]

@@ -4,18 +4,12 @@
 Tier-2 correctness gate alongside ``check_telemetry_regression.py`` and
 ``check_resilience_overhead.py``: invokes ``python -m repro analyze
 --strict`` over the source tree and exits non-zero when any RL (static)
-or KS (dynamic) finding survives pragma + baseline suppression.  Two
-stages: a fast ``--changed`` pass over git-modified files first (fails
-the gate early during pre-commit iteration), then the authoritative
-full-tree scan with the dynamic checks.  The
-shipped baseline (``benchmarks/analysis_baseline.json``) is empty and
-must stay empty for ``src/repro`` — it exists so a downstream fork can
-grandfather its own debt without editing this gate.
+or KS (dynamic) finding survives pragma suppression.  One stage: the
+full-tree scan takes a few seconds, so there is nothing to pre-filter.
 
 Usage::
 
-    python benchmarks/check_static_analysis.py [paths...] \
-        [--baseline benchmarks/analysis_baseline.json] [--no-dynamic]
+    python benchmarks/check_static_analysis.py [paths...] [--no-dynamic]
 
 The analyzer runs in a subprocess through the real CLI entry point so
 the gate exercises exactly what ``python -m repro analyze`` ships.
@@ -30,17 +24,10 @@ import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_BASELINE = os.path.join(
-    REPO_ROOT, "benchmarks", "analysis_baseline.json"
-)
 
 
 def run_analyzer(
-    paths: list[str],
-    baseline: str,
-    no_dynamic: bool,
-    seed: int,
-    changed: bool = False,
+    paths: list[str], no_dynamic: bool, seed: int
 ) -> tuple[int, dict]:
     """Run ``python -m repro analyze --strict --format json``."""
     cmd = [
@@ -54,12 +41,8 @@ def run_analyzer(
         "--seed",
         str(seed),
     ]
-    if baseline:
-        cmd += ["--baseline", baseline]
     if no_dynamic:
         cmd.append("--no-dynamic")
-    if changed:
-        cmd.append("--changed")
     cmd += paths
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
@@ -69,6 +52,8 @@ def run_analyzer(
     )
     if proc.stderr.strip():
         print(proc.stderr, file=sys.stderr, end="")
+    if proc.returncode == 2:  # usage error: nothing was analysed
+        raise SystemExit(2)
     try:
         doc = json.loads(proc.stdout)
     except json.JSONDecodeError:
@@ -89,12 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         help="paths to analyze (default: src/repro)",
     )
     ap.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE,
-        help="grandfathered-findings baseline (default: the shipped, "
-        "empty benchmarks/analysis_baseline.json)",
-    )
-    ap.add_argument(
         "--no-dynamic",
         action="store_true",
         help="skip the sanitizer/determinism replay (lint only)",
@@ -102,40 +81,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--seed", type=int, default=0, help="dynamic-replay seed"
     )
-    ap.add_argument(
-        "--full-only",
-        action="store_true",
-        help="skip the fast --changed first stage",
-    )
     args = ap.parse_args(argv)
 
-    # Stage 1: fast fail on git-modified files (static rules only; the
-    # CLI itself falls back to a full scan when git is unavailable, so
-    # this stage is at worst a duplicate of stage 2's static half).
-    if not args.full_only:
-        code, doc = run_analyzer(
-            args.paths, args.baseline, True, args.seed, changed=True
-        )
-        stage1 = doc.get("findings", [])
-        if stage1:
-            print(
-                f"STATIC ANALYSIS GATE FAILED in changed files "
-                f"({len(stage1)} findings, full scan skipped):"
-            )
-            for f in stage1:
-                loc = f.get("kernel") or f"{f['path']}:{f['line']}"
-                print(
-                    f"  - {f['rule']} [{f['severity']}] {loc}: {f['message']}"
-                )
-            return 1
-
-    # Stage 2: the authoritative full-tree scan (plus dynamic checks).
-    code, doc = run_analyzer(
-        args.paths, args.baseline, args.no_dynamic, args.seed
-    )
+    code, doc = run_analyzer(args.paths, args.no_dynamic, args.seed)
     findings = doc.get("findings", [])
     suppressed = doc.get("suppressed", [])
-    baselined = doc.get("baselined", [])
     dyn = doc.get("dynamic", {})
 
     if findings:
@@ -147,16 +97,10 @@ def main(argv: list[str] | None = None) -> int:
     if code != 0:
         print(f"analyzer exited {code} with no reported findings")
         return code
-    if baselined:
-        print(
-            f"warning: {len(baselined)} finding(s) grandfathered via "
-            f"{args.baseline} — debt, not cleanliness",
-            file=sys.stderr,
-        )
     san = dyn.get("sanitizer", {})
     print(
         "static analysis OK: 0 findings "
-        f"({len(suppressed)} pragma-suppressed, {len(baselined)} baselined; "
+        f"({len(suppressed)} pragma-suppressed; "
         f"dynamic: {dyn.get('scatter_checks', 0)} scatter checks, "
         f"{san.get('launches', 0)} sanitized launches)"
     )

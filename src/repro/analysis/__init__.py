@@ -2,16 +2,16 @@
 
 Two halves, one findings stream (see ``docs/static_analysis.md``):
 
-* **repro-lint** (:mod:`repro.analysis.lint`) — AST rules ``RL001`` -
-  ``RL006`` enforcing the determinism and cost-accounting contract the
-  paper's pipeline rests on (stable sorts, wrapped scatter-writes,
-  seeded RNG, factory-only smoother construction, accounted kernels,
-  balanced phase scopes), plus the path-sensitive protocol rules
-  ``RL007`` - ``RL009`` (:mod:`repro.analysis.protocol`) built on
-  per-function CFGs (:mod:`repro.analysis.cfg`) and a whole-package
-  call graph (:mod:`repro.analysis.interproc`): halo begin/finish and
-  durable-write typestate, rank-divergent collectives, and
-  ``@reduction_contract`` verification;
+* **repro-lint** (:mod:`repro.analysis.lint`) — syntactic AST rules
+  ``RL001`` - ``RL007`` and ``RL010`` enforcing the determinism and
+  cost-accounting contract the paper's pipeline rests on (stable sorts,
+  wrapped scatter-writes, seeded RNG, factory-only smoother
+  construction, accounted kernels, balanced phase scopes, one owner
+  module each for the commit-by-rename and the split halo exchange,
+  recorded campaign failures), plus ``RL009``
+  (:mod:`repro.analysis.protocol`): ``@reduction_contract`` counts
+  verified over loop depth and a whole-package call graph
+  (:mod:`repro.analysis.interproc`);
 * **kernel sanitizer** (:mod:`repro.analysis.sanitizer` /
   :mod:`repro.analysis.determinism`) — shadow-memory write-set tracking
   of the Stage-2 scatter launches plus a permuted-thread replay harness
@@ -40,14 +40,10 @@ from repro.analysis.findings import (
 )
 from repro.analysis.lint import (
     RULES,
-    apply_baseline,
     iter_python_files,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.interproc import ProjectIndex
 from repro.analysis.protocol import (
     analyze_protocol_paths,
@@ -59,7 +55,6 @@ from repro.analysis.sanitizer import KernelSanitizer, LaunchRecord
 __all__ = [
     "ATOMIC_BOUND_SAFETY",
     "AnalysisReport",
-    "CFG",
     "Finding",
     "KernelSanitizer",
     "LaunchRecord",
@@ -69,19 +64,15 @@ __all__ = [
     "analyze_protocol_paths",
     "analyze_protocol_source",
     "analyze_protocol_sources",
-    "apply_baseline",
     "atomic_deviation_bound",
-    "build_cfg",
     "check_assembly_pipeline",
     "check_scatter_modes",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "render_json",
     "render_text",
     "replay_scatter",
     "run_dynamic_checks",
     "sort_findings",
-    "write_baseline",
 ]

@@ -1,32 +1,22 @@
 """``python -m repro analyze`` — run repro-lint + the kernel sanitizer.
 
 Exit status is the gate contract: 0 when the tree is clean (after pragma
-and baseline suppression), 1 when findings remain — errors only by
-default, every finding under ``--strict``.  ``--format json`` emits the
-``repro.analysis/2`` document including the ``analysis.findings`` /
-``analysis.suppressed`` telemetry counters.
-
-``--changed`` scopes the per-file lint rules to git-modified files for
-fast pre-commit iteration; the interprocedural protocol rules
-(RL007-RL009) still index the full tree for call-graph context, with
-their findings filtered to the changed files.  When git is unavailable
-the flag degrades to a full-tree scan with a warning.
+suppression), 1 when findings remain — errors only by default, every
+finding under ``--strict`` — and 2 when none of the given paths exists
+(a gate pointed at a mistyped path must not pass by analysing nothing).
+``--format json`` emits the ``repro.analysis/3`` document including the
+``analysis.findings`` / ``analysis.suppressed`` telemetry counters;
+stdout carries the rendering only, warnings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 
 from repro.analysis.findings import AnalysisReport, render_json, render_text
-from repro.analysis.lint import (
-    RULES,
-    apply_baseline,
-    iter_python_files,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.lint import RULES, lint_paths
 from repro.analysis.protocol import analyze_protocol_paths
 
 
@@ -36,7 +26,7 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
         "analyze",
         help="static (repro-lint) + dynamic (sanitizer) analysis",
         description=(
-            "Run the RL001-RL010 lint + protocol rules over the given "
+            "Run the RL001-RL010 lint rules over the given "
             "paths and the KS001-KS005 permuted-thread determinism "
             "checks over the assembly kernels.  Rules: "
             + "; ".join(f"{k}: {v}" for k, v in sorted(RULES.items()))
@@ -60,26 +50,6 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
         help="output rendering",
     )
     p.add_argument(
-        "--baseline",
-        default="",
-        help="baseline JSON of grandfathered findings to ignore",
-    )
-    p.add_argument(
-        "--write-baseline",
-        default="",
-        metavar="PATH",
-        help="write current findings as a new baseline and exit 0",
-    )
-    p.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only git-modified files (full-tree fallback when git "
-            "is unavailable); protocol rules keep whole-tree call-graph "
-            "context"
-        ),
-    )
-    p.add_argument(
         "--no-dynamic",
         action="store_true",
         help="skip the sanitizer/determinism replay (lint only)",
@@ -93,82 +63,23 @@ def add_analyze_parser(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(func=cmd_analyze)
 
 
-def _git_changed_files() -> list[str] | None:
-    """Absolute paths of modified + untracked files, or None sans git."""
-    import subprocess
-
-    def run(*argv: str) -> str:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True, check=True
-        )
-        return proc.stdout
-
-    try:
-        top = run("git", "rev-parse", "--show-toplevel").strip()
-        listed = run("git", "diff", "--name-only", "HEAD") + run(
-            "git", "ls-files", "--others", "--exclude-standard"
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    out = []
-    for rel in listed.splitlines():
-        path = os.path.join(top, rel.strip())
-        if rel.strip() and path.endswith(".py") and os.path.exists(path):
-            out.append(os.path.abspath(path))
-    return sorted(set(out))
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Entry point for ``python -m repro analyze``."""
-    report = AnalysisReport()
-    paths = [p for p in args.paths if os.path.exists(p)]
-    missing = [p for p in args.paths if not os.path.exists(p)]
-    if missing:
-        for p in missing:
-            print(f"warning: path {p!r} does not exist, skipping")
-    changed: set[str] | None = None
-    if args.changed:
-        listed = _git_changed_files()
-        if listed is None:
-            print(
-                "warning: --changed requested but git is unavailable; "
-                "falling back to full-tree scan"
-            )
+    paths = []
+    for p in args.paths:
+        if os.path.exists(p):
+            paths.append(p)
         else:
-            changed = set(listed)
-    if changed is None:
-        report.extend(lint_paths(paths))
-    else:
-        lint_files = [
-            f
-            for f in iter_python_files(paths)
-            if os.path.abspath(f) in changed
-        ]
-        report.extend(lint_paths(lint_files))
-    # Protocol rules are interprocedural: always index the full paths so
-    # cross-module call-graph edges exist, then scope the findings.
-    protocol = analyze_protocol_paths(paths)
-    if changed is not None:
-        protocol.findings = [
-            f
-            for f in protocol.findings
-            if os.path.abspath(f.path) in changed
-        ]
-        protocol.suppressed = [
-            f
-            for f in protocol.suppressed
-            if os.path.abspath(f.path) in changed
-        ]
-    report.extend(protocol)
-    if args.baseline:
-        apply_baseline(report, load_baseline(args.baseline))
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report)
-        print(
-            f"wrote {len(report.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
+            print(
+                f"warning: path {p!r} does not exist, skipping",
+                file=sys.stderr,
+            )
+    if not paths:
+        print("error: no existing path to analyze", file=sys.stderr)
+        return 2
+    report = AnalysisReport()
+    report.extend(lint_paths(paths))
+    report.extend(analyze_protocol_paths(paths))
     if not args.no_dynamic:
         from repro.analysis.determinism import run_dynamic_checks
 

@@ -32,8 +32,7 @@ class Finding:
     #: Dynamic findings name the offending kernel instead of a source line.
     kernel: str | None = None
     #: Enclosing function qualname for static findings (``Class.method``);
-    #: None for module-level and dynamic findings.  Baseline keys use it
-    #: to disambiguate identical line text at different sites.
+    #: None for module-level and dynamic findings.
     qualname: str | None = None
 
     def location(self) -> str:
@@ -59,8 +58,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     #: Findings silenced by an inline ``# repro: allow(RLxxx)`` pragma.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Findings silenced by the checked-in baseline file.
-    baselined: list[Finding] = field(default_factory=list)
     #: Dynamic-harness bookkeeping (checks run, atomic deviation stats).
     dynamic_stats: dict = field(default_factory=dict)
 
@@ -77,20 +74,19 @@ class AnalysisReport:
         """Fold another report into this one."""
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
-        self.baselined.extend(other.baselined)
         self.dynamic_stats.update(other.dynamic_stats)
 
     def publish_metrics(self, metrics: MetricsRegistry) -> None:
         """Count findings into ``analysis.*`` telemetry counters.
 
         ``analysis.findings{rule=...}`` counts live findings;
-        ``analysis.suppressed{rule=...}`` counts pragma- and
-        baseline-silenced ones, so suppression debt stays visible in the
-        exported telemetry stream.
+        ``analysis.suppressed{rule=...}`` counts pragma-silenced ones,
+        so suppression debt stays visible in the exported telemetry
+        stream.
         """
         for f in self.findings:
             metrics.counter("analysis.findings", rule=f.rule).inc()
-        for f in self.suppressed + self.baselined:
+        for f in self.suppressed:
             metrics.counter("analysis.suppressed", rule=f.rule).inc()
 
 
@@ -113,29 +109,26 @@ def render_text(report: AnalysisReport) -> str:
     n_err = len(report.errors())
     lines.append(
         f"{len(report.findings)} finding(s) "
-        f"({n_err} error(s), {len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined)"
+        f"({n_err} error(s), {len(report.suppressed)} suppressed)"
     )
     return "\n".join(lines)
 
 
 def render_json(report: AnalysisReport) -> str:
-    """Machine-readable rendering (schema ``repro.analysis/2``).
+    """Machine-readable rendering (schema ``repro.analysis/3``).
 
-    ``/2`` over ``/1``: findings may carry a ``qualname`` field (the
-    enclosing function), and the RL007/RL008/RL009 protocol rules
-    appear in the stream.  Consumers of ``/1`` that ignored unknown
-    finding fields read ``/2`` unchanged.
+    ``/3`` over ``/2``: the ``baselined`` list is gone with the baseline
+    mechanism (pragmas are the one suppression), and no ``RL008``
+    finding can appear.
     """
     metrics = MetricsRegistry()
     report.publish_metrics(metrics)
     doc = {
-        "schema": "repro.analysis/2",
+        "schema": "repro.analysis/3",
         "findings": [f.to_dict() for f in sort_findings(report.findings)],
         "suppressed": [
             f.to_dict() for f in sort_findings(report.suppressed)
         ],
-        "baselined": [f.to_dict() for f in sort_findings(report.baselined)],
         "dynamic": report.dynamic_stats,
         "metrics": metrics.as_dict(),
     }

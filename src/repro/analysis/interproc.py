@@ -1,4 +1,4 @@
-"""Whole-package interprocedural call graph for the protocol rules.
+"""Whole-package interprocedural call graph for the reduction-contract rule.
 
 Static resolution over the stdlib AST, tuned to this codebase's idioms:
 
@@ -16,14 +16,13 @@ Static resolution over the stdlib AST, tuned to this codebase's idioms:
   that *subscripts* a known registry is given edges to every registered
   target — sound for "what could this dispatch call" questions.
 
-On top of the edges, two transitive summaries are computed to a
-fixpoint: whether a function can reach a **collective**
+On top of the edges, one transitive summary is computed to a fixpoint:
+whether a function can reach a **reduction** — a collective
 (``allreduce``/``allgather``/``barrier``/``alltoallv``/
-``record_collective`` — RL008's events) and whether it can reach a
-**reduction** (those plus the distributed dot-product primitives
-``dot``/``norm``/``fused_dots``/``batched_dots`` — RL009's events).
+``record_collective``) or a distributed dot-product primitive
+(``dot``/``norm``/``fused_dots``/``batched_dots``), RL009's events.
 Unresolvable attribute calls (``A.matvec``, ``self.M.apply``) contribute
-no edges; the rules document that boundary instead of guessing.
+no edges; the rule documents that boundary instead of guessing.
 """
 
 from __future__ import annotations
@@ -32,20 +31,27 @@ import ast
 import os
 from dataclasses import dataclass, field
 
-#: Terminal call names that ARE collectives (world-level sync points).
-COLLECTIVE_NAMES = frozenset(
-    {"allreduce", "allgather", "barrier", "alltoallv", "record_collective"}
-)
-
-#: Terminal call names of the distributed reduction primitives.  Each
-#: costs exactly one fused allreduce regardless of operand count
-#: (``ParVector.dot``/``norm``, ``fused_dots``, ``batched_dots``).
-REDUCTION_PRIMITIVES = frozenset(
-    {"dot", "norm", "fused_dots", "batched_dots"}
+#: Terminal call names that cost one distributed reduction: the
+#: world-level collectives, and the dot-product primitives — each exactly
+#: one fused allreduce regardless of operand count (``ParVector.dot``/
+#: ``norm``, ``fused_dots``, ``batched_dots``).
+REDUCTION_NAMES = frozenset(
+    {
+        "allreduce",
+        "allgather",
+        "barrier",
+        "alltoallv",
+        "record_collective",
+        "dot",
+        "norm",
+        "fused_dots",
+        "batched_dots",
+    }
 )
 
 
 def _terminal_name(func: ast.expr) -> str | None:
+    """Rightmost identifier of a call target (``a.b.c()`` -> ``c``)."""
     if isinstance(func, ast.Name):
         return func.id
     if isinstance(func, ast.Attribute):
@@ -85,8 +91,7 @@ class FunctionDecl:
     calls: list[ast.Call] = field(default_factory=list)
     #: Registries this function subscripts (dispatch sites).
     dispatches: set[str] = field(default_factory=set)
-    #: Direct collective / reduction events in this body.
-    has_collective: bool = False
+    #: A collective or reduction primitive is called in this body.
     has_reduction: bool = False
 
     @property
@@ -111,10 +116,16 @@ class _ModuleInfo:
 
 
 def module_name_for(path: str) -> str:
-    """Dotted module name from a file path (rooted at ``src`` if present)."""
+    """Dotted module name from a file path.
+
+    Rooted at the last ``repro`` path component, however the tree is
+    addressed (``src/repro/...``, ``repro/...`` from inside ``src``, an
+    absolute or ``site-packages`` path, an in-memory fixture path); a
+    path without one is outside the package and keeps its basename.
+    """
     parts = list(os.path.normpath(path).split(os.sep))
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1:]
+    if "repro" in parts[:-1]:
+        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
     else:
         parts = parts[-1:]
     if parts and parts[-1].endswith(".py"):
@@ -158,7 +169,6 @@ class ProjectIndex:
         self.registries: dict[str, set[str]] = {}
         #: decorator function key -> registry key it registers into.
         self._registering_decorators: dict[str, str] = {}
-        self._reaches_collective: dict[str, bool] = {}
         self._reaches_reduction: dict[str, bool] = {}
 
     # -- construction -------------------------------------------------------
@@ -174,7 +184,7 @@ class ProjectIndex:
                 continue
             index._scan_module(path, tree)
         index._link_registries()
-        index._compute_summaries()
+        index._compute_summary()
         return index
 
     @classmethod
@@ -265,10 +275,7 @@ class ProjectIndex:
                     name = _terminal_name(call.func)
                     if _is_numpy_rooted(call.func):
                         continue
-                    if name in COLLECTIVE_NAMES:
-                        decl.has_collective = True
-                        decl.has_reduction = True
-                    elif name in REDUCTION_PRIMITIVES:
+                    if name in REDUCTION_NAMES:
                         decl.has_reduction = True
                 mod.functions[qual] = decl
                 self.functions[decl.key] = decl
@@ -422,40 +429,20 @@ class ProjectIndex:
             out.update(self.registries.get(reg_key, set()))
         return out
 
-    # -- summaries ----------------------------------------------------------
+    # -- summary ------------------------------------------------------------
 
-    def _compute_summaries(self) -> None:
-        self._reaches_collective = {
-            k: d.has_collective for k, d in self.functions.items()
-        }
-        self._reaches_reduction = {
-            k: d.has_reduction for k, d in self.functions.items()
-        }
+    def _compute_summary(self) -> None:
+        summary = {k: d.has_reduction for k, d in self.functions.items()}
         edges = {k: self.callees(d) for k, d in self.functions.items()}
-        for summary in (self._reaches_collective, self._reaches_reduction):
-            changed = True
-            while changed:
-                changed = False
-                for k, outs in edges.items():
-                    if not summary[k] and any(
-                        summary.get(o, False) for o in outs
-                    ):
-                        summary[k] = True
-                        changed = True
-
-    def reaches_collective(self, key: str) -> bool:
-        """Can ``key`` (transitively) execute a collective?"""
-        return self._reaches_collective.get(key, False)
+        changed = True
+        while changed:
+            changed = False
+            for k, outs in edges.items():
+                if not summary[k] and any(summary.get(o, False) for o in outs):
+                    summary[k] = True
+                    changed = True
+        self._reaches_reduction = summary
 
     def reaches_reduction(self, key: str) -> bool:
         """Can ``key`` (transitively) execute a distributed reduction?"""
         return self._reaches_reduction.get(key, False)
-
-    def call_reaches_collective(
-        self, call: ast.Call, decl: FunctionDecl
-    ) -> str | None:
-        """Name of the resolved collective-reaching callee, if any."""
-        for target in sorted(self.resolve_call(call, decl)):
-            if self.reaches_collective(target):
-                return target
-        return None

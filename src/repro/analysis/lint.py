@@ -16,9 +16,9 @@ plain Python cannot enforce by itself (§3.2-§3.3):
 
 Each rule below statically checks one clause of that contract.  Findings
 can be silenced inline with ``# repro: allow(RLxxx[, RLyyy])`` on the
-offending line (or the line above), or grandfathered through a baseline
-file (see :func:`load_baseline`); both are counted into the
-``analysis.suppressed`` telemetry counter so debt stays visible.
+offending line (or in the comment block above), the one suppression
+mechanism; each is counted into the ``analysis.suppressed`` telemetry
+counter so debt stays visible.
 
 Rules
 -----
@@ -48,13 +48,19 @@ RL006   unbalanced phase push/pop: ``phase_scope`` used outside a
         manipulation outside ``SimWorld`` itself.  Syntax suffices: the
         only push in the package sits in ``phase_scope``'s own
         ``try/finally``, so no path can leave a label behind.
-RL007   resource typestate (path-sensitive, :mod:`.protocol`): a halo
-        ``exchange_halo_begin`` that can leave its function without
-        ``exchange_halo_finish``, or a durable write missing the
-        tmp→fsync→replace pairing (or any ``os.replace``/``os.rename``
-        in the package outside ``repro.durable``).
-RL008   collective consistency (:mod:`.protocol`): a collective
-        reachable under a rank-dependent branch — deadlock risk.
+RL007   protocol ownership, two clauses over ``repro.*`` modules: any
+        ``os.replace``/``os.rename`` call outside ``repro.durable`` (a
+        hand-copied commit instead of ``atomic_write``), and any
+        reference to ``exchange_halo_begin``/``exchange_halo_finish``
+        outside ``repro.comm.exchange`` (a hand-placed split exchange
+        instead of the ``overlapped_halo`` scope).  Syntax suffices:
+        each protocol has one subject, asserted at run time where it
+        lives (the fault matrix of ``tests/test_durable.py``; the
+        ``comm.double_begin`` guard and ``MailboxLeakError``), so no
+        path elsewhere can get it wrong.
+RL008   retired: rank-gated collectives cannot be written against
+        ``SimWorld`` (no per-rank collective exists); the id is not
+        reused.
 RL009   reduction contracts (:mod:`.protocol`): ``@reduction_contract``
         declarations vs statically counted reduction sites.
 RL010   swallowed campaign failure: a broad ``except`` (bare,
@@ -71,12 +77,12 @@ RL010   swallowed campaign failure: a broad ``except`` (bare,
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import AnalysisReport, Finding
+from repro.analysis.interproc import _terminal_name, module_name_for
 
 #: Rule catalog (id -> one-line description, used by the CLI and docs).
 RULES: dict[str, str] = {
@@ -87,12 +93,8 @@ RULES: dict[str, str] = {
     "RL005": "bulk kernel with no reachable world.ops.record accounting",
     "RL006": "unbalanced/raw SimWorld phase push/pop",
     "RL007": (
-        "resource typestate: halo begin without finish, or unsafe "
-        "tmp-write/fsync/replace"
-    ),
-    "RL008": (
-        "collective reachable under a rank-dependent branch "
-        "(deadlock risk at scale)"
+        "protocol ownership: os.replace/os.rename outside repro.durable, "
+        "or a split-halo half named outside repro.comm.exchange"
     ),
     "RL009": (
         "declared @reduction_contract disagrees with the statically "
@@ -127,6 +129,12 @@ _SCATTER_UFUNCS = frozenset({"add", "subtract"})
 #: np.<name> calls that constitute bulk device-kernel data motion (RL005).
 _BULK_NP_CALLS = frozenset({"sort", "argsort", "lexsort"})
 
+#: RL007 — the one module that may commit a file by rename, the one that
+#: may name the two halves of a split halo exchange, and those names.
+_DURABLE_MODULE = "repro.durable"
+_HALO_MODULE = "repro.comm.exchange"
+_HALO_HALVES = frozenset({"exchange_halo_begin", "exchange_halo_finish"})
+
 _PRAGMA_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*([A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)\s*\)"
 )
@@ -148,15 +156,6 @@ def _smoother_class_names() -> tuple[str, ...]:
         return tuple(SMOOTHER_CLASS_NAMES)
     except Exception:  # pragma: no cover - factory always importable here
         return _FALLBACK_SMOOTHER_CLASSES
-
-
-def _terminal_name(func: ast.expr) -> str | None:
-    """Rightmost identifier of a call target (``a.b.c()`` -> ``c``)."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 def _is_numpy_name(node: ast.expr) -> bool:
@@ -298,6 +297,12 @@ class _Linter(ast.NodeVisitor):
         self.smoothers_scope = _in_smoothers_package(path)
         self.campaign_scope = _in_campaign_package(path)
         self.simworld_module = _is_simworld_module(path)
+        # RL007 holds inside the package only: tools and tests may rename
+        # files and drive the halves directly.
+        module = module_name_for(path)
+        in_package = module.split(".")[0] == "repro"
+        self.may_rename = not in_package or module == _DURABLE_MODULE
+        self.may_split_halo = not in_package or module == _HALO_MODULE
         # Function-context stacks for qualnames and RL005 bookkeeping.
         self._scope: list[str] = []
         self._fn_stack: list[_FunctionInfo] = []
@@ -487,6 +492,22 @@ class _Linter(ast.NodeVisitor):
                 "balance is phase_scope's contract",
             )
 
+        # RL007 — a commit by rename outside repro.durable.
+        if (
+            not self.may_rename
+            and name in ("replace", "rename")
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os"
+        ):
+            self._emit(
+                "RL007",
+                node,
+                f"os.{name} outside {_DURABLE_MODULE}: commit files "
+                "through atomic_write, the one audited tmp write → fsync "
+                "→ replace",
+            )
+
         # RL005 bookkeeping — recording markers, bulk ops, call edges.
         if fn is not None:
             if _is_recording_call(node):
@@ -526,7 +547,26 @@ class _Linter(ast.NodeVisitor):
                 "_phase_stack touched directly: push/pop balance is "
                 "checked only through phase_scope",
             )
+        self._check_halo_half(node, node.attr)
         self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_halo_half(node, node.id)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            self._check_halo_half(node, alias.name)
+
+    def _check_halo_half(self, node: ast.AST, name: str) -> None:
+        # RL007 — a split-exchange half named outside its module.
+        if name in _HALO_HALVES and not self.may_split_halo:
+            self._emit(
+                "RL007",
+                node,
+                f"{name} referenced outside {_HALO_MODULE}: overlap work "
+                "with a halo round through `with overlapped_halo(...)`, "
+                "the scope that cannot leave a begin without its finish",
+            )
 
     # -- RL005 resolution --------------------------------------------------
 
@@ -693,115 +733,3 @@ def lint_paths(paths: list[str]) -> AnalysisReport:
             source = fh.read()
         report.extend(lint_source(source, path))
     return report
-
-
-# -- baseline ----------------------------------------------------------------
-
-#: /2 keys carry the enclosing qualname and an occurrence index, so
-#: identical line text at two sites in one file cannot collide onto one
-#: key and mask the second finding.
-BASELINE_SCHEMA = "repro.analysis-baseline/2"
-
-
-def _baseline_keys(
-    findings: list[Finding], lines_by_path: dict[str, list[str]]
-) -> list[tuple]:
-    """Per-finding /2 keys: (rule, path, qualname, line_text, occurrence).
-
-    The occurrence index counts same-(rule, path, qualname, text)
-    findings in line order, so two hits on textually identical lines get
-    distinct keys.
-    """
-    order = sorted(
-        range(len(findings)),
-        key=lambda i: (findings[i].path, findings[i].line, findings[i].rule),
-    )
-    counts: dict[tuple, int] = {}
-    keys: list[tuple] = [()] * len(findings)
-    for i in order:
-        f = findings[i]
-        lines = lines_by_path.get(f.path)
-        text = ""
-        if lines and 1 <= f.line <= len(lines):
-            text = lines[f.line - 1].strip()
-        base = (
-            f.rule,
-            f.path.replace(os.sep, "/"),
-            f.qualname or "",
-            text,
-        )
-        idx = counts.get(base, 0)
-        counts[base] = idx + 1
-        keys[i] = base + (idx,)
-    return keys
-
-
-def _source_lines(paths: set[str]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for p in paths:
-        try:
-            with open(p, encoding="utf-8") as fh:
-                out[p] = fh.read().splitlines()
-        except OSError:
-            out[p] = []
-    return out
-
-
-def load_baseline(path: str) -> set[tuple]:
-    """Load a baseline file into the set of grandfathered finding keys.
-
-    Any schema other than :data:`BASELINE_SCHEMA` is an error.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    schema = doc.get("schema")
-    if schema != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported schema {schema!r} "
-            f"(expected {BASELINE_SCHEMA!r})"
-        )
-    return {
-        (
-            e["rule"],
-            e["path"],
-            e.get("qualname", ""),
-            e.get("line_text", ""),
-            int(e.get("occurrence", 0)),
-        )
-        for e in doc.get("findings", [])
-    }
-
-
-def write_baseline(path: str, report: AnalysisReport) -> None:
-    """Write the report's live findings as a new /2 baseline file."""
-    lines = _source_lines({f.path for f in report.findings})
-    entries = [
-        {
-            "rule": k[0],
-            "path": k[1],
-            "qualname": k[2],
-            "line_text": k[3],
-            "occurrence": k[4],
-        }
-        for k in sorted(set(_baseline_keys(report.findings, lines)))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"schema": BASELINE_SCHEMA, "findings": entries}, fh, indent=2
-        )
-        fh.write("\n")
-
-
-def apply_baseline(report: AnalysisReport, baseline: set[tuple]) -> None:
-    """Move baselined findings out of the live list, in place."""
-    if not baseline:
-        return
-    lines = _source_lines({f.path for f in report.findings})
-    keys = _baseline_keys(report.findings, lines)
-    live: list[Finding] = []
-    for f, key in zip(report.findings, keys):
-        if key in baseline:
-            report.baselined.append(f)
-        else:
-            live.append(f)
-    report.findings[:] = live

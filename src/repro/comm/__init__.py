@@ -30,11 +30,9 @@ from repro.comm.simcomm import (
 )
 from repro.comm.exchange import (
     ExchangePattern,
-    HaloHandle,
     build_exchange_pattern,
     exchange_halo,
-    exchange_halo_begin,
-    exchange_halo_finish,
+    overlapped_halo,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "CommError",
     "CommRetriesExhaustedError",
     "ExchangePattern",
-    "HaloHandle",
     "MailboxLeakError",
     "MessageEnvelope",
     "MessageRecord",
@@ -53,7 +50,6 @@ __all__ = [
     "TrafficLog",
     "build_exchange_pattern",
     "exchange_halo",
-    "exchange_halo_begin",
-    "exchange_halo_finish",
+    "overlapped_halo",
     "payload_checksum",
 ]

@@ -17,8 +17,9 @@ round derives nothing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,9 +67,10 @@ class ExchangePattern:
     """Halo-exchange pattern for all ranks of one distribution.
 
     ``per_rank`` is the rank-by-rank description; the remaining fields
-    are the same round flattened for :func:`exchange_halo_begin` /
-    :func:`exchange_halo_finish`.  Messages are posted src-major
-    (destinations ascending) and received dst-major (sources ascending).
+    are the same round flattened for the post and drain halves of
+    :func:`exchange_halo` / :func:`overlapped_halo`.  Messages are posted
+    src-major (destinations ascending) and received dst-major (sources
+    ascending).
 
     Attributes:
         send_gather: global index of every shipped entry, in posting
@@ -229,14 +231,13 @@ def build_exchange_pattern(
 
 @dataclass
 class HaloHandle:
-    """In-flight state of a split halo exchange.
+    """In-flight state of a halo round between its two halves.
 
-    Returned by :func:`exchange_halo_begin` after every send is posted;
-    the caller computes interior work against its own data, then drains
-    the receives with :func:`exchange_halo_finish`.  Holds the round's
-    send buffer (a gathered copy, so later writes to the vector cannot
-    reach it) so the retry protocol can re-post any slice from the
-    sender side.
+    Made by :func:`exchange_halo_begin` after every send is posted and
+    consumed by :func:`exchange_halo_finish`; it never leaves this
+    module.  Holds the round's send buffer (a gathered copy, so later
+    writes to the vector cannot reach it) so the retry protocol can
+    re-post any slice from the sender side.
     """
 
     pattern: ExchangePattern
@@ -261,10 +262,10 @@ def exchange_halo_begin(
 ) -> HaloHandle:
     """Post every rank's halo sends and return without receiving.
 
-    The nonblocking half of the exchange (``MPI_Isend`` analogue):
-    after this call each rank may compute against its owned data —
-    typically the ``diag``-block SpMV — while boundary data is in
-    flight, then call :func:`exchange_halo_finish` to drain.
+    The nonblocking half of the exchange (``MPI_Isend`` analogue), for
+    this module only: :func:`exchange_halo` and :func:`overlapped_halo`
+    are the two places that pair it with :func:`exchange_halo_finish`,
+    and lint rule RL007 keeps both names out of every other module.
 
     One gather packs the round's send buffer; each message is a slice of
     it, posted through :meth:`SimWorld._post_batch` (sequence number,
@@ -298,9 +299,9 @@ def exchange_halo_begin(
         out = np.empty(n_entries, dtype=np.float64)
     elif out.shape != (n_entries,) or out.dtype != np.float64:
         raise ValueError("out does not match the pattern's external size")
-    # The RL007 runtime twin: a second begin on the same pattern before
-    # its finish would double-post every send, and the stale first
-    # round's messages would satisfy the second round's receives.
+    # A second begin on the same pattern before its finish would
+    # double-post every send, and the stale first round's messages would
+    # satisfy the second round's receives.
     if id(pattern) in world._halo_inflight:
         world.metrics.counter("comm.double_begin", phase=world.phase).inc()
         raise RuntimeError(
@@ -341,13 +342,13 @@ def exchange_halo_begin(
 def exchange_halo_finish(
     world: SimWorld, handle: HaloHandle
 ) -> list[np.ndarray]:
-    """Drain a split halo exchange: the blocking ``MPI_Waitall`` half.
+    """Drain a posted halo round: the blocking ``MPI_Waitall`` half.
 
-    Runs the same bounded retry protocol as the synchronous
-    :func:`exchange_halo` (drop, corruption, and truncation all consume
-    the retry budget), so a split exchange is bitwise- and
-    failure-equivalent to a synchronous one.  Returns per-rank views of
-    the handle's contiguous external buffer.
+    Runs the bounded retry protocol described at :func:`exchange_halo`
+    (drop, corruption, and truncation all consume the retry budget)
+    whether or not work ran between the halves, so a split exchange is
+    bitwise- and failure-equivalent to a synchronous one.  Returns
+    per-rank views of the handle's contiguous external buffer.
     """
     if handle.finished:
         raise RuntimeError("halo handle already finished")
@@ -391,10 +392,9 @@ def exchange_halo(
     the solver-level recovery ladder.
 
     The synchronous round is exactly :func:`exchange_halo_begin`
-    followed immediately by :func:`exchange_halo_finish`; passing
-    ``overlap=True`` through :meth:`ParCSRMatrix.matvec
-    <repro.linalg.parcsr.ParCSRMatrix.matvec>` puts interior compute
-    between the two halves.
+    followed immediately by :func:`exchange_halo_finish`;
+    :func:`overlapped_halo` puts the caller's interior compute between
+    the same two halves.
 
     Args:
         world: the simulated world (records traffic).
@@ -410,6 +410,35 @@ def exchange_halo(
     return exchange_halo_finish(
         world, exchange_halo_begin(world, pattern, owned, out=out)
     )
+
+
+@contextmanager
+def overlapped_halo(
+    world: SimWorld,
+    pattern: ExchangePattern,
+    owned: np.ndarray | Sequence[np.ndarray],
+    out: np.ndarray | None = None,
+) -> Iterator[np.ndarray]:
+    """Scope of one split halo exchange: post on entry, drain on exit.
+
+    The body is the work that overlaps the round — each rank computing
+    against its owned data (typically the ``diag``-block SpMV) while
+    boundary data is in flight.  Every normal way out of the body
+    drains, an early ``return`` included, so a begin without its finish
+    cannot be written.  An exception in the body drains nothing and
+    leaves the pattern marked in flight: a drain could raise over the
+    first error, and :meth:`SimWorld.purge_pending`, which the recovery
+    ladder calls on every ``CommError``, owns aborted rounds.
+
+    The round counts into ``comm.overlapped_*`` and its wait is priced
+    against the post-time clocks (see :func:`exchange_halo_begin`).
+    Arguments are those of :func:`exchange_halo`; yields the round's
+    contiguous external buffer (``out`` when given), filled once the
+    scope has exited.
+    """
+    handle = exchange_halo_begin(world, pattern, owned, overlap=True, out=out)
+    yield handle.ext
+    exchange_halo_finish(world, handle)
 
 
 def _recv_with_retry(

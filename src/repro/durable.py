@@ -3,9 +3,10 @@
 Checkpoints, stored results, the campaign manifest, job leases and
 attempt outcomes all commit through :func:`atomic_write`, so a kill at
 any instant leaves either the old file or the new one, never a torn
-one.  Lint rule RL007 verifies the protocol here and flags any
-``os.replace``/``os.rename`` elsewhere in the package.  Fault injection
-(``on_io``) and retry loops belong to the callers.
+one.  Lint rule RL007 flags any ``os.replace``/``os.rename`` elsewhere
+in the package; the protocol itself is checked where it runs, by the
+fsync/replace fault matrix of ``tests/test_durable.py``.  Fault
+injection (``on_io``) and retry loops belong to the callers.
 """
 
 from __future__ import annotations

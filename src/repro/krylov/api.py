@@ -50,7 +50,10 @@ def reduction_contract(
     The declaration is verified two ways: statically by the RL009 rule
     in :mod:`repro.analysis.protocol` (counts reachable reduction call
     sites per loop region against the declared numbers) and dynamically
-    by the collective-count pins in ``tests/test_comm_avoiding.py``.
+    by the measured-count tests in ``tests/test_comm_avoiding.py``, which
+    pin ``TrafficLog.collective_count()`` of every decorated kernel (CG,
+    pipelined CG, GMRES per Gram-Schmidt variant, Chebyshev) against a
+    closed form in its iteration counts.
     The function is returned unwrapped — the contract is metadata on
     ``__reduction_contract__``, never a runtime cost.
     """

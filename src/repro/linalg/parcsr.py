@@ -32,8 +32,7 @@ from repro.comm.exchange import (
     ExchangePattern,
     build_exchange_pattern,
     exchange_halo,
-    exchange_halo_begin,
-    exchange_halo_finish,
+    overlapped_halo,
 )
 from repro.comm.simcomm import SimWorld
 from repro.linalg.parvector import ParVector
@@ -336,13 +335,10 @@ class ParCSRMatrix:
         world = self.world
         phase = world.phase
         if overlap:
-            handle = exchange_halo_begin(
-                world, self.pattern, x.data, overlap=True, out=self._ext
-            )
-            # Interior SpMV against owned data while halos are in flight.
-            interior = self.D @ x.data
-            world.ops.record_ranks(phase, "spmv", *self._diag_work)
-            exchange_halo_finish(world, handle)
+            with overlapped_halo(world, self.pattern, x.data, out=self._ext):
+                # Interior SpMV against owned data while halos are in flight.
+                interior = self.D @ x.data
+                world.ops.record_ranks(phase, "spmv", *self._diag_work)
             work = self._offd_work
         else:
             exchange_halo(world, self.pattern, x.data, out=self._ext)

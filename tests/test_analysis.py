@@ -1,7 +1,8 @@
 """Kernel sanitizer + repro-lint: rule fixtures and replay contracts.
 
 Static half: one known-bad snippet and a clean twin per lint rule
-(RL001-RL006, RL010), plus the pragma and baseline suppression paths.  Dynamic
+(RL001-RL006, RL010; RL007/RL009 live in test_protocol_analysis.py), plus
+the pragma suppression path and the CLI's exit contract.  Dynamic
 half: planted races/unstable reductions must be *caught* (KS001-KS003),
 and the shipped scatter modes / Algorithm 1-2 paths must replay bitwise
 under permuted simulated-thread schedules — the executable form of the
@@ -18,17 +19,13 @@ from repro.analysis import (
     AnalysisReport,
     KernelSanitizer,
     ThreadSchedule,
-    apply_baseline,
     atomic_deviation_bound,
     check_assembly_pipeline,
     check_scatter_modes,
-    lint_paths,
     lint_source,
-    load_baseline,
     render_json,
     replay_scatter,
     run_dynamic_checks,
-    write_baseline,
 )
 from repro.analysis.determinism import _build_problem
 from repro.assembly.graph import EquationGraph, GraphSpec
@@ -289,82 +286,6 @@ class TestSuppression:
         got = lint_source(src, NEUTRAL)
         assert [f.rule for f in got.findings] == ["RL003"]
 
-    def test_baseline_roundtrip(self, tmp_path):
-        bad = tmp_path / "core"
-        bad.mkdir()
-        f = bad / "legacy.py"
-        f.write_text("import numpy as np\norder = np.argsort(x)\n")
-        first = lint_paths([str(tmp_path)])
-        assert [x.rule for x in first.findings] == ["RL001"]
-
-        base = tmp_path / "baseline.json"
-        write_baseline(str(base), first)
-        doc = json.loads(base.read_text())
-        assert doc["schema"] == "repro.analysis-baseline/2"
-
-        again = lint_paths([str(tmp_path)])
-        apply_baseline(again, load_baseline(str(base)))
-        assert not again.findings
-        assert [x.rule for x in again.baselined] == ["RL001"]
-
-    def test_baseline_distinguishes_identical_line_text(self, tmp_path):
-        # The /1 collision: two textually identical bad lines in one
-        # file shared a (rule, path, line-text) key, so baselining the
-        # first silently masked the second.  /2 keys add the enclosing
-        # qualname and an occurrence index.
-        pkg = tmp_path / "core"
-        pkg.mkdir()
-        f = pkg / "dup.py"
-        f.write_text(
-            "import numpy as np\n"
-            "def a(x):\n"
-            "    return np.argsort(x)\n"
-        )
-        first = lint_paths([str(tmp_path)])
-        assert [x.rule for x in first.findings] == ["RL001"]
-        base = tmp_path / "baseline.json"
-        write_baseline(str(base), first)
-
-        f.write_text(
-            "import numpy as np\n"
-            "def a(x):\n"
-            "    return np.argsort(x)\n"
-            "def b(x):\n"
-            "    return np.argsort(x)\n"
-        )
-        again = lint_paths([str(tmp_path)])
-        assert len(again.findings) == 2
-        apply_baseline(again, load_baseline(str(base)))
-        # Only the grandfathered site stays masked; the new identical
-        # line in function b is live.
-        assert [x.rule for x in again.baselined] == ["RL001"]
-        assert again.baselined[0].qualname == "a"
-        assert [(x.line, x.qualname) for x in again.findings] == [(5, "b")]
-
-    def test_legacy_v1_baseline_is_rejected(self, tmp_path):
-        # The /1 loader (any-occurrence matching) is gone: the shipped
-        # baseline is /2, and a /1 file is an unknown schema like any other.
-        legacy = {
-            "schema": "repro.analysis-baseline/1",
-            "findings": [
-                {
-                    "rule": "RL001",
-                    "path": "core/dup.py",
-                    "line_text": "return np.argsort(x)",
-                }
-            ],
-        }
-        base = tmp_path / "baseline.json"
-        base.write_text(json.dumps(legacy))
-        with pytest.raises(ValueError, match="unsupported schema"):
-            load_baseline(str(base))
-
-    def test_unknown_baseline_schema_is_an_error(self, tmp_path):
-        base = tmp_path / "baseline.json"
-        base.write_text('{"schema": "repro.analysis-baseline/9"}')
-        with pytest.raises(ValueError, match="unsupported schema"):
-            load_baseline(str(base))
-
     def test_suppression_counts_into_metrics(self):
         src = "import numpy as np\no = np.argsort(x)  # repro: allow(RL001)\n"
         report = lint_source(src, NEUTRAL)
@@ -409,25 +330,37 @@ class TestCLI:
             ["analyze", "--no-dynamic", "--format", "json", str(tmp_path)]
         )
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.analysis/2"
+        assert doc["schema"] == "repro.analysis/3"
         assert "metrics" in doc and "dynamic" in doc
+        assert "baselined" not in doc
 
-    def test_changed_scope_on_shipped_tree_exits_zero(self):
-        # --changed narrows lint to the git-modified subset (and falls
-        # back to a full scan when git is unavailable); either way the
-        # shipped tree must gate clean.
-        assert (
-            self._run(
-                [
-                    "analyze",
-                    "--strict",
-                    "--no-dynamic",
-                    "--changed",
-                    "src/repro",
-                ]
-            )
-            == 0
+    def test_missing_path_warns_on_stderr_and_stdout_stays_json(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        missing = str(tmp_path / "nosuch")
+        code = self._run(
+            [
+                "analyze", "--no-dynamic", "--format", "json",
+                str(tmp_path), missing,
+            ]
         )
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["findings"] == []
+        assert "warning" in err and "nosuch" in err
+
+    def test_no_existing_path_is_a_usage_error_not_a_pass(
+        self, tmp_path, capsys
+    ):
+        # A gate pointed only at a mistyped path analysed nothing and
+        # used to exit 0.
+        code = self._run(
+            ["analyze", "--strict", "--no-dynamic", str(tmp_path / "nosuch")]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "no existing path" in err
 
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: the repo lints clean under --strict.

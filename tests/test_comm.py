@@ -19,6 +19,7 @@ from repro.comm.exchange import (
     exchange_halo,
     exchange_halo_begin,
     exchange_halo_finish,
+    overlapped_halo,
     owner_of,
 )
 from repro.comm.traffic import TrafficLog
@@ -752,9 +753,10 @@ class TestLeakDetection:
 
 
 class TestSplitHaloGuard:
-    """The runtime twin of the RL007 static rule: a second
-    exchange_halo_begin on a pattern whose first round is still in
-    flight would double-post every send, so it raises instead."""
+    """A second exchange_halo_begin on a pattern whose first round is
+    still in flight would double-post every send, so it raises instead.
+    Outside repro.comm.exchange the two halves are reachable only through
+    the overlapped_halo scope (lint rule RL007), which pairs them."""
 
     def _fixture(self):
         offs = np.array([0, 3, 6])
@@ -801,3 +803,56 @@ class TestSplitHaloGuard:
         h2 = exchange_halo_begin(w, pat2, owned)
         assert exchange_halo_finish(w, h2)[0].tolist() == [5.0]
         assert exchange_halo_finish(w, h1)[0].tolist() == [5.0]
+
+    def test_scope_drains_on_every_normal_exit(self):
+        w, pat, owned = self._fixture()
+        with overlapped_halo(w, pat, owned) as ext:
+            assert w.pending_messages() == pat.total_messages()
+        assert ext.tolist() == [5.0, 1.0, 3.0]
+
+        def early_return():
+            with overlapped_halo(w, pat, owned) as ext:
+                return ext
+
+        assert early_return().tolist() == [5.0, 1.0, 3.0]
+        assert w.pending_messages() == 0
+        assert w.metrics.counter_total("comm.overlapped_exchanges") == 2
+        assert w.metrics.counter_total("comm.double_begin") == 0
+
+    def test_nested_scope_on_the_same_pattern_raises(self):
+        w, pat, owned = self._fixture()
+        with overlapped_halo(w, pat, owned) as ext:
+            with pytest.raises(RuntimeError, match="twice on the same"):
+                with overlapped_halo(w, pat, owned):
+                    pass
+        assert w.metrics.counter_total("comm.double_begin") == 1
+        # The outer round was not disturbed and drained on exit.
+        assert ext.tolist() == [5.0, 1.0, 3.0]
+        assert w.pending_messages() == 0
+
+    def test_exception_in_scope_leaves_the_round_to_purge_pending(self):
+        from scipy import sparse
+
+        from repro.linalg import ParCSRMatrix
+
+        n = 12
+        w = SimWorld(3)
+        A = ParCSRMatrix(
+            w,
+            sparse.diags([-1.0, 2.5, -1.5], [-1, 0, 1], (n, n), format="csr"),
+            np.array([0, 4, 8, 12]),
+        )
+        x = A.new_vector(np.linspace(1.0, 2.0, n))
+        with pytest.raises(ZeroDivisionError):
+            with overlapped_halo(w, A.pattern, x.data):
+                1 / 0
+        # Nothing was drained and the pattern is still marked in flight.
+        assert w.pending_messages() == A.pattern.total_messages()
+        with pytest.raises(RuntimeError, match="twice on the same"):
+            A.matvec(x, overlap=True)
+        # The recovery ladder's purge owns the aborted round.
+        w.purge_pending("test")
+        assert w.pending_messages() == 0
+        assert np.array_equal(
+            A.matvec(x, overlap=True).data, A.matvec(x).data
+        )

@@ -4,9 +4,11 @@ Two executable contracts from the paper's solver chapter (§4.2-§4.3):
 
 * every Krylov kernel charges an *exact* number of allreduces per
   iteration — mgs ``j+1``, cgs2 ``3``, one-reduce ``1`` per Arnoldi
-  step; CG ``2``/iteration; pipelined CG ``1``/iteration — pinned here
-  against :class:`~repro.comm.traffic.TrafficLog` so a hidden reduction
-  cannot ship silently again;
+  step, GMRES itself one norm per restart cycle on top; CG
+  ``2``/iteration; pipelined CG ``1``/iteration; Chebyshev none —
+  pinned here against :class:`~repro.comm.traffic.TrafficLog` so a
+  hidden reduction cannot ship silently again (the runtime twin of
+  lint rule RL009);
 * the split halo exchange (``matvec(overlap=True)``) is a *scheduling*
   change only: results stay bitwise identical to the synchronous path on
   every workload, including under injected message drops and corruption
@@ -19,7 +21,13 @@ from scipy import sparse
 
 from repro.comm import SimWorld
 from repro.core.config import SolverConfig
-from repro.krylov import CG, PipelinedCG, make_krylov_solver, orthogonalize
+from repro.krylov import (
+    CG,
+    GMRES,
+    PipelinedCG,
+    make_krylov_solver,
+    orthogonalize,
+)
 from repro.linalg import ParCSRMatrix
 from repro.resilience.injection import FaultInjector, FaultSpec
 from repro.smoothers import make_smoother
@@ -86,6 +94,35 @@ class TestReductionContracts:
         # iteration, plus the triple evaluated at the converged step.
         assert w.traffic.collective_count() == 2 + res.iterations
 
+    @pytest.mark.parametrize("exit_kind", ["converged", "max_iters"])
+    @pytest.mark.parametrize("variant", ["mgs", "cgs2", "one_reduce"])
+    def test_gmres_reductions_per_variant_and_exit(self, variant, exit_kind):
+        A = poisson2d(8)
+        w, M = par(A)
+        b = M.new_vector(np.ones(A.shape[0]))
+        kw = {
+            "converged": {"tol": 1e-8, "max_iters": 200, "restart": 4},
+            "max_iters": {"tol": 1e-30, "max_iters": 7, "restart": 3},
+        }[exit_kind]
+        res = GMRES(M, gs_variant=variant, **kw).solve(b)
+        assert res.converged == (exit_kind == "converged")
+        # The history has one entry per Arnoldi step and one per residual
+        # norm: one entering each cycle, one more on the way out (at the
+        # top of the loop when converged, below the last cycle at
+        # max_iters).
+        iters, restart = res.iterations, kw["restart"]
+        cycles = len(res.residual_history) - iters - 1
+        assert cycles >= 2
+        steps = [restart] * (cycles - 1) + [iters - restart * (cycles - 1)]
+        ortho = {
+            "mgs": sum(j + 2 for k in steps for j in range(k)),
+            "cgs2": 3 * iters,
+            "one_reduce": iters,
+        }[variant]
+        # ||b|| + those cycles + 1 norms + the orthogonalizer's own count
+        # at each step: nothing else in the solver may reduce.
+        assert w.traffic.collective_count() == 1 + (cycles + 1) + ortho
+
     def test_overlap_does_not_change_collectives_or_bits(self):
         A = poisson2d(12)
         results = []
@@ -105,10 +142,12 @@ class TestReductionContracts:
 class TestDeclaredContracts:
     """The @reduction_contract declarations (verified statically by
     RL009) must agree with the dynamically measured collective counts —
-    the static and runtime views of one budget."""
+    the static and runtime views of one budget.  GMRES's measured count
+    is pinned per variant in TestReductionContracts: its declared
+    ``per_restart=2`` names the two norm sites of a cycle, of which a run
+    executes ``cycles + 1``."""
 
     def test_all_four_kernels_carry_contracts(self):
-        from repro.krylov import GMRES
         from repro.smoothers.chebyshev import ChebyshevSmoother
 
         assert CG.solve.__reduction_contract__ == {
@@ -157,6 +196,19 @@ class TestDeclaredContracts:
             c["setup"] + c["per_iteration"] * (res.iterations + 1)
             == w.traffic.collective_count()
         )
+
+
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    def test_chebyshev_declared_zero_is_measured_zero(self, degree):
+        A = poisson2d(8)
+        w, M = par(A)
+        smoother = make_smoother("chebyshev", M, degree=degree)
+        # The eigenvalue estimate reduces, once, at construction.
+        at_construction = w.traffic.collective_count()
+        r = M.new_vector(np.ones(A.shape[0]))
+        z = smoother.apply(r)
+        smoother.smooth(r, z)
+        assert w.traffic.collective_count() == at_construction
 
 
 class TestOverlapParity:

@@ -1,142 +1,57 @@
-"""Path-sensitive protocol rules: CFG construction and RL007-RL009.
+"""Protocol rules: RL007's two ownership clauses and RL009's contracts.
 
-Each rule gets known-bad fixtures and clean twins, mirroring the
-RL001-RL006 matrix in test_analysis.py but over *paths*: the bad
-shapes here are all legal syntax that only goes wrong on one control
-flow route (an early return, an exception edge, a rank-divergent
-branch, a hidden in-loop reduction).  The bug-corpus class at the
-bottom reintroduces the three historical PR 8 bugs verbatim and pins
-the exact rule, file, and line each must fire on.
+RL007 is syntactic since the split halo exchange got a scope and the
+durable write one owner: each clause has known-bad fixtures outside the
+owner module and clean twins inside it.  The halo fixtures are the bug
+shapes the retired path-sensitive rule was built on (an early return, an
+exception edge, a rebound handle); every one of them is now red at each
+line that names a half, because none can be written outside
+``repro.comm.exchange`` at all.  RL009 keeps its matrix of hidden
+in-loop reductions.  The bug-corpus class at the bottom reintroduces the
+three historical PR 8 bugs and pins what stops each one today.
 """
 
-import ast
+import os
 import textwrap
 
-from repro.analysis.cfg import (
-    ENTRY,
-    EXIT,
-    RAISE_EXIT,
-    build_cfg,
-    calls_in_order,
-)
-from repro.analysis.interproc import ProjectIndex
+import pytest
+
+from repro.analysis.interproc import ProjectIndex, module_name_for
+from repro.analysis.lint import lint_paths, lint_source
 from repro.analysis.protocol import (
     analyze_protocol_paths,
     analyze_protocol_source,
     analyze_protocol_sources,
 )
+from repro.comm import SimComm, SimWorld
 
 PATH = "src/repro/comm/fixture.py"
+HALO_OWNER = "src/repro/comm/exchange.py"
 DURABLE = "src/repro/durable.py"
-
-
-def _cfg(src):
-    tree = ast.parse(textwrap.dedent(src))
-    func = next(
-        n for n in tree.body if isinstance(n, ast.FunctionDef)
-    )
-    return build_cfg(func)
 
 
 def _rules(report):
     return [f.rule for f in report.findings]
 
 
+def _hits(report):
+    return [(f.rule, f.line) for f in report.findings]
+
+
 def _analyze(src, path=PATH):
     return analyze_protocol_source(textwrap.dedent(src), path)
 
 
-class TestCFG:
-    def test_linear_flow_reaches_exit_only(self):
-        cfg = _cfg(
-            """
-            def f():
-                a = 1
-                b = a + 1
-                return b
-            """
-        )
-        seen = cfg.reachable([ENTRY])
-        assert EXIT in seen
-        # Outside a try, statements are assumed non-throwing.
-        assert RAISE_EXIT not in seen
-
-    def test_raise_reaches_raise_exit_not_exit(self):
-        cfg = _cfg(
-            """
-            def f():
-                raise ValueError("boom")
-            """
-        )
-        seen = cfg.reachable([ENTRY])
-        assert RAISE_EXIT in seen
-        assert EXIT not in seen
-
-    def test_if_arms_recorded(self):
-        cfg = _cfg(
-            """
-            def f(x):
-                if x:
-                    a = 1
-                b = 2
-            """
-        )
-        assert len(cfg.if_arms) == 1
-        if_idx, true_entries = cfg.if_arms[0]
-        assert isinstance(cfg.nodes[if_idx].stmt, ast.If)
-        assert [cfg.nodes[i].lineno for i in true_entries] == [4]
-        # The false continuation is the remaining successor: `b = 2`.
-        false = [
-            s for s in cfg.successors(if_idx) if s not in true_entries
-        ]
-        assert {cfg.nodes[s].lineno for s in false} == {5}
-
-    def test_try_body_exception_edge_routes_through_finally(self):
-        cfg = _cfg(
-            """
-            def f():
-                try:
-                    work()
-                finally:
-                    cleanup()
-                return 1
-            """
-        )
-        seen = cfg.reachable([ENTRY])
-        assert EXIT in seen and RAISE_EXIT in seen
-        # The finally body is inlined once per route (normal + unwind),
-        # so the cleanup statement appears as more than one node.
-        copies = [n for n in cfg.nodes if n.lineno == 6]
-        assert len(copies) >= 2
-        # Every path into RAISE_EXIT comes from a finally copy.
-        preds = [
-            n for n in cfg.nodes if RAISE_EXIT in n.succs
-        ]
-        assert preds and all(n.lineno == 6 for n in preds)
-
-    def test_loop_back_edge(self):
-        cfg = _cfg(
-            """
-            def f(xs):
-                for x in xs:
-                    use(x)
-            """
-        )
-        head = next(
-            n.idx for n in cfg.nodes if isinstance(n.stmt, ast.For)
-        )
-        body = next(n for n in cfg.nodes if n.lineno == 4)
-        assert head in body.succs
-
-    def test_calls_in_order_is_post_order(self):
-        call = ast.parse("finish(begin())").body[0].value
-        names = [c.func.id for c in calls_in_order([call])]
-        assert names == ["begin", "finish"]
+def _lint(src, path=PATH):
+    return lint_source(textwrap.dedent(src), path)
 
 
 class TestHaloTypestate:
+    """The halo clause of RL007 (the class keeps the retired typestate
+    rule's name with its fixtures)."""
+
     def test_early_return_leaks_begin(self):
-        rep = _analyze(
+        rep = _lint(
             """
             def solve(world, pat, owned, flag):
                 h = exchange_halo_begin(world, pat, owned)
@@ -145,12 +60,11 @@ class TestHaloTypestate:
                 return exchange_halo_finish(world, h)
             """
         )
-        assert _rules(rep) == ["RL007"]
-        f = rep.findings[0]
-        assert f.line == 3 and "a return" in f.message
+        assert _hits(rep) == [("RL007", 3), ("RL007", 6)]
+        assert "overlapped_halo" in rep.findings[0].message
 
     def test_raise_path_leaks_begin(self):
-        rep = _analyze(
+        rep = _lint(
             """
             def solve(world, pat, owned, flag):
                 h = exchange_halo_begin(world, pat, owned)
@@ -159,11 +73,10 @@ class TestHaloTypestate:
                 return exchange_halo_finish(world, h)
             """
         )
-        assert _rules(rep) == ["RL007"]
-        assert "an exception" in rep.findings[0].message
+        assert _hits(rep) == [("RL007", 3), ("RL007", 6)]
 
     def test_double_begin_same_name(self):
-        rep = _analyze(
+        rep = _lint(
             """
             def solve(world, pat, owned):
                 h = exchange_halo_begin(world, pat, owned)
@@ -171,11 +84,10 @@ class TestHaloTypestate:
                 return exchange_halo_finish(world, h)
             """
         )
-        assert _rules(rep) == ["RL007"]
-        assert "still unfinished" in rep.findings[0].message
+        assert _hits(rep) == [("RL007", 3), ("RL007", 4), ("RL007", 5)]
 
     def test_rebind_of_live_handle(self):
-        rep = _analyze(
+        rep = _lint(
             """
             def solve(world, pat, owned):
                 h = exchange_halo_begin(world, pat, owned)
@@ -186,11 +98,10 @@ class TestHaloTypestate:
                 return exchange_halo_finish(world, h)
             """
         )
-        assert _rules(rep) == ["RL007"]
-        assert "rebound" in rep.findings[0].message
+        assert _hits(rep) == [("RL007", 3), ("RL007", 8)]
 
     def test_begin_in_loop_without_finish(self):
-        rep = _analyze(
+        rep = _lint(
             """
             def solve(world, pat, owned, xs):
                 for x in xs:
@@ -198,24 +109,38 @@ class TestHaloTypestate:
                 return None
             """
         )
-        assert rep.findings and set(_rules(rep)) == {"RL007"}
+        assert _hits(rep) == [("RL007", 4)]
+
+    def test_import_and_attribute_references_fire(self):
+        # Naming a half is the finding, whatever the syntax: the import
+        # that would bring it in, a module-attribute access, an alias.
+        rep = _lint(
+            """
+            from repro.comm import exchange
+            from repro.comm.exchange import exchange_halo_begin as begin
+
+            drain = exchange.exchange_halo_finish
+            """
+        )
+        assert _hits(rep) == [("RL007", 3), ("RL007", 5)]
 
     def test_straight_line_pair_is_quiet(self):
-        rep = _analyze(
+        # Inside the owner module the halves are not policed statically:
+        # the double-begin guard and MailboxLeakError watch them at run
+        # time (tests/test_comm.py::TestSplitHaloGuard).
+        rep = _lint(
             """
             def solve(world, pat, owned):
                 h = exchange_halo_begin(world, pat, owned)
                 interior_compute()
                 return exchange_halo_finish(world, h)
-            """
+            """,
+            HALO_OWNER,
         )
-        assert not rep.findings
+        assert not rep.findings and not rep.suppressed
 
     def test_try_finally_idiom_is_quiet(self):
-        # The sanctioned overlap shape: finish in a finally covers the
-        # exception edge out of the interior compute.
-        rep = _analyze(
-            """
+        src = """
             def solve(world, pat, owned):
                 h = exchange_halo_begin(world, pat, owned)
                 try:
@@ -224,59 +149,29 @@ class TestHaloTypestate:
                     exchange_halo_finish(world, h)
                 return None
             """
-        )
-        assert not rep.findings
-
-    def test_returned_handle_transfers_ownership(self):
-        rep = _analyze(
-            """
-            def begin_round(world, pat, owned):
-                h = exchange_halo_begin(world, pat, owned)
-                return h
-            """
-        )
-        assert not rep.findings
+        assert not _lint(src, HALO_OWNER).findings
+        # Outside the package (tests, tools) the clause does not apply.
+        assert not _lint(src, "tests/test_comm.py").findings
 
     def test_one_liner_finish_of_begin_is_quiet(self):
-        rep = _analyze(
+        # The shape of exchange_halo itself.
+        rep = _lint(
             """
             def solve(world, pat, owned):
                 return exchange_halo_finish(
                     world, exchange_halo_begin(world, pat, owned)
                 )
-            """
-        )
-        assert not rep.findings
-
-    def test_handle_passed_to_helper_escapes(self):
-        rep = _analyze(
-            """
-            def solve(world, pat, owned):
-                h = exchange_halo_begin(world, pat, owned)
-                drain(world, h)
-                return None
-            """
-        )
-        assert not rep.findings
-
-    def test_handle_stored_on_self_escapes(self):
-        rep = _analyze(
-            """
-            class Round:
-                def start(self, world, pat, owned):
-                    self.h = exchange_halo_begin(world, pat, owned)
-            """
+            """,
+            HALO_OWNER,
         )
         assert not rep.findings
 
     def test_pragma_suppresses_at_the_begin_line(self):
-        rep = _analyze(
+        rep = _lint(
             """
-            def solve(world, pat, owned, flag):
+            def begin_round(world, pat, owned):
                 h = exchange_halo_begin(world, pat, owned)  # repro: allow(RL007)
-                if flag:
-                    return None
-                return exchange_halo_finish(world, h)
+                return h
             """
         )
         assert not rep.findings
@@ -284,27 +179,12 @@ class TestHaloTypestate:
 
 
 class TestDurableWriteProtocol:
-    # The protocol DFA has one legitimate subject inside the package:
-    # repro.durable.  Fixtures are analyzed under its path.
-    def test_replace_without_fsync_fires(self):
-        rep = _analyze(
-            """
-            import os
-
-            def save(path, blob):
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                os.replace(tmp, path)
-            """,
-            DURABLE,
-        )
-        assert _rules(rep) == ["RL007"]
-        f = rep.findings[0]
-        assert f.line == 8 and "fsync" in f.message
+    """The durable clause of RL007: ``os.replace``/``os.rename`` belong
+    to ``repro.durable``; what happens around them there is the fault
+    matrix of tests/test_durable.py, not a static question."""
 
     def test_write_fsync_replace_is_quiet(self):
-        rep = _analyze(
+        rep = _lint(
             """
             import os
 
@@ -319,26 +199,7 @@ class TestDurableWriteProtocol:
         )
         assert not rep.findings
 
-    def test_written_never_replaced_on_normal_return_fires(self):
-        rep = _analyze(
-            """
-            import os
-
-            def save(path, blob, commit):
-                tmp = path + ".tmp"
-                with open(tmp, "wb") as fh:
-                    fh.write(blob)
-                    os.fsync(fh.fileno())
-                if commit:
-                    os.replace(tmp, path)
-            """,
-            DURABLE,
-        )
-        assert _rules(rep) == ["RL007"]
-        assert "neither os.replace'd nor cleaned" in rep.findings[0].message
-
-    #: The shipped ``atomic_write`` shape: exception exits are exempt and
-    #: the exists-guarded unlink clears the temp on failure.
+    #: The shipped ``atomic_write`` shape.
     SANCTIONED = """
         import os
 
@@ -355,116 +216,72 @@ class TestDurableWriteProtocol:
         """
 
     def test_finally_unlink_cleanup_idiom_is_quiet(self):
-        assert not _analyze(self.SANCTIONED, DURABLE).findings
+        assert not _lint(self.SANCTIONED, DURABLE).findings
 
     def test_rename_outside_the_durable_module_fires(self):
         # Even a protocol-perfect hand copy is a finding inside the
         # package: a sixth commit site must go through atomic_write.
-        rep = _analyze(self.SANCTIONED, "src/repro/campaign/ledger.py")
-        assert _rules(rep) == ["RL007"]
-        f = rep.findings[0]
-        assert f.line == 10 and "atomic_write" in f.message
-        assert not _analyze(self.SANCTIONED, "tools/migrate.py").findings
-
-    def test_functions_without_replace_are_not_checked(self):
-        rep = _analyze(
-            """
-            def log_line(path, msg):
-                with open(path, "a") as fh:
-                    fh.write(msg)
-            """
+        rep = _lint(self.SANCTIONED, "src/repro/campaign/ledger.py")
+        assert _hits(rep) == [("RL007", 10)]
+        assert "atomic_write" in rep.findings[0].message
+        assert not _lint(self.SANCTIONED, "tools/migrate.py").findings
+        renamed = self.SANCTIONED.replace(
+            "os.replace(tmp, path)",
+            "os.rename(tmp, path)  # repro: allow(RL007)",
         )
+        rep = _lint(renamed, "src/repro/campaign/ledger.py")
         assert not rep.findings
+        assert [(f.rule, f.line) for f in rep.suppressed] == [("RL007", 10)]
 
 
-class TestCollectiveConsistency:
-    def test_collective_under_rank_guard_fires(self):
-        rep = _analyze(
-            """
-            def step(world, x):
-                if world.rank == 0:
-                    world.allreduce(x)
-            """
+class TestModuleIdentity:
+    """Both clauses key on the module name, which must not depend on how
+    the tree is addressed: ``src/repro``, ``repro`` from inside ``src``
+    (or ``site-packages``), an absolute path."""
+
+    @pytest.mark.parametrize(
+        "path,module",
+        [
+            ("src/repro/comm/exchange.py", "repro.comm.exchange"),
+            ("repro/comm/exchange.py", "repro.comm.exchange"),
+            ("/opt/py/site-packages/repro/durable.py", "repro.durable"),
+            ("/work/repro/src/repro/comm/__init__.py", "repro.comm"),
+            ("repro/__init__.py", "repro"),
+            ("tools/migrate.py", "migrate"),
+        ],
+    )
+    def test_rooted_at_the_last_repro_component(self, path, module):
+        assert module_name_for(os.path.normpath(path)) == module
+
+    def test_both_clauses_fire_however_the_tree_is_addressed(
+        self, tmp_path, monkeypatch
+    ):
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "campaign").mkdir(parents=True)
+        (pkg / "linalg").mkdir()
+        (pkg / "campaign" / "store.py").write_text(
+            "import os\n\ndef put(tmp, path):\n    os.replace(tmp, path)\n"
         )
-        assert _rules(rep) == ["RL008"]
-        f = rep.findings[0]
-        assert f.line == 4 and "allreduce" in f.message
-
-    def test_symmetric_arms_are_exempt(self):
-        rep = _analyze(
-            """
-            def step(world, x, is_root):
-                if is_root:
-                    world.allreduce(x)
-                else:
-                    world.allreduce(x)
-            """
+        (pkg / "linalg" / "parcsr.py").write_text(
+            "def matvec(world, pat, x):\n"
+            "    return exchange_halo_begin(world, pat, x)\n"
         )
-        assert not rep.findings
-
-    def test_mismatched_arm_sequences_fire(self):
-        rep = _analyze(
-            """
-            def step(world, x, is_root):
-                if is_root:
-                    world.allreduce(x)
-                    world.barrier()
-                else:
-                    world.allreduce(x)
-            """
+        (pkg / "durable.py").write_text(
+            "import os\n\ndef atomic_write(tmp, path):\n"
+            "    os.replace(tmp, path)\n"
         )
-        assert rep.findings and set(_rules(rep)) == {"RL008"}
-        assert any("barrier" in f.message for f in rep.findings)
-
-    def test_collective_after_rank_gated_early_return_fires(self):
-        rep = _analyze(
-            """
-            def step(world, x, my_rank):
-                if my_rank != 0:
-                    return None
-                world.allreduce(x)
-            """
-        )
-        assert _rules(rep) == ["RL008"]
-
-    def test_non_rank_branch_is_quiet(self):
-        rep = _analyze(
-            """
-            def step(world, x, flag):
-                if flag:
-                    world.allreduce(x)
-            """
-        )
-        assert not rep.findings
-
-    def test_interprocedural_collective_through_helper(self):
-        rep = _analyze(
-            """
-            def reduce_all(world, x):
-                return world.allreduce(x)
-
-            def step(world, x):
-                if world.rank == 0:
-                    reduce_all(world, x)
-            """
-        )
-        assert _rules(rep) == ["RL008"]
-        assert "call to reduce_all" in rep.findings[0].message
-
-    def test_loop_back_edge_does_not_mask_divergence(self):
-        # Without blocking the branch node, the `continue` arm would
-        # "reach" the collective via head -> if -> body on the next
-        # lexical iteration and the divergence would vanish.
-        rep = _analyze(
-            """
-            def step(world, xs):
-                for x in xs:
-                    if world.rank == 0:
-                        continue
-                    world.allreduce(x)
-            """
-        )
-        assert _rules(rep) == ["RL008"]
+        expected = [("store.py", 4), ("parcsr.py", 2)]
+        for cwd, arg in (
+            (tmp_path, "src/repro"),
+            (tmp_path / "src", "repro"),
+            (tmp_path / "src" / "repro", str(pkg)),
+        ):
+            monkeypatch.chdir(cwd)
+            rep = lint_paths([arg])
+            assert _rules(rep) == ["RL007", "RL007"], (cwd, arg)
+            assert [
+                (os.path.basename(f.path), f.line) for f in rep.findings
+            ] == expected
 
 
 class TestReductionContracts:
@@ -560,15 +377,15 @@ class TestInterproceduralIndex:
         assert index.reaches_reduction(
             "repro.krylov.gram_schmidt:orthogonalize"
         )
-        # ...and the split halo exchange is point-to-point, collective-free.
-        assert not index.reaches_collective(
+        # ...and the halo exchange is point-to-point, reduction-free.
+        assert not index.reaches_reduction(
             "repro.comm.exchange:exchange_halo"
         )
 
 
 class TestBugCorpus:
-    """The PR 8 regression corpus: each historical bug, reintroduced
-    verbatim in fixture form, must be caught at its exact site."""
+    """The PR 8 regression corpus: each historical bug, reintroduced in
+    fixture form, and what stops it today."""
 
     def test_all_three_historical_bugs_are_caught(self):
         hidden_reduction = (
@@ -598,24 +415,33 @@ class TestBugCorpus:
                 """
             ),
         )
-        rank_gated_collective = (
-            "src/repro/amg/coarse_bug.py",
-            textwrap.dedent(
-                """
-                def coarse_solve(world, x):
-                    if world.rank == 0:
-                        world.allreduce(x)
-                """
-            ),
-        )
-        rep = analyze_protocol_sources(
-            [hidden_reduction, leaked_begin, rank_gated_collective]
-        )
-        got = {f.rule: (f.path, f.line) for f in rep.findings}
-        assert len(rep.findings) == 3
-        assert got["RL009"] == ("src/repro/krylov/cg_bug.py", 3)
-        assert got["RL007"] == ("src/repro/comm/overlap_bug.py", 3)
-        assert got["RL008"] == ("src/repro/amg/coarse_bug.py", 4)
+        # RL009 through the call graph, at the same (path, line) as ever.
+        rep = analyze_protocol_sources([hidden_reduction, leaked_begin])
+        assert [(f.rule, f.path, f.line) for f in rep.findings] == [
+            ("RL009", "src/repro/krylov/cg_bug.py", 3)
+        ]
+        # The leaked begin through RL007's ownership clause, at the line
+        # the typestate walk used to name.
+        path, source = leaked_begin
+        assert ("RL007", 3) in _hits(lint_source(source, path))
+        # The third bug, `if world.rank == 0: world.allreduce(x)` in a
+        # coarse solve, was RL008's fixture.  RL008 is retired because the
+        # bug cannot be written: a world has no rank to branch on, the
+        # per-rank handle has no collective to call, and a collective fed
+        # anything but one value per rank refuses to run.  Whoever adds a
+        # per-rank collective breaks this pin and owes the rule back.
+        world = SimWorld(3)
+        assert not hasattr(world, "rank")
+        assert {n for n in vars(SimComm) if not n.startswith("_")} == {
+            "size",
+            "send",
+            "recv",
+        }
+        assert vars(world.comm(0)).keys() == {"world", "rank"}
+        with pytest.raises(ValueError, match="one value per rank"):
+            world.allreduce([1.0])
+        with pytest.raises(ValueError, match="one value per rank"):
+            world.allgather([1.0])
 
 
 class TestShippedTree:
