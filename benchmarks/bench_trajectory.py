@@ -11,11 +11,18 @@ ones that repeat exactly (``COUNTS``).  Every row also carries
 tree the lines were measured on.
 
     python benchmarks/bench_trajectory.py SHA WORKLOAD LINES.jsonl [...]
+
+The workload ``tier1`` is the test suite instead: its one file is the log
+of ``python -m pytest -q --durations=15``, and the row keeps the pass
+count, the wall and the slowest tests.
+
+    python benchmarks/bench_trajectory.py SHA tier1 PYTEST_LOG
 """
 
 from __future__ import annotations
 
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -57,13 +64,37 @@ def row(sha: str, workload: str, lines: list[dict]) -> dict:
     return out
 
 
+def tier1_row(sha: str, log: str) -> dict:
+    """The Tier-1 row from a ``pytest -q --durations=N`` log."""
+    passed, wall = re.search(r"(\d+) passed.* in ([\d.]+)s", log).groups()
+    slowest = re.findall(r"^([\d.]+)s (call|setup|teardown)\s+(\S+)", log, re.M)
+    return {
+        "sha": sha,
+        "workload": "tier1",
+        "passed": int(passed),
+        "wall_s": float(wall),
+        "slowest": [
+            {"test": test, "when": when, "s": float(s)}
+            for s, when, test in slowest
+        ],
+        "loc": lines_of_code(),
+    }
+
+
 if __name__ == "__main__":
     sha, workload, *files = sys.argv[1:]
-    parsed = [
-        json.loads(line)
-        for f in files
-        for line in Path(f).read_text().splitlines()
-        if line.strip()
-    ]
+    if workload == "tier1":
+        out = tier1_row(sha, Path(files[0]).read_text())
+    else:
+        out = row(
+            sha,
+            workload,
+            [
+                json.loads(line)
+                for f in files
+                for line in Path(f).read_text().splitlines()
+                if line.strip()
+            ],
+        )
     with OUT.open("a") as fh:
-        fh.write(json.dumps(row(sha, workload, parsed), sort_keys=True) + "\n")
+        fh.write(json.dumps(out, sort_keys=True) + "\n")

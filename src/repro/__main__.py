@@ -18,8 +18,8 @@ Commands:
   supervisor protocol (inline or in forked worker fault domains) with
   retry/backoff, hang detection, and poison-job quarantine (see
   ``docs/campaign.md``).
-* ``analyze`` — repro-lint (RL001-RL010) + kernel sanitizer (KS001-KS005)
-  over the source tree (see ``docs/static_analysis.md``).
+* ``analyze`` — repro-lint (RL001-RL010) over the source tree (see
+  ``docs/static_analysis.md``).
 
 Conventions shared by every subcommand: ``-o/--output`` writes the
 result to a file instead of stdout, ``--format`` picks the rendering

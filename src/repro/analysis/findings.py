@@ -1,11 +1,9 @@
-"""Structured findings shared by repro-lint and the kernel sanitizer.
+"""Structured findings of repro-lint.
 
-Every check in :mod:`repro.analysis` — static AST rules (``RLxxx``) and
-dynamic sanitizer checks (``KSxxx``) — reports through one record type so
-the CLI, the CI gate, and the telemetry counters all consume the same
-stream.  A finding names the rule, where it fired (``path:line`` for lint,
-a kernel label for the sanitizer), a severity, and a human-readable
-message.
+Every rule in :mod:`repro.analysis.lint` reports through one record type
+so the CLI, the CI gate, and the telemetry counters all consume the same
+stream.  A finding names the rule, where it fired (``path:line``), a
+severity, and a human-readable message.
 """
 
 from __future__ import annotations
@@ -22,30 +20,20 @@ SEVERITIES = ("error", "warning", "info")
 
 @dataclass(frozen=True)
 class Finding:
-    """One analysis finding (static or dynamic)."""
+    """One lint finding."""
 
     rule: str
     path: str
     line: int
     severity: str
     message: str
-    #: Dynamic findings name the offending kernel instead of a source line.
-    kernel: str | None = None
-    #: Enclosing function qualname for static findings (``Class.method``);
-    #: None for module-level and dynamic findings.
+    #: Enclosing function qualname (``Class.method``); None at module
+    #: level.
     qualname: str | None = None
 
-    def location(self) -> str:
-        """``path:line`` for lint findings, ``kernel:<name>`` for dynamic."""
-        if self.kernel is not None:
-            return f"kernel:{self.kernel}"
-        return f"{self.path}:{self.line}"
-
     def to_dict(self) -> dict:
-        """JSON-ready representation (drops the unused kernel/path half)."""
+        """JSON-ready representation (an absent qualname is dropped)."""
         d = asdict(self)
-        if self.kernel is None:
-            d.pop("kernel")
         if self.qualname is None:
             d.pop("qualname")
         return d
@@ -58,8 +46,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     #: Findings silenced by an inline ``# repro: allow(RLxxx)`` pragma.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Dynamic-harness bookkeeping (checks run, atomic deviation stats).
-    dynamic_stats: dict = field(default_factory=dict)
 
     def errors(self) -> list[Finding]:
         """Findings at ``error`` severity."""
@@ -74,7 +60,6 @@ class AnalysisReport:
         """Fold another report into this one."""
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
-        self.dynamic_stats.update(other.dynamic_stats)
 
     def publish_metrics(self, metrics: MetricsRegistry) -> None:
         """Count findings into ``analysis.*`` telemetry counters.
@@ -103,7 +88,7 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
 def render_text(report: AnalysisReport) -> str:
     """Human-readable one-line-per-finding rendering."""
     lines = [
-        f"{f.location()}: {f.rule} [{f.severity}] {f.message}"
+        f"{f.path}:{f.line}: {f.rule} [{f.severity}] {f.message}"
         for f in sort_findings(report.findings)
     ]
     n_err = len(report.errors())
@@ -115,21 +100,20 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def render_json(report: AnalysisReport) -> str:
-    """Machine-readable rendering (schema ``repro.analysis/3``).
+    """Machine-readable rendering (schema ``repro.analysis/4``).
 
-    ``/3`` over ``/2``: the ``baselined`` list is gone with the baseline
-    mechanism (pragmas are the one suppression), and no ``RL008``
-    finding can appear.
+    ``/4`` over ``/3``: the ``dynamic`` section and the per-finding
+    ``kernel`` key are gone with the KS replay harness, and no ``RL009``
+    or ``KSxxx`` finding can appear.
     """
     metrics = MetricsRegistry()
     report.publish_metrics(metrics)
     doc = {
-        "schema": "repro.analysis/3",
+        "schema": "repro.analysis/4",
         "findings": [f.to_dict() for f in sort_findings(report.findings)],
         "suppressed": [
             f.to_dict() for f in sort_findings(report.suppressed)
         ],
-        "dynamic": report.dynamic_stats,
         "metrics": metrics.as_dict(),
     }
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -28,7 +28,8 @@ RL001   unstable sort: ``np.sort``/``np.argsort`` (or the ndarray method
         forms) without ``kind="stable"`` — tie order then depends on the
         introsort implementation, i.e. on NumPy version and platform.
 RL002   raw scatter-write: ``np.add.at``/``np.subtract.at`` in the
-        device-kernel packages outside the registered scatter wrappers
+        device-kernel packages (``repro.assembly``/``linalg``/``amg``/
+        ``smoothers``/``krylov``) outside the registered scatter wrappers
         (:data:`REGISTERED_SCATTER_QUALNAMES`) — bypasses the
         atomic/deterministic/compensated mode contract and its cost
         accounting.  (``np.maximum.at``/``minimum.at`` are exempt: they
@@ -61,17 +62,24 @@ RL007   protocol ownership, two clauses over ``repro.*`` modules: any
 RL008   retired: rank-gated collectives cannot be written against
         ``SimWorld`` (no per-rank collective exists); the id is not
         reused.
-RL009   reduction contracts (:mod:`.protocol`): ``@reduction_contract``
-        declarations vs statically counted reduction sites.
+RL009   retired: the static count of reduction sites missed a hidden
+        allreduce inside a priced helper and saw nothing the measured
+        ``collective_count()`` pins of ``tests/test_comm_avoiding.py``
+        do not; the id is not reused.
 RL010   swallowed campaign failure: a broad ``except`` (bare,
-        ``Exception``, or ``BaseException``) inside the ``campaign``
-        package that neither re-raises nor routes the exception through
+        ``Exception``, or ``BaseException``) inside ``repro.campaign``
+        that neither re-raises nor routes the exception through
         the resilience taxonomy (``classify_failure`` /
         ``failure_context`` / a ``record_*`` helper).  The supervised
         runner's retry/quarantine decisions are keyed on taxonomy
         classes, so an except-and-continue that drops the exception
         silently erases a failure from the fault-domain bookkeeping.
 ======  ==================================================================
+
+Every package-scoped rule (RL002, RL004, RL005, RL007, RL010, and the
+``SimWorld`` exemption of RL006) keys on :func:`module_name_for`, so a
+checkout that merely lives under a directory called ``linalg`` or
+``campaign`` lints the same as any other.
 """
 
 from __future__ import annotations
@@ -82,7 +90,6 @@ import re
 from dataclasses import dataclass, field
 
 from repro.analysis.findings import AnalysisReport, Finding
-from repro.analysis.interproc import _terminal_name, module_name_for
 
 #: Rule catalog (id -> one-line description, used by the CLI and docs).
 RULES: dict[str, str] = {
@@ -96,17 +103,13 @@ RULES: dict[str, str] = {
         "protocol ownership: os.replace/os.rename outside repro.durable, "
         "or a split-halo half named outside repro.comm.exchange"
     ),
-    "RL009": (
-        "declared @reduction_contract disagrees with the statically "
-        "counted reduction sites"
-    ),
     "RL010": (
         "broad except in campaign code swallows the failure without "
         "recording a taxonomy class"
     ),
 }
 
-#: Packages whose modules are treated as device-kernel code (RL002/RL005).
+#: ``repro.<package>`` names treated as device-kernel code (RL002/RL005).
 #: ``krylov`` joined the list after a hidden reduction in the one-reduce
 #: orthogonalizer shipped without op accounting — solver inner kernels are
 #: device-kernel-shaped too.
@@ -134,28 +137,49 @@ _BULK_NP_CALLS = frozenset({"sort", "argsort", "lexsort"})
 _DURABLE_MODULE = "repro.durable"
 _HALO_MODULE = "repro.comm.exchange"
 _HALO_HALVES = frozenset({"exchange_halo_begin", "exchange_halo_finish"})
+#: RL006 — the module that owns the phase stack.
+_SIMWORLD_MODULE = "repro.comm.simcomm"
 
 _PRAGMA_RE = re.compile(
     r"#\s*repro:\s*allow\(\s*([A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)\s*\)"
 )
 
-_FALLBACK_SMOOTHER_CLASSES = (
-    "JacobiSmoother",
-    "L1JacobiSmoother",
-    "HybridGS",
-    "TwoStageGS",
-    "ChebyshevSmoother",
-)
-
 
 def _smoother_class_names() -> tuple[str, ...]:
-    """Class names RL004 flags, imported from the factory when possible."""
-    try:
-        from repro.smoothers.factory import SMOOTHER_CLASS_NAMES
+    """Class names RL004 flags: the factory's own list (imported late, so
+    loading the linter does not load the solver stack)."""
+    from repro.smoothers.factory import SMOOTHER_CLASS_NAMES
 
-        return tuple(SMOOTHER_CLASS_NAMES)
-    except Exception:  # pragma: no cover - factory always importable here
-        return _FALLBACK_SMOOTHER_CLASSES
+    return tuple(SMOOTHER_CLASS_NAMES)
+
+
+def _terminal_name(func: ast.expr) -> str | None:
+    """Rightmost identifier of a call target (``a.b.c()`` -> ``c``)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def module_name_for(path: str) -> str:
+    """Dotted module name from a file path.
+
+    Rooted at the last ``repro`` path component, however the tree is
+    addressed (``src/repro/...``, ``repro/...`` from inside ``src``, an
+    absolute or ``site-packages`` path, an in-memory fixture path); a
+    path without one is outside the package and keeps its basename.
+    """
+    parts = list(os.path.normpath(path).split(os.sep))
+    if "repro" in parts[:-1]:
+        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
+    else:
+        parts = parts[-1:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][:-3]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(p for p in parts if p) or "<module>"
 
 
 def _is_numpy_name(node: ast.expr) -> bool:
@@ -210,27 +234,6 @@ def _handler_records_taxonomy(handler: ast.ExceptHandler) -> bool:
             ):
                 return True
     return False
-
-
-def _path_parts(path: str) -> tuple[str, ...]:
-    return tuple(os.path.normpath(path).split(os.sep))
-
-
-def _in_kernel_packages(path: str) -> bool:
-    parts = _path_parts(path)
-    return any(p in KERNEL_PACKAGES for p in parts[:-1])
-
-
-def _in_smoothers_package(path: str) -> bool:
-    return "smoothers" in _path_parts(path)[:-1]
-
-
-def _in_campaign_package(path: str) -> bool:
-    return "campaign" in _path_parts(path)[:-1]
-
-
-def _is_simworld_module(path: str) -> bool:
-    return os.path.basename(path) == "simcomm.py"
 
 
 def _scatter_ufunc_at(call: ast.Call) -> str | None:
@@ -293,14 +296,17 @@ class _Linter(ast.NodeVisitor):
         self.lines = source.splitlines()
         self.raw: list[tuple[str, ast.AST, str, str | None]] = []
         self.smoother_classes = _smoother_class_names()
-        self.kernel_scope = _in_kernel_packages(path)
-        self.smoothers_scope = _in_smoothers_package(path)
-        self.campaign_scope = _in_campaign_package(path)
-        self.simworld_module = _is_simworld_module(path)
+        # One identity for every scoped rule: ``repro.<package>[...]``.
+        module = module_name_for(path)
+        parts = module.split(".")
+        in_package = parts[0] == "repro"
+        package = parts[1] if in_package and len(parts) > 1 else None
+        self.kernel_scope = package in KERNEL_PACKAGES
+        self.smoothers_scope = package == "smoothers"
+        self.campaign_scope = package == "campaign"
+        self.simworld_module = module == _SIMWORLD_MODULE
         # RL007 holds inside the package only: tools and tests may rename
         # files and drive the halves directly.
-        module = module_name_for(path)
-        in_package = module.split(".")[0] == "repro"
         self.may_rename = not in_package or module == _DURABLE_MODULE
         self.may_split_halo = not in_package or module == _HALO_MODULE
         # Function-context stacks for qualnames and RL005 bookkeeping.

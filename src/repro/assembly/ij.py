@@ -26,26 +26,22 @@ from repro.assembly.global_assembly import (
 )
 from repro.assembly.local import LocalSystem, RankCOO, RankRHS
 from repro.assembly.plan import AssemblyPlan
+from repro.assembly.primitives import reduce_by_key, stable_sort_by_key
 from repro.comm.simcomm import SimWorld
 from repro.linalg.parvector import ParVector
 from repro.partition.renumber import RankNumbering
 
 
-# repro: allow(RL005) — host-side IJ staging normalization; the device
-# sort/reduce for these entries is priced at assemble() (asm_sort/asm_reduce).
 def _sorted_unique_coo(
     i: np.ndarray, j: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major sort + duplicate accumulation (IJ input normalization)."""
-    order = np.lexsort((j, i))
-    i, j, a = i[order], j[order], a[order]
-    if i.size:
-        new = np.ones(i.size, dtype=bool)
-        new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-        starts = np.flatnonzero(new)
-        a = np.add.reduceat(a, starts)
-        i, j = i[starts], j[starts]
-    return i, j, a
+) -> RankCOO:
+    """Row-major sort + duplicate accumulation (IJ input normalization).
+
+    Host-side staging through the two primitives; the device sort/reduce
+    of these entries is priced at ``assemble()`` (asm_sort/asm_reduce).
+    """
+    (i, j), a = reduce_by_key(*stable_sort_by_key((i, j), a))
+    return RankCOO(i=i, j=j, a=a)
 
 
 class HypreIJMatrix:
@@ -100,12 +96,12 @@ class HypreIJMatrix:
         lo, hi = self.numbering.offsets[rank], self.numbering.offsets[rank + 1]
         if i.size and (i.min() < lo or i.max() >= hi):
             raise ValueError("set_values2 rows must be owned by the rank")
-        si, sj, sa = _sorted_unique_coo(
+        coo = _sorted_unique_coo(
             np.asarray(i, dtype=np.int64),
             np.asarray(j, dtype=np.int64),
             np.asarray(a, dtype=np.float64),
         )
-        self._stage(self._own, rank, RankCOO(i=si, j=sj, a=sa))
+        self._stage(self._own, rank, coo)
 
     def add_to_values2(
         self, rank: int, i: np.ndarray, j: np.ndarray, a: np.ndarray
@@ -115,10 +111,10 @@ class HypreIJMatrix:
         i = np.asarray(i, dtype=np.int64)
         if i.size and np.any((i >= lo) & (i < hi)):
             raise ValueError("add_to_values2 rows must be owned elsewhere")
-        si, sj, sa = _sorted_unique_coo(
+        coo = _sorted_unique_coo(
             i, np.asarray(j, dtype=np.int64), np.asarray(a, dtype=np.float64)
         )
-        self._stage(self._send, rank, RankCOO(i=si, j=sj, a=sa))
+        self._stage(self._send, rank, coo)
 
     def assemble(self) -> AssembledMatrix:
         """HYPRE_IJMatrixAssemble: run Algorithm 1 over the staged pieces."""
@@ -182,18 +178,15 @@ class HypreIJVector:
         lo = self.numbering.offsets[rank]
         self._own[rank][np.asarray(i, dtype=np.int64) - lo] = v
 
-    # repro: allow(RL005) — staging-side sort of off-rank rows; the device
-    # cost is priced at assemble() (vec_sort/vec_reduce).
     def add_to_values2(self, rank: int, i: np.ndarray, v: np.ndarray) -> None:
-        """Stage off-rank RHS contributions from ``rank``."""
+        """Stage off-rank RHS contributions from ``rank`` (host-side sort;
+        the device cost is priced at ``assemble()``: vec_sort/vec_reduce)."""
         i = np.asarray(i, dtype=np.int64)
         lo, hi = self.numbering.offsets[rank], self.numbering.offsets[rank + 1]
         if i.size and np.any((i >= lo) & (i < hi)):
             raise ValueError("add_to_values2 rows must be owned elsewhere")
-        order = np.argsort(i, kind="stable")
-        staged = RankRHS(
-            i=i[order], r=np.asarray(v, dtype=np.float64)[order]
-        )
+        (i,), v = stable_sort_by_key((i,), np.asarray(v, dtype=np.float64))
+        staged = RankRHS(i=i, r=v)
         if (
             self.reuse_plan
             and self._plan is not None

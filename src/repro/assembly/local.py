@@ -121,6 +121,12 @@ class LocalAssembler:
             * ``"compensated"`` — deterministic order plus Kahan
               compensation (the mitigation the paper proposes as future
               work).
+
+    NumPy runs no concurrent threads: ``np.add.at`` commits in list order,
+    so all three modes are run-to-run reproducible here.  What the last
+    two model is a per-entry summation order fixed by the canonical
+    contribution list — a *stable* sort on destination (lint rule RL001
+    keeps it stable) — where device atomics commit in arrival order.
     """
 
     def __init__(
@@ -139,17 +145,6 @@ class LocalAssembler:
         self.values = np.zeros(graph.nnz_total)
         self.rhs_owned = np.zeros(graph.n)
         self.rhs_shared = np.zeros(graph.rhs_shared_total)
-        #: Optional :class:`repro.analysis.sanitizer.KernelSanitizer`:
-        #: when set, every scatter launch reports its write-set and
-        #: declared combine semantics (duck-typed so the assembly layer
-        #: never imports the analysis subsystem).
-        self.sanitizer = None
-        #: Optional :class:`repro.analysis.determinism.ThreadSchedule`:
-        #: when set, scatter launches commit in the schedule's permuted
-        #: simulated-thread order instead of list order.  Only the
-        #: ``"atomic"`` mode's results may depend on it — that invariance
-        #: is exactly what the determinism harness replays.
-        self.schedule = None
         self._record_assembly_storage()
 
     def _record_assembly_storage(self) -> None:
@@ -185,27 +180,10 @@ class LocalAssembler:
         self.rhs_shared[:] = 0.0
 
     def _scatter(
-        self,
-        target: np.ndarray,
-        slots: np.ndarray,
-        vals: np.ndarray,
-        kernel: str = "scatter",
+        self, target: np.ndarray, slots: np.ndarray, vals: np.ndarray
     ) -> None:
         """Combine concurrent contributions per the accumulation mode."""
-        if self.sanitizer is not None:
-            self.sanitizer.observe(
-                kernel,
-                target,
-                slots,
-                combine="atomic" if self.mode == "atomic" else "reduce",
-            )
         if self.mode == "atomic":
-            if self.schedule is not None:
-                # Commit in the simulated-thread order: atomics make each
-                # update indivisible but not the order they land in.
-                p = self.schedule.order(slots.size)
-                np.add.at(target, slots[p], vals[p])
-                return
             np.add.at(target, slots, vals)
             return
         # Deterministic modes sort by destination first (costed as a
@@ -227,15 +205,7 @@ class LocalAssembler:
                 np.r_[True, s_sorted[1:] != s_sorted[:-1]]
             )
             sums = np.add.reduceat(v_sorted, starts)
-            if self.schedule is not None and starts.size:
-                # The schedule only decides which thread owns which
-                # segment; each segment reduces the canonical stable
-                # order, so permuting segment commits cannot change the
-                # values — the invariance the harness asserts bitwise.
-                sp = self.schedule.order(starts.size)
-                np.add.at(target, s_sorted[starts][sp], sums[sp])
-            else:
-                np.add.at(target, s_sorted[starts], sums)
+            np.add.at(target, s_sorted[starts], sums)
         else:  # compensated
             _segmented_kahan(target, slots, vals)
 
@@ -252,7 +222,7 @@ class LocalAssembler:
         flat = np.ascontiguousarray(vals4).reshape(-1)
         slots = self.graph.edge_slots
         m = slots >= 0
-        self._scatter(self.values, slots[m], flat[m], kernel="assemble_edge")
+        self._scatter(self.values, slots[m], flat[m])
         self._record_scatter(flat.size, "assemble_edge")
 
     def add_diag(self, vals_new: np.ndarray) -> None:
@@ -260,13 +230,6 @@ class LocalAssembler:
         if vals_new.shape != (self.graph.n,):
             raise ValueError("diag values must cover every row")
         # Diagonal slots are unique per row: plain indexed add suffices.
-        if self.sanitizer is not None:
-            self.sanitizer.observe(
-                "assemble_diag",
-                self.values,
-                self.graph.diag_slots,
-                combine="unique",
-            )
         self.values[self.graph.diag_slots] += vals_new
         self._record_scatter(vals_new.size, "assemble_diag")
 
@@ -280,7 +243,6 @@ class LocalAssembler:
             self.values,
             self.graph.fringe_slots.reshape(-1),
             np.ascontiguousarray(weights).reshape(-1),
-            kernel="assemble_fringe",
         )
         self._record_scatter(weights.size, "assemble_fringe")
 
@@ -299,12 +261,8 @@ class LocalAssembler:
 
         A raw (non-atomic, non-reduced) assignment: callers must pass
         each constraint row at most once per launch, or which value wins
-        is schedule-dependent — the sanitizer flags duplicates as KS001.
+        depends on the device's commit order.
         """
-        if self.sanitizer is not None:
-            self.sanitizer.observe(
-                "assemble_rhs_bc", self.rhs_owned, rows_new, combine="none"
-            )
         self.rhs_owned[rows_new] = vals
         self._record_scatter(rows_new.size, "assemble_rhs_bc")
 
@@ -324,16 +282,9 @@ class LocalAssembler:
         valid_rows = self.graph.rhs_edge_src
         valid[valid_rows] = True
         om = owned & valid
-        self._scatter(
-            self.rhs_owned, slot[om], flat[om], kernel="assemble_rhs_edge"
-        )
+        self._scatter(self.rhs_owned, slot[om], flat[om])
         sm = (~owned) & valid
-        self._scatter(
-            self.rhs_shared,
-            -slot[sm] - 1,
-            flat[sm],
-            kernel="assemble_rhs_edge_shared",
-        )
+        self._scatter(self.rhs_shared, -slot[sm] - 1, flat[sm])
         self._record_scatter(flat.size, "assemble_rhs_edge")
 
     # -- bookkeeping ---------------------------------------------------------------

@@ -51,8 +51,9 @@ def record_reduce_cost(
     )
 
 
-# repro: allow(RL005) — device cost is charged by every caller via
-# record_sort_cost (global_assembly's asm_sort/vec_sort kernels).
+# repro: allow(RL005) — called from the IJ facade's host-side staging only;
+# the device sort of the staged entries is charged when Algorithm 1/2
+# consumes them (record_sort_cost: asm_sort/vec_sort at assemble()).
 def stable_sort_by_key(
     keys: tuple[np.ndarray, ...], values: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -71,8 +72,8 @@ def stable_sort_by_key(
     return tuple(k[order] for k in keys), values[order]
 
 
-# repro: allow(RL005) — device cost is charged by every caller via
-# record_reduce_cost (global_assembly's asm_reduce/vec_reduce kernels).
+# repro: allow(RL005) — as stable_sort_by_key: IJ staging only, charged at
+# assemble() (record_reduce_cost: asm_reduce).
 def reduce_by_key(
     keys: tuple[np.ndarray, ...], values: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -210,20 +210,6 @@ class SimWorld:
         with self.tracer.span(name, **attrs) as span:
             yield span
 
-    def assert_phase_balanced(self) -> None:
-        """Raise if any :meth:`phase_scope` is still open.
-
-        The stack must be exactly ``["default"]`` between top-level
-        operations; a leftover label means some scope leaked (traffic
-        after this point would be misattributed to it).  Used by the
-        kernel sanitizer (KS005) after replaying the assembly pipeline.
-        """
-        if self._phase_stack != ["default"]:
-            raise RuntimeError(
-                f"phase stack not balanced: {self._phase_stack!r} "
-                "(expected ['default']); a phase_scope leaked"
-            )
-
     def _pop_phase(self, label: str) -> None:
         """Pop one phase label, validating stack balance."""
         if len(self._phase_stack) <= 1:

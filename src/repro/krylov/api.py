@@ -23,37 +23,30 @@ KRYLOV_METHODS = ("gmres", "cg", "pipelined_cg")
 
 
 def reduction_contract(
-    *,
-    setup: int,
-    per_iteration: int,
-    per_restart: int | None = None,
-    assume: dict[str, int] | None = None,
+    *, setup: int, per_iteration: int, per_restart: int = 0
 ):
-    """Declare a kernel's distributed-reduction budget per region.
+    """Declare how many allreduces a run of the kernel executes.
 
     The comm-avoiding literature treats the allreduce count per Krylov
     iteration as the algorithm's *contract* — it is what Fig. 8/9-style
     scaling regimes are computed from, and PR 8's hidden third CG
     reduction showed the implementation can silently drift from it.
-    This decorator pins the contract on the source:
+    This decorator states the contract on the source, as the closed form
+    ``setup + per_restart * cycles + per_iteration * passes`` of a
+    non-degenerate run:
 
-    * ``setup`` — fused reductions outside any loop (initial norms,
-      first-step dot products);
-    * ``per_iteration`` — reductions in the innermost iteration loop;
-    * ``per_restart`` — for nested-loop methods (restarted GMRES),
-      reductions at the intermediate loop level; ``None`` declares
-      there are none;
-    * ``assume`` — prices for helper calls whose reductions are their
-      own contract (e.g. ``{"orthogonalize": 1}`` under the one-reduce
-      orthogonalizer).
+    * ``setup`` — reductions paid once per call (initial norms,
+      first-step dot products, the residual norm a restarted method
+      returns);
+    * ``per_iteration`` — reductions per pass of the iteration loop;
+    * ``per_restart`` — for restarted GMRES, reductions per restart
+      cycle (the residual norm entering it).
 
-    The declaration is verified two ways: statically by the RL009 rule
-    in :mod:`repro.analysis.protocol` (counts reachable reduction call
-    sites per loop region against the declared numbers) and dynamically
-    by the measured-count tests in ``tests/test_comm_avoiding.py``, which
-    pin ``TrafficLog.collective_count()`` of every decorated kernel (CG,
-    pipelined CG, GMRES per Gram-Schmidt variant, Chebyshev) against a
-    closed form in its iteration counts.
+    The measured-count tests of ``tests/test_comm_avoiding.py`` are the
+    only verifier: they reconcile each declaration with
+    ``TrafficLog.collective_count()`` of a convergent solve, pin the
+    count of every early exit and degenerate branch of every decorated
+    kernel, and refuse a decorated kernel that has no such pin.
     The function is returned unwrapped — the contract is metadata on
     ``__reduction_contract__``, never a runtime cost.
     """
@@ -63,7 +56,6 @@ def reduction_contract(
             "setup": setup,
             "per_iteration": per_iteration,
             "per_restart": per_restart,
-            "assume": dict(assume or {}),
         }
         return fn
 

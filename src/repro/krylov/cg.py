@@ -56,7 +56,7 @@ class CG:
 
     # Fused-dot CG: initial ``b.norm`` + first fused (r·z, r·r) at setup,
     # then one ``p·Ap`` and one fused (r·z, r·r) per iteration — the
-    # dynamic pin in tests/test_comm_avoiding.py is 2 + 2·iterations.
+    # measured pin in tests/test_comm_avoiding.py is 2 + 2·iterations.
     @reduction_contract(setup=2, per_iteration=2)
     def solve(self, b: ParVector, x0: ParVector | None = None) -> KrylovResult:
         """Solve ``A x = b``."""

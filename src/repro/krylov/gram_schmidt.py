@@ -10,7 +10,10 @@ one reduction.  Three kernels are provided:
   reductions at Arnoldi step ``j`` (baseline);
 * ``cgs2`` — reorthogonalized classical GS: 3 batched reductions;
 * ``one_reduce`` — CGS2 with the normalization lagged and fused into the
-  projection reduction: exactly 1 reduction per iteration.
+  projection reduction: exactly 1 reduction per iteration, plus a second
+  one on the rare step whose Pythagorean norm estimate cancels
+  (``est <= 1e-10 ||w||^2``, i.e. ``w`` numerically in ``span(V)``) and
+  the norm is recomputed.
 
 Numerically ``cgs2`` and ``one_reduce`` produce the same Krylov basis up to
 rounding (both are CGS2-class); they differ in the *communication schedule*,

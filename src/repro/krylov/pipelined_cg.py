@@ -74,7 +74,7 @@ class PipelinedCG:
 
     # One fused reduction per iteration is the whole point of the
     # pipelined variant: ``b.norm`` at setup, a single fused
-    # (r·z, w·z, r·r) per loop pass — dynamically 2 + iterations because
+    # (r·z, w·z, r·r) per loop pass — measured as 2 + iterations because
     # the loop body runs iterations + 1 times.
     @reduction_contract(setup=1, per_iteration=1)
     def solve(self, b: ParVector, x0: ParVector | None = None) -> KrylovResult:

@@ -22,6 +22,17 @@ def spgemm_products(A: sparse.csr_matrix, B: sparse.csr_matrix) -> int:
     return int(b_row_nnz[A.indices].sum())
 
 
+def _products_per_row(
+    A: sparse.csr_matrix, B: sparse.csr_matrix
+) -> np.ndarray:
+    """Multiply-adds per row of ``A @ B``: the B-row sizes summed over the
+    row's columns.  Host-side bookkeeping; integer-valued, so exact in
+    any summation order."""
+    contrib = np.diff(B.indptr)[A.indices].astype(np.float64)
+    row_idx = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return np.bincount(row_idx, weights=contrib, minlength=A.shape[0])
+
+
 def record_spgemm(
     world: SimWorld,
     A: sparse.csr_matrix,
@@ -36,15 +47,7 @@ def record_spgemm(
     ``row_offsets``; each rank performs symbolic + numeric passes over its
     rows' products and writes its slice of ``C``.
     """
-    a_rows = A.shape[0]
-    prod_per_row = np.zeros(a_rows)
-    b_row_nnz = np.diff(B.indptr)
-    # products in row i = sum of B-row sizes over A's columns in row i
-    contrib = b_row_nnz[A.indices].astype(np.float64)
-    row_idx = np.repeat(np.arange(a_rows), np.diff(A.indptr))
-    # repro: allow(RL002) — host-side cost bookkeeping (integer-valued
-    # per-row product counts), not a simulated device scatter.
-    np.add.at(prod_per_row, row_idx, contrib)
+    prod_per_row = _products_per_row(A, B)
 
     c_row_nnz = np.diff(C.indptr)
     phase = world.phase
@@ -93,13 +96,7 @@ def record_spgemm_numeric(
     Galerkin refresh), hash-SpGEMM skips the symbolic counting pass and
     runs a single numeric fill — half the passes, one launch.
     """
-    a_rows = A.shape[0]
-    prod_per_row = np.zeros(a_rows)
-    b_row_nnz = np.diff(B.indptr)
-    contrib = b_row_nnz[A.indices].astype(np.float64)
-    row_idx = np.repeat(np.arange(a_rows), np.diff(A.indptr))
-    # repro: allow(RL002) — host-side cost bookkeeping, as in record_spgemm.
-    np.add.at(prod_per_row, row_idx, contrib)
+    prod_per_row = _products_per_row(A, B)
 
     c_row_nnz = np.diff(C.indptr)
     phase = world.phase

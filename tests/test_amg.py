@@ -258,6 +258,42 @@ class TestHierarchy:
         assert h.grid_complexity() >= 1.0
         assert len(h.level_sizes()) == h.num_levels
 
+    @pytest.mark.parametrize(
+        "agg_levels,passes",
+        [
+            (0, {"amg_strength": 1, "amg_pmis": 4, "amg_interp": 3}),
+            (
+                1,
+                {
+                    "amg_strength": 1,
+                    "amg_strength2": 2,
+                    "amg_pmis": 4 + 2,
+                    "amg_interp": 3,
+                },
+            ),
+        ],
+    )
+    def test_setup_charges_the_passes_its_kernels_defer_to_it(
+        self, agg_levels, passes
+    ):
+        # pmis_coarsen, aggressive_strength and the interpolation builders
+        # record nothing themselves (RL005 pragmas: "the hierarchy charges
+        # it at the call site").  This is that charge, for the one
+        # coarsening of a two-level hierarchy: 2 flops per nonzero of the
+        # level operator per pass.
+        w, M = par(poisson2d(16))
+        with w.phase_scope("setup"):
+            h = AMGHierarchy(
+                M, AMGOptions(agg_levels=agg_levels, max_levels=2)
+            )
+        assert h.num_levels == 2
+        charged = {
+            k: w.ops.kernel_tally("setup", k).flops / (2.0 * M.nnz)
+            for k in w.ops.kernels("setup")
+            if k.startswith("amg_") and k != "amg_setup_overhead"
+        }
+        assert charged == passes
+
     def test_coarse_offsets_consistent(self):
         w, M = par(poisson2d(20), nranks=3)
         h = AMGHierarchy(M)

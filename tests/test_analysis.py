@@ -1,36 +1,16 @@
-"""Kernel sanitizer + repro-lint: rule fixtures and replay contracts.
+"""repro-lint: rule fixtures, suppression, and the CLI's exit contract.
 
-Static half: one known-bad snippet and a clean twin per lint rule
-(RL001-RL006, RL010; RL007/RL009 live in test_protocol_analysis.py), plus
-the pragma suppression path and the CLI's exit contract.  Dynamic
-half: planted races/unstable reductions must be *caught* (KS001-KS003),
-and the shipped scatter modes / Algorithm 1-2 paths must replay bitwise
-under permuted simulated-thread schedules — the executable form of the
-paper's §3.2-§3.3 determinism contract.
+One known-bad snippet and a clean twin per lint rule (RL001-RL006,
+RL010; RL007's two ownership clauses and the module identity every
+scoped rule keys on live in test_protocol_analysis.py), plus the pragma
+suppression path and the ``python -m repro analyze`` exit codes.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    ATOMIC_BOUND_SAFETY,
-    AnalysisReport,
-    KernelSanitizer,
-    ThreadSchedule,
-    atomic_deviation_bound,
-    check_assembly_pipeline,
-    check_scatter_modes,
-    lint_source,
-    render_json,
-    replay_scatter,
-    run_dynamic_checks,
-)
-from repro.analysis.determinism import _build_problem
-from repro.assembly.graph import EquationGraph, GraphSpec
-from repro.assembly.local import SCATTER_MODES, LocalAssembler
-from repro.comm.simcomm import SimWorld
+from repro.analysis import AnalysisReport, lint_source
 from repro.obs.metrics import MetricsRegistry
 
 # -- lint rule fixtures: (rule, bad snippet, clean twin, lint path) ----------
@@ -302,16 +282,14 @@ class TestCLI:
         return main(argv)
 
     def test_strict_gate_fails_on_bad_tree(self, tmp_path, capsys):
-        pkg = tmp_path / "assembly"
-        pkg.mkdir()
+        pkg = tmp_path / "repro" / "assembly"
+        pkg.mkdir(parents=True)
         (pkg / "bad.py").write_text(
             "import numpy as np\n"
             "def scatter(t, s, v):\n"
             "    np.add.at(t, s, v)\n"
         )
-        code = self._run(
-            ["analyze", "--strict", "--no-dynamic", str(tmp_path)]
-        )
+        code = self._run(["analyze", "--strict", str(tmp_path)])
         assert code == 1
         assert "RL002" in capsys.readouterr().out
 
@@ -319,20 +297,14 @@ class TestCLI:
         (tmp_path / "ok.py").write_text(
             'import numpy as np\no = np.argsort(x, kind="stable")\n'
         )
-        assert (
-            self._run(["analyze", "--strict", "--no-dynamic", str(tmp_path)])
-            == 0
-        )
+        assert self._run(["analyze", "--strict", str(tmp_path)]) == 0
 
     def test_json_format_carries_schema(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        self._run(
-            ["analyze", "--no-dynamic", "--format", "json", str(tmp_path)]
-        )
+        self._run(["analyze", "--format", "json", str(tmp_path)])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.analysis/3"
-        assert "metrics" in doc and "dynamic" in doc
-        assert "baselined" not in doc
+        assert doc["schema"] == "repro.analysis/4"
+        assert set(doc) == {"schema", "findings", "suppressed", "metrics"}
 
     def test_missing_path_warns_on_stderr_and_stdout_stays_json(
         self, tmp_path, capsys
@@ -340,10 +312,7 @@ class TestCLI:
         (tmp_path / "ok.py").write_text("x = 1\n")
         missing = str(tmp_path / "nosuch")
         code = self._run(
-            [
-                "analyze", "--no-dynamic", "--format", "json",
-                str(tmp_path), missing,
-            ]
+            ["analyze", "--format", "json", str(tmp_path), missing]
         )
         out, err = capsys.readouterr()
         assert code == 0
@@ -356,7 +325,7 @@ class TestCLI:
         # A gate pointed only at a mistyped path analysed nothing and
         # used to exit 0.
         code = self._run(
-            ["analyze", "--strict", "--no-dynamic", str(tmp_path / "nosuch")]
+            ["analyze", "--strict", str(tmp_path / "nosuch")]
         )
         out, err = capsys.readouterr()
         assert code == 2
@@ -364,151 +333,7 @@ class TestCLI:
 
     def test_shipped_tree_is_clean(self):
         # The acceptance criterion: the repo lints clean under --strict.
-        assert (
-            self._run(["analyze", "--strict", "--no-dynamic", "src/repro"])
-            == 0
-        )
-
-
-# -- dynamic half ------------------------------------------------------------
-
-
-def _mk_assembler(mode="deterministic", seed=0):
-    edges, cons, num = _build_problem(seed, 30, 70, 2, 3)
-    world = SimWorld(2)
-    graph = EquationGraph(
-        world, num, GraphSpec(n=30, edges=edges, constraint_rows=cons)
-    )
-    return LocalAssembler(world, graph, mode=mode), num, cons, edges
-
-
-class TestSanitizer:
-    def test_planted_conflicting_write_detected(self):
-        # Duplicate constraint rows in one launch: raw last-writer-wins
-        # assignment with overlapping writers — must surface as KS001.
-        la, num, cons, _ = _mk_assembler()
-        la.sanitizer = KernelSanitizer()
-        rows = num.old_to_new[cons]
-        dup = np.concatenate([rows, rows[:1]])
-        la.set_constraint_rhs(dup, np.arange(dup.size, dtype=float))
-        assert [f.rule for f in la.sanitizer.findings] == ["KS001"]
-        assert "assemble_rhs_bc" in la.sanitizer.findings[0].kernel
-
-    def test_unique_contract_violation_detected(self):
-        san = KernelSanitizer()
-        san.observe(
-            "assemble_diag", np.zeros(8), np.array([3, 3, 5]), "unique"
-        )
-        assert [f.rule for f in san.findings] == ["KS002"]
-
-    def test_declared_reduce_and_atomic_conflicts_are_not_findings(self):
-        san = KernelSanitizer()
-        slots = np.array([1, 1, 2, 2, 2])
-        san.observe("k", np.zeros(4), slots, "reduce")
-        san.observe("k", np.zeros(4), slots, "atomic")
-        assert not san.findings
-        assert san.nondeterministic_launches == 1
-        s = san.summary()
-        assert s["launches"] == 2 and s["conflicting_launches"] == 2
-
-    def test_clean_pipeline_run_produces_no_sanitizer_findings(self):
-        la, num, cons, edges = _mk_assembler()
-        la.sanitizer = KernelSanitizer()
-        rng = np.random.default_rng(3)
-        E = edges.shape[0]
-        ge = rng.standard_normal(E)
-        la.add_edge_matrix(np.stack([ge, -ge, -ge, ge], axis=1))
-        la.add_diag(rng.random(la.graph.n) + 1.0)
-        la.set_constraint_rhs(num.old_to_new[cons], np.zeros(cons.size))
-        assert not la.sanitizer.findings
-        assert la.sanitizer.summary()["launches"] >= 3
-
-
-class TestDeterminismReplay:
-    def test_planted_unstable_reduction_detected(self):
-        # An implementation that sorts the arrival-ordered list (or uses
-        # an unstable sort) leaks schedule dependence into the
-        # "deterministic" modes: the harness must flag it.
-        report = check_scatter_modes(seed=2, sort_kind="unstable")
-        rules = {f.rule for f in report.findings}
-        assert "KS003" in rules
-        kernels = {f.kernel for f in report.findings}
-        assert "scatter:deterministic" in kernels
-
-    @pytest.mark.parametrize("mode", SCATTER_MODES)
-    def test_permuted_order_contract_per_mode(self, mode):
-        rng = np.random.default_rng(11)
-        n, m = 32, 300
-        slots = rng.integers(0, n, size=m)
-        vals = rng.standard_normal(m) * 10.0 ** rng.integers(-9, 1, size=m)
-        ref = replay_scatter(n, slots, vals, mode, np.arange(m))
-        for k in range(3):
-            out = replay_scatter(
-                n, slots, vals, mode, rng.permutation(m)
-            )
-            if mode == "atomic":
-                bound = ATOMIC_BOUND_SAFETY * atomic_deviation_bound(
-                    n, slots, vals
-                )
-                assert np.all(np.abs(out - ref) <= bound)
-            else:
-                # Bitwise, not approximate: the §3.3 contract.
-                assert np.array_equal(out, ref)
-
-    def test_atomic_reorder_actually_moves_bits(self):
-        # The harness must be able to *see* reassociation, or the bound
-        # check is vacuous.
-        rng = np.random.default_rng(5)
-        n, m = 8, 500
-        slots = rng.integers(0, n, size=m)
-        vals = rng.standard_normal(m) * 10.0 ** rng.integers(-9, 1, size=m)
-        ref = replay_scatter(n, slots, vals, "atomic", np.arange(m))
-        devs = [
-            np.abs(
-                replay_scatter(n, slots, vals, "atomic", rng.permutation(m))
-                - ref
-            ).max()
-            for _ in range(8)
-        ]
-        assert max(devs) > 0.0
-
-    def test_scatter_modes_clean(self):
-        report = check_scatter_modes(seed=0)
-        assert not report.findings
-        assert report.dynamic_stats["scatter_checks"] == 12
-        assert (
-            report.dynamic_stats["atomic_max_deviation"]
-            <= report.dynamic_stats["atomic_bound"]
-        )
-
-    def test_assembly_pipeline_clean_across_schedules_and_variants(self):
-        report = check_assembly_pipeline(seed=0)
-        assert not report.findings, [f.message for f in report.findings]
-        san = report.dynamic_stats["sanitizer"]
-        assert san["findings"] == 0 and san["launches"] > 0
-
-    def test_run_dynamic_checks_roundtrip(self):
-        report = run_dynamic_checks(seed=1)
-        assert not report.errors()
-        doc = json.loads(render_json(report))
-        assert doc["dynamic"]["modes"] == list(SCATTER_MODES)
-
-    def test_thread_schedule_is_seed_deterministic(self):
-        a, b = ThreadSchedule(9), ThreadSchedule(9)
-        assert np.array_equal(a.order(100), b.order(100))
-        assert not np.array_equal(
-            ThreadSchedule(9).order(100), ThreadSchedule(10).order(100)
-        )
-
-    def test_phase_imbalance_detected(self):
-        world = SimWorld(2)
-        world.assert_phase_balanced()
-        cm = world.phase_scope("leaky")
-        cm.__enter__()
-        with pytest.raises(RuntimeError, match="phase stack not balanced"):
-            world.assert_phase_balanced()
-        cm.__exit__(None, None, None)
-        world.assert_phase_balanced()
+        assert self._run(["analyze", "--strict", "src/repro"]) == 0
 
 
 class TestReportPlumbing:

@@ -230,6 +230,26 @@ class TestPipelineEndToEnd:
             recorded[variant] = w.ops.total("ga").bytes
         assert recorded["general"] > recorded["optimized"]
 
+    def test_every_staged_entry_is_sorted_and_reduced_once(self):
+        """sort_reduce_by_key records nothing itself (RL005 pragma: the
+        callers charge both halves); this is that charge."""
+        rng, w, num, g, edges, cons = build_random_problem(seed=5)
+        ge = rng.random(edges.shape[0]) + 0.1
+        la = LocalAssembler(w, g)
+        la.add_edge_matrix(np.stack([ge, -ge, -ge, ge], axis=1))
+        la.add_diag(np.ones(g.n))
+        local = la.finalize()
+        with w.phase_scope("ga"):
+            assemble_global_matrix(w, num, local, variant="optimized")
+        staged = sum(
+            own.nnz + send.nnz
+            for own, send in zip(local.own_matrix, local.send_matrix)
+        )
+        # Keyed reduction: 1 flop per pair; radix sort: 8 passes moving
+        # a 16-byte key + 16-byte payload each way.
+        assert w.ops.kernel_tally("ga", "asm_reduce").flops == staged
+        assert w.ops.kernel_tally("ga", "asm_sort").bytes == 8 * 48.0 * staged
+
     def test_unknown_variant_rejected(self):
         rng, w, num, g, edges, cons = build_random_problem()
         la = LocalAssembler(w, g)

@@ -7,18 +7,25 @@ Two executable contracts from the paper's solver chapter (§4.2-§4.3):
   step, GMRES itself one norm per restart cycle on top; CG
   ``2``/iteration; pipelined CG ``1``/iteration; Chebyshev none —
   pinned here against :class:`~repro.comm.traffic.TrafficLog` so a
-  hidden reduction cannot ship silently again (the runtime twin of
-  lint rule RL009);
+  hidden reduction cannot ship silently again.  These measured counts
+  are the only verifier of the ``@reduction_contract`` declarations:
+  the convergent solves below, then one row per early exit and
+  degenerate branch of every decorated kernel (``CONTRACT_PINS``);
 * the split halo exchange (``matvec(overlap=True)``) is a *scheduling*
   change only: results stay bitwise identical to the synchronous path on
   every workload, including under injected message drops and corruption
   handled by the bounded retry protocol.
 """
 
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+import repro
 from repro.comm import SimWorld
 from repro.core.config import SolverConfig
 from repro.krylov import (
@@ -31,6 +38,7 @@ from repro.krylov import (
 from repro.linalg import ParCSRMatrix
 from repro.resilience.injection import FaultInjector, FaultSpec
 from repro.smoothers import make_smoother
+from repro.smoothers.chebyshev import ChebyshevSmoother
 
 
 def poisson2d(nx):
@@ -140,38 +148,50 @@ class TestReductionContracts:
 
 
 class TestDeclaredContracts:
-    """The @reduction_contract declarations (verified statically by
-    RL009) must agree with the dynamically measured collective counts —
-    the static and runtime views of one budget.  GMRES's measured count
-    is pinned per variant in TestReductionContracts: its declared
-    ``per_restart=2`` names the two norm sites of a cycle, of which a run
-    executes ``cycles + 1``."""
+    """The @reduction_contract declarations must agree with the measured
+    collective counts: every declared field is reconciled here with
+    ``setup + per_restart * cycles + per_iteration * passes`` of a
+    convergent solve.  GMRES is declared at its default one-reduce
+    budget; the other Gram-Schmidt variants are pinned in
+    TestReductionContracts."""
 
     def test_all_four_kernels_carry_contracts(self):
-        from repro.smoothers.chebyshev import ChebyshevSmoother
-
         assert CG.solve.__reduction_contract__ == {
             "setup": 2,
             "per_iteration": 2,
-            "per_restart": None,
-            "assume": {},
+            "per_restart": 0,
         }
         assert PipelinedCG.solve.__reduction_contract__ == {
             "setup": 1,
             "per_iteration": 1,
-            "per_restart": None,
-            "assume": {},
+            "per_restart": 0,
         }
         assert GMRES.solve.__reduction_contract__ == {
-            "setup": 1,
+            "setup": 2,
             "per_iteration": 1,
-            "per_restart": 2,
-            "assume": {"orthogonalize": 1},
+            "per_restart": 1,
         }
         # Chebyshev is the reduction-free smoother: an explicitly
         # declared zero, not an absent declaration.
         c = ChebyshevSmoother.smooth.__reduction_contract__
         assert c["setup"] == 0 and c["per_iteration"] == 0
+
+    def test_gmres_contract_matches_measured_collectives(self):
+        A = poisson2d(8)
+        w, M = par(A)
+        b = M.new_vector(np.ones(A.shape[0]))
+        res = GMRES(M, tol=1e-8, max_iters=200, restart=4).solve(b)
+        c = GMRES.solve.__reduction_contract__
+        # One history entry per Arnoldi step, one per cycle entered, one
+        # for the norm the solve returns.
+        cycles = len(res.residual_history) - res.iterations - 1
+        assert cycles >= 2
+        assert (
+            c["setup"]
+            + c["per_restart"] * cycles
+            + c["per_iteration"] * res.iterations
+            == w.traffic.collective_count()
+        )
 
     def test_cg_contract_matches_measured_collectives(self):
         A = poisson2d(12)
@@ -209,6 +229,176 @@ class TestDeclaredContracts:
         z = smoother.apply(r)
         smoother.smooth(r, z)
         assert w.traffic.collective_count() == at_construction
+
+
+# -- the branches a convergent solve never takes ------------------------------
+
+N = 16
+EYE = sparse.identity(N, format="csr")
+ZERO_MATRIX = sparse.csr_matrix((N, N))
+#: ``||ONES|| = 4`` exactly, so ``b / ||b||`` and every dot product of the
+#: one-step solves below are exact and the breakdowns are exact zeros.
+ONES = np.ones(N)
+POISONED = np.r_[np.nan, np.ones(N - 1)]
+
+
+def solved(cls, A, b, **kw):
+    """``(collectives, iterations, converged, len(history), finite)`` of
+    one unpreconditioned solve on 4 ranks; all but the first say which
+    exit the solver took."""
+    w, M = par(A)
+    with np.errstate(invalid="ignore"):
+        res = cls(M, **kw).solve(M.new_vector(b))
+    return (
+        w.traffic.collective_count(),
+        res.iterations,
+        res.converged,
+        len(res.residual_history),
+        bool(np.isfinite(res.residual_norm)),
+    )
+
+
+def smoothed(**kw):
+    """Collectives one Chebyshev ``smooth`` charges (the eigenvalue
+    estimate at construction is not the decorated kernel's)."""
+    w, M = par(poisson2d(4))
+    smoother = make_smoother("chebyshev", M, **kw)
+    before = w.traffic.collective_count()
+    r = M.new_vector(ONES)
+    smoother.smooth(r, smoother.apply(r))
+    return (w.traffic.collective_count() - before,)
+
+
+def orthogonalized(V, w, variant):
+    """``(collectives, len(h), beta)`` of one ``orthogonalize`` call."""
+    world = SimWorld(2)
+    h, beta = orthogonalize(world, V, w.copy(), variant)
+    return (world.traffic.collective_count(), h.size, beta)
+
+
+E1 = np.eye(N, 1)
+
+#: (owner, case, measurement, expected).  One row per conditional branch
+#: inside a reduction-counted kernel that the convergent solves above
+#: never drive.  The expected tuple is the closed form of the collective
+#: count followed by the evidence (iterations / converged / history
+#: length / finiteness) that the named branch, and no other, was taken.
+#: Every ``@reduction_contract`` owner in the package must have a row:
+#: ``test_every_contract_has_a_measured_pin``.
+CONTRACT_PINS = [
+    # ||b|| is the only reduction before the zero-RHS return.
+    (GMRES.solve, "zero_rhs", lambda: solved(GMRES, EYE, 0 * ONES),
+     (1, 0, True, 1, True)),
+    (CG.solve, "zero_rhs", lambda: solved(CG, EYE, 0 * ONES),
+     (1, 0, True, 1, True)),
+    (PipelinedCG.solve, "zero_rhs",
+     lambda: solved(PipelinedCG, EYE, 0 * ONES), (1, 0, True, 1, True)),
+    # Lucky breakdown: A = I makes w = v_0, the projection leaves an
+    # exact zero (h_10 = 0, basis column 1 never written) and the one
+    # step solves the system.  ||b|| + the entering and leaving norms of
+    # the one cycle + the orthogonalizer at j = 0: mgs 0 + 2, cgs2 3,
+    # one-reduce 1 + the cancellation fallback's second reduction.
+    (GMRES.solve, "lucky_breakdown-mgs",
+     lambda: solved(GMRES, EYE, ONES, gs_variant="mgs", restart=4),
+     (3 + 2, 1, True, 3, True)),
+    (GMRES.solve, "lucky_breakdown-cgs2",
+     lambda: solved(GMRES, EYE, ONES, gs_variant="cgs2", restart=4),
+     (3 + 3, 1, True, 3, True)),
+    (GMRES.solve, "lucky_breakdown-one_reduce",
+     lambda: solved(GMRES, EYE, ONES, gs_variant="one_reduce", restart=4),
+     (3 + 2, 1, True, 3, True)),
+    # The trailing ``h_{j+1,j} <= 1e-300`` guard is shadowed by the
+    # convergence test for any tol >= 0 (an exact-zero h makes the
+    # rotated residual an exact zero), so an unreachable target drives
+    # it: the first cycle must end after one of its four steps without
+    # returning (a Givens breakdown would return), then cycle two
+    # normalises a zero residual, poisons its one step and leaves
+    # through the Givens guard.  ||b|| + 3 cycle norms + orthogonalize
+    # 2 (fallback) + 1 (est is NaN: no fallback).
+    (GMRES.solve, "lucky_breakdown-guard",
+     lambda: solved(GMRES, EYE, ONES, tol=-1.0, restart=4),
+     (1 + 3 + 2 + 1, 1, False, 4, True)),
+    # Givens breakdown: A = 0 gives a zero column, which is discarded
+    # (0 iterations) and the solve returns the true residual.  ||b|| +
+    # entering norm + exit norm + orthogonalize (1 + fallback).
+    (GMRES.solve, "givens_breakdown",
+     lambda: solved(GMRES, ZERO_MATRIX, ONES), (3 + 2, 0, False, 2, True)),
+    # A non-finite entering residual returns before any Arnoldi step.
+    (GMRES.solve, "nonfinite_beta", lambda: solved(GMRES, EYE, POISONED),
+     (2, 0, False, 1, False)),
+    # CG on A = -I: ||b||, the fused (r.z, r.r) pair, and the one p.Ap
+    # that finds the lost definiteness.
+    (CG.solve, "pAp_not_positive", lambda: solved(CG, -EYE, ONES),
+     (3, 0, False, 1, True)),
+    # A poisoned residual norm never enters the loop.
+    (CG.solve, "nonfinite_rnorm", lambda: solved(CG, EYE, POISONED),
+     (2, 0, False, 1, False)),
+    # Pipelined CG: ||b|| + the one fused triple of the first pass, on
+    # either early exit (finite residual: the denominator guard;
+    # non-finite: the norm guard above it).
+    (PipelinedCG.solve, "denom_not_positive",
+     lambda: solved(PipelinedCG, -EYE, ONES), (2, 0, False, 1, True)),
+    (PipelinedCG.solve, "nonfinite_rnorm",
+     lambda: solved(PipelinedCG, EYE, POISONED), (2, 0, False, 1, False)),
+    # eig_ratio = 1 collapses the Chebyshev interval (delta = sigma = 0):
+    # the guarded coefficients of the recurrence, still reduction-free.
+    (ChebyshevSmoother.smooth, "collapsed_interval",
+     lambda: smoothed(degree=3, eig_ratio=1.0), (0,)),
+    # An empty basis is one norm, whatever the variant.
+    (orthogonalize, "empty_basis-mgs",
+     lambda: orthogonalized(np.zeros((N, 0)), ONES, "mgs"), (1, 0, 4.0)),
+    (orthogonalize, "empty_basis-cgs2",
+     lambda: orthogonalized(np.zeros((N, 0)), ONES, "cgs2"), (1, 0, 4.0)),
+    (orthogonalize, "empty_basis-one_reduce",
+     lambda: orthogonalized(np.zeros((N, 0)), ONES, "one_reduce"),
+     (1, 0, 4.0)),
+    # One-reduce cancellation fallback: w in span(V) makes the
+    # Pythagorean estimate cancel (est <= 1e-10 ||w||^2), and the norm is
+    # recomputed with a SECOND allreduce that GMRES's
+    # assume={"orthogonalize": 1} does not price.
+    (orthogonalize, "one_reduce_cancellation_fallback",
+     lambda: orthogonalized(E1, 3.0 * E1[:, 0], "one_reduce"),
+     (2, 1, 0.0)),
+]
+
+
+def contract_owners():
+    """Every ``@reduction_contract``-decorated callable under ``repro``."""
+    owners = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            owners.update(
+                m for m in members if hasattr(m, "__reduction_contract__")
+            )
+    return owners
+
+
+class TestContractBranches:
+    """Measured counts on the exits and degenerate branches of every
+    reduction-counted kernel — where a reduction hidden behind a
+    condition would ship past the convergent-solve pins."""
+
+    @pytest.mark.parametrize(
+        "measure,expected",
+        [row[2:] for row in CONTRACT_PINS],
+        ids=[f"{row[0].__qualname__}-{row[1]}" for row in CONTRACT_PINS],
+    )
+    def test_branch_charges_its_closed_form(self, measure, expected):
+        assert measure() == expected
+
+    def test_every_contract_has_a_measured_pin(self):
+        # A fifth decorated kernel cannot ship unpinned; the four known
+        # ones keep the declaration a measured test reconciles.
+        owners = contract_owners()
+        assert {f.__qualname__ for f in owners} == {
+            "GMRES.solve",
+            "CG.solve",
+            "PipelinedCG.solve",
+            "ChebyshevSmoother.smooth",
+        }
+        assert owners <= {row[0] for row in CONTRACT_PINS}
 
 
 class TestOverlapParity:
