@@ -11,6 +11,8 @@ Tier-2 gate companion to ``check_telemetry_regression.py``.  Two modes:
   - per-rank accounted time (compute + wait + transfer) equals the span
     wall time within tolerance, on every rank;
   - the critical path sums to wall time within tolerance;
+  - both modeled clocks hold the same events: per phase, the timeline's
+    collective syncs equal the ``TrafficLog``'s collective count;
   - the roofline join reports an achieved-vs-model fraction in (0, 1]
     for every instrumented kernel;
   - the ``profile.*`` gauges land in the telemetry metrics snapshot;
@@ -172,7 +174,8 @@ def self_check(workload: str, steps: int, tol: float) -> list[str]:
     from repro.core.simulation import NaluWindSimulation
 
     cfg = SimulationConfig(nranks=2, profile=True)
-    report = NaluWindSimulation(workload, cfg).run(steps)
+    sim = NaluWindSimulation(workload, cfg)
+    report = sim.run(steps)
     gauges = report.telemetry.metrics.get("gauges", {})
     for name in (
         "profile.wall_s",
@@ -186,6 +189,18 @@ def self_check(workload: str, steps: int, tol: float) -> list[str]:
     ):
         if name not in gauges:
             failures.append(f"gauge {name!r} missing from telemetry metrics")
+
+    # Both clocks see the same collectives, phase by phase (SimWorld's
+    # ``collective`` is their one writer).
+    traffic = sim.world.traffic
+    for phase in sorted(set(traffic.phases()) | set(report.profile.phases)):
+        logged = traffic.collective_count(phase)
+        timed = report.profile.phases.get(phase, {}).get("collectives", 0.0)
+        if timed != logged:
+            failures.append(
+                f"phase {phase!r}: timeline saw {timed:.0f} collectives, "
+                f"TrafficLog {logged}"
+            )
 
     # The fig8 story: more ranks, larger comm-wait share.
     lo = docs[2]["summary"]["comm_fraction"]

@@ -44,18 +44,10 @@ class AMGPreconditioner:
         n = Ac.shape[0]
         nnz_lu = self.h.coarse_lu.nnz if hasattr(self.h.coarse_lu, "nnz") else Ac.nnz
         # Redundant direct solve: every rank gathers b and back-substitutes.
-        world.traffic.record_collective(
-            "allgather", world.size, 8 * n, world.phase
+        world.collective("allgather", 8 * n)
+        world.charge(
+            "amg_coarse_solve", 4.0 * nnz_lu, 12.0 * nnz_lu, launches=2
         )
-        for r in range(world.size):
-            world.ops.record(
-                world.phase,
-                r,
-                "amg_coarse_solve",
-                flops=4.0 * nnz_lu,
-                nbytes=12.0 * nnz_lu,
-                launches=2,
-            )
         return ParVector(world, Ac.row_offsets, x)
 
     def _vcycle(self, level: int, b: ParVector, x: ParVector) -> ParVector:

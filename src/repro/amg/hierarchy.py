@@ -203,18 +203,14 @@ class AMGHierarchy:
 
     def _record_setup_pass(self, A: ParCSRMatrix, kernel: str, passes: float = 1.0) -> None:
         """Record one vectorized pass over a level operator per rank."""
-        world = self.world
-        for r in range(world.size):
-            nnz = A.local_nnz(r)
-            nrows = int(A.row_offsets[r + 1] - A.row_offsets[r])
-            world.ops.record(
-                world.phase,
-                r,
-                kernel,
-                flops=2.0 * passes * nnz,
-                nbytes=passes * (12.0 * nnz + 8.0 * nrows),
-                launches=int(np.ceil(passes)),
-            )
+        nnz = [A.local_nnz(r) for r in range(self.world.size)]
+        nrows = np.diff(A.row_offsets).tolist()
+        self.world.charge(
+            kernel,
+            [2.0 * passes * z for z in nnz],
+            [passes * (12.0 * z + 8.0 * m) for z, m in zip(nnz, nrows)],
+            launches=int(np.ceil(passes)),
+        )
 
     def _interp(self, A_csr, S, cf) -> sparse.csr_matrix:
         return INTERP_KINDS[self.options.interp](A_csr, S, cf)
@@ -227,22 +223,13 @@ class AMGHierarchy:
             avg_row = A_l.nnz / max(A_l.shape[0], 1)
             for r, rx in enumerate(A_l.pattern.per_rank):
                 for dst, idx in rx.send_to:
-                    world.traffic.record_messages(
+                    world.charge_messages(
                         r,
                         dst,
                         count=SETUP_COMM_ROUNDS,
                         nbytes=int(20.0 * idx.size * (avg_row + 1) * 3.0),
-                        phase=world.phase,
                     )
-        for r in range(world.size):
-            world.ops.record(
-                world.phase,
-                r,
-                "amg_setup_overhead",
-                flops=0.0,
-                nbytes=0.0,
-                launches=SETUP_LAUNCHES_PER_LEVEL,
-            )
+        world.charge("amg_setup_overhead", launches=SETUP_LAUNCHES_PER_LEVEL)
 
     def _setup(self, A: ParCSRMatrix) -> None:
         opt = self.options
@@ -346,9 +333,7 @@ class AMGHierarchy:
         # the gathered coarse system, a standard bottom-solver strategy).
         Ac = self.levels[-1].A
         self.coarse_lu = splu(Ac.A.tocsc())
-        self.world.traffic.record_collective(
-            "allgather", self.world.size, 8 * Ac.shape[0], self.world.phase
-        )
+        self.world.collective("allgather", 8 * Ac.shape[0])
 
         # Publish hierarchy-quality telemetry (paper §4.1: grid/operator
         # complexity drive the AMG tuning decisions) and notify observers.
@@ -407,24 +392,16 @@ class AMGHierarchy:
                 A_next.row_offsets,
             )
             A_next.refresh_values(Ac_csr)
-            for r in range(world.size):
-                world.ops.record(
-                    world.phase,
-                    r,
-                    "amg_refresh_overhead",
-                    flops=0.0,
-                    nbytes=0.0,
-                    launches=REFRESH_LAUNCHES_PER_LEVEL,
-                )
+            world.charge(
+                "amg_refresh_overhead", launches=REFRESH_LAUNCHES_PER_LEVEL
+            )
 
         for lvl in self.levels[:-1]:
             lvl.smoother = self._make_smoother(lvl.A)
 
         Ac = self.levels[-1].A
         self.coarse_lu = splu(Ac.A.tocsc())
-        world.traffic.record_collective(
-            "allgather", world.size, 8 * Ac.shape[0], world.phase
-        )
+        world.collective("allgather", 8 * Ac.shape[0])
 
         self.world.metrics.counter("amg.refresh_count").inc()
         self.world.hub.emit("amg_refresh", hierarchy=self, stats=self.stats())

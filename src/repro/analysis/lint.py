@@ -8,8 +8,9 @@ plain Python cannot enforce by itself (§3.2-§3.3):
   be bitwise reproducible, which in NumPy terms means *stable* sorts and
   fixed-order reductions;
 * every device-kernel-shaped bulk operation must be cost-accounted
-  through :class:`~repro.perf.opcounts.OpRecorder`, or the machine model
-  prices a run that never happened;
+  through ``SimWorld.charge`` (the one writer of the
+  :class:`~repro.perf.opcounts.OpRecorder`), or the machine model prices
+  a run that never happened;
 * construction/bookkeeping APIs with invariants (``make_smoother``,
   ``SimWorld.phase_scope``) must be used through their sanctioned entry
   points.
@@ -42,23 +43,28 @@ RL004   direct smoother construction: naming a smoother class instead of
 RL005   unaccounted kernel: a function in the device-kernel packages
         performs bulk data motion (sort / scatter / segmented reduce /
         dense matmul via ``@``) with no recording call reachable in its
-        intra-module call neighborhood (``*.ops.record``/``record_alloc``
+        intra-module call neighborhood (``world.charge``/``charge_alloc``
         or a ``record_*``/``_record*`` helper).
 RL006   unbalanced phase push/pop: ``phase_scope`` used outside a
         ``with`` statement, or direct ``_phase_stack``/``_pop_phase``
         manipulation outside ``SimWorld`` itself.  Syntax suffices: the
         only push in the package sits in ``phase_scope``'s own
         ``try/finally``, so no path can leave a label behind.
-RL007   protocol ownership, two clauses over ``repro.*`` modules: any
+RL007   protocol ownership, three clauses over ``repro.*`` modules: any
         ``os.replace``/``os.rename`` call outside ``repro.durable`` (a
-        hand-copied commit instead of ``atomic_write``), and any
-        reference to ``exchange_halo_begin``/``exchange_halo_finish``
-        outside ``repro.comm.exchange`` (a hand-placed split exchange
-        instead of the ``overlapped_halo`` scope).  Syntax suffices:
+        hand-copied commit instead of ``atomic_write``), any reference
+        to ``exchange_halo_begin``/``exchange_halo_finish`` outside
+        ``repro.comm.exchange`` (a hand-placed split exchange instead of
+        the ``overlapped_halo`` scope), and any ``.ops.record*(`` /
+        ``.traffic.record_*(`` call outside ``repro.comm`` and the two
+        sink modules (a hand-wired ledger write instead of
+        ``SimWorld.charge``/``charge_alloc``/``collective``, which read
+        the phase themselves and reach every sink).  Syntax suffices:
         each protocol has one subject, asserted at run time where it
         lives (the fault matrix of ``tests/test_durable.py``; the
-        ``comm.double_begin`` guard and ``MailboxLeakError``), so no
-        path elsewhere can get it wrong.
+        ``comm.double_begin`` guard and ``MailboxLeakError``; the
+        all-sinks test and the ledger golden of
+        ``tests/test_ledger.py``), so no path elsewhere can get it wrong.
 RL008   retired: rank-gated collectives cannot be written against
         ``SimWorld`` (no per-rank collective exists); the id is not
         reused.
@@ -97,11 +103,12 @@ RULES: dict[str, str] = {
     "RL002": "raw scatter-write outside the registered kernel wrappers",
     "RL003": "unseeded default_rng() breaks replay determinism",
     "RL004": "direct smoother construction bypassing make_smoother",
-    "RL005": "bulk kernel with no reachable world.ops.record accounting",
+    "RL005": "bulk kernel with no reachable world.charge accounting",
     "RL006": "unbalanced/raw SimWorld phase push/pop",
     "RL007": (
         "protocol ownership: os.replace/os.rename outside repro.durable, "
-        "or a split-halo half named outside repro.comm.exchange"
+        "a split-halo half named outside repro.comm.exchange, or a direct "
+        "ops/traffic sink write outside repro.comm"
     ),
     "RL010": (
         "broad except in campaign code swallows the failure without "
@@ -133,10 +140,15 @@ _SCATTER_UFUNCS = frozenset({"add", "subtract"})
 _BULK_NP_CALLS = frozenset({"sort", "argsort", "lexsort"})
 
 #: RL007 — the one module that may commit a file by rename, the one that
-#: may name the two halves of a split halo exchange, and those names.
+#: may name the two halves of a split halo exchange, and those names; the
+#: package that may write the modeled-clock sinks (``SimWorld`` is the one
+#: writer) beside the sinks' own modules, and the sink attribute names.
 _DURABLE_MODULE = "repro.durable"
 _HALO_MODULE = "repro.comm.exchange"
 _HALO_HALVES = frozenset({"exchange_halo_begin", "exchange_halo_finish"})
+_LEDGER_PACKAGE = "comm"
+_SINK_MODULES = frozenset({"repro.perf.opcounts", "repro.comm.traffic"})
+_SINKS = frozenset({"ops", "traffic"})
 #: RL006 — the module that owns the phase stack.
 _SIMWORLD_MODULE = "repro.comm.simcomm"
 
@@ -262,17 +274,27 @@ def _ufunc_reduceat(call: ast.Call) -> bool:
 
 
 def _is_recording_call(call: ast.Call) -> bool:
-    """Does this call record kernel cost (``.ops.record*`` / ``record_*``)?"""
+    """Does this call record kernel cost (``world.charge*`` / ``record_*``)?"""
     name = _terminal_name(call.func)
     if name is None:
         return False
-    if name in ("record", "record_alloc"):
-        # world.ops.record(...) / world.ops.record_alloc(...)
-        f = call.func
-        return isinstance(f, ast.Attribute) and (
-            isinstance(f.value, ast.Attribute) and f.value.attr == "ops"
-        )
+    if name in ("charge", "charge_alloc"):
+        return isinstance(call.func, ast.Attribute)
     return name.startswith("record_") or name.startswith("_record")
+
+
+def _sink_write(call: ast.Call) -> str | None:
+    """``<x>.ops.record*(`` / ``<x>.traffic.record_*(`` -> ``"ops.record"``
+    (the sink and method named), else None."""
+    f = call.func
+    if (
+        isinstance(f, ast.Attribute)
+        and isinstance(f.value, ast.Attribute)
+        and f.value.attr in _SINKS
+        and (f.attr == "record" or f.attr.startswith("record_"))
+    ):
+        return f"{f.value.attr}.{f.attr}"
+    return None
 
 
 @dataclass
@@ -309,6 +331,11 @@ class _Linter(ast.NodeVisitor):
         # files and drive the halves directly.
         self.may_rename = not in_package or module == _DURABLE_MODULE
         self.may_split_halo = not in_package or module == _HALO_MODULE
+        self.may_write_sinks = (
+            not in_package
+            or package == _LEDGER_PACKAGE
+            or module in _SINK_MODULES
+        )
         # Function-context stacks for qualnames and RL005 bookkeeping.
         self._scope: list[str] = []
         self._fn_stack: list[_FunctionInfo] = []
@@ -514,6 +541,18 @@ class _Linter(ast.NodeVisitor):
                 "→ replace",
             )
 
+        # RL007 — a ledger write that bypasses SimWorld's verbs.
+        sink = None if self.may_write_sinks else _sink_write(node)
+        if sink is not None:
+            self._emit(
+                "RL007",
+                node,
+                f".{sink} outside repro.{_LEDGER_PACKAGE}: charge through "
+                "SimWorld.charge / charge_alloc / collective, which read "
+                "the phase themselves and reach every sink (traffic log, "
+                "hub, timeline)",
+            )
+
         # RL005 bookkeeping — recording markers, bulk ops, call edges.
         if fn is not None:
             if _is_recording_call(node):
@@ -630,7 +669,7 @@ class _Linter(ast.NodeVisitor):
                 "RL005",
                 f.node,
                 f"{f.qualname} performs bulk data motion ({ops}) with no "
-                "reachable world.ops.record / record_* accounting: the "
+                "reachable world.charge / record_* accounting: the "
                 "perf model will not see this kernel",
                 f.qualname,
             ))

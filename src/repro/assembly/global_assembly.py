@@ -152,7 +152,7 @@ def assemble_global_matrix(
             # plus the radix sort's ping-pong workspace over the full
             # stacked range.
             staged = 40.0 * nnz_local
-            world.ops.record_alloc(r, staged)
+            world.charge_alloc(staged, ranks=[r])
             (i_u, j_u), a_u, perm, starts = sort_reduce_by_key(
                 (i_all, j_all), a_all
             )
@@ -163,7 +163,7 @@ def assemble_global_matrix(
             # sort workspace covers only nnz_recv — the paper's observed
             # memory advantage of this variant.
             staged = 20.0 * (own.nnz + nnz_recv) + 20.0 * nnz_recv
-            world.ops.record_alloc(r, staged)
+            world.charge_alloc(staged, ranks=[r])
             i_r = i_all[own.nnz :]
             j_r = j_all[own.nnz :]
             a_r = a_all[own.nnz :]
@@ -180,13 +180,12 @@ def assemble_global_matrix(
                 ),
                 np.concatenate([own.a, a_ru]),
             )
-            world.ops.record(
-                world.phase,
-                r,
+            world.charge(
                 "asm_spadd",
-                flops=float(i_u.size),
-                nbytes=20.0 * (own.nnz + i_ru.size + i_u.size),
+                float(i_u.size),
+                20.0 * (own.nnz + i_ru.size + i_u.size),
                 launches=2,
+                ranks=[r],
             )
         else:  # general
             # Stock path: staging copies, full sort of everything without
@@ -196,7 +195,7 @@ def assemble_global_matrix(
                 2.0 * 40.0 * (own.nnz + max(nnz_recv, nnz_send))
                 + 20.0 * own.nnz
             )
-            world.ops.record_alloc(r, staged)
+            world.charge_alloc(staged, ranks=[r])
             (i_u, j_u), a_u, perm, starts = sort_reduce_by_key(
                 (i_all, j_all), a_all
             )
@@ -222,17 +221,12 @@ def assemble_global_matrix(
                     recv_starts=recv_starts,
                 )
             )
-        world.ops.record(
-            world.phase,
-            r,
-            "asm_split",
-            flops=0.0,
-            nbytes=20.0 * i_u.size * 2.0,
-            launches=2,
+        world.charge(
+            "asm_split", nbytes=20.0 * i_u.size * 2.0, launches=2, ranks=[r]
         )
         # Staging buffers are transient; the assembled matrix's storage is
         # accounted by the ParCSRMatrix constructor below.
-        world.ops.record_alloc(r, -staged)
+        world.charge_alloc(-staged, ranks=[r])
         rows_out.append(i_u)
         cols_out.append(j_u)
         vals_out.append(a_u)
@@ -313,8 +307,8 @@ def assemble_global_vector(
             record_sort_cost(world, r, i_all.size, 8, kernel="vec_sort")
             record_reduce_cost(world, r, i_all.size, 8, kernel="vec_reduce")
             target[i_u - lo] = v_u
-            world.ops.record_alloc(r, 16.0 * i_all.size)
-            world.ops.record_alloc(r, -16.0 * i_all.size)
+            world.charge_alloc(16.0 * i_all.size, ranks=[r])
+            world.charge_alloc(-16.0 * i_all.size, ranks=[r])
         else:
             # Algorithm 2: sort/reduce only the received values, then copy
             # the dense owned RHS and scatter-add the reduced receipts.
@@ -333,19 +327,18 @@ def assemble_global_vector(
                 record_sort_cost(world, r, i_r.size, 8, kernel="vec_sort")
                 record_reduce_cost(world, r, i_r.size, 8, kernel="vec_reduce")
                 target[i_u - lo] += v_u  # step 7: scatter-add
-            world.ops.record(
-                world.phase,
-                r,
+            world.charge(
                 "vec_copy",
-                flops=float(i_r.size),
-                nbytes=16.0 * own.n + 24.0 * i_r.size,
+                float(i_r.size),
+                16.0 * own.n + 24.0 * i_r.size,
                 launches=2,
+                ranks=[r],
             )
             vec_staged = 8.0 * (
                 own.n + max(i_r.size, local.send_rhs[r].n)
             )
-            world.ops.record_alloc(r, vec_staged)
-            world.ops.record_alloc(r, -vec_staged)
+            world.charge_alloc(vec_staged, ranks=[r])
+            world.charge_alloc(-vec_staged, ranks=[r])
         if plan is not None:
             plan._vec.append(
                 _RankVectorPlan(

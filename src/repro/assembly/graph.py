@@ -230,17 +230,8 @@ class EquationGraph:
 
         # Cost: the graph computation is sequential host work (§3.1);
         # charge one traversal of the contribution list plus the sort.
-        m = float(order.size)
-        for r in range(nranks):
-            share = m / nranks
-            self.world.ops.record(
-                self.world.phase,
-                r,
-                "graph_host",
-                flops=8.0 * share,
-                nbytes=64.0 * share,
-                launches=0,
-            )
+        share = float(order.size) / nranks
+        self.world.charge("graph_host", 8.0 * share, 64.0 * share, launches=0)
 
     def _build_rhs(
         self,

@@ -149,22 +149,19 @@ class LocalAssembler:
 
     def _record_assembly_storage(self) -> None:
         g = self.graph
-        self._storage_per_rank: list[float] = []
+        self._storage_per_rank: list[float] = [
+            20.0 * (own.size + snd.size)
+            for own, snd in g.groups
+        ]
         self._released = False
-        for r in range(g.numbering.nranks):
-            own = g.groups[r][0].size
-            snd = g.groups[r][1].size
-            nbytes = 20.0 * (own + snd)
-            self._storage_per_rank.append(nbytes)
-            self.world.ops.record_alloc(r, nbytes)
+        self.world.charge_alloc(self._storage_per_rank)
 
     def release(self) -> None:
         """Return the COO staging storage (graph is being rebuilt)."""
         if self._released:
             return
         self._released = True
-        for r, nbytes in enumerate(self._storage_per_rank):
-            self.world.ops.record_alloc(r, -nbytes)
+        self.world.charge_alloc([-b for b in self._storage_per_rank])
 
     def reset(self) -> None:
         """Zero all values for the next assembly (pattern is reused)."""
@@ -195,8 +192,8 @@ class LocalAssembler:
         for r in range(self.graph.numbering.nranks):
             share = int(n * (self.graph.contrib_per_rank[r] / total))
             record_sort_cost(self.world, r, share, 8, kernel="asm_det_sort")
-            self.world.ops.record_alloc(r, 16.0 * share)
-            self.world.ops.record_alloc(r, -16.0 * share)
+            self.world.charge_alloc(16.0 * share, ranks=[r])
+            self.world.charge_alloc(-16.0 * share, ranks=[r])
         if self.mode == "deterministic":
             order = np.argsort(slots, kind="stable")
             s_sorted = slots[order]
@@ -292,17 +289,9 @@ class LocalAssembler:
     def _record_scatter(self, n_contrib: int, kernel: str) -> None:
         g = self.graph
         total = float(g.contrib_per_rank.sum()) or 1.0
-        phase = self.world.phase
-        for r in range(g.numbering.nranks):
-            share = n_contrib * (g.contrib_per_rank[r] / total)
-            self.world.ops.record(
-                phase,
-                r,
-                kernel,
-                flops=2.0 * share,
-                # read value + slot, atomic read-modify-write.
-                nbytes=(8.0 + 8.0 + 16.0) * share,
-            )
+        shares = n_contrib * (g.contrib_per_rank / total)
+        # Bytes: read value + slot, atomic read-modify-write.
+        self.world.charge(kernel, 2.0 * shares, (8.0 + 8.0 + 16.0) * shares)
 
     # -- output ---------------------------------------------------------------------
 

@@ -283,7 +283,7 @@ class AssemblyPlan:
             a_all = np.concatenate([local.own_matrix[r].a] + list(recv[r]))
             # Transient stacked value buffer (value-only: 8 B/entry).
             staged = 8.0 * a_all.size
-            world.ops.record_alloc(r, staged)
+            world.charge_alloc(staged, ranks=[r])
             if self.variant == "sparse_add":
                 a_r = a_all[rp.own_nnz :]
                 a_ru = _segmented_sum(a_r[rp.recv_perm], rp.recv_starts)
@@ -301,15 +301,13 @@ class AssemblyPlan:
                     world, r, a_all.size, 8, kernel="asm_value_reduce"
                 )
             matrix.update_rank_values(r, a_u)
-            world.ops.record(
-                world.phase,
-                r,
+            world.charge(
                 "asm_value_scatter",
-                flops=0.0,
                 nbytes=24.0 * a_u.size,
                 launches=2,
+                ranks=[r],
             )
-            world.ops.record_alloc(r, -staged)
+            world.charge_alloc(-staged, ranks=[r])
         world.metrics.counter(
             "assembly.plan_hits", equation=self.name
         ).inc()
@@ -351,13 +349,12 @@ class AssemblyPlan:
                         world, r, v_r.size, 8, kernel="vec_value_reduce"
                     )
                     target[vp.target] += v_u
-            world.ops.record(
-                world.phase,
-                r,
+            world.charge(
                 "vec_copy",
-                flops=float(vp.perm.size),
-                nbytes=16.0 * vp.own_n + 24.0 * vp.perm.size,
+                float(vp.perm.size),
+                16.0 * vp.own_n + 24.0 * vp.perm.size,
                 launches=2,
+                ranks=[r],
             )
         world.metrics.counter(
             "assembly.vector_plan_hits", equation=self.name

@@ -25,13 +25,11 @@ def record_sort_cost(
     if n == 0:
         return
     per_pass = (8.0 + value_bytes) * 2.0  # read + write of key and payload
-    world.ops.record(
-        world.phase,
-        rank,
+    world.charge(
         kernel,
-        flops=0.0,
         nbytes=_SORT_PASSES * per_pass * n,
         launches=_SORT_PASSES,
+        ranks=[rank],
     )
 
 
@@ -41,13 +39,12 @@ def record_reduce_cost(
     """Record the device cost of a keyed reduction over ``n`` pairs."""
     if n == 0:
         return
-    world.ops.record(
-        world.phase,
-        rank,
+    world.charge(
         kernel,
-        flops=float(n),
-        nbytes=2.0 * (8.0 + value_bytes) * n,
+        float(n),
+        2.0 * (8.0 + value_bytes) * n,
         launches=2,
+        ranks=[rank],
     )
 
 

@@ -21,7 +21,7 @@ from repro.comm.errors import (
     CommRetriesExhaustedError,
     MailboxLeakError,
 )
-from repro.comm.traffic import CollectiveRecord, MessageRecord, TrafficLog
+from repro.comm.traffic import TrafficLog
 from repro.comm.simcomm import (
     MessageEnvelope,
     SimComm,
@@ -36,7 +36,6 @@ from repro.comm.exchange import (
 )
 
 __all__ = [
-    "CollectiveRecord",
     "CommCorruptionError",
     "CommDeadlockError",
     "CommError",
@@ -44,7 +43,6 @@ __all__ = [
     "ExchangePattern",
     "MailboxLeakError",
     "MessageEnvelope",
-    "MessageRecord",
     "SimComm",
     "SimWorld",
     "TrafficLog",

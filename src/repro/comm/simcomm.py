@@ -453,15 +453,21 @@ class SimWorld:
         network message (``SimComm.send`` rejects self-sends for the same
         reason).
 
-        Every transmitted payload emits a per-message ``exchange`` hub
-        event (``kind="p2p"``) exactly like :meth:`_post` does, so
-        hub-derived message counts agree with the :class:`TrafficLog`
-        aggregates; one summary event (``kind="alltoallv"``) closes the
-        exchange.
+        While someone observes ``exchange``, every transmitted payload
+        emits a per-message hub event (``kind="p2p"``) exactly like
+        :meth:`_post_batch` does, so hub-derived message counts agree
+        with the :class:`TrafficLog` aggregates; one summary event
+        (``kind="alltoallv"``) closes the exchange.
         """
         if len(send) != self.size:
             raise ValueError("alltoallv needs one send row per rank")
+        phase = self.phase
+        observed = self.hub.has("exchange")
         recv: list[list[Any]] = [[] for _ in range(self.size)]
+        out_msgs = [0] * self.size
+        out_bytes = [0.0] * self.size
+        in_msgs = [0] * self.size
+        in_bytes = [0.0] * self.size
         for src in range(self.size):
             row = send[src]
             if len(row) != self.size:
@@ -474,38 +480,25 @@ class SimWorld:
                     continue
                 if dst != src:
                     nbytes = _nbytes(payload)
-                    self.traffic.record_message(
-                        src, dst, nbytes, self.phase
-                    )
-                    self.hub.emit(
-                        "exchange",
-                        kind="p2p",
-                        src=src,
-                        dst=dst,
-                        nbytes=nbytes,
-                        phase=self.phase,
-                    )
-                recv[dst].append(payload)
-        if self.fault_injector is not None:
-            self.fault_injector.on_alltoallv(recv, phase=self.phase)
-        self.hub.emit("exchange", kind="alltoallv", phase=self.phase)
-        if self.profiler is not None:
-            out_msgs = [0] * self.size
-            out_bytes = [0.0] * self.size
-            in_msgs = [0] * self.size
-            in_bytes = [0.0] * self.size
-            for src in range(self.size):
-                for dst in range(self.size):
-                    payload = send[src][dst]
-                    if payload is None or dst == src:
-                        continue
-                    if isinstance(payload, np.ndarray) and payload.size == 0:
-                        continue
-                    nbytes = _nbytes(payload)
+                    self.traffic.record_message(src, dst, nbytes, phase)
                     out_msgs[src] += 1
                     out_bytes[src] += nbytes
                     in_msgs[dst] += 1
                     in_bytes[dst] += nbytes
+                    if observed:
+                        self.hub.emit(
+                            "exchange",
+                            kind="p2p",
+                            src=src,
+                            dst=dst,
+                            nbytes=nbytes,
+                            phase=phase,
+                        )
+                recv[dst].append(payload)
+        if self.fault_injector is not None:
+            self.fault_injector.on_alltoallv(recv, phase=phase)
+        self.hub.emit("exchange", kind="alltoallv", phase=phase)
+        if self.profiler is not None:
             # Repartitioning all-to-alls are globally synchronizing
             # (senders_to=None): every rank waits for the straggler.
             self.profiler.on_p2p_round(
@@ -519,38 +512,18 @@ class SimWorld:
         """All-reduce of one value per rank; every rank gets the same result."""
         if len(values) != self.size:
             raise ValueError("allreduce needs one value per rank")
-        self.traffic.record_collective(
-            "allreduce", self.size, _nbytes(values[0]), self.phase
-        )
-        self.hub.emit(
-            "exchange",
-            kind="allreduce",
-            nbytes=_nbytes(values[0]),
-            phase=self.phase,
-        )
-        if self.profiler is not None:
-            self.profiler.on_collective("allreduce", _nbytes(values[0]))
+        self.collective("allreduce", _nbytes(values[0]))
         return op(values)
 
     def allgather(self, values: Sequence[Any]) -> list[Any]:
         """All-gather of one value per rank; returns the full list."""
         if len(values) != self.size:
             raise ValueError("allgather needs one value per rank")
-        self.traffic.record_collective(
-            "allgather", self.size, _nbytes(values[0]), self.phase
-        )
-        self.hub.emit(
-            "exchange",
-            kind="allgather",
-            nbytes=_nbytes(values[0]),
-            phase=self.phase,
-        )
-        if self.profiler is not None:
-            self.profiler.on_collective("allgather", _nbytes(values[0]))
+        self.collective("allgather", _nbytes(values[0]))
         return list(values)
 
     def barrier(self) -> None:
-        """Synchronization point; records a zero-byte collective.
+        """Synchronization point; charges a zero-byte collective.
 
         With :attr:`leak_check` on (the default), also asserts that no
         posted message is still undelivered — every rank reaching a
@@ -558,10 +531,77 @@ class SimWorld:
         """
         if self.leak_check:
             self.assert_no_pending(context="barrier")
-        self.traffic.record_collective("barrier", self.size, 0, self.phase)
-        self.hub.emit("exchange", kind="barrier", phase=self.phase)
+        self.collective("barrier", 0)
+
+    # -- the ledger verbs ----------------------------------------------------
+    #
+    # The only writers of the modeled-clock sinks (``ops``, ``traffic``,
+    # the hub's ``exchange`` stream, the timeline profiler) outside this
+    # package: each reads the active phase itself and reaches every sink,
+    # so a kernel names its work and nothing else (RL007 pins it).
+
+    def charge(
+        self,
+        kernel: str,
+        flops: float | Sequence[float] = 0.0,
+        nbytes: float | Sequence[float] = 0.0,
+        launches: int | Sequence[int] = 1,
+        ranks: Sequence[int] | None = None,
+    ) -> None:
+        """Charge one invocation of ``kernel`` on each of ``ranks`` (every
+        rank when omitted) to the active phase.
+
+        A scalar ``flops``/``nbytes`` is every rank's share; a sequence
+        holds one value per rank, in ``ranks`` order.  Tallies accumulate
+        in that order (:meth:`OpRecorder.record_ranks`).
+        """
+        if ranks is None:
+            ranks = range(self.size)
+        if not hasattr(flops, "__len__"):
+            flops = [flops] * len(ranks)
+        if not hasattr(nbytes, "__len__"):
+            nbytes = [nbytes] * len(ranks)
+        self.ops.record_ranks(
+            self.phase, kernel, flops, nbytes, launches, ranks
+        )
+
+    def charge_alloc(
+        self,
+        nbytes: float | Sequence[float],
+        ranks: Sequence[int] | None = None,
+    ) -> None:
+        """Charge a device allocation (negative frees) on each of
+        ``ranks`` (every rank when omitted): a scalar is every rank's
+        share, a sequence one value per rank."""
+        if ranks is None:
+            ranks = range(self.size)
+        if not hasattr(nbytes, "__len__"):
+            nbytes = [nbytes] * len(ranks)
+        for r, b in zip(ranks, nbytes):
+            self.ops.record_alloc(r, b)
+
+    def charge_messages(
+        self, src: int, dst: int, count: int, nbytes: int
+    ) -> None:
+        """Charge ``count`` modeled messages ``src`` -> ``dst`` totalling
+        ``nbytes`` to the active phase.  No data moves and no round is
+        priced on the timeline: this is calibrated overhead (the AMG
+        set-up rounds), not an exchange the simulator performs."""
+        self.traffic.record_messages(src, dst, count, nbytes, self.phase)
+
+    def collective(self, kind: str, nbytes: int) -> None:
+        """Charge one collective of ``nbytes`` per rank to the active
+        phase, on every sink: the traffic log, the hub's ``exchange``
+        stream and the timeline profiler.  It charges; it moves no data
+        (:meth:`allreduce` / :meth:`allgather` / :meth:`barrier` do, on
+        top of it) — for reductions whose arithmetic the caller does on
+        the global array, where per-rank partials would change the sum.
+        """
+        phase = self.phase
+        self.traffic.record_collective(kind, self.size, nbytes, phase)
+        self.hub.emit("exchange", kind=kind, nbytes=nbytes, phase=phase)
         if self.profiler is not None:
-            self.profiler.on_collective("barrier", 0.0)
+            self.profiler.on_collective(kind, nbytes)
 
 
 class SimComm:

@@ -13,59 +13,17 @@ Figs. 6-7) can attribute communication to the right bar.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class MessageRecord:
-    """One point-to-point message, or one summary of many.
-
-    Attributes:
-        src: sending rank (``-1`` for a round summary: many senders).
-        dst: receiving rank (``-1`` for a round summary).
-        nbytes: payload bytes (the total of a summary record).
-        phase: phase label active when the message was sent.
-        count: messages the record stands for.  Summing it over
-            :attr:`TrafficLog.messages` gives ``message_count()``.
-    """
-
-    src: int
-    dst: int
-    nbytes: int
-    phase: str
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class CollectiveRecord:
-    """One collective operation over the whole world.
-
-    Attributes:
-        kind: collective name (``"allreduce"``, ``"allgather"``, ...).
-        world_size: number of participating ranks.
-        nbytes: per-rank payload size in bytes.
-        phase: phase label active when the collective ran.
-    """
-
-    kind: str
-    world_size: int
-    nbytes: int
-    phase: str
 
 
 class TrafficLog:
-    """Accumulates communication records with cheap aggregate summaries.
+    """Accumulates communication counts as per-phase aggregates.
 
-    ``messages`` is the detailed list: one record per individually posted
-    message, one *summary* record per bulk call (:meth:`record_messages`,
-    :meth:`record_round` — a halo round is one record, not one per
-    message, so the list grows with rounds).  Every query reads the
-    incrementally maintained aggregates, never the list.
+    Nothing is kept per message or per collective: every ``record_*``
+    call updates the aggregates below and every query reads them, so
+    the log's memory is bounded by phases x ranks, not by run length.
     """
 
     def __init__(self) -> None:
-        self.messages: list[MessageRecord] = []
-        self.collectives: list[CollectiveRecord] = []
         # Aggregates keyed by phase label.
         self._msg_count: dict[str, int] = defaultdict(int)
         self._msg_bytes: dict[str, int] = defaultdict(int)
@@ -78,7 +36,6 @@ class TrafficLog:
 
     def record_message(self, src: int, dst: int, nbytes: int, phase: str) -> None:
         """Record one point-to-point message."""
-        self.messages.append(MessageRecord(src, dst, int(nbytes), phase))
         self._msg_count[phase] += 1
         self._msg_bytes[phase] += int(nbytes)
         self._rank_msg_count[(phase, src)] += 1
@@ -89,13 +46,9 @@ class TrafficLog:
     ) -> None:
         """Record ``count`` messages between one pair in bulk.
 
-        Aggregates update exactly as ``count`` separate calls would; the
-        detailed list receives a single summary record (high-volume setup
-        phases would otherwise dominate the log's memory).
+        Aggregates update exactly as ``count`` separate calls totalling
+        ``nbytes`` would.
         """
-        self.messages.append(
-            MessageRecord(src, dst, int(nbytes), phase, int(count))
-        )
         self._msg_count[phase] += int(count)
         self._msg_bytes[phase] += int(nbytes)
         self._rank_msg_count[(phase, src)] += int(count)
@@ -114,11 +67,10 @@ class TrafficLog:
         that sends at least one message; ``count``/``nbytes`` are their
         totals.  Aggregates update exactly as one :meth:`record_message`
         per message would (an empty round leaves no trace, not even its
-        phase label); the detailed list receives one summary record.
+        phase label).
         """
         if not count:
             return
-        self.messages.append(MessageRecord(-1, -1, nbytes, phase, count))
         self._msg_count[phase] += count
         self._msg_bytes[phase] += nbytes
         rank_count, rank_bytes = self._rank_msg_count, self._rank_msg_bytes
@@ -130,22 +82,13 @@ class TrafficLog:
         self, kind: str, world_size: int, nbytes: int, phase: str
     ) -> None:
         """Record one collective operation."""
-        self.collectives.append(
-            CollectiveRecord(kind, int(world_size), int(nbytes), phase)
-        )
         self._coll_count[phase] += 1
         self._coll_bytes[phase] += int(nbytes)
 
     # -- queries -----------------------------------------------------------
 
     def message_count(self, phase: str | None = None) -> int:
-        """Total point-to-point messages, optionally restricted to a phase.
-
-        Computed from the incremental aggregates, not ``len(messages)``:
-        bulk :meth:`record_messages` appends a single summary record
-        while counting ``count`` messages, so the detailed list
-        undercounts by design.
-        """
+        """Total point-to-point messages, optionally restricted to a phase."""
         if phase is None:
             return sum(self._msg_count.values())
         return self._msg_count.get(phase, 0)
@@ -159,7 +102,7 @@ class TrafficLog:
     def collective_count(self, phase: str | None = None) -> int:
         """Total collectives, optionally restricted to a phase."""
         if phase is None:
-            return len(self.collectives)
+            return sum(self._coll_count.values())
         return self._coll_count.get(phase, 0)
 
     def collective_bytes(self, phase: str | None = None) -> int:
@@ -218,12 +161,10 @@ class TrafficLog:
         registry.gauge("comm.total_message_bytes").set(
             sum(self._msg_bytes.values())
         )
-        registry.gauge("comm.total_collectives").set(len(self.collectives))
+        registry.gauge("comm.total_collectives").set(self.collective_count())
 
     def clear(self) -> None:
-        """Drop all records and aggregates."""
-        self.messages.clear()
-        self.collectives.clear()
+        """Drop all aggregates."""
         self._msg_count.clear()
         self._msg_bytes.clear()
         self._coll_count.clear()

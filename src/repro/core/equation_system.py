@@ -47,7 +47,12 @@ from repro.resilience.guards import (
     iterate_is_finite,
     operands_are_finite,
 )
-from repro.resilience.policy import RecoveryEvent, RecoveryPolicy
+from repro.resilience.policy import (
+    RecoveryEvent,
+    RecoveryPolicy,
+    record_failure,
+    record_recovery,
+)
 
 #: Phase suffixes, in the paper's breakdown order.
 PHASES = (
@@ -305,17 +310,7 @@ class EquationSystem:
                 kind="nonfinite_operands",
                 phase=self.phase("solve"),
             )
-            self.world.metrics.counter(
-                "resilience.failures",
-                equation=self.name,
-                kind="nonfinite_operands",
-            ).inc()
-            self.world.hub.emit(
-                "solver_failure",
-                equation=self.name,
-                kind="nonfinite_operands",
-                failure=failure,
-            )
+            record_failure(self.world, failure)
             raise failure
         rebuild = (
             self._solves_since_setup % self.config.precond_rebuild_every == 0
@@ -463,17 +458,8 @@ class EquationSystem:
         simulation-level rollback re-assembles them), or the ladder is
         exhausted.
         """
-        metrics = self.world.metrics
-        metrics.counter(
-            "resilience.failures", equation=self.name, kind=kind
-        ).inc()
         failure = self._failure(result, kind)
-        self.world.hub.emit(
-            "solver_failure",
-            equation=self.name,
-            kind=kind,
-            failure=failure,
-        )
+        record_failure(self.world, failure)
         if not policy.enabled:
             raise failure
         if not operands_are_finite(A, b):
@@ -508,13 +494,8 @@ class EquationSystem:
                     success=ok,
                     detail=detail,
                 )
-                self.world.hub.emit("recovery", **event.to_dict())
+                record_recovery(self.world, event)
                 if ok:
-                    metrics.counter(
-                        "resilience.recoveries",
-                        action=action,
-                        equation=self.name,
-                    ).inc()
                     return candidate
         raise self._failure(result, kind, attempts=tuple(attempts))
 

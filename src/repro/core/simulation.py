@@ -52,7 +52,12 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.guards import SolverFailure, validate_fields
 from repro.resilience.injection import FaultInjector
-from repro.resilience.policy import RecoveryEvent, summarize_events
+from repro.resilience.policy import (
+    RecoveryEvent,
+    record_failure,
+    record_recovery,
+    summarize_events,
+)
 
 
 @dataclass
@@ -186,9 +191,7 @@ class NaluWindSimulation:
         self.scalar_field = np.full(n, ScalarTransportSystem.inflow_value)
         self.scalar_old = self.scalar_field.copy()
         # Register nodal-field memory with the allocator model.
-        per_rank = 9.0 * 8.0 * n / self.world.size
-        for r in range(self.world.size):
-            self.world.ops.record_alloc(r, per_rank)
+        self.world.charge_alloc(9.0 * 8.0 * n / self.world.size)
 
     def _new_to_app(self, data_new: np.ndarray) -> np.ndarray:
         """Reorder a solved (rank-block) vector back to application order."""
@@ -249,11 +252,6 @@ class NaluWindSimulation:
         new_dt = cfg.dt * policy.dt_backoff
         detail = f"dt {cfg.dt:.4g} -> {new_dt:.4g}"
         cfg.dt = new_dt
-        self.world.metrics.counter(
-            "resilience.recoveries",
-            action="rollback_restep",
-            equation=failure.equation,
-        ).inc()
         event = RecoveryEvent(
             equation=failure.equation,
             kind=failure.kind,
@@ -262,7 +260,7 @@ class NaluWindSimulation:
             success=True,
             detail=detail,
         )
-        self.world.hub.emit("recovery", **event.to_dict())
+        record_recovery(self.world, event)
 
     def _guard_fields(self) -> None:
         """NaN/Inf check of the solution fields at end of step."""
@@ -278,17 +276,7 @@ class NaluWindSimulation:
                 phase="step",
             )
         except SolverFailure as failure:
-            self.world.metrics.counter(
-                "resilience.failures",
-                equation=failure.equation,
-                kind=failure.kind,
-            ).inc()
-            self.world.hub.emit(
-                "solver_failure",
-                equation=failure.equation,
-                kind=failure.kind,
-                failure=failure,
-            )
+            record_failure(self.world, failure)
             raise
 
     def _recovery_summary(self) -> dict[str, Any]:
@@ -499,7 +487,7 @@ class NaluWindSimulation:
                 f"({os.path.basename(path)})"
             ),
         )
-        self.world.hub.emit("recovery", **event.to_dict())
+        record_recovery(self.world, event)
         self.world.hub.emit(
             "restart", step=self.step_index, path=path, source="recovery"
         )

@@ -122,8 +122,7 @@ class GMRES:
             # of the footprint behind the paper's device-memory cliffs at
             # few ranks).  Freed when the cycle's update completes.
             basis_per_rank = 2.0 * (m + 1) * 8.0 * n / world.size
-            for rr in range(world.size):
-                world.ops.record_alloc(rr, basis_per_rank)
+            world.charge_alloc(basis_per_rank)
             V = np.zeros((n, m + 1))
             Z: list[np.ndarray] = []
             H = np.zeros((m + 1, m))
@@ -187,16 +186,12 @@ class GMRES:
                 x.data += dx
                 # Record the solution-update GEMV.
                 per_rank = n / world.size
-                for rr in range(world.size):
-                    world.ops.record(
-                        world.phase,
-                        rr,
-                        "gmres_update",
-                        flops=2.0 * k * per_rank,
-                        nbytes=8.0 * (k + 2) * per_rank,
-                    )
-            for rr in range(world.size):
-                world.ops.record_alloc(rr, -basis_per_rank)
+                world.charge(
+                    "gmres_update",
+                    2.0 * k * per_rank,
+                    8.0 * (k + 2) * per_rank,
+                )
+            world.charge_alloc(-basis_per_rank)
             # On breakdown the restarted cycle would rebuild the identical
             # degenerate Krylov space (the update above already used every
             # healthy column), so return the true residual instead of

@@ -42,33 +42,16 @@ def batched_dots(
     out = V.T @ w
     # Per-rank compute share: the simulator holds vectors globally; charge
     # each rank its row-block share of the multi-dot.
-    n = w.size
-    per_rank = n / world.size
-    for r in range(world.size):
-        world.ops.record(
-            world.phase,
-            r,
-            "multidot",
-            flops=2.0 * k * per_rank,
-            nbytes=8.0 * (k + 1) * per_rank,
-        )
+    per_rank = w.size / world.size
+    world.charge("multidot", 2.0 * k * per_rank, 8.0 * (k + 1) * per_rank)
     for _ in range(count_as):
-        world.traffic.record_collective(
-            "allreduce", world.size, 8 * k, world.phase
-        )
+        world.collective("allreduce", 8 * k)
     return out
 
 
 def _record_axpy_block(world: SimWorld, n: int, k: int, kernel: str) -> None:
     per_rank = n / world.size
-    for r in range(world.size):
-        world.ops.record(
-            world.phase,
-            r,
-            kernel,
-            flops=2.0 * k * per_rank,
-            nbytes=8.0 * (k + 2) * per_rank,
-        )
+    world.charge(kernel, 2.0 * k * per_rank, 8.0 * (k + 2) * per_rank)
 
 
 def orthogonalize(
@@ -94,7 +77,7 @@ def orthogonalize(
     n, j = V.shape
     if j == 0:
         beta = float(np.linalg.norm(w))
-        world.traffic.record_collective("allreduce", world.size, 8, world.phase)
+        world.collective("allreduce", 8)
         return np.zeros(0), beta
 
     if variant == "mgs":
@@ -105,7 +88,7 @@ def orthogonalize(
             _record_axpy_block(world, n, 1, "mgs_axpy")
             h[i] = hi
         beta = float(np.linalg.norm(w))
-        world.traffic.record_collective("allreduce", world.size, 8, world.phase)
+        world.collective("allreduce", 8)
         return h, beta
 
     if variant == "cgs2":
@@ -116,7 +99,7 @@ def orthogonalize(
         w -= V @ h2
         _record_axpy_block(world, n, j, "cgs_update")
         beta = float(np.linalg.norm(w))
-        world.traffic.record_collective("allreduce", world.size, 8, world.phase)
+        world.collective("allreduce", 8)
         return h1 + h2, beta
     # one_reduce: delayed reorthogonalization fuses the first projection,
     # the correction dots, and the norm estimate into a single reduction
@@ -133,17 +116,8 @@ def orthogonalize(
     h2 = batched_dots(world, V, w, count_as=0)
     nrm2 = float(w @ w)
     per_rank = n / world.size
-    for r in range(world.size):
-        world.ops.record(
-            world.phase,
-            r,
-            "multidot",
-            flops=2.0 * per_rank,
-            nbytes=8.0 * 2 * per_rank,
-        )
-    world.traffic.record_collective(
-        "allreduce", world.size, 8 * (2 * j + 1), world.phase
-    )
+    world.charge("multidot", 2.0 * per_rank, 8.0 * 2 * per_rank)
+    world.collective("allreduce", 8 * (2 * j + 1))
     w -= V @ h2
     _record_axpy_block(world, n, j, "cgs_update")
     # Norm of the reorthogonalized vector via the Pythagorean update
@@ -152,7 +126,7 @@ def orthogonalize(
     est = nrm2 - float(h2 @ h2)
     if est <= 1e-10 * max(nrm2, 1e-300):
         beta = float(np.linalg.norm(w))
-        world.traffic.record_collective("allreduce", world.size, 8, world.phase)
+        world.collective("allreduce", 8)
     else:
         beta = float(np.sqrt(est))
     return h1 + h2, beta

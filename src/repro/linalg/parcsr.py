@@ -162,7 +162,7 @@ class ParCSRMatrix:
         self._d_bounds = self.D.indptr[ro].astype(np.int64)
         self._o_bounds = self.O.indptr[ro].astype(np.int64)
 
-        # Per-rank work of one SpMV, precomputed for record_ranks: the
+        # Per-rank work of one SpMV, precomputed for SimWorld.charge: the
         # synchronous round, and its diag / offd legs on the overlap
         # path, priced so the legs sum exactly to the round.
         nnz_d, nnz_o = np.diff(self._d_bounds), np.diff(self._o_bounds)
@@ -211,8 +211,7 @@ class ParCSRMatrix:
             12.0 * nnz + 8.0 * nrows + 8.0 * n_ext
         ).tolist()
         self._released = False
-        for r, nbytes in enumerate(self._storage_per_rank):
-            self.world.ops.record_alloc(r, nbytes)
+        self.world.charge_alloc(self._storage_per_rank)
 
     def release(self) -> None:
         """Return the matrix's device storage to the allocator model.
@@ -223,8 +222,7 @@ class ParCSRMatrix:
         if self._released:
             return
         self._released = True
-        for r, nbytes in enumerate(self._storage_per_rank):
-            self.world.ops.record_alloc(r, -nbytes)
+        self.world.charge_alloc([-b for b in self._storage_per_rank])
 
     def rebind_world(self, world: SimWorld) -> None:
         """Re-home the matrix on a different world (cross-job plan reuse).
@@ -241,8 +239,7 @@ class ParCSRMatrix:
         self.release()
         self.world = world
         self._released = False
-        for r, nbytes in enumerate(self._storage_per_rank):
-            world.ops.record_alloc(r, nbytes)
+        world.charge_alloc(self._storage_per_rank)
 
     # -- value-only updates (pattern frozen) ---------------------------------------
 
@@ -333,12 +330,11 @@ class ParCSRMatrix:
         if x.n != self.shape[1]:
             raise ValueError("x size does not match matrix cols")
         world = self.world
-        phase = world.phase
         if overlap:
             with overlapped_halo(world, self.pattern, x.data, out=self._ext):
                 # Interior SpMV against owned data while halos are in flight.
                 interior = self.D @ x.data
-                world.ops.record_ranks(phase, "spmv", *self._diag_work)
+                world.charge("spmv", *self._diag_work)
             work = self._offd_work
         else:
             exchange_halo(world, self.pattern, x.data, out=self._ext)
@@ -347,7 +343,7 @@ class ParCSRMatrix:
         result = np.add(
             interior, self.O @ self._ext, out=None if y is None else y.data
         )
-        world.ops.record_ranks(phase, "spmv", *work)
+        world.charge("spmv", *work)
         return ParVector(world, self.row_offsets, result) if y is None else y
 
     def residual(

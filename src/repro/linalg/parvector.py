@@ -66,8 +66,7 @@ class ParVector:
 
     def _record_local(self, kernel: str, flops_per_entry: float, streams: int) -> None:
         sizes = self.sizes
-        self.world.ops.record_ranks(
-            self.world.phase,
+        self.world.charge(
             kernel,
             [flops_per_entry * ln for ln in sizes],
             [8.0 * streams * ln for ln in sizes],
@@ -127,8 +126,7 @@ def fused_dots(
     ]
     # Per-rank compute share: k simultaneous dots stream 2k vectors.
     sizes = pairs[0][0].sizes
-    world.ops.record_ranks(
-        world.phase,
+    world.charge(
         "multidot",
         [2.0 * k * ln for ln in sizes],
         [8.0 * 2 * k * ln for ln in sizes],

@@ -50,21 +50,19 @@ def record_spgemm(
     prod_per_row = _products_per_row(A, B)
 
     c_row_nnz = np.diff(C.indptr)
-    phase = world.phase
     for r in range(world.size):
         lo, hi = row_offsets[r], row_offsets[r + 1]
         prods = float(prod_per_row[lo:hi].sum())
         out_nnz = float(c_row_nnz[lo:hi].sum())
         in_nnz = float(np.diff(A.indptr)[lo:hi].sum())
-        world.ops.record(
-            phase,
-            r,
+        world.charge(
             kernel,
-            flops=2.0 * prods,
+            2.0 * prods,
             # symbolic + numeric passes: read A rows and the touched B rows,
             # hash-table traffic ~ products, write C rows.
-            nbytes=2.0 * (12.0 * in_nnz + 16.0 * prods) + 12.0 * out_nnz,
+            2.0 * (12.0 * in_nnz + 16.0 * prods) + 12.0 * out_nnz,
             launches=2,
+            ranks=[r],
         )
 
 
@@ -99,21 +97,18 @@ def record_spgemm_numeric(
     prod_per_row = _products_per_row(A, B)
 
     c_row_nnz = np.diff(C.indptr)
-    phase = world.phase
     for r in range(world.size):
         lo, hi = row_offsets[r], row_offsets[r + 1]
         prods = float(prod_per_row[lo:hi].sum())
         out_nnz = float(c_row_nnz[lo:hi].sum())
         in_nnz = float(np.diff(A.indptr)[lo:hi].sum())
-        world.ops.record(
-            phase,
-            r,
+        world.charge(
             kernel,
-            flops=2.0 * prods,
+            2.0 * prods,
             # single numeric pass: read A rows and touched B rows once,
             # hash traffic ~ products, write C values.
-            nbytes=12.0 * in_nnz + 16.0 * prods + 12.0 * out_nnz,
-            launches=1,
+            12.0 * in_nnz + 16.0 * prods + 12.0 * out_nnz,
+            ranks=[r],
         )
 
 

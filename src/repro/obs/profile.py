@@ -49,7 +49,8 @@ class RunProfile:
     #: plus the segment count.
     ranks: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Per phase: compute max/mean/min over ranks, imbalance factor,
-    #: straggler rank, and rank-seconds of wait/transfer + sync count.
+    #: straggler rank, and rank-seconds of wait/transfer + sync count
+    #: (``collectives`` of which equal the TrafficLog's, per phase).
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Sync events by kind: count plus wait/transfer rank-seconds.
     exchanges: dict[str, Any] = field(default_factory=dict)
@@ -181,6 +182,7 @@ def collect_run_profile(sim: Any, roofline: dict[str, Any] | None = None) -> Run
             "wait_s": x.get("wait_s", 0.0),
             "transfer_s": x.get("transfer_s", 0.0),
             "syncs": x.get("syncs", 0.0),
+            "collectives": x.get("collectives", 0.0),
         }
 
     path = prof.critical_path()

@@ -31,11 +31,18 @@ Simulated clocks derive only from deterministic tallies and pricing —
 never from wall time — so repeated runs of a deterministic simulation
 produce bitwise-identical timelines.
 
-Two modeling choices, on purpose: the device-memory oversubscription
+Three modeling choices, on purpose: the device-memory oversubscription
 penalty is *not* applied per flush (it is a run-level correction the
-aggregate cost model owns), and halo-retry re-posts are not re-priced
-(the timeline prices the logical exchange; retries are a resilience
-artifact, visible through the ``comm.*`` counters instead).
+aggregate cost model owns); halo-retry re-posts are not re-priced (the
+timeline prices the logical exchange; retries are a resilience
+artifact, visible through the ``comm.*`` counters instead); and the
+calibrated AMG set-up rounds (``SETUP_COMM_ROUNDS`` modeled messages per
+neighbor pair and level, ``SimWorld.charge_messages``) are charged to
+the ``TrafficLog`` and left unpriced here — they are an overhead
+estimate with no data movement and no sync point to place on a rank's
+clock.  Every exchange the simulator *performs* is on the timeline:
+``SimWorld.collective`` is the one writer of collectives for both
+clocks, so their per-phase counts agree by construction.
 
 Duck-typed like the rest of ``repro.obs``: ``pricer`` is anything with
 ``kernel_time(work)`` / ``p2p_time(n_messages, nbytes)`` /
@@ -110,7 +117,8 @@ class TimelineProfiler:
         self._consumed: dict[tuple[str, int], tuple[float, float, int]] = {}
         # sync kind -> [count, wait_s, transfer_s] (rank-seconds).
         self._by_kind: dict[str, list[float]] = {}
-        # phase -> [wait_s, transfer_s, syncs] (rank-seconds).
+        # phase -> [wait_s, transfer_s, syncs, collectives] (rank-seconds;
+        # collectives is the part of syncs that came through on_collective).
         self._phase_comm: dict[str, list[float]] = {}
         #: Split p2p rounds priced with post-time sender clocks.
         self.overlap_rounds = 0
@@ -175,7 +183,7 @@ class TimelineProfiler:
         k[0] += 1
         k[1] += wait
         k[2] += transfer
-        p = self._phase_comm.setdefault(phase, [0.0, 0.0, 0])
+        p = self._phase_comm.setdefault(phase, [0.0, 0.0, 0, 0])
         p[0] += wait
         p[1] += transfer
         p[2] += 1
@@ -206,6 +214,7 @@ class TimelineProfiler:
                 )
             self.t[r] = ready + transfer
         self._record_sync(kind, phase, wait_total, transfer * self.nranks)
+        self._phase_comm[phase][3] += 1
 
     def on_p2p_post(self) -> list[float]:
         """Snapshot per-rank clocks at the send-post point of a split
@@ -386,13 +395,19 @@ class TimelineProfiler:
         return out
 
     def phase_comm_stats(self) -> dict[str, dict[str, float]]:
-        """Per phase: rank-seconds of wait/transfer and sync-event count.
+        """Per phase: rank-seconds of wait/transfer, sync-event count and
+        the collectives among the syncs (the rest are p2p rounds).
 
         Terminal equalization waits (finalize) are not included — they
         close the accounting identity rather than model an exchange.
         """
         return {
-            ph: {"wait_s": v[0], "transfer_s": v[1], "syncs": float(v[2])}
+            ph: {
+                "wait_s": v[0],
+                "transfer_s": v[1],
+                "syncs": float(v[2]),
+                "collectives": float(v[3]),
+            }
             for ph, v in sorted(self._phase_comm.items())
         }
 

@@ -92,23 +92,24 @@ class PhaseAggregate:
         )
 
 
+def phase_aggregate(world: SimWorld, phase: str) -> PhaseAggregate:
+    """One phase's cumulative aggregate from a world's logs."""
+    tally = world.ops.max_rank_tally(phase)
+    return PhaseAggregate(
+        flops=tally.flops,
+        bytes=tally.bytes,
+        launches=float(tally.launches),
+        msgs=float(world.traffic.max_rank_messages(phase)),
+        msg_bytes=float(world.traffic.max_rank_bytes(phase)),
+        colls=float(world.traffic.collective_count(phase)),
+        coll_bytes=float(world.traffic.collective_bytes(phase)),
+    )
+
+
 def collect_phase_aggregates(world: SimWorld) -> dict[str, PhaseAggregate]:
     """Snapshot every phase's cumulative aggregate from a world's logs."""
-    out: dict[str, PhaseAggregate] = {}
     phases = sorted(set(world.ops.phases()) | set(world.traffic.phases()))
-    for ph in phases:
-        tally = world.ops.max_rank_tally(ph)
-        ccount = world.traffic.collective_count(ph)
-        out[ph] = PhaseAggregate(
-            flops=tally.flops,
-            bytes=tally.bytes,
-            launches=float(tally.launches),
-            msgs=float(world.traffic.max_rank_messages(ph)),
-            msg_bytes=float(world.traffic.max_rank_bytes(ph)),
-            colls=float(ccount),
-            coll_bytes=float(world.traffic.collective_bytes(ph)),
-        )
-    return out
+    return {ph: phase_aggregate(world, ph) for ph in phases}
 
 
 @dataclass
@@ -194,23 +195,11 @@ class CostModel:
     # -- phase / run pricing ---------------------------------------------------
 
     def phase_time(self, world: SimWorld, phase: str) -> PhaseTime:
-        """Price one phase of a completed run."""
-        tally = world.ops.max_rank_tally(phase)
-        penalty = self.memory_penalty(world.ops.peak_alloc())
-        compute = self.kernel_time(tally) * penalty
-
-        comm = 0.0
-        if world.size > 1:
-            comm += self.p2p_time(
-                world.traffic.max_rank_messages(phase),
-                world.traffic.max_rank_bytes(phase),
-            )
-            # Average per-collective payload for this phase.
-            ccount = world.traffic.collective_count(phase)
-            cbytes = world.traffic.collective_bytes(phase)
-            per = cbytes / ccount if ccount else 0.0
-            comm += self.collective_time(ccount, per, world.size)
-        return PhaseTime(compute=compute, comm=comm)
+        """Price one phase of a completed run: its aggregate, through
+        the one pricing formula."""
+        return self.price_aggregate(
+            phase_aggregate(world, phase), world.size, world.ops.peak_alloc()
+        )
 
     def run_time(self, world: SimWorld, phases: list[str] | None = None) -> dict[str, PhaseTime]:
         """Price every phase of a completed run.

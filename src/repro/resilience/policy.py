@@ -179,6 +179,36 @@ class RecoveryEvent:
         }
 
 
+def record_failure(world: Any, failure: Any) -> None:
+    """Count one solver failure and announce it.
+
+    With :func:`record_recovery`, the only place the ``resilience.*``
+    counters move and the matching hub events are emitted, so a counter
+    cannot drift from the event stream :func:`summarize_events` folds.
+    """
+    world.metrics.counter(
+        "resilience.failures", equation=failure.equation, kind=failure.kind
+    ).inc()
+    world.hub.emit(
+        "solver_failure",
+        equation=failure.equation,
+        kind=failure.kind,
+        failure=failure,
+    )
+
+
+def record_recovery(world: Any, event: RecoveryEvent) -> None:
+    """Announce one recovery attempt; a successful one is also counted
+    (``resilience.recoveries`` mirrors :func:`summarize_events`)."""
+    if event.success:
+        world.metrics.counter(
+            "resilience.recoveries",
+            action=event.action,
+            equation=event.equation,
+        ).inc()
+    world.hub.emit("recovery", **event.to_dict())
+
+
 def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
     """Fold a run's raw failure/recovery event list into a summary.
 

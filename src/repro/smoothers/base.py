@@ -27,7 +27,7 @@ def local_spmv_work(
     rank_nnz: np.ndarray, offsets: np.ndarray
 ) -> tuple[list[float], list[float]]:
     """Per-rank ``(flops, bytes)`` of one block-local SpMV (no
-    communication), as :meth:`OpRecorder.record_ranks` takes them."""
+    communication), as :meth:`SimWorld.charge` takes them."""
     return (
         (2.0 * rank_nnz).tolist(),
         spmv_bytes(rank_nnz, np.diff(offsets)).tolist(),
@@ -65,29 +65,22 @@ class BlockSplitting:
         # Setup work: extracting the splitting is one pass over the local
         # matrix per rank (recorded so preconditioner-setup phases that
         # build smoothers are visible to the cost model).
-        for r in range(self.world.size):
-            nnz = A.local_nnz(r)
-            self.world.ops.record(
-                self.world.phase,
-                r,
-                "smoother_setup",
-                flops=float(nnz),
-                nbytes=2.0 * 12.0 * nnz,
-                launches=3,
-            )
+        nnz = [A.local_nnz(r) for r in range(self.world.size)]
+        self.world.charge(
+            "smoother_setup",
+            [float(z) for z in nnz],
+            [2.0 * 12.0 * z for z in nnz],
+            launches=3,
+        )
 
     def record_tri(self, lower: bool, kernel: str) -> None:
         """Record one block-local triangular SpMV."""
-        self.world.ops.record_ranks(
-            self.world.phase, kernel, *(self._L_work if lower else self._U_work)
-        )
+        self.world.charge(kernel, *(self._L_work if lower else self._U_work))
 
     def record_bd_residual(self, kernel: str) -> None:
         """Record one block-diagonal residual SpMV (``L + U + D``)."""
-        self.world.ops.record_ranks(self.world.phase, kernel, *self._bd_work)
+        self.world.charge(kernel, *self._bd_work)
 
     def record_diag_scale(self, kernel: str = "dscale") -> None:
         """Record one diagonal scaling pass."""
-        self.world.ops.record_ranks(
-            self.world.phase, kernel, *self._scale_work
-        )
+        self.world.charge(kernel, *self._scale_work)

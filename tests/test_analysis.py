@@ -1,7 +1,7 @@
 """repro-lint: rule fixtures, suppression, and the CLI's exit contract.
 
 One known-bad snippet and a clean twin per lint rule (RL001-RL006,
-RL010; RL007's two ownership clauses and the module identity every
+RL010; RL007's three ownership clauses and the module identity every
 scoped rule keys on live in test_protocol_analysis.py), plus the pragma
 suppression path and the ``python -m repro analyze`` exit codes.
 """
@@ -32,12 +32,12 @@ FIXTURES = [
         "import numpy as np\n"
         "def scatter(world, t, s, v):\n"
         "    np.add.at(t, s, v)\n"
-        "    world.ops.record(world.phase, 0, 'scatter', nbytes=8.0)\n",
+        "    world.charge('scatter', nbytes=8.0)\n",
         # maximum.at is exactly associative/commutative — exempt.
         "import numpy as np\n"
         "def scatter(world, t, s, v):\n"
         "    np.maximum.at(t, s, v)\n"
-        "    world.ops.record(world.phase, 0, 'scatter', nbytes=8.0)\n",
+        "    world.charge('scatter', nbytes=8.0)\n",
         KERNEL,
     ),
     (
@@ -63,7 +63,7 @@ FIXTURES = [
         "import numpy as np\n"
         "def pack(world, keys, vals):\n"
         "    order = np.lexsort(keys)\n"
-        "    world.ops.record(world.phase, 0, 'pack', nbytes=8.0)\n"
+        "    world.charge('pack', nbytes=8.0)\n"
         "    return vals[order]\n",
         KERNEL,
     ),
@@ -114,7 +114,7 @@ class TestLintRules:
         clean = (
             "def orthogonalize(world, V, w):\n"
             "    h2 = V.T @ w\n"
-            "    world.ops.record(world.phase, 0, 'multidot', nbytes=8.0)\n"
+            "    world.charge('multidot', nbytes=8.0)\n"
             "    return h2\n"
         )
         assert not lint_source(clean, path).findings
@@ -140,7 +140,7 @@ class TestLintRules:
         # The dispatcher accounting now flows over the registry edge.
         clean = bad.replace(
             "    return _KERNELS[name](keys, vals)\n",
-            "    world.ops.record(world.phase, 0, 'pack', nbytes=8.0)\n"
+            "    world.charge('pack', nbytes=8.0)\n"
             "    return _KERNELS[name](keys, vals)\n",
         )
         assert not lint_source(clean, KERNEL).findings
@@ -155,7 +155,7 @@ class TestLintRules:
             "_KERNELS = {}\n"
             '_KERNELS["fast"] = _fast\n'
             "def pack(world, name, keys, vals):\n"
-            "    world.ops.record(world.phase, 0, 'pack', nbytes=8.0)\n"
+            "    world.charge('pack', nbytes=8.0)\n"
             "    return _KERNELS[name](keys, vals)\n"
         )
         assert not lint_source(clean, KERNEL).findings

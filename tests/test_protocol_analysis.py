@@ -1,8 +1,9 @@
-"""Protocol rules: RL007's two ownership clauses and module identity.
+"""Protocol rules: RL007's three ownership clauses and module identity.
 
-RL007 is syntactic since the split halo exchange got a scope and the
-durable write one owner: each clause has known-bad fixtures outside the
-owner module and clean twins inside it.  The halo fixtures are the bug
+RL007 is syntactic since the split halo exchange got a scope, the
+durable write one owner and the modeled-clock sinks one writer: each
+clause has known-bad fixtures outside the owner module and clean twins
+inside it.  The halo fixtures are the bug
 shapes the retired path-sensitive rule was built on (an early return, an
 exception edge, a rebound handle); every one of them is now red at each
 line that names a half, because none can be written outside
@@ -229,6 +230,52 @@ class TestDurableWriteProtocol:
         assert not rep.findings
         assert [(f.rule, f.line) for f in rep.suppressed] == [("RL007", 10)]
 
+
+class TestLedgerOwnership:
+    """The ledger clause of RL007: the modeled-clock sinks are written
+    by ``SimWorld``'s verbs only; whether every sink then sees the event
+    is the all-sinks test of tests/test_ledger.py, not a static question."""
+
+    OPS = """
+        def matvec(world, y):
+            world.ops.record(world.phase, 0, "spmv", nbytes=8.0)
+            return y
+        """
+    TRAFFIC = """
+        def dot(world, x, y):
+            world.traffic.record_collective("allreduce", world.size, 8, "p")
+            return x @ y
+        """
+
+    def test_direct_sink_writes_fire_outside_comm(self):
+        rep = _lint(self.OPS, "src/repro/linalg/x.py")
+        assert _hits(rep) == [("RL007", 3)]
+        assert "SimWorld.charge" in rep.findings[0].message
+        rep = _lint(self.TRAFFIC, "src/repro/krylov/x.py")
+        assert ("RL007", 3) in _hits(rep)
+        for method in ("record_ranks", "record_alloc"):
+            src = self.OPS.replace("ops.record(", f"ops.{method}(")
+            assert _hits(_lint(src, "src/repro/core/x.py")) == [("RL007", 3)]
+
+    def test_quiet_in_comm_in_tests_and_through_the_verbs(self):
+        for path in ("src/repro/comm/x.py", "tests/test_x.py"):
+            assert "RL007" not in _rules(_lint(self.OPS, path))
+            assert "RL007" not in _rules(_lint(self.TRAFFIC, path))
+        verbs = """
+            def matvec(world, y):
+                world.charge("spmv", nbytes=8.0)
+                world.collective("allreduce", 8)
+                return y
+            """
+        assert not _lint(verbs, "src/repro/linalg/x.py").findings
+
+    def test_pragma_is_honoured(self):
+        src = self.OPS.replace(
+            "nbytes=8.0)", "nbytes=8.0)  # repro: allow(RL007)"
+        )
+        rep = _lint(src, "src/repro/linalg/x.py")
+        assert not rep.findings
+        assert [(f.rule, f.line) for f in rep.suppressed] == [("RL007", 3)]
 
 class TestModuleIdentity:
     """Every scoped rule keys on the module name, which must not depend

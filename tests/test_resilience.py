@@ -645,6 +645,14 @@ class TestTransportFaultMatrix:
         assert restore["success"] is True
         assert "step 1 -> 1" in restore["detail"]
         assert np.all(np.isfinite(sim.velocity))
+        # The counters mirror the events on this rung too.
+        m = sim.world.metrics
+        assert m.counter_total("resilience.failures") == rep.recovery[
+            "failures"
+        ]
+        assert m.counter_total("resilience.recoveries") == sum(
+            rep.recovery["recoveries"].values()
+        )
 
     def test_checkpoint_restore_budget_bounds_restores(self, tmp_path):
         """With the restore budget already spent, the failure surfaces."""
