@@ -37,6 +37,8 @@ import sys
 
 import numpy as np
 
+from repro.serialize import schema
+
 #: Exit-code contract, shown in ``--help``.
 EXIT_CODES = """\
 exit codes:
@@ -106,6 +108,45 @@ def _deliver(args: argparse.Namespace, text: str, what: str) -> None:
         print(text)
 
 
+def _choices(name: str, config_cls: type | None = None):
+    """Allowed values of one option of ``config_cls`` (default
+    ``SimulationConfig``): the owning module's tuple, read off the field."""
+    from repro import SimulationConfig
+
+    options = schema(config_cls or SimulationConfig)
+    return next(o.choices for o in options if o.name == name)
+
+
+def _add_sim_flags(
+    parser: argparse.ArgumentParser,
+    steps: int,
+    ranks: int | None,
+    ranks_help: str | None = None,
+) -> None:
+    """The flags ``run``, ``trace`` and ``profile`` share, with the
+    subcommand's own defaults (``None`` keeps the config's value)."""
+    parser.add_argument("--steps", type=int, default=steps)
+    parser.add_argument("--ranks", type=int, default=ranks, help=ranks_help)
+    parser.add_argument("--partition", choices=_choices("partition_method"))
+    parser.add_argument("--assembly", choices=_choices("assembly_variant"))
+
+
+def _sim_config(args: argparse.Namespace, cfg=None):
+    """``cfg`` (default: a fresh ``SimulationConfig``) with the shared
+    flags that were given applied over it."""
+    from repro import SimulationConfig
+
+    cfg = cfg or SimulationConfig()
+    for attr, value in (
+        ("nranks", args.ranks),
+        ("partition_method", args.partition),
+        ("assembly_variant", args.assembly),
+    ):
+        if value is not None:
+            setattr(cfg, attr, value)
+    return cfg
+
+
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -130,10 +171,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cfg = SimulationConfig()
         cfg.nranks = 6  # run's historical default rank count
     # Explicit CLI flags override the config file.
+    _sim_config(args, cfg)
     for attr, value in (
-        ("nranks", args.ranks),
-        ("partition_method", args.partition),
-        ("assembly_variant", args.assembly),
         ("checkpoint_every", args.checkpoint_every),
         ("checkpoint_dir", args.checkpoint_dir),
         ("checkpoint_keep", args.checkpoint_keep),
@@ -214,16 +253,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro import NaluWindSimulation, SimulationConfig
+    from repro import NaluWindSimulation
     from repro.obs import render_flat_report, render_span_tree
     from repro.obs.export import write_telemetry_json
 
-    cfg = SimulationConfig(
-        nranks=args.ranks,
-        partition_method=args.partition,
-        assembly_variant=args.assembly,
-    )
-    sim = NaluWindSimulation(args.workload, cfg)
+    sim = NaluWindSimulation(args.workload, _sim_config(args))
     report = sim.run(args.steps)
     telemetry = report.telemetry
     if args.format == "json":
@@ -241,16 +275,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro import NaluWindSimulation, SimulationConfig
+    from repro import NaluWindSimulation
     from repro.obs import render_profile_summary, to_chrome_trace
 
-    cfg = SimulationConfig(
-        nranks=args.ranks,
-        partition_method=args.partition,
-        assembly_variant=args.assembly,
-        profile=True,
-        profile_machine=args.machine,
-    )
+    cfg = _sim_config(args)
+    cfg.profile = True
+    cfg.profile_machine = args.machine
     sim = NaluWindSimulation(args.workload, cfg)
     report = sim.run(args.steps)
     profile = report.profile
@@ -533,8 +563,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser, every subcommand attached."""
+    from repro.core.config import SolverConfig
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SC'21 exascale-prep CFD reproduction",
@@ -550,20 +582,11 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_run.add_argument("--workload", default="turbine_tiny")
-    p_run.add_argument("--steps", type=int, default=2)
-    p_run.add_argument(
-        "--ranks", type=int, default=None,
-        help="rank count (default 6, or the --config file's nranks)",
+    _add_sim_flags(
+        p_run, steps=2, ranks=None,
+        ranks_help="rank count (default 6, or the --config file's nranks)",
     )
     p_run.add_argument("--machine", default="summit-gpu")
-    p_run.add_argument(
-        "--partition", default=None, choices=["parmetis", "rcb"]
-    )
-    p_run.add_argument(
-        "--assembly",
-        default=None,
-        choices=["optimized", "sparse_add", "general"],
-    )
     p_run.add_argument(
         "--config", default="", metavar="FILE",
         help="load a SimulationConfig JSON document (explicit CLI flags "
@@ -589,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--pressure-method", default=None,
-        choices=["gmres", "cg", "pipelined_cg"],
+        choices=_choices("method", SolverConfig),
         help="Krylov method for the pressure-Poisson solve "
              "(pipelined_cg = communication-avoiding, 1 allreduce/iter)",
     )
@@ -607,16 +630,7 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="run a workload and emit run telemetry"
     )
     p_tr.add_argument("workload", nargs="?", default="turbine_tiny")
-    p_tr.add_argument("--steps", type=int, default=1)
-    p_tr.add_argument("--ranks", type=int, default=2)
-    p_tr.add_argument(
-        "--partition", default="parmetis", choices=["parmetis", "rcb"]
-    )
-    p_tr.add_argument(
-        "--assembly",
-        default="optimized",
-        choices=["optimized", "sparse_add", "general"],
-    )
+    _add_sim_flags(p_tr, steps=1, ranks=2)
     p_tr.add_argument(
         "--format", default="json", choices=["json", "tree", "flat"]
     )
@@ -636,19 +650,10 @@ def main(argv: list[str] | None = None) -> int:
         help="run a workload under the per-rank timeline profiler",
     )
     p_pf.add_argument("workload", nargs="?", default="turbine_tiny")
-    p_pf.add_argument("--steps", type=int, default=1)
-    p_pf.add_argument("--ranks", type=int, default=4)
+    _add_sim_flags(p_pf, steps=1, ranks=4)
     p_pf.add_argument(
         "--machine", default="summit-gpu",
         help="machine model pricing the simulated rank clocks",
-    )
-    p_pf.add_argument(
-        "--partition", default="parmetis", choices=["parmetis", "rcb"]
-    )
-    p_pf.add_argument(
-        "--assembly",
-        default="optimized",
-        choices=["optimized", "sparse_add", "general"],
     )
     p_pf.add_argument(
         "--format", default="json", choices=["json", "chrome", "summary"],
@@ -745,7 +750,12 @@ def main(argv: list[str] | None = None) -> int:
     from repro.analysis.cli import add_analyze_parser
 
     add_analyze_parser(sub)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "workload"):
         from repro.mesh import list_workloads

@@ -34,7 +34,8 @@ from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.obs.telemetry import AMGSetupStats
 from repro.linalg.spgemm import galerkin_product, galerkin_refresh, spgemm
-from repro.smoothers.factory import make_smoother
+from repro.serialize import Config
+from repro.smoothers.factory import make_smoother, smoother_options
 
 #: Calibrated per-level setup communication rounds.  Distributed BoomerAMG
 #: setup exchanges far more than a V-cycle does per level: PMIS marker
@@ -65,7 +66,7 @@ SMOOTHERS = ("two_stage_gs", "jacobi", "l1_jacobi", "chebyshev")
 
 
 @dataclass
-class AMGOptions:
+class AMGOptions(Config):
     """BoomerAMG-style setup and cycle options.
 
     Defaults follow the paper's pressure-Poisson configuration: aggressive
@@ -74,64 +75,22 @@ class AMGOptions:
     Gauss-Seidel smoother.
     """
 
-    theta: float = 0.25
-    interp: str = "mm_ext"
+    theta: float = field(default=0.25, metadata={"ge": 0.0, "lt": 1.0})
+    interp: str = field(default="mm_ext", metadata={"choices": INTERP_KINDS})
     agg_levels: int = 2
     trunc_max_elements: int = 4
     trunc_tol: float = 0.0
     max_levels: int = 20
     coarse_size: int = 64
-    smoother: str = "two_stage_gs"
+    smoother: str = field(
+        default="two_stage_gs", metadata={"choices": SMOOTHERS}
+    )
     smoother_inner: int = 1
     smoother_outer: int = 1
     # Symmetric smoothing (SGS-style) keeps the V-cycle SPD so it can
     # precondition CG; GMRES does not need it.
     smoother_symmetric: bool = False
     seed: int = 42
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of every option (strict round-trip form)."""
-        return {
-            "theta": self.theta,
-            "interp": self.interp,
-            "agg_levels": self.agg_levels,
-            "trunc_max_elements": self.trunc_max_elements,
-            "trunc_tol": self.trunc_tol,
-            "max_levels": self.max_levels,
-            "coarse_size": self.coarse_size,
-            "smoother": self.smoother,
-            "smoother_inner": self.smoother_inner,
-            "smoother_outer": self.smoother_outer,
-            "smoother_symmetric": self.smoother_symmetric,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AMGOptions":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import as_bool, as_float, as_int, as_str
-        from repro.serialize import strict_kwargs
-
-        return cls(
-            **strict_kwargs(
-                "AMGOptions",
-                data,
-                {
-                    "theta": as_float,
-                    "interp": as_str,
-                    "agg_levels": as_int,
-                    "trunc_max_elements": as_int,
-                    "trunc_tol": as_float,
-                    "max_levels": as_int,
-                    "coarse_size": as_int,
-                    "smoother": as_str,
-                    "smoother_inner": as_int,
-                    "smoother_outer": as_int,
-                    "smoother_symmetric": as_bool,
-                    "seed": as_int,
-                },
-            )
-        )
 
 
 @dataclass
@@ -152,16 +111,7 @@ class AMGHierarchy:
         self, A: ParCSRMatrix, options: AMGOptions | None = None
     ) -> None:
         self.options = options or AMGOptions()
-        if self.options.interp not in INTERP_KINDS:
-            raise ValueError(
-                f"unknown interp {self.options.interp!r}; "
-                f"options {sorted(INTERP_KINDS)}"
-            )
-        if self.options.smoother not in SMOOTHERS:
-            raise ValueError(
-                f"unknown smoother {self.options.smoother!r}; "
-                f"options {SMOOTHERS}"
-            )
+        self.options.validate()
         self.world = A.world
         self.levels: list[AMGLevel] = []
         self.coarse_lu = None
@@ -170,22 +120,22 @@ class AMGHierarchy:
     # -- setup --------------------------------------------------------------------
 
     def _make_smoother(self, A: ParCSRMatrix):
+        """The level smoother: of what the AMG options can say, each
+        registry entry is handed the keywords it declares."""
         opt = self.options
-        if opt.smoother == "two_stage_gs":
-            return make_smoother(
-                "two_stage_gs",
-                A,
-                inner_sweeps=opt.smoother_inner,
-                outer_sweeps=opt.smoother_outer,
-                symmetric=opt.smoother_symmetric,
-            )
-        if opt.smoother == "jacobi":
-            return make_smoother("jacobi", A, sweeps=opt.smoother_outer)
-        if opt.smoother == "chebyshev":
-            return make_smoother(
-                "chebyshev", A, degree=max(opt.smoother_inner + 1, 2)
-            )
-        return make_smoother("l1_jacobi", A, sweeps=opt.smoother_outer)
+        offered = {
+            "inner_sweeps": opt.smoother_inner,
+            "outer_sweeps": opt.smoother_outer,
+            "sweeps": opt.smoother_outer,
+            "symmetric": opt.smoother_symmetric,
+            "degree": max(opt.smoother_inner + 1, 2),
+        }
+        accepted = smoother_options(opt.smoother)
+        return make_smoother(
+            opt.smoother,
+            A,
+            **{k: v for k, v in offered.items() if k in accepted},
+        )
 
     def _coarse_offsets(
         self, cf: np.ndarray, fine_offsets: np.ndarray

@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.core.config import SimulationConfig
 from repro.mesh.turbine import list_workloads
-from repro.serialize import (
-    as_int,
-    as_str,
-    stable_digest,
-    strict_kwargs,
-)
+from repro.serialize import Config, as_int, as_str, stable_digest
 
 #: Format tag of the canonical per-job result document.
 RESULT_FORMAT = "repro.campaign.result/1"
@@ -73,7 +68,7 @@ def set_path(overrides: dict, path: str, value: Any) -> dict:
 
 
 @dataclass
-class JobSpec:
+class JobSpec(Config):
     """One campaign job: workload + step count + seed + config overrides.
 
     Attributes:
@@ -88,19 +83,18 @@ class JobSpec:
     """
 
     workload: str
-    steps: int = 1
+    steps: int = field(default=1, metadata={"ge": 1})
     seed: int = 0
     overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         """Raise on unknown workloads / invalid step counts / bad overrides."""
+        super().validate()
         known = [name for name, _desc in list_workloads()]
         if self.workload not in known:
             raise ValueError(
                 f"unknown workload {self.workload!r}; known: {known}"
             )
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
         if "world_seed" in self.overrides:
             raise ValueError(
                 "overrides may not set world_seed; use JobSpec.seed"
@@ -135,39 +129,6 @@ class JobSpec:
     def job_id(self) -> str:
         """Short stable identifier (digest prefix) used in paths/tables."""
         return self.digest()[:12]
-
-    def to_dict(self) -> dict:
-        """JSON-shaped round-trip form."""
-        return {
-            "workload": self.workload,
-            "steps": self.steps,
-            "seed": self.seed,
-            "overrides": self.overrides,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-
-        def as_overrides(value: Any, path: str) -> dict:
-            if not isinstance(value, dict):
-                raise ValueError(f"{path}: expected mapping")
-            return value
-
-        spec = cls(
-            **strict_kwargs(
-                "JobSpec",
-                data,
-                {
-                    "workload": as_str,
-                    "steps": as_int,
-                    "seed": as_int,
-                    "overrides": as_overrides,
-                },
-            )
-        )
-        spec.validate()
-        return spec
 
 
 @dataclass

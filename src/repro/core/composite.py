@@ -24,6 +24,7 @@ from repro.overset.assembler import (
     OversetAssembler,
     OversetConnectivity,
 )
+from repro.partition import PARTITION_METHODS
 from repro.partition.multilevel import multilevel_partition
 from repro.partition.rcb import rcb_element_node_partition, rcb_partition
 from repro.partition.renumber import RankNumbering, build_numbering
@@ -173,7 +174,7 @@ class CompositeMesh:
             parts = rcb_element_node_partition(
                 centroids, cells, self.n, nranks
             )
-        else:
+        elif self.partition_method == "parmetis":
             # ParMETIS-style: partition the matrix graph with row-nnz
             # vertex weights so nonzeros balance (Fig. 5).
             g = self.node_graph()
@@ -181,6 +182,11 @@ class CompositeMesh:
                 (g != 0).sum(axis=1)
             ).ravel().astype(np.float64) + 1.0
             parts = multilevel_partition(g, nranks, vertex_weights=vwgt)
+        else:
+            raise ValueError(
+                f"unknown partition_method {self.partition_method!r}; "
+                f"options {PARTITION_METHODS}"
+            )
         self.parts = parts
         self.numbering: RankNumbering = build_numbering(parts, nranks)
 

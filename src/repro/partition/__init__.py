@@ -15,9 +15,14 @@ from repro.partition.multilevel import (
 from repro.partition.rcb import rcb_partition
 from repro.partition.renumber import RankNumbering, build_numbering
 
+#: ``SimulationConfig.partition_method`` values (paper §5): the multilevel
+#: graph partitioner standing in for ParMETIS, and element-based RCB.
+PARTITION_METHODS = ("parmetis", "rcb")
+
 __all__ = [
     "BalanceStats",
     "MultilevelOptions",
+    "PARTITION_METHODS",
     "RankNumbering",
     "balance_stats",
     "build_numbering",

@@ -43,10 +43,12 @@ path taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro.serialize import Config
 
 #: Supported fault kinds.
 FAULT_KINDS = (
@@ -67,9 +69,12 @@ WORKER_FAULT_KINDS = ("worker_crash", "worker_hang")
 #: Worker execution boundaries a process fault can fire at ("" = spawn).
 WORKER_FAULT_POINTS = ("", "spawn", "lease", "run", "ckpt", "store")
 
+#: How ``matrix_corrupt`` damages the entries it picks.
+FAULT_MODES = ("nan", "scale")
+
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Config):
     """One scheduled fault.
 
     Attributes:
@@ -104,77 +109,22 @@ class FaultSpec:
             deterministic under concurrent dispatch.
     """
 
-    kind: str
-    at: int = 0
+    kind: str = field(metadata={"choices": FAULT_KINDS})
+    at: int = field(default=0, metadata={"ge": 0})
     equation: str | None = None
-    mode: str = "nan"
+    mode: str = field(default="nan", metadata={"choices": FAULT_MODES})
     magnitude: float = 1e8
-    entries: int = 1
-    point: str = ""
+    entries: int = field(default=1, metadata={"ge": 1})
+    point: str = field(default="", metadata={"choices": WORKER_FAULT_POINTS})
     job: str = ""
 
     def validate(self) -> None:
         """Raise on inconsistent settings."""
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; options {FAULT_KINDS}"
-            )
-        if self.mode not in ("nan", "scale"):
-            raise ValueError(f"unknown fault mode {self.mode!r}")
-        if self.at < 0 or self.entries < 1:
-            raise ValueError("at must be >= 0 and entries >= 1")
+        super().validate()
         if self.point and self.kind not in WORKER_FAULT_KINDS:
             raise ValueError(
                 f"point={self.point!r} only applies to {WORKER_FAULT_KINDS}"
             )
-        if self.point not in WORKER_FAULT_POINTS:
-            raise ValueError(
-                f"unknown worker fault point {self.point!r}; "
-                f"options {WORKER_FAULT_POINTS}"
-            )
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of the spec (strict round-trip form)."""
-        return {
-            "kind": self.kind,
-            "at": self.at,
-            "equation": self.equation,
-            "mode": self.mode,
-            "magnitude": self.magnitude,
-            "entries": self.entries,
-            "point": self.point,
-            "job": self.job,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import (
-            as_float,
-            as_int,
-            as_opt_str,
-            as_str,
-            strict_kwargs,
-        )
-
-        spec = cls(
-            **strict_kwargs(
-                "FaultSpec",
-                data,
-                {
-                    "kind": as_str,
-                    "at": as_int,
-                    "equation": as_opt_str,
-                    "mode": as_str,
-                    "magnitude": as_float,
-                    "entries": as_int,
-                    "point": as_str,
-                    "job": as_str,
-                },
-            )
-        )
-        spec.validate()
-        return spec
 
 
 @dataclass

@@ -25,8 +25,10 @@ exhausting the step retries surfaces it to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
+
+from repro.serialize import Config
 
 #: Solver-level ladder actions, in default escalation order.
 LADDER_ACTIONS = ("rebuild_precond", "expand_krylov", "fallback_method")
@@ -36,7 +38,7 @@ RECOVERY_ACTIONS = LADDER_ACTIONS + ("rollback_restep", "checkpoint_restore")
 
 
 @dataclass
-class RecoveryPolicy:
+class RecoveryPolicy(Config):
     """Configurable solver-failure handling (``SimulationConfig.recovery``).
 
     Attributes:
@@ -70,79 +72,15 @@ class RecoveryPolicy:
     enabled: bool = True
     guards: bool = True
     recover_non_convergence: bool = True
-    ladder: tuple[str, ...] = LADDER_ACTIONS
-    retry_scale: float = 2.0
+    ladder: tuple[str, ...] = field(
+        default=LADDER_ACTIONS, metadata={"choices": LADDER_ACTIONS}
+    )
+    retry_scale: float = field(default=2.0, metadata={"ge": 1.0})
     rollback: bool = True
-    dt_backoff: float = 0.5
-    max_step_retries: int = 2
-    comm_max_retries: int = 2
-    max_checkpoint_restores: int = 1
-
-    def validate(self) -> None:
-        """Raise on inconsistent settings."""
-        for action in self.ladder:
-            if action not in LADDER_ACTIONS:
-                raise ValueError(
-                    f"unknown recovery ladder action {action!r}; "
-                    f"options {list(LADDER_ACTIONS)}"
-                )
-        if not self.retry_scale >= 1.0:
-            raise ValueError("retry_scale must be >= 1")
-        if not (0.0 < self.dt_backoff < 1.0):
-            raise ValueError("dt_backoff must be in (0, 1)")
-        if self.max_step_retries < 0:
-            raise ValueError("max_step_retries must be >= 0")
-        if self.comm_max_retries < 0:
-            raise ValueError("comm_max_retries must be >= 0")
-        if self.max_checkpoint_restores < 0:
-            raise ValueError("max_checkpoint_restores must be >= 0")
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of the policy (strict round-trip form)."""
-        return {
-            "enabled": self.enabled,
-            "guards": self.guards,
-            "recover_non_convergence": self.recover_non_convergence,
-            "ladder": list(self.ladder),
-            "retry_scale": self.retry_scale,
-            "rollback": self.rollback,
-            "dt_backoff": self.dt_backoff,
-            "max_step_retries": self.max_step_retries,
-            "comm_max_retries": self.comm_max_retries,
-            "max_checkpoint_restores": self.max_checkpoint_restores,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryPolicy":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import (
-            as_bool,
-            as_float,
-            as_int,
-            as_str_tuple,
-            strict_kwargs,
-        )
-
-        policy = cls(
-            **strict_kwargs(
-                "RecoveryPolicy",
-                data,
-                {
-                    "enabled": as_bool,
-                    "guards": as_bool,
-                    "recover_non_convergence": as_bool,
-                    "ladder": as_str_tuple,
-                    "retry_scale": as_float,
-                    "rollback": as_bool,
-                    "dt_backoff": as_float,
-                    "max_step_retries": as_int,
-                    "comm_max_retries": as_int,
-                    "max_checkpoint_restores": as_int,
-                },
-            )
-        )
-        policy.validate()
-        return policy
+    dt_backoff: float = field(default=0.5, metadata={"gt": 0.0, "lt": 1.0})
+    max_step_retries: int = field(default=2, metadata={"ge": 0})
+    comm_max_retries: int = field(default=2, metadata={"ge": 0})
+    max_checkpoint_restores: int = field(default=1, metadata={"ge": 0})
 
 
 @dataclass

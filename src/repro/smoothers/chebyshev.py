@@ -42,9 +42,7 @@ class ChebyshevSmoother:
 
     The reduction-free AMG smoother for the comm-bound regime: an
     application is ``degree`` SpMVs plus diagonal scalings — no dot
-    products, so no allreduces — and with ``overlap=True`` even the
-    SpMV halo exchanges run split (interior compute while boundary data
-    is in flight).
+    products, so no allreduces.
 
     Args:
         A: operator (SPD-like spectrum assumed).
@@ -52,8 +50,6 @@ class ChebyshevSmoother:
         eig_ratio: ``lambda_min = eig_ratio * lambda_max`` — the smoother
             targets the upper ``[lambda_min, lambda_max]`` band, leaving
             smooth error to the coarse grid.
-        overlap: split the residual SpMV halo exchanges
-            (``matvec(overlap=True)``); bitwise-identical results.
     """
 
     def __init__(
@@ -62,13 +58,11 @@ class ChebyshevSmoother:
         degree: int = 3,
         eig_ratio: float = 0.30,
         eig_max: float | None = None,
-        overlap: bool = False,
     ) -> None:
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.A = A
         self.degree = degree
-        self.overlap = overlap
         self.split = BlockSplitting(A)  # records setup pass + gives Dinv
         self.eig_max = (
             estimate_dinv_a_eigmax(A) if eig_max is None else eig_max
@@ -92,7 +86,7 @@ class ChebyshevSmoother:
         dinv = self.split.Dinv
         theta, delta = self.theta, self.delta
 
-        r = A.residual(b, x, overlap=self.overlap)
+        r = A.residual(b, x)
         r.data *= dinv
         self.split.record_diag_scale("cheby_scale")
         # Standard three-term Chebyshev recurrence (hypre's formulation).
@@ -103,7 +97,7 @@ class ChebyshevSmoother:
         sigma = theta / delta if delta > 0 else 0.0
         rho = 1.0 / sigma if sigma != 0 else 0.0
         for _ in range(self.degree - 1):
-            r = A.residual(b, x, overlap=self.overlap)
+            r = A.residual(b, x)
             r.data *= dinv
             self.split.record_diag_scale("cheby_scale")
             rho_new = 1.0 / (2.0 * sigma - rho) if sigma != 0 else 0.0

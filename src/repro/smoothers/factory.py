@@ -7,23 +7,11 @@ constructors.  :func:`make_smoother` is the only sanctioned construction
 path; repro-lint's RL004 flags direct class construction anywhere else
 in ``src/``.
 
-Registry names and their options:
-
-=============== =================================================== ==========
-name            options (all keyword-only)                          class
-=============== =================================================== ==========
-``jacobi``      ``omega=0.8, sweeps=1``                             JacobiSmoother
-``l1_jacobi``   ``sweeps=1``                                        L1JacobiSmoother
-``gauss_seidel``/``hybrid_gs`` ``outer_sweeps=1, symmetric=False``  HybridGS
-``two_stage_gs``  ``inner_sweeps=1, outer_sweeps=1, symmetric=False`` TwoStageGS
-``sgs2``        ``inner_sweeps=2, outer_sweeps=2``                  TwoStageGS (symmetric)
-``chebyshev``   ``degree=3, eig_ratio=0.30, eig_max=None``          ChebyshevSmoother
-=============== =================================================== ==========
+The registry below is the whole table: name -> class, the keywords the
+entry fixes, and the options (all keyword-only) with their defaults.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.smoothers.chebyshev import ChebyshevSmoother
@@ -31,67 +19,31 @@ from repro.smoothers.gauss_seidel import HybridGS
 from repro.smoothers.jacobi import JacobiSmoother, L1JacobiSmoother
 from repro.smoothers.two_stage_gs import TwoStageGS
 
+_HYBRID_GS = (HybridGS, {}, {"outer_sweeps": 1, "symmetric": False})
 
-def _jacobi(A: ParCSRMatrix, *, omega: float = 0.8, sweeps: int = 1):
-    return JacobiSmoother(A, omega=omega, sweeps=sweeps)
-
-
-def _l1_jacobi(A: ParCSRMatrix, *, sweeps: int = 1):
-    return L1JacobiSmoother(A, sweeps=sweeps)
-
-
-def _hybrid_gs(
-    A: ParCSRMatrix, *, outer_sweeps: int = 1, symmetric: bool = False
-):
-    return HybridGS(A, outer_sweeps=outer_sweeps, symmetric=symmetric)
-
-
-def _two_stage_gs(
-    A: ParCSRMatrix,
-    *,
-    inner_sweeps: int = 1,
-    outer_sweeps: int = 1,
-    symmetric: bool = False,
-):
-    return TwoStageGS(
-        A,
-        inner_sweeps=inner_sweeps,
-        outer_sweeps=outer_sweeps,
-        symmetric=symmetric,
-    )
-
-
-def _sgs2(A: ParCSRMatrix, *, inner_sweeps: int = 2, outer_sweeps: int = 2):
+#: name -> (class, fixed keywords, option defaults).
+_REGISTRY: dict[str, tuple[type, dict, dict]] = {
+    "jacobi": (JacobiSmoother, {}, {"omega": 0.8, "sweeps": 1}),
+    "l1_jacobi": (L1JacobiSmoother, {}, {"sweeps": 1}),
+    "gauss_seidel": _HYBRID_GS,
+    "hybrid_gs": _HYBRID_GS,
+    "two_stage_gs": (
+        TwoStageGS,
+        {},
+        {"inner_sweeps": 1, "outer_sweeps": 1, "symmetric": False},
+    ),
     # Paper §4.2's momentum preconditioner: symmetric two-stage GS with
     # two outer and two inner iterations.
-    return TwoStageGS(
-        A,
-        inner_sweeps=inner_sweeps,
-        outer_sweeps=outer_sweeps,
-        symmetric=True,
-    )
-
-
-def _chebyshev(
-    A: ParCSRMatrix,
-    *,
-    degree: int = 3,
-    eig_ratio: float = 0.30,
-    eig_max: float | None = None,
-):
-    return ChebyshevSmoother(
-        A, degree=degree, eig_ratio=eig_ratio, eig_max=eig_max
-    )
-
-
-_REGISTRY: dict[str, Callable] = {
-    "jacobi": _jacobi,
-    "l1_jacobi": _l1_jacobi,
-    "gauss_seidel": _hybrid_gs,
-    "hybrid_gs": _hybrid_gs,
-    "two_stage_gs": _two_stage_gs,
-    "sgs2": _sgs2,
-    "chebyshev": _chebyshev,
+    "sgs2": (
+        TwoStageGS,
+        {"symmetric": True},
+        {"inner_sweeps": 2, "outer_sweeps": 2},
+    ),
+    "chebyshev": (
+        ChebyshevSmoother,
+        {},
+        {"degree": 3, "eig_ratio": 0.30, "eig_max": None},
+    ),
 }
 
 #: Public registry names, for config validation and error messages.
@@ -100,13 +52,23 @@ SMOOTHER_NAMES = tuple(sorted(_REGISTRY))
 #: Concrete class names behind the registry.  repro-lint's RL004 flags
 #: direct construction of any of these outside :mod:`repro.smoothers`;
 #: :func:`make_smoother` is the sanctioned path.
-SMOOTHER_CLASS_NAMES = (
-    "ChebyshevSmoother",
-    "HybridGS",
-    "JacobiSmoother",
-    "L1JacobiSmoother",
-    "TwoStageGS",
+SMOOTHER_CLASS_NAMES = tuple(
+    sorted({cls.__name__ for cls, _fixed, _defaults in _REGISTRY.values()})
 )
+
+
+def _entry(name: str) -> tuple[type, dict, dict]:
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown smoother {name!r}; options {list(SMOOTHER_NAMES)}"
+        ) from None
+
+
+def smoother_options(name: str) -> dict:
+    """Option names of a registry entry, with their defaults."""
+    return dict(_entry(name)[2])
 
 
 def make_smoother(name: str, A: ParCSRMatrix, **opts):
@@ -115,16 +77,17 @@ def make_smoother(name: str, A: ParCSRMatrix, **opts):
     Args:
         name: one of :data:`SMOOTHER_NAMES`.
         A: the operator to smooth.
-        **opts: scheme options (see the module table); unknown options
-            raise ``TypeError`` via the builder signature.
+        **opts: scheme options (see :func:`smoother_options`); an unknown
+            option raises ``TypeError``.
 
     Returns:
         An object with the uniform ``smooth(b, x)`` / ``apply(r)`` surface.
     """
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown smoother {name!r}; options {list(SMOOTHER_NAMES)}"
-        ) from None
-    return builder(A, **opts)
+    cls, fixed, defaults = _entry(name)
+    unknown = sorted(set(opts) - set(defaults))
+    if unknown:
+        raise TypeError(
+            f"smoother {name!r} got unexpected options {unknown}; "
+            f"accepted {sorted(defaults)}"
+        )
+    return cls(A, **fixed, **{**defaults, **opts})

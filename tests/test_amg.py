@@ -12,6 +12,7 @@ from repro.amg import (
     AMGPreconditioner,
     C_POINT,
     F_POINT,
+    SMOOTHERS,
     aggressive_strength,
     bamg_direct_interpolation,
     direct_interpolation,
@@ -315,6 +316,25 @@ class TestHierarchy:
         w, M = par(poisson2d(8))
         with pytest.raises(ValueError):
             AMGHierarchy(M, AMGOptions(smoother="bogus"))
+
+    def test_smoother_gets_the_options_its_registry_row_declares(self):
+        options = dict(
+            smoother_inner=2, smoother_outer=3, smoother_symmetric=True
+        )
+        expected = {
+            "two_stage_gs": dict(
+                inner_sweeps=2, outer_sweeps=3, symmetric=True
+            ),
+            "jacobi": dict(sweeps=3, omega=0.8),
+            "l1_jacobi": dict(sweeps=3),
+            "chebyshev": dict(degree=3),
+        }
+        assert set(expected) == set(SMOOTHERS)
+        for name, attrs in expected.items():
+            w, M = par(poisson2d(16))
+            h = AMGHierarchy(M, AMGOptions(smoother=name, **options))
+            built = {a: getattr(h.levels[0].smoother, a) for a in attrs}
+            assert built == attrs, name
 
 
 class TestVCycle:

@@ -505,3 +505,10 @@ class TestSmootherFactory:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_smoother("ilu", self._matrix())
+        # Unknown options too, the keyword an entry fixes among them.
+        with pytest.raises(TypeError):
+            make_smoother("jacobi", self._matrix(), degree=2)
+        with pytest.raises(TypeError):
+            make_smoother("sgs2", self._matrix(), symmetric=False)
+        with pytest.raises(TypeError):
+            make_smoother("chebyshev", self._matrix(), overlap=True)

@@ -300,8 +300,17 @@ class TestCampaignRunner:
         spec.base = merge_overrides(
             spec.base, {"picard_iterations": 0}
         )
-        with pytest.raises(ValueError):
-            Campaign(spec, str(tmp_path / "camp"))
+        # One misspelt grid value: a spec error, not a quarantined job.
+        sweep = tiny_spec(
+            name="typo", seeds=(0,),
+            grid={"amg.smoother": ["two_stage_gs", "bogus"]},
+        )
+        for bad in (spec, sweep):
+            with pytest.raises(ValueError):
+                bad.expand()
+            with pytest.raises(ValueError):
+                Campaign(bad, str(tmp_path / "camp"))
+        assert not (tmp_path / "camp").exists()
 
     def test_dry_run_executes_nothing(self, tmp_path):
         spec = tiny_spec(name="dry")
@@ -787,6 +796,15 @@ class TestCampaignCLI:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert main(["campaign", str(bad)]) == 1
+        # A misspelt option value is a spec error too: nothing runs.
+        typo = self.write_spec(
+            tmp_path, grid={"amg.smoother": ["two_stage_gs", "bogus"]}
+        )
+        root = tmp_path / "c"
+        assert main(["campaign", typo, "--dry-run", "-d", str(root)]) == 1
+        assert main(["campaign", typo, "-d", str(root)]) == 1
+        assert "AMGOptions.smoother" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_supervised_run_exits_0(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path)
