@@ -50,6 +50,8 @@ def optimized_config() -> SimulationConfig:
         assembly_variant="optimized",
         partition_method="parmetis",
         sgs_inner=2,
+        # Figs. 6-7 and 11 price one BoomerAMG set-up per pressure solve.
+        precond_rebuild_every=1,
     )
 
 
@@ -60,6 +62,8 @@ def baseline_config() -> SimulationConfig:
         assembly_variant="general",
         partition_method="rcb",
         sgs_inner=1,
+        # Figs. 6-7 and 11 price one BoomerAMG set-up per pressure solve.
+        precond_rebuild_every=1,
     )
 
 

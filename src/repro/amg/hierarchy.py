@@ -102,6 +102,9 @@ class AMGLevel:
     R: ParCSRMatrix | None = None
     smoother: object | None = None
     cf: np.ndarray | None = None
+    #: What one numeric refresh of the next level's operator charges
+    #: (:func:`~repro.linalg.spgemm.galerkin_product`'s second result).
+    refresh_work: list | None = None
 
 
 class AMGHierarchy:
@@ -251,7 +254,7 @@ class AMGHierarchy:
             coarse_offsets = self._coarse_offsets(cf, fine_offsets)
 
             R_csr = sparse.csr_matrix(P_csr.T)
-            A_next_csr = galerkin_product(
+            A_next_csr, lvl.refresh_work = galerkin_product(
                 self.world, R_csr, A_csr, P_csr, fine_offsets, coarse_offsets
             )
             lvl.cf = cf
@@ -311,9 +314,10 @@ class AMGHierarchy:
         values ``A_{l+1} = R A_l P`` level by level (each product costed
         as a numeric-only hash-SpGEMM pass), then rebuilds the smoothers
         and the coarsest factorization on the refreshed values.  This is
-        hypre's "reuse interpolation" amortization, wired to
-        ``precond_rebuild_every`` by
-        :class:`~repro.core.equation_system.EquationSystem`.
+        hypre's "reuse interpolation" amortization, and what
+        :class:`~repro.core.equation_system.EquationSystem` does when only
+        the operator's values moved.  The coarse patterns are structural
+        (:mod:`repro.linalg.spgemm`), so no values can fail to fit them.
 
         Args:
             A: optionally, a replacement fine operator.  Must have the
@@ -333,15 +337,16 @@ class AMGHierarchy:
         for k in range(len(self.levels) - 1):
             lvl = self.levels[k]
             A_next = self.levels[k + 1].A
-            Ac_csr = galerkin_refresh(
-                world,
-                lvl.R.A,
-                lvl.A.A,
-                lvl.P.A,
-                lvl.A.row_offsets,
-                A_next.row_offsets,
+            A_next.refresh_values(
+                galerkin_refresh(
+                    world,
+                    lvl.R.A,
+                    lvl.A.A,
+                    lvl.P.A,
+                    A_next.A,
+                    lvl.refresh_work,
+                )
             )
-            A_next.refresh_values(Ac_csr)
             world.charge(
                 "amg_refresh_overhead", launches=REFRESH_LAUNCHES_PER_LEVEL
             )

@@ -135,6 +135,34 @@ class CompositeMesh:
                 m.coords
             )
 
+        self._lsq_normal = None  # geometry moved
+
+    def lsq_normal_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normal matrices of the weighted least-squares gradient
+        (:func:`repro.core.operators.least_squares_gradient`) and the mask
+        of the degenerate nodes they are regularized on.
+
+        Geometry only, so they are accumulated on first use after a
+        connectivity update and kept until the next one, not rebuilt on
+        each of the gradient's calls per Picard iteration.  Read-only.
+        """
+        if self._lsq_normal is None:
+            a, b = self.edges[:, 0], self.edges[:, 1]
+            d = self.coords[b] - self.coords[a]
+            w = 1.0 / np.einsum("ed,ed->e", d, d)
+            # Per-edge outer products; both endpoints accumulate identical
+            # terms.
+            M_e = w[:, None, None] * d[:, :, None] * d[:, None, :]
+            M = np.zeros((self.n, 3, 3))
+            np.add.at(M, a, M_e)
+            np.add.at(M, b, M_e)
+            # Regularize isolated/degenerate nodes (e.g. hole nodes with
+            # no edges).
+            degenerate = np.abs(np.linalg.det(M)) < 1e-300
+            M[degenerate] = np.eye(3)
+            self._lsq_normal = (M, degenerate)
+        return self._lsq_normal
+
     # -- decomposition ----------------------------------------------------------
 
     def node_graph(self) -> sparse.csr_matrix:

@@ -110,12 +110,14 @@ class SimulationConfig(Config):
     sgs_inner: int = field(default=2, metadata={"ge": 0})
     # Pressure AMG.
     amg: AMGOptions = field(default_factory=lambda: AMGOptions())
-    # Rebuild the pressure preconditioner every N solves (1 = always).
-    precond_rebuild_every: int = field(default=1, metadata={"ge": 1})
-    # On solves that would otherwise reuse a stale hierarchy outright
-    # (precond_rebuild_every > 1), run a numeric-only Galerkin refresh on
-    # the frozen hierarchy structure instead (hypre's "reuse
-    # interpolation" amortization).
+    # The two inputs of the preconditioner rule (EquationSystem.solve: set
+    # up when the operator's pattern moved, refresh when only its values
+    # did, reuse when neither).  One set-up serves at most
+    # precond_rebuild_every solves; 1 sets up at every solve, the cadence
+    # the paper measured.  The default is the longest run one set-up was
+    # measured to serve (docs/solver_api.md): a cap, not a tuning value.
+    precond_rebuild_every: int = field(default=12, metadata={"ge": 1})
+    # False makes that bound 1.
     amg_refresh: bool = True
 
     # Resilience (docs/resilience.md): NaN/Inf guards + the recovery

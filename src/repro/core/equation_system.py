@@ -38,7 +38,7 @@ from repro.comm.errors import CommError
 from repro.core.composite import CompositeMesh
 from repro.core.config import SimulationConfig
 from repro.krylov import KrylovResult, make_krylov_solver
-from repro.linalg.parcsr import ParCSRMatrix, SparsityPatternError
+from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
 from repro.overset.assembler import NodeStatus
 from repro.resilience.guards import (
@@ -91,12 +91,19 @@ class EquationSystem:
         self.graph: EquationGraph | None = None
         self.assembler: LocalAssembler | None = None
         self.solve_records: list[SolveRecord] = []
-        self._solves_since_setup = 0
         # Pipeline state, initialized eagerly (lazy getattr/hasattr checks
         # survive attribute typos silently).
         self._matrix: ParCSRMatrix | None = None
-        self._precond = None
         self._plan: AssemblyPlan | None = None
+        #: Stamp of the operator's values: :meth:`assemble`, their only
+        #: producer, bumps it.
+        self._values_stamp = 0
+        # The preconditioner, the operator it is current for (graph
+        # revision, value stamp) and the solves its set-up has served.
+        self._precond = None
+        self._precond_pattern: int | None = None
+        self._precond_values = 0
+        self._served = 0
 
     # -- constraint sets (application ids), subclass-specific -------------------
 
@@ -136,7 +143,6 @@ class EquationSystem:
             self.assembler = LocalAssembler(
                 self.world, self.graph, mode=self.config.assembly_mode
             )
-        self._solves_since_setup = 0  # pattern changed: rebuild precond
 
     def _to_new(self, vals_app: np.ndarray) -> np.ndarray:
         """Reorder a per-application-id array to new (rank-block) ids."""
@@ -222,6 +228,7 @@ class EquationSystem:
                 plan=plan,
             )
         self._matrix = am.matrix
+        self._values_stamp += 1
         injector = self.world.fault_injector
         if injector is not None:
             injector.on_matrix(
@@ -257,15 +264,41 @@ class EquationSystem:
         """Subclass hook: build the preconditioner for a fresh matrix."""
         raise NotImplementedError
 
-    def refresh_preconditioner(self, A: ParCSRMatrix) -> bool:
-        """Subclass hook: numeric-only refresh of a stale preconditioner.
+    def refresh_preconditioner(self, A: ParCSRMatrix) -> None:
+        """Subclass hook: bring ``self._precond`` up to date with new
+        values of ``A`` on the pattern it was set up for.  The default has
+        nothing cheaper than building it again."""
+        self._precond = self.make_preconditioner(A)
 
-        Called on solves that would otherwise reuse the previous
-        preconditioner unchanged (``precond_rebuild_every > 1``).  Return
-        True when a cheap refresh was performed; False (the default)
-        falls back to plain reuse.
+    def _update_preconditioner(self, A: ParCSRMatrix) -> None:
+        """Make ``self._precond`` current for ``A``: set up, refresh or
+        reuse, decided by what the operator is.
+
+        * **Set up** when there is none, when the operator's pattern moved
+          (a new :attr:`EquationGraph.revision`), or when one set-up has
+          served ``precond_rebuild_every`` solves (every solve under
+          ``amg_refresh=False``).
+        * **Refresh** when only the values moved (a new :meth:`assemble`).
+        * **Reuse** when neither did: the momentum components share one
+          matrix.
+
+        A preconditioner is therefore never stale.
         """
-        return False
+        cfg = self.config
+        bound = cfg.precond_rebuild_every if cfg.amg_refresh else 1
+        pattern = None if self.graph is None else self.graph.revision
+        if (
+            self._precond is None
+            or self._precond_pattern != pattern
+            or self._served >= bound
+        ):
+            self._precond = self.make_preconditioner(A)
+            self._served = 0
+        elif self._precond_values != self._values_stamp:
+            self.refresh_preconditioner(A)
+        self._precond_pattern = pattern
+        self._precond_values = self._values_stamp
+        self._served += 1
 
     def solver_config(self):
         """Subclass hook: which SolverConfig applies."""
@@ -283,7 +316,6 @@ class EquationSystem:
             self.world.plan_cache.invalidate(self._plan)
         self._plan = None
         self._precond = None
-        self._solves_since_setup = 0
 
     def solve(
         self, A: ParCSRMatrix, b: ParVector, x0: ParVector | None = None
@@ -312,25 +344,13 @@ class EquationSystem:
             )
             record_failure(self.world, failure)
             raise failure
-        rebuild = (
-            self._solves_since_setup % self.config.precond_rebuild_every == 0
-        )
         # Transport failures (dropped/corrupt halo messages that exhausted
         # the comm retry budget) escalate into the same ladder as solver
         # failures: the retry rungs re-drive the exchanges, and one-shot
         # injected faults will not re-fire.
         try:
             with self.world.phase_scope(self.phase("precond_setup")):
-                if rebuild or self._precond is None:
-                    self._precond = self.make_preconditioner(A)
-                else:
-                    try:
-                        self.refresh_preconditioner(A)
-                    except SparsityPatternError:
-                        # The frozen coarse pattern no longer fits the
-                        # refreshed values: full set-up instead.
-                        self._precond = self.make_preconditioner(A)
-            self._solves_since_setup += 1
+                self._update_preconditioner(A)
             result = self._run_krylov(A, b, x0, cfg)
             kind = self._classify_failure(result, policy)
         except CommError as exc:
@@ -512,8 +532,7 @@ class EquationSystem:
         if action == "rebuild_precond":
             self.reset_solver_caches()
             with self.world.phase_scope(self.phase("precond_setup")):
-                self._precond = self.make_preconditioner(A)
-            self._solves_since_setup = 1
+                self._update_preconditioner(A)
             return self._run_krylov(A, b, x0, cfg)
         if action == "expand_krylov":
             boosted = replace(

@@ -140,24 +140,21 @@ def least_squares_gradient(
     ``w_e = 1/|d_e|^2``.  Exact for linear fields on arbitrary meshes —
     unlike Green-Gauss, it does not overshoot on the skewed, stretched
     near-wall cells of the blade O-grids, which is what keeps the
-    projection's velocity correction stable there.
+    projection's velocity correction stable there.  The normal matrices
+    depend on the geometry only and come from
+    :meth:`CompositeMesh.lsq_normal_matrices`, built once per connectivity
+    update.
     """
     a, b = comp.edges[:, 0], comp.edges[:, 1]
     d = comp.coords[b] - comp.coords[a]
     w = 1.0 / np.einsum("ed,ed->e", d, d)
     df = field[b] - field[a]
-    # Per-edge outer products; both endpoints accumulate identical terms.
-    M_e = w[:, None, None] * d[:, :, None] * d[:, None, :]
+    # Both endpoints accumulate identical terms.
     r_e = (w * df)[:, None] * d
-    M = np.zeros((comp.n, 3, 3))
     r = np.zeros((comp.n, 3))
-    np.add.at(M, a, M_e)
-    np.add.at(M, b, M_e)
     np.add.at(r, a, r_e)
     np.add.at(r, b, r_e)
-    # Regularize isolated/degenerate nodes (e.g. hole nodes with no edges).
-    degenerate = np.abs(np.linalg.det(M)) < 1e-300
-    M[degenerate] = np.eye(3)
+    M, degenerate = comp.lsq_normal_matrices()
     r[degenerate] = 0.0
     return np.linalg.solve(M, r[:, :, None])[..., 0]
 

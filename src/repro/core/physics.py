@@ -210,21 +210,9 @@ class PressurePoissonSystem(EquationSystem):
         self._hierarchy = h  # kept for complexity diagnostics
         return AMGPreconditioner(h)
 
-    def refresh_preconditioner(self, A: ParCSRMatrix) -> bool:
-        """Numeric-only Galerkin refresh on the frozen hierarchy.
-
-        Runs between full rebuilds (``precond_rebuild_every > 1``) when
-        the fine operator kept its sparsity pattern; falls back to plain
-        stale reuse otherwise.
-        """
-        h = self._hierarchy
-        if not self.config.amg_refresh or h is None:
-            return False
-        lvl0 = h.levels[0].A
-        if A.shape != lvl0.shape or A.nnz != lvl0.nnz:
-            return False  # pattern changed: next rebuild handles it
-        h.refresh(A)
-        return True
+    def refresh_preconditioner(self, A: ParCSRMatrix) -> None:
+        """Numeric-only Galerkin refresh on the frozen hierarchy."""
+        self._hierarchy.refresh(A)
 
     def laplace_coefficients(
         self, tau_edge: np.ndarray | float | None = None

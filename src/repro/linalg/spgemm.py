@@ -6,6 +6,13 @@ them (paper §4.1).  The paper found cuSPARSE's SpGEMM inadequate and used
 hypre's hash-based implementation; we execute the products with SciPy and
 record the hash-SpGEMM cost model (one pass to count, one to fill; work
 proportional to the number of scalar products).
+
+A set-up product is *structural*: its pattern is the pattern of
+``|A| @ |B|``, entries that cancel to exactly 0 included (SciPy's ``@``
+omits those).  The pattern of a coarse operator, and every count charged
+for it, is then a function of the operand patterns alone, and a later
+numeric refresh (:func:`galerkin_refresh`) writes new values into that
+pattern whatever they are.
 """
 
 from __future__ import annotations
@@ -14,23 +21,17 @@ import numpy as np
 from scipy import sparse
 
 from repro.comm.simcomm import SimWorld
+from repro.linalg.parcsr import SparsityPatternError
+
+#: The charge of one later numeric-only pass over a set-up product:
+#: ``(kernel, flops per rank, bytes per rank)``.
+NumericWork = tuple[str, list[float], list[float]]
 
 
 def spgemm_products(A: sparse.csr_matrix, B: sparse.csr_matrix) -> int:
     """Number of scalar multiply-adds a row-by-row SpGEMM performs."""
     b_row_nnz = np.diff(B.indptr)
     return int(b_row_nnz[A.indices].sum())
-
-
-def _products_per_row(
-    A: sparse.csr_matrix, B: sparse.csr_matrix
-) -> np.ndarray:
-    """Multiply-adds per row of ``A @ B``: the B-row sizes summed over the
-    row's columns.  Host-side bookkeeping; integer-valued, so exact in
-    any summation order."""
-    contrib = np.diff(B.indptr)[A.indices].astype(np.float64)
-    row_idx = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return np.bincount(row_idx, weights=contrib, minlength=A.shape[0])
 
 
 def record_spgemm(
@@ -40,30 +41,96 @@ def record_spgemm(
     C: sparse.csr_matrix,
     row_offsets: np.ndarray,
     kernel: str = "spgemm",
-) -> None:
+) -> NumericWork:
     """Record per-rank hash-SpGEMM work for ``C = A @ B``.
 
     Work is attributed to the rank owning each row of ``A`` under
     ``row_offsets``; each rank performs symbolic + numeric passes over its
-    rows' products and writes its slice of ``C``.
+    rows' products and writes its slice of ``C``.  Returns what a later
+    numeric-only pass into ``C``'s pattern charges as ``<kernel>_numeric``:
+    the output sparsity is known, so hash-SpGEMM skips the symbolic
+    counting pass and runs a single numeric fill — half the passes, one
+    launch.
     """
-    prod_per_row = _products_per_row(A, B)
+    # Per-rank products, nnz of A and nnz of C: integer counts held as
+    # floats, so exact in any summation order.
+    cum = np.concatenate(([0], np.cumsum(np.diff(B.indptr)[A.indices])))
+    prods = np.diff(cum[A.indptr[row_offsets]]).astype(np.float64)
+    in_nnz = np.diff(A.indptr[row_offsets]).astype(np.float64)
+    out_nnz = np.diff(C.indptr[row_offsets]).astype(np.float64)
+    flops = (2.0 * prods).tolist()
+    # One pass reads A rows and the touched B rows, with hash-table
+    # traffic ~ products; the numeric pass also writes C rows.
+    one_pass = 12.0 * in_nnz + 16.0 * prods
+    world.charge(
+        kernel, flops, (2.0 * one_pass + 12.0 * out_nnz).tolist(), launches=2
+    )
+    return f"{kernel}_numeric", flops, (one_pass + 12.0 * out_nnz).tolist()
 
-    c_row_nnz = np.diff(C.indptr)
-    for r in range(world.size):
-        lo, hi = row_offsets[r], row_offsets[r + 1]
-        prods = float(prod_per_row[lo:hi].sum())
-        out_nnz = float(c_row_nnz[lo:hi].sum())
-        in_nnz = float(np.diff(A.indptr)[lo:hi].sum())
-        world.charge(
-            kernel,
-            2.0 * prods,
-            # symbolic + numeric passes: read A rows and the touched B rows,
-            # hash-table traffic ~ products, write C rows.
-            2.0 * (12.0 * in_nnz + 16.0 * prods) + 12.0 * out_nnz,
-            launches=2,
-            ranks=[r],
+
+def _pattern(A: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``A`` with every stored entry replaced by ``True`` (boolean sums
+    saturate, so a product of patterns drops nothing), sharing ``A``'s
+    index arrays."""
+    return sparse.csr_matrix(
+        (np.ones(A.nnz, dtype=np.bool_), A.indices, A.indptr), shape=A.shape
+    )
+
+
+def values_on_pattern(
+    pattern: sparse.csr_matrix, C: sparse.csr_matrix
+) -> np.ndarray:
+    """``C``'s values laid out on the entries of ``pattern``, zero where
+    ``C`` stores none.  Both in canonical CSR order.
+
+    Copies straight across when the entry counts agree; when ``C`` has
+    fewer, its entries shift by the entries missing before them, and only
+    the rows that miss some are searched.  An entry of ``C`` outside
+    ``pattern`` raises :class:`~repro.linalg.parcsr.SparsityPatternError`.
+    """
+    if C.shape != pattern.shape:
+        raise SparsityPatternError(
+            f"shape {C.shape} does not fit the pattern's {pattern.shape}"
         )
+    outside = SparsityPatternError(
+        "values fall outside the stored sparsity pattern"
+    )
+    missing = np.diff(pattern.indptr) - np.diff(C.indptr)
+    if not missing.any():
+        if not np.array_equal(C.indices, pattern.indices):
+            raise outside
+        return C.data
+    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    at = np.arange(C.nnz) + (np.cumsum(missing) - missing)[rows]
+    for i in np.flatnonzero(missing):
+        lo, hi = C.indptr[i], C.indptr[i + 1]
+        p_lo, p_hi = pattern.indptr[i], pattern.indptr[i + 1]
+        at[lo:hi] = p_lo + np.searchsorted(
+            pattern.indices[p_lo:p_hi], C.indices[lo:hi]
+        )
+    if np.any(at >= pattern.indptr[rows + 1]) or not np.array_equal(
+        pattern.indices[at], C.indices
+    ):
+        raise outside
+    data = np.zeros(pattern.nnz)
+    data[at] = C.data
+    return data
+
+
+def structural_product(
+    A: sparse.csr_matrix, B: sparse.csr_matrix
+) -> sparse.csr_matrix:
+    """``A @ B`` in canonical CSR on its structural pattern."""
+    C = (A @ B).tocsr()
+    C.sort_indices()
+    S = _pattern(A) @ _pattern(B)
+    if S.nnz != C.nnz:
+        # Some entries cancelled to exactly 0: keep them, as zeros.
+        S.sort_indices()
+        C = sparse.csr_matrix(
+            (values_on_pattern(S, C), S.indices, S.indptr), shape=S.shape
+        )
+    return C
 
 
 def spgemm(
@@ -73,78 +140,10 @@ def spgemm(
     row_offsets: np.ndarray,
     kernel: str = "spgemm",
 ) -> sparse.csr_matrix:
-    """Compute and record ``C = A @ B`` (CSR in, CSR out)."""
-    C = (A @ B).tocsr()
-    C.sum_duplicates()
+    """Compute and record the structural ``C = A @ B`` (CSR in, CSR out)."""
+    C = structural_product(A, B)
     record_spgemm(world, A, B, C, row_offsets, kernel)
     return C
-
-
-def record_spgemm_numeric(
-    world: SimWorld,
-    A: sparse.csr_matrix,
-    B: sparse.csr_matrix,
-    C: sparse.csr_matrix,
-    row_offsets: np.ndarray,
-    kernel: str = "spgemm_numeric",
-) -> None:
-    """Record a *numeric-only* hash-SpGEMM pass for ``C = A @ B``.
-
-    When the output sparsity of ``C`` is already known (a pattern-frozen
-    Galerkin refresh), hash-SpGEMM skips the symbolic counting pass and
-    runs a single numeric fill — half the passes, one launch.
-    """
-    prod_per_row = _products_per_row(A, B)
-
-    c_row_nnz = np.diff(C.indptr)
-    for r in range(world.size):
-        lo, hi = row_offsets[r], row_offsets[r + 1]
-        prods = float(prod_per_row[lo:hi].sum())
-        out_nnz = float(c_row_nnz[lo:hi].sum())
-        in_nnz = float(np.diff(A.indptr)[lo:hi].sum())
-        world.charge(
-            kernel,
-            2.0 * prods,
-            # single numeric pass: read A rows and touched B rows once,
-            # hash traffic ~ products, write C values.
-            12.0 * in_nnz + 16.0 * prods + 12.0 * out_nnz,
-            ranks=[r],
-        )
-
-
-def spgemm_numeric(
-    world: SimWorld,
-    A: sparse.csr_matrix,
-    B: sparse.csr_matrix,
-    row_offsets: np.ndarray,
-    kernel: str = "spgemm_numeric",
-) -> sparse.csr_matrix:
-    """``C = A @ B`` costed as a numeric-only pass on a known pattern."""
-    C = (A @ B).tocsr()
-    C.sum_duplicates()
-    C.sort_indices()
-    record_spgemm_numeric(world, A, B, C, row_offsets, kernel)
-    return C
-
-
-def galerkin_refresh(
-    world: SimWorld,
-    R: sparse.csr_matrix,
-    A: sparse.csr_matrix,
-    P: sparse.csr_matrix,
-    fine_offsets: np.ndarray,
-    coarse_offsets: np.ndarray,
-) -> sparse.csr_matrix:
-    """Numeric-only Galerkin triple product on frozen R/A/P patterns.
-
-    Same two-product structure as :func:`galerkin_product`, but each
-    SpGEMM is costed as a single numeric fill because the output
-    sparsities were cached by the original setup.
-    """
-    AP = spgemm_numeric(world, A, P, fine_offsets, kernel="rap_ap_numeric")
-    return spgemm_numeric(
-        world, R.tocsr(), AP, coarse_offsets, kernel="rap_rap_numeric"
-    )
 
 
 def galerkin_product(
@@ -154,13 +153,43 @@ def galerkin_product(
     P: sparse.csr_matrix,
     fine_offsets: np.ndarray,
     coarse_offsets: np.ndarray,
-) -> sparse.csr_matrix:
+) -> tuple[sparse.csr_matrix, list[NumericWork]]:
     """Galerkin triple product ``A_c = R A P`` with per-stage accounting.
 
     hypre performs the triple product as two SpGEMMs (``AP`` then ``R(AP)``);
     we do the same so the recorded setup cost has the right structure.
+    Returns ``A_c`` and what :func:`galerkin_refresh` charges for redoing
+    both products on new values.
     """
-    AP = spgemm(world, A, P, fine_offsets, kernel="rap_ap")
+    R = R.tocsr()
+    AP = structural_product(A, P)
+    ap_work = record_spgemm(world, A, P, AP, fine_offsets, "rap_ap")
+    Ac = structural_product(R, AP)
     # R's rows are coarse: attribute the second product to coarse owners.
-    Ac = spgemm(world, R.tocsr(), AP, coarse_offsets, kernel="rap_rap")
-    return Ac
+    rap_work = record_spgemm(world, R, AP, Ac, coarse_offsets, "rap_rap")
+    return Ac, [ap_work, rap_work]
+
+
+def galerkin_refresh(
+    world: SimWorld,
+    R: sparse.csr_matrix,
+    A: sparse.csr_matrix,
+    P: sparse.csr_matrix,
+    Ac: sparse.csr_matrix,
+    work: list[NumericWork],
+) -> sparse.csr_matrix:
+    """Numeric-only Galerkin triple product into ``Ac``'s pattern.
+
+    ``Ac`` and ``work`` are what :func:`galerkin_product` returned for the
+    same ``R``/``A``/``P`` patterns.  The values are those of ``R @ (A @
+    P)``; they cannot fall outside ``Ac``'s structural pattern, and the
+    two numeric passes charge what the set-up counted, whichever entries
+    cancel this time.  The result shares ``Ac``'s index arrays.
+    """
+    RAP = (R.tocsr() @ (A @ P)).tocsr()
+    RAP.sort_indices()
+    for kernel, flops, nbytes in work:
+        world.charge(kernel, flops, nbytes)
+    return sparse.csr_matrix(
+        (values_on_pattern(Ac, RAP), Ac.indices, Ac.indptr), shape=Ac.shape
+    )

@@ -15,6 +15,8 @@ from repro.linalg import (
     spgemm_products,
     spmv_bytes,
 )
+from repro.linalg.parcsr import SparsityPatternError
+from repro.linalg.spgemm import galerkin_refresh
 
 
 def random_system(n=120, nranks=4, density=0.05, seed=0):
@@ -429,10 +431,117 @@ class TestSpGEMM:
         A = sparse.random(40, 40, density=0.15, random_state=0, format="csr")
         P = sparse.random(40, 10, density=0.3, random_state=1, format="csr")
         R = sparse.csr_matrix(P.T)
-        Ac = galerkin_product(
+        Ac, _refresh_work = galerkin_product(
             w, R, A, P, np.array([0, 20, 40]), np.array([0, 5, 10])
         )
         assert np.allclose(Ac.toarray(), (P.T @ A @ P).toarray())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(1, 24), st.integers(1, 24), st.integers(1, 24)
+        ),
+        density=st.sampled_from([0.1, 0.3, 0.7]),
+        seed=st.integers(0, 10_000),
+        nranks=st.integers(1, 4),
+    )
+    def test_structural_product_keeps_planted_cancellations(
+        self, dims, density, seed, nranks
+    ):
+        """Values drawn from {-1, +1} cancel to exactly 0 all the time
+        (scipy's ``@`` then omits the entry): the product equals ``A @ B``
+        densified, on the pattern of ``|A| @ |B|``, and pattern and charge
+        are those of any other values on the same operand patterns."""
+        n, k, m = dims
+        rng = np.random.default_rng(seed)
+        signs = lambda size: rng.choice([-1.0, 1.0], size)  # noqa: E731
+        A = sparse.random(
+            n, k, density, random_state=seed, format="csr", data_rvs=signs
+        )
+        B = sparse.random(
+            k, m, density, random_state=seed + 1, format="csr", data_rvs=signs
+        )
+        offs = np.linspace(0, n, nranks + 1).astype(np.int64)
+        w = SimWorld(nranks)
+        with w.phase_scope("gemm"):
+            C = spgemm(w, A, B, offs)
+        assert np.array_equal(C.toarray(), (A @ B).toarray())
+        assert C.has_canonical_format
+        structural = (abs(A) @ abs(B)).toarray() != 0
+        stored = np.zeros((n, m), dtype=bool)
+        stored[C.nonzero()] = True  # nonzero() skips the explicit zeros
+        rows = np.repeat(np.arange(n), np.diff(C.indptr))
+        stored[rows, C.indices] = True
+        assert np.array_equal(stored, structural)
+        assert C.nnz == structural.sum()
+
+        A2, B2 = A.copy(), B.copy()
+        A2.data, B2.data = rng.random(A.nnz) + 1.0, rng.random(B.nnz) + 1.0
+        w2 = SimWorld(nranks)
+        with w2.phase_scope("gemm"):
+            C2 = spgemm(w2, A2, B2, offs)
+        assert np.array_equal(C2.indptr, C.indptr)
+        assert np.array_equal(C2.indices, C.indices)
+        assert log_snapshot(w2) == log_snapshot(w)
+
+    def test_structural_pattern_survives_256_terms(self):
+        """An entry summed from 256 products is still one entry: the
+        pattern product must not count them in a type that wraps."""
+        w = SimWorld(1)
+        A = sparse.csr_matrix(np.ones((1, 256)))
+        B = sparse.csr_matrix(np.tile([[1.0, -1.0]], (256, 1)))
+        B[128:, :] *= -1.0
+        C = spgemm(w, A, B, np.array([0, 1]))
+        assert C.nnz == 2 and np.array_equal(C.toarray(), [[0.0, 0.0]])
+
+    def _galerkin_case(self):
+        rng = np.random.default_rng(5)
+        A = sparse.random(60, 60, density=0.08, random_state=0, format="csr")
+        A.data = rng.choice([-1.0, 1.0], A.nnz)
+        P = sparse.random(60, 20, density=0.06, random_state=1, format="csr")
+        P.data = rng.choice([-1.0, 1.0], P.nnz)
+        return A, P, np.array([0, 30, 60]), np.array([0, 10, 20])
+
+    def test_galerkin_refresh_writes_any_values_into_the_setup_pattern(self):
+        """The set-up pattern is structural, so the refresh fits values
+        that cancel where the set-up's did not (and the reverse), and it
+        charges what the set-up said it would, whatever the values."""
+        A, P, fine, coarse = self._galerkin_case()
+        R = sparse.csr_matrix(P.T)
+        w = SimWorld(2)
+        with w.phase_scope("setup"):
+            Ac, work = galerkin_product(w, R, A, P, fine, coarse)
+        assert Ac.nnz > (R @ A @ P).nnz  # cancellations were planted
+        A2 = A.copy()
+        A2.data = np.random.default_rng(6).standard_normal(A.nnz)
+        charged = []
+        for values in (A2, A):
+            with w.phase_scope(f"refresh{len(charged)}"):
+                got = galerkin_refresh(w, R, values, P, Ac, work)
+            assert np.shares_memory(got.indices, Ac.indices)
+            assert np.array_equal(
+                got.toarray(), (R @ (values @ P)).toarray()
+            )
+            charged.append(
+                {
+                    k[1]: (t.flops, t.bytes, t.launches)
+                    for k, t in w.ops._kernel_tallies.items()
+                    if k[0] == w.phase or k[0] == f"refresh{len(charged)}"
+                }
+            )
+        assert charged[0] == charged[1]
+        assert set(charged[0]) == {"rap_ap_numeric", "rap_rap_numeric"}
+        for kernel, flops, nbytes in work:
+            assert charged[0][kernel] == (sum(flops), sum(nbytes), 2)
+
+    def test_galerkin_refresh_rejects_a_moved_fine_pattern(self):
+        A, P, fine, coarse = self._galerkin_case()
+        R = sparse.csr_matrix(P.T)
+        w = SimWorld(2)
+        Ac, work = galerkin_product(w, R, A, P, fine, coarse)
+        dense = sparse.csr_matrix(np.ones(A.shape))
+        with pytest.raises(SparsityPatternError):
+            galerkin_refresh(w, R, dense, P, Ac, work)
 
     def test_spmv_bytes_model(self):
         assert spmv_bytes(100, 10) == 12 * 100 + 8 * 100 + 12 * 10

@@ -347,9 +347,10 @@ class TestObserverHub:
         sim.world.hub.subscribe(
             "solve", lambda equation, record, **_: solves.append(equation)
         )
-        sim.world.hub.subscribe(
-            "amg_setup", lambda stats, **_: amg.append(stats)
-        )
+        for event in ("amg_setup", "amg_refresh"):
+            sim.world.hub.subscribe(
+                event, lambda stats, **_: amg.append(stats)
+            )
         off = sim.world.hub.subscribe(
             "exchange", lambda kind, **_: exchanges.append(kind)
         )
@@ -357,7 +358,8 @@ class TestObserverHub:
         off()
         n_solves = sum(len(eq.solve_records) for eq in sim.systems)
         assert len(solves) == n_solves
-        # Pressure AMG rebuilds every solve by default.
+        # Every pressure solve gets a hierarchy current for its operator:
+        # one set-up, then numeric refreshes.
         assert len(amg) == len(sim.pressure.solve_records)
         assert amg[0].num_levels >= 2
         assert "allreduce" in exchanges

@@ -122,6 +122,40 @@ class TestGradients:
         assert err_lsq < 1e-8
         assert err_gg > err_lsq
 
+    def test_lsq_cached_normal_matrices_are_bitwise_the_uncached(self):
+        """The normal matrices live on the composite mesh (one build per
+        connectivity update); the reference rebuilds them on each call,
+        as the operator did.  Equal bit for bit before and after a rotor
+        move, which changes coordinates, edges and the degenerate set."""
+
+        def reference(comp, field):
+            a, b = comp.edges[:, 0], comp.edges[:, 1]
+            d = comp.coords[b] - comp.coords[a]
+            w = 1.0 / np.einsum("ed,ed->e", d, d)
+            df = field[b] - field[a]
+            M_e = w[:, None, None] * d[:, :, None] * d[:, None, :]
+            r_e = (w * df)[:, None] * d
+            M = np.zeros((comp.n, 3, 3))
+            r = np.zeros((comp.n, 3))
+            np.add.at(M, a, M_e)
+            np.add.at(M, b, M_e)
+            np.add.at(r, a, r_e)
+            np.add.at(r, b, r_e)
+            degenerate = np.abs(np.linalg.det(M)) < 1e-300
+            M[degenerate] = np.eye(3)
+            r[degenerate] = 0.0
+            return np.linalg.solve(M, r[:, :, None])[..., 0]
+
+        comp = CompositeMesh(SimWorld(2), make_turbine_tiny())
+        f = np.random.default_rng(3).standard_normal(comp.n)
+        before = least_squares_gradient(comp, f)
+        assert np.array_equal(before, reference(comp, f))
+        comp.system.advance_rotor(0.05)
+        comp.update_connectivity()
+        after = least_squares_gradient(comp, f)
+        assert np.array_equal(after, reference(comp, f))
+        assert not np.array_equal(after, before)
+
 
 class TestMassFlux:
     def test_uniform_flow_flux_matches_area_projection(self, box):

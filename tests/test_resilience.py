@@ -410,7 +410,6 @@ class TestCacheInvalidation:
         m.reset_solver_caches()
         assert m._plan is None
         assert m._precond is None
-        assert m._solves_since_setup == 0
         sim.run(1)
         assert m._plan is not None and m._plan.matrix_ready
         assert m._precond is not None
