@@ -50,12 +50,16 @@ RL006   unbalanced phase push/pop: ``phase_scope`` used outside a
         manipulation outside ``SimWorld`` itself.  Syntax suffices: the
         only push in the package sits in ``phase_scope``'s own
         ``try/finally``, so no path can leave a label behind.
-RL007   protocol ownership, three clauses over ``repro.*`` modules: any
+RL007   protocol ownership, four clauses over ``repro.*`` modules: any
         ``os.replace``/``os.rename`` call outside ``repro.durable`` (a
         hand-copied commit instead of ``atomic_write``), any reference
         to ``exchange_halo_begin``/``exchange_halo_finish`` outside
         ``repro.comm.exchange`` (a hand-placed split exchange instead of
-        the ``overlapped_halo`` scope), and any ``.ops.record*(`` /
+        the ``overlapped_halo`` scope), any reference to
+        ``record_failure``/``record_recovery``/``RecoveryEvent`` outside
+        ``repro.resilience`` (a hand-rolled failure path instead of the
+        solver ladder and the step transaction — both name clauses read
+        one name -> owner table), and any ``.ops.record*(`` /
         ``.traffic.record_*(`` call outside ``repro.comm`` and the two
         sink modules (a hand-wired ledger write instead of
         ``SimWorld.charge``/``charge_alloc``/``collective``, which read
@@ -63,6 +67,7 @@ RL007   protocol ownership, three clauses over ``repro.*`` modules: any
         each protocol has one subject, asserted at run time where it
         lives (the fault matrix of ``tests/test_durable.py``; the
         ``comm.double_begin`` guard and ``MailboxLeakError``; the
+        counters-mirror-events tests of ``tests/test_resilience.py``; the
         all-sinks test and the ledger golden of
         ``tests/test_ledger.py``), so no path elsewhere can get it wrong.
 RL008   retired: rank-gated collectives cannot be written against
@@ -107,7 +112,8 @@ RULES: dict[str, str] = {
     "RL006": "unbalanced/raw SimWorld phase push/pop",
     "RL007": (
         "protocol ownership: os.replace/os.rename outside repro.durable, "
-        "a split-halo half named outside repro.comm.exchange, or a direct "
+        "a split-halo half named outside repro.comm.exchange, a failure/"
+        "recovery record named outside repro.resilience, or a direct "
         "ops/traffic sink write outside repro.comm"
     ),
     "RL010": (
@@ -139,13 +145,30 @@ _SCATTER_UFUNCS = frozenset({"add", "subtract"})
 #: np.<name> calls that constitute bulk device-kernel data motion (RL005).
 _BULK_NP_CALLS = frozenset({"sort", "argsort", "lexsort"})
 
-#: RL007 — the one module that may commit a file by rename, the one that
-#: may name the two halves of a split halo exchange, and those names; the
-#: package that may write the modeled-clock sinks (``SimWorld`` is the one
-#: writer) beside the sinks' own modules, and the sink attribute names.
+#: RL007 — the one module that may commit a file by rename; the names only
+#: their owner (a module, or a package and everything below it) may
+#: reference, with what to use instead; the package that may write the
+#: modeled-clock sinks (``SimWorld`` is the one writer) beside the sinks'
+#: own modules, and the sink attribute names.
 _DURABLE_MODULE = "repro.durable"
-_HALO_MODULE = "repro.comm.exchange"
-_HALO_HALVES = frozenset({"exchange_halo_begin", "exchange_halo_finish"})
+_HALO_HINT = (
+    "repro.comm.exchange",
+    "overlap work with a halo round through `with overlapped_halo(...)`, "
+    "the scope that cannot leave a begin without its finish",
+)
+_RECOVERY_HINT = (
+    "repro.resilience",
+    "offer the solve to solve_with_recovery or the step to "
+    "StepTransaction, which record every failure and recovery themselves "
+    "(counter = event by construction)",
+)
+_OWNED_NAMES: dict[str, tuple[str, str]] = {
+    "exchange_halo_begin": _HALO_HINT,
+    "exchange_halo_finish": _HALO_HINT,
+    "record_failure": _RECOVERY_HINT,
+    "record_recovery": _RECOVERY_HINT,
+    "RecoveryEvent": _RECOVERY_HINT,
+}
 _LEDGER_PACKAGE = "comm"
 _SINK_MODULES = frozenset({"repro.perf.opcounts", "repro.comm.traffic"})
 _SINKS = frozenset({"ops", "traffic"})
@@ -330,7 +353,11 @@ class _Linter(ast.NodeVisitor):
         # RL007 holds inside the package only: tools and tests may rename
         # files and drive the halves directly.
         self.may_rename = not in_package or module == _DURABLE_MODULE
-        self.may_split_halo = not in_package or module == _HALO_MODULE
+        self.owned_elsewhere = {
+            name: owned
+            for name, owned in _OWNED_NAMES.items()
+            if in_package and not f"{module}.".startswith(f"{owned[0]}.")
+        }
         self.may_write_sinks = (
             not in_package
             or package == _LEDGER_PACKAGE
@@ -592,25 +619,22 @@ class _Linter(ast.NodeVisitor):
                 "_phase_stack touched directly: push/pop balance is "
                 "checked only through phase_scope",
             )
-        self._check_halo_half(node, node.attr)
+        self._check_owned_name(node, node.attr)
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._check_halo_half(node, node.id)
+        self._check_owned_name(node, node.id)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
-            self._check_halo_half(node, alias.name)
+            self._check_owned_name(node, alias.name)
 
-    def _check_halo_half(self, node: ast.AST, name: str) -> None:
-        # RL007 — a split-exchange half named outside its module.
-        if name in _HALO_HALVES and not self.may_split_halo:
+    def _check_owned_name(self, node: ast.AST, name: str) -> None:
+        # RL007 — a protocol's private name referenced outside its owner.
+        if name in self.owned_elsewhere:
+            owner, hint = self.owned_elsewhere[name]
             self._emit(
-                "RL007",
-                node,
-                f"{name} referenced outside {_HALO_MODULE}: overlap work "
-                "with a halo round through `with overlapped_halo(...)`, "
-                "the scope that cannot leave a begin without its finish",
+                "RL007", node, f"{name} referenced outside {owner}: {hint}"
             )
 
     # -- RL005 resolution --------------------------------------------------

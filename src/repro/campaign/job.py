@@ -322,9 +322,8 @@ def canonical_result(sim, report, job: JobSpec) -> dict:
         "velocity": field_digest(sim.velocity),
         "pressure": field_digest(sim.pressure_field),
         "scalar": field_digest(sim.scalar_field),
+        "mdot": field_digest(sim.mdot),
     }
-    if hasattr(sim, "mdot"):
-        fields["mdot"] = field_digest(sim.mdot)
     return {
         "format": RESULT_FORMAT,
         "job": job.to_dict(),

@@ -34,25 +34,14 @@ from repro.assembly.global_assembly import (
 from repro.assembly.graph import EquationGraph, GraphSpec
 from repro.assembly.local import LocalAssembler
 from repro.assembly.plan import AssemblyPlan
-from repro.comm.errors import CommError
 from repro.core.composite import CompositeMesh
 from repro.core.config import SimulationConfig
 from repro.krylov import KrylovResult, make_krylov_solver
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
 from repro.overset.assembler import NodeStatus
-from repro.resilience.guards import (
-    SolverFailure,
-    classify_failure,
-    iterate_is_finite,
-    operands_are_finite,
-)
-from repro.resilience.policy import (
-    RecoveryEvent,
-    RecoveryPolicy,
-    record_failure,
-    record_recovery,
-)
+from repro.resilience.guards import operands_are_finite
+from repro.resilience.policy import solve_with_recovery
 
 #: Phase suffixes, in the paper's breakdown order.
 PHASES = (
@@ -320,47 +309,30 @@ class EquationSystem:
     def solve(
         self, A: ParCSRMatrix, b: ParVector, x0: ParVector | None = None
     ) -> KrylovResult:
-        """Preconditioner setup + Krylov solve, with phase attribution.
+        """Preconditioner update + Krylov solve, with phase attribution.
 
-        With guards on (``config.recovery.guards``), a NaN/Inf iterate —
-        and, when ``config.recovery`` is enabled, a non-converged solve —
-        triggers the recovery escalation ladder instead of being recorded
-        silently; an exhausted ladder raises
-        :class:`~repro.resilience.guards.SolverFailure` for the
-        simulation-level rollback to handle.
+        The equation offers one *attempt* (:meth:`_update_preconditioner`
+        then :meth:`_run_krylov`); ``solve_with_recovery`` owns what happens
+        around it: operand guard, health check, escalation ladder, every
+        failure/recovery record.  An exhausted ladder raises
+        ``SolverFailure`` for the step transaction's rewind to handle.
         """
-        cfg = self.solver_config()
-        policy = self.config.recovery
-        # Corrupted operands are caught before preconditioner setup: a
-        # hierarchy built from a NaN operator is garbage (and noisy), and
-        # no solver-level retry can help — only the simulation-level
-        # rollback re-assembles the operands.
-        if policy.guards and not operands_are_finite(A, b):
-            failure = SolverFailure(
-                f"{self.name} operands are non-finite before solve",
-                equation=self.name,
-                kind="nonfinite_operands",
-                phase=self.phase("solve"),
-            )
-            record_failure(self.world, failure)
-            raise failure
-        # Transport failures (dropped/corrupt halo messages that exhausted
-        # the comm retry budget) escalate into the same ladder as solver
-        # failures: the retry rungs re-drive the exchanges, and one-shot
-        # injected faults will not re-fire.
-        try:
+
+        def attempt(cfg, rebuild: bool) -> KrylovResult:
+            if rebuild:
+                self.reset_solver_caches()
             with self.world.phase_scope(self.phase("precond_setup")):
                 self._update_preconditioner(A)
-            result = self._run_krylov(A, b, x0, cfg)
-            kind = self._classify_failure(result, policy)
-        except CommError as exc:
-            kind = classify_failure(exc)
-            # The aborted exchange left its round's remaining messages in
-            # flight; purge them so recovery retries reach clean channels.
-            self.world.purge_pending(reason=kind)
-            result = self._aborted_result(b, cfg, str(exc))
-        if kind is not None:
-            result = self._recover(A, b, x0, cfg, result, kind, policy)
+            return self._run_krylov(A, b, x0, cfg)
+
+        result = solve_with_recovery(
+            self.world,
+            self.config.recovery,
+            self.name,
+            self.solver_config(),
+            attempt,
+            lambda: operands_are_finite(A, b),
+        )
         record = SolveRecord(
             iterations=result.iterations,
             residual_norm=result.residual_norm,
@@ -392,25 +364,6 @@ class EquationSystem:
             )
         return result
 
-    # -- failure handling -------------------------------------------------------
-
-    def _aborted_result(self, b: ParVector, cfg, detail: str) -> KrylovResult:
-        """Placeholder result for a solve aborted before producing one.
-
-        Used when a transport error interrupts preconditioner setup or
-        the Krylov iteration itself; carries a zero iterate and an
-        infinite residual so every health check downstream reads it as
-        failed.
-        """
-        return KrylovResult(
-            x=b.like(),
-            iterations=0,
-            residual_norm=float("inf"),
-            converged=False,
-            residual_history=[],
-            method=f"{cfg.method} (aborted: {detail})",
-        )
-
     def _run_krylov(
         self, A: ParCSRMatrix, b: ParVector, x0: ParVector | None, cfg
     ) -> KrylovResult:
@@ -424,129 +377,6 @@ class EquationSystem:
         ):
             result = replace(result, converged=False)
         return result
-
-    def _classify_failure(
-        self, result: KrylovResult, policy: RecoveryPolicy
-    ) -> str | None:
-        """Failure kind of a solve result, or None when it is healthy."""
-        if policy.guards and not iterate_is_finite(result):
-            return "nonfinite_iterate"
-        if (
-            policy.enabled
-            and policy.recover_non_convergence
-            and not result.converged
-        ):
-            return "non_convergence"
-        return None
-
-    def _failure(
-        self,
-        result: KrylovResult,
-        kind: str,
-        attempts: tuple[str, ...] = (),
-    ) -> SolverFailure:
-        """Structured failure carrying the solve's diagnostic context."""
-        return SolverFailure(
-            f"{self.name} solve failed ({kind}): residual "
-            f"{result.residual_norm:.3e} after {result.iterations} "
-            f"iterations"
-            + (f"; tried {list(attempts)}" if attempts else ""),
-            equation=self.name,
-            kind=kind,
-            phase=self.phase("solve"),
-            residual_norm=result.residual_norm,
-            iterations=result.iterations,
-            residual_history=list(result.residual_history),
-            attempts=attempts,
-        )
-
-    def _recover(
-        self,
-        A: ParCSRMatrix,
-        b: ParVector,
-        x0: ParVector | None,
-        cfg,
-        result: KrylovResult,
-        kind: str,
-        policy: RecoveryPolicy,
-    ) -> KrylovResult:
-        """Run the solver-level escalation ladder for a failed solve.
-
-        Returns the first healthy retry result; raises
-        :class:`SolverFailure` when recovery is disabled, the operands
-        themselves are corrupted (retries cannot help — only the
-        simulation-level rollback re-assembles them), or the ladder is
-        exhausted.
-        """
-        failure = self._failure(result, kind)
-        record_failure(self.world, failure)
-        if not policy.enabled:
-            raise failure
-        if not operands_are_finite(A, b):
-            raise self._failure(result, "nonfinite_operands")
-        attempts: list[str] = []
-        with self.world.phase_scope(self.phase("recovery")):
-            for attempt, action in enumerate(policy.ladder, start=1):
-                attempts.append(action)
-                detail = ""
-                candidate: KrylovResult | None = None
-                try:
-                    candidate = self._attempt_recovery(
-                        action, A, b, x0, cfg, policy
-                    )
-                    ok = iterate_is_finite(candidate) and (
-                        candidate.converged
-                        or not policy.recover_non_convergence
-                    )
-                    if not ok:
-                        detail = (
-                            f"residual {candidate.residual_norm:.3e}, "
-                            f"converged={candidate.converged}"
-                        )
-                except Exception as exc:  # noqa: BLE001 - recorded, escalated
-                    ok = False
-                    detail = f"{type(exc).__name__}: {exc}"
-                event = RecoveryEvent(
-                    equation=self.name,
-                    kind=kind,
-                    action=action,
-                    attempt=attempt,
-                    success=ok,
-                    detail=detail,
-                )
-                record_recovery(self.world, event)
-                if ok:
-                    return candidate
-        raise self._failure(result, kind, attempts=tuple(attempts))
-
-    def _attempt_recovery(
-        self,
-        action: str,
-        A: ParCSRMatrix,
-        b: ParVector,
-        x0: ParVector | None,
-        cfg,
-        policy: RecoveryPolicy,
-    ) -> KrylovResult:
-        """One ladder rung: adjust state/config, retry the solve."""
-        if action == "rebuild_precond":
-            self.reset_solver_caches()
-            with self.world.phase_scope(self.phase("precond_setup")):
-                self._update_preconditioner(A)
-            return self._run_krylov(A, b, x0, cfg)
-        if action == "expand_krylov":
-            boosted = replace(
-                cfg,
-                restart=max(1, int(cfg.restart * policy.retry_scale)),
-                max_iters=max(1, int(cfg.max_iters * policy.retry_scale)),
-            )
-            return self._run_krylov(A, b, x0, boosted)
-        if action == "fallback_method":
-            # Both CG flavors fall back to GMRES (the robust general
-            # method); GMRES falls back to classical CG.
-            alternate = "cg" if cfg.method == "gmres" else "gmres"
-            return self._run_krylov(A, b, x0, replace(cfg, method=alternate))
-        raise ValueError(f"unknown recovery action {action!r}")
 
     # -- helpers shared by the physics subclasses -----------------------------------
 

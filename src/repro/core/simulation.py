@@ -13,7 +13,6 @@ on any machine model, exactly the statistic Figs. 3/8/9/11 plot.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,17 +45,21 @@ from repro.overset.assembler import NodeStatus
 from repro.perf.cost import CostModel, PhaseAggregate, collect_phase_aggregates
 from repro.perf.machines import get_machine
 from repro.perf.roofline import roofline_join
-from repro.resilience.checkpoint import (
-    CheckpointError,
-    CheckpointManager,
-)
-from repro.resilience.guards import SolverFailure, validate_fields
+from repro.resilience.checkpoint import CheckpointError
 from repro.resilience.injection import FaultInjector
-from repro.resilience.policy import (
-    RecoveryEvent,
-    record_failure,
-    record_recovery,
-    summarize_events,
+from repro.resilience.transaction import StepTransaction
+
+#: The declared state's arrays: every nodal / edge field a step changes
+#: (blade coordinates ride along as ``blade<i>/coords``).  The per-step
+#: rewind snapshot and the durable checkpoint both read this one tuple.
+STATE_FIELDS = (
+    "velocity",
+    "velocity_old",
+    "pressure_field",
+    "pressure_correction",
+    "scalar_field",
+    "scalar_old",
+    "mdot",
 )
 
 
@@ -75,7 +78,7 @@ class SimulationReport:
     divergence_norms: list[float] = field(default_factory=list)
     #: Recovery summary: failures / recoveries-by-action counts and the
     #: raw event list (zero / empty for a clean run) — see
-    #: :func:`repro.resilience.policy.summarize_events`.
+    #: :meth:`repro.resilience.transaction.StepTransaction.summary`.
     recovery: dict[str, Any] = field(default_factory=dict)
     #: Full machine-readable telemetry (attached by ``run()``).
     telemetry: RunTelemetry | None = None
@@ -141,16 +144,15 @@ class NaluWindSimulation:
             lambda stats, **_kw: self.amg_setups.append(stats),
         )
         # Resilience: scheduled faults corrupt exchanges/operators/solves
-        # deterministically; failure and recovery events are aggregated
-        # here for the report's recovery summary.
+        # deterministically; what happens on a failure — rewinds, the
+        # checkpoint ring, the run's event record — is the transaction's.
         if self.config.faults:
             self.world.fault_injector = FaultInjector(
                 self.config.faults, seed=self.config.fault_seed
             )
         self.world.comm_max_retries = self.config.recovery.comm_max_retries
-        self.recovery_events: list[dict[str, Any]] = []
-        self.world.hub.subscribe("solver_failure", self._on_solver_failure)
-        self.world.hub.subscribe("recovery", self._on_recovery)
+        self.transaction = StepTransaction(self, self.world, self.config)
+        self.recovery_events = self.transaction.events
         self.comp = CompositeMesh(
             self.world, self.system, self.config.partition_method
         )
@@ -161,22 +163,18 @@ class NaluWindSimulation:
         self.initialize_fields()
         self.step_snapshots: list[dict[str, PhaseAggregate]] = []
         self.divergence_norms: list[float] = []
-        # Durable checkpoint/restart (docs/checkpoint_restart.md).
         self.step_index = 0
-        self._resume_total = False
-        self._checkpoint_restores = 0
-        self._ckpt_manager: CheckpointManager | None = None
         # Solve-iteration history restored from a cold checkpoint: the
         # report prepends it so a resumed run's solve_iterations equal
         # the uninterrupted run's (canonical campaign results stay
         # bitwise-identical across crash/resume boundaries).
         self._restored_solve_iterations: dict[str, list[int]] = {}
+        # The first run() after a cold restart (docs/checkpoint_restart.md)
+        # interprets n_steps as the *total* step count from t=0, so the
+        # restart-vs-uninterrupted comparison uses identical call shapes.
+        self._resume_total = bool(self.config.restart_from)
         if self.config.restart_from:
-            self._load_restart(self.config.restart_from)
-            # The first run() after a cold restart interprets n_steps as
-            # the *total* step count from t=0, so the restart-vs-
-            # uninterrupted comparison uses identical call shapes.
-            self._resume_total = True
+            self.transaction.restart(self.config.restart_from)
 
     # -- state -------------------------------------------------------------------
 
@@ -190,6 +188,7 @@ class NaluWindSimulation:
         self.pressure_correction = np.zeros(n)
         self.scalar_field = np.full(n, ScalarTransportSystem.inflow_value)
         self.scalar_old = self.scalar_field.copy()
+        self.mdot = np.zeros(len(self.comp.edges))
         # Register nodal-field memory with the allocator model.
         self.world.charge_alloc(9.0 * 8.0 * n / self.world.size)
 
@@ -197,301 +196,107 @@ class NaluWindSimulation:
         """Reorder a solved (rank-block) vector back to application order."""
         return data_new[self.comp.numbering.old_to_new]
 
-    # -- resilience --------------------------------------------------------------
+    # -- declared state (the repro.resilience.transaction contract) ---------------
 
-    def _on_solver_failure(self, failure: Any = None, **kw: Any) -> None:
-        """Hub observer: fold a solver_failure event into the run record."""
-        entry: dict[str, Any] = {"event": "solver_failure"}
-        if failure is not None:
-            entry.update(failure.to_dict())
-        else:
-            entry.update(kw)
-        self.recovery_events.append(entry)
+    def state(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """Everything a step changes: array copies + JSON-able scalars.
 
-    def _on_recovery(self, **kw: Any) -> None:
-        """Hub observer: fold a recovery event into the run record."""
-        entry: dict[str, Any] = {"event": "recovery"}
-        entry.update(kw)
-        self.recovery_events.append(entry)
-
-    def _checkpoint_fields(self) -> dict[str, np.ndarray]:
-        """Copy the full field state for a possible rollback."""
-        state = {
-            "velocity": self.velocity.copy(),
-            "velocity_old": self.velocity_old.copy(),
-            "pressure_field": self.pressure_field.copy(),
-            "pressure_correction": self.pressure_correction.copy(),
-            "scalar_field": self.scalar_field.copy(),
-            "scalar_old": self.scalar_old.copy(),
-        }
-        if hasattr(self, "mdot"):
-            state["mdot"] = self.mdot.copy()
-        return state
-
-    def _restore_fields(self, checkpoint: dict[str, np.ndarray]) -> None:
-        """Restore field state from a checkpoint (copies, reusable)."""
-        for name, arr in checkpoint.items():
-            setattr(self, name, arr.copy())
-
-    def _rollback(self, checkpoint: dict[str, np.ndarray],
-                  failure: SolverFailure, attempt: int) -> None:
-        """Undo a failed step: rewind motion, restore fields, back off dt.
-
-        The failed step's rotor advance is reversed (``advance_rotor`` with
-        negative dt), every solver cache derived from the corrupted state
-        is dropped, and the timestep is scaled by ``dt_backoff`` for the
-        re-step; connectivity and graphs are rebuilt by the re-run of
-        :meth:`_step_body` itself.
+        The per-step rewind snapshot, and — with :meth:`environment` merged
+        into the second half — the body of a checkpoint file.  Derived
+        state (overset connectivity, equation graphs, plans,
+        preconditioners) is deliberately *not* here: the next step
+        recomputes it deterministically, as the uninterrupted run would.
         """
-        cfg = self.config
-        policy = cfg.recovery
-        self.system.advance_rotor(-cfg.dt)
-        self._restore_fields(checkpoint)
-        for eq in self.systems:
-            eq.reset_solver_caches()
-        new_dt = cfg.dt * policy.dt_backoff
-        detail = f"dt {cfg.dt:.4g} -> {new_dt:.4g}"
-        cfg.dt = new_dt
-        event = RecoveryEvent(
-            equation=failure.equation,
-            kind=failure.kind,
-            action="rollback_restep",
-            attempt=attempt,
-            success=True,
-            detail=detail,
-        )
-        record_recovery(self.world, event)
-
-    def _guard_fields(self) -> None:
-        """NaN/Inf check of the solution fields at end of step."""
-        if not self.config.recovery.guards:
-            return
-        try:
-            validate_fields(
-                {
-                    "velocity": self.velocity,
-                    "pressure": self.pressure_field,
-                    "scalar": self.scalar_field,
-                },
-                phase="step",
-            )
-        except SolverFailure as failure:
-            record_failure(self.world, failure)
-            raise
-
-    def _recovery_summary(self) -> dict[str, Any]:
-        """Fold the run's failure/recovery events into a report summary.
-
-        When durable checkpointing was active, a ``checkpoint`` section
-        (writes/restores/retry counts) rides along.
-        """
-        summary = summarize_events(self.recovery_events)
-        m = self.world.metrics
-        writes = m.counter_total("resilience.checkpoint.writes")
-        restores = m.counter_total("resilience.checkpoint.restores")
-        if writes or restores:
-            summary["checkpoint"] = {
-                "writes": int(writes),
-                "restores": int(restores),
-                "write_retries": int(
-                    m.counter_total("resilience.checkpoint.write_retries")
-                ),
-                "corrupt_detected": int(
-                    m.counter_total("resilience.checkpoint.corrupt_detected")
-                ),
-            }
-        return summary
-
-    # -- durable checkpoint/restart ----------------------------------------------
-
-    def _checkpoint_manager(self) -> CheckpointManager:
-        """The retention-ring manager over ``config.checkpoint_dir``."""
-        if self._ckpt_manager is None:
-            self._ckpt_manager = CheckpointManager(
-                self.config.checkpoint_dir,
-                keep=self.config.checkpoint_keep,
-                injector=self.world.fault_injector,
-                metrics=self.world.metrics,
-            )
-        return self._ckpt_manager
-
-    def _capture_durable_state(
-        self,
-    ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-        """Full restart state: fields, mesh motion, RNG, telemetry.
-
-        Everything needed for a bitwise-exact resume is captured; derived
-        state (overset connectivity, equation graphs, preconditioners) is
-        deliberately *not* — the next step recomputes it deterministically
-        from the restored inputs, exactly as the uninterrupted run would.
-        Timing/traffic aggregates are environment, not simulation state,
-        and restart from zero.
-        """
-        cfg = self.config
-        arrays = self._checkpoint_fields()
+        arrays = {name: getattr(self, name).copy() for name in STATE_FIELDS}
         for i, mesh in enumerate(self.system.blades):
             arrays[f"blade{i}/coords"] = mesh.coords.copy()
-        injector = self.world.fault_injector
         meta: dict[str, Any] = {
             "workload": self.workload_name,
-            "nranks": cfg.nranks,
+            "nranks": self.config.nranks,
             "step_index": self.step_index,
-            "dt": cfg.dt,
+            "dt": self.config.dt,
             "rotor_angles": [float(r.angle) for r in self.system.rotations],
             "divergence_norms": [float(v) for v in self.divergence_norms],
-            "rng_state": self.world.rng.bit_generator.state,
-            "injector": injector.state_dict() if injector else None,
-            "metrics": self.world.metrics.state_dict(),
-            # Cumulative per-equation iteration history (restored prefix
-            # + this process's records): a cold restore preloads it so
-            # the resumed run reports the same solve_iterations as the
-            # uninterrupted one.
-            "solve_iterations": {
-                eq.name: self._restored_solve_iterations.get(eq.name, [])
-                + [r.iterations for r in eq.solve_records]
-                for eq in self.systems
-            },
         }
         return arrays, meta
 
-    def _restore_durable_state(
-        self,
-        arrays: dict[str, np.ndarray],
-        meta: dict[str, Any],
-        *,
-        cold: bool,
+    def set_state(
+        self, arrays: dict[str, np.ndarray], meta: dict[str, Any]
     ) -> None:
-        """Apply a checkpoint to this simulation.
-
-        ``cold=True`` (process restart) additionally restores the RNG
-        streams, fault-injector schedule, and telemetry counters, making
-        the resumed run indistinguishable from the uninterrupted one.
-        ``cold=False`` (in-run recovery restore) rewinds only the physics
-        and motion state: the environment — counters, fired faults, RNG
-        consumption — does not rewind with it, which is also what keeps a
-        deterministic injected fault from replaying forever.
-        """
+        """Rewind to a :meth:`state` pair (a snapshot or a loaded file);
+        one from another workload or rank count, or whose arrays are not
+        exactly the declared ones, is refused before anything is touched."""
         cfg = self.config
-        if meta["workload"] != self.workload_name:
-            raise CheckpointError(
-                f"checkpoint is for workload {meta['workload']!r}, "
-                f"this simulation runs {self.workload_name!r}"
-            )
-        if int(meta["nranks"]) != cfg.nranks:
-            raise CheckpointError(
-                f"checkpoint was taken with nranks={meta['nranks']}, "
-                f"this simulation has nranks={cfg.nranks}"
-            )
-        self._restore_fields(
-            {k: v for k, v in arrays.items() if "/" not in k}
+        blades = self.system.blades
+        declared = set(STATE_FIELDS).union(
+            f"blade{i}/coords" for i in range(len(blades))
         )
-        # Blade meshes restore to their exact checkpointed coordinates
-        # (not a re-rotation: an accumulated single rotation is not
-        # bitwise-identical to the step-by-step product of rotations).
-        for i, (mesh, rot) in enumerate(
-            zip(self.system.blades, self.system.rotations)
+        if (
+            meta["workload"] != self.workload_name
+            or int(meta["nranks"]) != cfg.nranks
+            or set(arrays) != declared
         ):
+            raise CheckpointError(
+                f"state of workload {meta['workload']!r} at nranks="
+                f"{meta['nranks']} with arrays {sorted(arrays)} does not "
+                f"fit {self.workload_name!r} at nranks={cfg.nranks} "
+                f"declaring {sorted(declared)}"
+            )
+        for name in STATE_FIELDS:
+            setattr(self, name, arrays[name].copy())
+        # Exact blade coordinates, not a re-rotation: an accumulated single
+        # rotation is not bitwise the step-by-step product of rotations.
+        for i, (mesh, rot) in enumerate(zip(blades, self.system.rotations)):
             mesh.coords[:] = arrays[f"blade{i}/coords"]
             rot.angle = float(meta["rotor_angles"][i])
             mesh.update_metrics()
         self.comp.update_connectivity()
         for eq in self.systems:
             eq.reset_solver_caches()
-        self.step_index = int(meta["step_index"])
+        # Steps rewound in this process take their cumulative snapshots
+        # and divergence norms with them: entry i belongs to step i.
+        rewound = self.step_index - int(meta["step_index"])
+        if rewound > 0:
+            del self.step_snapshots[-rewound:]
+        self.step_index -= rewound
         cfg.dt = float(meta["dt"])
-        if cold:
-            self.divergence_norms = [
-                float(v) for v in meta["divergence_norms"]
-            ]
-            self.world.rng.bit_generator.state = meta["rng_state"]
-            if self.world.fault_injector is not None and meta.get("injector"):
-                self.world.fault_injector.load_state(meta["injector"])
-            self.world.metrics.load_state(meta["metrics"])
-            self._restored_solve_iterations = {
-                name: [int(i) for i in its]
-                for name, its in (meta.get("solve_iterations") or {}).items()
-            }
+        self.divergence_norms = [float(v) for v in meta["divergence_norms"]]
+
+    def environment(self) -> dict[str, Any]:
+        """What the run accumulated around its state; a checkpoint file
+        carries it and only a cold restart applies it."""
+        injector = self.world.fault_injector
+        return {
+            "rng_state": self.world.rng.bit_generator.state,
+            "injector": injector.state_dict() if injector else None,
+            "metrics": self.world.metrics.state_dict(),
+            "solve_iterations": self.solve_iterations(),
+        }
+
+    def set_environment(self, env: dict[str, Any]) -> None:
+        """Make this process indistinguishable from the one that wrote
+        ``env`` (cold restart)."""
+        self.world.rng.bit_generator.state = env["rng_state"]
+        if self.world.fault_injector is not None and env.get("injector"):
+            self.world.fault_injector.load_state(env["injector"])
+        self.world.metrics.load_state(env["metrics"])
+        self._restored_solve_iterations = {
+            name: [int(i) for i in its]
+            for name, its in (env.get("solve_iterations") or {}).items()
+        }
+
+    def solve_iterations(self) -> dict[str, list[int]]:
+        """Linear iterations of every solve since t=0, per equation (the
+        history a cold restart preloaded + this process's records)."""
+        return {
+            eq.name: self._restored_solve_iterations.get(eq.name, [])
+            + [r.iterations for r in eq.solve_records]
+            for eq in self.systems
+        }
 
     def write_checkpoint(self) -> str:
         """Durably checkpoint the current state; returns the file path."""
-        mgr = self._checkpoint_manager()
-        with self.tracer.span("checkpoint", step=self.step_index):
-            # Count the write *before* capturing telemetry state: the
-            # restored counter then equals the uninterrupted run's value
-            # at the same step (counter parity is part of the bitwise-
-            # resume guarantee).
-            self.world.metrics.counter("resilience.checkpoint.writes").inc()
-            arrays, meta = self._capture_durable_state()
-            path = mgr.save(self.step_index, arrays, meta)
-        self.world.hub.emit("checkpoint", step=self.step_index, path=path)
-        return path
-
-    def _load_restart(self, source: str) -> None:
-        """Cold-start restore from a checkpoint file or directory."""
-        with self.tracer.span("restart", source=source):
-            if os.path.isdir(source):
-                mgr = CheckpointManager(
-                    source,
-                    keep=self.config.checkpoint_keep,
-                    injector=self.world.fault_injector,
-                    metrics=self.world.metrics,
-                )
-                arrays, meta, path = mgr.load_latest_good()
-            else:
-                arrays, meta = self._checkpoint_manager().load(source)
-                path = source
-            self._restore_durable_state(arrays, meta, cold=True)
-        # After load_state replaced the registry: this increment is new
-        # activity of the restarted process, not checkpointed state.
-        self.world.metrics.counter(
-            "resilience.checkpoint.restores", source="cold"
-        ).inc()
-        self.world.hub.emit(
-            "restart", step=self.step_index, path=path, source="cold"
-        )
-
-    def _try_checkpoint_restore(self, failure: SolverFailure) -> bool:
-        """Last recovery rung: restore the newest good durable checkpoint.
-
-        Runs when a failure has already exhausted the solver ladder and
-        the in-memory rollback budget.  Bounded by
-        ``recovery.max_checkpoint_restores`` per run; returns False when
-        disabled, exhausted, or no loadable checkpoint exists (the
-        failure then surfaces to the caller).
-        """
-        policy = self.config.recovery
-        if not (policy.enabled and policy.rollback):
-            return False
-        if self._checkpoint_restores >= policy.max_checkpoint_restores:
-            return False
-        if not self.config.checkpoint_every:
-            return False
-        try:
-            arrays, meta, path = self._checkpoint_manager().load_latest_good()
-        except CheckpointError:
-            return False
-        self._checkpoint_restores += 1
-        rewound_from = self.step_index
-        self._restore_durable_state(arrays, meta, cold=False)
-        self.world.metrics.counter(
-            "resilience.checkpoint.restores", source="recovery"
-        ).inc()
-        event = RecoveryEvent(
-            equation=failure.equation,
-            kind=failure.kind,
-            action="checkpoint_restore",
-            attempt=self._checkpoint_restores,
-            success=True,
-            detail=(
-                f"step {rewound_from} -> {self.step_index} "
-                f"({os.path.basename(path)})"
-            ),
-        )
-        record_recovery(self.world, event)
-        self.world.hub.emit(
-            "restart", step=self.step_index, path=path, source="recovery"
-        )
-        return True
+        return self.transaction.write_checkpoint()
 
     def effective_viscosity(self) -> np.ndarray:
         """Molecular + turbulence-scalar eddy viscosity."""
@@ -617,81 +422,62 @@ class NaluWindSimulation:
 
     # -- time stepping ----------------------------------------------------------------
 
-    def step(self) -> None:
+    def step(self) -> bool:
         """One time step: motion, connectivity, graphs, Picard loop.
 
-        With rollback enabled, a :class:`SolverFailure` that escapes the
-        solver-level recovery ladder rolls the step back (rewind motion,
-        restore checkpointed fields, drop solver caches) and re-steps
-        with ``dt * dt_backoff``, up to ``max_step_retries`` times; the
-        backed-off dt applies to the retried step only.  An exhausted
-        retry budget re-raises the failure.
+        Runs :meth:`_step_body` as one ``StepTransaction``: a
+        ``SolverFailure`` that escapes the solver ladder rewinds and
+        re-steps there.  False when it rewound to a durable checkpoint
+        instead of completing the step (``step_index`` moved back).
         """
-        policy = self.config.recovery
-        checkpoint = None
-        if policy.enabled and policy.rollback:
-            checkpoint = self._checkpoint_fields()
-        dt0 = self.config.dt
-        retries = 0
-        try:
-            while True:
-                try:
-                    with self.world.marked_span("step", index=self.step_index):
-                        self._step_body()
-                    break
-                except SolverFailure as failure:
-                    if (
-                        checkpoint is None
-                        or retries >= policy.max_step_retries
-                    ):
-                        raise
-                    retries += 1
-                    self._rollback(checkpoint, failure, retries)
-        finally:
-            self.config.dt = dt0
+        if not self.transaction.run(self._step_body):
+            return False
         self.step_index += 1
         self.step_snapshots.append(collect_phase_aggregates(self.world))
         # Progress heartbeat for external supervisors (campaign workers
         # beat their job lease on it; see docs/campaign.md).
         self.world.hub.emit("step_complete", step=self.step_index)
+        return True
 
-    def _step_body(self) -> None:
+    def _step_body(self) -> dict[str, np.ndarray]:
+        """Advance the fields by ``config.dt``; returns those to guard."""
         cfg = self.config
-        with self.world.phase_scope("motion"):
-            self.system.advance_rotor(cfg.dt)
-            self.comp.update_connectivity()
-        for eq in self.systems:
-            eq.update_graph()
-        for k in range(cfg.picard_iterations):
-            with self.world.marked_span("picard", index=k):
-                self.picard_iteration()
-        self._guard_fields()
-        # Mass-conservation diagnostic on free pressure rows (interior
-        # edge fluxes plus open boundary faces).
-        div = np.zeros(self.comp.n)
-        a, b = self.comp.edges[:, 0], self.comp.edges[:, 1]
-        np.add.at(div, a, self.mdot)
-        np.add.at(div, b, -self.mdot)
-        div += boundary_mass_flux(
-            self.comp, self.velocity, self.config.density
-        )
-        free = np.ones(self.comp.n, dtype=bool)
-        free[self.pressure.constraint_rows()] = False
-        self.divergence_norms.append(
-            float(np.linalg.norm(div[free]))
-            / max(float(np.linalg.norm(self.mdot)), 1e-300)
-        )
-        self.velocity_old = self.velocity.copy()
-        self.scalar_old = self.scalar_field.copy()
+        with self.world.marked_span("step", index=self.step_index):
+            with self.world.phase_scope("motion"):
+                self.system.advance_rotor(cfg.dt)
+                self.comp.update_connectivity()
+            for eq in self.systems:
+                eq.update_graph()
+            for k in range(cfg.picard_iterations):
+                with self.world.marked_span("picard", index=k):
+                    self.picard_iteration()
+            # Mass-conservation diagnostic on free pressure rows (interior
+            # edge fluxes plus open boundary faces).
+            div = np.zeros(self.comp.n)
+            a, b = self.comp.edges[:, 0], self.comp.edges[:, 1]
+            np.add.at(div, a, self.mdot)
+            np.add.at(div, b, -self.mdot)
+            div += boundary_mass_flux(self.comp, self.velocity, cfg.density)
+            free = np.ones(self.comp.n, dtype=bool)
+            free[self.pressure.constraint_rows()] = False
+            self.divergence_norms.append(
+                float(np.linalg.norm(div[free]))
+                / max(float(np.linalg.norm(self.mdot)), 1e-300)
+            )
+            self.velocity_old = self.velocity.copy()
+            self.scalar_old = self.scalar_field.copy()
+        return {
+            "velocity": self.velocity,
+            "pressure": self.pressure_field,
+            "scalar": self.scalar_field,
+        }
 
     def run(self, n_steps: int) -> SimulationReport:
         """Advance ``n_steps`` and return the run report.
 
         With ``config.checkpoint_every > 0`` a durable checkpoint is
-        written after every Nth completed step, and a
-        :class:`SolverFailure` that exhausts the in-memory rollback
-        budget is retried once more from the newest good checkpoint
-        (bounded by ``recovery.max_checkpoint_restores``).
+        written after every Nth completed step (and is what the step
+        transaction's last rung rewinds to).
 
         On the first ``run()`` after a cold restart (``restart_from``),
         ``n_steps`` is the *total* step count from t=0 — the run advances
@@ -707,14 +493,9 @@ class NaluWindSimulation:
             advance = int(n_steps)
         target = self.step_index + advance
         while self.step_index < target:
-            try:
-                self.step()
-            except SolverFailure as failure:
-                if not self._try_checkpoint_restore(failure):
-                    raise
-                continue
             if (
-                cfg.checkpoint_every
+                self.step()
+                and cfg.checkpoint_every
                 and self.step_index % cfg.checkpoint_every == 0
             ):
                 self.write_checkpoint()
@@ -724,18 +505,14 @@ class NaluWindSimulation:
             total_nodes=self.comp.n,
             n_steps=advance,
             step_snapshots=list(self.step_snapshots),
-            solve_iterations={
-                eq.name: self._restored_solve_iterations.get(eq.name, [])
-                + [r.iterations for r in eq.solve_records]
-                for eq in self.systems
-            },
+            solve_iterations=self.solve_iterations(),
             peak_alloc_bytes=self.world.ops.peak_alloc(),
             wall_times={
                 label: wall["total_s"]
                 for label, wall in self.world.phase_wall.items()
             },
             divergence_norms=list(self.divergence_norms),
-            recovery=self._recovery_summary(),
+            recovery=self.transaction.summary(),
         )
         # Profile before telemetry: publish_metrics runs here, so the
         # telemetry metrics snapshot carries the profile.* gauges.

@@ -1,6 +1,5 @@
 """Unstructured-mesh substrate (STK analogue) and turbine mesh generators."""
 
-from repro.mesh.fields import FieldManager
 from repro.mesh.generators import (
     BladeSpec,
     geometric_stretching,
@@ -32,7 +31,6 @@ from repro.mesh.turbine import (
 __all__ = [
     "BladeSpec",
     "BlockTopology",
-    "FieldManager",
     "HexMesh",
     "MeshStats",
     "PAPER_TABLE1",

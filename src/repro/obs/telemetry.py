@@ -225,7 +225,7 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
     world.ops.publish_metrics(world.metrics)
 
     resilience = (
-        report.recovery if report is not None else sim._recovery_summary()
+        report.recovery if report is not None else sim.transaction.summary()
     )
     n_steps = (
         report.n_steps if report is not None else len(sim.step_snapshots)

@@ -1,14 +1,20 @@
 """Resilience subsystem: guards, recovery policies, faults, checkpoints.
 
-Four layers turn solver failure and lost simulation state from silent
-corruption into first-class, recoverable events:
+Five modules turn solver failure and lost simulation state from silent
+corruption into first-class, recoverable events — and are the only place
+a failure is caught, retried, rewound or recorded:
 
 * :mod:`~repro.resilience.guards` — NaN/Inf validation of Krylov
   iterates and solution fields, raising a structured
   :class:`SolverFailure`; :func:`classify_failure` maps transport/I-O
   exceptions onto the same failure taxonomy;
 * :mod:`~repro.resilience.policy` — the configurable escalation ladder
-  (:class:`RecoveryPolicy`) and event/summary types;
+  (:class:`RecoveryPolicy`, the :data:`LADDER` table and
+  :func:`solve_with_recovery`, which walks it around one solve attempt)
+  and the event/summary types;
+* :mod:`~repro.resilience.transaction` — :class:`StepTransaction`:
+  snapshot -> step body -> field guard -> rewind (memory, then the
+  checkpoint ring) over any object with the ``state()`` contract;
 * :mod:`~repro.resilience.injection` — seeded deterministic
   :class:`FaultInjector` so recovery is exercised in tests, not trusted;
 * :mod:`~repro.resilience.checkpoint` — the durable
@@ -54,6 +60,7 @@ from repro.resilience.policy import (
     RecoveryPolicy,
     summarize_events,
 )
+from repro.resilience.transaction import StepTransaction
 
 __all__ = [
     "FAILURE_KINDS",
@@ -73,6 +80,7 @@ __all__ = [
     "RecoveryEvent",
     "RecoveryPolicy",
     "SolverFailure",
+    "StepTransaction",
     "classify_failure",
     "deserialize_checkpoint",
     "iterate_is_finite",

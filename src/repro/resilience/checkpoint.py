@@ -4,7 +4,8 @@ Multi-day wind-farm campaigns cannot afford to lose a run to one node
 failure; production exascale stacks therefore treat durable simulation
 state as a prerequisite, not a luxury.  This module provides the on-disk
 format and the :class:`CheckpointManager` retention/retry policy; the
-simulation driver (:mod:`repro.core.simulation`) decides *what* goes in.
+driver's ``state()`` / ``environment()`` declaration decides *what* goes in
+and :class:`~repro.resilience.transaction.StepTransaction` when.
 
 Format ``repro.checkpoint/1``
 -----------------------------
@@ -232,7 +233,7 @@ class CheckpointManager:
             receiving ``resilience.checkpoint.write_retries`` /
             ``write_failures`` / ``loads`` / ``corrupt_detected``
             counters.  (The ``writes``/``restores`` counters belong to
-            the simulation driver: it must count a write *before*
+            the step transaction: it must count a write *before*
             capturing telemetry state so restored counters line up with
             an uninterrupted run.)
     """

@@ -1,7 +1,7 @@
 """repro-lint: rule fixtures, suppression, and the CLI's exit contract.
 
 One known-bad snippet and a clean twin per lint rule (RL001-RL006,
-RL010; RL007's three ownership clauses and the module identity every
+RL010; RL007's four ownership clauses and the module identity every
 scoped rule keys on live in test_protocol_analysis.py), plus the pragma
 suppression path and the ``python -m repro analyze`` exit codes.
 """
@@ -232,7 +232,7 @@ class TestLintRules:
             "    try:\n"
             "        job()\n"
             "    except Exception as exc:\n"
-            "        record_failure(log, exc)\n"
+            "        record_outcome(log, exc)\n"
         )
         assert not lint_source(recorded, CAMPAIGN).findings
 

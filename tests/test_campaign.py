@@ -473,10 +473,26 @@ class TestLeases:
 
 @pytest.mark.slow
 class TestSupervisedRunner:
+    @pytest.fixture(scope="class")
+    def crash_reference(self, tmp_path_factory):
+        """The undisturbed run every crash variant is compared with: one
+        campaign for the class (a job's digest, hence its stored bytes,
+        does not depend on the spec's name)."""
+        spec = tiny_spec(
+            name="crash_ref", seeds=(0,), steps=2, checkpoint_every=1
+        )
+        ref = Campaign(spec, str(tmp_path_factory.mktemp("crash_ref")))
+        ref.run()
+        b_ref = ref.store.get_bytes(spec.expand()[0].digest())
+        assert b_ref is not None
+        return b_ref
+
     @pytest.mark.parametrize(
         "point", ["spawn", "lease", "run", "ckpt", "store"]
     )
-    def test_crash_at_every_boundary_bitwise(self, tmp_path, point):
+    def test_crash_at_every_boundary_bitwise(
+        self, tmp_path, point, crash_reference
+    ):
         # Kill the worker at each fault-domain boundary: before the
         # lease, right after it, mid-solve (first checkpoint event),
         # mid-checkpoint-write (between tmp write and atomic replace),
@@ -487,8 +503,6 @@ class TestSupervisedRunner:
             name=f"crash_{point}", seeds=(0,), steps=2, checkpoint_every=1
         )
         job = spec.expand()[0]
-        ref = Campaign(spec, str(tmp_path / "ref"))
-        ref.run()
         chaos = FaultInjector(
             (
                 FaultSpec(
@@ -508,9 +522,7 @@ class TestSupervisedRunner:
         assert s["status_counts"]["done"] == 1
         assert s["retries"] == 1 and s["quarantined"] == 0
         assert chaos.exhausted()
-        b_ref = ref.store.get_bytes(job.digest())
-        assert b_ref is not None
-        assert camp.store.get_bytes(job.digest()) == b_ref
+        assert camp.store.get_bytes(job.digest()) == crash_reference
 
     def test_timeout_kills_and_requeues(self, tmp_path):
         # A worker hung before its first heartbeat is caught by the

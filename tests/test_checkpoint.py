@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.core.simulation import NaluWindSimulation
-from repro.mesh import FieldManager, HexMesh
+from repro.core.simulation import STATE_FIELDS, NaluWindSimulation
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
     CheckpointCorruptionError,
@@ -211,38 +210,66 @@ class TestStateDictRoundTrips:
         dst.counter("solve.count", equation="pressure").inc()
         assert dst.counter_total("solve.count") == 5
 
-    def test_field_manager_roundtrip_preserves_aliases(self):
-        axes = [np.linspace(0.0, 1.0, 3)] * 3
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        fm = FieldManager(HexMesh.from_block("box", X))
-        vel = fm.register("velocity", ncomp=3, time_states=2)
-        fm.register("pressure")
-        vel[:] = 1.0
-        fm.shift_time_states()
-        snap = fm.state_dict()
-        vel[:] = 2.0
-        fm.load_state(snap)
-        # In-place restore: pre-existing aliases see the old values again.
-        assert np.all(vel == 1.0)
-        assert np.all(fm.old("velocity") == 1.0)
 
-    def test_field_manager_rejects_unregistered_state(self):
-        axes = [np.linspace(0.0, 1.0, 3)] * 3
-        X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        fm = FieldManager(HexMesh.from_block("box", X))
-        with pytest.raises(KeyError):
-            fm.load_state({"ghost": np.zeros(27)})
+#: ndarray attributes of the driver that are *derived*: recomputed from
+#: the declared state by the next step, so a rewind need not carry them.
+#: (None today; an array added to the driver goes in STATE_FIELDS or here.)
+DERIVED_ARRAYS: frozenset[str] = frozenset()
 
 
-FIELDS = (
-    "velocity",
-    "velocity_old",
-    "pressure_field",
-    "pressure_correction",
-    "scalar_field",
-    "scalar_old",
-    "mdot",
-)
+class TestStateContract:
+    """state() / set_state() over one declaration: a field the driver
+    grows without declaring it fails here, not at a restart later."""
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        sim = NaluWindSimulation("turbine_tiny", SimulationConfig(nranks=2))
+        sim.run(1)
+        return sim
+
+    def test_every_array_attribute_is_declared_or_derived(self, stepped):
+        held = {
+            k for k, v in vars(stepped).items() if isinstance(v, np.ndarray)
+        }
+        assert held == set(STATE_FIELDS) | DERIVED_ARRAYS
+        assert not set(STATE_FIELDS) & DERIVED_ARRAYS
+
+    def test_state_is_copies_and_carries_no_environment(self, stepped):
+        arrays, meta = stepped.state()
+        blades = {
+            f"blade{i}/coords" for i in range(len(stepped.system.blades))
+        }
+        assert set(arrays) == set(STATE_FIELDS) | blades
+        for name in STATE_FIELDS:
+            assert not np.shares_memory(arrays[name], getattr(stepped, name))
+        assert set(meta) == {
+            "workload", "nranks", "step_index", "dt", "rotor_angles",
+            "divergence_norms",
+        }
+        # The per-step snapshot must stay array copies: the registry dump
+        # and the RNG / injector state are environment().
+        assert set(stepped.environment()) == {
+            "rng_state", "injector", "metrics", "solve_iterations",
+        }
+
+    def test_set_state_round_trips_and_refuses_undeclared_arrays(self):
+        sim = NaluWindSimulation("turbine_tiny", SimulationConfig(nranks=2))
+        sim.run(1)
+        arrays, meta = sim.state()
+        sim.run(1)
+        assert sim.step_index == 2 and len(sim.step_snapshots) == 2
+        sim.set_state(arrays, meta)
+        assert sim.step_index == 1 and len(sim.step_snapshots) == 1
+        again, meta2 = sim.state()
+        assert meta2 == meta
+        for name, arr in arrays.items():
+            assert again[name].tobytes() == arr.tobytes(), name
+        for bad in (
+            {**arrays, "vorticity": np.zeros(3)},
+            {k: v for k, v in arrays.items() if k != "mdot"},
+        ):
+            with pytest.raises(CheckpointError):
+                sim.set_state(bad, meta)
 
 
 class TestSimulationRestart:
@@ -266,7 +293,7 @@ class TestSimulationRestart:
         assert sim_b.step_index == 1
         rep_b = sim_b.run(2)
         assert rep_b.n_steps == 1  # total-from-t=0 semantics
-        for name in FIELDS:
+        for name in STATE_FIELDS:
             assert (
                 getattr(sim_a, name).tobytes()
                 == getattr(sim_b, name).tobytes()
@@ -318,13 +345,13 @@ class TestSimulationRestart:
             SimulationConfig(checkpoint_every=1, checkpoint_dir=ring),
         )
         sim.run(1)
-        arrays, meta = sim._checkpoint_manager().load(
+        arrays, meta = read_checkpoint(
             os.path.join(ring, FILE_PATTERN.format(step=1))
         )
         with pytest.raises(CheckpointError):
             sim2 = NaluWindSimulation("turbine_tiny")
             sim2.workload_name = "turbine_low"
-            sim2._restore_durable_state(arrays, meta, cold=True)
+            sim2.set_state(arrays, meta)
 
     def test_resume_total_applies_only_to_first_run(self, tmp_path):
         ring = str(tmp_path / "ring")
@@ -367,7 +394,7 @@ class TestSimulationRestart:
         restarts = []
         sim_b = NaluWindSimulation("turbine_tiny")
         sim_b.world.hub.subscribe("restart", lambda **kw: restarts.append(kw))
-        sim_b._load_restart(ring)
+        sim_b.transaction.restart(ring)
         assert restarts == [
             {
                 "step": 2,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.mesh import (
     BladeSpec,
-    FieldManager,
     HexMesh,
     build_block_topology,
     geometric_stretching,
@@ -226,42 +225,3 @@ class TestTurbineWorkloads:
         s.advance_rotor(0.1)
         assert np.array_equal(s.background.coords, bg0)
         assert not np.allclose(s.blades[0].coords, bl0)
-
-
-class TestFieldManager:
-    def test_register_and_get(self):
-        m = uniform_box((3, 3, 3))
-        fm = FieldManager(m)
-        v = fm.register("velocity", ncomp=3, value=1.0)
-        assert v.shape == (27, 3)
-        assert fm.get("velocity") is v
-        assert fm.register("velocity", ncomp=3) is v  # idempotent
-
-    def test_scalar_field_shape(self):
-        fm = FieldManager(uniform_box((3, 3, 3)))
-        p = fm.register("pressure")
-        assert p.shape == (27,)
-
-    def test_missing_field_raises(self):
-        fm = FieldManager(uniform_box((3, 3, 3)))
-        with pytest.raises(KeyError):
-            fm.get("nope")
-
-    def test_time_state_shift(self):
-        fm = FieldManager(uniform_box((3, 3, 3)))
-        u = fm.register("u", time_states=2)
-        u[:] = 5.0
-        assert not np.any(fm.old("u") == 5.0)
-        fm.shift_time_states()
-        assert np.all(fm.old("u") == 5.0)
-
-    def test_old_without_time_states_raises(self):
-        fm = FieldManager(uniform_box((3, 3, 3)))
-        fm.register("u")
-        with pytest.raises(KeyError):
-            fm.old("u")
-
-    def test_nbytes_accounting(self):
-        fm = FieldManager(uniform_box((3, 3, 3)))
-        fm.register("u", ncomp=3, time_states=2)
-        assert fm.nbytes() == 2 * 27 * 3 * 8

@@ -1,4 +1,4 @@
-"""Protocol rules: RL007's three ownership clauses and module identity.
+"""Protocol rules: RL007's four ownership clauses and module identity.
 
 RL007 is syntactic since the split halo exchange got a scope, the
 durable write one owner and the modeled-clock sinks one writer: each
@@ -276,6 +276,52 @@ class TestLedgerOwnership:
         rep = _lint(src, "src/repro/linalg/x.py")
         assert not rep.findings
         assert [(f.rule, f.line) for f in rep.suppressed] == [("RL007", 3)]
+
+class TestRecoveryOwnership:
+    """The failure-handling clause of RL007 (same name -> owner table as
+    the halo halves): failures and recoveries are recorded inside
+    ``repro.resilience`` only, so ``core/`` cannot grow a retry loop."""
+
+    # The seeded mutant: the driver's pre-PR-22 rollback, put back.
+    MUTANT = """
+        from repro.resilience.policy import RecoveryEvent, record_recovery
+
+        def rollback(sim, snapshot, failure, attempt):
+            sim.set_state(*snapshot)
+            event = RecoveryEvent(
+                failure.equation, failure.kind, "rollback_restep",
+                attempt, True,
+            )
+            record_recovery(sim.world, event)
+        """
+
+    def test_hand_rolled_recovery_fires_outside_resilience(self):
+        rep = _lint(self.MUTANT, "src/repro/core/simulation.py")
+        assert _hits(rep) == [
+            ("RL007", 2), ("RL007", 2), ("RL007", 6), ("RL007", 10),
+        ]
+        assert "StepTransaction" in rep.findings[0].message
+        guard = """
+            def guard(world, failure, policy):
+                policy.record_failure(world, failure)
+                raise failure
+            """
+        assert _hits(_lint(guard, "src/repro/campaign/x.py")) == [("RL007", 3)]
+
+    def test_quiet_inside_resilience_and_outside_the_package(self):
+        for path in (
+            "src/repro/resilience/transaction.py",
+            "src/repro/resilience/__init__.py",
+            "tests/test_x.py",
+        ):
+            assert not _lint(self.MUTANT, path).findings, path
+        # Reading the folded record is everyone's right.
+        reader = """
+            def report(sim):
+                return sim.transaction.summary()["recoveries"]
+            """
+        assert not _lint(reader, "src/repro/obs/x.py").findings
+
 
 class TestModuleIdentity:
     """Every scoped rule keys on the module name, which must not depend

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, SolverConfig
 from repro.core.simulation import NaluWindSimulation
 from repro.krylov.api import KrylovResult
 from repro.linalg import ParVector
@@ -31,6 +31,7 @@ from repro.resilience import (
     validate_fields,
     validate_iterate,
 )
+from repro.resilience.policy import LADDER, solve_with_recovery
 
 #: The recovery summary of a run in which nothing failed.
 CLEAN_RECOVERY = {"failures": 0, "recoveries": {}, "events": []}
@@ -400,6 +401,77 @@ class TestEndToEndRecovery:
         assert ev["success"] is True
 
 
+class TestSolverLadder:
+    """The LADDER table: every rung is reached from it, on every
+    equation, and nothing outside it can be asked for."""
+
+    @pytest.mark.parametrize("equation", ["momentum", "pressure", "scalar"])
+    @pytest.mark.parametrize("action", list(LADDER))
+    def test_every_rung_is_reached_on_every_equation(self, action, equation):
+        cfg = SimulationConfig(
+            faults=(FaultSpec("solver_stall", at=1, equation=equation),),
+            recovery=RecoveryPolicy(ladder=(action,)),
+        )
+        rep = NaluWindSimulation("turbine_tiny", cfg).run(1)
+        assert rep.recovery["failures"] == 1
+        assert rep.recovery["recoveries"] == {action: 1}
+        (event,) = [e for e in rep.recovery["events"] if "action" in e]
+        assert (event["equation"], event["attempt"]) == (equation, 1)
+
+    def test_unknown_rung_is_refused_at_the_door(self):
+        # The ladder walk indexes LADDER without a fallback branch: the
+        # config schema is what keeps an unknown action from reaching it.
+        cfg = SimulationConfig(
+            recovery=RecoveryPolicy(ladder=("rebuild_precond", "reboot"))
+        )
+        with pytest.raises(ValueError, match="reboot"):
+            NaluWindSimulation("turbine_tiny", cfg)
+        with pytest.raises(ValueError, match="reboot"):
+            SimulationConfig.from_dict({"recovery": {"ladder": ["reboot"]}})
+
+    @pytest.mark.parametrize("guards", [True, False])
+    def test_nonfinite_retry_is_not_a_recovery(self, guards):
+        """First attempt and rungs share one health check; the one case
+        they differ on — guards off, a rung handing back NaN — stays
+        'not recovered'."""
+        world = SimWorld(1)
+        results = iter(
+            [
+                result_with([1.0, 2.0], converged=False),
+                result_with([np.nan, 2.0], converged=True),
+            ]
+        )
+        seen = []
+        world.hub.subscribe("recovery", lambda **kw: seen.append(kw))
+        with pytest.raises(SolverFailure) as ei:
+            solve_with_recovery(
+                world,
+                RecoveryPolicy(guards=guards, ladder=("expand_krylov",)),
+                "pressure",
+                SolverConfig(),
+                lambda cfg, rebuild: next(results),
+                lambda: True,
+            )
+        assert ei.value.kind == "non_convergence"
+        assert ei.value.attempts == ("expand_krylov",)
+        assert [(e["action"], e["success"]) for e in seen] == [
+            ("expand_krylov", False)
+        ]
+        assert world.metrics.counter_total("resilience.recoveries") == 0
+
+    def test_rung_config_is_a_pure_function_of_the_table(self):
+        cfg = SolverConfig(method="gmres", restart=30, max_iters=100)
+        policy = RecoveryPolicy(retry_scale=3.0)
+        assert LADDER["rebuild_precond"](cfg, policy) == (True, cfg)
+        rebuild, boosted = LADDER["expand_krylov"](cfg, policy)
+        assert (rebuild, boosted.restart, boosted.max_iters) == (False, 90, 300)
+        assert LADDER["fallback_method"](cfg, policy)[1].method == "cg"
+        for method in ("cg", "pipelined_cg"):
+            alt = LADDER["fallback_method"](SolverConfig(method=method), policy)
+            assert alt[1].method == "gmres"
+        assert cfg == SolverConfig(method="gmres", restart=30, max_iters=100)
+
+
 class TestCacheInvalidation:
     def test_reset_solver_caches_clears_and_repopulates(self):
         sim = NaluWindSimulation("turbine_tiny")
@@ -652,6 +724,33 @@ class TestTransportFaultMatrix:
         assert m.counter_total("resilience.recoveries") == sum(
             rep.recovery["recoveries"].values()
         )
+
+    def test_checkpoint_restore_rewinds_the_step_history(
+        self, nominal, tmp_path
+    ):
+        """After an in-run restore (step 3 -> ring entry 2, then on to 4)
+        the report has one divergence norm and one cumulative snapshot per
+        step, and entry i is step i's."""
+        cfg = fault_cfg(
+            "exchange_nan",
+            100,  # inside step 4
+            recovery=RecoveryPolicy(max_step_retries=0),
+            checkpoint_every=2,
+            checkpoint_dir=str(tmp_path),
+        )
+        rep = NaluWindSimulation("turbine_tiny", cfg).run(4)
+        assert rep.recovery["recoveries"] == {"checkpoint_restore": 1}
+        assert "step 3 -> 2" in rep.recovery["events"][-1]["detail"]
+        assert rep.n_steps == 4
+        assert len(rep.divergence_norms) == len(rep.step_snapshots) == 4
+        assert rep.divergence_norms[:2] == nominal.divergence_norms
+        assert len(set(rep.divergence_norms)) == 4  # no step counted twice
+        # Cumulative snapshots stay monotone across the discarded step.
+        flops = [
+            sum(agg.flops for agg in snap.values())
+            for snap in rep.step_snapshots
+        ]
+        assert flops == sorted(flops)
 
     def test_checkpoint_restore_budget_bounds_restores(self, tmp_path):
         """With the restore budget already spent, the failure surfaces."""
