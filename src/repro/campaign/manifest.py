@@ -1,12 +1,18 @@
 """The ``repro.campaign/1`` manifest: durable per-job campaign state.
 
 One JSON document per campaign directory records the sweep spec and the
-status of every job (``pending`` -> ``running`` ->
-``done``/``quarantined``), so a killed campaign is re-entrant:
-``campaign resume`` reloads the manifest, skips every ``done`` or
-``quarantined`` job outright, and re-dispatches the rest
-(``running`` jobs resume from their per-job checkpoint ring when one
-exists).
+state of every job, so a killed campaign is re-entrant: ``campaign
+resume`` reloads the manifest, skips every ``done`` or ``quarantined``
+job outright, and re-dispatches the rest (``running`` jobs resume from
+their per-job checkpoint ring when one exists).
+
+A job entry is ``status``, ``job`` (the spec), ``attempts`` (one
+:data:`FAILURE_FIELDS` record per failed attempt, once there is one) and
+exactly the fields :data:`STATUS_FIELDS` declares for its status —
+:meth:`CampaignManifest.mark` drops what the state being left carried.
+``quarantined`` is the poison-job terminal state (attempt budget
+exhausted, or a deterministic failure): later resumes skip the job, and
+its entry is the last failure's context, for post-mortems.
 
 Every mutation rewrites the whole document atomically
 (:func:`repro.durable.atomic_write`, as the checkpoint ring does) — a
@@ -26,14 +32,20 @@ from repro.durable import atomic_write
 #: Format tag of the manifest document.
 MANIFEST_FORMAT = "repro.campaign/1"
 
-#: Allowed job states.  ``quarantined`` is the poison-job terminal
-#: state: the job exhausted its attempt budget (or failed
-#: deterministically) and is skipped by later resumes; its entry keeps
-#: the full failure context (taxonomy, exception type, truncated
-#: traceback, per-attempt history) for post-mortems.  ``failed`` is no
-#: longer written — it stays loadable for directories earlier versions
-#: wrote, and such jobs are re-queued on resume.
-JOB_STATUSES = ("pending", "running", "done", "failed", "quarantined")
+#: Per status, the fields an entry carries besides ``status``, ``job`` and
+#: ``attempts`` (``pending`` carries ``error`` only after a failed attempt).
+STATUS_FIELDS = {
+    "pending": ("error",),
+    "running": ("lease",),
+    "done": ("cached", "result", "wall_s"),
+    "quarantined": ("error", "error_type", "taxonomy", "traceback", "wall_s"),
+}
+JOB_STATUSES = tuple(STATUS_FIELDS)  #: allowed job states
+
+#: What the ``attempts`` history keeps of one failed attempt.
+FAILURE_FIELDS = (
+    "attempt", "taxonomy", "error_type", "error", "traceback", "wall_s",
+)
 
 
 class ManifestError(RuntimeError):
@@ -118,12 +130,37 @@ class CampaignManifest:
                     f"job {digest[:12]}: unknown status {entry['status']!r}"
                 )
 
-    def mark(self, digest: str, status: str, **fields: Any) -> None:
-        """Update one job's status (and extra fields) and persist."""
-        if status not in JOB_STATUSES:
+    def mark(
+        self,
+        digest: str,
+        status: str,
+        failure: dict[str, Any] | None = None,
+        **fields: Any,
+    ) -> None:
+        """Move one job to ``status`` and persist.
+
+        The entry keeps ``job`` and its ``attempts`` history, drops the
+        fields of the state it leaves, and takes ``fields`` — each one
+        declared for ``status`` in :data:`STATUS_FIELDS`, else
+        ``ValueError``.  ``failure`` (the record of the attempt that just
+        failed) joins the history and supplies the declared fields it has.
+        """
+        if status not in STATUS_FIELDS:
             raise ValueError(f"unknown job status {status!r}")
+        declared = STATUS_FIELDS[status]
+        undeclared = sorted(set(fields) - set(declared))
+        if undeclared:
+            raise ValueError(
+                f"a {status!r} entry carries {declared}, not {undeclared}"
+            )
         entry = self.jobs[digest]
-        entry["status"] = status
+        kept = {k: entry[k] for k in ("job", "attempts") if k in entry}
+        entry.clear()
+        entry.update(kept, status=status)
+        if failure is not None:
+            record = {k: failure[k] for k in FAILURE_FIELDS}
+            entry.setdefault("attempts", []).append(record)
+            entry.update({k: record[k] for k in declared if k in record})
         entry.update(fields)
         self.save()
 

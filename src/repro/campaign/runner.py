@@ -37,10 +37,22 @@ import time
 from repro.campaign.job import CampaignSpec, JobSpec
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.store import ResultStore
-from repro.campaign.supervisor import Supervisor, SupervisorPolicy
+from repro.campaign.supervisor import COUNTERS, Supervisor, SupervisorPolicy
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.injection import WORKER_FAULT_KINDS, FaultInjector
+
+
+def _summary_row(entry: dict) -> dict:
+    """One job's row of the run summary: its manifest entry without the
+    bulk, its failure history as a count of executions — the failed
+    attempts, and the one that finished the job (a cache hit is none)."""
+    bulk = ("job", "attempts", "lease", "traceback")
+    row = {k: v for k, v in entry.items() if k not in bulk}
+    if entry.get("attempts"):
+        ran = entry["status"] == "done" and not entry["cached"]
+        row["attempts"] = len(entry["attempts"]) + ran
+    return row
 
 
 class Campaign:
@@ -209,58 +221,30 @@ class Campaign:
             }
         start = time.perf_counter()
         self.manifest.save()
-        self.hub.emit(
-            "campaign_start",
+        supervisor = Supervisor(self)
+        supervisor._transition(
+            "start",
             name=self.spec.name,
             total=len(self.jobs),
             workers=self.workers,
         )
-        Supervisor(self).run(max_jobs)
-        counts = self.manifest.status_counts()
-        m = self.metrics
+        supervisor.run(max_jobs)
         summary = {
             "format": "repro.campaign.summary/1",
             "name": self.spec.name,
             "root": self.root,
             "workers": self.workers,
             "total_jobs": len(self.jobs),
-            "status_counts": counts,
-            "cache_hits": int(m.counter_total("campaign.cache_hits")),
-            "cache_misses": int(m.counter_total("campaign.cache_misses")),
-            "jobs_run": int(m.counter_total("campaign.jobs_run")),
-            "jobs_failed": int(m.counter_total("campaign.jobs_failed")),
-            "jobs_resumed": int(m.counter_total("campaign.jobs_resumed")),
-            "retries": int(m.counter_total("campaign.retries")),
-            "requeues": int(m.counter_total("campaign.requeues")),
-            "quarantined": int(m.counter_total("campaign.quarantined")),
-            "lease_expired": int(m.counter_total("campaign.lease_expired")),
-            "breaker_trips": int(m.counter_total("campaign.breaker_trips")),
-            "store_retries": int(m.counter_total("campaign.store_retries")),
-            "plan_shared": int(m.counter_total("assembly.plan_shared")),
+            "status_counts": self.manifest.status_counts(),
+            **{
+                name.split(".", 1)[1]: int(self.metrics.counter_total(name))
+                for name in COUNTERS
+            },
             "wall_s": time.perf_counter() - start,
             "jobs": {
-                digest: {
-                    "status": entry["status"],
-                    **{
-                        k: entry[k]
-                        for k in (
-                            "result",
-                            "error",
-                            "error_type",
-                            "taxonomy",
-                            "cached",
-                            "wall_s",
-                        )
-                        if k in entry
-                    },
-                    **(
-                        {"attempts": len(entry["attempts"])}
-                        if entry.get("attempts")
-                        else {}
-                    ),
-                }
+                digest: _summary_row(entry)
                 for digest, entry in sorted(self.manifest.jobs.items())
             },
         }
-        self.hub.emit("campaign_end", summary=summary)
+        supervisor._transition("end", summary=summary)
         return summary

@@ -44,12 +44,11 @@ on one of two executors picked from ``Campaign.workers``:
   cooldown of consecutive successes, instead of letting a sick
   filesystem take the whole sweep down with it.
 
-Everything is observable: counters ``campaign.retries`` /
-``requeues`` / ``quarantined`` / ``lease_expired`` / ``breaker_trips``
-/ ``store_retries`` and hub events ``job_retry`` / ``job_quarantined``
-/ ``lease_takeover`` / ``breaker_trip``.  Chaos is injected through
-process-level :class:`~repro.resilience.injection.FaultSpec` kinds
-(``worker_crash``/``worker_hang``/store ``io_fail``) keyed on
+Everything is observable, from one place: :data:`TRANSITIONS` declares,
+per lifecycle event, the manifest status it persists, the ``campaign.*``
+counters it bumps and the hub event that announces it.  Chaos is injected
+through process-level :class:`~repro.resilience.injection.FaultSpec`
+kinds (``worker_crash``/``worker_hang``/store ``io_fail``) keyed on
 ``(job, attempt)``, so ``benchmarks/check_campaign_chaos.py`` can pin
 the exact counter contract of a seeded fault storm.
 """
@@ -61,12 +60,14 @@ import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from repro.assembly.plan import PlanCache
+from repro.campaign.manifest import STATUS_FIELDS
 from repro.durable import atomic_write
 from repro.resilience.guards import TRANSIENT_FAILURE_KINDS, classify_failure
+from repro.serialize import Config
 
 #: Exit code a worker uses for an injected hard crash (``os._exit``).
 CRASH_EXIT_CODE = 86
@@ -85,33 +86,52 @@ def new_nonce() -> str:
     return f"{os.getpid()}-{next(_NONCE_COUNTER)}"
 
 
-def failure_context(exc: BaseException) -> dict[str, Any]:
-    """The taxonomy-classified failure record of one caught exception.
+def failure_record(
+    taxonomy: str,
+    error_type: str,
+    error: str,
+    tb: str = "",
+    wall_s: float | None = None,
+) -> dict[str, Any]:
+    """The record of one failed attempt: its outcome document, and
+    (with its ``attempt`` index, stamped at settle) what the manifest
+    keeps per attempt."""
+    return {
+        "ok": False,
+        "taxonomy": taxonomy,
+        "error_type": error_type,
+        "error": error,
+        "traceback": tb[-TRACEBACK_LIMIT:],
+        "wall_s": wall_s,
+    }
+
+
+def failure_context(
+    exc: BaseException, wall_s: float | None = None
+) -> dict[str, Any]:
+    """The :func:`failure_record` of one caught exception.
 
     Every broad ``except`` in the campaign layer must route what it
-    swallows through this helper (or re-raise): the returned dict
-    carries the resilience taxonomy class, the exception type, and a
-    truncated traceback, and is what the manifest persists for
-    post-mortems (lint rule RL010 enforces the convention statically).
+    swallows through this helper (or re-raise), so the failure reaches
+    the manifest classified by the resilience taxonomy (lint rule RL010
+    enforces the convention statically).
     """
     tb = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__)
     )
-    return {
-        "ok": False,
-        "error": f"{type(exc).__name__}: {exc}",
-        "error_type": type(exc).__name__,
-        "taxonomy": classify_failure(exc),
-        "traceback": tb[-TRACEBACK_LIMIT:],
-    }
+    name = type(exc).__name__
+    return failure_record(
+        classify_failure(exc), name, f"{name}: {exc}", tb, wall_s
+    )
 
 
 # -- policy -------------------------------------------------------------------
 
 
 @dataclass
-class SupervisorPolicy:
-    """Supervisor knobs (``Campaign(policy=...)``).
+class SupervisorPolicy(Config):
+    """Supervisor knobs (``Campaign(policy=...)``); each field declares
+    its own bound, checked by ``validate()``.
 
     ``policy=None`` there means ``SupervisorPolicy(max_attempts=1)``:
     never retry.
@@ -141,39 +161,18 @@ class SupervisorPolicy:
             before the attempt is classified ``io_error``.
     """
 
-    max_attempts: int = 3
-    job_timeout_s: float = 0.0
-    heartbeat_timeout_s: float = 0.0
-    poll_s: float = 0.02
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    breaker_window: int = 8
-    breaker_min_events: int = 4
-    breaker_threshold: float = 0.5
-    breaker_cooldown: int = 3
-    store_io_retries: int = 3
-
-    def validate(self) -> None:
-        """Raise on inconsistent settings."""
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.poll_s <= 0:
-            raise ValueError("poll_s must be > 0")
-        if self.job_timeout_s < 0 or self.heartbeat_timeout_s < 0:
-            raise ValueError("timeouts must be >= 0 (0 disables)")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not (0.0 < self.breaker_threshold <= 1.0):
-            raise ValueError("breaker_threshold must be in (0, 1]")
-        if self.breaker_window < 1 or self.breaker_min_events < 1:
-            raise ValueError("breaker window/min_events must be >= 1")
-        if self.breaker_cooldown < 1:
-            raise ValueError("breaker_cooldown must be >= 1")
-        if self.store_io_retries < 0:
-            raise ValueError("store_io_retries must be >= 0")
+    max_attempts: int = field(default=3, metadata={"ge": 1})
+    job_timeout_s: float = field(default=0.0, metadata={"ge": 0})
+    heartbeat_timeout_s: float = field(default=0.0, metadata={"ge": 0})
+    poll_s: float = field(default=0.02, metadata={"gt": 0})
+    backoff_base_s: float = field(default=0.05, metadata={"ge": 0})
+    backoff_factor: float = field(default=2.0, metadata={"ge": 1})
+    backoff_max_s: float = field(default=2.0, metadata={"ge": 0})
+    breaker_window: int = field(default=8, metadata={"ge": 1})
+    breaker_min_events: int = field(default=4, metadata={"ge": 1})
+    breaker_threshold: float = field(default=0.5, metadata={"gt": 0, "le": 1})
+    breaker_cooldown: int = field(default=3, metadata={"ge": 1})
+    store_io_retries: int = field(default=3, metadata={"ge": 0})
 
     def backoff(self, attempt: int) -> float:
         """Deterministic delay before re-dispatching attempt ``attempt``."""
@@ -193,12 +192,7 @@ def lease_path(job_dir: str) -> str:
 
 def write_lease(job_dir: str, nonce: str, beat: int = 0) -> None:
     """Atomically write this process's lease."""
-    lease = {
-        "pid": os.getpid(),
-        "nonce": nonce,
-        "beat": int(beat),
-        "stamp": time.time(),
-    }
+    lease = {"pid": os.getpid(), "nonce": nonce, "beat": int(beat)}
     atomic_write(lease_path(job_dir), json.dumps(lease).encode("utf-8"))
 
 
@@ -323,10 +317,7 @@ def execute_job_payload(
             ),
         }
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-        return {
-            **failure_context(exc),
-            "wall_s": time.perf_counter() - start,
-        }
+        return failure_context(exc, time.perf_counter() - start)
 
 
 def _outcome_path(job_dir: str, attempt: int) -> str:
@@ -420,7 +411,7 @@ def _attempt(payload: dict, plan_cache: PlanCache) -> None:
         try:
             _write_outcome(
                 _outcome_path(payload["job_dir"], int(payload["attempt"])),
-                {**failure_context(exc), "wall_s": 0.0},
+                failure_context(exc, 0.0),
             )
             release_lease(payload["job_dir"])
         except OSError:
@@ -464,16 +455,16 @@ class FailureBreaker:
     def __init__(
         self,
         capacity: int,
-        window: int = 8,
-        min_events: int = 4,
-        threshold: float = 0.5,
-        cooldown: int = 3,
+        policy: SupervisorPolicy | None = None,
+        **knobs: float,
     ) -> None:
+        """``knobs`` stand in for a policy: its ``breaker_*`` fields,
+        spelt without the prefix."""
+        policy = policy or SupervisorPolicy(
+            **{f"breaker_{name}": value for name, value in knobs.items()}
+        )
         self.capacity = max(1, capacity)
-        self.window = window
-        self.min_events = min_events
-        self.threshold = threshold
-        self.cooldown = cooldown
+        self.policy = policy
         self.allowed = self.capacity
         self._outcomes: list[bool] = []
         self._success_streak = 0
@@ -482,12 +473,12 @@ class FailureBreaker:
     def record(self, ok: bool) -> bool:
         """Fold one attempt outcome in; True when the breaker trips."""
         self._outcomes.append(ok)
-        if len(self._outcomes) > self.window:
+        if len(self._outcomes) > self.policy.breaker_window:
             self._outcomes.pop(0)
         if ok:
             self._success_streak += 1
             if (
-                self._success_streak >= self.cooldown
+                self._success_streak >= self.policy.breaker_cooldown
                 and self.allowed < self.capacity
             ):
                 self.allowed = min(self.capacity, self.allowed * 2)
@@ -496,8 +487,8 @@ class FailureBreaker:
         self._success_streak = 0
         failures = sum(1 for o in self._outcomes if not o)
         if (
-            len(self._outcomes) >= self.min_events
-            and failures / len(self._outcomes) >= self.threshold
+            len(self._outcomes) >= self.policy.breaker_min_events
+            and failures / len(self._outcomes) >= self.policy.breaker_threshold
             and self.allowed > 1
         ):
             self.allowed = max(1, self.allowed // 2)
@@ -510,12 +501,52 @@ class FailureBreaker:
 # -- the supervisor -----------------------------------------------------------
 
 
+class Transition(NamedTuple):
+    """One row of :data:`TRANSITIONS`, the events of a campaign run.  A job
+    event is announced as a ``campaign_job`` row whose ``status`` is the
+    event's name."""
+
+    status: str | None = None  #: manifest status written, if any
+    counters: tuple[str, ...] = ()  #: each bumped by one
+    emits: str = ""  #: hub event kind, where not a ``campaign_job`` row
+
+
+TRANSITIONS = {
+    "start": Transition(emits="campaign_start"),
+    "leased": Transition(),
+    "takeover": Transition(
+        None, ("campaign.lease_expired",), "lease_takeover"
+    ),
+    "cached": Transition("done", ("campaign.cache_hits",)),
+    "deferred": Transition(),
+    "running": Transition("running"),
+    "done": Transition("done", ("campaign.jobs_run",)),
+    "retry": Transition("pending", ("campaign.retries",)),
+    "requeue": Transition("pending", ("campaign.requeues",)),
+    "quarantined": Transition(
+        "quarantined", ("campaign.quarantined", "campaign.jobs_failed")
+    ),
+    "breaker_trip": Transition(
+        None, ("campaign.breaker_trips",), "breaker_trip"
+    ),
+    "end": Transition(emits="campaign_end"),
+}
+
+#: The run summary's counters: the table's, then facts counted where seen.
+COUNTERS = (
+    *dict.fromkeys(c for row in TRANSITIONS.values() for c in row.counters),
+    "campaign.cache_misses",
+    "campaign.jobs_resumed",
+    "campaign.store_retries",
+    "assembly.plan_shared",
+)
+
+
 class _WorkerHandle:
     """One forked worker process and its in-flight attempt state."""
 
-    def __init__(self, ctx, index: int) -> None:
+    def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self.index = index
         self.task_q = ctx.SimpleQueue()
         self.proc = ctx.Process(
             target=_worker_main, args=(self.task_q,), daemon=True
@@ -543,18 +574,32 @@ class Supervisor:
     def __init__(self, campaign) -> None:
         self.campaign = campaign
         self.policy: SupervisorPolicy = campaign.policy
-        self.chaos = campaign.chaos
         self.metrics = campaign.metrics
         self.hub = campaign.hub
         self.manifest = campaign.manifest
-        policy = self.policy
-        self.breaker = FailureBreaker(
-            max(1, campaign.workers),
-            window=policy.breaker_window,
-            min_events=policy.breaker_min_events,
-            threshold=policy.breaker_threshold,
-            cooldown=policy.breaker_cooldown,
-        )
+        self.breaker = FailureBreaker(max(1, campaign.workers), self.policy)
+
+    def _transition(
+        self, event: str, job=None, digest="", failure=None, **facts: Any
+    ) -> None:
+        """Apply one :data:`TRANSITIONS` row — the only writer of job
+        state: bump its counters, persist its status with the facts that
+        status declares (``failure`` joins the job's history), announce it
+        with all of them.  The run's own events have no ``job``."""
+        row = TRANSITIONS[event]
+        for name in row.counters:
+            self.metrics.counter(name).inc()
+        if row.status is not None:
+            declared = STATUS_FIELDS[row.status]
+            self.manifest.mark(
+                digest,
+                row.status,
+                failure=failure,
+                **{k: v for k, v in facts.items() if k in declared},
+            )
+        if job is not None:
+            facts.update(job_id=job.job_id, digest=digest, status=event)
+        self.hub.emit(row.emits or "campaign_job", **(failure or {}), **facts)
 
     # -- intake --------------------------------------------------------------
 
@@ -579,51 +624,32 @@ class Supervisor:
                 if lease_is_live(lease):
                     # Another coordinator's worker holds this job: do
                     # not double-run it (the pre-lease behavior).
-                    self.hub.emit(
-                        "campaign_job",
-                        job_id=job.job_id,
-                        digest=digest,
-                        status="leased",
-                        pid=lease["pid"],
-                    )
+                    self._transition("leased", job, digest, pid=lease["pid"])
                     continue
                 if lease is not None:
-                    self.metrics.counter("campaign.lease_expired").inc()
-                    self.hub.emit(
-                        "lease_takeover",
-                        job_id=job.job_id,
-                        digest=digest,
+                    self._transition(
+                        "takeover",
+                        job,
+                        digest,
                         pid=lease.get("pid"),
                         nonce=lease.get("nonce"),
                     )
                     release_lease(job_dir)
                 try_resume = True
-            cached = camp.store.get(digest)
-            if cached is not None:
-                self.metrics.counter("campaign.cache_hits").inc()
-                self.manifest.mark(
+            if camp.store.get(digest) is not None:
+                self._transition(
+                    "cached",
+                    job,
                     digest,
-                    "done",
                     cached=True,
                     result=os.path.relpath(
                         camp.store.path(digest), camp.root
                     ),
                 )
-                self.hub.emit(
-                    "campaign_job",
-                    job_id=job.job_id,
-                    digest=digest,
-                    status="cached",
-                )
                 continue
             self.metrics.counter("campaign.cache_misses").inc()
             if budget <= 0:
-                self.hub.emit(
-                    "campaign_job",
-                    job_id=job.job_id,
-                    digest=digest,
-                    status="deferred",
-                )
+                self._transition("deferred", job, digest)
                 continue
             budget -= 1
             attempt = len(entry.get("attempts", []))
@@ -642,15 +668,9 @@ class Supervisor:
         job_dir = camp._job_dir(job)
         nonce = new_nonce()
         payload = camp._payload(job, try_resume=try_resume)
-        payload.update(
-            {
-                "job_dir": job_dir,
-                "attempt": attempt,
-                "nonce": nonce,
-            }
-        )
-        if self.chaos is not None:
-            spec = self.chaos.on_worker(job.job_id, attempt)
+        payload.update(job_dir=job_dir, attempt=attempt, nonce=nonce)
+        if camp.chaos is not None:
+            spec = camp.chaos.on_worker(job.job_id, attempt)
             if spec is not None:
                 payload["fault"] = {
                     "kind": spec.kind,
@@ -662,14 +682,11 @@ class Supervisor:
             os.unlink(_outcome_path(job_dir, attempt))
         except OSError:
             pass
-        self.manifest.mark(
-            digest, "running", lease={"pid": pid, "nonce": nonce}
-        )
-        self.hub.emit(
-            "campaign_job",
-            job_id=job.job_id,
-            digest=digest,
-            status="running",
+        self._transition(
+            "running",
+            job,
+            digest,
+            lease={"pid": pid, "nonce": nonce},
             attempt=attempt,
             resume=try_resume,
         )
@@ -690,145 +707,73 @@ class Supervisor:
         if worker.proc.is_alive():  # pragma: no cover - defensive
             worker.proc.kill()
         worker.proc.join(timeout=5)
-        return _WorkerHandle(worker.ctx, worker.index)
+        return _WorkerHandle(worker.ctx)
 
     # -- outcome handling ----------------------------------------------------
 
-    def _store_result(self, digest: str, doc: dict) -> str | dict:
+    def _store_result(self, digest: str, doc: dict) -> str:
         """Persist one result with retry-with-backoff on I/O failure.
 
-        Returns the stored path, or a :func:`failure_context`-shaped
-        dict when the retry budget is exhausted (the attempt is then
-        classified ``io_error`` and routed through the retry machinery
-        like any other transient failure).
+        Returns the stored path; the ``OSError`` that exhausts the retry
+        budget propagates (the attempt is then classified ``io_error``
+        and routed through the retry machinery like any other transient
+        failure).
         """
-        camp = self.campaign
-        last: dict | None = None
-        for i in range(self.policy.store_io_retries + 1):
+        for i in range(self.policy.store_io_retries):
             try:
-                return camp.store.put(digest, doc)
-            except OSError as exc:
-                last = failure_context(exc)
-                if i < self.policy.store_io_retries:
-                    self.metrics.counter("campaign.store_retries").inc()
-                    time.sleep(self.policy.backoff(i))
-        assert last is not None
-        return last
+                return self.campaign.store.put(digest, doc)
+            except OSError:
+                self.metrics.counter("campaign.store_retries").inc()
+                time.sleep(self.policy.backoff(i))
+        return self.campaign.store.put(digest, doc)
 
-    def _on_success(self, job, digest: str, attempt: int, outcome: dict):
-        """Returns None when stored, or a failure context on store I/O."""
+    def _on_success(
+        self, job, digest: str, attempt: int, outcome: dict, stored: str
+    ) -> None:
+        """Close a job whose result is in the store at ``stored``."""
         camp = self.campaign
-        stored = self._store_result(digest, outcome["doc"])
-        if isinstance(stored, dict):
-            return stored
-        self.metrics.counter("campaign.jobs_run").inc()
         if outcome.get("resumed"):
             self.metrics.counter("campaign.jobs_resumed").inc()
         self.metrics.counter("assembly.plan_shared").inc(
             outcome.get("plan_shared", 0.0)
         )
         release_lease(camp._job_dir(job))
-        self.manifest.mark(
-            digest,
+        self._transition(
             "done",
+            job,
+            digest,
             cached=False,
             result=os.path.relpath(stored, camp.root),
             wall_s=outcome.get("wall_s"),
-        )
-        self.hub.emit(
-            "campaign_job",
-            job_id=job.job_id,
-            digest=digest,
-            status="done",
             attempt=attempt,
-            wall_s=outcome.get("wall_s"),
             resumed=bool(outcome.get("resumed")),
         )
-        return None
 
     def _on_failure(
-        self,
-        job,
-        digest: str,
-        attempt: int,
-        context: dict,
-        delayed: list,
+        self, job, digest: str, failure: dict, delayed: list
     ) -> None:
         """Retry (transient, attempts left) or quarantine one failure."""
-        camp = self.campaign
-        release_lease(camp._job_dir(job))
-        taxonomy = context.get("taxonomy", "non_convergence")
-        entry = self.manifest.jobs[digest]
-        history = list(entry.get("attempts", []))
-        history.append(
-            {
-                "attempt": attempt,
-                "taxonomy": taxonomy,
-                "error_type": context.get("error_type", ""),
-                "error": context.get("error", ""),
-                "traceback": context.get("traceback", ""),
-                "wall_s": context.get("wall_s"),
-            }
-        )
-        transient = taxonomy in TRANSIENT_FAILURE_KINDS
-        if transient and attempt + 1 < self.policy.max_attempts:
-            counter = (
-                "campaign.requeues"
-                if taxonomy in ("worker_hang", "job_timeout")
-                else "campaign.retries"
-            )
-            self.metrics.counter(counter).inc()
+        release_lease(self.campaign._job_dir(job))
+        attempt, taxonomy = failure["attempt"], failure["taxonomy"]
+        if (
+            taxonomy in TRANSIENT_FAILURE_KINDS
+            and attempt + 1 < self.policy.max_attempts
+        ):
             delay = self.policy.backoff(attempt)
-            self.manifest.mark(
-                digest, "pending", attempts=history, error=context.get("error")
-            )
-            self.hub.emit(
-                "job_retry",
-                job_id=job.job_id,
-                digest=digest,
-                attempt=attempt,
-                taxonomy=taxonomy,
+            killed = taxonomy in ("worker_hang", "job_timeout")
+            self._transition(
+                "requeue" if killed else "retry",
+                job,
+                digest,
+                failure=failure,
                 delay_s=delay,
-            )
-            self.hub.emit(
-                "campaign_job",
-                job_id=job.job_id,
-                digest=digest,
-                status="retry",
-                attempt=attempt,
-                taxonomy=taxonomy,
             )
             delayed.append(
                 (time.monotonic() + delay, job, digest, attempt + 1)
             )
             return
-        self.metrics.counter("campaign.quarantined").inc()
-        self.metrics.counter("campaign.jobs_failed").inc()
-        self.manifest.mark(
-            digest,
-            "quarantined",
-            attempts=history,
-            error=context.get("error", "unknown"),
-            error_type=context.get("error_type", ""),
-            taxonomy=taxonomy,
-            traceback=context.get("traceback", ""),
-            wall_s=context.get("wall_s"),
-        )
-        self.hub.emit(
-            "job_quarantined",
-            job_id=job.job_id,
-            digest=digest,
-            attempts=len(history),
-            taxonomy=taxonomy,
-        )
-        self.hub.emit(
-            "campaign_job",
-            job_id=job.job_id,
-            digest=digest,
-            status="quarantined",
-            attempt=attempt,
-            taxonomy=taxonomy,
-            error=context.get("error", ""),
+        self._transition(
+            "quarantined", job, digest, failure=failure, attempts=attempt + 1
         )
 
     def _settle(
@@ -837,17 +782,24 @@ class Supervisor:
         """Close one attempt: store its result, or retry/quarantine.
 
         ``outcome`` is the attempt's outcome document or a failure
-        context the supervisor built itself (crash, hang, timeout).
+        record the supervisor built itself (crash, hang, timeout).
         Feeds the breaker; counts and announces trips.
         """
-        context: dict | None = outcome
-        if outcome.get("ok"):
-            context = self._on_success(job, digest, attempt, outcome)
-        if context is not None:
-            self._on_failure(job, digest, attempt, context, delayed)
-        if self.breaker.record(context is None):
-            self.metrics.counter("campaign.breaker_trips").inc()
-            self.hub.emit(
+        failure: dict | None = outcome
+        if outcome["ok"]:
+            try:
+                stored = self._store_result(digest, outcome["doc"])
+            except OSError as exc:
+                failure = failure_context(exc)
+            else:
+                failure = None
+                self._on_success(job, digest, attempt, outcome, stored)
+        if failure is not None:
+            self._on_failure(
+                job, digest, {**failure, "attempt": attempt}, delayed
+            )
+        if self.breaker.record(failure is None):
+            self._transition(
                 "breaker_trip",
                 allowed=self.breaker.allowed,
                 capacity=self.breaker.capacity,
@@ -891,66 +843,47 @@ class Supervisor:
         outcome_file = _outcome_path(worker.job_dir, attempt)
         if os.path.exists(outcome_file):
             outcome = _load_outcome(outcome_file)
-            self._settle(job, digest, attempt, outcome, delayed)
-            worker.job = None
-            return True
-        if worker.proc.exitcode is not None:
+        elif worker.proc.exitcode is not None:
             # Worker died without reporting: a crash fault domain.
-            context = {
-                "error": (
-                    f"worker exited with code {worker.proc.exitcode} "
-                    "before reporting an outcome"
-                ),
-                "error_type": "WorkerCrash",
-                "taxonomy": "worker_crash",
-                "traceback": "",
-            }
-            self._settle(job, digest, attempt, context, delayed)
-            worker.job = None
-            return True
-        now = time.monotonic()
-        lease = read_lease(worker.job_dir)
-        if lease is not None and int(lease.get("beat", -1)) != worker.last_beat:
-            worker.last_beat = int(lease.get("beat", -1))
-            worker.last_beat_change = now
-        hang = (
-            self.policy.heartbeat_timeout_s > 0
-            and now - worker.last_beat_change > self.policy.heartbeat_timeout_s
-        )
-        timeout = (
-            self.policy.job_timeout_s > 0
-            and now - dispatched > self.policy.job_timeout_s
-        )
-        if hang or timeout:
-            taxonomy = "worker_hang" if hang else "job_timeout"
+            outcome = failure_record(
+                "worker_crash",
+                "WorkerCrash",
+                f"worker exited with code {worker.proc.exitcode} "
+                "before reporting an outcome",
+            )
+        else:
+            now = time.monotonic()
+            lease = read_lease(worker.job_dir)
+            beat = -1 if lease is None else int(lease.get("beat", -1))
+            if lease is not None and beat != worker.last_beat:
+                worker.last_beat = beat
+                worker.last_beat_change = now
+            stalled = now - worker.last_beat_change
+            hang = 0 < self.policy.heartbeat_timeout_s < stalled
+            timeout = 0 < self.policy.job_timeout_s < now - dispatched
+            if not (hang or timeout):
+                return False
+            if hang:
+                taxonomy, why = "worker_hang", "lease heartbeat stalled"
+            else:
+                taxonomy, why = "job_timeout", "wall-clock budget exceeded"
             self.metrics.counter("campaign.lease_expired").inc()
             worker.proc.kill()
             worker.proc.join(timeout=5)
-            context = {
-                "error": (
-                    f"attempt {attempt} {taxonomy}: "
-                    + (
-                        "lease heartbeat stalled"
-                        if hang
-                        else "wall-clock budget exceeded"
-                    )
-                    + f" after {now - dispatched:.2f}s (worker killed)"
-                ),
-                "error_type": "LeaseExpired",
-                "taxonomy": taxonomy,
-                "traceback": "",
-            }
-            self._settle(job, digest, attempt, context, delayed)
-            worker.job = None
-            return True
-        return False
+            outcome = failure_record(
+                taxonomy,
+                "LeaseExpired",
+                f"attempt {attempt} {taxonomy}: {why} "
+                f"after {now - dispatched:.2f}s (worker killed)",
+            )
+        self._settle(job, digest, attempt, outcome, delayed)
+        worker.job = None
+        return True
 
     def _run_forked(self, ready: list, delayed: list) -> None:
         """Run attempts in ``campaign.workers`` forked worker processes."""
         ctx = multiprocessing.get_context("fork")
-        workers = [
-            _WorkerHandle(ctx, i) for i in range(self.campaign.workers)
-        ]
+        workers = [_WorkerHandle(ctx) for _ in range(self.campaign.workers)]
         try:
             while ready or delayed or any(w.busy for w in workers):
                 self._promote_due(ready, delayed)

@@ -3,7 +3,7 @@ canonical hashing.
 
 An option is one field.  A config dataclass (``SimulationConfig``,
 ``SolverConfig``, ``AMGOptions``, ``RecoveryPolicy``, ``FaultSpec``,
-``JobSpec``) subclasses :class:`Config` and declares each option once:
+``JobSpec``, ``SupervisorPolicy``) subclasses :class:`Config` and declares each option once:
 annotation, default and, if enumerated or bounded, ``field(metadata=...)``
 naming the owning module's tuple (``"choices"``) or a bound (``"ge"``,
 ``"gt"``, ``"le"``, ``"lt"``); ``"runtime": True`` marks a field with no

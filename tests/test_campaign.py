@@ -5,6 +5,8 @@ supervisor protocol on both executors (inline == fork, crash-at-every-
 boundary fault domains, hang detection, lease takeover, quarantine,
 failure breaker)."""
 
+import collections
+import functools
 import json
 import multiprocessing
 import os
@@ -27,8 +29,11 @@ from repro.campaign import (
     write_lease,
 )
 from repro.campaign import merge_overrides, set_path
+from repro.campaign.manifest import JOB_STATUSES, STATUS_FIELDS
+from repro.campaign.supervisor import COUNTERS, TRANSITIONS
 from repro.core.config import SimulationConfig
 from repro.core.simulation import NaluWindSimulation
+from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec, SolverFailure
 
@@ -177,10 +182,32 @@ class TestManifest:
         m = CampaignManifest(str(tmp_path), spec)
         jobs = spec.expand()
         m.register(jobs)
-        m.mark(jobs[0].digest(), "failed", error="boom")
+        m.mark(jobs[0].digest(), "quarantined", error="boom")
         again = CampaignManifest.load(str(tmp_path))
-        assert again.jobs[jobs[0].digest()]["status"] == "failed"
+        assert again.jobs[jobs[0].digest()]["status"] == "quarantined"
         assert again.jobs[jobs[0].digest()]["error"] == "boom"
+
+    def test_mark_keeps_only_what_the_new_status_declares(self, tmp_path):
+        m = CampaignManifest(str(tmp_path), tiny_spec())
+        m.register(tiny_spec().expand())
+        digest = next(iter(m.jobs))
+        failure = {
+            "ok": False, "attempt": 0, "taxonomy": "io_error",
+            "error_type": "OSError", "error": "boom", "traceback": "tb",
+            "wall_s": 0.5,
+        }
+        m.mark(digest, "pending", failure=failure)
+        assert m.jobs[digest]["error"] == "boom"
+        m.mark(digest, "running", lease={"pid": 1, "nonce": "n"})
+        assert "error" not in m.jobs[digest]
+        m.mark(digest, "done", cached=False, result="r", wall_s=1.0)
+        (record,) = m.jobs[digest]["attempts"]
+        assert "ok" not in record and record["taxonomy"] == "io_error"
+        assert set(m.jobs[digest]) == {
+            "status", "job", "attempts", *STATUS_FIELDS["done"]
+        }
+        with pytest.raises(ValueError, match="lease"):
+            m.mark(digest, "done", lease={"pid": 1, "nonce": "n"})
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(ManifestError):
@@ -576,8 +603,7 @@ class TestSupervisedRunner:
         )
         s = camp.run()
         assert s["status_counts"] == {
-            "pending": 0, "running": 0, "done": 1, "failed": 0,
-            "quarantined": 1,
+            "pending": 0, "running": 0, "done": 1, "quarantined": 1,
         }
         assert s["retries"] == 1 and s["quarantined"] == 1
         entry = camp.manifest.jobs[jobs[0].digest()]
@@ -730,14 +756,13 @@ class TestSupervisedRunner:
 
     def test_default_policy_quarantines_after_one_attempt(self, tmp_path):
         # policy=None is max_attempts=1 on the one path there is: a job
-        # out of attempts is quarantined (never "failed"), inline too.
+        # out of attempts is quarantined, inline too.
         spec = tiny_spec(name="det1", seeds=(0,), steps=2)
         spec.base = merge_overrides(spec.base, POISON)
         camp = Campaign(spec, str(tmp_path / "c"))
         s = camp.run()
         digest = camp.jobs[0].digest()
         assert s["status_counts"]["quarantined"] == 1
-        assert s["status_counts"]["failed"] == 0
         assert s["retries"] == 0 and s["jobs_failed"] == 1
         assert s["jobs"][digest]["attempts"] == 1
         entry = camp.manifest.jobs[digest]
@@ -747,21 +772,138 @@ class TestSupervisedRunner:
         assert "SolverFailure" in entry["traceback"]
         assert len(entry["traceback"]) <= 2000
         assert [a["attempt"] for a in entry["attempts"]] == [0]
+    #: Scenario -> the ``campaign_job`` / ``lease_takeover`` rows it drives.
+    LIFECYCLES = {
+        "clean": ["running", "done"],
+        "cached": ["cached"],
+        "crash_then_done": ["running", "retry", "running", "done"],
+        "quarantined": ["running", "retry", "running", "quarantined"],
+        "takeover": ["takeover", "running", "done"],
+        "inline_io_error": ["running", "retry", "running", "done"],
+    }
 
-    def test_legacy_failed_entry_loads_and_is_requeued(self, tmp_path):
-        # Earlier versions wrote status "failed"; nothing does any more,
-        # but such a directory must still resume.
-        spec = tiny_spec(name="legacy", seeds=(0,))
+    def scenario(self, name, tmp_path, hub=None):
+        """A one-job campaign set up to walk ``LIFECYCLES[name]``."""
+        spec = tiny_spec(name=name, seeds=(0,))
+        job = spec.expand()[0]
         root = str(tmp_path / "c")
-        manifest = CampaignManifest(root, spec)
-        manifest.register(spec.expand())
-        (entry,) = manifest.jobs.values()
-        entry.update(status="failed", error="boom", wall_s=0.1)
-        manifest.save()
-        s = Campaign.resume(root).run()
-        assert s["jobs_run"] == 1
-        assert s["status_counts"]["done"] == 1
-        assert s["status_counts"]["failed"] == 0
+
+        def crash(at):
+            return FaultSpec(
+                kind="worker_crash", at=at, point="spawn", job=job.job_id
+            )
+
+        kwargs = {}
+        if name == "cached":
+            kwargs = {"store_dir": str(tmp_path / "store")}
+            Campaign(spec, str(tmp_path / "first"), **kwargs).run()
+        elif name == "crash_then_done":
+            kwargs = dict(
+                workers=1,
+                policy=fast_policy(max_attempts=3),
+                chaos=FaultInjector((crash(0),)),
+            )
+        elif name == "quarantined":
+            kwargs = dict(
+                workers=1,
+                policy=fast_policy(max_attempts=2),
+                chaos=FaultInjector((crash(0), crash(1))),
+            )
+        elif name == "takeover":
+            dead = Campaign(spec, root)
+            dead.manifest.mark(job.digest(), "running")
+            os.makedirs(dead._job_dir(job))
+            with open(
+                os.path.join(dead._job_dir(job), "lease.json"), "w"
+            ) as fh:
+                json.dump({"pid": 2**22 + 999, "nonce": "dead", "beat": 1}, fh)
+        elif name == "inline_io_error":
+            kwargs = dict(
+                policy=fast_policy(max_attempts=2, store_io_retries=1),
+                chaos=FaultInjector(
+                    (
+                        FaultSpec(
+                            kind="io_fail", at=0, entries=2, job=job.digest()
+                        ),
+                    )
+                ),
+            )
+        return Campaign(spec, root, hub=hub, **kwargs)
+
+    @pytest.mark.parametrize("name", ["crash_then_done", "inline_io_error"])
+    def test_retried_then_finished_job_keeps_no_failed_attempt_state(
+        self, tmp_path, name
+    ):
+        # A `done` entry is its result: not the error of the attempt that
+        # failed before it, nor the lease of a worker that is gone.
+        camp = self.scenario(name, tmp_path)
+        s = camp.run()
+        (digest,) = camp.manifest.jobs
+        taxonomy = "worker_crash" if camp.workers else "io_error"
+        for row in (camp.manifest.jobs[digest], s["jobs"][digest]):
+            assert row["status"] == "done" and "result" in row
+            assert "error" not in row and "lease" not in row
+        entry = camp.manifest.jobs[digest]
+        assert [a["taxonomy"] for a in entry["attempts"]] == [taxonomy]
+        assert s["jobs"][digest]["attempts"] == 2  # executions
+
+    @pytest.mark.parametrize("name", sorted(LIFECYCLES))
+    def test_events_counters_and_manifest_agree(self, tmp_path, name):
+        # The hub stream, folded through TRANSITIONS alone, reproduces
+        # the manifest's statuses and every counter the table owns.
+        by_kind = {
+            row.emits: event for event, row in TRANSITIONS.items() if row.emits
+        }
+        hub, events = ObserverHub(), []
+
+        def record(kind, /, **facts):
+            events.append((by_kind.get(kind) or facts["status"], facts))
+
+        for kind in ("campaign_job", *by_kind):
+            hub.subscribe(kind, functools.partial(record, kind))
+        camp = self.scenario(name, tmp_path, hub)
+        statuses = {d: e["status"] for d, e in camp.manifest.jobs.items()}
+        camp.run()
+        assert [e for e, _facts in events] == [
+            "start", *self.LIFECYCLES[name], "end"
+        ]
+        counted = collections.Counter()
+        for event, facts in events:
+            row = TRANSITIONS[event]
+            counted.update(row.counters)
+            if row.status is not None:
+                statuses[facts["digest"]] = row.status
+        tally = collections.Counter(statuses.values())
+        assert {
+            st: tally[st] for st in JOB_STATUSES
+        } == camp.manifest.status_counts()
+        owned = {c for row in TRANSITIONS.values() for c in row.counters}
+        assert {c: counted[c] for c in owned} == {
+            c: camp.metrics.counter_total(c) for c in owned
+        }
+
+
+def test_campaign_doc_lists_the_transition_table():
+    """``docs/campaign.md`` names every status, per-status field, event,
+    hub event kind and counter the lifecycle tables declare."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "docs", "campaign.md"
+    )
+    with open(path, encoding="utf-8") as fh:
+        sections = {
+            sec.split("\n", 1)[0]: sec for sec in fh.read().split("\n## ")
+        }
+    manifest = sections["Manifest and resume"]
+    for status, fields in STATUS_FIELDS.items():
+        for name in (status, *fields):
+            assert f"`{name}`" in manifest, f"{status}: {name}"
+    lifecycle = (
+        sections["Failure handling"] + sections["Counters and progress"]
+    )
+    for event, row in TRANSITIONS.items():
+        assert f"`{row.emits or event}`" in lifecycle, event
+    for counter in COUNTERS:
+        assert f"`{counter}`" in lifecycle, counter
 
 
 @pytest.mark.slow

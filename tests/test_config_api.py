@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amg.hierarchy import AMGOptions
-from repro.campaign import CampaignSpec, JobSpec
+from repro.campaign import CampaignSpec, JobSpec, SupervisorPolicy
 from repro.core.config import FaultSpec, SimulationConfig, SolverConfig
 from repro.perf.machines import MACHINES
 from repro.resilience.policy import RecoveryPolicy
@@ -20,7 +20,7 @@ from tests.test_ledger import ALTPATHS
 
 CONFIG_CLASSES = (
     SimulationConfig, SolverConfig, AMGOptions, RecoveryPolicy, FaultSpec,
-    JobSpec,
+    JobSpec, SupervisorPolicy,
 )
 
 
