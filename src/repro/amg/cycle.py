@@ -50,16 +50,24 @@ class AMGPreconditioner:
         )
         return ParVector(world, Ac.row_offsets, x)
 
-    def _vcycle(self, level: int, b: ParVector, x: ParVector) -> ParVector:
+    def _vcycle(
+        self, level: int, b: ParVector, x: ParVector | None = None
+    ) -> ParVector:
+        """One cycle from ``level`` down; ``x=None`` is the zero guess every
+        coarse level (and the preconditioner action) starts from, whose
+        first pre-sweep is the smoother's ``apply(b)``: ``smooth`` without
+        the residual ``b - A 0`` and its halo round."""
         lvl = self.h.levels[level]
         if level == len(self.h.levels) - 1:
             return self._coarse_solve(b)
-        for _ in range(self.options.pre_sweeps):
+        pre_sweeps = self.options.pre_sweeps
+        if x is None:
+            x = lvl.smoother.apply(b) if pre_sweeps else b.like(np.zeros(b.n))
+            pre_sweeps -= 1  # -1 with no pre-sweeps: an empty range below
+        for _ in range(pre_sweeps):
             lvl.smoother.smooth(b, x)
         r = lvl.A.residual(b, x)
-        bc = lvl.R.matvec(r)
-        xc = bc.like(np.zeros(bc.n))
-        xc = self._vcycle(level + 1, bc, xc)
+        xc = self._vcycle(level + 1, lvl.R.matvec(r))
         dx = lvl.P.matvec(xc)
         x.data += dx.data
         x._record_local("axpy", 2.0, 3)
@@ -71,8 +79,7 @@ class AMGPreconditioner:
 
     def apply(self, r: ParVector) -> ParVector:
         """One V-cycle with zero initial guess (preconditioner action)."""
-        x = r.like(np.zeros(r.n))
-        return self._vcycle(0, r, x)
+        return self._vcycle(0, r)
 
     def solve(
         self,

@@ -204,6 +204,11 @@ class AMGHierarchy:
             self._record_setup_comm(A_l)
             cf1 = pmis_coarsen(S, rng)
             self._record_setup_pass(A_l, "amg_pmis", passes=4.0)
+            if not np.any(cf1 == C_POINT):
+                # Every row is decoupled (all F): the smoother's job, or the
+                # coarse solve's when this is the only level.  Otherwise a
+                # C-point has an F neighbor, so every new level is smaller.
+                break
 
             if level < opt.agg_levels:
                 # A-1 aggressive coarsening with two-stage interpolation:
@@ -248,9 +253,6 @@ class AMGHierarchy:
                     P_csr, opt.trunc_max_elements, opt.trunc_tol
                 )
 
-            nc = P_csr.shape[1]
-            if nc == 0 or nc >= A_csr.shape[0]:
-                break  # coarsening stalled
             coarse_offsets = self._coarse_offsets(cf, fine_offsets)
 
             R_csr = sparse.csr_matrix(P_csr.T)

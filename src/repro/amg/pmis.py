@@ -11,6 +11,15 @@ convention).  Rounds of Luby selection pick the points whose measure is a
 strict local maximum over the undirected strong graph as C-points; their
 strong neighbors become F-points.  Points influencing nothing start as
 F-points.  Everything is vectorized per round.
+
+A row with no strong connection in either direction is an F-point with an
+empty interpolation row (hypre's ``SF_PT``): nothing interpolates to it or
+from it, the fine-level smoother relaxes it alone (exactly, when its
+off-diagonal is empty, as for the unit-diagonal Dirichlet / fringe / hole
+rows of the pressure system) and the coarse grids never see it.  Only the
+aggressive second pass, which coarsens the first pass's C-points over the
+distance-two graph, keeps such a point C: a first-pass C-point with no
+C-point within distance two is the one coarse point its neighbourhood has.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ def pmis_coarsen(
     S: sparse.csr_matrix,
     rng: np.random.Generator,
     max_rounds: int = 100,
+    isolated: int = F_POINT,
 ) -> np.ndarray:
     """Run PMIS on a strength matrix.
 
@@ -38,6 +48,8 @@ def pmis_coarsen(
         rng: random generator for the tie-break measures (the paper uses
             cuRAND for these).
         max_rounds: safety cap on Luby rounds.
+        isolated: marker of a point with no strong connection in either
+            direction (``C_POINT`` only in :func:`second_pass_aggressive`).
 
     Returns:
         ``(n,)`` array of ``C_POINT`` / ``F_POINT`` markers.
@@ -54,12 +66,11 @@ def pmis_coarsen(
     lam = influence + rng.random(n)
 
     cf = np.zeros(n, dtype=np.int8)
-    # Points that influence nothing and are influenced by nothing make poor
-    # C-points: hypre marks isolated points F immediately (they carry no
-    # interpolatory value); here: no strong neighbors at all -> F.
+    # Points that influence nothing carry no interpolatory value and start
+    # as F-points; with no strong neighbor at all they are `isolated`.
     degree = np.diff(G.indptr)
-    cf[(influence < 1.0) & (degree > 0)] = F_POINT
-    cf[degree == 0] = C_POINT  # fully decoupled rows interpolate injectively
+    cf[influence < 1.0] = F_POINT
+    cf[degree == 0] = isolated
 
     indptr, indices = G.indptr, G.indices
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -106,7 +117,7 @@ def second_pass_aggressive(
     if cpts.size == 0:
         return cf.copy()
     Scc = S_agg[cpts][:, cpts].tocsr()
-    sub = pmis_coarsen(Scc, rng)
+    sub = pmis_coarsen(Scc, rng, isolated=C_POINT)
     out = cf.copy()
     out[cpts[sub == F_POINT]] = F_POINT
     return out

@@ -72,9 +72,9 @@ class ChebyshevSmoother:
         self.delta = 0.5 * (self.eig_max - self.eig_min)
 
     def apply(self, r: ParVector) -> ParVector:
-        """Preconditioner action with zero initial guess."""
-        z = r.like(np.zeros(r.n))
-        return self.smooth(r, z)
+        """Preconditioner action with zero initial guess: the first
+        residual is ``r`` itself, no SpMV or halo round."""
+        return self._iterate(r, r.like(np.zeros(r.n)), r.copy())
 
     # The smoother's selling point at scale (§4): zero reductions — the
     # eigenvalue estimate is paid once at construction, the polynomial
@@ -82,11 +82,14 @@ class ChebyshevSmoother:
     @reduction_contract(setup=0, per_iteration=0)
     def smooth(self, b: ParVector, x: ParVector) -> ParVector:
         """Chebyshev iteration on ``D^-1 A x = D^-1 b`` in place."""
+        return self._iterate(b, x, self.A.residual(b, x))
+
+    def _iterate(self, b: ParVector, x: ParVector, r: ParVector) -> ParVector:
+        """The recurrence from ``x`` with residual ``r = b - A x`` (consumed)."""
         A = self.A
         dinv = self.split.Dinv
         theta, delta = self.theta, self.delta
 
-        r = A.residual(b, x)
         r.data *= dinv
         self.split.record_diag_scale("cheby_scale")
         # Standard three-term Chebyshev recurrence (hypre's formulation).

@@ -43,11 +43,11 @@ class JacobiSmoother:
     def apply(self, r: ParVector) -> ParVector:
         """Preconditioner action with zero initial guess."""
         z = r.like(self.omega * self.dinv * r.data)
-        self.split.record_diag_scale("jacobi_apply")
+        self.split.record_diag_scale("jacobi_update")
         for _ in range(self.sweeps - 1):
             res = self.A.residual(r, z)
             z.data += self.omega * self.dinv * res.data
-            self.split.record_diag_scale("jacobi_apply")
+            self.split.record_diag_scale("jacobi_update")
         return z
 
 

@@ -6,18 +6,19 @@ import pytest
 
 @pytest.fixture(scope="session")
 def assemble_tiny_pressure():
-    """Builder of the assembled pressure-Poisson system of the tiny
-    turbine mesh in a uniform stream: ``build(nranks) -> (world, A, rhs)``."""
+    """Builder of the assembled pressure-Poisson system of a turbine mesh
+    (the tiny one by default) in a uniform stream:
+    ``build(nranks, workload="turbine_tiny") -> (world, A, rhs)``."""
     from repro.comm import SimWorld
     from repro.core import CompositeMesh, SimulationConfig
     from repro.core.operators import boundary_mass_flux, mass_flux
     from repro.core.physics import PressurePoissonSystem
-    from repro.mesh import make_turbine_tiny
+    from repro.mesh import make_workload
 
-    def build(nranks):
+    def build(nranks, workload="turbine_tiny"):
         cfg = SimulationConfig(nranks=nranks)
         w = SimWorld(cfg.nranks)
-        comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
+        comp = CompositeMesh(w, make_workload(workload), cfg.partition_method)
         pres = PressurePoissonSystem(comp, cfg)
         u = np.tile([8.0, 0, 0], (comp.n, 1))
         A, rhs = pres.assemble(

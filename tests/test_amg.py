@@ -119,11 +119,39 @@ class TestPMIS:
         cf = pmis_coarsen(S, np.random.default_rng(1))
         self._check_valid_cf(S, cf)
 
-    def test_isolated_points_become_c(self):
-        A = sparse.eye(5).tocsr()
+    def test_isolated_rows_become_f(self):
+        """hypre's SF_PT rule: a row with no strong connection in either
+        direction is F with an empty interpolation row, and an operator of
+        nothing else is one level, solved by the coarse LU."""
+        A = sparse.block_diag([poisson2d(4), 3.0 * sparse.eye(5)]).tocsr()
         S = strength_matrix(A, 0.25)
         cf = pmis_coarsen(S, np.random.default_rng(0))
-        assert np.all(cf == C_POINT)
+        assert np.all(cf[16:] == F_POINT)
+        assert np.any(cf[:16] == C_POINT)
+        for interp in ALL_INTERPS:
+            P = interp(A, S, cf)
+            assert np.all(np.diff(P.indptr)[16:] == 0)
+            assert np.all(np.diff(P.indptr)[:16] > 0)
+
+        w, M = par(3.0 * sparse.eye(100).tocsr())
+        h = AMGHierarchy(M, AMGOptions(coarse_size=10))
+        assert h.level_sizes() == [(100, 100)]
+        b = M.new_vector(np.arange(100.0))
+        assert np.allclose(AMGPreconditioner(h).apply(b).data, b.data / 3.0)
+
+    def test_second_pass_keeps_isolated_c_points(self):
+        """A first-pass C-point with no C-point within distance two is the
+        only coarse point of its neighbourhood: the aggressive pass must not
+        apply the first pass's rule to it."""
+        # Two far-apart C-points of a path graph, coupled to nothing in S^2+S.
+        n = 9
+        S = sparse.diags([1.0, 1.0], [-1, 1], (n, n)).tocsr()
+        cf1 = np.full(n, F_POINT, dtype=np.int8)
+        cf1[[1, 7]] = C_POINT
+        cf2 = second_pass_aggressive(
+            aggressive_strength(S), cf1, np.random.default_rng(0)
+        )
+        assert np.array_equal(cf2, cf1)
 
     def test_coarsening_reduces_size(self):
         A = poisson2d(16)
@@ -251,6 +279,28 @@ class TestHierarchy:
         h_agg = AMGHierarchy(M2, AMGOptions(agg_levels=2, interp="mm_ext"))
         # Aggressive coarsening yields a smaller level-1 grid.
         assert h_agg.levels[1].A.shape[0] < h_no.levels[1].A.shape[0]
+
+    @pytest.mark.parametrize(
+        "workload,nranks", [("turbine_tiny", 2), ("turbine_low", 12)]
+    )
+    def test_assembled_pressure_hierarchy_shape(
+        self, assemble_tiny_pressure, workload, nranks
+    ):
+        """ROADMAP 1(d): the hierarchy of the *assembled* pressure operator
+        (unit-diagonal Dirichlet / fringe / hole rows included) coarsens
+        geometrically down to ``coarse_size`` and never carries a
+        constraint row onto a coarse level."""
+        _w, A, _rhs = assemble_tiny_pressure(nranks, workload)
+        assert np.any(np.diff(A.A.indptr) == 1)  # constraint rows present
+        h = AMGHierarchy(A)
+        stats = h.stats()
+        rows = [lvl["rows"] for lvl in stats.levels]
+        assert stats.num_levels > 1
+        for lvl in h.levels[1:]:
+            assert np.all(np.diff(lvl.A.A.indptr) > 1)
+        assert all(c <= 0.6 * f for f, c in zip(rows, rows[1:]))
+        assert rows[-1] <= h.options.coarse_size
+        assert stats.operator_complexity < 2.3
 
     def test_complexities_reported(self):
         w, M = par(poisson2d(16))
@@ -382,3 +432,20 @@ class TestVCycle:
         assert w.ops.total("setup").flops > 0
         assert w.ops.total("cycle").flops > 0
         assert w.traffic.message_count("cycle") > 0
+
+
+def test_coarsening_rule_keeps_the_simulation_iteration_counts():
+    """The end-to-end guard of the F-point rule, `tiny_r2_motion`'s shape:
+    20 one-Picard steps of `turbine_tiny`@2.  Momentum and scalar never see
+    AMG and must not move; pressure was 255 with the constraint rows on
+    every level (256 under multi-threaded BLAS, whose dot products round
+    differently) and is 252 (262) without them: parent + 5 % is the bound.
+    Demoting isolated C-points in the second pass too reads 353."""
+    from repro import NaluWindSimulation, SimulationConfig
+
+    report = NaluWindSimulation(
+        "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
+    ).run(20)
+    totals = {eq: sum(its) for eq, its in report.solve_iterations.items()}
+    assert totals["momentum"] == 160 and totals["scalar"] == 40
+    assert totals["pressure"] <= 268

@@ -9,6 +9,7 @@ from scipy import sparse
 from repro.comm import SimWorld
 from repro.linalg import ParCSRMatrix, ParVector
 from repro.smoothers import (
+    SMOOTHER_NAMES,
     HybridGS,
     JacobiSmoother,
     L1JacobiSmoother,
@@ -212,3 +213,35 @@ class TestSGS2:
         assert sm.inner_sweeps == 2
         assert sm.outer_sweeps == 2
         assert sm.symmetric
+
+
+@pytest.mark.parametrize("name", SMOOTHER_NAMES)
+def test_apply_is_smooth_from_zero_without_the_first_residual(name):
+    """The zero-guess form the V-cycle's first pre-sweep uses: same result
+    (up to the sign of zero), one SpMV + axpby + halo round cheaper."""
+    A = poisson2d(8)
+    rhs = np.random.default_rng(5).standard_normal(A.shape[0])
+
+    def ledger(call):
+        w, M = par(A)
+        sm = make_smoother(name, M)
+        b = M.new_vector(rhs.copy())
+        with w.phase_scope("t"):
+            out = call(M, sm, b, b.like(np.zeros(b.n)))
+        tallies = {}
+        for kernel in w.ops.kernels("t"):
+            t = w.ops.kernel_tally("t", kernel)
+            tallies[kernel] = (t.flops, t.bytes, t.launches)
+        return out.data, tallies, w.traffic.message_count("t")
+
+    z, apply_ops, apply_msgs = ledger(lambda M, sm, b, x: sm.apply(b))
+    x, smooth_ops, smooth_msgs = ledger(lambda M, sm, b, x: sm.smooth(b, x))
+    _r, residual_ops, halo_round = ledger(lambda M, sm, b, x: M.residual(b, x))
+
+    assert np.array_equal(z, x)
+    assert set(residual_ops) == {"spmv", "axpby"} and halo_round > 0
+    assert smooth_msgs - apply_msgs == halo_round
+    assert set(smooth_ops) == set(apply_ops) | set(residual_ops)
+    for kernel, total in smooth_ops.items():
+        rest = np.subtract(total, residual_ops.get(kernel, (0, 0, 0)))
+        assert tuple(rest) == apply_ops.get(kernel, (0, 0, 0)), kernel
