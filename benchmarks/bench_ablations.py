@@ -18,13 +18,7 @@ import pytest
 from repro.amg import AMGHierarchy, AMGOptions, AMGPreconditioner
 from repro.core.config import SimulationConfig
 from repro.core.simulation import NaluWindSimulation
-from repro.harness import (
-    emit,
-    equation_breakdown,
-    format_table,
-    nli_series,
-    run_strong_scaling,
-)
+from repro.harness import emit, equation_breakdown, format_table, nli_series
 from repro.krylov import GMRES
 from repro.perf import SUMMIT_CPU_GRP, SUMMIT_GPU
 
@@ -189,7 +183,9 @@ def test_ablation_amg_interpolation(pressure_matrix_low, benchmark):
     benchmark.pedantic(setup_kernel, rounds=1, iterations=1)
 
 
-def test_ablation_aggressive_coarsening(pressure_matrix_low, benchmark):
+def test_ablation_aggressive_coarsening(
+    pressure_matrix_low, benchmark, sweep
+):
     """A-1 aggressive coarsening lowers hierarchy complexity (§4.1)."""
     from repro.comm import SimWorld
     from repro.linalg import ParCSRMatrix
@@ -213,9 +209,14 @@ def test_ablation_aggressive_coarsening(pressure_matrix_low, benchmark):
             ]
         )
     # What the shallow hierarchy costs the solver at the README operating
-    # point (turbine_low @ 12, defaults): with the constraint rows on every
-    # level (13 levels) it was 95 pressure iterations per step.
-    rep = NaluWindSimulation("turbine_low", SimulationConfig(nranks=12)).run(2)
+    # point (turbine_low @ 12, defaults — the AMG ablation's default point):
+    # with the constraint rows on every level (13 levels) it was 95
+    # pressure iterations per step.
+    default = SimulationConfig().precond_rebuild_every
+    (rep,) = sweep(
+        "aggressive_coarsening", "turbine_low", [12],
+        {"precond_rebuild_every": default}, steps=2,
+    )
     pressure_iters = sum(rep.solve_iterations["pressure"]) / rep.n_steps
     emit(
         "ablation_aggressive",
@@ -252,15 +253,15 @@ def test_crossover_dofs_per_gpu(fig3_sweep, benchmark):
     """CPU/GPU cross-over point (paper: ~200k mesh nodes per GPU)."""
     gpu = nli_series(fig3_sweep, SUMMIT_GPU, "gpu")
     cpu = nli_series(fig3_sweep, SUMMIT_CPU_GRP, "cpu")
-    n_nodes = fig3_sweep[0].report.total_nodes * 1000  # paper scale
+    n_nodes = fig3_sweep[0].total_nodes * 1000  # paper scale
     rows = []
     crossover = None
-    for i, pt in enumerate(fig3_sweep):
-        dofs_per_gpu = n_nodes / pt.ranks
+    for i, nranks in enumerate(gpu.ranks):
+        dofs_per_gpu = n_nodes / nranks
         faster = "GPU" if gpu.mean[i] < cpu.mean[i] else "CPU"
         rows.append(
             [
-                pt.ranks / 6,
+                nranks / 6,
                 f"{dofs_per_gpu:.3g}",
                 f"{gpu.mean[i]:.3f}",
                 f"{cpu.mean[i]:.3f}",
@@ -346,7 +347,7 @@ def test_cold_start_overhead(benchmark):
     assert overheads["pressure"] < 0.5
 
 
-def test_ablation_amg_refresh(benchmark):
+def test_ablation_amg_refresh(benchmark, sweep):
     """One BoomerAMG set-up per pressure solve (the cadence the paper
     measured, and what every figure here is priced at) against the
     default rule: set up when the operator's pattern moved — once per
@@ -356,28 +357,26 @@ def test_ablation_amg_refresh(benchmark):
     rows = []
     nli, iters = {}, {}
     for bound in (1, default):
-        points = run_strong_scaling(
-            "turbine_low",
-            ranks,
-            n_steps=2,
-            config=SimulationConfig(precond_rebuild_every=bound),
+        reports = sweep(
+            f"amg_refresh_{bound}", "turbine_low", ranks,
+            {"precond_rebuild_every": bound}, steps=2,
         )
-        nli[bound] = nli_series(points, SUMMIT_GPU).mean
+        nli[bound] = nli_series(reports, SUMMIT_GPU).mean
         iters[bound] = [
-            sum(pt.report.solve_iterations["pressure"]) for pt in points
+            sum(rep.solve_iterations["pressure"]) for rep in reports
         ]
-        for pt, mean in zip(points, nli[bound]):
-            setup = equation_breakdown(pt.report, SUMMIT_GPU, "pressure")[
+        for rep, mean in zip(reports, nli[bound]):
+            setup = equation_breakdown(rep, SUMMIT_GPU, "pressure")[
                 "precond_setup"
             ]
-            its = pt.report.solve_iterations["pressure"]
+            its = rep.solve_iterations["pressure"]
             rows.append(
                 [
                     str(bound),
-                    str(pt.ranks),
+                    str(rep.config.nranks),
                     f"{mean:.3f}",
                     f"{setup:.3f}",
-                    f"{sum(its) / pt.report.n_steps:.1f}",
+                    f"{sum(its) / rep.n_steps:.1f}",
                 ]
             )
     emit(
@@ -410,22 +409,18 @@ def test_per_equation_gpu_advantage(fig3_sweep, benchmark):
     DoFs/GPU than the pressure solve's."""
     from repro.harness import equation_breakdown
 
-    pt = fig3_sweep[-1]  # smallest DoFs/GPU in the sweep
+    rep = fig3_sweep[-1]  # smallest DoFs/GPU in the sweep
     rows = []
     ratios = {}
     for eq in ("momentum", "scalar", "pressure"):
-        gpu = sum(
-            equation_breakdown(pt.report, SUMMIT_GPU, eq).values()
-        )
-        cpu = sum(
-            equation_breakdown(pt.report, SUMMIT_CPU_GRP, eq).values()
-        )
+        gpu = sum(equation_breakdown(rep, SUMMIT_GPU, eq).values())
+        cpu = sum(equation_breakdown(rep, SUMMIT_CPU_GRP, eq).values())
         ratios[eq] = cpu / max(gpu, 1e-12)
         rows.append([eq, f"{gpu:.3f}", f"{cpu:.3f}", f"{ratios[eq]:.2f}x"])
     emit(
         "ablation_per_equation",
         format_table(
-            f"Per-equation GPU advantage at {pt.ranks} ranks "
+            f"Per-equation GPU advantage at {rep.config.nranks} ranks "
             "(CPU time / GPU time)",
             ["equation", "GPU [s]", "CPU [s]", "GPU advantage"],
             rows,
@@ -437,7 +432,7 @@ def test_per_equation_gpu_advantage(fig3_sweep, benchmark):
     assert ratios["momentum"] > ratios["pressure"]
     benchmark.pedantic(
         equation_breakdown,
-        args=(pt.report, SUMMIT_GPU, "momentum"),
+        args=(rep, SUMMIT_GPU, "momentum"),
         rounds=1,
         iterations=1,
     )

@@ -26,10 +26,10 @@ def test_capability_projection(fig9_sweep, benchmark):
         )
     # Same projection from the reproduction's largest refined run.
     big = fig9_sweep[-1]
-    ws = default_work_scale(big.report)
+    ws = default_work_scale(big)
     for pt in project_capability(
-        big.report.total_nodes,
-        big.ranks * REFINED_GPUS_PER_RANK,
+        big.total_nodes,
+        big.config.nranks * REFINED_GPUS_PER_RANK,
         paper_scale=ws,
     ):
         rows.append(

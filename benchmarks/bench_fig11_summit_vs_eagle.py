@@ -46,29 +46,25 @@ def test_fig11_summit_vs_eagle(fig3_sweep, benchmark):
     # Headline check at the paper's GPU counts: Eagle with *half* the GPUs
     # of the largest Summit point still beats it.  Paper: 72 vs 144 GPUs;
     # scaled: half the ranks of the largest sweep point.
+    ranks = summit.ranks
     largest = fig3_sweep[-1]
     half_idx = next(
-        (
-            i
-            for i, pt in enumerate(fig3_sweep)
-            if pt.ranks * 2 == largest.ranks
-        ),
-        None,
+        (i for i, r in enumerate(ranks) if r * 2 == ranks[-1]), None
     )
     if half_idx is not None:
         t_eagle_half = eagle.mean[half_idx]
         t_summit_full = summit.mean[-1]
         print(
-            f"\nEagle@{fig3_sweep[half_idx].ranks} ranks: "
-            f"{t_eagle_half:.3f}s vs Summit@{largest.ranks} ranks: "
+            f"\nEagle@{ranks[half_idx]} ranks: "
+            f"{t_eagle_half:.3f}s vs Summit@{ranks[-1]} ranks: "
             f"{t_summit_full:.3f}s "
             f"(paper: Eagle/72 ~40% faster than Summit/144)"
         )
         assert t_eagle_half < 1.25 * t_summit_full
 
     # Per-phase gains concentrate in the pressure AMG setup + solve.
-    bd_s = equation_breakdown(largest.report, SUMMIT_GPU, "pressure")
-    bd_e = equation_breakdown(largest.report, EAGLE_GPU, "pressure")
+    bd_s = equation_breakdown(largest, SUMMIT_GPU, "pressure")
+    bd_e = equation_breakdown(largest, EAGLE_GPU, "pressure")
     rows = [
         [ph, f"{bd_s[ph]:.3f}", f"{bd_e[ph]:.3f}"]
         for ph in ("precond_setup", "solve")

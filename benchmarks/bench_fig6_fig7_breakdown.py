@@ -18,10 +18,11 @@ from repro.perf import SUMMIT_CPU_GRP, SUMMIT_GPU
 
 def _rows(sweep, machine):
     rows = []
-    for pt in sweep:
-        bd = equation_breakdown(pt.report, machine, "pressure")
+    for rep in sweep:
+        bd = equation_breakdown(rep, machine, "pressure")
+        nranks = rep.config.nranks
         rows.append(
-            [pt.ranks / 6, pt.ranks]
+            [nranks / 6, nranks]
             + [f"{bd[s]:.3f}" for s in PHASES]
             + [f"{sum(bd.values()):.3f}"]
         )
@@ -44,11 +45,11 @@ def test_fig6_cpu_breakdown(fig3_sweep, benchmark):
             "but scale well.",
         ),
     )
-    bd = equation_breakdown(fig3_sweep[-1].report, SUMMIT_CPU_GRP, "pressure")
+    bd = equation_breakdown(fig3_sweep[-1], SUMMIT_CPU_GRP, "pressure")
     assert bd["precond_setup"] + bd["solve"] > 0.5 * sum(bd.values())
     benchmark.pedantic(
         equation_breakdown,
-        args=(fig3_sweep[0].report, SUMMIT_CPU_GRP, "pressure"),
+        args=(fig3_sweep[0], SUMMIT_CPU_GRP, "pressure"),
         rounds=1,
         iterations=1,
     )
@@ -69,17 +70,17 @@ def test_fig7_gpu_breakdown(fig3_sweep, benchmark):
         ),
     )
     # GPU local assembly beats CPU local assembly by a healthy factor.
-    gpu_bd = equation_breakdown(fig3_sweep[0].report, SUMMIT_GPU, "pressure")
+    gpu_bd = equation_breakdown(fig3_sweep[0], SUMMIT_GPU, "pressure")
     cpu_bd = equation_breakdown(
-        fig3_sweep[0].report, SUMMIT_CPU_GRP, "pressure"
+        fig3_sweep[0], SUMMIT_CPU_GRP, "pressure"
     )
     assert cpu_bd["local_assembly"] > 2.0 * gpu_bd["local_assembly"]
     # AMG setup+solve dominate the GPU pressure time at scale.
-    bd = equation_breakdown(fig3_sweep[-1].report, SUMMIT_GPU, "pressure")
+    bd = equation_breakdown(fig3_sweep[-1], SUMMIT_GPU, "pressure")
     assert bd["precond_setup"] + bd["solve"] > 0.5 * sum(bd.values())
     benchmark.pedantic(
         equation_breakdown,
-        args=(fig3_sweep[0].report, SUMMIT_GPU, "pressure"),
+        args=(fig3_sweep[0], SUMMIT_GPU, "pressure"),
         rounds=1,
         iterations=1,
     )
@@ -91,21 +92,21 @@ def test_pressure_dominates_nli(fig3_sweep, benchmark):
     from repro.harness.scaling import default_work_scale
     from repro.perf.cost import CostModel
 
-    pt = fig3_sweep[-1]
-    cm = CostModel(SUMMIT_GPU, default_work_scale(pt.report))
-    nranks = pt.report.config.nranks
+    rep = fig3_sweep[-1]
+    cm = CostModel(SUMMIT_GPU, default_work_scale(rep))
+    nranks = rep.config.nranks
     totals = {"pressure": 0.0, "other": 0.0}
-    for delta in pt.report.step_deltas():
+    for delta in rep.step_deltas():
         for ph, agg in delta.items():
             t = cm.price_aggregate(agg, nranks).total
             key = "pressure" if ph.startswith("pressure/") else "other"
             totals[key] += t
     frac = totals["pressure"] / (totals["pressure"] + totals["other"])
-    print(f"\npressure fraction of NLI at {pt.ranks} ranks: {frac:.2f}")
+    print(f"\npressure fraction of NLI at {nranks} ranks: {frac:.2f}")
     assert frac > 0.45
     benchmark.pedantic(
         lambda: cm.price_aggregate(
-            next(iter(pt.report.step_deltas()[0].values())), nranks
+            next(iter(rep.step_deltas()[0].values())), nranks
         ),
         rounds=1,
         iterations=1,

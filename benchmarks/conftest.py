@@ -1,8 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
-Every figure bench consumes one of the session-scoped sweeps below, so the
-expensive simulations run once per pytest session.  Scales are adjustable
-through environment variables:
+Every figure bench consumes one of the session-scoped sweeps below.  A
+registered-workload sweep is a campaign (one job per rank count) run
+through ``repro.campaign.Campaign`` against one session-scoped result
+store, so a point two figures share (Fig. 3's optimized config is the AMG
+ablation's cadence-1 point) runs once per session; its result is the
+rank-ordered list of stored ledgers, priced as reports.  The store lives
+for one session only: a job digest hashes the config, not the code.
+Scales are adjustable through environment variables:
 
 * ``REPRO_BENCH_STEPS``          time steps per run (default 2; paper: 50)
 * ``REPRO_BENCH_RANKS``          low-res rank sweep (default ``3,6,12,24,48,96``)
@@ -16,13 +21,9 @@ import os
 
 import pytest
 
+from repro.campaign import Campaign, CampaignSpec
 from repro.core.config import SimulationConfig
 from repro.core.simulation import NaluWindSimulation
-from repro.harness import (
-    emit_telemetry,
-    export_sweep_profiles,
-    run_strong_scaling,
-)
 from repro.mesh import make_turbine_low
 
 
@@ -43,100 +44,84 @@ REFINE = int(os.environ.get("REPRO_BENCH_REFINE", "2"))
 DUAL_GPUS_PER_RANK = int(os.environ.get("REPRO_BENCH_DUAL_GPR", "1"))
 REFINED_GPUS_PER_RANK = int(os.environ.get("REPRO_BENCH_REFINED_GPR", "90"))
 
+#: The paper's optimized configuration (current implementation), as
+#: overrides.  Figs. 6-7 and 11 price one BoomerAMG set-up per pressure
+#: solve.
+OPTIMIZED = {
+    "assembly_variant": "optimized",
+    "partition_method": "parmetis",
+    "sgs_inner": 2,
+    "precond_rebuild_every": 1,
+}
+
+#: The paper's baseline GPU configuration: general hypre assembly, RCB
+#: decomposition, single inner Gauss-Seidel sweep.
+BASELINE = {
+    "assembly_variant": "general",
+    "partition_method": "rcb",
+    "sgs_inner": 1,
+    "precond_rebuild_every": 1,
+}
+
 
 def optimized_config() -> SimulationConfig:
-    """The paper's optimized configuration (current implementation)."""
-    return SimulationConfig(
-        assembly_variant="optimized",
-        partition_method="parmetis",
-        sgs_inner=2,
-        # Figs. 6-7 and 11 price one BoomerAMG set-up per pressure solve.
-        precond_rebuild_every=1,
-    )
-
-
-def baseline_config() -> SimulationConfig:
-    """The paper's baseline GPU configuration: general hypre assembly, RCB
-    decomposition, single inner Gauss-Seidel sweep."""
-    return SimulationConfig(
-        assembly_variant="general",
-        partition_method="rcb",
-        sgs_inner=1,
-        # Figs. 6-7 and 11 price one BoomerAMG set-up per pressure solve.
-        precond_rebuild_every=1,
-    )
-
-
-def export_sweep_telemetry(points, name: str) -> None:
-    """Persist each point's RunTelemetry under ``benchmarks/results/``.
-
-    The JSON artifacts are the baseline/current inputs of
-    ``benchmarks/check_telemetry_regression.py`` (tier-2 perf gate).
-    """
-    for pt in points:
-        if pt.report.telemetry is not None:
-            emit_telemetry(f"telemetry_{name}_r{pt.ranks}", pt.report.telemetry)
+    """The paper's optimized configuration (:data:`OPTIMIZED`)."""
+    return SimulationConfig.from_dict(OPTIMIZED)
 
 
 @pytest.fixture(scope="session")
-def fig3_sweep():
+def sweep(tmp_path_factory):
+    """``sweep(name, workload, ranks, base, steps)``: one job per rank
+    count through the campaign runner, against the session's store;
+    returns the stored results, rank-ordered, as priceable reports."""
+    root = tmp_path_factory.mktemp("campaigns")
+    store = str(root / "store")
+
+    def run(name, workload, ranks, base, steps=BENCH_STEPS):
+        spec = CampaignSpec(
+            name=name, workload=workload, steps=steps, base=base,
+            grid={"nranks": list(ranks)},
+        )
+        campaign = Campaign(spec, str(root / name), store_dir=store)
+        campaign.run()
+        return campaign.reports()
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def fig3_sweep(sweep):
     """turbine_low strong-scaling sweep, optimized configuration."""
-    points = run_strong_scaling(
-        "turbine_low", LOW_RANKS, n_steps=BENCH_STEPS, config=optimized_config()
-    )
-    export_sweep_telemetry(points, "fig3")
-    return points
+    return sweep("fig3", "turbine_low", LOW_RANKS, OPTIMIZED)
 
 
 @pytest.fixture(scope="session")
-def fig3_baseline_sweep():
+def fig3_baseline_sweep(sweep):
     """turbine_low sweep with the paper's baseline configuration."""
-    return run_strong_scaling(
-        "turbine_low", LOW_RANKS, n_steps=BENCH_STEPS, config=baseline_config()
-    )
+    return sweep("fig3_baseline", "turbine_low", LOW_RANKS, BASELINE)
 
 
 @pytest.fixture(scope="session")
-def fig8_sweep():
-    """turbine_dual strong-scaling sweep (profiled: comm-wait vs ranks)."""
-    cfg = optimized_config()
-    cfg.profile = True
-    points = run_strong_scaling(
-        "turbine_dual", DUAL_RANKS, n_steps=BENCH_STEPS, config=cfg
-    )
-    export_sweep_profiles(points, "fig8")
-    return points
+def fig8_sweep(sweep):
+    """turbine_dual strong-scaling sweep."""
+    return sweep("fig8", "turbine_dual", DUAL_RANKS, OPTIMIZED)
 
 
 @pytest.fixture(scope="session")
 def fig9_sweep():
-    """Refined single-turbine sweep (one step per point: the mesh is big)."""
+    """Refined single-turbine sweep (one step per point: the mesh is big).
+
+    The ``refine`` factor is not a registered workload, so this one stays a
+    direct loop over reports."""
     from repro.mesh import make_turbine_refined
 
-    points = []
-    from dataclasses import replace
-
-    from repro.harness.scaling import ScalingPoint
-
+    reports = []
     for r in REFINED_RANKS:
         cfg = optimized_config()
         cfg.nranks = r
-        cfg.profile = True
         sim = NaluWindSimulation(make_turbine_refined(refine=REFINE), cfg)
-        points.append(ScalingPoint(ranks=r, report=sim.run(max(1, BENCH_STEPS // 2))))
-    export_sweep_profiles(points, "fig9")
-    return points
-
-
-@pytest.fixture(scope="session")
-def tiny_telemetry():
-    """RunTelemetry of a one-step turbine_tiny run (telemetry benches)."""
-    cfg = optimized_config()
-    cfg.nranks = 2
-    sim = NaluWindSimulation("turbine_tiny", cfg)
-    report = sim.run(1)
-    emit_telemetry("telemetry_tiny", report.telemetry)
-    return report.telemetry
+        reports.append(sim.run(max(1, BENCH_STEPS // 2)))
+    return reports
 
 
 @pytest.fixture(scope="session")

@@ -298,13 +298,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
-    from repro.harness import nli_series, run_strong_scaling, series_table
+    import tempfile
+
+    from repro.campaign import Campaign, CampaignSpec
+    from repro.harness import nli_series, series_table
     from repro.perf import get_machine
 
-    ranks = [int(r) for r in args.ranks.split(",")]
-    points = run_strong_scaling(args.workload, ranks, n_steps=args.steps)
+    spec = CampaignSpec(
+        name="scaling",
+        workload=args.workload,
+        steps=args.steps,
+        base={"precond_rebuild_every": 1},
+        grid={"nranks": [int(r) for r in args.ranks.split(",")]},
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-scaling-") as root:
+        campaign = Campaign(spec, root)
+        campaign.run()
+        reports = campaign.reports()
     series = [
-        nli_series(points, get_machine(name))
+        nli_series(reports, get_machine(name))
         for name in args.machines.split(",")
     ]
     if args.format == "json":
@@ -531,7 +543,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"done {counts['done']}/{summary['total_jobs']}, "
             f"quarantined {counts['quarantined']}, "
             f"cache hits {summary['cache_hits']}, "
-            f"plan shared {summary['plan_shared']}, "
             f"retries {summary['retries']}, "
             f"requeues {summary['requeues']}"
         )

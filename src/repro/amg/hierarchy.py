@@ -368,13 +368,19 @@ class AMGHierarchy:
 
         Level 0's operator is owned by the caller and left untouched.
         """
+        for m in self._owned():
+            m.release()
+
+    def held(self) -> list[float]:
+        """Per-rank device bytes of the operators the hierarchy owns."""
+        return [sum(col) for col in zip(*(m.held() for m in self._owned()))]
+
+    def _owned(self):
+        """Every operator the hierarchy built, in release order."""
         for k, lvl in enumerate(self.levels):
-            if k > 0:
-                lvl.A.release()
-            if lvl.P is not None:
-                lvl.P.release()
-            if lvl.R is not None:
-                lvl.R.release()
+            for m in (lvl.A if k else None, lvl.P, lvl.R):
+                if m is not None:
+                    yield m
 
     # -- diagnostics ----------------------------------------------------------------
 

@@ -163,6 +163,10 @@ class LocalAssembler:
         self._released = True
         self.world.charge_alloc([-b for b in self._storage_per_rank])
 
+    def held(self) -> list[float]:
+        """Per-rank staging bytes held (zero once released)."""
+        return [0.0 if self._released else b for b in self._storage_per_rank]
+
     def reset(self) -> None:
         """Zero all values for the next assembly (pattern is reused)."""
         self.values[:] = 0.0

@@ -31,8 +31,7 @@ plans on the :class:`~repro.assembly.graph.EquationGraph` revision;
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,104 +41,6 @@ from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
 from repro.partition.renumber import RankNumbering
-
-
-def pattern_fingerprint(numbering: RankNumbering, spec) -> str:
-    """Content digest of everything the assembly pattern derives from.
-
-    Two (numbering, :class:`~repro.assembly.graph.GraphSpec`) pairs with
-    equal fingerprints produce bitwise-identical Stage-1/Stage-3 pattern
-    artifacts (slots, permutations, segment bounds, diag/offd splits) —
-    the whole pipeline from spec to plan is deterministic.  This is what
-    makes cross-job plan adoption (:class:`PlanCache`) numerically safe:
-    replay on an equal-fingerprint pattern applies the exact same
-    floating-point program as a cold capture would.
-    """
-    h = hashlib.blake2b(digest_size=16)
-
-    def feed(arr) -> None:
-        if arr is None:
-            h.update(b"\x00none")
-            return
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.int64))
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-
-    h.update(str(int(spec.n)).encode())
-    feed(spec.edges)
-    feed(spec.constraint_rows)
-    feed(getattr(spec, "fringe_rows", None))
-    feed(getattr(spec, "fringe_donors", None))
-    h.update(b"coupled" if getattr(spec, "coupled_fringe", False) else b"-")
-    feed(numbering.offsets)
-    feed(numbering.new_to_old)
-    return h.hexdigest()
-
-
-class PlanCache:
-    """Cross-job :class:`AssemblyPlan` sharing for identical topology.
-
-    Campaign sweeps vary physics/solver knobs over a fixed workload, so
-    every job re-runs the same cold sort/reduce/split capture on the same
-    sparsity pattern.  A PlanCache attached to ``SimWorld.plan_cache``
-    lets each equation system adopt a fully-captured plan from an earlier
-    job (keyed on equation name, assembly variant, and the
-    :func:`pattern_fingerprint`) and skip straight to value-only replay.
-
-    Only plans with both sides captured are handed out; adoption rebinds
-    the plan (and its live operator storage) to the requesting world and
-    increments the ``assembly.plan_shared`` counter.  Jobs run one at a
-    time per process, so a shared plan never has two concurrent users.
-    """
-
-    def __init__(self) -> None:
-        self._plans: dict[tuple[str, str, str], AssemblyPlan] = {}
-
-    def _key(
-        self, name: str, variant: str, numbering: RankNumbering, spec
-    ) -> tuple[str, str, str]:
-        return (name, variant, pattern_fingerprint(numbering, spec))
-
-    def adopt(
-        self,
-        world: SimWorld,
-        graph,
-        numbering: RankNumbering,
-        variant: str,
-        name: str,
-    ):
-        """A ready plan for this pattern, rebound to ``world`` — or None."""
-        plan = self._plans.get(self._key(name, variant, numbering, graph.spec))
-        if plan is None or not (plan.matrix_ready and plan.vector_ready):
-            return None
-        plan.rebind(world, graph, numbering)
-        world.metrics.counter("assembly.plan_shared", equation=name).inc()
-        return plan
-
-    def offer(
-        self,
-        graph,
-        numbering: RankNumbering,
-        variant: str,
-        name: str,
-        plan: "AssemblyPlan",
-    ) -> None:
-        """Publish a (possibly not-yet-captured) plan for future adoption.
-
-        The owning job captures the plan in place during its first
-        assembly, so by the time a later job looks it up it is ready.
-        """
-        self._plans[self._key(name, variant, numbering, graph.spec)] = plan
-
-    def invalidate(self, plan: "AssemblyPlan | None") -> None:
-        """Drop a plan (recovery: nothing derived from a possibly-corrupt
-        operator may be re-adopted by a later job)."""
-        if plan is None:
-            return
-        self._plans = {k: v for k, v in self._plans.items() if v is not plan}
-
-    def __len__(self) -> int:
-        return len(self._plans)
 
 
 @dataclass
@@ -212,21 +113,6 @@ class AssemblyPlan:
         #: Per-rank destination split bounds of the send COO / send RHS.
         self._mat_send_bounds: list[np.ndarray | None] = []
         self._vec_send_bounds: list[np.ndarray | None] = []
-
-    def rebind(self, world: SimWorld, graph, numbering: RankNumbering) -> None:
-        """Re-key the plan to an adopting job's graph/world/numbering.
-
-        Only valid across equal :func:`pattern_fingerprint` patterns
-        (PlanCache's lookup key guarantees it); the replay programs are
-        pattern-derived and identical, so just the object identities —
-        graph revision, world binding of the live operator, numbering —
-        need re-pointing.
-        """
-        self.graph = graph
-        self.graph_revision = getattr(graph, "revision", None)
-        self.numbering = numbering
-        if self.matrix is not None:
-            self.matrix.rebind_world(world)
 
     # -- capture (filled by the cold assembly) -------------------------------------
 

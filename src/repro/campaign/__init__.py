@@ -15,6 +15,7 @@ from repro.campaign.job import (
     canonical_result,
     field_digest,
     merge_overrides,
+    result_report,
     set_path,
 )
 from repro.campaign.manifest import (
@@ -55,6 +56,7 @@ __all__ = [
     "merge_overrides",
     "read_lease",
     "release_lease",
+    "result_report",
     "set_path",
     "write_lease",
 ]

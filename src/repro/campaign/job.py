@@ -11,10 +11,11 @@ a different one.
 
 The stored artifact is the *canonical result document* — the strictly
 deterministic subset of a run's outputs (solve iterations, divergence
-norms, SHA-256 digests of the final fields).  Wall times, allocator
-peaks, and other environment-dependent measurements are deliberately
-excluded: the document must be bitwise-reproducible so cache hits can be
-validated against fresh runs and serial sweeps against parallel ones.
+norms, SHA-256 digests of the final fields, the modeled ledger that
+pricing reads).  Wall times and other environment-dependent measurements
+are deliberately excluded: the document is a function of the job alone,
+bitwise, so cache hits can be validated against fresh runs and serial
+sweeps against parallel ones.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import SimulationConfig
+from repro.core.simulation import SimulationReport
 from repro.mesh.turbine import list_workloads
+from repro.perf.cost import snapshots_from_json, snapshots_to_json
 from repro.serialize import Config, as_int, as_str, stable_digest
 
 #: Format tag of the canonical per-job result document.
-RESULT_FORMAT = "repro.campaign.result/1"
+RESULT_FORMAT = "repro.campaign.result/2"
 
 #: Format tag of a campaign sweep-spec document.
 SPEC_FORMAT = "repro.campaign.spec/1"
@@ -154,9 +157,6 @@ class CampaignSpec:
     #: mid-job resume of interrupted campaigns.
     checkpoint_every: int = 0
     checkpoint_keep: int = 2
-    #: Cross-job AssemblyPlan sharing (see ``repro.assembly.plan
-    #: .PlanCache``); off forces every job to cold-capture its plans.
-    share_setup: bool = True
 
     def expand(self) -> list[JobSpec]:
         """The sweep's jobs, in deterministic order, all validated."""
@@ -210,7 +210,6 @@ class CampaignSpec:
             },
             "checkpoint_every": self.checkpoint_every,
             "checkpoint_keep": self.checkpoint_keep,
-            "share_setup": self.share_setup,
         }
 
     @classmethod
@@ -228,7 +227,6 @@ class CampaignSpec:
             "sweep",
             "checkpoint_every",
             "checkpoint_keep",
-            "share_setup",
         }
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -290,7 +288,6 @@ class CampaignSpec:
             checkpoint_keep=as_int(
                 data.get("checkpoint_keep", 2), "campaign.checkpoint_keep"
             ),
-            share_setup=bool(data.get("share_setup", True)),
         )
         if spec.checkpoint_every < 0:
             raise ValueError("campaign spec: checkpoint_every must be >= 0")
@@ -309,10 +306,12 @@ def canonical_result(sim, report, job: JobSpec) -> dict:
     """The deterministic result document of one completed job.
 
     Contains only bitwise-reproducible outputs: per-equation solve
-    iteration counts, divergence norms, and SHA-256 digests of the final
-    solution fields.  Wall times and allocator statistics are excluded
-    by design — identical jobs must produce byte-identical documents on
-    any machine, at any worker count, fresh or cache-served.
+    iteration counts, divergence norms, SHA-256 digests of the final
+    solution fields, and the modeled ledger pricing reads (counts, so
+    :func:`result_report` prices on any machine).  Wall times are
+    excluded by design — identical jobs must produce byte-identical
+    documents on any machine, at any worker count, fresh, resumed or
+    cache-served.
 
     The ``state`` section depends only on the final simulation state, so
     it is also what a resumed job (which re-runs only the remaining
@@ -339,4 +338,28 @@ def canonical_result(sim, report, job: JobSpec) -> dict:
             "divergence_norms": [float(v) for v in sim.divergence_norms],
             "fields": fields,
         },
+        "ledger": {
+            "nranks": report.config.nranks,
+            "peak_alloc_bytes": float(report.peak_alloc_bytes),
+            "step_snapshots": snapshots_to_json(report.step_snapshots),
+        },
     }
+
+
+def result_report(doc: dict) -> SimulationReport:
+    """A stored result as the :class:`SimulationReport` pricing reads:
+    ``nli_step_times(result_report(doc), m)`` is bitwise the price of the
+    live report of the job's run."""
+    ledger = doc["ledger"]
+    snapshots = snapshots_from_json(ledger["step_snapshots"])
+    return SimulationReport(
+        config=JobSpec.from_dict(doc["job"]).build_config(),
+        workload=doc["workload"],
+        total_nodes=doc["total_nodes"],
+        n_steps=len(snapshots),
+        step_snapshots=snapshots,
+        solve_iterations=doc["solve_iterations"],
+        peak_alloc_bytes=ledger["peak_alloc_bytes"],
+        wall_times={},
+        divergence_norms=doc["state"]["divergence_norms"],
+    )

@@ -10,10 +10,6 @@ the one execution path there is — the supervisor protocol of
 * ``workers>=1`` runs attempts in that many long-lived forked worker
   processes, each a fault domain the supervisor can kill and replace.
 
-Either executor keeps a long-lived :class:`~repro.assembly.plan
-.PlanCache`, so consecutive jobs with identical mesh topology adopt
-each other's captured assembly plans (setup sharing).
-
 Before dispatching, each job's digest is looked up in the
 content-addressed :class:`~repro.campaign.store.ResultStore`; a hit
 serves the stored canonical result without running anything
@@ -34,10 +30,11 @@ import multiprocessing
 import os
 import time
 
-from repro.campaign.job import CampaignSpec, JobSpec
+from repro.campaign.job import CampaignSpec, JobSpec, result_report
 from repro.campaign.manifest import CampaignManifest
 from repro.campaign.store import ResultStore
 from repro.campaign.supervisor import COUNTERS, Supervisor, SupervisorPolicy
+from repro.core.simulation import SimulationReport
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.injection import WORKER_FAULT_KINDS, FaultInjector
@@ -173,7 +170,6 @@ class Campaign:
                 self._ckpt_dir(job) if self.spec.checkpoint_every else ""
             ),
             "try_resume": try_resume,
-            "share_setup": self.spec.share_setup,
         }
 
     # -- dry run -------------------------------------------------------------
@@ -240,6 +236,8 @@ class Campaign:
                 name.split(".", 1)[1]: int(self.metrics.counter_total(name))
                 for name in COUNTERS
             },
+            # Always 0: kept only because benchmarks/e2e/workloads.py reads it.
+            "plan_shared": 0,
             "wall_s": time.perf_counter() - start,
             "jobs": {
                 digest: _summary_row(entry)
@@ -248,3 +246,13 @@ class Campaign:
         }
         supervisor._transition("end", summary=summary)
         return summary
+
+    def reports(self) -> list[SimulationReport]:
+        """Every job's stored result as a priceable report, in job order."""
+        docs = [self.store.get(job.digest()) for job in self.jobs]
+        missing = [j.job_id for j, d in zip(self.jobs, docs) if d is None]
+        if missing:
+            raise RuntimeError(
+                f"campaign {self.spec.name!r}: no stored result for {missing}"
+            )
+        return [result_report(doc) for doc in docs]

@@ -63,7 +63,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
-from repro.assembly.plan import PlanCache
 from repro.campaign.manifest import STATUS_FIELDS
 from repro.durable import atomic_write
 from repro.resilience.guards import TRANSIENT_FAILURE_KINDS, classify_failure
@@ -255,9 +254,7 @@ def _ring_has_checkpoints(path: str) -> bool:
         return False
 
 
-def execute_job_payload(
-    payload: dict, on_sim: Callable[[Any], None], plan_cache: PlanCache
-) -> dict:
+def execute_job_payload(payload: dict, on_sim: Callable[[Any], None]) -> dict:
     """Run one job to completion.
 
     The payload and the returned document are plain JSON-shaped dicts so
@@ -268,10 +265,7 @@ def execute_job_payload(
     post-mortems never require a rerun.
 
     ``on_sim`` is invoked with the constructed simulation before it
-    runs, to attach heartbeat/chaos hooks.  ``plan_cache`` is the
-    executor's long-lived cache: consecutive jobs with identical mesh
-    topology adopt each other's captured assembly plans (unless the
-    spec sets ``share_setup`` false).
+    runs, to attach heartbeat/chaos hooks.
     """
     from repro.core.simulation import NaluWindSimulation
     from repro.resilience.checkpoint import CheckpointError
@@ -302,8 +296,6 @@ def execute_job_payload(
             config.restart_from = ""
             resumed = False
             sim = NaluWindSimulation(job.workload, config)
-        if payload.get("share_setup", True):
-            sim.world.plan_cache = plan_cache
         on_sim(sim)
         report = sim.run(job.steps)
         doc = canonical_result(sim, report, job)
@@ -312,9 +304,6 @@ def execute_job_payload(
             "doc": doc,
             "resumed": resumed,
             "wall_s": time.perf_counter() - start,
-            "plan_shared": float(
-                sim.world.metrics.counter_total("assembly.plan_shared")
-            ),
         }
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
         return failure_context(exc, time.perf_counter() - start)
@@ -360,7 +349,7 @@ def _install_ckpt_tripwire(kind: str) -> None:
     os.replace = tripwire
 
 
-def _run_attempt(payload: dict, plan_cache: PlanCache) -> None:
+def _run_attempt(payload: dict) -> None:
     """Execute one job attempt (in a worker process, or inline).
 
     Acquires the job lease, beats it on every completed step, honours
@@ -395,16 +384,16 @@ def _run_attempt(payload: dict, plan_cache: PlanCache) -> None:
         if point == "run" and kind:
             sim.world.hub.subscribe("checkpoint", lambda **_kw: trip("run"))
 
-    outcome = execute_job_payload(payload, on_sim, plan_cache)
+    outcome = execute_job_payload(payload, on_sim)
     trip("store")
     _write_outcome(_outcome_path(job_dir, attempt), outcome)
     release_lease(job_dir)
 
 
-def _attempt(payload: dict, plan_cache: PlanCache) -> None:
+def _attempt(payload: dict) -> None:
     """:func:`_run_attempt`, never raising: the executor must survive."""
     try:
-        _run_attempt(payload, plan_cache)
+        _run_attempt(payload)
     except Exception as exc:  # noqa: BLE001 - executor must survive
         # Even a broken attempt reports a classified outcome
         # (failure_context) instead of killing its executor.
@@ -423,18 +412,12 @@ def _attempt(payload: dict, plan_cache: PlanCache) -> None:
 
 
 def _worker_main(task_q) -> None:
-    """Long-lived worker loop: lease, execute, report, repeat.
-
-    The plan cache is created here, after the fork: a child must not
-    inherit whatever the coordinating process had populated, or the
-    setup-sharing accounting would be muddied.
-    """
-    plan_cache = PlanCache()
+    """Long-lived worker loop: lease, execute, report, repeat."""
     while True:
         payload = task_q.get()
         if payload is None:
             return
-        _attempt(payload, plan_cache)
+        _attempt(payload)
 
 
 # -- failure-storm breaker ----------------------------------------------------
@@ -538,7 +521,6 @@ COUNTERS = (
     "campaign.cache_misses",
     "campaign.jobs_resumed",
     "campaign.store_retries",
-    "assembly.plan_shared",
 )
 
 
@@ -734,9 +716,6 @@ class Supervisor:
         camp = self.campaign
         if outcome.get("resumed"):
             self.metrics.counter("campaign.jobs_resumed").inc()
-        self.metrics.counter("assembly.plan_shared").inc(
-            outcome.get("plan_shared", 0.0)
-        )
         release_lease(camp._job_dir(job))
         self._transition(
             "done",
@@ -822,7 +801,6 @@ class Supervisor:
 
     def _run_inline(self, ready: list, delayed: list) -> None:
         """Run attempts one at a time in this process."""
-        plan_cache = PlanCache()
         while ready or delayed:
             self._promote_due(ready, delayed)
             if not ready:
@@ -831,7 +809,7 @@ class Supervisor:
             item = ready.pop(0)
             job, digest, attempt, _try_resume = item
             payload = self._begin(item, os.getpid())
-            _attempt(payload, plan_cache)
+            _attempt(payload)
             outcome = _load_outcome(_outcome_path(payload["job_dir"], attempt))
             self._settle(job, digest, attempt, outcome, delayed)
 

@@ -149,11 +149,6 @@ class SimWorld:
         # set, phase transitions and world-level sync points notify it so
         # it can advance simulated rank clocks and attribute comm waits.
         self.profiler: Any = None
-        # Optional cross-job assembly-plan cache (repro.assembly.plan
-        # .PlanCache); the campaign runner attaches one so sweep jobs with
-        # identical mesh topology adopt each other's captured plans
-        # instead of re-running the cold sort/reduce/split capture.
-        self.plan_cache: Any = None
         self.rng = np.random.default_rng(seed)
         self._phase_stack: list[str] = ["default"]
         self._mailboxes: dict[tuple[int, int], deque[MessageEnvelope]] = {}

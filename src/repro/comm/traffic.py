@@ -163,6 +163,29 @@ class TrafficLog:
         )
         registry.gauge("comm.total_collectives").set(self.collective_count())
 
+    AGGREGATES = (
+        "_msg_count", "_msg_bytes", "_coll_count", "_coll_bytes",
+        "_rank_msg_count", "_rank_msg_bytes",
+    )
+
+    def state_dict(self) -> dict:
+        """JSON-able copy of every aggregate: ``[*key, value]`` rows."""
+        return {
+            name: [
+                [*(k if isinstance(k, tuple) else (k,)), int(v)]
+                for k, v in getattr(self, name).items()
+            ]
+            for name in self.AGGREGATES
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Replace every aggregate with a :meth:`state_dict` copy."""
+        self.clear()
+        for name in self.AGGREGATES:
+            agg = getattr(self, name)
+            for *key, value in state[name]:
+                agg[tuple(key) if len(key) > 1 else key[0]] = value
+
     def clear(self) -> None:
         """Drop all aggregates."""
         self._msg_count.clear()

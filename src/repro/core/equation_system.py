@@ -68,10 +68,33 @@ class SolveRecord:
     residual_history: list[float] = field(default_factory=list)
 
 
+class HeldStorage:
+    """Device bytes per rank that a checkpointed run's derived object held.
+
+    A cold restart puts one in the object's slot, so the modeled allocator
+    frees the bytes where the uninterrupted run freed the object.
+    """
+
+    def __init__(self, world, per_rank: list[float]) -> None:
+        self.world = world
+        self.per_rank = per_rank
+
+    def held(self) -> list[float]:
+        """Per-rank bytes still held (zero once released)."""
+        return list(self.per_rank)
+
+    def release(self) -> None:
+        """Free the bytes; idempotent, as the objects' own ``release``."""
+        self.world.charge_alloc([-b for b in self.per_rank])
+        self.per_rank = [0.0] * len(self.per_rank)
+
+
 class EquationSystem:
     """Base pipeline; subclasses provide physics and preconditioning."""
 
     name = "equation"
+    #: Slots whose object keeps modeled device storage from step to step.
+    HOLDERS = ("assembler", "_matrix")
 
     def __init__(self, comp: CompositeMesh, config: SimulationConfig) -> None:
         self.comp = comp
@@ -148,41 +171,13 @@ class EquationSystem:
             return None
         plan = self._plan
         if plan is None or plan.graph_revision != self.graph.revision:
-            # Cross-job sharing: a campaign-attached PlanCache may hold a
-            # fully-captured plan for this exact pattern (equal
-            # fingerprint) from an earlier job of the sweep; adopting it
-            # skips the cold capture entirely.
-            cache = self.world.plan_cache
-            adopted = (
-                cache.adopt(
-                    self.world,
-                    self.graph,
-                    self.comp.numbering,
-                    self.config.assembly_variant,
-                    self.name,
-                )
-                if cache is not None
-                else None
+            self._plan = AssemblyPlan(
+                self.comp.numbering,
+                variant=self.config.assembly_variant,
+                graph=self.graph,
+                name=self.name,
             )
-            if adopted is not None:
-                plan = adopted
-            else:
-                plan = AssemblyPlan(
-                    self.comp.numbering,
-                    variant=self.config.assembly_variant,
-                    graph=self.graph,
-                    name=self.name,
-                )
-                if cache is not None:
-                    cache.offer(
-                        self.graph,
-                        self.comp.numbering,
-                        self.config.assembly_variant,
-                        self.name,
-                        plan,
-                    )
-            self._plan = plan
-        return plan
+        return self._plan
 
     def assemble(self, **kwargs) -> tuple[ParCSRMatrix, ParVector]:
         """Stages 2 + 3: fill values and run the global assembly."""
@@ -301,10 +296,22 @@ class EquationSystem:
         next :meth:`solve` rebuilds the preconditioner — nothing derived
         from a possibly-corrupted operator survives.
         """
-        if self.world.plan_cache is not None:
-            self.world.plan_cache.invalidate(self._plan)
         self._plan = None
         self._precond = None
+
+    def held_storage(self) -> dict[str, list[float]]:
+        """Per-rank device bytes of each filled :attr:`HOLDERS` slot."""
+        return {
+            slot: getattr(self, slot).held()
+            for slot in self.HOLDERS
+            if getattr(self, slot) is not None
+        }
+
+    def hold_storage(self, held: dict[str, list[float]]) -> None:
+        """Cold restart: stand the writer's :meth:`held_storage` in for the
+        objects this process never built."""
+        for slot, per_rank in held.items():
+            setattr(self, slot, HeldStorage(self.world, per_rank))
 
     def solve(
         self, A: ParCSRMatrix, b: ParVector, x0: ParVector | None = None

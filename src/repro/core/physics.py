@@ -190,6 +190,7 @@ class PressurePoissonSystem(EquationSystem):
     """
 
     name = "pressure"
+    HOLDERS = EquationSystem.HOLDERS + ("_hierarchy",)
 
     def dirichlet_rows(self) -> np.ndarray:
         # Reference pressure at the outflow plane keeps the Poisson system

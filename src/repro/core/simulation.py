@@ -42,7 +42,13 @@ from repro.obs.profile import RunProfile, collect_run_profile
 from repro.obs.timeline import TimelineProfiler
 from repro.obs.tracer import Tracer
 from repro.overset.assembler import NodeStatus
-from repro.perf.cost import CostModel, PhaseAggregate, collect_phase_aggregates
+from repro.perf.cost import (
+    CostModel,
+    PhaseAggregate,
+    collect_phase_aggregates,
+    snapshots_from_json,
+    snapshots_to_json,
+)
 from repro.perf.machines import get_machine
 from repro.perf.roofline import roofline_join
 from repro.resilience.checkpoint import CheckpointError
@@ -271,6 +277,10 @@ class NaluWindSimulation:
             "injector": injector.state_dict() if injector else None,
             "metrics": self.world.metrics.state_dict(),
             "solve_iterations": self.solve_iterations(),
+            "ops": self.world.ops.state_dict(),
+            "traffic": self.world.traffic.state_dict(),
+            "step_snapshots": snapshots_to_json(self.step_snapshots),
+            "held_storage": {e.name: e.held_storage() for e in self.systems},
         }
 
     def set_environment(self, env: dict[str, Any]) -> None:
@@ -284,6 +294,13 @@ class NaluWindSimulation:
             name: [int(i) for i in its]
             for name, its in (env.get("solve_iterations") or {}).items()
         }
+        if "ops" in env:  # absent from checkpoints of older versions
+            # A resumed job stores the uninterrupted run's modeled ledger.
+            self.world.ops.load_state(env["ops"])
+            self.world.traffic.load_state(env["traffic"])
+            self.step_snapshots = snapshots_from_json(env["step_snapshots"])
+            for eq in self.systems:
+                eq.hold_storage(env["held_storage"][eq.name])
 
     def solve_iterations(self) -> dict[str, list[int]]:
         """Linear iterations of every solve since t=0, per equation (the

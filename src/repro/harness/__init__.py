@@ -1,28 +1,20 @@
-"""Benchmark harness: strong-scaling sweeps, pricing, report rendering."""
+"""Benchmark harness: strong-scaling pricing, report rendering."""
 
 from repro.harness.scaling import (
     NLISeries,
-    ScalingPoint,
     default_work_scale,
     equation_breakdown,
     nli_series,
     nli_step_times,
-    run_strong_scaling,
 )
 from repro.harness.projection import (
     CapabilityPoint,
     paper_projection,
     project_capability,
 )
-from repro.harness.profiling import (
-    emit_profile,
-    export_sweep_profiles,
-    profile_run,
-    write_profile_json,
-)
+from repro.harness.profiling import profile_run
 from repro.harness.report import (
     emit,
-    emit_telemetry,
     format_table,
     loglog_chart,
     series_table,
@@ -40,12 +32,8 @@ __all__ = [
     "NLISeries",
     "RunProfile",
     "RunTelemetry",
-    "ScalingPoint",
     "default_work_scale",
     "emit",
-    "emit_profile",
-    "emit_telemetry",
-    "export_sweep_profiles",
     "equation_breakdown",
     "format_table",
     "loglog_chart",
@@ -57,7 +45,5 @@ __all__ = [
     "render_flat_report",
     "render_profile_summary",
     "render_span_tree",
-    "run_strong_scaling",
     "series_table",
-    "write_profile_json",
 ]

@@ -1,20 +1,15 @@
-"""Profile emission for benchmark sweeps.
+"""One profiled run (the drift gate's input).
 
-The fig8/fig9 sweeps are exactly where the paper's comm-wait story lives
-(waits dominate at high rank counts), so the harness runs them under the
-timeline profiler and persists one ``repro.profile/1`` document per
-scaling point next to the text tables in ``benchmarks/results/``.  The
-drift gate (``benchmarks/check_profile_regression.py``) pins these.
+``benchmarks/check_profile_regression.py`` runs a workload under the
+timeline profiler and pins its ``repro.profile/1`` document; the CLI's
+``python -m repro profile`` writes the same document for any run.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.core.config import SimulationConfig
 from repro.core.simulation import NaluWindSimulation
-from repro.harness.report import RESULTS_DIR
-from repro.obs.profile import RunProfile, render_profile_summary
+from repro.obs.profile import RunProfile
 
 
 def profile_run(
@@ -32,42 +27,3 @@ def profile_run(
     sim = NaluWindSimulation(workload, cfg)
     report = sim.run(n_steps)
     return report.profile
-
-
-def write_profile_json(path: str, profile: RunProfile) -> None:
-    """Write one profile document as JSON."""
-    with open(path, "w") as fh:
-        fh.write(profile.to_json() + "\n")
-
-
-def emit_profile(name: str, profile: RunProfile) -> str:
-    """Persist one profile under ``benchmarks/results/``.
-
-    Companion to :func:`repro.harness.report.emit_telemetry`; returns
-    the rendered text summary.
-    """
-    try:
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        write_profile_json(
-            os.path.join(RESULTS_DIR, f"{name}.json"), profile
-        )
-    except OSError:  # pragma: no cover - read-only checkouts
-        pass
-    return render_profile_summary(profile)
-
-
-def export_sweep_profiles(points, name: str) -> list[RunProfile]:
-    """Persist every scaling point's profile as ``{name}_profile_r{R}.json``.
-
-    Accepts the ``ScalingPoint`` list from a sweep run with
-    ``config.profile`` on; points whose run predates the profiler (or
-    ran with profiling off) are skipped.
-    """
-    out: list[RunProfile] = []
-    for pt in points:
-        profile = pt.report.profile
-        if profile is None:
-            continue
-        emit_profile(f"{name}_profile_r{pt.ranks}", profile)
-        out.append(profile)
-    return out

@@ -10,9 +10,6 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from repro.obs.export import render_flat_report, write_telemetry_json
-from repro.obs.telemetry import RunTelemetry
-
 RESULTS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(__file__)))),
     "benchmarks",
@@ -56,22 +53,6 @@ def emit(name: str, text: str) -> str:
     except OSError:  # pragma: no cover - read-only checkouts
         pass
     return text
-
-
-def emit_telemetry(name: str, telemetry: RunTelemetry) -> str:
-    """Persist a run's telemetry JSON under ``benchmarks/results/``.
-
-    Companion to :func:`emit` for machine-readable artifacts: the
-    regression checker (``benchmarks/check_telemetry_regression.py``)
-    diffs two such files.  Returns the rendered flat report.
-    """
-    try:
-        write_telemetry_json(
-            os.path.join(RESULTS_DIR, f"{name}.json"), telemetry
-        )
-    except OSError:  # pragma: no cover - read-only checkouts
-        pass
-    return render_flat_report(telemetry)
 
 
 def loglog_chart(

@@ -1,11 +1,12 @@
-"""Strong-scaling experiment harness.
+"""Strong-scaling pricing: recorded per-step work on any machine model.
 
-Runs the real simulation at a sweep of simulated rank counts, then prices
-the recorded per-step work on any machine model.  One executed run yields
-every curve that shares its numerics: the same turbine_low run is priced as
-Summit-GPU, Summit-CPU, and Eagle-GPU (Figs. 3 and 11); the baseline curve
-re-runs with the paper's pre-optimization configuration (general assembly,
-one inner GS sweep, RCB decomposition).
+A sweep is a campaign (``repro.campaign``: one job per rank count, run
+once per result store) whose stored results price as reports
+(``Campaign.reports``).  One executed run yields every curve that shares
+its numerics: the same turbine_low run is priced as Summit-GPU, Summit-CPU,
+and Eagle-GPU (Figs. 3 and 11); the baseline curve is a second sweep with
+the paper's pre-optimization configuration (general assembly, one inner GS
+sweep, RCB decomposition).
 
 Because the meshes are ~1000x smaller than the paper's (DESIGN.md §6), the
 pricing applies ``work_scale = paper_nodes / simulated_nodes`` so the
@@ -15,24 +16,15 @@ nodes" through the machine's ``devices_per_node``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
 from repro.core.equation_system import PHASES
-from repro.core.simulation import NaluWindSimulation, SimulationReport
+from repro.core.simulation import SimulationReport
 from repro.mesh.turbine import PAPER_TABLE1
-from repro.perf.cost import CostModel, PhaseAggregate
+from repro.perf.cost import CostModel
 from repro.perf.machines import MachineSpec
-
-
-@dataclass
-class ScalingPoint:
-    """One executed run of a strong-scaling sweep."""
-
-    ranks: int
-    report: SimulationReport
 
 
 @dataclass
@@ -61,31 +53,6 @@ def default_work_scale(report: SimulationReport) -> float:
     if paper is None:
         return 1.0
     return paper / report.total_nodes
-
-
-def run_strong_scaling(
-    workload: str,
-    ranks_list: list[int],
-    n_steps: int = 2,
-    config: SimulationConfig | None = None,
-) -> list[ScalingPoint]:
-    """Execute the workload once per rank count.
-
-    Without a ``config`` the sweep runs on the paper's cadence, one
-    BoomerAMG set-up per pressure solve (``precond_rebuild_every=1``):
-    that is what the strong-scaling figures price.
-    """
-    points = []
-    for r in ranks_list:
-        cfg = (
-            replace(config)
-            if config is not None
-            else SimulationConfig(precond_rebuild_every=1)
-        )
-        cfg.nranks = r
-        sim = NaluWindSimulation(workload, cfg)
-        points.append(ScalingPoint(ranks=r, report=sim.run(n_steps)))
-    return points
 
 
 def nli_step_times(
@@ -123,13 +90,14 @@ def nli_step_times(
 
 
 def nli_series(
-    points: list[ScalingPoint],
+    reports: list[SimulationReport],
     machine: MachineSpec,
     label: str | None = None,
     work_scale: float | None = None,
     gpus_per_rank: float = 1.0,
 ) -> NLISeries:
-    """Price a sweep into one strong-scaling curve.
+    """Price a sweep (one report per rank count) into one strong-scaling
+    curve.
 
     With ``gpus_per_rank`` > 1 each point's device count (hence node count
     on the x-axis) is the rank count times the group size.
@@ -138,14 +106,11 @@ def nli_series(
     ranks = []
     means = []
     stds = []
-    for pt in points:
-        times = nli_step_times(
-            pt.report, machine, work_scale, gpus_per_rank
-        )
-        nodes.append(
-            pt.ranks * gpus_per_rank / machine.devices_per_node
-        )
-        ranks.append(pt.ranks)
+    for report in reports:
+        times = nli_step_times(report, machine, work_scale, gpus_per_rank)
+        nranks = report.config.nranks
+        nodes.append(nranks * gpus_per_rank / machine.devices_per_node)
+        ranks.append(nranks)
         means.append(float(times.mean()))
         stds.append(float(times.std()))
     return NLISeries(

@@ -224,22 +224,9 @@ class ParCSRMatrix:
         self._released = True
         self.world.charge_alloc([-b for b in self._storage_per_rank])
 
-    def rebind_world(self, world: SimWorld) -> None:
-        """Re-home the matrix on a different world (cross-job plan reuse).
-
-        A campaign job adopting a prior job's captured
-        :class:`~repro.assembly.plan.AssemblyPlan` inherits the plan's
-        live operator; its storage is returned to the donor world's
-        allocator model and re-recorded on the adopter's.  Numerics are
-        untouched — subsequent value-only updates behave exactly as on
-        the donor world.
-        """
-        if world is self.world:
-            return
-        self.release()
-        self.world = world
-        self._released = False
-        world.charge_alloc(self._storage_per_rank)
+    def held(self) -> list[float]:
+        """Per-rank device bytes the matrix holds (zero once released)."""
+        return [0.0 if self._released else b for b in self._storage_per_rank]
 
     # -- value-only updates (pattern frozen) ---------------------------------------
 

@@ -24,7 +24,7 @@ properties of the algorithms.  ``work_scale=1`` prices the scaled run as-is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.comm.simcomm import SimWorld
 from repro.perf.machines import MachineSpec
@@ -90,6 +90,16 @@ class PhaseAggregate:
             colls=self.colls + other.colls,
             coll_bytes=self.coll_bytes + other.coll_bytes,
         )
+
+
+def snapshots_to_json(snapshots: list[dict]) -> list[dict]:
+    """Per-step cumulative snapshots as JSON (floats round-trip exactly)."""
+    return [{ph: asdict(agg) for ph, agg in s.items()} for s in snapshots]
+
+
+def snapshots_from_json(data: list[dict]) -> list[dict[str, PhaseAggregate]]:
+    """Inverse of :func:`snapshots_to_json`."""
+    return [{ph: PhaseAggregate(**a) for ph, a in s.items()} for s in data]
 
 
 def phase_aggregate(world: SimWorld, phase: str) -> PhaseAggregate:

@@ -168,6 +168,36 @@ class OpRecorder:
             return self._peak_alloc_bytes.get(rank, 0.0)
         return max(self._peak_alloc_bytes.values(), default=0.0)
 
+    def state_dict(self) -> dict:
+        """JSON-able copy of every tally and allocator level."""
+
+        def rows(tallies: dict) -> list:
+            return [
+                [*key, float(t.flops), float(t.bytes), int(t.launches)]
+                for key, t in tallies.items()
+            ]
+
+        return {
+            "tallies": rows(self._tallies),
+            "kernels": rows(self._kernel_tallies),
+            "alloc": [
+                [r, float(b), float(self._peak_alloc_bytes[r])]
+                for r, b in self._alloc_bytes.items()
+            ],
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Replace every tally and allocator level with a
+        :meth:`state_dict` copy."""
+        self.clear()
+        for ph, r, *work in state["tallies"]:
+            self._tallies[(ph, r)] = KernelTally(*work)
+        for ph, kernel, *work in state["kernels"]:
+            self._kernel_tallies[(ph, kernel)] = KernelTally(*work)
+        for r, alloc, peak in state["alloc"]:
+            self._alloc_bytes[r] = alloc
+            self._peak_alloc_bytes[r] = peak
+
     def clear(self) -> None:
         """Drop all tallies."""
         self._tallies.clear()

@@ -1,6 +1,7 @@
 """Tests for the campaign service: job specs, sweep expansion, the
 content-addressed result store, the durable manifest, the runner
-(cache-hit bitwise identity, resume-after-kill, setup sharing), and the
+(cache-hit bitwise identity, resume-after-kill, a result that is a
+function of its job alone), and the
 supervisor protocol on both executors (inline == fork, crash-at-every-
 boundary fault domains, hang detection, lease takeover, quarantine,
 failure breaker)."""
@@ -297,12 +298,11 @@ class TestCampaignRunner:
         entry = summary["jobs"][digest]
         assert entry["status"] == "done"
 
-        # The resumed job's final state matches an uninterrupted run
-        # bitwise (field digests, divergence norms, step index).
+        # The resumed job's result matches an uninterrupted run's, its
+        # modeled ledger included (the checkpoint carries it).
         ref = Campaign(spec, str(tmp_path / "ref"))
         ref.run()
-        ref_doc = ref.store.get(digest)
-        assert doc["state"] == ref_doc["state"]
+        assert doc == ref.store.get(digest)
 
     def test_worker_pool_matches_serial_bitwise(self, tmp_path):
         spec = tiny_spec(name="pool")
@@ -315,12 +315,44 @@ class TestCampaignRunner:
             d = job.digest()
             assert serial.store.get_bytes(d) == parallel.store.get_bytes(d)
 
-    def test_setup_sharing_across_jobs(self, tmp_path):
-        # Two jobs with identical mesh topology (only the seed differs):
-        # the second adopts the first's captured assembly plans.
-        spec = tiny_spec(name="share")
-        s = Campaign(spec, str(tmp_path / "camp")).run()
-        assert s["plan_shared"] > 0
+    def test_result_is_a_function_of_the_job(self, tmp_path):
+        # Two jobs of one topology in one process: each stored document,
+        # modeled ledger included, is the one the job stores run alone.
+        spec = tiny_spec(name="pair")
+        pair = Campaign(spec, str(tmp_path / "pair"))
+        pair.run()
+        for job in pair.jobs:
+            alone = Campaign(
+                tiny_spec(name="alone", seeds=(job.seed,)),
+                str(tmp_path / f"alone{job.seed}"),
+            )
+            alone.run()
+            digest = job.digest()
+            assert pair.store.get_bytes(digest) is not None
+            assert pair.store.get_bytes(digest) == alone.store.get_bytes(
+                digest
+            )
+            assert "ledger" in pair.store.get(digest)
+
+    def test_specs_sharing_a_point_run_it_once(self, tmp_path):
+        # A figure's config and an ablation grid containing it: one
+        # store, so the shared point runs once.
+        store = str(tmp_path / "store")
+        figure = CampaignSpec(
+            name="figure", workload="turbine_tiny", seeds=(0,),
+            base={"precond_rebuild_every": 1}, grid={"nranks": [2]},
+        )
+        ablation = CampaignSpec(
+            name="ablation", workload="turbine_tiny", seeds=(0,),
+            base={"nranks": 2}, grid={"precond_rebuild_every": [1, 12]},
+        )
+        first = Campaign(figure, str(tmp_path / "a"), store_dir=store).run()
+        assert first["jobs_run"] == 1 and first["cache_hits"] == 0
+        second = Campaign(
+            ablation, str(tmp_path / "b"), store_dir=store
+        ).run()
+        assert second["cache_hits"] == 1 and second["jobs_run"] == 1
+        assert second["plan_shared"] == 0
 
     def test_invalid_config_rejected_at_expand(self, tmp_path):
         spec = tiny_spec(name="fail", seeds=(0,))

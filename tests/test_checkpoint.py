@@ -246,10 +246,11 @@ class TestStateContract:
             "workload", "nranks", "step_index", "dt", "rotor_angles",
             "divergence_norms",
         }
-        # The per-step snapshot must stay array copies: the registry dump
-        # and the RNG / injector state are environment().
+        # The per-step snapshot must stay array copies: the registry dump,
+        # the RNG / injector state and the modeled ledger are environment().
         assert set(stepped.environment()) == {
             "rng_state", "injector", "metrics", "solve_iterations",
+            "ops", "traffic", "step_snapshots", "held_storage",
         }
 
     def test_set_state_round_trips_and_refuses_undeclared_arrays(self):

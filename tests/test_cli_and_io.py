@@ -120,6 +120,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "log-log slopes" in out
 
+    def test_scaling_json_matches_golden(self, capsys):
+        """The sweep runs through the campaign runner; its document is the
+        one the private per-rank loop printed before (captured then)."""
+        rc = main(
+            [
+                "scaling", "--workload", "turbine_tiny", "--ranks", "2,4",
+                "--steps", "1", "--format", "json",
+            ]
+        )
+        assert rc == 0
+        path = os.path.join(
+            os.path.dirname(__file__), "data", "scaling_golden.json"
+        )
+        with open(path, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_partition_command(self, capsys):
         rc = main(["partition", "--workload", "turbine_tiny", "--ranks", "4"])
         assert rc == 0
