@@ -90,6 +90,7 @@ def self_check() -> list[str]:
     from repro.krylov import CG, PipelinedCG, orthogonalize
     from repro.linalg import ParCSRMatrix
     from repro.resilience.injection import FaultInjector, FaultSpec
+    from repro.resilience.policy import recovery_findings
 
     failures: list[str] = []
 
@@ -162,6 +163,10 @@ def self_check() -> list[str]:
         ):
             sc.overlap = overlap
         rep = NaluWindSimulation("turbine_tiny", cfg).run(1)
+        failures += [
+            f"fault-free profiled run (overlap={overlap}): {f}"
+            for f in recovery_findings(rep.recovery)
+        ]
         s = rep.profile.summary
         fracs[overlap] = s
         if overlap and not s["overlap_rounds"] > 0:

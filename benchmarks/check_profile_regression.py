@@ -173,9 +173,14 @@ def self_check(workload: str, steps: int, tol: float) -> list[str]:
     from repro.core.config import SimulationConfig
     from repro.core.simulation import NaluWindSimulation
 
+    from repro.resilience.policy import recovery_findings
+
     cfg = SimulationConfig(nranks=2, profile=True)
     sim = NaluWindSimulation(workload, cfg)
     report = sim.run(steps)
+    failures += [
+        f"fault-free run: {f}" for f in recovery_findings(report.recovery)
+    ]
     gauges = report.telemetry.metrics.get("gauges", {})
     for name in (
         "profile.wall_s",

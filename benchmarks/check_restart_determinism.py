@@ -44,6 +44,7 @@ sys.path.insert(
 from repro import NaluWindSimulation, SimulationConfig  # noqa: E402
 from repro.resilience import FaultSpec  # noqa: E402
 from repro.resilience.checkpoint import FILE_PATTERN  # noqa: E402
+from repro.resilience.policy import recovery_findings  # noqa: E402
 
 #: Fields covered by the bitwise guarantee.
 FIELDS = (
@@ -119,6 +120,11 @@ def check_bitwise(workload: str, ranks: int, half: int, tmp: str) -> list[str]:
     ckpt_b = (rep_b.recovery or {}).get("checkpoint", {})
     if ckpt_b.get("restores", 0) < 1:
         failures.append("run B recovery summary records no restore")
+    for label, rep in (("A", rep_a), ("B", rep_b)):
+        failures += [
+            f"fault-free run {label}: {f}"
+            for f in recovery_findings(rep.recovery)
+        ]
     return failures
 
 

@@ -8,26 +8,20 @@ every point-to-point message and collective is recorded in a
 (:mod:`repro.perf`) can convert the observed communication structure into
 simulated wall time on a modeled machine.
 
-Point-to-point messages travel in checksummed, sequence-numbered
-:class:`~repro.comm.simcomm.MessageEnvelope` wrappers; transport failures
-raise the structured exceptions of :mod:`repro.comm.errors` so the
+A halo round (:mod:`repro.comm.exchange`) is delivered whole: one packed
+send buffer, one checksum per message stamped and verified in one pass, and
+a per-message re-request only for what was dropped or corrupted.  Transport
+failures raise the structured exceptions of :mod:`repro.comm.errors` so the
 resilience layer (:mod:`repro.resilience`) can classify and recover them.
 """
 
 from repro.comm.errors import (
-    CommCorruptionError,
-    CommDeadlockError,
     CommError,
     CommRetriesExhaustedError,
     MailboxLeakError,
 )
 from repro.comm.traffic import TrafficLog
-from repro.comm.simcomm import (
-    MessageEnvelope,
-    SimComm,
-    SimWorld,
-    payload_checksum,
-)
+from repro.comm.simcomm import SimWorld
 from repro.comm.exchange import (
     ExchangePattern,
     build_exchange_pattern,
@@ -36,18 +30,13 @@ from repro.comm.exchange import (
 )
 
 __all__ = [
-    "CommCorruptionError",
-    "CommDeadlockError",
     "CommError",
     "CommRetriesExhaustedError",
     "ExchangePattern",
     "MailboxLeakError",
-    "MessageEnvelope",
-    "SimComm",
     "SimWorld",
     "TrafficLog",
     "build_exchange_pattern",
     "exchange_halo",
     "overlapped_halo",
-    "payload_checksum",
 ]

@@ -2,16 +2,16 @@
 
 Every failure of the simulated transport layer is raised as a typed
 exception carrying machine-readable context (phase label, endpoint
-ranks, sequence numbers, a pending-mailbox snapshot) instead of a bare
+ranks, attempts, the open rounds at a leak) instead of a bare
 ``RuntimeError`` string: the recovery machinery routes on *what* failed,
 and post-mortem reports can show where every undelivered message was
 posted.
 
 The hierarchy is intentionally flat — ``CommError`` is the catch-all the
 solver layer traps to escalate into the recovery ladder
-(:mod:`repro.resilience.policy`); the subclasses distinguish the three
-transport outcomes (nothing arrived, garbage arrived, retries ran out)
-plus the end-of-phase leak check.
+(:mod:`repro.resilience.policy`); the subclasses are the two ways a
+halo round fails: a message's retries ran out, or a round was left
+unfinished at a synchronization point.
 
 All classes subclass ``RuntimeError`` so pre-existing callers that
 trapped the old bare errors keep working.
@@ -55,78 +55,13 @@ class CommError(RuntimeError):
         }
 
 
-class CommDeadlockError(CommError):
-    """A ``recv`` found no pending message (simulated deadlock).
-
-    Carries a snapshot of every pending mailbox at raise time, so the
-    report shows which messages *were* in flight (and under which phase
-    they were posted) when the missing one was expected.
-
-    Attributes:
-        pending: ``[{"src", "dst", "phase", "count"}, ...]`` snapshot of
-            all non-empty mailboxes.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        phase: str = "",
-        src: int = -1,
-        dst: int = -1,
-        pending: Sequence[dict[str, Any]] = (),
-    ) -> None:
-        super().__init__(message, phase=phase, src=src, dst=dst)
-        self.pending = [dict(p) for p in pending]
-
-    def to_dict(self) -> dict[str, Any]:
-        d = super().to_dict()
-        d["pending"] = [dict(p) for p in self.pending]
-        return d
-
-
-class CommCorruptionError(CommError):
-    """A received payload failed its envelope checksum.
-
-    Attributes:
-        seq: sequence number of the corrupt envelope.
-        expected_checksum: checksum stamped at post time.
-        actual_checksum: checksum of the payload as delivered.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        phase: str = "",
-        src: int = -1,
-        dst: int = -1,
-        seq: int = -1,
-        expected_checksum: int = 0,
-        actual_checksum: int = 0,
-    ) -> None:
-        super().__init__(message, phase=phase, src=src, dst=dst)
-        self.seq = int(seq)
-        self.expected_checksum = int(expected_checksum)
-        self.actual_checksum = int(actual_checksum)
-
-    def to_dict(self) -> dict[str, Any]:
-        d = super().to_dict()
-        d.update(
-            seq=self.seq,
-            expected_checksum=self.expected_checksum,
-            actual_checksum=self.actual_checksum,
-        )
-        return d
-
-
 class CommRetriesExhaustedError(CommError):
     """The bounded retry protocol gave up on one logical message.
 
     Attributes:
         attempts: delivery attempts made (including the first).
         last_error: classification of the final failed attempt
-            (``"dropped"``, ``"corrupt"``, or ``"truncated"``).
+            (``"dropped"`` or ``"corrupt"``).
     """
 
     def __init__(
@@ -153,14 +88,14 @@ class MailboxLeakError(CommError):
     """Messages were still pending at a synchronization point.
 
     Raised by :meth:`repro.comm.simcomm.SimWorld.assert_no_pending`:
-    a posted-but-never-received message at a barrier means some exchange
-    protocol lost track of a payload — on real MPI this is a hang or a
+    a posted-but-never-received message at a barrier means a halo round
+    was begun and never finished — on real MPI this is a hang or a
     late-delivery correctness bug.
 
     Attributes:
-        pending: ``[{"src", "dst", "phase", "count"}, ...]`` one entry
-            per leaked mailbox, with the phase the oldest leaked message
-            was posted under.
+        pending: ``[{"phase", "count"}, ...]`` one entry per open round
+            holding undelivered messages, with the phase it was posted
+            under.
     """
 
     def __init__(

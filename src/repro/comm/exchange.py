@@ -13,6 +13,11 @@ external buffer, each rank's part a slice of that.  The tables a round needs
 (message slices in posting and in receive order, per-source traffic sums,
 the profiler's per-rank message/byte lists) are built with the pattern, so a
 round derives nothing.
+
+A round is also the unit of delivery: one checksum per message, stamped
+and verified in one pass; only a message that was dropped or fails its
+checksum is walked on its own.  An open round sits in its world's registry
+and nothing but its own finish reads it.
 """
 
 from __future__ import annotations
@@ -23,15 +28,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.comm.errors import (
-    CommCorruptionError,
-    CommDeadlockError,
-    CommRetriesExhaustedError,
-)
+from repro.comm.errors import CommRetriesExhaustedError
 from repro.comm.simcomm import SimWorld
 
 #: Halo payloads are float64 vector entries.
 ENTRY_BYTES = 8
+
+#: Message starts of a buffer checksummed as one message.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _checksums(buf: np.ndarray, starts: np.ndarray = _WHOLE) -> np.ndarray:
+    """Per-message sums of ``buf``'s 64-bit words, wrapping mod 2**64, for
+    messages starting at ``starts``: a changed word moves its message's sum
+    by the (nonzero) difference, so every single-bit flip and every
+    single-word change is caught."""
+    return np.add.reduceat(buf.view(np.uint64), starts)
 
 
 @dataclass
@@ -76,10 +88,15 @@ class ExchangePattern:
         send_gather: global index of every shipped entry, in posting
             order — ``x[send_gather]`` is the round's send buffer.
         channels: ``(src, dst)`` of each message, in posting order.
+        channel_index: the same as two arrays ``(src, dst)``, for indexing
+            a rank-by-rank table.
         send_bounds: ``(a, b)`` of each message, in posting order: its
             payload is ``sendbuf[a:b]``.
+        send_starts: the ``a`` of each message, as an array.
         receives: ``(src, dst, a, b, c, d)`` of each message, in receive
             order: ``sendbuf[a:b]`` lands in ``ext[c:d]``.
+        recv_pos: receive position of each message, in posting order.
+        recv_gather: ``ext = sendbuf[recv_gather]``.
         ext_bounds: rank ``r``'s external buffer (aligned with its
             ``col_map_offd``) is ``ext[ext_bounds[r]:ext_bounds[r+1]]``.
         round_sums: the round's wire traffic as
@@ -95,8 +112,12 @@ class ExchangePattern:
     per_rank: list[RankExchange]
     send_gather: np.ndarray
     channels: list[tuple[int, int]]
+    channel_index: tuple[np.ndarray, np.ndarray]
     send_bounds: list[tuple[int, int]]
+    send_starts: np.ndarray
     receives: list[tuple[int, int, int, int, int, int]]
+    recv_pos: np.ndarray
+    recv_gather: np.ndarray
     ext_bounds: list[int]
     round_sums: tuple[list[tuple[int, int, int]], int, int]
     p2p_round: tuple[
@@ -172,8 +193,9 @@ def build_exchange_pattern(
     post_a = post_b - m_len[order]
     m_a = np.empty_like(starts)
     m_a[order] = post_a
+    recv_gather = np.repeat(m_a - starts, m_len) + np.arange(total)
     send_gather = np.empty(total, dtype=np.int64)
-    send_gather[np.repeat(m_a - starts, m_len) + np.arange(total)] = gids
+    send_gather[recv_gather] = gids
     send_local = send_gather - np.repeat(offsets[m_src[order]], m_len[order])
     ext_pos = np.arange(total) - np.repeat(ext_bounds[:-1], n_ext)
 
@@ -205,8 +227,12 @@ def build_exchange_pattern(
         per_rank=per_rank,
         send_gather=send_gather,
         channels=list(zip(post_src, post_dst)),
+        channel_index=(m_src[order], m_dst[order]),
         send_bounds=send_bounds,
+        send_starts=post_a,
         receives=receives,
+        recv_pos=order,
+        recv_gather=recv_gather,
         ext_bounds=ext_bounds.tolist(),
         round_sums=(
             [
@@ -229,26 +255,34 @@ def build_exchange_pattern(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class HaloHandle:
-    """In-flight state of a halo round between its two halves.
+    """One halo round from its post to its delivery.
 
-    Made by :func:`exchange_halo_begin` after every send is posted and
-    consumed by :func:`exchange_halo_finish`; it never leaves this
-    module.  Holds the round's send buffer (a gathered copy, so later
-    writes to the vector cannot reach it) so the retry protocol can
-    re-post any slice from the sender side.
+    Made by :func:`exchange_halo_begin`, which registers it with the
+    world, and consumed by :func:`exchange_halo_finish`.  Holds the
+    round's send buffer (a gathered copy, so later writes to the vector
+    cannot reach it) so a message can be re-posted from the sender side.
     """
 
     pattern: ExchangePattern
     sendbuf: np.ndarray
+    #: The checksum of each message at post, in posting order.
+    sums: np.ndarray
+    #: Phase label at post time.
+    phase: str
     #: The round's contiguous external buffer (all ranks, rank-major).
     ext: np.ndarray
-    #: Overlap intent: counts ``comm.overlapped_*`` and prices the wait
-    #: against send-post clocks instead of receive-arrival clocks.
-    overlap: bool = False
+    #: What arrived: ``sendbuf`` itself unless a copy was corrupted in
+    #: flight.
+    wire: np.ndarray
+    #: Copies of each message that arrived (0: dropped, 2: duplicated),
+    #: in posting order; None when every message arrived once.
+    copies: np.ndarray | None = None
+    #: Messages posted and not delivered; what a purge counts.
+    pending: int = 0
     #: Per-rank profiler clocks at post time (None without a profiler
-    #: or for a synchronous round).
+    #: or for a synchronous round): the wait is priced against them.
     posted_at: list[float] | None = None
     finished: bool = False
 
@@ -267,9 +301,12 @@ def exchange_halo_begin(
     are the two places that pair it with :func:`exchange_halo_finish`,
     and lint rule RL007 keeps both names out of every other module.
 
-    One gather packs the round's send buffer; each message is a slice of
-    it, posted through :meth:`SimWorld._post_batch` (sequence number,
-    CRC32 stamp and fault-injection opportunity per message).
+    One gather packs the round's send buffer and one call stamps every
+    message's checksum.  The round advances each of its channels'
+    sequence numbers, gives an installed fault injector one opportunity
+    per message in posting order, is recorded once in the traffic log
+    (plus one record per injected duplicate) and opens in the world's
+    registry.
 
     With ``overlap=True`` the round is counted in the
     ``comm.overlapped_exchanges`` / ``comm.overlapped_messages`` /
@@ -299,65 +336,83 @@ def exchange_halo_begin(
         out = np.empty(n_entries, dtype=np.float64)
     elif out.shape != (n_entries,) or out.dtype != np.float64:
         raise ValueError("out does not match the pattern's external size")
-    # A second begin on the same pattern before its finish would
-    # double-post every send, and the stale first round's messages would
-    # satisfy the second round's receives.
-    if id(pattern) in world._halo_inflight:
+    # A second begin on the same pattern before its finish would post the
+    # round twice over the one external buffer.
+    if any(r.pattern is pattern and not r.finished for r in world._open_rounds):
         world.metrics.counter("comm.double_begin", phase=world.phase).inc()
         raise RuntimeError(
             "exchange_halo_begin called twice on the same pattern "
             "without an intervening exchange_halo_finish"
         )
-    world._halo_inflight.add(id(pattern))
-    # Post all sends, then receive: matches the MPI_Isend/Irecv structure.
+    phase = world.phase
     sendbuf = x[pattern.send_gather]
-    world._post_batch(
-        pattern.channels,
-        [sendbuf[a:b] for a, b in pattern.send_bounds],
-        pattern.round_sums,
-    )
-    posted_at = None
-    if overlap:
-        _sources, msgs, nbytes = pattern.round_sums
-        world.metrics.counter(
-            "comm.overlapped_exchanges", phase=world.phase
-        ).inc()
-        world.metrics.counter(
-            "comm.overlapped_messages", phase=world.phase
-        ).inc(msgs)
-        world.metrics.counter(
-            "comm.overlapped_bytes", phase=world.phase
-        ).inc(float(nbytes))
-        if world.profiler is not None:
-            posted_at = world.profiler.on_p2p_post()
-    return HaloHandle(
+    seqs = world._next_seq[pattern.channel_index]
+    world._next_seq[pattern.channel_index] += 1
+    handle = HaloHandle(
         pattern=pattern,
         sendbuf=sendbuf,
+        sums=_checksums(sendbuf, pattern.send_starts),
+        phase=phase,
         ext=out,
-        overlap=overlap,
-        posted_at=posted_at,
+        wire=sendbuf,
+        pending=pattern.total_messages(),
     )
+    if world.fault_injector is not None:
+        _inject(world, handle, seqs)
+    if world.hub.has("exchange"):
+        copies = handle.copies
+        for i, ((src, dst), (a, b)) in enumerate(
+            zip(pattern.channels, pattern.send_bounds)
+        ):
+            # A dropped message was still sent: it is lost on the wire.
+            for _ in range(1 if copies is None else int(copies[i]) or 1):
+                world.hub.emit(
+                    "exchange",
+                    kind="p2p",
+                    src=src,
+                    dst=dst,
+                    nbytes=ENTRY_BYTES * (b - a),
+                    phase=phase,
+                )
+    world.traffic.record_round(*pattern.round_sums, phase)
+    world._open_rounds.append(handle)
+    if overlap:
+        _sources, msgs, nbytes = pattern.round_sums
+        world.metrics.counter("comm.overlapped_exchanges", phase=phase).inc()
+        world.metrics.counter("comm.overlapped_messages", phase=phase).inc(
+            msgs
+        )
+        world.metrics.counter("comm.overlapped_bytes", phase=phase).inc(
+            float(nbytes)
+        )
+        if world.profiler is not None:
+            handle.posted_at = world.profiler.on_p2p_post()
+    return handle
 
 
 def exchange_halo_finish(
     world: SimWorld, handle: HaloHandle
 ) -> list[np.ndarray]:
-    """Drain a posted halo round: the blocking ``MPI_Waitall`` half.
+    """Deliver a posted halo round: the blocking ``MPI_Waitall`` half.
 
-    Runs the bounded retry protocol described at :func:`exchange_halo`
-    (drop, corruption, and truncation all consume the retry budget)
-    whether or not work ran between the halves, so a split exchange is
-    bitwise- and failure-equivalent to a synchronous one.  Returns
-    per-rank views of the handle's contiguous external buffer.
+    Checks every message against its checksum in one pass, runs the
+    bounded retry protocol described at :func:`exchange_halo` for the
+    ones that were dropped or corrupted, and fills the external buffer
+    with one gather — whether or not work ran between the halves, so a
+    split exchange is bitwise- and failure-equivalent to a synchronous
+    one.  Returns per-rank views of that buffer.
     """
     if handle.finished:
         raise RuntimeError("halo handle already finished")
     handle.finished = True
-    world._halo_inflight.discard(id(handle.pattern))
-    pattern, sendbuf, ext = handle.pattern, handle.sendbuf, handle.ext
-    attempts = 1 + max(0, int(world.comm_max_retries))
-    for src, dst, a, b, c, d in pattern.receives:
-        ext[c:d] = _recv_with_retry(world, sendbuf, src, dst, a, b, attempts)
+    pattern = handle.pattern
+    ok = _checksums(handle.wire, pattern.send_starts) == handle.sums
+    if handle.copies is not None:
+        ok &= handle.copies > 0
+    if handle.copies is not None or not ok.all():
+        _redeliver(world, handle, ok)
+    world._open_rounds.remove(handle)
+    np.take(handle.wire, pattern.recv_gather, out=handle.ext)
     if world.profiler is not None:
         # Neighborhood sync: each rank's wait is bounded by its own
         # senders, not the global straggler.  The logical exchange is
@@ -367,7 +422,7 @@ def exchange_halo_finish(
             "halo", *pattern.p2p_round, posted_at=handle.posted_at
         )
     bounds = pattern.ext_bounds
-    return [ext[s:e] for s, e in zip(bounds, bounds[1:])]
+    return [handle.ext[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
 def exchange_halo(
@@ -378,16 +433,14 @@ def exchange_halo(
 ) -> list[np.ndarray]:
     """Run one halo exchange: gather external entries for every rank.
 
-    Messages travel through the mailbox transport
-    (:meth:`SimWorld._post_batch` / :meth:`SimWorld._take`), so they are
-    sequence-numbered, checksummed, and exposed to injected
-    ``message_drop``/``message_corrupt``/``message_duplicate`` faults.
-    The receive side runs a bounded retry protocol: a message that never
-    arrived (drop), arrived corrupt, or arrived with the wrong length
-    (truncated) is re-requested from its owner up to
-    ``world.comm_max_retries`` times (``comm.retries`` /
-    ``comm.drops_detected`` counters track every re-request); when the
-    budget is exhausted a
+    Every message is sequence-numbered, checksummed, and exposed to
+    injected ``message_drop``/``message_corrupt``/``message_duplicate``
+    faults.  The receive side runs a bounded retry protocol: a message
+    that never arrived (drop) or arrived corrupt is re-requested from its
+    owner up to ``world.comm_max_retries`` times (``comm.retries`` /
+    ``comm.drops_detected`` / ``comm.corrupt_detected`` count every
+    re-request), and extra copies are discarded
+    (``comm.duplicates_discarded``); when the budget is exhausted a
     :class:`~repro.comm.errors.CommRetriesExhaustedError` escalates to
     the solver-level recovery ladder.
 
@@ -426,9 +479,9 @@ def overlapped_halo(
     boundary data is in flight.  Every normal way out of the body
     drains, an early ``return`` included, so a begin without its finish
     cannot be written.  An exception in the body drains nothing and
-    leaves the pattern marked in flight: a drain could raise over the
-    first error, and :meth:`SimWorld.purge_pending`, which the recovery
-    ladder calls on every ``CommError``, owns aborted rounds.
+    leaves the round open, its pattern in flight: a drain could raise
+    over the first error, and :meth:`SimWorld.purge_pending`, which the
+    recovery ladder calls on every ``CommError``, owns aborted rounds.
 
     The round counts into ``comm.overlapped_*`` and its wait is priced
     against the post-time clocks (see :func:`exchange_halo_begin`).
@@ -441,62 +494,119 @@ def overlapped_halo(
     exchange_halo_finish(world, handle)
 
 
-def _recv_with_retry(
-    world: SimWorld,
-    sendbuf: np.ndarray,
-    src: int,
-    dst: int,
-    a: int,
-    b: int,
-    attempts: int,
-) -> np.ndarray:
-    """Receive the halo message ``sendbuf[a:b]`` on channel ``src -> dst``,
-    re-requesting on drop/corruption.
+def _inject(world: SimWorld, handle: HaloHandle, seqs: np.ndarray) -> None:
+    """Offer each message of a just-posted round to the fault injector,
+    in posting order: a corrupted copy replaces its slice on the wire, a
+    duplicate is one more transmission."""
+    injector, phase = world.fault_injector, handle.phase
+    pattern, sendbuf = handle.pattern, handle.sendbuf
+    copies = np.ones(pattern.total_messages(), dtype=np.int64)
+    for i, ((src, dst), (a, b)) in enumerate(
+        zip(pattern.channels, pattern.send_bounds)
+    ):
+        payload = sendbuf[a:b]
+        landed = injector.on_post(phase, src, dst, int(seqs[i]), payload)
+        copies[i] = len(landed)
+        if landed and landed[0] is not payload:
+            if handle.wire is sendbuf:
+                handle.wire = sendbuf.copy()
+            handle.wire[a:b] = landed[0]
+        for _ in landed[1:]:
+            world.traffic.record_message(src, dst, payload.nbytes, phase)
+    handle.copies = copies
+    handle.pending = int(copies.sum())
 
-    Each retry re-posts the message from the (uncorrupted) sender-side
-    slice — the simulated analogue of an MPI-level NACK + resend — and
-    every re-post is a fresh fault-injection opportunity, so consecutive
-    scheduled drops can exhaust the budget deterministically in tests.
 
-    A payload of the wrong length (truncation) is a corruption like any
-    other: it consumes the retry budget here instead of escalating
-    immediately past it.
-    """
-    last_error = ""
-    for attempt in range(attempts):
-        if attempt > 0:
-            world.metrics.counter("comm.retries", phase=world.phase).inc()
-            world._post(src, dst, sendbuf[a:b])
-        try:
-            payload = world._take(src, dst)
-        except CommDeadlockError:
-            # Nothing pending on this channel: the message was dropped
-            # on the wire (a true deadlock would leave nothing to resend).
-            world.metrics.counter(
-                "comm.drops_detected", phase=world.phase
-            ).inc()
-            last_error = "dropped"
-            continue
-        except CommCorruptionError:
-            # comm.corrupt_detected was already counted by _take.
-            last_error = "corrupt"
-            continue
-        if getattr(payload, "shape", None) != (b - a,):
-            # Wrong-length payload: the envelope checksum passed but the
-            # content cannot be scattered — treat as corruption and
-            # re-request within the same budget.
-            world.metrics.counter(
-                "comm.corrupt_detected", phase=world.phase
-            ).inc()
-            last_error = "truncated"
-            continue
-        return payload
-    raise CommRetriesExhaustedError(
-        f"halo message {src} -> {dst} failed after {attempts} "
-        f"attempt(s) in phase {world.phase!r} (last error: {last_error})",
-        phase=world.phase,
-        src=src,
-        dst=dst,
-        attempts=attempts,
-        last_error=last_error,
+def _repost(world: SimWorld, handle: HaloHandle, p: int) -> list[np.ndarray]:
+    """Re-post message ``p`` from the sender's clean slice (an MPI-level
+    NACK + resend): the channel's next sequence number, a fresh injector
+    opportunity, one record per transmission.  Returns what landed."""
+    (src, dst), (a, b) = handle.pattern.channels[p], handle.pattern.send_bounds[p]
+    seq = int(world._next_seq[src, dst])
+    world._next_seq[src, dst] += 1
+    phase, payload = world.phase, handle.sendbuf[a:b]
+    injector = world.fault_injector
+    landed = (
+        [payload]
+        if injector is None
+        else injector.on_post(phase, src, dst, seq, payload)
     )
+    observed = world.hub.has("exchange")
+    for _ in range(len(landed) or 1):
+        world.traffic.record_message(src, dst, payload.nbytes, phase)
+        if observed:
+            world.hub.emit(
+                "exchange",
+                kind="p2p",
+                src=src,
+                dst=dst,
+                nbytes=payload.nbytes,
+                phase=phase,
+            )
+    return landed
+
+
+def _redeliver(world: SimWorld, handle: HaloHandle, ok: np.ndarray) -> None:
+    """Walk the messages that did not arrive intact (``~ok``), in receive
+    order: each is re-posted until a copy passes its checksum, at most
+    ``world.comm_max_retries`` times, and written into the wire buffer.
+    Extra copies of delivered messages are discarded.
+
+    Consecutive scheduled drops can exhaust the budget deterministically:
+    the round then stays open with its later messages undelivered, for
+    :meth:`SimWorld.purge_pending` to count, and
+    :class:`~repro.comm.errors.CommRetriesExhaustedError` escalates.
+    """
+    pattern = handle.pattern
+    copies = handle.copies
+    if copies is None:
+        copies = np.ones(pattern.total_messages(), dtype=np.int64)
+    wire, recv_pos = handle.wire, pattern.recv_pos
+    attempts = 1 + max(0, int(world.comm_max_retries))
+
+    def count(name: str) -> None:
+        world.metrics.counter(name, phase=world.phase).inc()
+
+    bad = np.flatnonzero(~ok)
+    for p in bad[np.argsort(recv_pos[bad], kind="stable")].tolist():
+        a, b = pattern.send_bounds[p]
+        landed = [wire[a:b]] * int(copies[p])
+        for attempt in range(attempts):
+            if attempt > 0:
+                count("comm.retries")
+                landed = _repost(world, handle, p)
+            if not landed:
+                count("comm.drops_detected")
+                last_error = "dropped"
+            elif _checksums(landed[0])[0] != handle.sums[p]:
+                count("comm.corrupt_detected")
+                last_error = "corrupt"
+            else:
+                wire[a:b] = landed[0]
+                copies[p] = len(landed)
+                break
+        else:
+            later = recv_pos > recv_pos[p]
+            handle.pending = int(copies[later].sum())
+            _discard_duplicates(world, copies[recv_pos < recv_pos[p]])
+            src, dst = pattern.channels[p]
+            raise CommRetriesExhaustedError(
+                f"halo message {src} -> {dst} failed after {attempts} "
+                f"attempt(s) in phase {world.phase!r} "
+                f"(last error: {last_error})",
+                phase=world.phase,
+                src=src,
+                dst=dst,
+                attempts=attempts,
+                last_error=last_error,
+            )
+    _discard_duplicates(world, copies)
+
+
+def _discard_duplicates(world: SimWorld, delivered: np.ndarray) -> None:
+    """Count the extra copies of the delivered messages as discarded."""
+    extra = int(delivered.sum()) - delivered.size
+    if extra:
+        world.metrics.counter(
+            "comm.duplicates_discarded", phase=world.phase
+        ).inc(extra)

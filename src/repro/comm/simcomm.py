@@ -3,37 +3,25 @@
 :class:`SimWorld` stands in for ``MPI_COMM_WORLD``: it fixes the number of
 ranks, owns the :class:`~repro.comm.traffic.TrafficLog`, and provides
 world-level exchange operations that the rest of the library uses in
-rank-indexed ("list of per-rank arrays") style.  :class:`SimComm` is the
-per-rank handle with MPI-like ``send``/``recv`` semantics backed by a
-mailbox, used where the paper's algorithms are written in per-rank form
-(e.g. Algorithm 1 step 2-3).
+rank-indexed ("list of per-rank arrays") style.
 
 All exchanges move *real* data, so the numerics downstream (hybrid smoothers,
 additive Schwarz, assembly) behave exactly as they would distributed; the log
 only adds accounting on top.
 
-Point-to-point messages travel in :class:`MessageEnvelope` wrappers that
-carry a per-channel sequence number and a CRC32 payload checksum, so the
-receiving side detects dropped, duplicated, and corrupted messages (the
-fault classes :class:`~repro.resilience.injection.FaultInjector` injects
-on the p2p path) instead of silently consuming them.
+Point-to-point traffic is halo rounds (:mod:`repro.comm.exchange`), each
+delivered whole: the world only keeps the registry of rounds that are open,
+which is what its leak check, purge and the double-begin guard read.
 """
 
 from __future__ import annotations
 
-import zlib
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.comm.errors import (
-    CommCorruptionError,
-    CommDeadlockError,
-    MailboxLeakError,
-)
+from repro.comm.errors import MailboxLeakError
 from repro.comm.traffic import TrafficLog
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
@@ -51,61 +39,6 @@ def _nbytes(payload: Any) -> int:
     if isinstance(payload, (float, np.floating)):
         return 8
     return 8
-
-
-def payload_checksum(payload: Any) -> int:
-    """CRC32 checksum of a message payload.
-
-    Covers ndarray contents (any dtype), scalars, and tuples/lists of
-    them — the payload shapes the exchange paths actually post.  The
-    checksum is over raw value bytes, so any single-bit corruption of a
-    delivered array flips it.
-    """
-    if isinstance(payload, np.ndarray):
-        try:
-            # Straight over the array's buffer: no bytes copy.
-            return zlib.crc32(payload)
-        except ValueError:
-            # Strided view: pack to C order, the bytes ``tobytes`` reads.
-            return zlib.crc32(np.ascontiguousarray(payload))
-    crc = 0
-    if isinstance(payload, (tuple, list)):
-        for p in payload:
-            crc = zlib.crc32(payload_checksum(p).to_bytes(4, "little"), crc)
-        return crc
-    return zlib.crc32(repr(payload).encode())
-
-
-@dataclass(slots=True)
-class MessageEnvelope:
-    """One point-to-point message on the simulated wire.
-
-    Attributes:
-        seq: per-``(src, dst)`` channel sequence number (0-based,
-            monotonically increasing per post).
-        src: sending rank.
-        dst: receiving rank.
-        phase: phase label active at post time.
-        payload: the message body.
-        checksum: CRC32 of the payload at post time (see
-            :func:`payload_checksum`).  Verified on receive; a mismatch
-            means in-flight corruption.
-    """
-
-    seq: int
-    src: int
-    dst: int
-    phase: str
-    payload: Any
-    checksum: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        if self.checksum < 0:
-            self.checksum = payload_checksum(self.payload)
-
-    def verify(self) -> bool:
-        """True when the payload still matches its post-time checksum."""
-        return payload_checksum(self.payload) == self.checksum
 
 
 class SimWorld:
@@ -142,21 +75,17 @@ class SimWorld:
         # configured from RecoveryPolicy.comm_max_retries by the
         # simulation driver.
         self.comm_max_retries = 2
-        # Leak checking at barriers: a posted-but-unreceived message at a
-        # synchronization point is a protocol bug (see assert_no_pending).
-        self.leak_check = True
         # Optional per-rank timeline profiler (repro.obs.timeline); when
         # set, phase transitions and world-level sync points notify it so
         # it can advance simulated rank clocks and attribute comm waits.
         self.profiler: Any = None
         self.rng = np.random.default_rng(seed)
         self._phase_stack: list[str] = ["default"]
-        self._mailboxes: dict[tuple[int, int], deque[MessageEnvelope]] = {}
-        self._next_seq: dict[tuple[int, int], int] = {}
-        self._last_delivered: dict[tuple[int, int], int] = {}
-        #: Patterns (by id) with a posted-but-unfinished split halo
-        #: exchange — exchange_halo_begin's double-begin guard.
-        self._halo_inflight: set[int] = set()
+        #: Next sequence number of every ``(src, dst)`` channel.
+        self._next_seq = np.zeros((self.size, self.size), dtype=np.int64)
+        #: Halo rounds posted and not yet delivered (``HaloHandle``s of
+        #: repro.comm.exchange), aborted ones included until a purge.
+        self._open_rounds: list[Any] = []
 
     # -- phase labeling ----------------------------------------------------
 
@@ -223,209 +152,50 @@ class SimWorld:
         if self.profiler is not None:
             self.profiler.on_phase_end(popped)
 
-    # -- rank handles ------------------------------------------------------
-
-    def comm(self, rank: int) -> "SimComm":
-        """Per-rank communicator handle."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} out of range for world of {self.size}")
-        return SimComm(self, rank)
-
-    def comms(self) -> list["SimComm"]:
-        """Handles for all ranks, index == rank."""
-        return [SimComm(self, r) for r in range(self.size)]
-
-    # -- mailbox primitives (used by SimComm) -------------------------------
-
-    def _post(self, src: int, dst: int, payload: Any) -> None:
-        """Post one point-to-point message from ``src`` to ``dst``: the
-        one-message case of :meth:`_post_batch`, accounted on its own."""
-        self._post_batch(((src, dst),), (payload,))
-
-    def _post_batch(
-        self,
-        channels: Iterable[tuple[int, int]],
-        payloads: Iterable[Any],
-        round_sums: tuple[list[tuple[int, int, int]], int, int] | None = None,
-    ) -> None:
-        """Post messages on ``(src, dst)`` ``channels``, in order.
-
-        The one implementation of the envelope protocol.  Every payload
-        travels in a sequence-numbered, checksummed
-        :class:`MessageEnvelope`.  When a fault injector is installed it
-        sees every envelope (:meth:`FaultInjector.on_post`), in posting
-        order, and may drop it, corrupt the payload in flight, or
-        duplicate it.
-
-        Wire accounting is one traffic record (and, while someone
-        observes ``exchange``, one ``kind="p2p"`` hub event) per
-        transmission that left the sender: a dropped message was still
-        sent — it is lost on the wire, not at the source — and a
-        duplicate transmits twice.  A caller that knows the whole round
-        beforehand passes ``round_sums`` (the arguments of
-        :meth:`TrafficLog.record_round`): first transmissions are then
-        recorded once for the round, only injected extra transmissions
-        one by one, and the aggregates come out the same.
-        """
-        phase = self.phase
-        next_seq, boxes = self._next_seq, self._mailboxes
-        injector = self.fault_injector
-        observed = self.hub.has("exchange")
-        # Transmissions per message that ``round_sums`` already covers.
-        covered = 0 if round_sums is None else 1
-        for key, payload in zip(channels, payloads):
-            seq = next_seq.get(key, 0)
-            next_seq[key] = seq + 1
-            src, dst = key
-            env = MessageEnvelope(
-                seq, src, dst, phase, payload, payload_checksum(payload)
-            )
-            envelopes: Sequence[MessageEnvelope] = (
-                (env,) if injector is None else injector.on_post(env)
-            )
-            if envelopes:
-                box = boxes.get(key)
-                if box is None:
-                    box = boxes[key] = deque()
-                box.extend(envelopes)
-            n_wire = len(envelopes) or 1
-            if observed or n_wire > covered:
-                nbytes = _nbytes(payload)
-                for _ in range(n_wire - covered):
-                    self.traffic.record_message(src, dst, nbytes, phase)
-                for _ in range(n_wire if observed else 0):
-                    self.hub.emit(
-                        "exchange",
-                        kind="p2p",
-                        src=src,
-                        dst=dst,
-                        nbytes=nbytes,
-                        phase=phase,
-                    )
-        if round_sums is not None:
-            self.traffic.record_round(*round_sums, phase)
-
-    def _take(self, src: int, dst: int) -> Any:
-        """Receive the oldest pending payload on channel ``(src, dst)``.
-
-        Validates the envelope: duplicates (sequence number at or below
-        the last delivered one) are discarded with a
-        ``comm.duplicates_discarded`` count; a checksum mismatch raises
-        :class:`~repro.comm.errors.CommCorruptionError`; an empty channel
-        raises :class:`~repro.comm.errors.CommDeadlockError` carrying a
-        snapshot of every pending mailbox.
-        """
-        key = (src, dst)
-        box = self._mailboxes.get(key)
-        last = self._last_delivered.get(key, -1)
-        # Skip stale duplicates queued ahead of the next fresh message.
-        while box and box[0].seq <= last:
-            box.popleft()
-            self.metrics.counter(
-                "comm.duplicates_discarded", phase=self.phase
-            ).inc()
-        if not box:
-            raise CommDeadlockError(
-                f"recv from rank {src} on rank {dst}: no message posted "
-                f"(simulated deadlock) in phase {self.phase!r}; "
-                f"{self.pending_messages()} message(s) pending elsewhere",
-                phase=self.phase,
-                src=src,
-                dst=dst,
-                pending=self.pending_summary(),
-            )
-        env = box.popleft()
-        if not env.verify():
-            self.metrics.counter(
-                "comm.corrupt_detected", phase=self.phase
-            ).inc()
-            raise CommCorruptionError(
-                f"message {src} -> {dst} seq {env.seq} failed its payload "
-                f"checksum (posted in phase {env.phase!r})",
-                phase=self.phase,
-                src=src,
-                dst=dst,
-                seq=env.seq,
-                expected_checksum=env.checksum,
-                actual_checksum=payload_checksum(env.payload),
-            )
-        self._last_delivered[key] = env.seq
-        # Drop trailing duplicates of the message just delivered so they
-        # cannot linger as mailbox leaks past the next barrier.
-        while box and box[0].seq <= env.seq:
-            box.popleft()
-            self.metrics.counter(
-                "comm.duplicates_discarded", phase=self.phase
-            ).inc()
-        return env.payload
+    # -- open halo rounds --------------------------------------------------
 
     def pending_messages(self) -> int:
-        """Number of posted-but-unreceived messages (should be 0 at sync points)."""
-        return sum(len(b) for b in self._mailboxes.values())
-
-    def pending_summary(self) -> list[dict[str, Any]]:
-        """Snapshot of every non-empty mailbox.
-
-        Returns one ``{"src", "dst", "phase", "count", "seqs"}`` entry
-        per channel holding undelivered messages, where ``phase`` is the
-        label the oldest pending message was posted under — exactly the
-        context a leak report needs.
-        """
-        out: list[dict[str, Any]] = []
-        for (src, dst), box in sorted(self._mailboxes.items()):
-            if not box:
-                continue
-            out.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "phase": box[0].phase,
-                    "count": len(box),
-                    "seqs": [env.seq for env in box],
-                }
-            )
-        return out
+        """Messages posted but not delivered, over every open halo round
+        (0 at every synchronization point of a healthy run)."""
+        return sum(r.pending for r in self._open_rounds)
 
     def purge_pending(self, reason: str = "") -> int:
-        """Drop every in-flight message and reset channel sequence state.
+        """Close every open halo round and reset channel sequence numbers.
 
         The escalation path calls this after a transport failure aborts
-        an exchange mid-round: messages already posted for the aborted
-        round would otherwise be mis-delivered to the next round (wrong
-        shapes, stale sequence numbers) and poison every retry — the
-        simulated analogue of tearing down and re-establishing
-        communicators after an MPI fault.  Purged messages are counted
-        under ``comm.purged`` (labeled with ``reason``).  Returns the
-        number of messages dropped.
+        a round: the simulated analogue of tearing down and
+        re-establishing communicators after an MPI fault.  An aborted
+        round can never be read by another one; the purge counts its
+        undelivered messages under ``comm.purged`` (labeled with
+        ``reason``), releases its pattern and returns that count.
         """
         purged = self.pending_messages()
         if purged:
             self.metrics.counter(
                 "comm.purged", phase=self.phase, reason=reason
             ).inc(purged)
-        self._mailboxes.clear()
-        self._next_seq.clear()
-        self._last_delivered.clear()
-        # The aborted round's begins died with their messages; a fresh
-        # begin on the same pattern must not trip the double-begin guard.
-        self._halo_inflight.clear()
+        self._open_rounds.clear()
+        self._next_seq[:] = 0
         return purged
 
     def assert_no_pending(self, context: str = "") -> None:
         """Raise :class:`MailboxLeakError` when any message is pending.
 
-        Called at barriers (when :attr:`leak_check` is on) and usable by
-        tests at end-of-phase: an undelivered message at a
-        synchronization point means an exchange protocol leaked a
-        payload — on real MPI, a hang or a late-delivery bug.
+        Called at barriers and usable by tests at end-of-phase: an
+        undelivered message at a synchronization point means a halo
+        round was begun and never finished — on real MPI, a hang or a
+        late-delivery bug.
         """
-        pending = self.pending_summary()
+        pending = [
+            {"phase": r.phase, "count": r.pending}
+            for r in self._open_rounds
+            if r.pending
+        ]
         if not pending:
             return
         where = f" at {context}" if context else ""
         detail = "; ".join(
-            f"{p['count']} from rank {p['src']} to rank {p['dst']} "
-            f"(posted in phase {p['phase']!r})"
+            f"{p['count']} in a round posted in phase {p['phase']!r}"
             for p in pending
         )
         raise MailboxLeakError(
@@ -445,12 +215,11 @@ class SimWorld:
         non-empty payloads are transmitted and recorded; the diagonal
         ``src == dst`` payload is delivered locally without touching the
         traffic log — a rank keeping its own data is a memory copy, not a
-        network message (``SimComm.send`` rejects self-sends for the same
-        reason).
+        network message.
 
         While someone observes ``exchange``, every transmitted payload
-        emits a per-message hub event (``kind="p2p"``) exactly like
-        :meth:`_post_batch` does, so hub-derived message counts agree
+        emits a per-message hub event (``kind="p2p"``) exactly like a
+        halo round does, so hub-derived message counts agree
         with the :class:`TrafficLog` aggregates; one summary event
         (``kind="alltoallv"``) closes the exchange.
         """
@@ -520,12 +289,10 @@ class SimWorld:
     def barrier(self) -> None:
         """Synchronization point; charges a zero-byte collective.
 
-        With :attr:`leak_check` on (the default), also asserts that no
-        posted message is still undelivered — every rank reaching a
-        barrier with messages in flight is a protocol bug.
+        Also asserts that no posted message is still undelivered — every
+        rank reaching a barrier with messages in flight is a protocol bug.
         """
-        if self.leak_check:
-            self.assert_no_pending(context="barrier")
+        self.assert_no_pending(context="barrier")
         self.collective("barrier", 0)
 
     # -- the ledger verbs ----------------------------------------------------
@@ -597,26 +364,3 @@ class SimWorld:
         self.hub.emit("exchange", kind=kind, nbytes=nbytes, phase=phase)
         if self.profiler is not None:
             self.profiler.on_collective(kind, nbytes)
-
-
-class SimComm:
-    """Per-rank communicator handle with MPI-like point-to-point calls."""
-
-    def __init__(self, world: SimWorld, rank: int) -> None:
-        self.world = world
-        self.rank = int(rank)
-
-    @property
-    def size(self) -> int:
-        """World size."""
-        return self.world.size
-
-    def send(self, dst: int, payload: Any) -> None:
-        """Post ``payload`` to rank ``dst`` (non-blocking semantics)."""
-        if dst == self.rank:
-            raise ValueError("self-sends are not modeled; handle locally")
-        self.world._post(self.rank, dst, payload)
-
-    def recv(self, src: int) -> Any:
-        """Receive the oldest pending payload from rank ``src``."""
-        return self.world._take(src, self.rank)

@@ -25,8 +25,6 @@ FAILURE_KINDS = (
     "nonfinite_operands",
     "nonfinite_fields",
     "non_convergence",
-    "comm_deadlock",
-    "comm_corrupt",
     "comm_retries_exhausted",
     "io_error",
     "worker_crash",
@@ -42,8 +40,6 @@ FAILURE_KINDS = (
 #: campaign supervisor quarantines instead of retrying.
 TRANSIENT_FAILURE_KINDS = frozenset(
     {
-        "comm_deadlock",
-        "comm_corrupt",
         "comm_retries_exhausted",
         "io_error",
         "worker_crash",
@@ -164,25 +160,14 @@ def classify_failure(exc: BaseException) -> str:
     """Map an exception to its :data:`FAILURE_KINDS` entry.
 
     Structured failures carry their own ``kind``; transport errors from
-    :mod:`repro.comm.errors` map onto the ``comm_*``/``io_error`` kinds
-    so the recovery ladder and the run report route on the same taxonomy
-    regardless of which layer raised.
+    :mod:`repro.comm.errors` map onto ``comm_retries_exhausted`` and
+    ``OSError`` onto ``io_error``, so the recovery ladder and the run
+    report route on the same taxonomy regardless of which layer raised.
     """
-    from repro.comm.errors import (
-        CommCorruptionError,
-        CommDeadlockError,
-        CommError,
-        CommRetriesExhaustedError,
-    )
+    from repro.comm.errors import CommError
 
     if isinstance(exc, SolverFailure) and exc.kind:
         return exc.kind
-    if isinstance(exc, CommRetriesExhaustedError):
-        return "comm_retries_exhausted"
-    if isinstance(exc, CommCorruptionError):
-        return "comm_corrupt"
-    if isinstance(exc, CommDeadlockError):
-        return "comm_deadlock"
     if isinstance(exc, CommError):
         return "comm_retries_exhausted"
     if isinstance(exc, OSError):

@@ -13,11 +13,11 @@ faith:
 * ``solver_stall`` — force the Nth Krylov solve of an equation to report
   non-convergence (preconditioner-gone-stale analogue);
 * ``message_drop`` — lose the Nth point-to-point message on the wire
-  (the receiver sees an empty channel and must re-request);
-* ``message_corrupt`` — flip bits in the Nth point-to-point payload
-  in flight (the envelope checksum catches it on receive);
+  (nothing arrives; the receiver re-requests it);
+* ``message_corrupt`` — perturb the Nth point-to-point payload in
+  flight (the message's checksum catches it on receive);
 * ``message_duplicate`` — deliver the Nth point-to-point message twice
-  (the receiver must discard the stale copy by sequence number);
+  (the receiver discards the extra copy);
 * ``io_fail`` — fail checkpoint/result-store I/O operations in a window
   of ``entries`` consecutive attempts starting at the Nth (a flaky
   parallel-filesystem analogue; the writer retries with backoff);
@@ -282,35 +282,31 @@ class FaultInjector:
         )
         return True
 
-    def on_post(self, envelope: Any) -> list[Any]:
-        """Transform one posted point-to-point envelope.
+    def on_post(
+        self, phase: str, src: int, dst: int, seq: int, payload: np.ndarray
+    ) -> list[np.ndarray]:
+        """Transform one posted point-to-point message.
 
-        Called by :meth:`SimWorld._post_batch` for every p2p message.  Returns
-        the envelopes that actually land in the mailbox: ``[]`` for a
-        drop, ``[env]`` untouched, ``[env]`` with a corrupted payload
-        (the checksum is *not* restamped — that is the point), or
-        ``[env, dup]`` for a duplicate delivery.
+        Called by the halo exchange for every message of a round, in
+        posting order, and for every re-post.  Returns the copies that
+        actually arrive: ``[]`` for a drop, ``[payload]`` untouched, a
+        corrupted copy of the payload (the checksum stamped at post is
+        *not* restamped — that is the point), or ``[payload, payload]``
+        for a duplicate delivery.
 
         Each post is one opportunity per p2p fault kind, and every
         retry re-post is a fresh post — so consecutive ``at`` values
         schedule faults on successive delivery attempts of the same
         logical message.
         """
+        where = {"phase": phase, "src": src, "dst": dst, "seq": seq}
         spec = self._match("message_drop")
         if spec is not None:
-            self.fired.append(
-                {
-                    "kind": "message_drop",
-                    "phase": envelope.phase,
-                    "src": envelope.src,
-                    "dst": envelope.dst,
-                    "seq": envelope.seq,
-                }
-            )
+            self.fired.append({"kind": "message_drop", **where})
             return []
         spec = self._match("message_corrupt")
         if spec is not None:
-            values = self._value_array(envelope.payload)
+            values = self._value_array(payload)
             if values is not None:
                 values = values.copy()
                 idx = self.rng.integers(
@@ -320,33 +316,20 @@ class FaultInjector:
                 # wire must be caught by the checksum, not by downstream
                 # NaN guards doing the transport layer's job.
                 values[idx] += spec.magnitude
-                envelope.payload = self._replace_values(
-                    envelope.payload, values
-                )
+                payload = values
                 self.fired.append(
                     {
                         "kind": "message_corrupt",
-                        "phase": envelope.phase,
-                        "src": envelope.src,
-                        "dst": envelope.dst,
-                        "seq": envelope.seq,
+                        **where,
                         "entries": int(idx.size),
                     }
                 )
-            return [envelope]
+            return [payload]
         spec = self._match("message_duplicate")
         if spec is not None:
-            self.fired.append(
-                {
-                    "kind": "message_duplicate",
-                    "phase": envelope.phase,
-                    "src": envelope.src,
-                    "dst": envelope.dst,
-                    "seq": envelope.seq,
-                }
-            )
-            return [envelope, envelope]
-        return [envelope]
+            self.fired.append({"kind": "message_duplicate", **where})
+            return [payload, payload]
+        return [payload]
 
     def on_worker(self, job_id: str, attempt: int) -> FaultSpec | None:
         """Process-level fault due for this ``(job, attempt)`` dispatch.

@@ -237,14 +237,20 @@ def solve_with_recovery(
     # Transport failures (halo messages that exhausted the comm retry
     # budget) escalate into the same ladder: the rungs re-drive the
     # exchanges, and one-shot injected faults will not re-fire.
+    def purged_attempt(cfg: Any, rebuild: bool) -> Any:
+        try:
+            return attempt(cfg, rebuild)
+        except CommError as exc:
+            # The aborted round is left open; purging it releases its
+            # pattern and counts what it never delivered.
+            world.purge_pending(reason=classify_failure(exc))
+            raise
+
     try:
-        result = attempt(cfg, False)
+        result = purged_attempt(cfg, False)
         kind = solve_health(result, policy)
     except CommError as exc:
         kind = classify_failure(exc)
-        # The aborted exchange left its round's remaining messages in
-        # flight; purge them so the rungs reach clean channels.
-        world.purge_pending(reason=kind)
         result = None
     if kind is None:
         return result
@@ -260,7 +266,7 @@ def solve_with_recovery(
             tried.append(action)
             rebuild, rung_cfg = LADDER[action](cfg, policy)
             try:
-                candidate = attempt(rung_cfg, rebuild)
+                candidate = purged_attempt(rung_cfg, rebuild)
                 ok = solve_health(candidate, policy, retry=True) is None
                 detail = "" if ok else (
                     f"residual {candidate.residual_norm:.3e}, "
@@ -295,3 +301,18 @@ def summarize_events(events: list[dict[str, Any]]) -> dict[str, Any]:
         "recoveries": recoveries,
         "events": list(events),
     }
+
+
+def recovery_findings(summary: dict[str, Any]) -> list[str]:
+    """Why a :func:`summarize_events` summary is not that of a clean run
+    (no failure, no recovery), one line per failure or successful
+    recovery naming its equation; empty when clean."""
+    if summary["failures"] == 0 and summary["recoveries"] == {}:
+        return []
+    return [
+        f"{e['equation']}: {e['kind']} failure"
+        if e["event"] == "solver_failure"
+        else f"{e['equation']}: recovered by {e['action']}"
+        for e in summary["events"]
+        if e["event"] == "solver_failure" or e.get("success")
+    ]

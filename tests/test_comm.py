@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import (
-    CommCorruptionError,
-    CommDeadlockError,
     CommRetriesExhaustedError,
     MailboxLeakError,
-    MessageEnvelope,
     SimWorld,
     build_exchange_pattern,
-    payload_checksum,
 )
 from repro.comm.exchange import (
     exchange_halo,
@@ -106,33 +102,6 @@ class TestSimWorld:
             assert w.phase == "outer"
         assert w.phase == "default"
 
-    def test_send_recv_roundtrip(self):
-        w = SimWorld(2)
-        c0, c1 = w.comms()
-        payload = np.arange(5.0)
-        c0.send(1, payload)
-        got = c1.recv(0)
-        assert np.array_equal(got, payload)
-        assert w.traffic.message_count() == 1
-        assert w.traffic.message_bytes() == payload.nbytes
-
-    def test_send_to_self_rejected(self):
-        w = SimWorld(2)
-        with pytest.raises(ValueError):
-            w.comm(0).send(0, np.zeros(1))
-
-    def test_recv_without_send_raises(self):
-        w = SimWorld(2)
-        with pytest.raises(RuntimeError):
-            w.comm(1).recv(0)
-
-    def test_fifo_message_order(self):
-        w = SimWorld(2)
-        w.comm(0).send(1, 1)
-        w.comm(0).send(1, 2)
-        assert w.comm(1).recv(0) == 1
-        assert w.comm(1).recv(0) == 2
-
     def test_alltoallv_delivery(self):
         w = SimWorld(3)
         send = [[None] * 3 for _ in range(3)]
@@ -156,8 +125,8 @@ class TestSimWorld:
         """Diagonal src == dst payloads are delivered but not recorded.
 
         A rank keeping its own data is a local copy, not a network
-        message (SimComm.send rejects self-sends for the same reason), so
-        per-phase counts and busiest-rank statistics must not include it.
+        message, so per-phase counts and busiest-rank statistics must not
+        include it.
         """
         w = SimWorld(2)
         send = [
@@ -184,11 +153,12 @@ class TestSimWorld:
         assert w.traffic.collective_count() == 2
 
     def test_pending_messages(self):
+        pat, owned = two_rank_halo()
         w = SimWorld(2)
         assert w.pending_messages() == 0
-        w.comm(0).send(1, 5)
-        assert w.pending_messages() == 1
-        w.comm(1).recv(0)
+        h = exchange_halo_begin(w, pat, owned)
+        assert w.pending_messages() == pat.total_messages() == 2
+        exchange_halo_finish(w, h)
         assert w.pending_messages() == 0
 
 
@@ -268,115 +238,6 @@ def two_rank_halo():
     return pat, owned
 
 
-class TestEnvelopeTransport:
-    def test_payload_checksum_detects_bit_flip(self):
-        a = np.arange(8.0)
-        before = payload_checksum(a)
-        a[3] += 1e-12
-        assert payload_checksum(a) != before
-
-    def test_payload_checksum_is_crc_of_value_bytes(self):
-        """Computed over the array's buffer, no copy — and still the
-        CRC32 of the C-order value bytes for slices and strided views."""
-        import zlib
-
-        a = np.arange(24.0)
-        for view in (a, a[3:11], a[::3], a.reshape(4, 6).T, a[:0]):
-            assert payload_checksum(view) == zlib.crc32(view.tobytes())
-
-    def test_payload_checksum_covers_tuple_payloads(self):
-        idx = np.arange(3)
-        vals = np.ones(3)
-        before = payload_checksum((idx, idx, vals))
-        vals[1] = 2.0
-        assert payload_checksum((idx, idx, vals)) != before
-
-    def test_envelope_stamped_and_verified(self):
-        payload = np.arange(4.0)
-        env = MessageEnvelope(seq=0, src=0, dst=1, phase="p", payload=payload)
-        assert env.checksum == payload_checksum(payload)
-        assert env.verify()
-        env.payload = payload + 1.0  # corrupted in flight
-        assert not env.verify()
-
-    def test_per_channel_sequence_numbers(self):
-        w = SimWorld(3)
-        w.comm(0).send(1, 1.0)
-        w.comm(0).send(1, 2.0)
-        w.comm(2).send(1, 3.0)
-        assert [e.seq for e in w._mailboxes[(0, 1)]] == [0, 1]
-        assert [e.seq for e in w._mailboxes[(2, 1)]] == [0]
-        for src in (0, 0, 2):
-            w.comm(1).recv(src)
-
-    def test_deadlock_error_carries_pending_snapshot(self):
-        """Regression: a hung recv names the phase and every in-flight
-        message, not just 'no message posted'."""
-        w = SimWorld(3)
-        with w.phase_scope("assembly/scatter"):
-            w.comm(0).send(1, np.ones(2))
-        with w.phase_scope("halo/x"):
-            with pytest.raises(CommDeadlockError) as ei:
-                w.comm(1).recv(2)
-        err = ei.value
-        assert err.phase == "halo/x"
-        assert (err.src, err.dst) == (2, 1)
-        assert err.pending == [
-            {
-                "src": 0,
-                "dst": 1,
-                "phase": "assembly/scatter",
-                "count": 1,
-                "seqs": [0],
-            }
-        ]
-        d = err.to_dict()
-        assert d["type"] == "CommDeadlockError"
-        assert d["pending"][0]["phase"] == "assembly/scatter"
-
-    def test_duplicate_discarded_by_sequence_number(self):
-        w = SimWorld(2)
-        w.fault_injector = FaultInjector(
-            (FaultSpec("message_duplicate", at=0),)
-        )
-        payload = np.arange(3.0)
-        w.comm(0).send(1, payload)
-        assert w.pending_messages() == 2  # both copies hit the wire
-        assert np.array_equal(w.comm(1).recv(0), payload)
-        # The stale copy is drained, not delivered (and not leaked).
-        assert w.pending_messages() == 0
-        assert (
-            w.metrics.counter_total("comm.duplicates_discarded") == 1
-        )
-        # The duplicate transmitted twice, so traffic records two sends.
-        assert w.traffic.message_count() == 2
-
-    def test_corruption_detected_on_receive(self):
-        w = SimWorld(2)
-        w.fault_injector = FaultInjector(
-            (FaultSpec("message_corrupt", at=0),)
-        )
-        with w.phase_scope("halo/x"):
-            w.comm(0).send(1, np.ones(4))
-            with pytest.raises(CommCorruptionError) as ei:
-                w.comm(1).recv(0)
-        err = ei.value
-        assert (err.src, err.dst, err.seq) == (0, 1, 0)
-        assert err.expected_checksum != err.actual_checksum
-        assert w.metrics.counter_total("comm.corrupt_detected") == 1
-
-    def test_drop_leaves_channel_empty(self):
-        w = SimWorld(2)
-        w.fault_injector = FaultInjector((FaultSpec("message_drop", at=0),))
-        w.comm(0).send(1, np.ones(4))
-        assert w.pending_messages() == 0
-        # The transmission was still recorded: it was lost on the wire,
-        # not at the source.
-        assert w.traffic.message_count() == 1
-        with pytest.raises(CommDeadlockError):
-            w.comm(1).recv(0)
-
-
 class TestHaloRetryProtocol:
     def test_dropped_message_is_retried_transparently(self):
         pat, owned = two_rank_halo()
@@ -439,31 +300,6 @@ class TestHaloRetryProtocol:
         assert err.attempts == 1
         assert err.last_error == "dropped"
         assert err.phase == "halo/x"
-
-    def test_shape_mismatch_consumes_retry_budget(self):
-        """A wrong-length payload is a corruption like any other: it is
-        re-requested within the retry budget instead of escalating
-        past it (the real message is next on the channel)."""
-        pat, owned = two_rank_halo()
-        w = SimWorld(2)
-        # Out-of-band junk on the (0, 1) channel reaches the halo
-        # receive first: checksum-valid but the wrong shape.
-        w._post(0, 1, np.zeros(7))
-        ext = exchange_halo(w, pat, owned)
-        assert ext[1].tolist() == [1.0, 3.0]
-        assert w.metrics.counter_total("comm.retries") == 1
-        assert w.metrics.counter_total("comm.corrupt_detected") == 1
-        w.purge_pending()
-
-    def test_shape_mismatch_exhausts_budget_when_retries_disabled(self):
-        pat, owned = two_rank_halo()
-        w = SimWorld(2)
-        w.comm_max_retries = 0
-        w._post(0, 1, np.zeros(7))
-        with pytest.raises(CommRetriesExhaustedError) as ei:
-            exchange_halo(w, pat, owned)
-        assert ei.value.last_error == "truncated"
-        w.purge_pending()
 
 
 def ring_halo(nranks=5, per_rank=6, seed=0):
@@ -665,47 +501,70 @@ class TestFaultModelSeesSameWire:
         assert np.array_equal(A.matvec(x).data, clean)
 
 
+class TestRoundChecksum:
+    def test_every_bit_flip_of_a_word_is_caught(self, pressure_matrix):
+        """A message's checksum sums its 64-bit words, so flipping bit k
+        of one word moves it by 2**k: each of the 64 flips is detected
+        and re-requested once, and the result is bitwise the clean one."""
+        w, A, rhs = pressure_matrix
+        x = A.new_vector(rhs.data.copy())
+        clean = A.matvec(x).data.copy()
+
+        class FlipOnce(FaultInjector):
+            def __init__(self, bit):
+                super().__init__()
+                self.bit = bit
+
+            def on_post(self, phase, src, dst, seq, payload):
+                if self.bit is None:
+                    return [payload]
+                words = payload.copy().view(np.uint64)
+                words[3] ^= np.uint64(1) << np.uint64(self.bit)
+                self.bit = None
+                return [words.view(np.float64)]
+
+        names = ("comm.corrupt_detected", "comm.retries")
+        try:
+            for bit in range(64):
+                before = [w.metrics.counter_total(k) for k in names]
+                w.fault_injector = FlipOnce(bit)
+                y = A.matvec(x).data
+                w.fault_injector = None
+                assert y.tobytes() == clean.tobytes(), bit
+                after = [w.metrics.counter_total(k) for k in names]
+                assert [b - a for a, b in zip(before, after)] == [1, 1], bit
+        finally:
+            w.fault_injector = None
+            w.purge_pending()
+
+
 class TestLeakDetection:
     def test_barrier_passes_when_all_messages_consumed(self):
+        pat, owned = two_rank_halo()
         w = SimWorld(2)
-        w.comm(0).send(1, 1.0)
-        w.comm(1).recv(0)
+        exchange_halo_finish(w, exchange_halo_begin(w, pat, owned))
         w.barrier()
 
     def test_barrier_raises_on_leaked_message(self):
+        pat, owned = two_rank_halo()
         w = SimWorld(2)
-        w.comm(0).send(1, 1.0)
+        exchange_halo_begin(w, pat, owned)
         with pytest.raises(MailboxLeakError):
             w.barrier()
 
     def test_leak_report_carries_phase_label(self):
-        """Regression: a leaked mailbox is reported with the phase its
-        oldest undelivered message was posted under."""
-        w = SimWorld(3)
-        with w.phase_scope("assembly/scatter"):
-            w.comm(0).send(2, np.ones(2))
-            w.comm(0).send(2, np.ones(2))
+        """Regression: an unfinished round is reported with the phase it
+        was posted under."""
+        pat, owned = two_rank_halo()
+        w = SimWorld(2)
+        with w.phase_scope("spmv/halo"):
+            exchange_halo_begin(w, pat, owned)
         with pytest.raises(MailboxLeakError) as ei:
             w.assert_no_pending(context="end-of-phase")
         err = ei.value
-        assert err.pending == [
-            {
-                "src": 0,
-                "dst": 2,
-                "phase": "assembly/scatter",
-                "count": 2,
-                "seqs": [0, 1],
-            }
-        ]
-        assert "assembly/scatter" in str(err)
+        assert err.pending == [{"phase": "spmv/halo", "count": 2}]
+        assert "spmv/halo" in str(err)
         assert "end-of-phase" in str(err)
-
-    def test_leak_check_opt_out(self):
-        w = SimWorld(2)
-        w.leak_check = False
-        w.comm(0).send(1, 1.0)
-        w.barrier()  # no leak check: legacy permissive behavior
-        assert w.pending_messages() == 1
 
     def test_no_leaks_in_halo_workload(self):
         rng = np.random.default_rng(3)
@@ -746,7 +605,6 @@ class TestLeakDetection:
         from repro.core.simulation import NaluWindSimulation
 
         sim = NaluWindSimulation("turbine_tiny")
-        assert sim.world.leak_check
         sim.run(1)
         assert sim.world.pending_messages() == 0
         sim.world.barrier()

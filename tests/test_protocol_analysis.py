@@ -22,7 +22,7 @@ import pytest
 from scipy import sparse
 
 from repro.analysis.lint import lint_paths, lint_source, module_name_for
-from repro.comm import SimComm, SimWorld
+from repro.comm import SimWorld
 from repro.krylov import CG
 from repro.linalg import ParCSRMatrix
 
@@ -494,18 +494,13 @@ class TestBugCorpus:
         assert ("RL007", 3) in _hits(lint_source(source, path))
         # The third bug, `if world.rank == 0: world.allreduce(x)` in a
         # coarse solve, was RL008's fixture.  RL008 is retired because the
-        # bug cannot be written: a world has no rank to branch on, the
-        # per-rank handle has no collective to call, and a collective fed
-        # anything but one value per rank refuses to run.  Whoever adds a
-        # per-rank collective breaks this pin and owes the rule back.
+        # bug cannot be written: a world has no rank to branch on, there
+        # is no per-rank handle, and a collective fed anything but one
+        # value per rank refuses to run.  Whoever adds a per-rank handle
+        # or collective breaks this pin and owes the rule back.
         world = SimWorld(3)
         assert not hasattr(world, "rank")
-        assert {n for n in vars(SimComm) if not n.startswith("_")} == {
-            "size",
-            "send",
-            "recv",
-        }
-        assert vars(world.comm(0)).keys() == {"world", "rank"}
+        assert not hasattr(world, "comm")
         with pytest.raises(ValueError, match="one value per rank"):
             world.allreduce([1.0])
         with pytest.raises(ValueError, match="one value per rank"):

@@ -10,14 +10,14 @@ from repro.core.simulation import NaluWindSimulation
 from repro.krylov.api import KrylovResult
 from repro.linalg import ParVector
 from repro.comm import (
-    CommCorruptionError,
-    CommDeadlockError,
     CommError,
     CommRetriesExhaustedError,
-    MessageEnvelope,
+    MailboxLeakError,
     SimWorld,
 )
 from repro.resilience import (
+    FAILURE_KINDS,
+    TRANSIENT_FAILURE_KINDS,
     CheckpointWriteError,
     FaultInjector,
     FaultSpec,
@@ -523,8 +523,8 @@ class TestFailureClassification:
     @pytest.mark.parametrize(
         "exc,expected",
         [
-            (CommDeadlockError("x"), "comm_deadlock"),
-            (CommCorruptionError("x"), "comm_corrupt"),
+            (MailboxLeakError("x"), "comm_retries_exhausted"),
+            (SolverFailure("x", kind="nonfinite_fields"), "nonfinite_fields"),
             (CommRetriesExhaustedError("x"), "comm_retries_exhausted"),
             (CommError("x"), "comm_retries_exhausted"),
             (OSError("disk on fire"), "io_error"),
@@ -538,13 +538,58 @@ class TestFailureClassification:
         f = SolverFailure("x", equation="pressure", kind="nonfinite_iterate")
         assert classify_failure(f) == "nonfinite_iterate"
 
+    def test_every_failure_kind_has_a_producer(self, tmp_path):
+        """Each FAILURE_KINDS entry is what classify_failure returns for
+        an exception repro raises, or a kind the campaign supervisor
+        assigns to a worker; a kind nothing produces fails here."""
+        import inspect
+
+        from repro.campaign import supervisor
+        from repro.comm import build_exchange_pattern, exchange_halo
+        from repro.durable import atomic_write
+
+        def drop_every_retry():
+            w = SimWorld(2)
+            w.comm_max_retries = 0
+            w.fault_injector = FaultInjector((FaultSpec("message_drop"),))
+            pat = build_exchange_pattern(np.array([0, 1, 2]), [[1], []])
+            exchange_halo(w, pat, np.ones(2))
+
+        def ladder(result, operands_ok):
+            solve_with_recovery(
+                SimWorld(1),
+                RecoveryPolicy(ladder=()),
+                "pressure",
+                SolverConfig(),
+                lambda cfg, rebuild: result,
+                lambda: operands_ok,
+            )
+
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        producers = [
+            lambda: validate_iterate(result_with([np.nan])),
+            lambda: validate_fields({"u": np.array([np.inf])}),
+            lambda: ladder(result_with([1.0]), False),
+            lambda: ladder(result_with([1.0], converged=False), True),
+            drop_every_retry,
+            lambda: atomic_write(str(blocker / "f"), b""),
+        ]
+        kinds = set()
+        for produce in producers:
+            with pytest.raises(Exception) as ei:
+                produce()
+            kinds.add(classify_failure(ei.value))
+        assigned = {"worker_crash", "worker_hang", "job_timeout"}
+        source = inspect.getsource(supervisor)
+        assert all(f'"{k}"' in source for k in assigned)
+        assert kinds | assigned == set(FAILURE_KINDS)
+        assert TRANSIENT_FAILURE_KINDS <= set(FAILURE_KINDS)
+
 
 class TestInjectorState:
-    def post_envelope(self, inj, seq=0):
-        env = MessageEnvelope(
-            seq=seq, src=0, dst=1, phase="p", payload=np.ones(4)
-        )
-        return inj.on_post(env)
+    def post_message(self, inj, seq=0):
+        return inj.on_post("p", 0, 1, seq, np.ones(4))
 
     def test_io_fail_window(self):
         inj = FaultInjector((FaultSpec("io_fail", at=1, entries=2),))
@@ -561,7 +606,7 @@ class TestInjectorState:
             FaultSpec("io_fail", at=1, entries=2),
         )
         inj = FaultInjector(specs, seed=3)
-        self.post_envelope(inj)  # drop opportunity 0
+        self.post_message(inj)  # drop opportunity 0
         inj.on_io("write")  # io opportunity 0
         inj.on_io("write")  # io opportunity 1: fires
         snapshot = inj.state_dict()
@@ -573,8 +618,8 @@ class TestInjectorState:
         # The restored schedule continues exactly where it left off: drop
         # has seen 1 of its 3 opportunities, io fires once more.
         assert resumed.on_io("write")
-        assert self.post_envelope(resumed, seq=1) != []  # opportunity 1
-        assert self.post_envelope(resumed, seq=2) == []  # opportunity 2 fires
+        assert self.post_message(resumed, seq=1) != []  # opportunity 1
+        assert self.post_message(resumed, seq=2) == []  # opportunity 2 fires
         assert resumed.exhausted()
 
     def test_load_state_rejects_spec_mismatch(self):
@@ -591,6 +636,32 @@ class TestInjectorState:
         with pytest.raises(ValueError):
             RecoveryPolicy(max_checkpoint_restores=-1).validate()
         assert "checkpoint_restore" in RECOVERY_ACTIONS
+
+
+class TestAbortedRound:
+    def test_round_aborted_in_a_rung_does_not_leak(self):
+        """With no retry budget, two drops inside the first momentum solve
+        abort its first attempt and its first rung.  The round the rung
+        aborted is never read by a later one, so the momentum failure is
+        the only failure and the run ends with nothing in flight."""
+        cfg = SimulationConfig(
+            nranks=2,
+            faults=(
+                FaultSpec("message_drop", at=3),
+                FaultSpec("message_drop", at=4),
+            ),
+            fault_seed=7,
+            recovery=RecoveryPolicy(comm_max_retries=0),
+        )
+        sim = NaluWindSimulation("turbine_tiny", cfg)
+        rep = sim.run(1)
+        assert [
+            e["equation"]
+            for e in rep.recovery["events"]
+            if e["event"] == "solver_failure"
+        ] == ["momentum"]
+        assert rep.recovery["recoveries"] == {"expand_krylov": 1}
+        assert sim.world.pending_messages() == 0
 
 
 class TestTransportFaultMatrix:
