@@ -5,48 +5,31 @@ spread of pressure-matrix nonzeros per rank by roughly an order of
 magnitude relative to RCB.  Fig. 10 (refined mesh): the multilevel
 partitioner lowers the maximum but also the minimum, so the spread narrows
 much less — the effect the paper links to its large-rank-count variability.
-"""
 
-import numpy as np
-from scipy import sparse
+Both partitions of a row are the ones a simulation on that many ranks runs
+(``partition_nodes``, the rule ``CompositeMesh`` applies); nonzeros are
+counted on the pressure-pattern proxy ``pressure_pattern``.
+"""
 
 from repro.comm import SimWorld
 from repro.core import CompositeMesh
+from repro.core.composite import partition_nodes, pressure_pattern
 from repro.harness import emit, format_table
 from repro.mesh import make_turbine_low, make_turbine_refined
-from repro.overset.assembler import NodeStatus
-from repro.partition import balance_stats, multilevel_partition
-from repro.partition.rcb import rcb_element_node_partition, rcb_partition
+from repro.partition import balance_stats
 
 from conftest import REFINE
 
 
-def pressure_pattern(comp: CompositeMesh) -> sparse.csr_matrix:
-    """Pressure-matrix sparsity proxy: full stencil on field rows,
-    identity on constraint rows."""
-    g = comp.node_graph().tocoo()
-    free = comp.statuses == NodeStatus.FIELD
-    keep = free[g.row]
-    rows = np.concatenate([g.row[keep], np.arange(comp.n)])
-    cols = np.concatenate([g.col[keep], np.arange(comp.n)])
-    return sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(comp.n, comp.n)
-    )
-
-
-def balance_rows(comp: CompositeMesh, ranks_list, label):
+def balance_rows(comp: CompositeMesh, ranks_list):
+    """One table row per rank count: nnz balance of the partitions a
+    simulation on that many ranks runs, RCB and multilevel."""
     A = pressure_pattern(comp)
-    g = comp.node_graph()
-    vwgt = np.diff(A.indptr).astype(float)
-    cells, centroids = comp.all_cells()
     rows = []
     for nranks in ranks_list:
-        bs_rcb = balance_stats(
-            A,
-            rcb_element_node_partition(centroids, cells, comp.n, nranks),
-        )
-        bs_ml = balance_stats(
-            A, multilevel_partition(g, nranks, vertex_weights=vwgt)
+        bs_rcb, bs_ml = (
+            balance_stats(A, partition_nodes(comp, method, nranks))
+            for method in ("rcb", "parmetis")
         )
         rows.append(
             [
@@ -73,7 +56,7 @@ HEADERS = [
 
 def test_fig5_low_res_balance(benchmark):
     comp = CompositeMesh(SimWorld(1), make_turbine_low())
-    rows = balance_rows(comp, [6, 12, 24, 48], "low")
+    rows = balance_rows(comp, [6, 12, 24, 48])
     emit(
         "fig5",
         format_table(
@@ -88,17 +71,14 @@ def test_fig5_low_res_balance(benchmark):
     ratios = [float(r[-1][:-1]) for r in rows]
     assert all(rt > 1.0 for rt in ratios)
 
-    g = comp.node_graph()
-    vwgt = np.ones(comp.n)
     benchmark.pedantic(
-        multilevel_partition, args=(g, 12), kwargs={"vertex_weights": vwgt},
-        rounds=1, iterations=1,
+        partition_nodes, args=(comp, "parmetis", 12), rounds=1, iterations=1
     )
 
 
 def test_fig10_refined_balance(benchmark):
     comp = CompositeMesh(SimWorld(1), make_turbine_refined(refine=REFINE))
-    rows = balance_rows(comp, [12, 24, 48], "refined")
+    rows = balance_rows(comp, [12, 24, 48])
     emit(
         "fig10",
         format_table(
@@ -112,5 +92,5 @@ def test_fig10_refined_balance(benchmark):
     )
     # The refined mesh's spread improvement is much weaker than Fig. 5's.
     benchmark.pedantic(
-        rcb_partition, args=(comp.coords, 24), rounds=1, iterations=1
+        partition_nodes, args=(comp, "rcb", 24), rounds=1, iterations=1
     )

@@ -143,7 +143,12 @@ def compare(base: dict, cur: dict, tol: float) -> list[str]:
 
 def self_check(workload: str, steps: int, tol: float) -> list[str]:
     """Run the profiled workload at two rank counts; check invariants."""
-    from repro.harness import profile_run
+    from repro.core.config import SimulationConfig
+    from repro.core.simulation import NaluWindSimulation
+
+    def profile_run(workload: str, nranks: int, n_steps: int):
+        cfg = SimulationConfig(nranks=nranks, profile=True)
+        return NaluWindSimulation(workload, cfg).run(n_steps).profile
 
     failures: list[str] = []
     docs = {}
@@ -170,9 +175,6 @@ def self_check(workload: str, steps: int, tol: float) -> list[str]:
 
     # profile.* gauges must reach the telemetry metrics snapshot, where
     # check_telemetry_regression.py-style drift gates can see them.
-    from repro.core.config import SimulationConfig
-    from repro.core.simulation import NaluWindSimulation
-
     from repro.resilience.policy import recovery_findings
 
     cfg = SimulationConfig(nranks=2, profile=True)

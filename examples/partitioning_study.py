@@ -3,66 +3,32 @@
 Reproduces the analysis behind the paper's Figs. 4-5: RCB on an overset
 turbine system produces geometrically sliced, disconnected rank territories
 with poor matrix-nonzero balance, while ParMETIS-style graph partitioning
-(with row-nnz vertex weights) balances the solver load and keeps
-subdomains connected.
+(vertex weight degree + 1, a full stencil row's nnz) balances the solver
+load and keeps subdomains connected.  Both partitions are the ones a
+simulation on ``nranks`` ranks runs (``partition_nodes``).
 
 Run:  python examples/partitioning_study.py [nranks]
 """
 
 import sys
 
-import numpy as np
-from scipy import sparse
-
 from repro.comm import SimWorld
 from repro.core import CompositeMesh
+from repro.core.composite import partition_nodes, pressure_pattern
 from repro.harness import format_table
 from repro.mesh import make_turbine_low
-from repro.overset.assembler import NodeStatus
-from repro.partition import (
-    balance_stats,
-    components_per_rank,
-    edge_cut,
-    multilevel_partition,
-)
-from repro.partition.rcb import rcb_element_node_partition
-
-
-def pressure_pattern_matrix(comp: CompositeMesh) -> sparse.csr_matrix:
-    """Sparsity-pattern proxy of the pressure matrix (1s where nnz)."""
-    g = comp.node_graph()
-    free = comp.statuses == NodeStatus.FIELD
-    # Constraint rows (fringe/holes/Dirichlet) are identity rows.
-    rows = []
-    cols = []
-    coo = g.tocoo()
-    keep = free[coo.row]
-    rows.append(coo.row[keep])
-    cols.append(coo.col[keep])
-    diag = np.arange(comp.n)
-    rows.append(diag)
-    cols.append(diag)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return sparse.csr_matrix(
-        (np.ones(r.size), (r, c)), shape=(comp.n, comp.n)
-    )
+from repro.partition import balance_stats, components_per_rank, edge_cut
 
 
 def main() -> None:
     nranks = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-    system = make_turbine_low()
-    comp = CompositeMesh(SimWorld(nranks), system)
-    A = pressure_pattern_matrix(comp)
+    comp = CompositeMesh(SimWorld(1), make_turbine_low())
+    A = pressure_pattern(comp)
     g = comp.node_graph()
 
-    cells, centroids = comp.all_cells()
-    parts_rcb = rcb_element_node_partition(centroids, cells, comp.n, nranks)
-    vwgt = np.diff(A.indptr).astype(float)
-    parts_ml = multilevel_partition(g, nranks, vertex_weights=vwgt)
-
     rows = []
-    for label, parts in (("RCB", parts_rcb), ("multilevel", parts_ml)):
+    for label, method in (("RCB", "rcb"), ("multilevel", "parmetis")):
+        parts = partition_nodes(comp, method, nranks)
         bs = balance_stats(A, parts)
         comps = components_per_rank(g, parts)
         rows.append(

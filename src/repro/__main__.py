@@ -2,22 +2,20 @@
 
 Commands:
 
-* ``run`` — run a simulation workload and report solver statistics (and
-  optionally export VTK flow fields).
+* ``run`` — run a simulation workload and report solver statistics;
+  any option beyond the shared flags comes from ``--config FILE``.
 * ``trace`` — run a workload and emit the machine-readable
   :class:`~repro.obs.telemetry.RunTelemetry` JSON document (or the
   human-readable span-tree / flat views).
 * ``profile`` — run a workload with the per-rank timeline profiler and
   emit the ``repro.profile/1`` JSON document, a Chrome trace-event file
   (loadable in Perfetto / ``chrome://tracing``), or a text summary.
-* ``scaling`` — run a strong-scaling sweep and print the priced curves.
-* ``partition`` — compare RCB and multilevel decompositions (Figs. 4-5).
-* ``project`` — print the §6 exascale capability projection.
 * ``campaign`` — run (or resume) a sweep of jobs through the campaign
   service: content-addressed result cache, durable manifest, and the
   supervisor protocol (inline or in forked worker fault domains) with
   retry/backoff, hang detection, and poison-job quarantine (see
-  ``docs/campaign.md``).
+  ``docs/campaign.md``).  Rank sweeps are campaigns; their priced
+  strong-scaling curves are the ``benchmarks/bench_fig*`` tables.
 * ``analyze`` — repro-lint (RL001-RL010) over the source tree (see
   ``docs/static_analysis.md``).
 
@@ -108,13 +106,12 @@ def _deliver(args: argparse.Namespace, text: str, what: str) -> None:
         print(text)
 
 
-def _choices(name: str, config_cls: type | None = None):
-    """Allowed values of one option of ``config_cls`` (default
-    ``SimulationConfig``): the owning module's tuple, read off the field."""
+def _choices(name: str):
+    """Allowed values of one ``SimulationConfig`` option: the owning
+    module's tuple, read off the field."""
     from repro import SimulationConfig
 
-    options = schema(config_cls or SimulationConfig)
-    return next(o.choices for o in options if o.name == name)
+    return next(o.choices for o in schema(SimulationConfig) if o.name == name)
 
 
 def _add_sim_flags(
@@ -180,8 +177,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if value is not None:
             setattr(cfg, attr, value)
-    if args.pressure_method is not None:
-        cfg.pressure_solver.method = args.pressure_method
     if args.overlap:
         # Communication-avoiding schedule for every solver SpMV.
         cfg.momentum_solver.overlap = True
@@ -231,24 +226,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{times.mean():.3f} +- {times.std():.3f} s"
         )
         _deliver(args, "\n".join(lines), "run report")
-    if args.vtk:
-        from repro.core.postprocess import q_criterion, vorticity_magnitude
-        from repro.mesh.vtk_io import write_composite_vtk
-
-        paths = write_composite_vtk(
-            args.vtk,
-            sim.comp,
-            {
-                "velocity": sim.velocity,
-                "pressure": sim.pressure_field,
-                "q_criterion": q_criterion(sim.comp, sim.velocity),
-                "vorticity_mag": vorticity_magnitude(sim.comp, sim.velocity),
-            },
-        )
-        print(
-            f"  wrote {len(paths)} VTK files to {args.vtk}_*.vtk",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -294,150 +271,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         text = render_profile_summary(profile)
     _deliver(args, text, f"{args.format} profile")
-    return 0
-
-
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.campaign import Campaign, CampaignSpec
-    from repro.harness import nli_series, series_table
-    from repro.perf import get_machine
-
-    spec = CampaignSpec(
-        name="scaling",
-        workload=args.workload,
-        steps=args.steps,
-        base={"precond_rebuild_every": 1},
-        grid={"nranks": [int(r) for r in args.ranks.split(",")]},
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-scaling-") as root:
-        campaign = Campaign(spec, root)
-        campaign.run()
-        reports = campaign.reports()
-    series = [
-        nli_series(reports, get_machine(name))
-        for name in args.machines.split(",")
-    ]
-    if args.format == "json":
-        doc = {
-            "format": "repro.scaling/1",
-            "workload": args.workload,
-            "steps": args.steps,
-            "series": [
-                {
-                    "label": s.label,
-                    "machine": s.machine.name,
-                    "nodes": [float(n) for n in s.nodes],
-                    "ranks": [int(r) for r in s.ranks],
-                    "mean_s": [float(m) for m in s.mean],
-                    "std_s": [float(v) for v in s.std],
-                }
-                for s in series
-            ],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = series_table(f"strong scaling: {args.workload}", series)
-    _deliver(args, text, "scaling report")
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from scipy import sparse
-
-    from repro.comm import SimWorld
-    from repro.core import CompositeMesh
-    from repro.harness import format_table
-    from repro.mesh import make_workload
-    from repro.overset.assembler import NodeStatus
-    from repro.partition import balance_stats, multilevel_partition
-    from repro.partition.rcb import rcb_element_node_partition
-
-    comp = CompositeMesh(SimWorld(1), make_workload(args.workload))
-    g = comp.node_graph().tocoo()
-    free = comp.statuses == NodeStatus.FIELD
-    keep = free[g.row]
-    rows_ = np.concatenate([g.row[keep], np.arange(comp.n)])
-    cols_ = np.concatenate([g.col[keep], np.arange(comp.n)])
-    A = sparse.csr_matrix(
-        (np.ones(rows_.size), (rows_, cols_)), shape=(comp.n, comp.n)
-    )
-    cells, centroids = comp.all_cells()
-    gg = comp.node_graph()
-    vw = np.diff(A.indptr).astype(float)
-    stats = []
-    for label, parts in (
-        (
-            "RCB",
-            rcb_element_node_partition(centroids, cells, comp.n, args.ranks),
-        ),
-        (
-            "multilevel",
-            multilevel_partition(gg, args.ranks, vertex_weights=vw),
-        ),
-    ):
-        bs = balance_stats(A, parts)
-        stats.append((label, bs))
-    if args.format == "json":
-        doc = {
-            "format": "repro.partition/1",
-            "workload": args.workload,
-            "ranks": args.ranks,
-            "methods": {
-                label: {
-                    "median": float(bs.median),
-                    "min": float(bs.minimum),
-                    "max": float(bs.maximum),
-                    "spread": float(bs.spread),
-                }
-                for label, bs in stats
-            },
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = format_table(
-            f"nnz balance, {args.ranks} ranks, {args.workload}",
-            ["method", "median", "min", "max", "spread"],
-            [
-                [label, f"{bs.median:.0f}", f"{bs.minimum:.0f}",
-                 f"{bs.maximum:.0f}", f"{bs.spread:.0f}"]
-                for label, bs in stats
-            ],
-        )
-    _deliver(args, text, "partition report")
-    return 0
-
-
-def _cmd_project(args: argparse.Namespace) -> int:
-    from repro.harness import format_table, paper_projection
-
-    points = paper_projection()
-    if args.format == "json":
-        doc = {
-            "format": "repro.projection/1",
-            "points": [
-                {
-                    "label": p.label,
-                    "gpus": p.gpus,
-                    "peak_pflops": p.peak_pflops,
-                    "mesh_nodes": p.mesh_nodes,
-                }
-                for p in points
-            ],
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-    else:
-        text = format_table(
-            "Exascale capability projection (paper §6)",
-            ["operating point", "GPUs", "peak PF", "mesh nodes"],
-            [
-                [p.label, f"{p.gpus:,}", f"{p.peak_pflops:.0f}",
-                 f"{p.mesh_nodes / 1e9:.2f}B"]
-                for p in points
-            ],
-        )
-    _deliver(args, text, "projection")
     return 0
 
 
@@ -576,8 +409,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser, every subcommand attached."""
-    from repro.core.config import SolverConfig
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="SC'21 exascale-prep CFD reproduction",
@@ -603,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="load a SimulationConfig JSON document (explicit CLI flags "
              "still override it)",
     )
-    p_run.add_argument("--vtk", default="", help="VTK output prefix")
     p_run.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
         help="write a durable checkpoint every N steps (0 = off)",
@@ -620,12 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--restart-from", default=None, metavar="PATH",
         help="resume from a checkpoint file or ring directory "
              "(--steps then counts from t=0)",
-    )
-    p_run.add_argument(
-        "--pressure-method", default=None,
-        choices=_choices("method", SolverConfig),
-        help="Krylov method for the pressure-Poisson solve "
-             "(pipelined_cg = communication-avoiding, 1 allreduce/iter)",
     )
     p_run.add_argument(
         "--overlap", action="store_true", default=None,
@@ -676,26 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_list_flag(p_pf)
     p_pf.set_defaults(func=_cmd_profile)
-
-    p_sc = sub.add_parser("scaling", help="strong-scaling sweep")
-    p_sc.add_argument("--workload", default="turbine_tiny")
-    p_sc.add_argument("--ranks", default="3,6,12")
-    p_sc.add_argument("--steps", type=int, default=2)
-    p_sc.add_argument("--machines", default="summit-gpu,eagle-gpu")
-    _add_output_flags(p_sc, ["table", "json"], "table")
-    _add_list_flag(p_sc)
-    p_sc.set_defaults(func=_cmd_scaling)
-
-    p_pt = sub.add_parser("partition", help="RCB vs multilevel balance")
-    p_pt.add_argument("--workload", default="turbine_low")
-    p_pt.add_argument("--ranks", type=int, default=12)
-    _add_output_flags(p_pt, ["table", "json"], "table")
-    _add_list_flag(p_pt)
-    p_pt.set_defaults(func=_cmd_partition)
-
-    p_pj = sub.add_parser("project", help="exascale capability projection")
-    _add_output_flags(p_pj, ["table", "json"], "table")
-    p_pj.set_defaults(func=_cmd_project)
 
     p_cp = sub.add_parser(
         "campaign",

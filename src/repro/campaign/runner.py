@@ -62,7 +62,9 @@ class Campaign:
         workers: forked worker processes; 0 runs attempts inline in
             this process, serially (no process to kill, so it cannot
             be combined with a job timeout, a heartbeat timeout, or
-            worker-fault chaos: ``ValueError``).
+            worker-fault chaos: ``ValueError``).  ``workers >= 1`` on a
+            platform without the ``fork`` start method is a
+            ``ValueError`` too.
         hub: observer hub receiving ``campaign_*`` progress events.
         metrics: registry carrying the ``campaign.*`` counters.
         store_dir: result-store directory (default ``<root>/store``).
@@ -108,9 +110,9 @@ class Campaign:
         if workers > 0 and (
             "fork" not in multiprocessing.get_all_start_methods()
         ):
-            raise RuntimeError(
-                "campaign workers need the 'fork' start method; "
-                "run with workers=0"
+            raise ValueError(
+                "campaign workers need the 'fork' start method, which "
+                "this platform lacks; run with workers=0"
             )
         self.spec = spec
         self.root = root

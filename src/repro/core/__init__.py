@@ -8,14 +8,6 @@ from repro.core.physics import (
     PressurePoissonSystem,
     ScalarTransportSystem,
 )
-from repro.core.postprocess import (
-    q_criterion,
-    strain_rate_magnitude,
-    velocity_gradient,
-    vorticity,
-    vorticity_magnitude,
-    wake_deficit_profile,
-)
 from repro.core.simulation import NaluWindSimulation, SimulationReport
 
 __all__ = [
@@ -31,10 +23,4 @@ __all__ = [
     "SimulationReport",
     "SolveRecord",
     "SolverConfig",
-    "q_criterion",
-    "strain_rate_magnitude",
-    "velocity_gradient",
-    "vorticity",
-    "vorticity_magnitude",
-    "wake_deficit_profile",
 ]

@@ -26,7 +26,7 @@ from repro.overset.assembler import (
 )
 from repro.partition import PARTITION_METHODS
 from repro.partition.multilevel import multilevel_partition
-from repro.partition.rcb import rcb_element_node_partition, rcb_partition
+from repro.partition.rcb import rcb_element_node_partition
 from repro.partition.renumber import RankNumbering, build_numbering
 
 
@@ -194,29 +194,8 @@ class CompositeMesh:
 
     def _partition(self) -> None:
         nranks = self.world.size
-        if self.partition_method == "rcb":
-            # Element-based RCB with lowest-rank node ownership — the
-            # paper's original workflow, with its sliver/imbalance
-            # pathology on overset systems (Figs. 4-5).
-            cells, centroids = self.all_cells()
-            parts = rcb_element_node_partition(
-                centroids, cells, self.n, nranks
-            )
-        elif self.partition_method == "parmetis":
-            # ParMETIS-style: partition the matrix graph with row-nnz
-            # vertex weights so nonzeros balance (Fig. 5).
-            g = self.node_graph()
-            vwgt = np.asarray(
-                (g != 0).sum(axis=1)
-            ).ravel().astype(np.float64) + 1.0
-            parts = multilevel_partition(g, nranks, vertex_weights=vwgt)
-        else:
-            raise ValueError(
-                f"unknown partition_method {self.partition_method!r}; "
-                f"options {PARTITION_METHODS}"
-            )
-        self.parts = parts
-        self.numbering: RankNumbering = build_numbering(parts, nranks)
+        self.parts = partition_nodes(self, self.partition_method, nranks)
+        self.numbering: RankNumbering = build_numbering(self.parts, nranks)
 
     # -- boundary sets in composite ids -------------------------------------------
 
@@ -250,3 +229,39 @@ class CompositeMesh:
             if out
             else np.zeros(0, dtype=np.int64)
         )
+
+
+def partition_nodes(
+    comp: CompositeMesh, method: str, nranks: int
+) -> np.ndarray:
+    """Owning rank of every composite node: the decomposition a
+    simulation of ``comp`` on ``nranks`` ranks runs under ``method``."""
+    if method == "rcb":
+        # Element-based RCB with lowest-rank node ownership — the paper's
+        # original workflow, with its sliver/imbalance pathology on overset
+        # systems (Figs. 4-5).
+        cells, centroids = comp.all_cells()
+        return rcb_element_node_partition(centroids, cells, comp.n, nranks)
+    if method == "parmetis":
+        # ParMETIS-style: partition the node graph with vertex weight
+        # degree + 1 (a full stencil row's nnz) so nonzeros balance.
+        g = comp.node_graph()
+        vwgt = np.diff(g.indptr).astype(np.float64) + 1.0
+        return multilevel_partition(g, nranks, vertex_weights=vwgt)
+    raise ValueError(
+        f"unknown partition_method {method!r}; options {PARTITION_METHODS}"
+    )
+
+
+def pressure_pattern(comp: CompositeMesh) -> sparse.csr_matrix:
+    """Sparsity proxy of the pressure matrix whose nonzeros per rank Figs.
+    5 and 10 count: the stencil plus diagonal on FIELD rows, the diagonal
+    alone on constraint rows (fringe and hole rows are identity rows)."""
+    g = comp.node_graph().tocoo()
+    keep = (comp.statuses == NodeStatus.FIELD)[g.row]
+    diag = np.arange(comp.n)
+    rows = np.concatenate([g.row[keep], diag])
+    cols = np.concatenate([g.col[keep], diag])
+    return sparse.csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(comp.n, comp.n)
+    )

@@ -12,7 +12,6 @@ from repro.harness.projection import (
     paper_projection,
     project_capability,
 )
-from repro.harness.profiling import profile_run
 from repro.harness.report import (
     emit,
     format_table,
@@ -40,7 +39,6 @@ __all__ = [
     "nli_series",
     "nli_step_times",
     "paper_projection",
-    "profile_run",
     "project_capability",
     "render_flat_report",
     "render_profile_summary",

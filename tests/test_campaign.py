@@ -451,7 +451,7 @@ class TestExecutorChoice:
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        with pytest.raises(RuntimeError, match="workers=0"):
+        with pytest.raises(ValueError, match="'fork'.*workers=0"):
             Campaign(tiny_spec(), str(tmp_path / "c"), workers=1)
         Campaign(tiny_spec(), str(tmp_path / "c"), workers=0)
 

@@ -1,11 +1,17 @@
 """Integration tests for the CFD pipeline: composite mesh, physics, stepping."""
 
+import runpy
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import NaluWindSimulation, SimulationConfig
 from repro.comm import SimWorld
 from repro.core import CompositeMesh, PHASES
+from repro.core.composite import partition_nodes, pressure_pattern
 from repro.core.operators import (
     diffusion_coefficients,
     edge_divergence,
@@ -15,6 +21,9 @@ from repro.core.operators import (
 )
 from repro.mesh import make_background_only, make_turbine_tiny
 from repro.overset.assembler import NodeStatus
+from repro.partition import PARTITION_METHODS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +83,43 @@ class TestCompositeMesh:
         for ds in tiny_comp.donor_sets:
             assert ds.receptors.max() < tiny_comp.n
             assert ds.donors.max() < tiny_comp.n
+
+
+class TestFigurePartition:
+    """Figs. 5/10 partition one composite at every rank count; each
+    partition must be the one a simulation on that many ranks runs."""
+
+    @pytest.fixture(scope="class")
+    def one_rank(self):
+        return CompositeMesh(SimWorld(1), make_turbine_tiny())
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    @pytest.mark.parametrize("method", PARTITION_METHODS)
+    def test_partition_nodes_is_the_simulations(self, one_rank, method, nranks):
+        run = CompositeMesh(
+            SimWorld(nranks), make_turbine_tiny(), partition_method=method
+        )
+        assert np.array_equal(
+            partition_nodes(one_rank, method, nranks), run.parts
+        )
+
+    def test_bench_balance_rows_use_it(self, one_rank, monkeypatch):
+        monkeypatch.setitem(sys.modules, "conftest", SimpleNamespace(REFINE=2))
+        balance_rows = runpy.run_path(
+            str(ROOT / "benchmarks" / "bench_fig5_fig10_nnz_balance.py")
+        )["balance_rows"]
+        calls = []
+
+        def spy(comp, method, nranks):
+            calls.append((comp, method, nranks))
+            return partition_nodes(comp, method, nranks)
+
+        balance_rows.__globals__["partition_nodes"] = spy
+        balance_rows(one_rank, [2, 4])
+        assert calls == [
+            (one_rank, m, n) for n in (2, 4) for m in ("rcb", "parmetis")
+        ]
+        assert balance_rows.__globals__["pressure_pattern"] is pressure_pattern
 
 
 class TestOperators:

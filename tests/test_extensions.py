@@ -1,5 +1,5 @@
 """Tests for the extension features: CG, Chebyshev, deterministic/Kahan
-assembly, postprocessing, and the exascale projection."""
+assembly, and the exascale projection."""
 
 import math
 
@@ -12,19 +12,10 @@ from scipy import sparse
 from repro.amg import AMGHierarchy, AMGOptions, AMGPreconditioner
 from repro.assembly.local import SCATTER_MODES, _segmented_kahan
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, SimulationConfig
-from repro.core.postprocess import (
-    q_criterion,
-    strain_rate_magnitude,
-    velocity_gradient,
-    vorticity,
-    vorticity_magnitude,
-    wake_deficit_profile,
-)
+from repro.core import SimulationConfig
 from repro.harness import paper_projection, project_capability
 from repro.krylov import CG, GMRES
 from repro.linalg import ParCSRMatrix
-from repro.mesh import make_turbine_tiny
 from repro.smoothers import ChebyshevSmoother, JacobiSmoother
 
 
@@ -208,69 +199,6 @@ class TestAssemblyModes:
         kahan = np.zeros(1)
         _segmented_kahan(kahan, slots, vals)
         assert kahan[0] == pytest.approx(2.0)
-
-
-@pytest.fixture(scope="module")
-def tiny_comp():
-    return CompositeMesh(SimWorld(2), make_turbine_tiny())
-
-
-class TestPostprocess:
-    def test_gradient_of_linear_velocity(self, tiny_comp):
-        comp = tiny_comp
-        G_true = np.array(
-            [[0.1, 0.2, -0.3], [0.0, -0.5, 0.4], [0.7, 0.0, 0.2]]
-        )
-        u = comp.coords @ G_true.T
-        G = velocity_gradient(comp, u)
-        assert np.allclose(G, G_true[None, :, :], atol=1e-8)
-
-    def test_vorticity_of_rigid_rotation(self, tiny_comp):
-        comp = tiny_comp
-        # u = omega x r with omega = (0, 0, 2): curl = (0, 0, 4).
-        omega = np.array([0.0, 0.0, 2.0])
-        u = np.cross(np.broadcast_to(omega, (comp.n, 3)), comp.coords)
-        w = vorticity(comp, u)
-        assert np.allclose(w, 2 * omega[None, :], atol=1e-8)
-        assert np.allclose(
-            vorticity_magnitude(comp, u), 4.0, atol=1e-8
-        )
-
-    def test_q_criterion_signs(self, tiny_comp):
-        comp = tiny_comp
-        # Pure rotation: Q > 0 everywhere.
-        omega = np.array([0.0, 0.0, 1.0])
-        u_rot = np.cross(np.broadcast_to(omega, (comp.n, 3)), comp.coords)
-        assert np.all(q_criterion(comp, u_rot) > 0)
-        # Pure strain (irrotational): Q < 0.
-        u_strain = np.stack(
-            [
-                comp.coords[:, 0],
-                -comp.coords[:, 1],
-                np.zeros(comp.n),
-            ],
-            axis=1,
-        )
-        assert np.all(q_criterion(comp, u_strain) < 0)
-
-    def test_uniform_flow_is_featureless(self, tiny_comp):
-        comp = tiny_comp
-        u = np.tile([8.0, 0.0, 0.0], (comp.n, 1))
-        assert np.allclose(q_criterion(comp, u), 0.0, atol=1e-10)
-        assert np.allclose(vorticity_magnitude(comp, u), 0.0, atol=1e-10)
-        assert np.allclose(strain_rate_magnitude(comp, u), 0.0, atol=1e-10)
-
-    def test_wake_profile_of_uniform_flow(self, tiny_comp):
-        comp = tiny_comp
-        u = np.tile([8.0, 0.0, 0.0], (comp.n, 1))
-        d = wake_deficit_profile(
-            comp, u, 8.0, np.array([60.0, 120.0]), radius=60.0
-        )
-        assert np.allclose(d[np.isfinite(d)], 0.0, atol=1e-12)
-
-    def test_shape_validation(self, tiny_comp):
-        with pytest.raises(ValueError):
-            velocity_gradient(tiny_comp, np.zeros((3, 3)))
 
 
 class TestCapabilityProjection:
