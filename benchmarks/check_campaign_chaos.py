@@ -16,8 +16,7 @@ supervisor (:class:`repro.campaign.Supervisor`):
    chaos cannot leak into results).
 2. **Counter contract, deterministic** — the chaos run's
    ``campaign.retries`` / ``requeues`` / ``quarantined`` /
-   ``lease_expired`` / ``breaker_trips`` / ``store_retries`` counters
-   must match their exact expected values, and a repeat of the same
+   ``lease_expired`` / ``store_retries`` counters must match their exact expected values, and a repeat of the same
    chaos run (fresh campaign directory, same schedule) must reproduce
    them identically — fault matching is keyed on ``(job, attempt)``,
    never on scheduling order.
@@ -53,7 +52,6 @@ COUNTERS = (
     "requeues",
     "quarantined",
     "lease_expired",
-    "breaker_trips",
     "store_retries",
 )
 
@@ -94,13 +92,12 @@ def chaos_schedule(jobs) -> list[FaultSpec]:
 
 #: Expected counter contract of ``chaos_schedule``: five crash retries,
 #: one hang requeue (whose kill is also the one expired lease), two
-#: absorbed store retries, nothing quarantined, breaker quiet.
+#: absorbed store retries, nothing quarantined.
 EXPECTED = {
     "retries": 5,
     "requeues": 1,
     "quarantined": 0,
     "lease_expired": 1,
-    "breaker_trips": 0,
     "store_retries": 2,
 }
 
@@ -110,19 +107,12 @@ def chaos_policy() -> SupervisorPolicy:
     # worker contention (~7s measured fault-free at 4 workers on a
     # loaded container) — a single spurious kill would break the exact
     # counter contract, and the gate only pays the detection wait once
-    # per run, for the one injected hang. Breaker parameterized so the
-    # six scheduled failures cannot trip it (trip order under >1 worker
-    # is scheduling-dependent, which a determinism gate cannot admit).
+    # per run, for the one injected hang.
     return SupervisorPolicy(
         max_attempts=3,
         heartbeat_timeout_s=30.0,
-        poll_s=0.02,
         backoff_base_s=0.01,
         backoff_max_s=0.05,
-        breaker_window=8,
-        breaker_min_events=8,
-        breaker_threshold=1.0,
-        store_io_retries=3,
     )
 
 
@@ -229,9 +219,7 @@ def check_quarantine(tmp: str, workers: int) -> list[str]:
         spec,
         os.path.join(tmp, "poison"),
         workers=workers,
-        policy=SupervisorPolicy(
-            max_attempts=2, backoff_base_s=0.01, poll_s=0.02
-        ),
+        policy=SupervisorPolicy(max_attempts=2, backoff_base_s=0.01),
         chaos=chaos,
     )
     s = camp.run()
@@ -270,7 +258,7 @@ def check_quarantine(tmp: str, workers: int) -> list[str]:
         det_spec,
         os.path.join(tmp, "det"),
         workers=workers,
-        policy=SupervisorPolicy(max_attempts=3, poll_s=0.02),
+        policy=SupervisorPolicy(max_attempts=3),
     )
     s_det = det.run()
     if s_det["status_counts"]["quarantined"] != 1:

@@ -129,7 +129,7 @@ def compare(
     # including the checkpoint.* family — the comm.* transport counters
     # (retries, drops_detected, corrupt_detected, duplicates_discarded),
     # and the campaign.* supervision counters (retries, requeues,
-    # quarantined, lease_expired, breaker_trips) must match exactly,
+    # quarantined, lease_expired, store_retries) must match exactly,
     # label renderings included: the simulator is deterministic, so a
     # vanished/renamed counter or a changed count is a recovery-path
     # change, not noise.

@@ -2,9 +2,9 @@
 
 See ``docs/campaign.md`` for the job model, manifest schema, cache
 semantics, and the execution model (every job runs through the
-supervisor protocol — lease, outcome file, retry/backoff, quarantine,
-failure breaker — inline or in forked worker fault domains).  The CLI
-entry point is ``python -m repro campaign``.
+supervisor protocol — lease, outcome file, retry/backoff, quarantine —
+inline or in forked worker fault domains).  The CLI entry point is
+``python -m repro campaign``.
 """
 
 from repro.campaign.job import (
@@ -26,7 +26,6 @@ from repro.campaign.manifest import (
 from repro.campaign.runner import Campaign
 from repro.campaign.store import ResultStore
 from repro.campaign.supervisor import (
-    FailureBreaker,
     Supervisor,
     SupervisorPolicy,
     failure_context,
@@ -40,7 +39,6 @@ __all__ = [
     "Campaign",
     "CampaignManifest",
     "CampaignSpec",
-    "FailureBreaker",
     "JobSpec",
     "MANIFEST_FORMAT",
     "ManifestError",

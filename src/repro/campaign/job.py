@@ -31,13 +31,16 @@ from repro.core.config import SimulationConfig
 from repro.core.simulation import SimulationReport
 from repro.mesh.turbine import list_workloads
 from repro.perf.cost import snapshots_from_json, snapshots_to_json
-from repro.serialize import Config, as_int, as_str, stable_digest
+from repro.serialize import Config, as_mapping, stable_digest
 
 #: Format tag of the canonical per-job result document.
 RESULT_FORMAT = "repro.campaign.result/2"
 
 #: Format tag of a campaign sweep-spec document.
 SPEC_FORMAT = "repro.campaign.spec/1"
+
+#: The spec document's ``sweep`` keys -> the fields they fill.
+_SWEEP_FIELDS = {"grid": "grid", "list": "list_entries"}
 
 
 def merge_overrides(*layers: dict) -> dict:
@@ -135,7 +138,7 @@ class JobSpec(Config):
 
 
 @dataclass
-class CampaignSpec:
+class CampaignSpec(Config):
     """A sweep specification (the ``repro.campaign.spec/1`` document).
 
     Jobs are the cartesian product of the ``list`` entries (default: one
@@ -144,19 +147,35 @@ class CampaignSpec:
     ``base``.  Expansion order is deterministic: list entries in given
     order, grid axes in sorted path order with values in given order,
     seeds in given order.
+
+    The document nests ``grid`` and ``list_entries`` as
+    ``sweep: {grid, list}`` and carries a ``format`` tag; everything else
+    is one key per field.
     """
 
     name: str
     workload: str
-    steps: int = 1
+    steps: int = field(default=1, metadata={"ge": 1})
     seeds: tuple[int, ...] = (0,)
     base: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     list_entries: tuple[dict, ...] = ()
     #: Per-job durable checkpointing cadence (0 disables); enables
     #: mid-job resume of interrupted campaigns.
-    checkpoint_every: int = 0
-    checkpoint_keep: int = 2
+    checkpoint_every: int = field(default=0, metadata={"ge": 0})
+    checkpoint_keep: int = field(default=2, metadata={"ge": 1})
+
+    def validate(self) -> None:
+        """Raise on an empty seed list or a grid axis without values."""
+        super().validate()
+        if not self.seeds:
+            raise ValueError("CampaignSpec.seeds: expected a non-empty list")
+        for axis, values in self.grid.items():
+            if not isinstance(values, list) or not values:
+                raise ValueError(
+                    f"CampaignSpec.grid[{axis!r}]: expected a non-empty "
+                    f"list of values, got {values!r}"
+                )
 
     def expand(self) -> list[JobSpec]:
         """The sweep's jobs, in deterministic order, all validated."""
@@ -196,104 +215,32 @@ class CampaignSpec:
         return jobs
 
     def to_dict(self) -> dict:
-        """JSON-shaped round-trip form (the spec-file content)."""
-        return {
-            "format": SPEC_FORMAT,
-            "name": self.name,
-            "workload": self.workload,
-            "steps": self.steps,
-            "seeds": list(self.seeds),
-            "base": self.base,
-            "sweep": {
-                "grid": self.grid,
-                "list": list(self.list_entries),
-            },
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_keep": self.checkpoint_keep,
-        }
+        """The spec document (``sweep`` in the place of its fields)."""
+        doc = {"format": SPEC_FORMAT, **super().to_dict()}
+        sweep = {key: doc.pop(name) for key, name in _SWEEP_FIELDS.items()}
+        tail = {k: doc.pop(k) for k in ("checkpoint_every", "checkpoint_keep")}
+        return {**doc, "sweep": sweep, **tail}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Parse and validate a spec document (strict keys)."""
-        if not isinstance(data, dict):
-            raise ValueError("campaign spec must be a JSON object")
-        allowed = {
-            "format",
-            "name",
-            "workload",
-            "steps",
-            "seeds",
-            "base",
-            "sweep",
-            "checkpoint_every",
-            "checkpoint_keep",
-        }
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise ValueError(
-                f"campaign spec: unknown keys {unknown}; "
-                f"accepted: {sorted(allowed)}"
-            )
-        fmt = data.get("format", SPEC_FORMAT)
+        """Parse a spec document with the strict field parser."""
+        doc = dict(as_mapping(data, "CampaignSpec"))
+        fmt = doc.pop("format", SPEC_FORMAT)
         if fmt != SPEC_FORMAT:
             raise ValueError(
-                f"campaign spec: unsupported format {fmt!r} "
-                f"(expected {SPEC_FORMAT!r})"
+                f"CampaignSpec.format: expected {SPEC_FORMAT!r}, got {fmt!r}"
             )
-        for key in ("name", "workload"):
-            if key not in data:
-                raise ValueError(f"campaign spec: missing required {key!r}")
-        sweep = data.get("sweep", {})
-        if not isinstance(sweep, dict) or set(sweep) - {"grid", "list"}:
-            raise ValueError(
-                "campaign spec: 'sweep' must be a mapping with only "
-                "'grid' and/or 'list' keys"
-            )
-        grid = sweep.get("grid", {})
-        if not isinstance(grid, dict) or not all(
-            isinstance(v, list) and v for v in grid.values()
-        ):
-            raise ValueError(
-                "campaign spec: sweep.grid maps field paths to non-empty "
-                "value lists"
-            )
-        entries = sweep.get("list", [])
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) for e in entries
-        ):
-            raise ValueError(
-                "campaign spec: sweep.list must be a list of override "
-                "mappings"
-            )
-        seeds = data.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds:
-            raise ValueError("campaign spec: seeds must be a non-empty list")
-        base = data.get("base", {})
-        if not isinstance(base, dict):
-            raise ValueError("campaign spec: base must be a mapping")
-        spec = cls(
-            name=as_str(data["name"], "campaign.name"),
-            workload=as_str(data["workload"], "campaign.workload"),
-            steps=as_int(data.get("steps", 1), "campaign.steps"),
-            seeds=tuple(
-                as_int(s, f"campaign.seeds[{i}]")
-                for i, s in enumerate(seeds)
-            ),
-            base=base,
-            grid=grid,
-            list_entries=tuple(entries),
-            checkpoint_every=as_int(
-                data.get("checkpoint_every", 0), "campaign.checkpoint_every"
-            ),
-            checkpoint_keep=as_int(
-                data.get("checkpoint_keep", 2), "campaign.checkpoint_keep"
-            ),
+        sweep = as_mapping(doc.pop("sweep", {}), "CampaignSpec.sweep")
+        stray = sorted(set(_SWEEP_FIELDS.values()) & set(doc)) + sorted(
+            set(sweep) - set(_SWEEP_FIELDS)
         )
-        if spec.checkpoint_every < 0:
-            raise ValueError("campaign spec: checkpoint_every must be >= 0")
-        if spec.checkpoint_keep < 1:
-            raise ValueError("campaign spec: checkpoint_keep must be >= 1")
-        return spec
+        if stray:
+            raise ValueError(
+                f"CampaignSpec: unknown keys {stray}; a sweep is "
+                "'sweep': {'grid': {...}, 'list': [...]}"
+            )
+        doc.update({_SWEEP_FIELDS[key]: v for key, v in sweep.items()})
+        return super().from_dict(doc)
 
 
 def field_digest(arr: np.ndarray) -> str:

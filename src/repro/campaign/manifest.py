@@ -163,10 +163,3 @@ class CampaignManifest:
             entry.update({k: record[k] for k in declared if k in record})
         entry.update(fields)
         self.save()
-
-    def status_counts(self) -> dict[str, int]:
-        """Job counts by status (all statuses present, zero-filled)."""
-        counts = {status: 0 for status in JOB_STATUSES}
-        for entry in self.jobs.values():
-            counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-        return counts

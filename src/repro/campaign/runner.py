@@ -26,12 +26,13 @@ sweep produces byte-identical stored documents to an inline one —
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import os
 import time
 
 from repro.campaign.job import CampaignSpec, JobSpec, result_report
-from repro.campaign.manifest import CampaignManifest
+from repro.campaign.manifest import JOB_STATUSES, CampaignManifest
 from repro.campaign.store import ResultStore
 from repro.campaign.supervisor import COUNTERS, Supervisor, SupervisorPolicy
 from repro.core.simulation import SimulationReport
@@ -72,7 +73,7 @@ class Campaign:
             results: a job identical to one any prior campaign completed
             is served from the store instead of re-running.
         policy: the :class:`~repro.campaign.supervisor.SupervisorPolicy`
-            (attempt budget, backoff, timeouts, breaker); ``None`` means
+            (attempt budget, backoff, timeouts); ``None`` means
             ``SupervisorPolicy(max_attempts=1)`` — never retry.
         chaos: optional seeded fault injector driving process-level
             chaos (``worker_crash``/``worker_hang`` specs and store
@@ -205,7 +206,9 @@ class Campaign:
 
         ``max_jobs`` bounds the number of jobs *executed* this
         invocation (cache hits are free); remaining jobs stay
-        ``pending``/``running`` in the manifest for a later resume.
+        ``pending``/``running`` in the manifest for a later resume.  The
+        summary covers this spec's jobs only: entries another spec left
+        in the same manifest are kept there, but not reported.
         """
         if dry_run:
             rows = self.plan()
@@ -227,13 +230,18 @@ class Campaign:
             workers=self.workers,
         )
         supervisor.run(max_jobs)
+        entries = {
+            digest: self.manifest.jobs[digest]
+            for digest in sorted(job.digest() for job in self.jobs)
+        }
+        counts = collections.Counter(e["status"] for e in entries.values())
         summary = {
             "format": "repro.campaign.summary/1",
             "name": self.spec.name,
             "root": self.root,
             "workers": self.workers,
             "total_jobs": len(self.jobs),
-            "status_counts": self.manifest.status_counts(),
+            "status_counts": {s: counts[s] for s in JOB_STATUSES},
             **{
                 name.split(".", 1)[1]: int(self.metrics.counter_total(name))
                 for name in COUNTERS
@@ -241,10 +249,7 @@ class Campaign:
             # Always 0: kept only because benchmarks/e2e/workloads.py reads it.
             "plan_shared": 0,
             "wall_s": time.perf_counter() - start,
-            "jobs": {
-                digest: _summary_row(entry)
-                for digest, entry in sorted(self.manifest.jobs.items())
-            },
+            "jobs": {d: _summary_row(e) for d, e in entries.items()},
         }
         supervisor._transition("end", summary=summary)
         return summary

@@ -38,11 +38,6 @@ on one of two executors picked from ``Campaign.workers``:
   history); the sweep continues and the CLI exit code distinguishes
   "all done" (0), "done with quarantined" (3), and spec/coordinator
   error (1).
-* **Failure-storm breaker** — a rolling failure-rate window that
-  halves the number of concurrently dispatched jobs when failures
-  cluster (``campaign.breaker_trips``), restoring capacity after a
-  cooldown of consecutive successes, instead of letting a sick
-  filesystem take the whole sweep down with it.
 
 Everything is observable, from one place: :data:`TRANSITIONS` declares,
 per lifecycle event, the manifest status it persists, the ``campaign.*``
@@ -76,6 +71,16 @@ LEASE_FILENAME = "lease.json"
 
 #: Truncation bound for persisted tracebacks (manifest post-mortems).
 TRACEBACK_LIMIT = 2000
+
+#: Supervisor poll interval (s).
+POLL_S = 0.02
+
+#: Exponential backoff multiplier (:meth:`SupervisorPolicy.backoff`).
+BACKOFF_FACTOR = 2.0
+
+#: Result-store write retries (with backoff) before the attempt is
+#: classified ``io_error``.
+STORE_IO_RETRIES = 3
 
 _NONCE_COUNTER = iter(range(1, 1 << 62))
 
@@ -143,40 +148,22 @@ class SupervisorPolicy(Config):
         heartbeat_timeout_s: kill an attempt whose lease beat has not
             advanced for this long (hang detection); 0 disables.
             Needs ``workers >= 1`` likewise.
-        poll_s: supervisor poll interval.
         backoff_base_s: first retry delay; attempt ``k`` waits
-            ``min(backoff_base_s * backoff_factor**k, backoff_max_s)``
+            ``min(backoff_base_s * BACKOFF_FACTOR**k, backoff_max_s)``
             (deterministic — chaos replays must be bit-stable).
-        backoff_factor: exponential backoff multiplier.
         backoff_max_s: backoff cap.
-        breaker_window: rolling attempt-outcome window length.
-        breaker_min_events: outcomes required before the breaker may
-            trip.
-        breaker_threshold: failure fraction in the window that trips
-            the breaker (halving dispatch concurrency, floor 1).
-        breaker_cooldown: consecutive successes that restore one
-            halving step.
-        store_io_retries: result-store write retries (with backoff)
-            before the attempt is classified ``io_error``.
     """
 
     max_attempts: int = field(default=3, metadata={"ge": 1})
     job_timeout_s: float = field(default=0.0, metadata={"ge": 0})
     heartbeat_timeout_s: float = field(default=0.0, metadata={"ge": 0})
-    poll_s: float = field(default=0.02, metadata={"gt": 0})
     backoff_base_s: float = field(default=0.05, metadata={"ge": 0})
-    backoff_factor: float = field(default=2.0, metadata={"ge": 1})
     backoff_max_s: float = field(default=2.0, metadata={"ge": 0})
-    breaker_window: int = field(default=8, metadata={"ge": 1})
-    breaker_min_events: int = field(default=4, metadata={"ge": 1})
-    breaker_threshold: float = field(default=0.5, metadata={"gt": 0, "le": 1})
-    breaker_cooldown: int = field(default=3, metadata={"ge": 1})
-    store_io_retries: int = field(default=3, metadata={"ge": 0})
 
     def backoff(self, attempt: int) -> float:
         """Deterministic delay before re-dispatching attempt ``attempt``."""
         return min(
-            self.backoff_base_s * self.backoff_factor**attempt,
+            self.backoff_base_s * BACKOFF_FACTOR**attempt,
             self.backoff_max_s,
         )
 
@@ -420,67 +407,6 @@ def _worker_main(task_q) -> None:
         _attempt(payload)
 
 
-# -- failure-storm breaker ----------------------------------------------------
-
-
-class FailureBreaker:
-    """Rolling failure-rate breaker throttling dispatch concurrency.
-
-    Records per-attempt outcomes; when the failure fraction over the
-    last ``window`` outcomes reaches ``threshold`` (with at least
-    ``min_events`` observed), the allowed concurrency halves (floor 1)
-    and the window resets.  Each run of ``cooldown`` consecutive
-    successes restores one halving step.  Trips are counted by the
-    caller via the returned signal — the breaker itself is plain logic,
-    unit-testable without processes.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        policy: SupervisorPolicy | None = None,
-        **knobs: float,
-    ) -> None:
-        """``knobs`` stand in for a policy: its ``breaker_*`` fields,
-        spelt without the prefix."""
-        policy = policy or SupervisorPolicy(
-            **{f"breaker_{name}": value for name, value in knobs.items()}
-        )
-        self.capacity = max(1, capacity)
-        self.policy = policy
-        self.allowed = self.capacity
-        self._outcomes: list[bool] = []
-        self._success_streak = 0
-        self.trips = 0
-
-    def record(self, ok: bool) -> bool:
-        """Fold one attempt outcome in; True when the breaker trips."""
-        self._outcomes.append(ok)
-        if len(self._outcomes) > self.policy.breaker_window:
-            self._outcomes.pop(0)
-        if ok:
-            self._success_streak += 1
-            if (
-                self._success_streak >= self.policy.breaker_cooldown
-                and self.allowed < self.capacity
-            ):
-                self.allowed = min(self.capacity, self.allowed * 2)
-                self._success_streak = 0
-            return False
-        self._success_streak = 0
-        failures = sum(1 for o in self._outcomes if not o)
-        if (
-            len(self._outcomes) >= self.policy.breaker_min_events
-            and failures / len(self._outcomes) >= self.policy.breaker_threshold
-            and self.allowed > 1
-        ):
-            self.allowed = max(1, self.allowed // 2)
-            self._outcomes.clear()
-            self.trips += 1
-            return True
-        return False
-
-
 # -- the supervisor -----------------------------------------------------------
 
 
@@ -508,9 +434,6 @@ TRANSITIONS = {
     "requeue": Transition("pending", ("campaign.requeues",)),
     "quarantined": Transition(
         "quarantined", ("campaign.quarantined", "campaign.jobs_failed")
-    ),
-    "breaker_trip": Transition(
-        None, ("campaign.breaker_trips",), "breaker_trip"
     ),
     "end": Transition(emits="campaign_end"),
 }
@@ -547,8 +470,7 @@ class _WorkerHandle:
 class Supervisor:
     """Drains one campaign run through the attempt protocol.
 
-    Owns intake, the retry/quarantine state machine, the failure
-    breaker, and both executors (inline and forked workers, with hang
+    Owns intake, the retry/quarantine state machine, and both executors (inline and forked workers, with hang
     detection for the latter); reads its policy and chaos injector from
     the campaign and mutates the campaign's manifest and metrics.
     """
@@ -559,7 +481,6 @@ class Supervisor:
         self.metrics = campaign.metrics
         self.hub = campaign.hub
         self.manifest = campaign.manifest
-        self.breaker = FailureBreaker(max(1, campaign.workers), self.policy)
 
     def _transition(
         self, event: str, job=None, digest="", failure=None, **facts: Any
@@ -701,7 +622,7 @@ class Supervisor:
         and routed through the retry machinery like any other transient
         failure).
         """
-        for i in range(self.policy.store_io_retries):
+        for i in range(STORE_IO_RETRIES):
             try:
                 return self.campaign.store.put(digest, doc)
             except OSError:
@@ -762,7 +683,6 @@ class Supervisor:
 
         ``outcome`` is the attempt's outcome document or a failure
         record the supervisor built itself (crash, hang, timeout).
-        Feeds the breaker; counts and announces trips.
         """
         failure: dict | None = outcome
         if outcome["ok"]:
@@ -776,12 +696,6 @@ class Supervisor:
         if failure is not None:
             self._on_failure(
                 job, digest, {**failure, "attempt": attempt}, delayed
-            )
-        if self.breaker.record(failure is None):
-            self._transition(
-                "breaker_trip",
-                allowed=self.breaker.allowed,
-                capacity=self.breaker.capacity,
             )
 
     @staticmethod
@@ -804,7 +718,7 @@ class Supervisor:
         while ready or delayed:
             self._promote_due(ready, delayed)
             if not ready:
-                time.sleep(self.policy.poll_s)
+                time.sleep(POLL_S)
                 continue
             item = ready.pop(0)
             job, digest, attempt, _try_resume = item
@@ -865,16 +779,11 @@ class Supervisor:
         try:
             while ready or delayed or any(w.busy for w in workers):
                 self._promote_due(ready, delayed)
-                busy = sum(1 for w in workers if w.busy)
                 for i, worker in enumerate(workers):
-                    if not ready or busy >= self.breaker.allowed:
-                        break
-                    if worker.busy:
-                        continue
-                    if worker.proc.exitcode is not None:
-                        workers[i] = worker = self._respawn(worker)
-                    self._dispatch(worker, ready.pop(0))
-                    busy += 1
+                    if ready and not worker.busy:
+                        if worker.proc.exitcode is not None:
+                            workers[i] = worker = self._respawn(worker)
+                        self._dispatch(worker, ready.pop(0))
                 finished = False
                 for i, worker in enumerate(workers):
                     if worker.busy and self._poll_worker(worker, delayed):
@@ -882,7 +791,7 @@ class Supervisor:
                         if worker.proc.exitcode is not None:
                             workers[i] = self._respawn(worker)
                 if not finished:
-                    time.sleep(self.policy.poll_s)
+                    time.sleep(POLL_S)
         finally:
             for worker in workers:
                 if worker.proc.is_alive():

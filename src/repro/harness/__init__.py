@@ -18,19 +18,10 @@ from repro.harness.report import (
     loglog_chart,
     series_table,
 )
-from repro.obs import (
-    RunProfile,
-    RunTelemetry,
-    render_flat_report,
-    render_profile_summary,
-    render_span_tree,
-)
 
 __all__ = [
     "CapabilityPoint",
     "NLISeries",
-    "RunProfile",
-    "RunTelemetry",
     "default_work_scale",
     "emit",
     "equation_breakdown",
@@ -40,8 +31,5 @@ __all__ = [
     "nli_step_times",
     "paper_projection",
     "project_capability",
-    "render_flat_report",
-    "render_profile_summary",
-    "render_span_tree",
     "series_table",
 ]

@@ -35,7 +35,7 @@ Durability properties:
 * **last-good fallback** — :meth:`CheckpointManager.load_latest_good`
   walks the retention ring newest-first and returns the first checkpoint
   that verifies;
-* **retry with backoff** — writes retry against transient I/O failures
+* **write retries** — writes retry against transient I/O failures
   (including ``io_fail`` faults injected through
   :class:`~repro.resilience.injection.FaultInjector.on_io`), surfacing
   ``resilience.checkpoint.write_retries``/``write_failures`` counters.
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import zlib
 from typing import Any
 
@@ -224,9 +223,6 @@ class CheckpointManager:
             kept, older ones deleted after each successful save.
         max_io_retries: write attempts after the first before a save
             fails for good.
-        backoff: base retry delay in seconds, doubled per retry (the
-            default keeps tests fast; production runs pass something
-            real).
         injector: optional :class:`FaultInjector` exercising the retry
             path (``on_io`` hook).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
@@ -244,7 +240,6 @@ class CheckpointManager:
         *,
         keep: int = 2,
         max_io_retries: int = 3,
-        backoff: float = 0.0,
         injector: Any = None,
         metrics: Any = None,
     ) -> None:
@@ -255,7 +250,6 @@ class CheckpointManager:
         self.directory = directory
         self.keep = int(keep)
         self.max_io_retries = int(max_io_retries)
-        self.backoff = float(backoff)
         self.injector = injector
         self.metrics = metrics
 
@@ -267,7 +261,7 @@ class CheckpointManager:
         """Durably write one checkpoint; returns its path.
 
         The blob is serialized once, then written atomically with up to
-        ``max_io_retries`` retries (exponential backoff) against
+        ``max_io_retries`` retries against
         transient failures; the retention ring is pruned only after the
         new checkpoint is safely on disk.
         """
@@ -277,8 +271,6 @@ class CheckpointManager:
         for attempt in range(1 + self.max_io_retries):
             if attempt > 0:
                 self._count("write_retries")
-                if self.backoff > 0.0:
-                    time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 self._write_atomic(path, blob)
                 self._prune(protect=path)

@@ -20,7 +20,7 @@ faith:
   (the receiver discards the extra copy);
 * ``io_fail`` — fail checkpoint/result-store I/O operations in a window
   of ``entries`` consecutive attempts starting at the Nth (a flaky
-  parallel-filesystem analogue; the writer retries with backoff);
+  parallel-filesystem analogue; the writer retries);
 * ``worker_crash`` — hard-kill a campaign worker process
   (``os._exit``) at a configured execution ``point`` of the ``at``-th
   attempt of a job (a node-death / OOM-kill analogue — the campaign
@@ -90,7 +90,7 @@ class FaultSpec(Config):
         magnitude: scale factor for ``mode="scale"``.
         entries: number of values to corrupt per firing; for ``io_fail``,
             the number of *consecutive* I/O attempts (starting at
-            ``at``) that fail — a window, so retry-with-backoff is
+            ``at``) that fail — a window, so the writer's retry loop is
             actually exercised.
         point: ``worker_crash``/``worker_hang`` only — the execution
             boundary the fault fires at (:data:`WORKER_FAULT_POINTS`):
@@ -368,7 +368,7 @@ class FaultInjector:
 
         Unlike the one-shot kinds, ``io_fail`` fails a *window* of
         ``entries`` consecutive opportunities starting at ``at``, so the
-        writer's retry-with-backoff loop is exercised (and can be
+        writer's retry loop is exercised (and can be
         exhausted by making the window wider than the retry budget).
         A spec with ``job`` set counts (and fails) only I/O whose path
         contains that job id — the deterministic-per-job form campaign

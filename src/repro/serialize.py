@@ -3,10 +3,11 @@ canonical hashing.
 
 An option is one field.  A config dataclass (``SimulationConfig``,
 ``SolverConfig``, ``AMGOptions``, ``RecoveryPolicy``, ``FaultSpec``,
-``JobSpec``, ``SupervisorPolicy``) subclasses :class:`Config` and declares each option once:
-annotation, default and, if enumerated or bounded, ``field(metadata=...)``
-naming the owning module's tuple (``"choices"``) or a bound (``"ge"``,
-``"gt"``, ``"le"``, ``"lt"``); ``"runtime": True`` marks a field with no
+``JobSpec``, ``CampaignSpec``, ``SupervisorPolicy``) subclasses
+:class:`Config` and declares each option once: annotation, default and, if
+enumerated or bounded, ``field(metadata=...)`` naming the owning module's
+tuple (``"choices"``) or a bound (``"ge"``, ``"gt"``, ``"le"``, ``"lt"``);
+``"runtime": True`` marks a field with no
 serialised form.  ``to_dict()`` / ``from_dict()`` / ``validate()`` /
 ``stable_hash()`` read the class's :func:`schema`.  The contract is strict
 — this dict is the campaign cache key, so silent coercion or

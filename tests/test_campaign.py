@@ -3,8 +3,7 @@ content-addressed result store, the durable manifest, the runner
 (cache-hit bitwise identity, resume-after-kill, a result that is a
 function of its job alone), and the
 supervisor protocol on both executors (inline == fork, crash-at-every-
-boundary fault domains, hang detection, lease takeover, quarantine,
-failure breaker)."""
+boundary fault domains, hang detection, lease takeover, quarantine)."""
 
 import collections
 import functools
@@ -19,7 +18,6 @@ from repro.campaign import (
     Campaign,
     CampaignManifest,
     CampaignSpec,
-    FailureBreaker,
     JobSpec,
     ManifestError,
     ResultStore,
@@ -37,6 +35,7 @@ from repro.core.simulation import NaluWindSimulation
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec, SolverFailure
+from repro.serialize import canonical_json
 
 
 def tiny_spec(name="t", seeds=(0, 1), steps=1, **kw):
@@ -48,6 +47,96 @@ def tiny_spec(name="t", seeds=(0, 1), steps=1, **kw):
         base={"nranks": 2},
         **kw,
     )
+
+
+#: Specs and their ``repro.campaign.spec/1`` documents, as the hand-written
+#: serialiser wrote them: the config golden's sweep, and one using every key.
+SPEC_DOCS = [
+    (
+        CampaignSpec(
+            name="picard_sweep", workload="turbine_tiny", steps=2,
+            seeds=(0, 1, 2), base={"nranks": 2},
+            grid={"picard_iterations": [2, 3]},
+        ),
+        {
+            "format": "repro.campaign.spec/1", "name": "picard_sweep",
+            "workload": "turbine_tiny", "steps": 2, "seeds": [0, 1, 2],
+            "base": {"nranks": 2},
+            "sweep": {"grid": {"picard_iterations": [2, 3]}, "list": []},
+            "checkpoint_every": 0, "checkpoint_keep": 2,
+        },
+    ),
+    (
+        CampaignSpec(
+            name="mixed", workload="turbine_tiny", steps=3, seeds=(4, 1, 7),
+            base={"nranks": 2, "amg": {"theta": 0.5}},
+            grid={"dt": [0.05, 0.08], "amg.interp": ["direct", "mm_ext"]},
+            list_entries=(
+                {"picard_iterations": 1},
+                {"picard_iterations": 3, "recovery": {"enabled": False}},
+            ),
+            checkpoint_every=2, checkpoint_keep=3,
+        ),
+        {
+            "format": "repro.campaign.spec/1", "name": "mixed",
+            "workload": "turbine_tiny", "steps": 3, "seeds": [4, 1, 7],
+            "base": {"nranks": 2, "amg": {"theta": 0.5}},
+            "sweep": {
+                "grid": {
+                    "dt": [0.05, 0.08], "amg.interp": ["direct", "mm_ext"],
+                },
+                "list": [
+                    {"picard_iterations": 1},
+                    {"picard_iterations": 3, "recovery": {"enabled": False}},
+                ],
+            },
+            "checkpoint_every": 2, "checkpoint_keep": 3,
+        },
+    ),
+]
+
+
+def _set(path, value):
+    """Mutation of a spec document: set one dotted key."""
+    def mutate(doc):
+        *parents, last = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return doc
+    return mutate
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+#: One malformed spec document per way the parser refuses one.
+MALFORMED = {
+    "not_a_dict": lambda doc: [doc],
+    "unknown_key": _set("bogus", 1),
+    "grid_at_top_level": _set("grid", {"dt": [0.1]}),
+    "list_entries_at_top_level": _set("list_entries", [{"dt": 0.1}]),
+    "wrong_format": _set("format", "repro.campaign.spec/2"),
+    "name_missing": _drop("name"),
+    "workload_missing": _drop("workload"),
+    "name_not_str": _set("name", 3),
+    "sweep_not_mapping": _set("sweep", [["dt", [0.1]]]),
+    "sweep_extra_key": _set("sweep.axes", {}),
+    "grid_not_mapping": _set("sweep.grid", [["dt", [0.1]]]),
+    "grid_value_not_list": _set("sweep.grid.dt", 0.1),
+    "grid_value_empty": _set("sweep.grid.dt", []),
+    "list_not_list": _set("sweep.list", {"dt": 0.1}),
+    "list_item_not_mapping": _set("sweep.list", [{"dt": 0.1}, 3]),
+    "seeds_empty": _set("seeds", []),
+    "seeds_not_list": _set("seeds", 3),
+    "seeds_hold_bool": _set("seeds", [0, True]),
+    "base_not_mapping": _set("base", [["nranks", 2]]),
+    "steps_bool": _set("steps", True),
+    "checkpoint_every_negative": _set("checkpoint_every", -1),
+    "checkpoint_keep_zero": _set("checkpoint_keep", 0),
+}
 
 
 class TestOverrides:
@@ -143,6 +232,23 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             CampaignSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("spec, doc", SPEC_DOCS, ids=["golden", "mixed"])
+    def test_document_is_pinned(self, spec, doc):
+        # The spec document every manifest embeds, byte for byte.
+        assert spec.to_dict() == doc
+        assert canonical_json(spec.to_dict()) == canonical_json(doc)
+        assert json.dumps(spec.to_dict()) == json.dumps(doc)  # key order
+        again = CampaignSpec.from_dict(doc)
+        assert again == spec and again.to_dict() == doc
+
+    @pytest.mark.parametrize(
+        "mutate", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_document_rejected(self, mutate):
+        doc = json.loads(json.dumps(SPEC_DOCS[1][1]))
+        with pytest.raises(ValueError):
+            CampaignSpec.from_dict(mutate(doc))
+
 
 class TestResultStore:
     def doc(self, digest):
@@ -176,7 +282,7 @@ class TestManifest:
         m.save()
         again = CampaignManifest.load(str(tmp_path))
         assert again.jobs.keys() == m.jobs.keys()
-        assert again.status_counts()["pending"] == 2
+        assert [e["status"] for e in again.jobs.values()] == ["pending"] * 2
 
     def test_mark_persists(self, tmp_path):
         spec = tiny_spec()
@@ -392,31 +498,25 @@ POISON = {
 def fast_policy(**kw):
     kw.setdefault("backoff_base_s", 0.01)
     kw.setdefault("backoff_max_s", 0.05)
-    kw.setdefault("poll_s", 0.02)
     return SupervisorPolicy(**kw)
 
 
 class TestSupervisorPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"poll_s": 0.0},
-            {"job_timeout_s": -1.0},
-            {"backoff_factor": 0.5},
-            {"breaker_threshold": 0.0},
-            {"breaker_window": 0},
-            {"store_io_retries": -1},
-        ],
-    )
-    def test_rejects_bad_settings(self, kwargs):
+    BAD = {
+        "max_attempts": 0,
+        "job_timeout_s": -1.0,
+        "heartbeat_timeout_s": -1.0,
+        "backoff_base_s": -1.0,
+        "backoff_max_s": -1.0,
+    }
+
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_rejects_bad_settings(self, name):
         with pytest.raises(ValueError):
-            SupervisorPolicy(**kwargs).validate()
+            SupervisorPolicy(**{name: self.BAD[name]}).validate()
 
     def test_backoff_is_deterministic_and_capped(self):
-        p = SupervisorPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_max_s=0.3
-        )
+        p = SupervisorPolicy(backoff_base_s=0.1, backoff_max_s=0.3)
         assert [p.backoff(k) for k in range(4)] == [0.1, 0.2, 0.3, 0.3]
 
 
@@ -474,35 +574,6 @@ class TestFailureContext:
             SolverFailure("diverged", kind="non_convergence")
         )
         assert ctx["taxonomy"] == "non_convergence"
-
-
-class TestFailureBreaker:
-    def test_trips_halves_and_recovers(self):
-        br = FailureBreaker(
-            8, window=4, min_events=4, threshold=0.5, cooldown=2
-        )
-        assert br.allowed == 8
-        assert not br.record(True)
-        assert not br.record(False)
-        assert not br.record(True)
-        # 4th outcome makes the window eligible; 2/4 failures >= 0.5.
-        assert br.record(False)
-        assert br.allowed == 4 and br.trips == 1
-        # Two consecutive successes restore one halving step.
-        br.record(True)
-        assert br.allowed == 4
-        br.record(True)
-        assert br.allowed == 8
-
-    def test_floor_is_one_and_needs_min_events(self):
-        br = FailureBreaker(2, window=4, min_events=3, threshold=0.5)
-        assert not br.record(False)
-        assert not br.record(False)  # only 2 events < min_events
-        assert br.record(False)
-        assert br.allowed == 1
-        # At the floor, further failures cannot trip again.
-        assert not br.record(False)
-        assert br.trips == 1
 
 
 class TestLeases:
@@ -683,7 +754,7 @@ class TestSupervisedRunner:
             spec,
             str(tmp_path / "c"),
             workers=1,
-            policy=fast_policy(store_io_retries=3),
+            policy=fast_policy(),
             chaos=chaos,
         )
         s = camp.run()
@@ -704,12 +775,12 @@ class TestSupervisedRunner:
             spec,
             str(tmp_path / "c"),
             workers=1,
-            policy=fast_policy(max_attempts=1, store_io_retries=2),
+            policy=fast_policy(max_attempts=1),
             chaos=chaos,
         )
         s = camp.run()
         assert s["status_counts"]["quarantined"] == 1
-        assert s["store_retries"] == 2
+        assert s["store_retries"] == 3
         entry = camp.manifest.jobs[job.digest()]
         assert entry["taxonomy"] == "io_error"
 
@@ -764,22 +835,23 @@ class TestSupervisedRunner:
 
     def test_inline_retries_a_transient_failure(self, tmp_path):
         # Retry/backoff is protocol, not executor: a store fault window
-        # wider than the in-attempt budget costs the inline attempt
-        # (io_error, transient), and the job is re-run after backoff.
+        # wider than the in-attempt budget (3 retries) costs the inline
+        # attempt (io_error, transient), and the job is re-run after
+        # backoff.
         spec = tiny_spec(name="inline_retry", seeds=(0,))
         job = spec.expand()[0]
         chaos = FaultInjector(
-            (FaultSpec(kind="io_fail", at=0, entries=2, job=job.digest()),)
+            (FaultSpec(kind="io_fail", at=0, entries=4, job=job.digest()),)
         )
         camp = Campaign(
             spec,
             str(tmp_path / "c"),
-            policy=fast_policy(max_attempts=2, store_io_retries=1),
+            policy=fast_policy(max_attempts=2),
             chaos=chaos,
         )
         s = camp.run()
         assert s["status_counts"]["done"] == 1
-        assert s["retries"] == 1 and s["store_retries"] == 1
+        assert s["retries"] == 1 and s["store_retries"] == 3
         entry = camp.manifest.jobs[job.digest()]
         assert [a["taxonomy"] for a in entry["attempts"]] == ["io_error"]
         assert sorted(os.listdir(camp._job_dir(job))) == [
@@ -851,11 +923,11 @@ class TestSupervisedRunner:
                 json.dump({"pid": 2**22 + 999, "nonce": "dead", "beat": 1}, fh)
         elif name == "inline_io_error":
             kwargs = dict(
-                policy=fast_policy(max_attempts=2, store_io_retries=1),
+                policy=fast_policy(max_attempts=2),
                 chaos=FaultInjector(
                     (
                         FaultSpec(
-                            kind="io_fail", at=0, entries=2, job=job.digest()
+                            kind="io_fail", at=0, entries=4, job=job.digest()
                         ),
                     )
                 ),
@@ -895,7 +967,7 @@ class TestSupervisedRunner:
             hub.subscribe(kind, functools.partial(record, kind))
         camp = self.scenario(name, tmp_path, hub)
         statuses = {d: e["status"] for d, e in camp.manifest.jobs.items()}
-        camp.run()
+        summary = camp.run()
         assert [e for e, _facts in events] == [
             "start", *self.LIFECYCLES[name], "end"
         ]
@@ -908,7 +980,7 @@ class TestSupervisedRunner:
         tally = collections.Counter(statuses.values())
         assert {
             st: tally[st] for st in JOB_STATUSES
-        } == camp.manifest.status_counts()
+        } == summary["status_counts"]
         owned = {c for row in TRANSITIONS.values() for c in row.counters}
         assert {c: counted[c] for c in owned} == {
             c: camp.metrics.counter_total(c) for c in owned
@@ -1028,6 +1100,32 @@ class TestCampaignCLI:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status_counts"]["quarantined"] == 1
         assert summary["retries"] == 0  # deterministic: no retry burned
+
+    def test_summary_covers_only_the_specs_jobs(self, tmp_path, capsys):
+        # Spec A quarantines its job; spec B, run later on the same root,
+        # reports its one clean job alone and exits 0.  A's entry stays
+        # in the manifest untouched.
+        root = str(tmp_path / "c")
+        poison = tiny_spec(name="a", seeds=(0,), steps=2).to_dict()
+        poison["base"] = merge_overrides(poison["base"], POISON)
+        path_a = tmp_path / "a.json"
+        path_a.write_text(json.dumps(poison))
+        assert main(["campaign", str(path_a), "-d", root]) == 3
+        entry_a = dict(CampaignManifest.load(root).jobs)
+        capsys.readouterr()
+        rc = main(["campaign", self.write_spec(tmp_path), "-d", root,
+                   "--format", "json"])
+        summary = json.loads(capsys.readouterr().out)
+        (digest,) = [j.digest() for j in tiny_spec(seeds=(0,)).expand()]
+        assert summary["total_jobs"] == 1
+        assert summary["status_counts"] == {
+            "pending": 0, "running": 0, "done": 1, "quarantined": 0,
+        }
+        assert list(summary["jobs"]) == [digest]
+        assert rc == 0
+        jobs = CampaignManifest.load(root).jobs
+        assert {d: jobs[d] for d in entry_a} == entry_a
+        assert len(jobs) == 2
 
     def test_unknown_workload_exits_2(self):
         with pytest.raises(SystemExit) as exc:
