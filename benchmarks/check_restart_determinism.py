@@ -26,7 +26,7 @@ with the ``comm.*`` / ``resilience.*`` counters recording every recovery.
 Usage::
 
     python benchmarks/check_restart_determinism.py [--workload turbine_tiny]
-        [--ranks 2] [--half-steps 1]
+        [--ranks 2] [--half-steps 3]
 """
 
 from __future__ import annotations
@@ -175,8 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", default="turbine_tiny")
     ap.add_argument("--ranks", type=int, default=2)
     ap.add_argument(
-        "--half-steps", type=int, default=1,
-        help="N: checkpoint cadence; runs advance 2N steps total",
+        "--half-steps", type=int, default=3,
+        help="N: checkpoint cadence; runs advance 2N steps total (at 3, "
+        "run A refreshes the pressure hierarchy across steps)",
     )
     args = ap.parse_args(argv)
 

@@ -97,10 +97,12 @@ class EquationGraph:
         self.n = spec.n
         if spec.n != numbering.n:
             raise ValueError("numbering size does not match spec.n")
-        #: Process-unique pattern token.  Every graph build (including a
-        #: rebuild after mesh motion) gets a fresh revision, so cached
-        #: :class:`~repro.assembly.plan.AssemblyPlan`s can detect that
-        #: their sparsity pattern is stale by comparing revisions.
+        #: Process-unique pattern token.  Every graph build gets a fresh
+        #: revision, and ``EquationSystem.update_graph`` builds one only
+        #: when the spec moved or ``drop_graph`` ended the graph's lifetime
+        #: (a start-up step, a checkpoint write, a rewind), so a cached
+        #: :class:`~repro.assembly.plan.AssemblyPlan` or preconditioner
+        #: keyed on the revision lives exactly as long as the graph.
         self.revision = next(_REVISION_COUNTER)
 
         self._build()

@@ -117,8 +117,9 @@ class JobSpec(Config):
         """Content address of the job (the result-cache key).
 
         Hashes the workload, step count, and the resolved configuration
-        minus the durability knobs (checkpoint placement never changes
-        computed results, so it must not fragment the cache).
+        minus the durability knobs (where checkpoints go never changes
+        computed results, so it must not fragment the cache; how often
+        they are written does, and is hashed).
         """
         return stable_digest(
             {
@@ -161,7 +162,8 @@ class CampaignSpec(Config):
     grid: dict = field(default_factory=dict)
     list_entries: tuple[dict, ...] = ()
     #: Per-job durable checkpointing cadence (0 disables); enables
-    #: mid-job resume of interrupted campaigns.
+    #: mid-job resume of interrupted campaigns.  A nonzero cadence joins
+    #: every job's overrides, hence its digest.
     checkpoint_every: int = field(default=0, metadata={"ge": 0})
     checkpoint_keep: int = field(default=2, metadata={"ge": 1})
 
@@ -184,6 +186,11 @@ class CampaignSpec(Config):
             itertools.product(*(self.grid[axis] for axis in axes))
         )
         entries = list(self.list_entries) or [{}]
+        cadence = (
+            {"checkpoint_every": self.checkpoint_every}
+            if self.checkpoint_every
+            else {}
+        )
         jobs: list[JobSpec] = []
         for entry in entries:
             for combo in combos:
@@ -197,7 +204,7 @@ class CampaignSpec(Config):
                             steps=self.steps,
                             seed=seed,
                             overrides=merge_overrides(
-                                self.base, entry, sweep
+                                self.base, entry, sweep, cadence
                             ),
                         )
                     )

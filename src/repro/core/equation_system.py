@@ -101,6 +101,9 @@ class EquationSystem:
         self.config = config
         self.world = comp.world
         self.graph: EquationGraph | None = None
+        #: False once :meth:`drop_graph` ended the graph's lifetime: the
+        #: next :meth:`update_graph` rebuilds even an unmoved pattern.
+        self._graph_live = False
         self.assembler: LocalAssembler | None = None
         self.solve_records: list[SolveRecord] = []
         # Pipeline state, initialized eagerly (lazy getattr/hasattr checks
@@ -142,19 +145,48 @@ class EquationSystem:
         return f"{self.name}/{suffix}"
 
     def update_graph(self) -> None:
-        """Stage 1 (run when mesh motion changes connectivity)."""
-        if self.assembler is not None:
-            self.assembler.release()
+        """Stage 1, once per step: rebuild the graph if the pattern moved.
+
+        The same edges and constraint rows as the current graph's keep the
+        graph, its :attr:`EquationGraph.revision` and its assembler, so the
+        assembly plan replays and the preconditioner is refreshed rather
+        than set up again.  (``n`` and the numbering are the mesh's, fixed
+        at construction.)
+        """
         with self.world.phase_scope(self.phase("graph")):
             spec = GraphSpec(
                 n=self.comp.n,
                 edges=self.comp.edges,
                 constraint_rows=self.constraint_rows(),
             )
+            old = self.graph
+            if (
+                self._graph_live
+                and np.array_equal(spec.edges, old.spec.edges)
+                and np.array_equal(
+                    spec.constraint_rows, old.spec.constraint_rows
+                )
+            ):
+                return
+            if self.assembler is not None:
+                self.assembler.release()
             self.graph = EquationGraph(self.world, self.comp.numbering, spec)
+            self._graph_live = True
             self.assembler = LocalAssembler(
                 self.world, self.graph, mode=self.config.assembly_mode
             )
+
+    def drop_graph(self) -> None:
+        """End the lifetime of the graph, its plan and the preconditioner.
+
+        The next :meth:`update_graph` rebuilds the graph even on an unmoved
+        pattern; its new revision makes the next :meth:`assemble` capture
+        a fresh plan and the next :meth:`solve` set the preconditioner up:
+        what a process restarted here does, holding no derived state.
+        Until then the old objects stay readable and their storage held,
+        as a restart's :class:`HeldStorage` does.
+        """
+        self._graph_live = False
 
     def _to_new(self, vals_app: np.ndarray) -> np.ndarray:
         """Reorder a per-application-id array to new (rank-block) ids."""
@@ -163,8 +195,8 @@ class EquationSystem:
     def _active_plan(self) -> AssemblyPlan | None:
         """The assembly plan for the current graph (reuse enabled only).
 
-        A plan is keyed to one :class:`EquationGraph` revision; mesh
-        motion rebuilds the graph, bumps the revision, and the stale plan
+        A plan is keyed to one :class:`EquationGraph` revision; a moved
+        pattern rebuilds the graph, bumps the revision, and the stale plan
         is replaced by a fresh (uncaptured) one here.
         """
         if not self.config.reuse_assembly_plan or self.graph is None:
@@ -181,7 +213,7 @@ class EquationSystem:
 
     def assemble(self, **kwargs) -> tuple[ParCSRMatrix, ParVector]:
         """Stages 2 + 3: fill values and run the global assembly."""
-        if self.graph is None:
+        if not self._graph_live:
             self.update_graph()
         asmblr = self.assembler
         with self.world.phase_scope(self.phase("local_assembly")):
@@ -259,9 +291,10 @@ class EquationSystem:
         reuse, decided by what the operator is.
 
         * **Set up** when there is none, when the operator's pattern moved
-          (a new :attr:`EquationGraph.revision`), or when one set-up has
-          served ``precond_rebuild_every`` solves (every solve under
-          ``amg_refresh=False``).
+          (a new :attr:`EquationGraph.revision`, which :meth:`update_graph`
+          keeps while the pattern holds), or when one set-up has served
+          ``precond_rebuild_every`` solves, counted across steps (every
+          solve under ``amg_refresh=False``).
         * **Refresh** when only the values moved (a new :meth:`assemble`).
         * **Reuse** when neither did: the momentum components share one
           matrix.

@@ -68,6 +68,14 @@ STATE_FIELDS = (
     "mdot",
 )
 
+#: Steps from the cold start (uniform inflow, zero pressure and mass flux)
+#: whose derived state ends with the step.  Their pressure operators move
+#: too far for a hierarchy set up on one to serve the next: on
+#: ``turbine_tiny`` a hierarchy from step 1 costs +15-30 % pressure
+#: iterations in steps 2-12 at one Picard iteration, and one from step 2
+#: +15 % in step 3 at four; one from step 3 costs nothing in either.
+START_UP_STEPS = 2
+
 
 @dataclass
 class SimulationReport:
@@ -210,8 +218,9 @@ class NaluWindSimulation:
         The per-step rewind snapshot, and — with :meth:`environment` merged
         into the second half — the body of a checkpoint file.  Derived
         state (overset connectivity, equation graphs, plans,
-        preconditioners) is deliberately *not* here: the next step
-        recomputes it deterministically, as the uninterrupted run would.
+        preconditioners) is deliberately *not* here: :meth:`set_state` and
+        :meth:`write_checkpoint` end its lifetime, and the next step
+        recomputes it deterministically, as the uninterrupted run does.
         """
         arrays = {name: getattr(self, name).copy() for name in STATE_FIELDS}
         for i, mesh in enumerate(self.system.blades):
@@ -257,8 +266,7 @@ class NaluWindSimulation:
             rot.angle = float(meta["rotor_angles"][i])
             mesh.update_metrics()
         self.comp.update_connectivity()
-        for eq in self.systems:
-            eq.reset_solver_caches()
+        self.drop_graphs()
         # Steps rewound in this process take their cumulative snapshots
         # and divergence norms with them: entry i belongs to step i.
         rewound = self.step_index - int(meta["step_index"])
@@ -312,8 +320,23 @@ class NaluWindSimulation:
         }
 
     def write_checkpoint(self) -> str:
-        """Durably checkpoint the current state; returns the file path."""
-        return self.transaction.write_checkpoint()
+        """Durably checkpoint the current state; returns the file path.
+
+        The write ends every equation's graph, plan and preconditioner, so
+        the next step rebuilds them as a process restarted from the file
+        does: restart stays bitwise with no derived state in the file.  So
+        ``checkpoint_every`` is part of what a run computes (and of a
+        campaign job's digest).
+        """
+        path = self.transaction.write_checkpoint()
+        self.drop_graphs()
+        return path
+
+    def drop_graphs(self) -> None:
+        """End the lifetime of every equation's graph, plan and
+        preconditioner (:meth:`EquationSystem.drop_graph`)."""
+        for eq in self.systems:
+            eq.drop_graph()
 
     def effective_viscosity(self) -> np.ndarray:
         """Molecular + turbulence-scalar eddy viscosity."""
@@ -445,11 +468,15 @@ class NaluWindSimulation:
         Runs :meth:`_step_body` as one ``StepTransaction``: a
         ``SolverFailure`` that escapes the solver ladder rewinds and
         re-steps there.  False when it rewound to a durable checkpoint
-        instead of completing the step (``step_index`` moved back).
+        instead of completing the step (``step_index`` moved back).  Each
+        of the first :data:`START_UP_STEPS` completed steps ends the
+        lifetime of the derived state it built (:meth:`drop_graphs`).
         """
         if not self.transaction.run(self._step_body):
             return False
         self.step_index += 1
+        if self.step_index <= START_UP_STEPS:
+            self.drop_graphs()
         self.step_snapshots.append(collect_phase_aggregates(self.world))
         # Progress heartbeat for external supervisors (campaign workers
         # beat their job lease on it; see docs/campaign.md).

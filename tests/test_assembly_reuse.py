@@ -62,6 +62,32 @@ def fill_local(w, g, num, edges, cons, value_seed):
     return la.finalize()
 
 
+def scalar_system(nranks=3, **overrides):
+    """A turbine_tiny scalar-transport system and one Stage-2 fill's
+    arguments: ``(world, comp, system, kwargs)``."""
+    from repro.core.physics import ScalarTransportSystem
+
+    cfg = SimulationConfig(nranks=nranks, **overrides)
+    w = SimWorld(cfg.nranks)
+    comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
+    E = comp.edges.shape[0]
+    kwargs = dict(
+        mdot=np.ones(E),
+        scalar=np.full(comp.n, 1e-2),
+        scalar_old=np.full(comp.n, 1e-2),
+    )
+    return w, comp, ScalarTransportSystem(comp, cfg), kwargs
+
+
+def move_pattern(eq):
+    """Move an equation's sparsity pattern for real: one more Dirichlet
+    row, then Stage 1."""
+    free = np.setdiff1d(np.arange(eq.comp.n), eq.constraint_rows())
+    rows = np.union1d(eq.dirichlet_rows(), free[:1])
+    eq.dirichlet_rows = lambda: rows
+    eq.update_graph()
+
+
 def assert_matrices_identical(m_fast: ParCSRMatrix, m_cold: ParCSRMatrix):
     """Exact (bitwise) structural + numeric equality of two ParCSR matrices."""
     assert np.array_equal(m_fast.A.indptr, m_cold.A.indptr)
@@ -192,19 +218,8 @@ class TestGraphRevision:
         assert g2.revision > g.revision
 
     def test_mesh_motion_invalidates_plan(self):
-        """A graph rebuild (mesh motion) forces a plan recapture."""
-        cfg = SimulationConfig(nranks=3)
-        w = SimWorld(cfg.nranks)
-        comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-        from repro.core.physics import ScalarTransportSystem
-
-        scal = ScalarTransportSystem(comp, cfg)
-        E = comp.edges.shape[0]
-        kwargs = dict(
-            mdot=np.ones(E),
-            scalar=np.full(comp.n, 1e-2),
-            scalar_old=np.full(comp.n, 1e-2),
-        )
+        """A moved pattern rebuilds the graph and forces a plan recapture."""
+        w, _comp, scal, kwargs = scalar_system()
         scal.assemble(**kwargs)
         plan1 = scal._plan
         assert plan1 is not None and plan1.matrix_ready
@@ -213,7 +228,7 @@ class TestGraphRevision:
         hits = w.metrics.counter("assembly.plan_hits", equation="scalar")
         assert hits.value == 1
 
-        scal.update_graph()  # mesh motion rebuilds Stage 1
+        move_pattern(scal)  # one more constraint row: Stage 1 rebuilds
         scal.assemble(**kwargs)
         assert scal._plan is not plan1  # stale revision dropped
         assert scal._plan.graph_revision == scal.graph.revision
@@ -222,19 +237,41 @@ class TestGraphRevision:
         )
         assert rebuilds.value == 2
 
-    def test_reuse_disabled_no_plan(self):
-        cfg = SimulationConfig(nranks=2, reuse_assembly_plan=False)
-        w = SimWorld(cfg.nranks)
-        comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-        from repro.core.physics import ScalarTransportSystem
+    def test_unchanged_spec_keeps_graph_plan_and_assembler(self):
+        """Stage 1 on a recomputed but equal connectivity keeps the graph,
+        its revision and assembler, and the plan replays."""
+        w, comp, scal, kwargs = scalar_system()
+        scal.assemble(**kwargs)
+        graph, plan, asm = scal.graph, scal._plan, scal.assembler
+        revision = graph.revision
+        comp.update_connectivity()  # fresh arrays, the same pattern
+        scal.update_graph()
+        assert scal.graph is graph and graph.revision == revision
+        assert scal.assembler is asm and any(asm.held())
+        scal.assemble(**kwargs)
+        assert scal._plan is plan
+        hits = w.metrics.counter("assembly.plan_hits", equation="scalar")
+        assert hits.value == 1
 
-        scal = ScalarTransportSystem(comp, cfg)
-        E = comp.edges.shape[0]
-        scal.assemble(
-            mdot=np.ones(E),
-            scalar=np.full(comp.n, 1e-2),
-            scalar_old=np.full(comp.n, 1e-2),
+    @pytest.mark.parametrize("moved", ["edges", "constraint_rows"])
+    def test_a_moved_spec_gives_a_new_revision(self, moved):
+        _w, comp, scal, _kwargs = scalar_system()
+        scal.update_graph()
+        graph, asm = scal.graph, scal.assembler
+        if moved == "edges":
+            comp.edges = comp.edges[:-1]
+            scal.update_graph()
+        else:
+            move_pattern(scal)
+        assert scal.graph is not graph
+        assert scal.graph.revision > graph.revision
+        assert scal.assembler is not asm and not any(asm.held())
+
+    def test_reuse_disabled_no_plan(self):
+        _w, _comp, scal, kwargs = scalar_system(
+            nranks=2, reuse_assembly_plan=False
         )
+        scal.assemble(**kwargs)
         assert scal._plan is None
 
 
@@ -372,7 +409,7 @@ class TestAMGRefresh:
         A, b = pres.assemble(**kwargs)
         pres.solve(A, b)  # one set-up has served its 3 solves
         assert counts() == (2, 1)
-        pres.update_graph()  # the pattern moved
+        move_pattern(pres)  # the pattern moved
         A, b = pres.assemble(**kwargs)
         pres.solve(A, b)
         assert counts() == (3, 1)
@@ -459,6 +496,7 @@ class TestPreconditionerRule:
         return sim, events, builds
 
     def test_default_one_setup_per_step_then_refreshes(self):
+        """The two start-up steps each set up on their own operator."""
         sim, events, builds = self._run()
         per_step = ["amg_setup"] + 3 * ["amg_refresh"]
         assert events == 2 * per_step
@@ -466,6 +504,20 @@ class TestPreconditionerRule:
         # components; the scalar system solves once per iteration.
         assert builds == {"momentum": 8, "pressure": 2, "scalar": 8}
         assert len(sim.momentum.solve_records) == 24
+        for eq in sim.systems:
+            assert all(r.converged for r in eq.solve_records)
+
+    def test_start_up_steps_set_up_then_one_setup_serves_across_steps(self):
+        """Steps 1 and 2 (``START_UP_STEPS``) each set up on their own
+        operator; turbine_tiny's pattern then holds, so the set-up of step
+        3 serves steps 3 and 4: 8 solves."""
+        sim, events, builds = self._run(steps=4)
+        per_step = ["amg_setup"] + 3 * ["amg_refresh"]
+        assert events == 3 * per_step + 4 * ["amg_refresh"]
+        # One smoother per Picard iteration serves the three momentum
+        # components; the scalar system solves once per iteration.
+        assert builds == {"momentum": 16, "pressure": 3, "scalar": 16}
+        assert len(sim.momentum.solve_records) == 48
         for eq in sim.systems:
             assert all(r.converged for r in eq.solve_records)
 
@@ -490,10 +542,11 @@ class TestPreconditionerRule:
         assert builds["pressure"] == 3
 
     def test_pressure_iterations_stay_near_the_per_solve_cadence(self):
-        """Refreshed hierarchies keep the interpolation of the step's
-        first operator.  That costs iterations while the start-up
+        """Refreshed hierarchies keep the interpolation of the operator
+        they were set up on.  That costs iterations while the start-up
         transient moves the operator between Picard iterations (steps 1
-        and 2: up to +15 %) and nothing once it settles."""
+        and 2: up to +12 %) and nothing once it settles (steps 3 and 4
+        share the set-up of step 3)."""
         per_step = {}
         for bound in (1, 12):
             sim, _events, _builds = self._run(
@@ -506,6 +559,43 @@ class TestPreconditionerRule:
         for refreshed, fresh in zip(per_step[12], per_step[1]):
             assert refreshed <= 1.20 * fresh
         assert per_step[12][-1] <= 1.10 * per_step[1][-1]
+
+    def test_one_setup_serves_across_steps_up_to_its_bound(self):
+        """tiny_r2_motion's shape without checkpoints: 20 one-Picard steps
+        on one pattern, set up at steps 1 and 2 (start-up), 3 and 15, and
+        refreshed for the other 16.  Pressure iterations: 254
+        (OMP_NUM_THREADS=1) against 252 with a set-up per solve."""
+        from repro.core import NaluWindSimulation
+
+        sim = NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
+        )
+        report = sim.run(20)
+        m = sim.world.metrics
+        assert m.counter_total("amg.setups") == 4
+        assert m.counter_total("amg.refresh_count") == 16
+        assert all(r.converged for r in sim.pressure.solve_records)
+        assert sum(report.solve_iterations["pressure"]) <= 290
+
+    def test_a_rewind_rebuilds_the_graph_and_sets_up(self):
+        """set_state ends the lifetime of every graph, plan and
+        preconditioner: the next step rebuilds them as a process
+        restarted from that state does."""
+        from repro.core import NaluWindSimulation
+
+        sim = NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
+        )
+        setups = lambda: sim.world.metrics.counter_total(  # noqa: E731
+            "amg.setups"
+        )
+        sim.run(3)  # past the start-up steps
+        revision = sim.pressure.graph.revision
+        sim.run(1)
+        assert setups() == 3 and sim.pressure.graph.revision == revision
+        sim.set_state(*sim.state())
+        sim.run(1)
+        assert setups() == 4 and sim.pressure.graph.revision > revision
 
 
 class TestKrylovAPI:

@@ -312,6 +312,43 @@ class TestSimulationRestart:
                 counter
             ) == sim_b.world.metrics.counter_total(counter), counter
 
+    def test_restart_inside_a_refreshed_run(self, tmp_path):
+        """One Picard iteration per step on one pattern: the pressure
+        hierarchy is refreshed across steps between checkpoints.  A run
+        to 8 with ``checkpoint_every=3``, restarted from the step-6 file,
+        ends where the uninterrupted run ends: fields, modeled ledger,
+        iteration history and set-up count (steps 1, 2, 3, 4 and 7 on
+        both: two start-up steps, then one after each checkpoint)."""
+        from repro.campaign import field_digest
+
+        base = dict(nranks=2, picard_iterations=1, checkpoint_every=3)
+        sim_a = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(checkpoint_dir=str(tmp_path / "a"), **base),
+        )
+        sim_a.run(8)
+        sim_b = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(
+                checkpoint_dir=str(tmp_path / "b"),
+                restart_from=str(tmp_path / "a" / FILE_PATTERN.format(step=6)),
+                **base,
+            ),
+        )
+        sim_b.run(8)
+
+        def end_state(sim):
+            return (
+                [field_digest(getattr(sim, name)) for name in STATE_FIELDS],
+                sim.world.ops.state_dict(),
+                sim.world.traffic.state_dict(),
+                sim.solve_iterations(),
+                sim.world.metrics.counter_total("amg.setups"),
+            )
+
+        assert end_state(sim_b) == end_state(sim_a)
+        assert sim_a.world.metrics.counter_total("amg.setups") == 5
+
     def test_restart_from_ring_directory_uses_newest(self, tmp_path):
         ring = str(tmp_path / "ring")
         sim_a = NaluWindSimulation(
