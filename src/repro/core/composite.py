@@ -12,6 +12,7 @@ decomposition + rank-block renumbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -65,13 +66,55 @@ class CompositeMesh:
         )
         self.n = int(self.mesh_offsets[-1])
         self._assembler = OversetAssembler(self.meshes)
+        self._static_sets()
         self.update_connectivity()
         self._partition()
+
+    def _static_sets(self) -> None:
+        """Node sets and faces that no motion moves, built once: the
+        background never moves and boundary ids are topology."""
+        walls = [
+            m.boundaries["wall"] + self.mesh_offsets[k]
+            for k, m in enumerate(self.meshes)
+            if "wall" in m.boundaries
+        ]
+        self._wall = _readonly(
+            np.unique(np.concatenate(walls))
+            if walls
+            else np.zeros(0, dtype=np.int64)
+        )
+        #: Background inflow and lateral sides: every far-field side but
+        #: the outflow plane.
+        self.far_field_nodes = _readonly(
+            np.unique(
+                np.concatenate(
+                    [
+                        self.background_boundary(s)
+                        for s in ("xlo", "ylo", "yhi", "zlo", "zhi")
+                    ]
+                )
+            )
+        )
+        # Background boundary faces: the open dual faces through which
+        # inflow/outflow mass and momentum enter or leave the domain (the
+        # edge-based operators only close interior dual surfaces).
+        sides = {"xlo": (0, False), "xhi": (0, True), "ylo": (1, False),
+                 "yhi": (1, True), "zlo": (2, False), "zhi": (2, True)}
+        bnodes = []
+        bvecs = []
+        bg = self.meshes[0]
+        for _name, (axis, hi) in sides.items():
+            ids, vecs = bg.boundary_face_vectors(axis, hi)
+            bnodes.append(ids)  # background offset is 0
+            bvecs.append(vecs)
+        self.boundary_face_nodes = _readonly(np.concatenate(bnodes))
+        self.boundary_face_vectors = _readonly(np.concatenate(bvecs, axis=0))
 
     # -- overset connectivity (recomputed after mesh motion) -------------------
 
     def update_connectivity(self) -> None:
-        """(Re)build overset connectivity and refresh geometry arrays."""
+        """(Re)build overset connectivity, refresh geometry arrays and
+        start a new :class:`PositionStore`."""
         self.connectivity: OversetConnectivity = self._assembler.assemble()
         off = self.mesh_offsets
         self.statuses = np.concatenate(
@@ -112,21 +155,6 @@ class CompositeMesh:
         self.edge_dir = all_dirs[keep]
         self.n_edges = self.edges.shape[0]
 
-        # Background boundary faces: the open dual faces through which
-        # inflow/outflow mass and momentum enter or leave the domain (the
-        # edge-based operators only close interior dual surfaces).
-        sides = {"xlo": (0, False), "xhi": (0, True), "ylo": (1, False),
-                 "yhi": (1, True), "zlo": (2, False), "zhi": (2, True)}
-        bnodes = []
-        bvecs = []
-        bg = self.meshes[0]
-        for _name, (axis, hi) in sides.items():
-            ids, vecs = bg.boundary_face_vectors(axis, hi)
-            bnodes.append(ids)  # background offset is 0
-            bvecs.append(vecs)
-        self.boundary_face_nodes = np.concatenate(bnodes)
-        self.boundary_face_vectors = np.concatenate(bvecs, axis=0)
-
         # Grid velocity (ALE flux): rotating blade meshes move.
         self.grid_velocity = np.zeros((self.n, 3))
         for k, m in enumerate(self.meshes[1:], start=1):
@@ -135,33 +163,9 @@ class CompositeMesh:
                 m.coords
             )
 
-        self._lsq_normal = None  # geometry moved
-
-    def lsq_normal_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normal matrices of the weighted least-squares gradient
-        (:func:`repro.core.operators.least_squares_gradient`) and the mask
-        of the degenerate nodes they are regularized on.
-
-        Geometry only, so they are accumulated on first use after a
-        connectivity update and kept until the next one, not rebuilt on
-        each of the gradient's calls per Picard iteration.  Read-only.
-        """
-        if self._lsq_normal is None:
-            a, b = self.edges[:, 0], self.edges[:, 1]
-            d = self.coords[b] - self.coords[a]
-            w = 1.0 / np.einsum("ed,ed->e", d, d)
-            # Per-edge outer products; both endpoints accumulate identical
-            # terms.
-            M_e = w[:, None, None] * d[:, :, None] * d[:, None, :]
-            M = np.zeros((self.n, 3, 3))
-            np.add.at(M, a, M_e)
-            np.add.at(M, b, M_e)
-            # Regularize isolated/degenerate nodes (e.g. hole nodes with
-            # no edges).
-            degenerate = np.abs(np.linalg.det(M)) < 1e-300
-            M[degenerate] = np.eye(3)
-            self._lsq_normal = (M, degenerate)
-        return self._lsq_normal
+        #: What the operators derive from this position alone; the one
+        #: reset point is here.
+        self.store = PositionStore(self)
 
     # -- decomposition ----------------------------------------------------------
 
@@ -211,24 +215,110 @@ class CompositeMesh:
         return self.boundary(0, name)
 
     def fringe_nodes(self) -> np.ndarray:
-        """Composite ids of all overset receptor rows."""
-        return np.flatnonzero(self.statuses == NodeStatus.FRINGE)
+        """Composite ids of all overset receptor rows (read-only)."""
+        return self.store.fringe
 
     def hole_nodes(self) -> np.ndarray:
-        """Composite ids of all deactivated rows."""
-        return np.flatnonzero(self.statuses == NodeStatus.HOLE)
+        """Composite ids of all deactivated rows (read-only)."""
+        return self.store.hole
 
     def wall_nodes(self) -> np.ndarray:
-        """Composite ids of all near-body wall (no-slip) nodes."""
-        out = []
-        for k, m in enumerate(self.meshes):
-            if "wall" in m.boundaries:
-                out.append(m.boundaries["wall"] + self.mesh_offsets[k])
-        return (
-            np.unique(np.concatenate(out))
-            if out
-            else np.zeros(0, dtype=np.int64)
+        """Composite ids of all near-body wall (no-slip) nodes (read-only;
+        boundary ids are topology, so built once)."""
+        return self._wall
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def endpoint_sum(
+    n: int, edges: np.ndarray, per_edge: np.ndarray
+) -> np.ndarray:
+    """Sum a per-edge quantity onto both endpoints of every edge.
+
+    Bit for bit ``np.add.at(out, a, v); np.add.at(out, b, v)`` on a zero
+    ``out``: ``np.bincount`` also adds each node's terms one at a time in
+    that order, starting from 0.0, at a fraction of the cost.
+    """
+    index = edges.T.ravel()  # every a, then every b
+    flat = per_edge.reshape(per_edge.shape[0], -1)
+    sums = [
+        np.bincount(index, weights=np.tile(flat[:, c], 2), minlength=n)
+        for c in range(flat.shape[1])
+    ]
+    return np.stack(sums, axis=1).reshape((n,) + per_edge.shape[1:])
+
+
+class PositionStore:
+    """What depends only on where the meshes are, for one position.
+
+    :meth:`CompositeMesh.update_connectivity` (which ``set_state`` also
+    calls) replaces the store, and is its only reset point; within one
+    position every entry is computed on first use, then the same read-only
+    object is returned.  Holds the fringe and hole ids, every equation's
+    constraint rows, and the edge geometry the operators read on each call.
+    """
+
+    def __init__(self, comp: CompositeMesh) -> None:
+        self._comp = comp
+        self._constraint_rows: dict[object, np.ndarray] = {}
+
+    @cached_property
+    def fringe(self) -> np.ndarray:
+        return _readonly(
+            np.flatnonzero(self._comp.statuses == NodeStatus.FRINGE)
         )
+
+    @cached_property
+    def hole(self) -> np.ndarray:
+        return _readonly(
+            np.flatnonzero(self._comp.statuses == NodeStatus.HOLE)
+        )
+
+    def constraint_rows(self, eq) -> np.ndarray:
+        """Dirichlet + overset fringe + hole rows of equation ``eq``."""
+        rows = self._constraint_rows.get(eq)
+        if rows is None:
+            rows = self._constraint_rows[eq] = _readonly(
+                np.unique(
+                    np.concatenate([eq.dirichlet, self.fringe, self.hole])
+                )
+            )
+        return rows
+
+    @cached_property
+    def lsq_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares edge vectors ``d_e = x_b - x_a`` and weights
+        ``w_e = 1/|d_e|^2``."""
+        comp = self._comp
+        a, b = comp.edges[:, 0], comp.edges[:, 1]
+        d = comp.coords[b] - comp.coords[a]
+        return _readonly(d), _readonly(1.0 / np.einsum("ed,ed->e", d, d))
+
+    @cached_property
+    def lsq_normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normal matrices of the weighted least-squares gradient
+        (:func:`repro.core.operators.least_squares_gradient`) and the mask
+        of the degenerate nodes they are regularized on."""
+        comp = self._comp
+        d, w = self.lsq_edges
+        # Per-edge outer products; both endpoints accumulate identical
+        # terms.
+        M_e = w[:, None, None] * d[:, :, None] * d[:, None, :]
+        M = endpoint_sum(comp.n, comp.edges, M_e)
+        # Regularize isolated/degenerate nodes (e.g. hole nodes with
+        # no edges).
+        degenerate = np.abs(np.linalg.det(M)) < 1e-300
+        M[degenerate] = np.eye(3)
+        return _readonly(M), _readonly(degenerate)
+
+    @cached_property
+    def face_vectors(self) -> np.ndarray:
+        """Dual-face area vectors ``S_e = A_e n_e`` per edge."""
+        comp = self._comp
+        return _readonly(comp.edge_area[:, None] * comp.edge_dir)
 
 
 def partition_nodes(

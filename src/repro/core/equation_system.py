@@ -119,6 +119,10 @@ class EquationSystem:
         self._precond_pattern: int | None = None
         self._precond_values = 0
         self._served = 0
+        #: Rows with strong boundary conditions: boundary sets do not move,
+        #: so :meth:`dirichlet_rows` is read once, here.
+        self.dirichlet = self.dirichlet_rows()
+        self.dirichlet.flags.writeable = False
 
     # -- constraint sets (application ids), subclass-specific -------------------
 
@@ -127,16 +131,12 @@ class EquationSystem:
         return np.zeros(0, dtype=np.int64)
 
     def constraint_rows(self) -> np.ndarray:
-        """All constraint rows: Dirichlet + overset fringe + holes."""
-        return np.unique(
-            np.concatenate(
-                [
-                    self.dirichlet_rows(),
-                    self.comp.fringe_nodes(),
-                    self.comp.hole_nodes(),
-                ]
-            )
-        )
+        """All constraint rows: Dirichlet + overset fringe + holes.
+
+        Computed once per mesh position (the
+        :class:`~repro.core.composite.PositionStore` keeps them); read-only.
+        """
+        return self.comp.store.constraint_rows(self)
 
     # -- pipeline ------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.composite import CompositeMesh
+from repro.core.composite import CompositeMesh, endpoint_sum
 
 
 def edge_average(comp: CompositeMesh, field: np.ndarray) -> np.ndarray:
@@ -56,8 +56,7 @@ def mass_flux(
     """
     rel = velocity - comp.grid_velocity
     u_e = edge_average(comp, rel)
-    S = comp.edge_area[:, None] * comp.edge_dir
-    mdot = density * np.einsum("ed,ed->e", u_e, S)
+    mdot = density * np.einsum("ed,ed->e", u_e, comp.store.face_vectors)
     if pressure is not None and np.any(np.asarray(tau) > 0.0):
         a, b = comp.edges[:, 0], comp.edges[:, 1]
         gp = least_squares_gradient(comp, pressure)
@@ -104,8 +103,7 @@ def green_gauss_gradient(comp: CompositeMesh, field: np.ndarray) -> np.ndarray:
     """Green-Gauss nodal gradient from edge-midpoint values."""
     a, b = comp.edges[:, 0], comp.edges[:, 1]
     fbar = 0.5 * (field[a] + field[b])
-    S = comp.edge_area[:, None] * comp.edge_dir
-    flux = fbar[:, None] * S
+    flux = fbar[:, None] * comp.store.face_vectors
     out = np.zeros((comp.n, 3))
     np.add.at(out, a, flux)
     np.add.at(out, b, -flux)
@@ -140,21 +138,17 @@ def least_squares_gradient(
     ``w_e = 1/|d_e|^2``.  Exact for linear fields on arbitrary meshes —
     unlike Green-Gauss, it does not overshoot on the skewed, stretched
     near-wall cells of the blade O-grids, which is what keeps the
-    projection's velocity correction stable there.  The normal matrices
-    depend on the geometry only and come from
-    :meth:`CompositeMesh.lsq_normal_matrices`, built once per connectivity
-    update.
+    projection's velocity correction stable there.  The edge vectors,
+    weights and normal matrices depend on the position only and come from
+    the mesh's :class:`~repro.core.composite.PositionStore`.
     """
+    store = comp.store
     a, b = comp.edges[:, 0], comp.edges[:, 1]
-    d = comp.coords[b] - comp.coords[a]
-    w = 1.0 / np.einsum("ed,ed->e", d, d)
+    d, w = store.lsq_edges
     df = field[b] - field[a]
     # Both endpoints accumulate identical terms.
-    r_e = (w * df)[:, None] * d
-    r = np.zeros((comp.n, 3))
-    np.add.at(r, a, r_e)
-    np.add.at(r, b, r_e)
-    M, degenerate = comp.lsq_normal_matrices()
+    r = endpoint_sum(comp.n, comp.edges, (w * df)[:, None] * d)
+    M, degenerate = store.lsq_normal
     r[degenerate] = 0.0
     return np.linalg.solve(M, r[:, :, None])[..., 0]
 

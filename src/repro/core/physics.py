@@ -40,12 +40,7 @@ class MomentumSystem(EquationSystem):
     name = "momentum"
 
     def dirichlet_rows(self) -> np.ndarray:
-        comp = self.comp
-        sides = [
-            comp.background_boundary(s)
-            for s in ("xlo", "ylo", "yhi", "zlo", "zhi")
-        ]
-        return np.unique(np.concatenate(sides + [comp.wall_nodes()]))
+        return np.union1d(self.comp.far_field_nodes, self.comp.wall_nodes())
 
     def solver_config(self):
         return self.config.momentum_solver
@@ -101,12 +96,7 @@ class MomentumSystem(EquationSystem):
         comp = self.comp
         cfg = self.config
         out = velocity.copy()
-        far = [
-            comp.background_boundary(s)
-            for s in ("xlo", "ylo", "yhi", "zlo", "zhi")
-        ]
-        far_rows = np.unique(np.concatenate(far))
-        out[far_rows] = np.asarray(cfg.inflow_velocity)
+        out[comp.far_field_nodes] = np.asarray(cfg.inflow_velocity)
         wall = comp.wall_nodes()
         out[wall] = comp.grid_velocity[wall]
         for ds in comp.donor_sets:
@@ -172,8 +162,7 @@ class MomentumSystem(EquationSystem):
         asmblr.add_node_rhs(self._to_new(node_rhs))
 
         pbar = edge_average(comp, pressure)
-        S_c = comp.edge_area * comp.edge_dir[:, component]
-        flux = pbar * S_c
+        flux = pbar * comp.store.face_vectors[:, component]
         asmblr.add_edge_rhs(np.stack([-flux, flux], axis=1))
 
         bc = self.boundary_velocity(velocity)[:, component]
@@ -256,12 +245,7 @@ class ScalarTransportSystem(EquationSystem):
     wall_value = 0.0
 
     def dirichlet_rows(self) -> np.ndarray:
-        comp = self.comp
-        sides = [
-            comp.background_boundary(s)
-            for s in ("xlo", "ylo", "yhi", "zlo", "zhi")
-        ]
-        return np.unique(np.concatenate(sides + [comp.wall_nodes()]))
+        return np.union1d(self.comp.far_field_nodes, self.comp.wall_nodes())
 
     def solver_config(self):
         return self.config.scalar_solver
@@ -278,11 +262,7 @@ class ScalarTransportSystem(EquationSystem):
         """Scalar field with constraint rows set to their values."""
         comp = self.comp
         out = scalar.copy()
-        far = [
-            comp.background_boundary(s)
-            for s in ("xlo", "ylo", "yhi", "zlo", "zhi")
-        ]
-        out[np.unique(np.concatenate(far))] = self.inflow_value
+        out[comp.far_field_nodes] = self.inflow_value
         out[comp.wall_nodes()] = self.wall_value
         for ds in comp.donor_sets:
             out[ds.receptors] = ds.interpolate(scalar)

@@ -13,6 +13,7 @@ on any machine model, exactly the statistic Figs. 3/8/9/11 plot.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -132,8 +133,10 @@ class NaluWindSimulation:
             self.workload_name = workload
             self.system = make_workload(workload)
         else:
+            # The run moves its blades: a mesh object it is handed stays as
+            # it was, so one object can start any number of runs.
             self.workload_name = workload.name
-            self.system = workload
+            self.system = copy.deepcopy(workload)
         self.world = SimWorld(self.config.nranks, seed=self.config.world_seed)
         # Per-rank timeline profiling: the profiler must attach before
         # CompositeMesh construction so partitioning/graph phases land on

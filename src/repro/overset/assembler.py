@@ -12,10 +12,16 @@ near-body meshes:
    receptors from the blade meshes; blade ``outer``-boundary nodes become
    receptors from the background.
 3. **Donor search** — per receptor, candidate donor cells from a kd-tree on
-   donor cell centroids, filtered by the cells' bounding boxes; one batched
-   Newton inversion over every surviving (receptor, candidate) pair decides
+   donor cell centroids, filtered by the cells' bounding boxes; one Newton
+   inversion over every surviving (receptor, candidate) pair decides
    trilinear containment, with inverse-distance fallback for receptors that
-   land between donor cells.
+   land between donor cells.  The search is batched across requests: one
+   search per step serves every hole-cut patch and every blade rim, and an
+   orphan-repair round re-searches only the background fringe receptors
+   outside their blade's patch.  A receptor's result depends on that
+   receptor alone, so reuse and batching leave every donor set bitwise
+   what one search per receptor would give.  The background never moves:
+   its search index is built once per assembler.
 
 The result feeds the linear systems as constraint rows (paper §3.1:
 "Boundary-condition nodes, including periodic, Dirichlet, and overset DoFs
@@ -90,12 +96,17 @@ class OversetConnectivity:
         return [d for d in self.donor_sets if d.receptor_mesh == mesh_index]
 
 
+#: One donor search: ``(receptor_mesh, donor_mesh, receptor_ids)``.
+SearchRequest = tuple[int, int, np.ndarray]
+
+
 class _DonorIndex:
     """Search structures over one mesh, valid while its nodes stay put.
 
-    ``assemble()`` makes one per mesh and drops them when it returns; each
-    structure is built on first use (the background never needs its node
-    tree, a mesh nobody receives from never needs its cell tree).
+    The assembler keeps the background's for its whole life (the
+    background never moves) and makes one per blade in each ``assemble()``;
+    each structure is built on first use (the background never needs its
+    node tree, a mesh nobody receives from never needs its cell tree).
     """
 
     def __init__(self, mesh: HexMesh) -> None:
@@ -129,12 +140,22 @@ class _DonorIndex:
         tree, lo, hi = self._cell_search
         _, cand = tree.query(pts, k=k)
         cand = cand.reshape(pts.shape[0], k)
-        p = pts[:, None, :]
-        return cand, np.all((p >= lo[cand]) & (p <= hi[cand]), axis=2)
+        # One axis at a time: (m, k) gathers, not (m, k, 3).
+        in_box = np.ones(cand.shape, dtype=bool)
+        for axis in range(3):
+            p = pts[:, axis, None]
+            in_box &= lo[cand, axis] <= p
+            in_box &= p <= hi[cand, axis]
+        return cand, in_box
 
 
 class OversetAssembler:
-    """Builds overset connectivity for background + near-body meshes."""
+    """Builds overset connectivity for background + near-body meshes.
+
+    The background must not move (rotor motion moves the blades only):
+    its search index, its node spacing and the blade rims are built once
+    per assembler.
+    """
 
     def __init__(
         self,
@@ -158,19 +179,8 @@ class OversetAssembler:
         self.hole_distance = hole_distance
         self.candidate_k = candidate_k
         self.nearbody_fringe_sides = nearbody_fringe_sides
-
-    # -- public API -------------------------------------------------------------
-
-    def assemble(self) -> OversetConnectivity:
-        """Run hole cutting, classification, donor search, orphan repair."""
-        nb = self.background_index
-        bg = self.meshes[nb]
-        index = [_DonorIndex(m) for m in self.meshes]
-        statuses = [
-            np.full(m.n_nodes, NodeStatus.FIELD, dtype=np.int8)
-            for m in self.meshes
-        ]
-
+        bg = meshes[background_index]
+        self._background_index = _DonorIndex(bg)
         # Local background spacing (mean incident edge length per node):
         # hole cutting must leave the resulting fringe ring inside the
         # near-body hull or its receptors cannot find containing donors.
@@ -180,6 +190,40 @@ class OversetAssembler:
             np.add.at(spacing, bg.edges[:, col], bg.edge_length)
             np.add.at(cnt, bg.edges[:, col], 1.0)
         spacing /= np.maximum(cnt, 1.0)
+        self._spacing = spacing
+        # Fringe on each near-body mesh: every open side that hangs in the
+        # background flow (the O-grid rim plus the span ends), except the
+        # physical wall, which keeps its no-slip Dirichlet condition.
+        self._rims: list[tuple[int, np.ndarray]] = []
+        for k, mesh in enumerate(meshes):
+            sides = [
+                mesh.boundaries[s]
+                for s in nearbody_fringe_sides
+                if s in mesh.boundaries
+            ]
+            if k == background_index or not sides:
+                continue
+            rim = np.unique(np.concatenate(sides))
+            wall = mesh.boundaries.get("wall")
+            if wall is not None and wall.size:
+                rim = np.setdiff1d(rim, wall, assume_unique=False)
+            if rim.size:
+                self._rims.append((k, rim))
+
+    # -- public API -------------------------------------------------------------
+
+    def assemble(self) -> OversetConnectivity:
+        """Run hole cutting, classification, donor search, orphan repair."""
+        nb = self.background_index
+        bg = self.meshes[nb]
+        index = [
+            self._background_index if k == nb else _DonorIndex(m)
+            for k, m in enumerate(self.meshes)
+        ]
+        statuses = [
+            np.full(m.n_nodes, NodeStatus.FIELD, dtype=np.int8)
+            for m in self.meshes
+        ]
 
         # 1. Hole cutting on the background, donor-aware: a node is cut only
         # if it is close to a near-body wall AND it and all its graph
@@ -188,8 +232,7 @@ class OversetAssembler:
         # this is what keeps blade-tip regions, where the O-grid ends, from
         # producing orphans).
         g = bg.node_graph()
-        hole_mask = np.zeros(bg.n_nodes, dtype=bool)
-        cand_mask = np.zeros(bg.n_nodes, dtype=bool)
+        cuts = []  # (blade, candidate mask, patch, wall distance, cut)
         for k, mesh in enumerate(self.meshes):
             if k == nb:
                 continue
@@ -200,7 +243,7 @@ class OversetAssembler:
             cut = (
                 np.full(bg.n_nodes, float(self.hole_distance))
                 if self.hole_distance is not None
-                else np.maximum(hull - 1.2 * spacing, 0.35 * hull)
+                else np.maximum(hull - 1.2 * self._spacing, 0.35 * hull)
             )
             # Wall distance matters only below the cut distance: the tree
             # prunes beyond the largest one and reports inf there.
@@ -211,12 +254,26 @@ class OversetAssembler:
             if not np.any(cand):
                 continue
             # Expand by one ring; require donor coverage for the whole
-            # patch.  A patch node is "good" if a containing donor cell
-            # exists, or if it sits so close to the wall that it must be
-            # inside the body itself (a classical in-body hole).
+            # patch.
             reach = (g @ cand.astype(np.float64)) > 0
-            patch = np.flatnonzero(cand | reach)
-            _ds, found = self._search_donors(index, nb, k, patch)
+            cuts.append((k, cand, np.flatnonzero(cand | reach), d, cut))
+
+        # One search serves every patch (from its blade) and every blade rim
+        # (from the background): the rims do not depend on the cut.
+        searched = self._search_donors(
+            index,
+            [(nb, k, patch) for k, _c, patch, _d, _cut in cuts]
+            + [(k, nb, rim) for k, rim in self._rims],
+        )
+        rim_sets = [ds for ds, _found in searched[len(cuts) :]]
+
+        # A patch node is "good" if a containing donor cell exists, or if
+        # it sits so close to the wall that it must be inside the body
+        # itself (a classical in-body hole).
+        patches = {}  # blade -> (patch, donor set, found), for step 3
+        hole_mask = np.zeros(bg.n_nodes, dtype=bool)
+        for (k, cand, patch, d, cut), (ds, found) in zip(cuts, searched):
+            patches[k] = (patch, ds, found)
             good = np.zeros(bg.n_nodes, dtype=bool)
             good[patch[found]] = True
             inbody = np.zeros(bg.n_nodes, dtype=bool)
@@ -228,31 +285,14 @@ class OversetAssembler:
             bad[patch] = ~good[patch]
             has_bad_nbr = (g @ bad.astype(np.float64)) > 0
             hole_mask |= cand & good & ~has_bad_nbr
-            cand_mask |= cand
         statuses[nb][hole_mask] = NodeStatus.HOLE
 
-        # 2. Fringe on the background: field neighbors of holes.
+        # 2. Fringe on the background: field neighbors of holes.  Fringe
+        # on each near-body mesh: its rim.
         nbr_holes = g @ hole_mask.astype(np.float64)
         fringe_bg = (nbr_holes > 0) & ~hole_mask
         statuses[nb][fringe_bg] = NodeStatus.FRINGE
-
-        # Fringe on each near-body mesh: every open side that hangs in the
-        # background flow (the O-grid rim plus the span ends), except the
-        # physical wall, which keeps its no-slip Dirichlet condition.
-        for k, mesh in enumerate(self.meshes):
-            if k == nb:
-                continue
-            sides = [
-                mesh.boundaries[s]
-                for s in self.nearbody_fringe_sides
-                if s in mesh.boundaries
-            ]
-            if not sides:
-                continue
-            rim = np.unique(np.concatenate(sides))
-            wall = mesh.boundaries.get("wall")
-            if wall is not None and wall.size:
-                rim = np.setdiff1d(rim, wall, assume_unique=False)
+        for k, rim in self._rims:
             statuses[k][rim] = NodeStatus.FRINGE
 
         # 3. Donor search with orphan repair: a background receptor whose
@@ -272,11 +312,11 @@ class OversetAssembler:
                 assigned = self._nearest_mesh(
                     index, bg.coords[bg_fringe], exclude=nb
                 )
-                for k in np.unique(assigned):
-                    sel = bg_fringe[assigned == k]
-                    ds, found = self._search_donors(index, nb, int(k), sel)
+                for ds, found in self._fringe_search(
+                    index, bg_fringe, assigned, patches
+                ):
                     donor_sets.append(ds)
-                    orphan_ids.append(sel[~found])
+                    orphan_ids.append(ds.receptors[~found])
             orphans = (
                 np.concatenate(orphan_ids)
                 if orphan_ids
@@ -300,18 +340,60 @@ class OversetAssembler:
             for ds in donor_sets
         ]
         donor_sets = [ds for ds in donor_sets if ds.receptors.size]
+        # Near-body rims receive from the background (the domain hull always
+        # contains them; orphans are not expected but the IDW fallback keeps
+        # them well defined).
+        return OversetConnectivity(
+            statuses=statuses, donor_sets=donor_sets + rim_sets
+        )
 
-        # Near-body outer fringe receives from the background (the domain
-        # hull always contains the near-body rims; orphans are not expected
-        # but the IDW fallback keeps them well defined).
-        for k, mesh in enumerate(self.meshes):
-            if k == nb:
-                continue
-            recs = np.flatnonzero(statuses[k] == NodeStatus.FRINGE)
-            if recs.size:
-                ds, _found = self._search_donors(index, int(k), nb, recs)
-                donor_sets.append(ds)
-        return OversetConnectivity(statuses=statuses, donor_sets=donor_sets)
+    def _fringe_search(
+        self,
+        index: list[_DonorIndex],
+        bg_fringe: np.ndarray,
+        assigned: np.ndarray,
+        patches: dict[int, tuple[np.ndarray, DonorSet, np.ndarray]],
+    ) -> list[tuple[DonorSet, np.ndarray]]:
+        """Donors of the background fringe, one set per assigned blade.
+
+        A receptor in the hole-cut patch of its blade takes the patch
+        search's row (a search is per receptor, so that row is what a fresh
+        search finds); only the rest are searched, in one batch.
+        """
+        nb = self.background_index
+        parts = []  # (blade, receptors, rows in the patch result or -1)
+        requests: list[SearchRequest] = []
+        for k in np.unique(assigned):
+            k = int(k)
+            sel = bg_fringe[assigned == k]
+            row = np.full(sel.size, -1)
+            if k in patches:
+                patch = patches[k][0]
+                pos = np.minimum(np.searchsorted(patch, sel), patch.size - 1)
+                hit = patch[pos] == sel
+                row[hit] = pos[hit]
+            parts.append((k, sel, row))
+            if np.any(row < 0):
+                requests.append((nb, k, sel[row < 0]))
+        fresh = iter(self._search_donors(index, requests))
+        out = []
+        for k, sel, row in parts:
+            donors = np.empty((sel.size, 8), dtype=np.int64)
+            weights = np.zeros((sel.size, 8))
+            found = np.zeros(sel.size, dtype=bool)
+            reused = row >= 0
+            if reused.any():
+                _patch, ds, pfound = patches[k]
+                donors[reused] = ds.donors[row[reused]]
+                weights[reused] = ds.weights[row[reused]]
+                found[reused] = pfound[row[reused]]
+            if not reused.all():
+                ds, sfound = next(fresh)
+                donors[~reused] = ds.donors
+                weights[~reused] = ds.weights
+                found[~reused] = sfound
+            out.append((DonorSet(nb, k, sel, donors, weights), found))
+        return out
 
     @staticmethod
     def _nearest_mesh(
@@ -352,62 +434,90 @@ class OversetAssembler:
         return float(np.median(d))
 
     def _search_donors(
-        self,
-        index: list[_DonorIndex],
-        receptor_mesh: int,
-        donor_mesh: int,
-        receptors: np.ndarray,
-    ) -> tuple[DonorSet, np.ndarray]:
-        """Donor cells + weights for a batch of receptor nodes.
+        self, index: list[_DonorIndex], requests: list[SearchRequest]
+    ) -> list[tuple[DonorSet, np.ndarray]]:
+        """Donor cells + weights for a batch of receptor sets.
 
         Each receptor takes the nearest-centroid-ranked candidate cell that
-        contains it.  Only candidates whose padded bounding box holds the
-        point can, so those (receptor, candidate) pairs alone are inverted,
-        all in one batch; ``invert_map`` is per-pair deterministic, so the
-        batch finds what a walk down each receptor's list would.
+        contains it.  Each donor mesh's kd-tree is queried once for all of
+        its requests; only candidates whose padded bounding box holds the
+        point can contain it, so those (receptor, candidate) pairs of every
+        request alone are inverted, in one Newton batch.  The query is per
+        point and ``invert_map`` per pair, so every receptor gets what a
+        search of it alone, walking down its list, would find — however the
+        requests are split, ordered or joined.
 
         Returns:
-            ``(donor_set, found)``: ``found`` flags receptors whose
-            containing donor cell was located (the rest use the
-            inverse-distance fallback and may be treated as orphans).
+            one ``(donor_set, found)`` per request, in order: ``found``
+            flags receptors whose containing donor cell was located (the
+            rest use the inverse-distance fallback and may be treated as
+            orphans).
         """
-        dmesh = self.meshes[donor_mesh]
-        pts = self.meshes[receptor_mesh].coords[receptors]
-        cells = dmesh.cells
-        m = pts.shape[0]
-        cand, in_box = index[donor_mesh].candidates(
-            pts, min(self.candidate_k, cells.shape[0])
-        )
-        rec, rank = np.nonzero(in_box)  # receptor-major, rank ascending
-        corner_ids = cells[cand[rec, rank]]  # (pairs, 8)
-        xi, ok = invert_map(dmesh.coords[corner_ids], pts[rec])
+        if not requests:
+            return []
+        pts = [self.meshes[r].coords[ids] for r, _d, ids in requests]
+        cand: list[np.ndarray] = [np.empty(0)] * len(requests)
+        in_box = list(cand)
+        for d in dict.fromkeys(d for _r, d, _ids in requests):
+            mine = [i for i, req in enumerate(requests) if req[1] == d]
+            c, b = index[d].candidates(
+                np.concatenate([pts[i] for i in mine]),
+                min(self.candidate_k, self.meshes[d].cells.shape[0]),
+            )
+            start = 0
+            for i in mine:
+                stop = start + pts[i].shape[0]
+                cand[i], in_box[i] = c[start:stop], b[start:stop]
+                start = stop
+
+        # Every in-box pair of every request: request-major, then
+        # receptor-major with the rank ascending.
+        offsets = np.cumsum([0] + [p.shape[0] for p in pts])
+        recs, corner_ids, corners = [], [], []
+        for i, (_r, d, _ids) in enumerate(requests):
+            rec, rank = np.nonzero(in_box[i])
+            ids = self.meshes[d].cells[cand[i][rec, rank]]  # (pairs, 8)
+            recs.append(rec + offsets[i])
+            corner_ids.append(ids)
+            corners.append(self.meshes[d].coords[ids])
+        rec = np.concatenate(recs)
+        corner_ids = np.concatenate(corner_ids)
+        xi, ok = invert_map(np.concatenate(corners), np.concatenate(pts)[rec])
         inside = np.flatnonzero(ok & contains(xi, tol=1e-6))
         hit, first = np.unique(rec[inside], return_index=True)
         best = inside[first]  # lowest-ranked containing candidate per hit
 
-        donors = np.empty((m, 8), dtype=np.int64)
-        weights = np.zeros((m, 8))
-        found = np.zeros(m, dtype=bool)
-        donors[hit] = corner_ids[best]
-        weights[hit] = shape_functions(xi[best])
-        found[hit] = True
-        # Fallback: inverse-distance weights on the nearest candidate cell
-        # (receptors slightly outside the donor hull, e.g. at domain rims).
-        miss = np.flatnonzero(~found)
-        if miss.size:
-            cell_ids = cand[miss, 0]
-            corner_ids = cells[cell_ids]
-            corners = dmesh.coords[corner_ids]
-            d = np.linalg.norm(corners - pts[miss][:, None, :], axis=2)
-            w = 1.0 / np.maximum(d, 1e-30)
-            w /= w.sum(axis=1, keepdims=True)
-            donors[miss] = corner_ids
-            weights[miss] = w
-        ds = DonorSet(
-            receptor_mesh=receptor_mesh,
-            donor_mesh=donor_mesh,
-            receptors=receptors,
-            donors=donors,
-            weights=weights,
-        )
-        return ds, found
+        out = []
+        for i, (receptor_mesh, donor_mesh, receptors) in enumerate(requests):
+            lo, hi = np.searchsorted(hit, offsets[i : i + 2])
+            mine, pick = hit[lo:hi] - offsets[i], best[lo:hi]
+            m = receptors.shape[0]
+            donors = np.empty((m, 8), dtype=np.int64)
+            weights = np.zeros((m, 8))
+            found = np.zeros(m, dtype=bool)
+            donors[mine] = corner_ids[pick]
+            weights[mine] = shape_functions(xi[pick])
+            found[mine] = True
+            # Fallback: inverse-distance weights on the nearest candidate
+            # cell (receptors slightly outside the donor hull, e.g. at
+            # domain rims).
+            miss = np.flatnonzero(~found)
+            if miss.size:
+                dmesh = self.meshes[donor_mesh]
+                ids = dmesh.cells[cand[i][miss, 0]]
+                dist = np.linalg.norm(
+                    dmesh.coords[ids] - pts[i][miss][:, None, :], axis=2
+                )
+                w = 1.0 / np.maximum(dist, 1e-30)
+                w /= w.sum(axis=1, keepdims=True)
+                donors[miss] = ids
+                weights[miss] = w
+            ds = DonorSet(
+                receptor_mesh=receptor_mesh,
+                donor_mesh=donor_mesh,
+                receptors=receptors,
+                donors=donors,
+                weights=weights,
+            )
+            out.append((ds, found))
+        return out

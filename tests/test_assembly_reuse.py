@@ -81,10 +81,11 @@ def scalar_system(nranks=3, **overrides):
 
 def move_pattern(eq):
     """Move an equation's sparsity pattern for real: one more Dirichlet
-    row, then Stage 1."""
+    row, a connectivity update (the position store's one reset point, so
+    the constraint rows are computed again), then Stage 1."""
     free = np.setdiff1d(np.arange(eq.comp.n), eq.constraint_rows())
-    rows = np.union1d(eq.dirichlet_rows(), free[:1])
-    eq.dirichlet_rows = lambda: rows
+    eq.dirichlet = np.union1d(eq.dirichlet, free[:1])
+    eq.comp.update_connectivity()
     eq.update_graph()
 
 

@@ -1,5 +1,7 @@
 """Tests for overset assembly: trilinear maps, holes, fringes, donors."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,16 +112,26 @@ def _reference_search_donors(asm, _index, receptor_mesh, donor_mesh, receptors):
     return ds, found
 
 
+def _reference_search(asm, index, requests):
+    """The batched seam's signature over the reference, applied request by
+    request."""
+    return [_reference_search_donors(asm, index, *req) for req in requests]
+
+
 def _traced_assemble(asm, search=None):
-    """``asm.assemble()`` plus the arguments and ``found`` flags of every
-    donor search it made; ``search`` replaces the assembler's own."""
+    """``asm.assemble()`` plus ``(receptor_mesh, donor_mesh, receptors,
+    found)`` of every request of every batched donor search it made;
+    ``search`` replaces the assembler's own batched search."""
     search = search or OversetAssembler._search_donors
     calls = []
 
-    def spy(index, receptor_mesh, donor_mesh, receptors):
-        ds, found = search(asm, index, receptor_mesh, donor_mesh, receptors)
-        calls.append((receptor_mesh, donor_mesh, receptors, found))
-        return ds, found
+    def spy(index, requests):
+        results = search(asm, index, requests)
+        for (r, d, receptors), (_ds, found) in zip(
+            requests, results, strict=True
+        ):
+            calls.append((r, d, receptors, found))
+        return results
 
     asm._search_donors = spy
     try:
@@ -349,7 +361,7 @@ def test_batched_search_matches_sequential_reference(name):
     asm = OversetAssembler(s.meshes)
     for _angle in range(3):
         conn, calls = _traced_assemble(asm)
-        ref, ref_calls = _traced_assemble(asm, _reference_search_donors)
+        ref, ref_calls = _traced_assemble(asm, _reference_search)
         for got, want in zip(conn.statuses, ref.statuses, strict=True):
             assert np.array_equal(got, want)
         for got, want in zip(calls, ref_calls, strict=True):
@@ -391,14 +403,14 @@ def test_padded_box_rejects_no_containing_cell(name):
 
 
 def _found_flags(ds, calls):
-    """``found`` per receptor of a final donor set, from the last search
-    that served its (receptor mesh, donor mesh)."""
-    receptors, found = next(
-        (c[2], c[3])
-        for c in reversed(calls)
-        if c[:2] == (ds.receptor_mesh, ds.donor_mesh)
-    )
-    return found[np.isin(receptors, ds.receptors)]
+    """``found`` per receptor of a final donor set, from the last search of
+    that receptor for its (receptor mesh, donor mesh): a fringe receptor
+    its blade's hole-cut patch served keeps the patch search's flag."""
+    flag = {}
+    for receptor_mesh, donor_mesh, receptors, found in calls:
+        if (receptor_mesh, donor_mesh) == (ds.receptor_mesh, ds.donor_mesh):
+            flag.update(zip(receptors.tolist(), found.tolist()))
+    return np.array([flag[i] for i in ds.receptors.tolist()], dtype=bool)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in list_workloads()])
@@ -443,8 +455,9 @@ def test_connectivity_invariants_under_motion(name):
             )
         before = conn
 
-    # The donor index lives for one assemble(): an assembler that has
-    # already searched two other rotor positions gives what a new one does.
+    # A blade's donor index lives for one assemble() and the background's
+    # for the assembler: one that has already searched two other rotor
+    # positions gives what a new one does.
     fresh = OversetAssembler(s.meshes).assemble()
     for got, want in zip(conn.statuses, fresh.statuses, strict=True):
         assert np.array_equal(got, want)
@@ -452,3 +465,94 @@ def test_connectivity_invariants_under_motion(name):
         assert np.array_equal(got.receptors, want.receptors)
         assert np.array_equal(got.donors, want.donors)
         assert np.array_equal(got.weights, want.weights)
+
+
+@functools.lru_cache(maxsize=1)
+def _search_pool():
+    """``turbine_tiny`` at a turned rotor: its assembler, a search index,
+    background nodes around blade 1 (some inside a blade cell, some not)
+    and blade 2's rim, each searched one receptor at a time."""
+    s = make_workload("turbine_tiny")
+    s.advance_rotor(0.21)
+    asm = OversetAssembler(s.meshes)
+    index = [asm._background_index] + [_DonorIndex(m) for m in s.meshes[1:]]
+    lo, hi = s.meshes[1].bounding_box()
+    lo, hi = lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo)
+    c = s.meshes[0].coords
+    pool = np.flatnonzero(np.all((c >= lo) & (c <= hi), axis=1))
+    rim = dict(asm._rims)[2]
+    one = {
+        (0, 1, i): asm._search_donors(index, [(0, 1, np.array([i]))])[0]
+        for i in pool
+    }
+    one.update(
+        {
+            (2, 0, i): asm._search_donors(index, [(2, 0, np.array([i]))])[0]
+            for i in rim
+        }
+    )
+    return asm, index, pool, rim, one
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_search_is_per_receptor(data):
+    """Split, permute and join requests against one donor mesh (and,
+    drawn, a rim request against the background in the same batch): every
+    receptor's donors, weights and ``found`` are bitwise what a search of
+    it alone gives."""
+    asm, index, pool, rim, one = _search_pool()
+    ids = np.array(data.draw(st.permutations(pool.tolist())), dtype=np.int64)
+    cuts = sorted(
+        data.draw(st.lists(st.integers(1, ids.size - 1), max_size=4))
+    )
+    requests = [
+        (0, 1, part) for part in np.split(ids, cuts) if part.size
+    ]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(requests)))
+        requests.insert(at, (2, 0, rim))
+    results = asm._search_donors(index, requests)
+    for (r, d, receptors), (ds, found) in zip(requests, results, strict=True):
+        assert (ds.receptor_mesh, ds.donor_mesh) == (r, d)
+        assert np.array_equal(ds.receptors, receptors)
+        for j, i in enumerate(receptors.tolist()):
+            ref, ref_found = one[(r, d, i)]
+            assert np.array_equal(ds.donors[j], ref.donors[0])
+            assert np.array_equal(ds.weights[j], ref.weights[0])
+            assert found[j] == ref_found[0]
+
+
+def test_patch_reuse_equals_a_fresh_search():
+    """On ``turbine_low`` (three orphan-repair rounds a step), fringe
+    receptors served by their blade's hole-cut patch search get what a
+    fresh search of them gives, and most of them are served that way."""
+    s = make_workload("turbine_low")
+    asm = OversetAssembler(s.meshes)
+    for _angle in range(2):
+        conn, calls = _traced_assemble(asm)
+        # A pair's first search is its patch (or rim); the rest are the
+        # repair rounds' searches of receptors no patch served.
+        searched: dict[tuple[int, int], list[np.ndarray]] = {}
+        for r, d, receptors, _found in calls:
+            searched.setdefault((r, d), []).append(receptors)
+        index = [asm._background_index] + [
+            _DonorIndex(m) for m in s.meshes[1:]
+        ]
+        reused = 0
+        for ds in conn.donor_sets:
+            if ds.receptor_mesh != asm.background_index:
+                continue
+            rounds = searched[(ds.receptor_mesh, ds.donor_mesh)][1:]
+            reused += np.setdiff1d(
+                ds.receptors, np.concatenate([[]] + rounds)
+            ).size
+            (fresh, found), = asm._search_donors(
+                index, [(ds.receptor_mesh, ds.donor_mesh, ds.receptors)]
+            )
+            assert np.array_equal(fresh.donors, ds.donors)
+            assert np.array_equal(fresh.weights, ds.weights)
+            assert found.all()
+        assert reused > conn.fringe_nodes(0).size // 2
+        s.advance_rotor(0.37)
+
