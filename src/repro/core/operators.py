@@ -42,6 +42,7 @@ def mass_flux(
     density: float,
     pressure: np.ndarray | None = None,
     tau: float | np.ndarray = 0.0,
+    pressure_gradient: np.ndarray | None = None,
 ) -> np.ndarray:
     """ALE mass flux per edge, with optional Rhie-Chow dissipation.
 
@@ -52,14 +53,20 @@ def mass_flux(
     projection timescale (scalar, or per edge): the SIMPLE-consistent
     choice is ``rho * V / a_p`` averaged to the edge, which shrinks in the
     advection-dominated near-wall cells and keeps the correction bounded
-    on high-aspect-ratio blade meshes.
+    on high-aspect-ratio blade meshes.  ``pressure_gradient`` is
+    ``least_squares_gradient(comp, pressure)`` when the caller already has
+    it (both fluxes of one Picard iteration see the same pressure).
     """
     rel = velocity - comp.grid_velocity
     u_e = edge_average(comp, rel)
     mdot = density * np.einsum("ed,ed->e", u_e, comp.store.face_vectors)
     if pressure is not None and np.any(np.asarray(tau) > 0.0):
         a, b = comp.edges[:, 0], comp.edges[:, 1]
-        gp = least_squares_gradient(comp, pressure)
+        gp = (
+            least_squares_gradient(comp, pressure)
+            if pressure_gradient is None
+            else pressure_gradient
+        )
         gp_e = 0.5 * (gp[a] + gp[b])
         d_vec = comp.edge_dir * comp.edge_length[:, None]
         correction = (pressure[b] - pressure[a]) - np.einsum(

@@ -335,6 +335,11 @@ class NaluWindSimulation:
         self.drop_graphs()
         return path
 
+    def close(self) -> None:
+        """Stop the position helper now rather than when this simulation
+        is collected; later steps compute every position inline."""
+        self.comp.close()
+
     def drop_graphs(self) -> None:
         """End the lifetime of every equation's graph, plan and
         preconditioner (:meth:`EquationSystem.drop_graph`)."""
@@ -363,12 +368,19 @@ class NaluWindSimulation:
         tau_node = self.momentum.projection_tau(mdot_plain, mu_eff, bflux)
         a, b = comp.edges[:, 0], comp.edges[:, 1]
         tau_edge = 0.5 * (tau_node[a] + tau_node[b])
+        # The Rhie-Chow term of both fluxes below reads one pressure field.
+        grad_p_old = (
+            least_squares_gradient(comp, self.pressure_field)
+            if cfg.rhie_chow
+            else None
+        )
         mdot = mass_flux(
             comp,
             self.velocity,
             cfg.density,
             pressure=self.pressure_field if cfg.rhie_chow else None,
             tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure_gradient=grad_p_old,
         )
         A_m, rhs_u = self.momentum.assemble(
             mdot=mdot,
@@ -409,6 +421,7 @@ class NaluWindSimulation:
             cfg.density,
             pressure=self.pressure_field if cfg.rhie_chow else None,
             tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure_gradient=grad_p_old,
         )
         # Overset constraint for the correction: enforce continuity of the
         # *total* pressure across mesh boundaries, p_rec + p'_rec =
@@ -493,6 +506,9 @@ class NaluWindSimulation:
             with self.world.phase_scope("motion"):
                 self.system.advance_rotor(cfg.dt)
                 self.comp.update_connectivity()
+                # The next position is computed on the second core while
+                # this step solves (repro.core.position_helper).
+                self.comp.request_next_position(cfg.dt)
             for eq in self.systems:
                 eq.update_graph()
             for k in range(cfg.picard_iterations):
