@@ -17,7 +17,12 @@ The gate then asserts, at step 2N:
 * step indices and the per-equation solve-iteration tails (the N
   post-restart steps) match exactly;
 * telemetry counter continuity holds: ``solve.count`` and
-  ``resilience.checkpoint.writes`` agree between the two runs.
+  ``resilience.checkpoint.writes`` agree between the two runs;
+* the modeled ledger (``ops`` and ``traffic`` state) is identical: the
+  restart rebuilt the writer's live graphs, plans and hierarchy off the
+  ledger, so its steps charge what the uninterrupted run's did;
+* run A's fields equal those of a third run of 2N steps that writes no
+  checkpoint: a checkpoint write changes nothing a run computes.
 
 A second phase re-runs N steps under seeded ``message_drop`` /
 ``message_corrupt`` / ``io_fail`` injection and asserts the run completes
@@ -56,6 +61,18 @@ FIELDS = (
     "scalar_old",
     "mdot",
 )
+
+
+def ledger_rows(world) -> dict:
+    """``ops`` and ``traffic`` state with rows in a canonical order (a
+    restored ledger keeps the writer's insertion order)."""
+    return {
+        sink: {
+            k: sorted(map(repr, rows))
+            for k, rows in getattr(world, sink).state_dict().items()
+        }
+        for sink in ("ops", "traffic")
+    }
 
 
 def check_bitwise(workload: str, ranks: int, half: int, tmp: str) -> list[str]:
@@ -117,6 +134,19 @@ def check_bitwise(workload: str, ranks: int, half: int, tmp: str) -> list[str]:
         cb = sim_b.world.metrics.counter_total(counter)
         if ca != cb:
             failures.append(f"counter {counter!r} differs: {ca} vs {cb}")
+    rows_a, rows_b = ledger_rows(sim_a.world), ledger_rows(sim_b.world)
+    for sink in rows_a:
+        if rows_a[sink] != rows_b[sink]:
+            failures.append(f"modeled {sink} ledger differs after restart")
+
+    sim_c = NaluWindSimulation(workload, SimulationConfig(nranks=ranks))
+    sim_c.run(2 * half)
+    for name in FIELDS:
+        if getattr(sim_a, name).tobytes() != getattr(sim_c, name).tobytes():
+            failures.append(
+                f"field {name!r} differs between checkpoint cadences "
+                f"{half} and 0"
+            )
     ckpt_b = (rep_b.recovery or {}).get("checkpoint", {})
     if ckpt_b.get("restores", 0) < 1:
         failures.append("run B recovery summary records no restore")

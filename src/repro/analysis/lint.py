@@ -30,11 +30,14 @@ RL001   unstable sort: ``np.sort``/``np.argsort`` (or the ndarray method
         introsort implementation, i.e. on NumPy version and platform.
 RL002   raw scatter-write: ``np.add.at``/``np.subtract.at`` in the
         device-kernel packages (``repro.assembly``/``linalg``/``amg``/
-        ``smoothers``/``krylov``) outside the registered scatter wrappers
+        ``smoothers``/``krylov``) or the physics driver (``repro.core``)
+        outside the registered scatter wrappers
         (:data:`REGISTERED_SCATTER_QUALNAMES`) — bypasses the
         atomic/deterministic/compensated mode contract and its cost
-        accounting.  (``np.maximum.at``/``minimum.at`` are exempt: they
-        are exactly associative/commutative, so order cannot matter.)
+        accounting, and in ``core`` is an order-for-order ``np.bincount``
+        at several times the cost.  (``np.maximum.at``/``minimum.at`` are
+        exempt: they are exactly associative/commutative, so order cannot
+        matter.)
 RL003   unseeded RNG: ``default_rng()`` with no seed — every stochastic
         choice in the stack must replay bit-identically.
 RL004   direct smoother construction: naming a smoother class instead of
@@ -127,6 +130,10 @@ RULES: dict[str, str] = {
 #: orthogonalizer shipped without op accounting — solver inner kernels are
 #: device-kernel-shaped too.
 KERNEL_PACKAGES = ("assembly", "linalg", "amg", "smoothers", "krylov")
+
+#: ``repro.<package>`` names where RL002 holds: the kernel packages plus
+#: ``core``, whose per-node sums are one ``np.bincount`` each.
+SCATTER_PACKAGES = KERNEL_PACKAGES + ("core",)
 
 #: Qualified function names allowed to issue raw scatter-writes (RL002):
 #: the mode-aware Stage-2 accumulation wrappers in ``repro.assembly.local``.
@@ -347,6 +354,7 @@ class _Linter(ast.NodeVisitor):
         in_package = parts[0] == "repro"
         package = parts[1] if in_package and len(parts) > 1 else None
         self.kernel_scope = package in KERNEL_PACKAGES
+        self.scatter_scope = package in SCATTER_PACKAGES
         self.smoothers_scope = package == "smoothers"
         self.campaign_scope = package == "campaign"
         self.simworld_module = module == _SIMWORLD_MODULE
@@ -499,9 +507,9 @@ class _Linter(ast.NodeVisitor):
                     "sorts default to unstable introsort)",
                 )
 
-        # RL002 — raw scatter-writes in kernel packages.
+        # RL002 — raw scatter-writes in kernel packages and core.
         ufunc = _scatter_ufunc_at(node)
-        if ufunc is not None and self.kernel_scope:
+        if ufunc is not None and self.scatter_scope:
             qual = fn.qualname if fn else "<module>"
             if qual not in REGISTERED_SCATTER_QUALNAMES:
                 self._emit(
@@ -510,7 +518,8 @@ class _Linter(ast.NodeVisitor):
                     f"np.{ufunc}.at outside the registered scatter "
                     "wrappers: accumulation-order semantics and cost "
                     "accounting are undeclared (route through "
-                    "LocalAssembler._scatter or pragma with justification)",
+                    "LocalAssembler._scatter, sum with np.bincount, or "
+                    "pragma with justification)",
                 )
 
         # RL003 — unseeded RNG.

@@ -117,9 +117,8 @@ class JobSpec(Config):
         """Content address of the job (the result-cache key).
 
         Hashes the workload, step count, and the resolved configuration
-        minus the durability knobs (where checkpoints go never changes
-        computed results, so it must not fragment the cache; how often
-        they are written does, and is hashed).
+        minus the durability knobs (checkpoint placement never changes
+        computed results, so it must not fragment the cache).
         """
         return stable_digest(
             {
@@ -162,8 +161,7 @@ class CampaignSpec(Config):
     grid: dict = field(default_factory=dict)
     list_entries: tuple[dict, ...] = ()
     #: Per-job durable checkpointing cadence (0 disables); enables
-    #: mid-job resume of interrupted campaigns.  A nonzero cadence joins
-    #: every job's overrides, hence its digest.
+    #: mid-job resume of interrupted campaigns.
     checkpoint_every: int = field(default=0, metadata={"ge": 0})
     checkpoint_keep: int = field(default=2, metadata={"ge": 1})
 
@@ -186,11 +184,6 @@ class CampaignSpec(Config):
             itertools.product(*(self.grid[axis] for axis in axes))
         )
         entries = list(self.list_entries) or [{}]
-        cadence = (
-            {"checkpoint_every": self.checkpoint_every}
-            if self.checkpoint_every
-            else {}
-        )
         jobs: list[JobSpec] = []
         for entry in entries:
             for combo in combos:
@@ -204,7 +197,7 @@ class CampaignSpec(Config):
                             steps=self.steps,
                             seed=seed,
                             overrides=merge_overrides(
-                                self.base, entry, sweep, cadence
+                                self.base, entry, sweep
                             ),
                         )
                     )

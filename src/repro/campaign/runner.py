@@ -167,6 +167,7 @@ class Campaign:
     def _payload(self, job: JobSpec, try_resume: bool) -> dict:
         return {
             "job": job.to_dict(),
+            "checkpoint_every": self.spec.checkpoint_every,
             "checkpoint_keep": self.spec.checkpoint_keep,
             "checkpoint_dir": (
                 self._ckpt_dir(job) if self.spec.checkpoint_every else ""

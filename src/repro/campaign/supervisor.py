@@ -264,7 +264,8 @@ def execute_job_payload(payload: dict, on_sim: Callable[[Any], None]) -> dict:
         job = JobSpec.from_dict(payload["job"])
         config = job.build_config()
         ckpt_dir = payload.get("checkpoint_dir", "")
-        if config.checkpoint_every and ckpt_dir:
+        if payload.get("checkpoint_every", 0) and ckpt_dir:
+            config.checkpoint_every = int(payload["checkpoint_every"])
             config.checkpoint_keep = int(payload.get("checkpoint_keep", 2))
             config.checkpoint_dir = ckpt_dir
         resumed = False

@@ -152,6 +152,37 @@ class SimWorld:
         if self.profiler is not None:
             self.profiler.on_phase_end(popped)
 
+    @contextmanager
+    def off_ledger(self) -> Iterator[None]:
+        """Run the ``with`` block against throwaway sinks.
+
+        Ops, traffic, metrics, the hub, the host tracer and its phase
+        walls are fresh for the block, and the profiler, the fault
+        injector and the channel sequence numbers are out of it; all come
+        back at exit, exception or not.  For work that rebuilds what an
+        earlier run already charged (a restart's derived state): the run's
+        record then reads as if the work had never been repeated.
+        """
+        from repro.perf.opcounts import OpRecorder
+
+        saved = (
+            self.ops, self.traffic, self.metrics, self.hub, self.tracer,
+            self.phase_wall, self.profiler, self.fault_injector,
+            self._next_seq.copy(),
+        )
+        self.ops, self.traffic = OpRecorder(), TrafficLog()
+        self.metrics, self.hub = MetricsRegistry(), ObserverHub()
+        self.tracer, self.phase_wall = Tracer(), {}
+        self.profiler = self.fault_injector = None
+        try:
+            yield
+        finally:
+            (
+                self.ops, self.traffic, self.metrics, self.hub, self.tracer,
+                self.phase_wall, self.profiler, self.fault_injector,
+                self._next_seq,
+            ) = saved
+
     # -- open halo rounds --------------------------------------------------
 
     def pending_messages(self) -> int:

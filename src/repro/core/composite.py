@@ -260,18 +260,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def endpoint_sum(
-    n: int, edges: np.ndarray, per_edge: np.ndarray
+    n: int, edges: np.ndarray, per_edge: np.ndarray, signed: bool = False
 ) -> np.ndarray:
-    """Sum a per-edge quantity onto both endpoints of every edge.
+    """Sum a per-edge quantity onto both endpoints of every edge (``b``
+    gets ``-v`` when ``signed``: an edge flux's divergence).
 
-    Bit for bit ``np.add.at(out, a, v); np.add.at(out, b, v)`` on a zero
+    Bit for bit ``np.add.at(out, a, v); np.add.at(out, b, +-v)`` on a zero
     ``out``: ``np.bincount`` also adds each node's terms one at a time in
     that order, starting from 0.0, at a fraction of the cost.
     """
     index = edges.T.ravel()  # every a, then every b
     flat = per_edge.reshape(per_edge.shape[0], -1)
     sums = [
-        np.bincount(index, weights=np.tile(flat[:, c], 2), minlength=n)
+        np.bincount(
+            index,
+            weights=np.concatenate(
+                (flat[:, c], -flat[:, c] if signed else flat[:, c])
+            ),
+            minlength=n,
+        )
         for c in range(flat.shape[1])
     ]
     return np.stack(sums, axis=1).reshape((n,) + per_edge.shape[1:])

@@ -167,12 +167,12 @@ class SimulationConfig(Config):
             raise ValueError("clock must be callable (or None)")
 
     #: ``stable_hash`` exclusions for the campaign job digest: durability
-    #: knobs that change where state is persisted but never the computed
-    #: results, so they must not fragment the result cache.
-    #: ``checkpoint_every`` is not one: a checkpoint write ends the lifetime
-    #: of the equation graphs, plans and preconditioners, so the cadence
-    #: moves the fields at round-off.
+    #: knobs that change where/how often state is persisted but never the
+    #: computed results, so they must not fragment the result cache.  A
+    #: checkpoint write ends no lifetime (the file says what derived state
+    #: was live and a restart rebuilds it), so the cadence is one of them.
     DURABILITY_KEYS = (
+        "checkpoint_every",
         "checkpoint_dir",
         "checkpoint_keep",
         "restart_from",

@@ -188,6 +188,63 @@ class EquationSystem:
         """
         self._graph_live = False
 
+    def drop_preconditioner(self) -> None:
+        """End the lifetime of the preconditioner only: the next
+        :meth:`solve` sets it up afresh, on the graph and plan that live
+        on."""
+        self._precond = None
+
+    # -- the derived-state section of a checkpoint ---------------------------------
+
+    def _captured_plan(self) -> AssemblyPlan | None:
+        """The plan captured for the current graph, if any."""
+        plan = self._plan
+        if (
+            plan is None
+            or self.graph is None
+            or plan.graph_revision != self.graph.revision
+            or not (plan.matrix_ready and plan.vector_ready)
+        ):
+            return None
+        return plan
+
+    def derived(self) -> tuple[dict[str, np.ndarray], dict]:
+        """What of the derived state is live, as ``(arrays, meta)``: whether
+        the graph and a captured plan are.  Both depend only on the
+        position, which the checkpoint carries, so flags suffice."""
+        live = self._graph_live
+        return {}, {
+            "graph": live,
+            "plan": live and self._captured_plan() is not None,
+        }
+
+    def rebuild_derived(
+        self, arrays: dict[str, np.ndarray], meta: dict
+    ) -> None:
+        """Rebuild what :meth:`derived` reported live, on the restored
+        position (the caller runs this off the ledger): the graph, and
+        the plan, captured from an all-zero fill, which has the pattern
+        of every fill.  The next :meth:`assemble` then replays the plan
+        into the operator it captured, as the writer's next one did."""
+        if not meta["graph"]:
+            return
+        self.update_graph()
+        if meta["plan"] and self._active_plan() is not None:
+            self._matrix = self._assemble_zeros(self._plan)
+
+    def _assemble_zeros(self, plan: AssemblyPlan | None) -> ParCSRMatrix:
+        """Stages 2 + 3 of an all-zero fill (capturing ``plan``); the
+        operator has the graph's pattern."""
+        self.assembler.reset()
+        local = self.assembler.finalize()
+        args = (self.world, self.comp.numbering, local)
+        variant = self.config.assembly_variant
+        am = assemble_global_matrix(
+            *args, variant=variant, name=self.name, plan=plan
+        )
+        assemble_global_vector(*args, variant=variant, plan=plan)
+        return am.matrix
+
     def _to_new(self, vals_app: np.ndarray) -> np.ndarray:
         """Reorder a per-application-id array to new (rank-block) ids."""
         return vals_app[self.comp.numbering.new_to_old]

@@ -99,11 +99,7 @@ def edge_divergence(comp: CompositeMesh, edge_flux: np.ndarray) -> np.ndarray:
 
     Flux is positive from edge endpoint ``a`` toward ``b``.
     """
-    out = np.zeros(comp.n)
-    a, b = comp.edges[:, 0], comp.edges[:, 1]
-    np.add.at(out, a, edge_flux)
-    np.add.at(out, b, -edge_flux)
-    return out
+    return endpoint_sum(comp.n, comp.edges, edge_flux, signed=True)
 
 
 def green_gauss_gradient(comp: CompositeMesh, field: np.ndarray) -> np.ndarray:
@@ -111,9 +107,7 @@ def green_gauss_gradient(comp: CompositeMesh, field: np.ndarray) -> np.ndarray:
     a, b = comp.edges[:, 0], comp.edges[:, 1]
     fbar = 0.5 * (field[a] + field[b])
     flux = fbar[:, None] * comp.store.face_vectors
-    out = np.zeros((comp.n, 3))
-    np.add.at(out, a, flux)
-    np.add.at(out, b, -flux)
+    out = endpoint_sum(comp.n, comp.edges, flux, signed=True)
     return out / comp.node_volume[:, None]
 
 
@@ -127,13 +121,25 @@ def boundary_mass_flux(
     near-body rims are overset constraint rows, so only the background's
     faces carry flux.
     """
-    out = np.zeros(comp.n)
     ids = comp.boundary_face_nodes
     rel = velocity[ids] - comp.grid_velocity[ids]
     flux = density * np.einsum("nd,nd->n", rel, comp.boundary_face_vectors)
     # Rim/corner nodes appear on several sides: accumulate their faces.
-    np.add.at(out, ids, flux)
-    return out
+    return np.bincount(ids, weights=flux, minlength=comp.n)
+
+
+def boundary_pressure_force(
+    comp: CompositeMesh, pressure: np.ndarray, component: int
+) -> np.ndarray:
+    """Pressure force ``-p A_out`` through open boundary faces, one
+    component, per node: closes the edge-based surface integral of ``p``
+    at free boundary rows (rim/corner nodes sum several faces)."""
+    ids = comp.boundary_face_nodes
+    return np.bincount(
+        ids,
+        weights=-pressure[ids] * comp.boundary_face_vectors[:, component],
+        minlength=comp.n,
+    )
 
 
 def least_squares_gradient(

@@ -18,6 +18,7 @@ from repro.assembly.global_assembly import assemble_global_vector
 from repro.assembly.local import LocalAssembler
 from repro.core.equation_system import EquationSystem
 from repro.core.operators import (
+    boundary_pressure_force,
     diffusion_coefficients,
     diffusion_pairs,
     edge_average,
@@ -68,10 +69,22 @@ class MomentumSystem(EquationSystem):
         comp = self.comp
         cfg = self.config
         g_e = diffusion_coefficients(comp, mu_eff)
-        diag = cfg.density * comp.node_volume / cfg.dt
-        a, b = comp.edges[:, 0], comp.edges[:, 1]
-        np.add.at(diag, a, np.maximum(mdot, 0.0) + g_e)
-        np.add.at(diag, b, np.maximum(-mdot, 0.0) + g_e)
+        tmass = cfg.density * comp.node_volume / cfg.dt
+        # One scatter from 0.0 whose first term per node is its time
+        # mass: 0.0 + m is exactly m, so the sums are those of adding the
+        # edge terms onto ``tmass`` in order.
+        n = comp.n
+        diag = np.bincount(
+            np.concatenate((np.arange(n), comp.edges.T.ravel())),
+            weights=np.concatenate(
+                (
+                    tmass,
+                    np.maximum(mdot, 0.0) + g_e,
+                    np.maximum(-mdot, 0.0) + g_e,
+                )
+            ),
+            minlength=n,
+        )
         diag += np.maximum(boundary_flux, 0.0)
         return diag
 
@@ -149,16 +162,9 @@ class MomentumSystem(EquationSystem):
         cfg = self.config
         tmass = cfg.density * comp.node_volume / cfg.dt
         node_rhs = tmass * velocity_old[:, component]
-        # Pressure force through open boundary faces (closes the edge-based
-        # surface integral of p at free boundary rows).
-        ids = comp.boundary_face_nodes
-        bforce = np.zeros(comp.n)
-        np.add.at(
-            bforce,
-            ids,
-            -pressure[ids] * comp.boundary_face_vectors[:, component],
+        node_rhs = node_rhs + boundary_pressure_force(
+            comp, pressure, component
         )
-        node_rhs = node_rhs + bforce
         asmblr.add_node_rhs(self._to_new(node_rhs))
 
         pbar = edge_average(comp, pressure)
@@ -192,13 +198,52 @@ class PressurePoissonSystem(EquationSystem):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._hierarchy: AMGHierarchy | None = None
+        #: The fine-operator values the hierarchy was set up from (plan
+        #: replay later overwrites the operator in place).
+        self._setup_values: np.ndarray | None = None
 
     def make_preconditioner(self, A: ParCSRMatrix):
         if self._hierarchy is not None:
             self._hierarchy.release()
+        self._setup_values = A.A.data.copy()
         h = AMGHierarchy(A, self.config.amg)
         self._hierarchy = h  # kept for complexity diagnostics
         return AMGPreconditioner(h)
+
+    def derived(self) -> tuple[dict[str, np.ndarray], dict]:
+        """Adds a live hierarchy's set-up values and served count: its
+        ``P``, ``R`` and coarse patterns depend only on that operator and
+        the seeded coarsening, and every refresh overwrites every level's
+        values."""
+        arrays, meta = super().derived()
+        if (
+            meta["graph"]
+            and self._precond is not None
+            and self._precond_pattern == self.graph.revision
+        ):
+            arrays["setup_values"] = self._setup_values
+            meta["served"] = self._served
+        return arrays, meta
+
+    def rebuild_derived(
+        self, arrays: dict[str, np.ndarray], meta: dict
+    ) -> None:
+        """Also sets the hierarchy up again from its set-up values, current
+        for the rebuilt graph and stale for the values, so the next solve
+        refreshes it where the writer's next solve did."""
+        super().rebuild_derived(arrays, meta)
+        if "served" not in meta:
+            return
+        plan = self._captured_plan()
+        pattern = plan.matrix if plan else self._assemble_zeros(None)
+        A = pattern.A.copy()
+        A.data[:] = arrays["setup_values"]
+        self._precond = self.make_preconditioner(
+            ParCSRMatrix(self.world, A, pattern.row_offsets, name=self.name)
+        )
+        self._precond_pattern = self.graph.revision
+        self._precond_values = self._values_stamp
+        self._served = int(meta["served"])
 
     def refresh_preconditioner(self, A: ParCSRMatrix) -> None:
         """Numeric-only Galerkin refresh on the frozen hierarchy."""

@@ -25,6 +25,7 @@ from repro.core.config import SimulationConfig
 from repro.core.equation_system import PHASES
 from repro.core.operators import (
     boundary_mass_flux,
+    edge_divergence,
     least_squares_gradient,
     mass_flux,
 )
@@ -70,11 +71,12 @@ STATE_FIELDS = (
 )
 
 #: Steps from the cold start (uniform inflow, zero pressure and mass flux)
-#: whose derived state ends with the step.  Their pressure operators move
+#: whose preconditioners end with the step.  Their pressure operators move
 #: too far for a hierarchy set up on one to serve the next: on
 #: ``turbine_tiny`` a hierarchy from step 1 costs +15-30 % pressure
 #: iterations in steps 2-12 at one Picard iteration, and one from step 2
-#: +15 % in step 3 at four; one from step 3 costs nothing in either.
+#: +15 % in step 3 at four; one from step 3 costs nothing in either.  The
+#: graphs and plans live on: only the operator's values moved.
 START_UP_STEPS = 2
 
 
@@ -221,9 +223,10 @@ class NaluWindSimulation:
         The per-step rewind snapshot, and — with :meth:`environment` merged
         into the second half — the body of a checkpoint file.  Derived
         state (overset connectivity, equation graphs, plans,
-        preconditioners) is deliberately *not* here: :meth:`set_state` and
-        :meth:`write_checkpoint` end its lifetime, and the next step
-        recomputes it deterministically, as the uninterrupted run does.
+        preconditioners) is deliberately *not* here: :meth:`set_state`
+        ends its lifetime, and the next step recomputes it
+        deterministically.  A checkpoint file also says what of it was
+        live (:meth:`derived`), so a restart rebuilds exactly that.
         """
         arrays = {name: getattr(self, name).copy() for name in STATE_FIELDS}
         for i, mesh in enumerate(self.system.blades):
@@ -322,18 +325,59 @@ class NaluWindSimulation:
             for eq in self.systems
         }
 
+    def derived(self) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+        """Each equation's live derived state (:meth:`EquationSystem.derived`)
+        as one ``(arrays, meta)`` pair: arrays keyed ``<equation>/<name>``,
+        meta keyed by equation."""
+        arrays: dict[str, np.ndarray] = {}
+        meta: dict[str, Any] = {}
+        for eq in self.systems:
+            eq_arrays, meta[eq.name] = eq.derived()
+            for name, arr in eq_arrays.items():
+                arrays[f"{eq.name}/{name}"] = arr
+        return arrays, meta
+
+    def set_derived(
+        self, arrays: dict[str, np.ndarray], meta: dict[str, Any]
+    ) -> None:
+        """After :meth:`set_state` from a checkpoint: rebuild the derived
+        state a :meth:`derived` pair reports live, off the ledger, so the
+        next step replays and refreshes where the writer's did and charges
+        the same.  The allocator model is charged only the difference
+        between the storage held before and after (none on a cold restart,
+        whose held storage stood in for the writer's objects)."""
+        before = self._held_per_rank()
+        with self.world.off_ledger():
+            for eq in self.systems:
+                prefix = f"{eq.name}/"
+                eq.rebuild_derived(
+                    {
+                        name[len(prefix):]: arr
+                        for name, arr in arrays.items()
+                        if name.startswith(prefix)
+                    },
+                    meta[eq.name],
+                )
+        delta = self._held_per_rank() - before
+        if np.any(delta):
+            self.world.charge_alloc(delta.tolist())
+
+    def _held_per_rank(self) -> np.ndarray:
+        """Per-rank device bytes held by every equation's derived objects."""
+        held = np.zeros(self.world.size)
+        for eq in self.systems:
+            for per_rank in eq.held_storage().values():
+                held += per_rank
+        return held
+
     def write_checkpoint(self) -> str:
         """Durably checkpoint the current state; returns the file path.
 
-        The write ends every equation's graph, plan and preconditioner, so
-        the next step rebuilds them as a process restarted from the file
-        does: restart stays bitwise with no derived state in the file.  So
-        ``checkpoint_every`` is part of what a run computes (and of a
-        campaign job's digest).
+        The write ends no lifetime: the file says which graphs, plans and
+        hierarchy are live (:meth:`derived`) and a restart rebuilds them,
+        so ``checkpoint_every`` changes nothing a run computes.
         """
-        path = self.transaction.write_checkpoint()
-        self.drop_graphs()
-        return path
+        return self.transaction.write_checkpoint()
 
     def close(self) -> None:
         """Stop the position helper now rather than when this simulation
@@ -486,13 +530,14 @@ class NaluWindSimulation:
         re-steps there.  False when it rewound to a durable checkpoint
         instead of completing the step (``step_index`` moved back).  Each
         of the first :data:`START_UP_STEPS` completed steps ends the
-        lifetime of the derived state it built (:meth:`drop_graphs`).
+        lifetime of the preconditioners it set up.
         """
         if not self.transaction.run(self._step_body):
             return False
         self.step_index += 1
         if self.step_index <= START_UP_STEPS:
-            self.drop_graphs()
+            for eq in self.systems:
+                eq.drop_preconditioner()
         self.step_snapshots.append(collect_phase_aggregates(self.world))
         # Progress heartbeat for external supervisors (campaign workers
         # beat their job lease on it; see docs/campaign.md).
@@ -516,10 +561,7 @@ class NaluWindSimulation:
                     self.picard_iteration()
             # Mass-conservation diagnostic on free pressure rows (interior
             # edge fluxes plus open boundary faces).
-            div = np.zeros(self.comp.n)
-            a, b = self.comp.edges[:, 0], self.comp.edges[:, 1]
-            np.add.at(div, a, self.mdot)
-            np.add.at(div, b, -self.mdot)
+            div = edge_divergence(self.comp, self.mdot)
             div += boundary_mass_flux(self.comp, self.velocity, cfg.density)
             free = np.ones(self.comp.n, dtype=bool)
             free[self.pressure.constraint_rows()] = False

@@ -66,6 +66,62 @@ def spmv_bytes(
     return 12.0 * nnz + 8.0 * nnz + 12.0 * nrows
 
 
+def local_spmv_work(
+    rank_nnz: np.ndarray, offsets: np.ndarray
+) -> tuple[list[float], list[float]]:
+    """Per-rank ``(flops, bytes)`` of one block-local SpMV (no
+    communication), as :meth:`SimWorld.charge` takes them."""
+    return (
+        (2.0 * rank_nnz).tolist(),
+        spmv_bytes(rank_nnz, np.diff(offsets)).tolist(),
+    )
+
+
+def _index_dtype(*sizes: int) -> np.dtype:
+    """The narrowest index dtype of scipy's two that holds every size."""
+    return np.dtype(np.int32 if max(sizes) < 2**31 else np.int64)
+
+
+@dataclass(frozen=True)
+class BlockSplitPattern:
+    """The pattern half of the block-diagonal L/D/U splitting.
+
+    ``lower`` / ``upper`` are the positions in ``D.data`` of the strictly
+    lower / upper entries, in storage order; with their CSR index arrays
+    a split of the operator's current values is two gathers.  The per-rank
+    work lists are what every smoother application and set-up charges.
+    """
+
+    shape: tuple[int, int]
+    lower: np.ndarray
+    lower_indices: np.ndarray
+    lower_indptr: np.ndarray
+    upper: np.ndarray
+    upper_indices: np.ndarray
+    upper_indptr: np.ndarray
+    lower_work: tuple[list[float], list[float]]
+    upper_work: tuple[list[float], list[float]]
+    bd_work: tuple[list[float], list[float]]
+    scale_work: tuple[list[float], list[float]]
+    setup_work: tuple[list[float], list[float]]
+
+    def triangle(self, values: np.ndarray, lower: bool) -> sparse.csr_matrix:
+        """The strictly lower (or upper) part of ``D`` holding ``values``
+        (``D.data``): equal to ``sparse.tril(D, -1)`` (``triu(D, 1)``),
+        explicit zeros included."""
+        if lower:
+            pos, indices, indptr = (
+                self.lower, self.lower_indices, self.lower_indptr
+            )
+        else:
+            pos, indices, indptr = (
+                self.upper, self.upper_indices, self.upper_indptr
+            )
+        return sparse.csr_matrix(
+            (values[pos], indices, indptr), shape=self.shape
+        )
+
+
 def _row_block(
     M: sparse.csr_matrix, rlo: int, rhi: int, col_lo: int, ncols: int
 ) -> sparse.csr_matrix:
@@ -227,6 +283,47 @@ class ParCSRMatrix:
     def held(self) -> list[float]:
         """Per-rank device bytes the matrix holds (zero once released)."""
         return [0.0 if self._released else b for b in self._storage_per_rank]
+
+    @cached_property
+    def block_split(self) -> BlockSplitPattern:
+        """The pattern half of the smoothers' L/D/U splitting of ``D``,
+        built on first use: the operator's pattern never changes
+        (:meth:`update_rank_values` and :meth:`refresh_values` refuse a
+        new one), so every smoother built on this object shares it."""
+        D, ro = self.D, self.row_offsets
+        n = D.shape[0]
+        idx = _index_dtype(n, D.shape[1], D.nnz)
+        rows = np.repeat(np.arange(n, dtype=idx), np.diff(D.indptr))
+        cols = D.indices
+
+        def part(mask: np.ndarray):
+            indptr = np.concatenate(([0], np.cumsum(mask)))[D.indptr]
+            return (
+                np.flatnonzero(mask).astype(idx),
+                cols[mask].astype(idx),
+                indptr.astype(idx),
+                np.diff(indptr[ro]),
+            )
+
+        lower, l_indices, l_indptr, l_nnz = part(cols < rows)
+        upper, u_indices, u_indptr, u_nnz = part(cols > rows)
+        sizes = np.diff(ro)
+        nnz = np.asarray(self._rank_nnz, dtype=np.float64)
+        return BlockSplitPattern(
+            shape=D.shape,
+            lower=lower,
+            lower_indices=l_indices,
+            lower_indptr=l_indptr,
+            upper=upper,
+            upper_indices=u_indices,
+            upper_indptr=u_indptr,
+            lower_work=local_spmv_work(l_nnz, ro),
+            upper_work=local_spmv_work(u_nnz, ro),
+            bd_work=local_spmv_work(l_nnz + u_nnz + sizes, ro),
+            scale_work=((1.0 * sizes).tolist(), (24.0 * sizes).tolist()),
+            # Extracting the splitting is one pass over the local matrix.
+            setup_work=(nnz.tolist(), (2.0 * 12.0 * nnz).tolist()),
+        )
 
     # -- value-only updates (pattern frozen) ---------------------------------------
 

@@ -22,7 +22,10 @@ index, dt, RNG states, telemetry counters...), a per-array index
 (``dtype``/``shape``/``offset``/``nbytes``/``crc32``) and a whole-payload
 ``payload_crc32``.  Every array round-trips through raw bytes
 (``tobytes``/``frombuffer``) so float64 state is restored **bitwise**;
-JSON floats round-trip exactly too (shortest-repr encoding).
+JSON floats round-trip exactly too (shortest-repr encoding).  The
+:data:`DERIVED_SECTION` (a ``meta`` entry plus arrays under its prefix)
+says which derived objects the writer held live; it is an ordinary part of
+the same container, so the format revision is unchanged.
 
 Durability properties:
 
@@ -57,6 +60,10 @@ MAGIC = b"RPCKPT01"
 
 #: Header schema identifier.
 SCHEMA = "repro.checkpoint/1"
+
+#: The section naming the writer's live derived state: a ``meta`` key and
+#: the prefix of its arrays.  Files written before it existed lack it.
+DERIVED_SECTION = "derived"
 
 #: Checkpoint file name pattern (``step`` is the step index at capture).
 FILE_PATTERN = "ckpt-{step:08d}.ckpt"

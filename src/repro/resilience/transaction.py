@@ -16,6 +16,11 @@ State contract of the wrapped ``target`` (any object):
   Only a durable write captures it and only a cold restart applies it: an
   in-run rewind leaves counters and fired faults where they are, which also
   keeps a deterministic injected fault from replaying forever.
+* ``derived() -> (arrays, meta)`` / ``set_derived(arrays, meta)`` — which
+  derived objects (graphs, plans, preconditioners) are live, and what
+  rebuilding them takes.  A durable write stores it as the checkpoint's
+  ``derived`` section; a rewind to a file (cold restart or ring) applies
+  it after ``set_state``, and a file without the section rebuilds nothing.
 
 ``config`` supplies ``dt``, ``recovery`` (the ``RecoveryPolicy``) and the
 ring's ``checkpoint_dir`` / ``checkpoint_keep`` / ``checkpoint_every``.
@@ -28,7 +33,11 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.resilience.checkpoint import CheckpointError, CheckpointManager
+from repro.resilience.checkpoint import (
+    DERIVED_SECTION,
+    CheckpointError,
+    CheckpointManager,
+)
 from repro.resilience.guards import SolverFailure, validate_fields
 from repro.resilience.policy import (
     RecoveryEvent,
@@ -150,9 +159,20 @@ class StepTransaction:
         file (``path`` only: the cold start, which applies the environment
         too)."""
         world = self.world
-        self.target.set_state(arrays, meta)
+        prefix = f"{DERIVED_SECTION}/"
+        state = {k: v for k, v in arrays.items() if not k.startswith(prefix)}
+        self.target.set_state(state, meta)
         if event is None:
             self.target.set_environment(meta)
+        if path and DERIVED_SECTION in meta:
+            self.target.set_derived(
+                {
+                    k[len(prefix):]: v
+                    for k, v in arrays.items()
+                    if k.startswith(prefix)
+                },
+                meta[DERIVED_SECTION],
+            )
         source = "cold" if event is None else "recovery"
         if path:
             # After set_environment replaced the registry: this increment
@@ -177,6 +197,9 @@ class StepTransaction:
             world.metrics.counter("resilience.checkpoint.writes").inc()
             arrays, meta = self.target.state()
             meta.update(self.target.environment())
+            derived, meta[DERIVED_SECTION] = self.target.derived()
+            for name, arr in derived.items():
+                arrays[f"{DERIVED_SECTION}/{name}"] = arr
             step = span.attrs["step"] = meta["step_index"]
             path = self._ring().save(step, arrays, meta)
         world.hub.emit("checkpoint", step=step, path=path)

@@ -4,34 +4,17 @@ Smoothers operate on :class:`~repro.linalg.ParCSRMatrix` operators.  The
 *hybrid* family (paper §4.2, ref [41]) relaxes only within each rank's
 diagonal block: "neighboring processes first exchange the elements of the
 solution vector on the boundary, but then each process independently
-applies the local relaxation".  The block-diagonal splitting pieces are
-precomputed here, along with per-rank nnz shares so every application
-records honest per-rank roofline work.
+applies the local relaxation".  The block-diagonal splitting takes its
+pattern half — triangle positions, index arrays and per-rank work — from
+the operator (:attr:`ParCSRMatrix.block_split`, built once per operator),
+so every application records honest per-rank roofline work.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from repro.linalg.parcsr import ParCSRMatrix, spmv_bytes
-from repro.linalg.parvector import ParVector
-
-
-def rank_nnz_shares(A: sparse.csr_matrix, offsets: np.ndarray) -> np.ndarray:
-    """Nonzeros per rank-owned row block of a global matrix."""
-    return np.diff(A.indptr[offsets]).astype(np.int64)
-
-
-def local_spmv_work(
-    rank_nnz: np.ndarray, offsets: np.ndarray
-) -> tuple[list[float], list[float]]:
-    """Per-rank ``(flops, bytes)`` of one block-local SpMV (no
-    communication), as :meth:`SimWorld.charge` takes them."""
-    return (
-        (2.0 * rank_nnz).tolist(),
-        spmv_bytes(rank_nnz, np.diff(offsets)).tolist(),
-    )
+from repro.linalg.parcsr import ParCSRMatrix
 
 
 class BlockSplitting:
@@ -46,32 +29,23 @@ class BlockSplitting:
         self.A = A
         self.world = A.world
         self.offsets = A.row_offsets
-        A_bd = A.block_diagonal()
-        self.L = sparse.tril(A_bd, k=-1).tocsr()
-        self.U = sparse.triu(A_bd, k=1).tocsr()
-        d = A.diagonal().copy()
+        # The pattern half is the operator's own (built on its first
+        # smoother); this object gathers the current values through it.
+        split = A.block_split
+        self.L = split.triangle(A.D.data, lower=True)
+        self.U = split.triangle(A.D.data, lower=False)
+        d = A.diagonal()
         if np.any(d == 0.0):
             raise ValueError("smoother requires a nonzero diagonal")
         self.D = d
         self.Dinv = 1.0 / d
-        # Per-rank work of every application kernel, derived once here.
-        L_nnz = rank_nnz_shares(self.L, self.offsets)
-        U_nnz = rank_nnz_shares(self.U, self.offsets)
-        sizes = np.diff(self.offsets)
-        self._L_work = local_spmv_work(L_nnz, self.offsets)
-        self._U_work = local_spmv_work(U_nnz, self.offsets)
-        self._bd_work = local_spmv_work(L_nnz + U_nnz + sizes, self.offsets)
-        self._scale_work = ((1.0 * sizes).tolist(), (24.0 * sizes).tolist())
-        # Setup work: extracting the splitting is one pass over the local
-        # matrix per rank (recorded so preconditioner-setup phases that
-        # build smoothers are visible to the cost model).
-        nnz = [A.local_nnz(r) for r in range(self.world.size)]
-        self.world.charge(
-            "smoother_setup",
-            [float(z) for z in nnz],
-            [2.0 * 12.0 * z for z in nnz],
-            launches=3,
-        )
+        self._L_work = split.lower_work
+        self._U_work = split.upper_work
+        self._bd_work = split.bd_work
+        self._scale_work = split.scale_work
+        # Setup work: recorded so preconditioner-setup phases that build
+        # smoothers are visible to the cost model.
+        self.world.charge("smoother_setup", *split.setup_work, launches=3)
 
     def record_tri(self, lower: bool, kernel: str) -> None:
         """Record one block-local triangular SpMV."""

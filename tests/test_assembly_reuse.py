@@ -508,6 +508,32 @@ class TestPreconditionerRule:
         for eq in sim.systems:
             assert all(r.converged for r in eq.solve_records)
 
+    def test_start_up_steps_keep_the_graph_and_plan(self):
+        """A start-up step ends only the preconditioner: the hierarchy is
+        set up at steps 0, 1 and 2 on one graph revision and one plan per
+        equation, which step 3 then replays and refreshes on."""
+        from repro.core import NaluWindSimulation
+
+        sim = NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
+        )
+        setups = []
+        sim.world.hub.subscribe(
+            "amg_setup", lambda **_kw: setups.append(sim.step_index)
+        )
+        seen = []
+        for _ in range(4):
+            assert sim.step()
+            seen.append([(eq.graph.revision, eq._plan) for eq in sim.systems])
+        sim.close()
+        assert all(s == seen[0] for s in seen)
+        assert setups == [0, 1, 2]
+        for eq in sim.systems:
+            rebuilds = sim.world.metrics.counter(
+                "assembly.plan_rebuilds", equation=eq.name
+            )
+            assert rebuilds.value == 1
+
     def test_start_up_steps_set_up_then_one_setup_serves_across_steps(self):
         """Steps 1 and 2 (``START_UP_STEPS``) each set up on their own
         operator; turbine_tiny's pattern then holds, so the set-up of step

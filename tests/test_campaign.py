@@ -174,16 +174,15 @@ class TestJobSpec:
         b = JobSpec(
             "turbine_tiny",
             overrides={"nranks": 2, "checkpoint_dir": "elsewhere",
-                       "checkpoint_keep": 9},
+                       "checkpoint_keep": 9, "checkpoint_every": 4},
         )
         assert a.digest() == b.digest()
 
-    def test_checkpoint_cadence_is_part_of_the_job(self, tmp_path):
-        """A checkpoint write ends the lifetime of the graphs, plans and
-        preconditioners, so the cadence moves the fields: turbine_tiny@2,
-        5 one-Picard steps, no checkpoint vs one at step 3 (whose step 4
-        then sets up instead of refreshing).  The two jobs must not share
-        a cache entry."""
+    def test_checkpoint_cadence_does_not_change_the_job(self, tmp_path):
+        """A checkpoint write ends no lifetime (the file carries what was
+        live and a restart rebuilds it): turbine_tiny@2, 5 one-Picard
+        steps, no checkpoint vs one at step 3, whose step 4 refreshes the
+        hierarchy either way.  Both jobs store the same document."""
         docs = []
         for every in (0, 3):
             spec = CampaignSpec(
@@ -194,9 +193,8 @@ class TestJobSpec:
             camp = Campaign(spec, str(tmp_path / f"every{every}"))
             assert camp.run()["status_counts"]["done"] == 1
             docs.append(camp.store.get(spec.expand()[0].digest()))
-        assert docs[0]["digest"] != docs[1]["digest"]
-        assert docs[0]["state"]["fields"] != docs[1]["state"]["fields"]
-        assert docs[1]["job"]["overrides"]["checkpoint_every"] == 3
+        assert docs[0] is not None and docs[0] == docs[1]
+        assert "checkpoint_every" not in docs[1]["job"]["overrides"]
 
     def test_seed_maps_to_world_seed(self):
         job = JobSpec("turbine_tiny", seed=7, overrides={"nranks": 2})

@@ -20,7 +20,14 @@ from repro.resilience import (
     read_checkpoint,
     serialize_checkpoint,
 )
-from repro.resilience.checkpoint import FILE_PATTERN, MAGIC, checkpoint_step
+from repro.resilience.checkpoint import (
+    DERIVED_SECTION,
+    FILE_PATTERN,
+    MAGIC,
+    checkpoint_step,
+    read_checkpoint,
+    serialize_checkpoint,
+)
 
 
 def sample_state():
@@ -314,11 +321,11 @@ class TestSimulationRestart:
 
     def test_restart_inside_a_refreshed_run(self, tmp_path):
         """One Picard iteration per step on one pattern: the pressure
-        hierarchy is refreshed across steps between checkpoints.  A run
+        hierarchy is refreshed across steps and across checkpoints.  A run
         to 8 with ``checkpoint_every=3``, restarted from the step-6 file,
         ends where the uninterrupted run ends: fields, modeled ledger,
-        iteration history and set-up count (steps 1, 2, 3, 4 and 7 on
-        both: two start-up steps, then one after each checkpoint)."""
+        iteration history and set-up count (steps 1, 2 and 3 on both: two
+        start-up steps, then one hierarchy serves the rest)."""
         from repro.campaign import field_digest
 
         base = dict(nranks=2, picard_iterations=1, checkpoint_every=3)
@@ -347,7 +354,102 @@ class TestSimulationRestart:
             )
 
         assert end_state(sim_b) == end_state(sim_a)
-        assert sim_a.world.metrics.counter_total("amg.setups") == 5
+        assert sim_a.world.metrics.counter_total("amg.setups") == 3
+
+    @pytest.mark.parametrize("every", [3, 5])
+    def test_restart_from_a_live_hierarchy_is_bitwise(self, tmp_path, every):
+        """A checkpoint written while the pressure hierarchy is live says
+        so: every graph and plan is live, and the hierarchy's set-up
+        values and served count ride along.  The restart rebuilds them off
+        the ledger, so it refreshes and sets up where the uninterrupted
+        run does (four Picard iterations per step: at 5 the step-3
+        hierarchy has served its 12 solves and step 6 sets up on both)."""
+        from repro.campaign import field_digest
+
+        base = dict(nranks=2, checkpoint_every=every, checkpoint_keep=4)
+        sim_a = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(checkpoint_dir=str(tmp_path / "a"), **base),
+        )
+        sim_a.run(2 * every)
+        path = str(tmp_path / "a" / FILE_PATTERN.format(step=every))
+        arrays, meta = read_checkpoint(path)
+        section = meta[DERIVED_SECTION]
+        assert all(
+            section[eq]["graph"] and section[eq]["plan"]
+            for eq in ("momentum", "pressure", "scalar")
+        )
+        assert section["pressure"]["served"] == {3: 4, 5: 12}[every]
+        assert f"{DERIVED_SECTION}/pressure/setup_values" in arrays
+        sim_b = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(
+                checkpoint_dir=str(tmp_path / "b"), restart_from=path, **base
+            ),
+        )
+        sim_b.run(2 * every)
+        for sim in (sim_a, sim_b):
+            sim.close()
+
+        def end_state(sim):
+            return (
+                [field_digest(getattr(sim, name)) for name in STATE_FIELDS],
+                {
+                    sink: {
+                        k: sorted(map(repr, rows))
+                        for k, rows in getattr(
+                            sim.world, sink
+                        ).state_dict().items()
+                    }
+                    for sink in ("ops", "traffic")
+                },
+                sim.solve_iterations(),
+                sim.world.metrics.counter_total("amg.setups"),
+            )
+
+        assert end_state(sim_b) == end_state(sim_a)
+
+    def test_a_ring_without_the_derived_section_restarts(self, tmp_path):
+        """A file written before the section existed: the restart rebuilds
+        nothing, so its first step builds the graphs and sets up."""
+        ring = tmp_path / "ring"
+        cfg = dict(nranks=2, picard_iterations=1)
+        sim_a = NaluWindSimulation(
+            "turbine_tiny",
+            SimulationConfig(
+                checkpoint_every=3, checkpoint_dir=str(ring), **cfg
+            ),
+        )
+        sim_a.run(3)
+        sim_a.close()
+        arrays, meta = read_checkpoint(str(ring / FILE_PATTERN.format(step=3)))
+        del meta[DERIVED_SECTION]
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(
+            serialize_checkpoint(
+                {
+                    k: v
+                    for k, v in arrays.items()
+                    if not k.startswith(f"{DERIVED_SECTION}/")
+                },
+                meta,
+            )
+        )
+        sim_b = NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(restart_from=str(old), **cfg)
+        )
+        assert sim_b.step_index == 3
+        assert not any(eq._graph_live for eq in sim_b.systems)
+        assert sim_b.pressure._precond is None
+        setups = []
+        sim_b.world.hub.subscribe(
+            "amg_setup", lambda **_kw: setups.append(sim_b.step_index)
+        )
+        sim_b.run(5)
+        sim_b.close()
+        assert sim_b.step_index == 5 and setups == [3]
+        assert all(eq._graph_live for eq in sim_b.systems)
+        assert np.isfinite(sim_b.pressure_field).all()
 
     def test_restart_from_ring_directory_uses_newest(self, tmp_path):
         ring = str(tmp_path / "ring")

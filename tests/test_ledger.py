@@ -3,12 +3,14 @@ that every sink holds the same events.
 
 ``tests/data/ledger_golden.json`` pins them bit for bit; a PR that moves
 counts on purpose regenerates it (``PYTHONPATH=src python
-tests/test_ledger.py``) and states old -> new.  Last moved by the PR that
-took AMG set-up off the Picard loop: ``paper_cadence`` (one set-up per
-solve) is the ``default`` case of before, apart from the four set-up
-SpGEMM kernels whose intermediate products now keep the entries that
-cancel to 0 (``pressure/precond_setup|agg_ap``, ``agg_rap``, ``rap_ap``,
-``rap_rap``).
+tests/test_ledger.py``) and states old -> new.  Last moved when a
+start-up step stopped ending the graphs and plans (it ends only the
+preconditioners): step 2 keeps step 1's graph and replays its plan, so
+every ``*/graph|graph_host`` tally halves, the cold-assembly kernels
+(``asm_sort``/``asm_reduce``/``asm_split``/``vec_sort``/``vec_reduce``)
+halve in the plan-reusing configs, their value-replay kernels gain step
+2's calls, and ``*/global_assembly`` message bytes drop (values only);
+``peak_alloc`` and every other phase held.
 """
 
 import json

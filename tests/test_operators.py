@@ -9,6 +9,7 @@ from repro.comm import SimWorld
 from repro.core import CompositeMesh
 from repro.core.operators import (
     boundary_mass_flux,
+    boundary_pressure_force,
     diffusion_coefficients,
     diffusion_pairs,
     divergence_of_velocity,
@@ -226,3 +227,70 @@ class TestDivergenceClosure:
         )
         ratio = div[interior] / box.node_volume[interior]
         assert np.allclose(ratio, 1.0, atol=1e-9)
+
+
+class TestScattersAreTheAddAtReference:
+    """Every per-node sum in ``core`` is one ``np.bincount`` that must equal
+    the ``np.add.at`` pair it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, turbine):
+        rng = np.random.default_rng(5)
+        return {
+            "edge": rng.standard_normal(turbine.n_edges),
+            "node": rng.standard_normal(turbine.n),
+            "vec": rng.standard_normal((turbine.n, 3)),
+        }
+
+    def test_edge_divergence(self, turbine, fields):
+        a, b = turbine.edges[:, 0], turbine.edges[:, 1]
+        ref = np.zeros(turbine.n)
+        np.add.at(ref, a, fields["edge"])
+        np.add.at(ref, b, -fields["edge"])
+        got = edge_divergence(turbine, fields["edge"])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_green_gauss_gradient(self, turbine, fields):
+        a, b = turbine.edges[:, 0], turbine.edges[:, 1]
+        f = fields["node"]
+        flux = (0.5 * (f[a] + f[b]))[:, None] * turbine.store.face_vectors
+        ref = np.zeros((turbine.n, 3))
+        np.add.at(ref, a, flux)
+        np.add.at(ref, b, -flux)
+        ref /= turbine.node_volume[:, None]
+        got = green_gauss_gradient(turbine, f)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_boundary_sums(self, turbine, fields):
+        ids = turbine.boundary_face_nodes
+        rel = fields["vec"][ids] - turbine.grid_velocity[ids]
+        ref = np.zeros(turbine.n)
+        np.add.at(
+            ref, ids,
+            1.2 * np.einsum("nd,nd->n", rel, turbine.boundary_face_vectors),
+        )
+        got = boundary_mass_flux(turbine, fields["vec"], 1.2)
+        assert got.tobytes() == ref.tobytes()
+        p = fields["node"]
+        for c in range(3):
+            ref = np.zeros(turbine.n)
+            np.add.at(ref, ids, -p[ids] * turbine.boundary_face_vectors[:, c])
+            got = boundary_pressure_force(turbine, p, c)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_momentum_diagonal(self, turbine, fields):
+        from repro.core import SimulationConfig
+        from repro.core.physics import MomentumSystem
+
+        cfg = SimulationConfig(nranks=2)
+        mom = MomentumSystem(turbine, cfg)
+        mdot, mu = fields["edge"], np.abs(fields["node"]) + 1e-3
+        bflux = np.abs(fields["node"])
+        g_e = diffusion_coefficients(turbine, mu)
+        ref = cfg.density * turbine.node_volume / cfg.dt
+        a, b = turbine.edges[:, 0], turbine.edges[:, 1]
+        np.add.at(ref, a, np.maximum(mdot, 0.0) + g_e)
+        np.add.at(ref, b, np.maximum(-mdot, 0.0) + g_e)
+        ref += np.maximum(bflux, 0.0)
+        got = mom.row_diagonal(mdot, mu, bflux)
+        assert got.tobytes() == ref.tobytes()

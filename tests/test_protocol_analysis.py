@@ -397,7 +397,7 @@ class TestModuleIdentity:
         # A checkout under .../linalg/... used to make every module
         # kernel scope, one under .../campaign/... campaign scope.
         for path in (
-            "/work/linalg/proj/src/repro/core/x.py",
+            "/work/linalg/proj/src/repro/overset/x.py",
             "/work/linalg/tools/x.py",
         ):
             assert not lint_source(self.RAW_SCATTER, path).findings

@@ -475,7 +475,7 @@ class TestSolverLadder:
 class TestCacheInvalidation:
     def test_reset_solver_caches_clears_and_repopulates(self):
         sim = NaluWindSimulation("turbine_tiny")
-        sim.run(1)
+        sim.run(3)  # past the start-up steps, which end preconditioners
         m = sim.momentum
         assert m._plan is not None and m._plan.matrix_ready
         assert m._precond is not None

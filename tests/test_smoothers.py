@@ -245,3 +245,104 @@ def test_apply_is_smooth_from_zero_without_the_first_residual(name):
     for kernel, total in smooth_ops.items():
         rest = np.subtract(total, residual_ops.get(kernel, (0, 0, 0)))
         assert tuple(rest) == apply_ops.get(kernel, (0, 0, 0)), kernel
+
+
+def _assert_split_is_tril_triu(M):
+    """The cached split of ``M`` gathers exactly ``tril``/``triu`` of its
+    block-diagonal part: index arrays, values, explicit zeros."""
+    bd = M.block_diagonal()
+    split = M.block_split
+    for lower, ref in (
+        (True, sparse.tril(bd, k=-1).tocsr()),
+        (False, sparse.triu(bd, k=1).tocsr()),
+    ):
+        got = split.triangle(M.D.data, lower=lower)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+
+
+class TestBlockSplitCache:
+    """``ParCSRMatrix.block_split``: the pattern half of the smoothers'
+    L/D/U split, built once per operator."""
+
+    def test_tiny_levels_momentum_and_scalar(self):
+        from repro.core import NaluWindSimulation, SimulationConfig
+
+        sim = NaluWindSimulation(
+            "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
+        )
+        sim.run(1)
+        sim.close()
+        levels = sim.pressure._hierarchy.levels
+        assert len(levels) >= 3
+        for M in [lvl.A for lvl in levels] + [
+            sim.momentum._matrix, sim.scalar._matrix
+        ]:
+            _assert_split_is_tril_triu(M)
+
+    def test_low_levels(self, assemble_tiny_pressure):
+        from repro.amg import AMGHierarchy
+
+        _w, A, _rhs = assemble_tiny_pressure(4, "turbine_low")
+        levels = AMGHierarchy(A).levels
+        assert len(levels) >= 3
+        for lvl in levels:
+            _assert_split_is_tril_triu(lvl.A)
+
+    def test_built_once_and_shared_by_every_smoother(self):
+        _w, M = par(poisson2d(6), nranks=3)
+        first = make_smoother("sgs2", M).split
+        again = make_smoother("jacobi", M).split
+        assert M.block_split is M.block_split
+        for split in (first, again):
+            assert np.shares_memory(split.L.indices, M.block_split.lower_indices)
+            assert np.shares_memory(split.U.indptr, M.block_split.upper_indptr)
+        # Values are gathered at construction: a refresh of the operator's
+        # values reaches the next smoother, not the last one.
+        M.refresh_values(2.0 * M.A)
+        third = make_smoother("sgs2", M).split
+        assert np.array_equal(third.L.data, 2.0 * first.L.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        nranks=st.integers(1, 4),
+        density=st.floats(0.0, 0.6),
+        zeros=st.floats(0.0, 0.5),
+        diag=st.sampled_from(["full", "missing", "explicit_zero"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_csr(self, n, nranks, density, zeros, diag, seed):
+        """Random patterns with explicit zeros and empty rows: the cached
+        split is ``tril``/``triu``, and a zero or missing diagonal is the
+        same ``ValueError`` the smoother always raised."""
+        rng = np.random.default_rng(seed)
+        dense = np.where(
+            rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0
+        )
+        np.fill_diagonal(dense, 0.0)
+        rows, cols = np.nonzero(dense)
+        vals = dense[rows, cols]
+        vals[rng.random(vals.size) < zeros] = 0.0  # stored zeros
+        if diag != "missing":
+            rows = np.concatenate([rows, np.arange(n)])
+            cols = np.concatenate([cols, np.arange(n)])
+            d = 4.0 + rng.random(n)
+            if diag == "explicit_zero":
+                d[rng.integers(n)] = 0.0
+            vals = np.concatenate([vals, d])
+        A = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        cuts = np.sort(rng.integers(0, n + 1, nranks - 1))
+        offsets = np.concatenate(([0], cuts, [n])).astype(np.int64)
+        M = ParCSRMatrix(SimWorld(nranks), A, offsets)
+        _assert_split_is_tril_triu(M)
+        if diag == "full":
+            make_smoother("sgs2", M)
+        else:
+            with pytest.raises(
+                ValueError, match="smoother requires a nonzero diagonal"
+            ):
+                make_smoother("sgs2", M)
