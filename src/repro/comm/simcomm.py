@@ -157,18 +157,17 @@ class SimWorld:
         """Run the ``with`` block against throwaway sinks.
 
         Ops, traffic, metrics, the hub, the host tracer and its phase
-        walls are fresh for the block, and the profiler, the fault
-        injector and the channel sequence numbers are out of it; all come
-        back at exit, exception or not.  For work that rebuilds what an
-        earlier run already charged (a restart's derived state): the run's
-        record then reads as if the work had never been repeated.
+        walls are fresh for the block, and the profiler and the fault
+        injector are out of it; all come back at exit, exception or not.
+        For work that rebuilds what an earlier run already charged (a
+        restart's derived state): the run's record then reads as if the
+        work had never been repeated, and no scheduled fault fires in it.
         """
         from repro.perf.opcounts import OpRecorder
 
         saved = (
             self.ops, self.traffic, self.metrics, self.hub, self.tracer,
             self.phase_wall, self.profiler, self.fault_injector,
-            self._next_seq.copy(),
         )
         self.ops, self.traffic = OpRecorder(), TrafficLog()
         self.metrics, self.hub = MetricsRegistry(), ObserverHub()
@@ -180,7 +179,6 @@ class SimWorld:
             (
                 self.ops, self.traffic, self.metrics, self.hub, self.tracer,
                 self.phase_wall, self.profiler, self.fault_injector,
-                self._next_seq,
             ) = saved
 
     # -- open halo rounds --------------------------------------------------

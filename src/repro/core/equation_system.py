@@ -199,14 +199,13 @@ class EquationSystem:
     def _captured_plan(self) -> AssemblyPlan | None:
         """The plan captured for the current graph, if any."""
         plan = self._plan
-        if (
-            plan is None
-            or self.graph is None
-            or plan.graph_revision != self.graph.revision
-            or not (plan.matrix_ready and plan.vector_ready)
-        ):
-            return None
-        return plan
+        current = (
+            plan is not None
+            and self.graph is not None
+            and plan.graph_revision == self.graph.revision
+            and plan.matrix_ready
+        )
+        return plan if current else None
 
     def derived(self) -> tuple[dict[str, np.ndarray], dict]:
         """What of the derived state is live, as ``(arrays, meta)``: whether

@@ -162,6 +162,34 @@ class TestSimWorld:
         assert w.pending_messages() == 0
 
 
+class TestOffLedger:
+    def test_nothing_reaches_the_run_and_the_sinks_come_back(self):
+        w = SimWorld(2)
+        w.fault_injector = injector = FaultInjector(
+            (FaultSpec("message_drop", at=0),), seed=1
+        )
+        sinks = (w.ops, w.traffic, w.metrics, w.hub, w.tracer, w.phase_wall)
+        seen = []
+        w.hub.subscribe("exchange", lambda **kw: seen.append(kw))
+        with pytest.raises(RuntimeError):
+            with w.off_ledger():
+                assert w.fault_injector is None
+                with w.phase_scope("rebuild"):
+                    w.charge("k", flops=1.0, nbytes=8.0)
+                    w.charge_alloc(64.0)
+                    w.collective("allreduce", 8)
+                    w.metrics.counter("c").inc()
+                raise RuntimeError("the block fails")
+        assert (
+            w.ops, w.traffic, w.metrics, w.hub, w.tracer, w.phase_wall
+        ) == sinks
+        assert w.fault_injector is injector
+        assert w.ops.total().flops == 0 and w.ops.peak_alloc() == 0
+        assert w.traffic.collective_count() == 0
+        assert w.metrics.counter_total("c") == 0
+        assert seen == [] and w.phase_wall == {} and not w.tracer.find("rebuild")
+
+
 class TestExchangePattern:
     def test_owner_of(self):
         offs = np.array([0, 3, 6, 10])

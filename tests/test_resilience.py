@@ -796,6 +796,37 @@ class TestTransportFaultMatrix:
             rep.recovery["recoveries"].values()
         )
 
+    def test_checkpoint_restore_rebuilds_what_the_file_says_was_live(
+        self, tmp_path
+    ):
+        """The rung rebuilds the ring entry's live graphs, plans and
+        pressure hierarchy: rewound from step 5 to the step-3 file, steps
+        4-6 refresh the step-3 hierarchy as a fault-free run does, and the
+        fields end bitwise where that run's end."""
+        from repro.campaign import field_digest
+
+        base = dict(nranks=2, picard_iterations=1)
+        nominal = NaluWindSimulation("turbine_tiny", SimulationConfig(**base))
+        nominal.run(6)
+        cfg = fault_cfg(
+            "exchange_nan",
+            40,  # inside step 5 at one Picard iteration per step
+            recovery=RecoveryPolicy(max_step_retries=0),
+            checkpoint_every=3,
+            checkpoint_dir=str(tmp_path),
+            **base,
+        )
+        sim = NaluWindSimulation("turbine_tiny", cfg)
+        rep = sim.run(6)
+        for s in (nominal, sim):
+            s.close()
+        assert rep.recovery["recoveries"] == {"checkpoint_restore": 1}
+        assert "step 5 -> 3" in rep.recovery["events"][-1]["detail"]
+        for name in ("velocity", "pressure_field", "scalar_field", "mdot"):
+            assert field_digest(getattr(sim, name)) == field_digest(
+                getattr(nominal, name)
+            )
+
     def test_checkpoint_restore_rewinds_the_step_history(
         self, nominal, tmp_path
     ):
