@@ -77,11 +77,6 @@ def local_spmv_work(
     )
 
 
-def _index_dtype(*sizes: int) -> np.dtype:
-    """The narrowest index dtype of scipy's two that holds every size."""
-    return np.dtype(np.int32 if max(sizes) < 2**31 else np.int64)
-
-
 @dataclass(frozen=True)
 class BlockSplitPattern:
     """The pattern half of the block-diagonal L/D/U splitting.
@@ -292,7 +287,8 @@ class ParCSRMatrix:
         new one), so every smoother built on this object shares it."""
         D, ro = self.D, self.row_offsets
         n = D.shape[0]
-        idx = _index_dtype(n, D.shape[1], D.nnz)
+        # Compact indices: scipy's int32 whenever every size fits.
+        idx = np.int32 if max(n, D.shape[1], D.nnz) < 2**31 else np.int64
         rows = np.repeat(np.arange(n, dtype=idx), np.diff(D.indptr))
         cols = D.indices
 
