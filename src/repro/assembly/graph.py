@@ -123,37 +123,32 @@ class EquationGraph:
         ea = o2n[spec.edges[:, 0]]
         eb = o2n[spec.edges[:, 1]]
         E = ea.size
+        n = self.n
+        # The packed sort key below stays under 2·nranks·n².
+        assert 2 * nranks * n * n < np.iinfo(np.int64).max, "key overflow"
 
         def owner(new_ids: np.ndarray) -> np.ndarray:
             """Owning rank of rank-block global ids."""
             return np.searchsorted(offsets, new_ids, side="right") - 1
 
-        # Contribution list: (row, col, computing rank, source id).
-        # Edge entries, in fixed layout 4e+{0:aa, 1:ab, 2:ba, 3:bb}.
+        # Contribution list (row, col, computing rank), valid entries only:
+        # the edge blocks {0:aa, 1:ab, 2:ba, 3:bb} (rows a / b off the
+        # constraint rows), a diagonal entry for every row (time term /
+        # constraint identity, computed by the owner), then the
+        # coupled-overset donor columns.
         edge_rank = owner(ea)
-        rows = np.concatenate([ea, ea, eb, eb])
-        cols = np.concatenate([ea, eb, ea, eb])
-        cranks = np.concatenate([edge_rank] * 4)
-        src = np.concatenate(
-            [
-                np.arange(E, dtype=np.int64) * 4 + 0,
-                np.arange(E, dtype=np.int64) * 4 + 1,
-                np.arange(E, dtype=np.int64) * 4 + 2,
-                np.arange(E, dtype=np.int64) * 4 + 3,
-            ]
-        )
-        valid = ~is_con[rows]
+        va = ~is_con[ea]  # edges whose row a is free
+        vb = ~is_con[eb]
+        a_va, b_va = ea[va], eb[va]
+        a_vb, b_vb = ea[vb], eb[vb]
+        all_rows = np.arange(n, dtype=np.int64)
+        rows = [a_va, a_va, b_vb, b_vb, all_rows]
+        cols = [a_va, b_va, a_vb, b_vb, all_rows]
+        cranks = [edge_rank[va], edge_rank[va], edge_rank[vb],
+                  edge_rank[vb], owner(all_rows)]
+        n_valid = (a_va.size, a_va.size, b_vb.size, b_vb.size)
+        del a_va, b_va, a_vb, b_vb
 
-        # Diagonal entry for every row (time term / constraint identity),
-        # computed by the owner.
-        all_rows = np.arange(self.n, dtype=np.int64)
-        rows = np.concatenate([rows[valid], all_rows])
-        cols = np.concatenate([cols[valid], all_rows])
-        cranks = np.concatenate([cranks[valid], owner(all_rows)])
-        diag_src = -(all_rows + 1)  # negative tag: diag source
-        src = np.concatenate([src[valid], diag_src])
-
-        # Coupled-overset donor columns.
         self.fringe_slots: np.ndarray | None = None
         n_fringe = 0
         if (
@@ -161,41 +156,47 @@ class EquationGraph:
             and spec.fringe_rows is not None
             and spec.fringe_rows.size
         ):
-            fr = o2n[spec.fringe_rows]
-            fd = o2n[spec.fringe_donors]
-            n_fringe = fr.size
-            frows = np.repeat(fr, 8)
-            fcols = fd.reshape(-1)
-            rows = np.concatenate([rows, frows])
-            cols = np.concatenate([cols, fcols])
-            cranks = np.concatenate([cranks, owner(frows)])
-            fsrc = -(self.n + np.arange(frows.size, dtype=np.int64) + 1)
-            src = np.concatenate([src, fsrc])
+            frows = np.repeat(o2n[spec.fringe_rows], 8)
+            n_fringe = spec.fringe_rows.size
+            rows.append(frows)
+            cols.append(o2n[spec.fringe_donors].reshape(-1))
+            cranks.append(owner(frows))
+            del frows
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        key = np.concatenate(cranks)
+        del cranks
+        self.contrib_per_rank = np.bincount(key, minlength=nranks)
 
-        row_owner = owner(rows)
-        shared = (row_owner != cranks).astype(np.int64)
-        grp = cranks * 2 + shared  # group id: (rank, owned=0/shared=1)
-        self.contrib_per_rank = np.bincount(cranks, minlength=nranks)
-
-        # Sort all contributions by (group, row, col); runs of equal
-        # (group,row,col) collapse to one unique matrix entry.
-        order = np.lexsort((cols, rows, grp))
-        g_s, r_s, c_s = grp[order], rows[order], cols[order]
-        new_run = np.ones(order.size, dtype=bool)
-        if order.size:
-            new_run[1:] = (
-                (g_s[1:] != g_s[:-1])
-                | (r_s[1:] != r_s[:-1])
-                | (c_s[1:] != c_s[:-1])
-            )
-        uid_sorted = np.cumsum(new_run) - 1
-        nnz_total = int(uid_sorted[-1]) + 1 if order.size else 0
-
+        # One packed key per contribution, (group·n + row)·n + col with
+        # group = 2·rank + (owned=0/shared=1): its stable argsort is the
+        # stable (group, row, col) lexsort, and runs of equal keys
+        # collapse to one unique matrix entry.
+        shared = owner(rows) != key
+        key *= 2
+        key += shared
+        del shared
+        key *= n
+        key += rows
+        del rows
+        key *= n
+        key += cols
+        del cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_run = np.empty(key.size, dtype=bool)
+        new_run[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new_run[1:])
         starts = np.flatnonzero(new_run)
-        self.u_row = r_s[starts]
-        self.u_col = c_s[starts]
-        u_grp = g_s[starts]
-        self.nnz_total = nnz_total
+        u_key = key[starts]
+        del key, starts
+        self.nnz_total = u_key.size
+        u_gr = u_key // n
+        self.u_col = u_key - u_gr * n
+        del u_key
+        self.u_row = u_gr % n
+        u_grp = u_gr // n
+        del u_gr
 
         # Group boundaries in the unique layout.
         self.groups: list[list[GroupLayout]] = []
@@ -209,20 +210,30 @@ class EquationGraph:
             self.groups.append(
                 [GroupLayout(*own), GroupLayout(*snd)]
             )
+        del u_grp
 
         # Invert the sort to get per-contribution slots in original order.
-        slots = np.empty(order.size, dtype=np.int64)
+        n_contrib = order.size
+        uid_sorted = np.cumsum(new_run)
+        del new_run
+        uid_sorted -= 1
+        slots = np.empty(n_contrib, dtype=np.int64)
         slots[order] = uid_sorted
+        del order, uid_sorted
 
-        # Unpack slots back to their sources.
-        n_edge_contrib = int(valid.sum())
+        # Unpack slots back to their sources: edge e's block-k entry lives
+        # at 4e + k; entries on constraint rows keep -1.
         self.edge_slots = np.full(4 * E, -1, dtype=np.int64)
-        self.edge_slots[src[:n_edge_contrib]] = slots[:n_edge_contrib]
-        self.diag_slots = slots[n_edge_contrib : n_edge_contrib + self.n]
+        by_edge = self.edge_slots.reshape(E, 4)
+        lo = 0
+        for k, valid in enumerate((va, va, vb, vb)):
+            by_edge[valid, k] = slots[lo : lo + n_valid[k]]
+            lo += n_valid[k]
+        del by_edge, va, vb
+        self.diag_slots = slots[lo : lo + n].copy()
         if n_fringe:
-            self.fringe_slots = slots[
-                n_edge_contrib + self.n :
-            ].reshape(n_fringe, 8)
+            self.fringe_slots = slots[lo + n :].reshape(n_fringe, 8).copy()
+        del slots
 
         # RHS layout: every row has exactly one RHS entry owned by its
         # owner; edge-sourced RHS contributions into off-rank rows form the
@@ -232,7 +243,7 @@ class EquationGraph:
 
         # Cost: the graph computation is sequential host work (§3.1);
         # charge one traversal of the contribution list plus the sort.
-        share = float(order.size) / nranks
+        share = float(n_contrib) / nranks
         self.world.charge("graph_host", 8.0 * share, 64.0 * share, launches=0)
 
     def _build_rhs(

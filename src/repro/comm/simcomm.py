@@ -16,6 +16,7 @@ which is what its leak check, purge and the double-begin guard read.
 
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
@@ -63,9 +64,13 @@ class SimWorld:
         # Host clock: every phase scope opens its span here (the
         # simulation driver swaps in a tracer fed by ``config.clock``) and
         # adds the span's duration to the flat per-label record
-        # ``label -> {"total_s", "count"}`` at exit.
+        # ``label -> {"total_s", "count"}`` at exit; while ``tracemalloc``
+        # traces, also the phase's largest ``high_water_bytes``.
         self.tracer = Tracer()
         self.phase_wall: dict[str, dict[str, float]] = {}
+        #: ``[entry bytes, peak so far]`` of every open traced phase,
+        #: innermost last (:meth:`_memory_enter`).
+        self._memory_marks: list[list[int]] = []
         # Resilience: optional seeded FaultInjector (see
         # repro.resilience.injection); when set, world-level exchanges give
         # it the chance to corrupt payloads deterministically.
@@ -107,10 +112,19 @@ class SimWorld:
         the one this scope pushed, so stack corruption (e.g. an observer
         mutating ``_phase_stack``) raises immediately instead of silently
         misattributing all subsequent traffic.
+
+        While :mod:`tracemalloc` is tracing, the record also keeps the
+        phase's ``high_water_bytes``: the most traced memory any one run
+        of the block held above what was live at its entry.  Each scope
+        resets tracemalloc's peak at entry; an enclosing scope's peak
+        survives its nested ones.
         """
         self._phase_stack.append(label)
         if self.profiler is not None:
             self.profiler.on_phase_begin(label)
+        traced = tracemalloc.is_tracing()
+        if traced:
+            self._memory_enter()
         try:
             with self.tracer.span(label) as span:
                 yield span
@@ -121,6 +135,35 @@ class SimWorld:
             )
             wall["total_s"] += span.duration
             wall["count"] += 1
+            if traced:
+                high = self._memory_exit()
+                if high is not None:
+                    wall["high_water_bytes"] = max(
+                        wall.get("high_water_bytes", 0), high
+                    )
+
+    def _memory_enter(self) -> None:
+        """Open a traced phase: fold the peak so far into the enclosing
+        phase's, then reset tracemalloc's peak for this one."""
+        current, peak = tracemalloc.get_traced_memory()
+        if self._memory_marks:
+            outer = self._memory_marks[-1]
+            outer[1] = max(outer[1], peak)
+        self._memory_marks.append([current, current])
+        tracemalloc.reset_peak()
+
+    def _memory_exit(self) -> int | None:
+        """Close the innermost traced phase: its high-water above entry
+        (None when tracing stopped inside it); the enclosing phase's
+        peak takes this one's."""
+        entry, seen = self._memory_marks.pop()
+        if not tracemalloc.is_tracing():
+            return None
+        seen = max(seen, tracemalloc.get_traced_memory()[1])
+        if self._memory_marks:
+            outer = self._memory_marks[-1]
+            outer[1] = max(outer[1], seen)
+        return seen - entry
 
     @contextmanager
     def marked_span(self, name: str, **attrs: Any) -> Iterator[Span]:

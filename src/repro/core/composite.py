@@ -11,6 +11,7 @@ decomposition + rank-block renumbering.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -296,8 +297,10 @@ class PositionStore:
     """
 
     def __init__(self, comp: CompositeMesh) -> None:
-        self._comp = comp
-        self._constraint_rows: dict[object, np.ndarray] = {}
+        # Weak, and keyed by equation name: the store sits inside the
+        # mesh, so a strong back-reference would be a reference cycle.
+        self._comp = weakref.proxy(comp)
+        self._constraint_rows: dict[str, np.ndarray] = {}
 
     def adopt(self, **entries: tuple[np.ndarray, ...]) -> None:
         """Take entries the position helper computed for this position
@@ -319,9 +322,9 @@ class PositionStore:
 
     def constraint_rows(self, eq) -> np.ndarray:
         """Dirichlet + overset fringe + hole rows of equation ``eq``."""
-        rows = self._constraint_rows.get(eq)
+        rows = self._constraint_rows.get(eq.name)
         if rows is None:
-            rows = self._constraint_rows[eq] = _readonly(
+            rows = self._constraint_rows[eq.name] = _readonly(
                 np.unique(
                     np.concatenate([eq.dirichlet, self.fringe, self.hole])
                 )

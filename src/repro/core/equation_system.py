@@ -69,10 +69,12 @@ class SolveRecord:
 
 
 class HeldStorage:
-    """Device bytes per rank that a checkpointed run's derived object held.
+    """Device bytes per rank of a derived object this process does not hold.
 
-    A cold restart puts one in the object's slot, so the modeled allocator
-    frees the bytes where the uninterrupted run freed the object.
+    A cold restart puts one in the slot of an object it never built, and
+    :meth:`EquationSystem.update_graph` in the slot of the operator a
+    moved pattern ended, so the modeled allocator frees the bytes where
+    the object itself would have been released.
     """
 
     def __init__(self, world, per_rank: list[float]) -> None:
@@ -152,6 +154,14 @@ class EquationSystem:
         assembly plan replays and the preconditioner is refreshed rather
         than set up again.  (``n`` and the numbering are the mesh's, fixed
         at construction.)
+
+        A moved pattern (or one whose lifetime :meth:`drop_graph` ended)
+        ends the old graph, assembler, plan and operator *before* their
+        successors are built, so the two never coexist.  The assembler's
+        modeled storage is freed here, as always; the operator's slot
+        keeps a :class:`HeldStorage` of its bytes, so the modeled
+        allocator frees them at the next :meth:`assemble`, where the
+        operator itself would have been released.
         """
         with self.world.phase_scope(self.phase("graph")):
             spec = GraphSpec(
@@ -168,8 +178,12 @@ class EquationSystem:
                 )
             ):
                 return
+            del old
             if self.assembler is not None:
                 self.assembler.release()
+            if self._matrix is not None:
+                self._matrix = HeldStorage(self.world, self._matrix.held())
+            self.graph = self.assembler = self._plan = None
             self.graph = EquationGraph(self.world, self.comp.numbering, spec)
             self._graph_live = True
             self.assembler = LocalAssembler(
@@ -184,7 +198,8 @@ class EquationSystem:
         a fresh plan and the next :meth:`solve` set the preconditioner up:
         what a process restarted here does, holding no derived state.
         Until then the old objects stay readable and their storage held,
-        as a restart's :class:`HeldStorage` does.
+        as a restart's :class:`HeldStorage` does; that rebuild ends them
+        before building their successors.
         """
         self._graph_live = False
 

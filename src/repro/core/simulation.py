@@ -157,10 +157,12 @@ class NaluWindSimulation:
         self.tracer = self.world.tracer
         # AMG setup stats arrive through the world's observer hub (the
         # hierarchy is built deep inside the pressure preconditioner).
-        self.amg_setups: list[AMGSetupStats] = []
+        # The observer holds the list, not the simulation: no reference
+        # cycle through the world keeps a dropped simulation alive.
+        setups: list[AMGSetupStats] = []
+        self.amg_setups = setups
         self.world.hub.subscribe(
-            "amg_setup",
-            lambda stats, **_kw: self.amg_setups.append(stats),
+            "amg_setup", lambda stats, **_kw: setups.append(stats)
         )
         # Resilience: scheduled faults corrupt exchanges/operators/solves
         # deterministically; what happens on a failure — rewinds, the

@@ -5,8 +5,9 @@ document:
 
 * :func:`render_span_tree` — the nested timeline (hypre's ``-print_level``
   style), one line per span with duration and self-time;
-* :func:`render_flat_report` — flat per-phase totals plus convergence and
-  AMG quality summaries, the quick-look companion of Figs. 6-7.
+* :func:`render_flat_report` — flat per-phase totals (and memory
+  high-waters, when measured) plus convergence and AMG quality summaries,
+  the quick-look companion of Figs. 6-7.
 
 :func:`write_telemetry_json` persists the machine-readable document the
 regression checker diffs.
@@ -58,8 +59,14 @@ def render_span_tree(
     return "\n".join(lines)
 
 
+#: Phases listed by memory high-water in :func:`render_flat_report`.
+MEMORY_TOP = 5
+
+
 def render_flat_report(telemetry: RunTelemetry) -> str:
-    """Flat per-phase totals + convergence + AMG quality summary."""
+    """Flat per-phase totals (and, for a run traced under
+    :mod:`tracemalloc`, the :data:`MEMORY_TOP` phases of highest memory
+    high-water) + convergence + AMG quality summary."""
     t = telemetry
     lines = [
         f"run telemetry: {t.workload} ({t.nranks} ranks, "
@@ -73,6 +80,16 @@ def render_flat_report(telemetry: RunTelemetry) -> str:
         lines.append(
             f"  {name:<36s} {ph['total_s']:10.4f}  {int(ph['count']):6d}"
         )
+
+    high = {
+        name: ph["high_water_bytes"]
+        for name, ph in t.phases.items()
+        if "high_water_bytes" in ph
+    }
+    if high:
+        lines.append("phase memory high-water above entry       [MiB]")
+        for name in sorted(high, key=high.get, reverse=True)[:MEMORY_TOP]:
+            lines.append(f"  {name:<36s} {high[name] / 2**20:10.2f}")
 
     lines.append("equation       solves  mean iters  last residual")
     for eq in sorted(t.solves):

@@ -94,7 +94,9 @@ class RunTelemetry:
     config: dict[str, Any] = field(default_factory=dict)
     #: Nested span forest (see :meth:`repro.obs.tracer.Span.to_dict`).
     spans: list[dict[str, Any]] = field(default_factory=list)
-    #: Flat per-phase wall clock: ``label -> {"total_s", "count"}``.
+    #: Flat per-phase wall clock: ``label -> {"total_s", "count"}``, plus
+    #: ``"high_water_bytes"`` (traced memory above the phase's entry, its
+    #: largest) for phases measured under :mod:`tracemalloc`.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
     #: Per-equation convergence: iterations / norms / histories per solve.
     solves: dict[str, dict[str, Any]] = field(default_factory=dict)

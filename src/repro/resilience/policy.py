@@ -135,8 +135,8 @@ class RecoveryEvent:
     detail: str = ""
 
 
-def record_failure(world: Any, failure: Any) -> None:
-    """Count one solver failure and announce it.
+def record_failure(world: Any, failure: Any) -> Any:
+    """Count one solver failure and announce it; returns ``failure``.
 
     With :func:`record_recovery`, the only place the ``resilience.*``
     counters move and the matching hub events are emitted, so a counter
@@ -151,6 +151,7 @@ def record_failure(world: Any, failure: Any) -> None:
         kind=failure.kind,
         failure=failure,
     )
+    return failure
 
 
 def record_recovery(world: Any, event: RecoveryEvent) -> None:
@@ -226,14 +227,18 @@ def solve_with_recovery(
     them), with recovery disabled, or with ``policy.ladder`` exhausted.
     """
     if policy.guards and not operands_ok():
-        failure = SolverFailure(
-            f"{equation} operands are non-finite before solve",
-            equation=equation,
-            kind="nonfinite_operands",
-            phase=f"{equation}/solve",
+        # No local names the failure: this frame is on its traceback, and
+        # the two would keep each other (and the caller's objects) alive
+        # after the step transaction has rewound.
+        raise record_failure(
+            world,
+            SolverFailure(
+                f"{equation} operands are non-finite before solve",
+                equation=equation,
+                kind="nonfinite_operands",
+                phase=f"{equation}/solve",
+            ),
         )
-        record_failure(world, failure)
-        raise failure
     # Transport failures (halo messages that exhausted the comm retry
     # budget) escalate into the same ladder: the rungs re-drive the
     # exchanges, and one-shot injected faults will not re-fire.

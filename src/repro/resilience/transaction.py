@@ -4,7 +4,8 @@ The driver *declares* its state and *offers* a step body; this module owns
 every catch, retry, rewind and event above the solver ladder
 (:func:`repro.resilience.policy.solve_with_recovery` owns those below).
 
-State contract of the wrapped ``target`` (any object):
+State contract of the wrapped ``target`` (any object that owns the
+transaction; it is held weakly):
 
 * ``state() -> (arrays, meta)`` — everything a step may change: array
   *copies* plus a JSON-able dict with at least ``step_index``, cheap enough
@@ -29,6 +30,7 @@ ring's ``checkpoint_dir`` / ``checkpoint_keep`` / ``checkpoint_every``.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -53,20 +55,24 @@ class StepTransaction:
     events; ``restores`` counts ring rewinds against their budget."""
 
     def __init__(self, target: Any, world: Any, config: Any) -> None:
-        self.target = target
+        # The target owns its transaction: a weak back-reference (and hub
+        # observers that hold only the event list) leave no reference
+        # cycle, so a dropped target is freed at once.
+        self.target = weakref.proxy(target)
         self.world = world
         self.config = config
         self.events: list[dict[str, Any]] = []
         self.restores = 0
+        events = self.events
         world.hub.subscribe(
             "solver_failure",
-            lambda failure, **_kw: self.events.append(
+            lambda failure, **_kw: events.append(
                 {"event": "solver_failure", **failure.to_dict()}
             ),
         )
         world.hub.subscribe(
             "recovery",
-            lambda **kw: self.events.append({"event": "recovery", **kw}),
+            lambda **kw: events.append({"event": "recovery", **kw}),
         )
 
     def _ring(self, directory: str | None = None) -> CheckpointManager:
@@ -102,6 +108,9 @@ class StepTransaction:
                     fields = body()
                     if policy.guards:
                         self._guard(fields)
+                    # An earlier failure has this frame on its traceback:
+                    # unbound here, the two leave no reference cycle.
+                    failure = None
                     return True
                 except SolverFailure as exc:
                     failure = exc
@@ -137,6 +146,7 @@ class StepTransaction:
             f"({os.path.basename(path)})",
         )
         self._rewind(arrays, meta, event, path=path)
+        failure = None
         return False
 
     def _guard(self, fields: Mapping[str, np.ndarray]) -> None:

@@ -60,6 +60,28 @@ def test_turbine_graphs_match_the_reference(workload, nranks):
         assert_same_graph(comp.numbering, spec)
 
 
+def test_retained_arrays_own_their_memory():
+    """No retained array is a view pinning a larger build buffer."""
+    rng = np.random.default_rng(3)
+    n = 50
+    fringe = np.array([4, 9, 30])
+    spec = GraphSpec(
+        n=n,
+        edges=rng.integers(0, n, size=(120, 2)),
+        constraint_rows=np.array([0, 4, 9, 30]),
+        fringe_rows=fringe,
+        fringe_donors=rng.integers(0, n, size=(3, 8)),
+        coupled_fringe=True,
+    )
+    g = EquationGraph(SimWorld(3), build_numbering(rng.integers(0, 3, n), 3), spec)
+    for name, arr in graph_arrays(g).items():
+        if isinstance(arr, np.ndarray):
+            root = arr
+            while root.base is not None:
+                root = root.base
+            assert root.nbytes == arr.nbytes, name
+
+
 @st.composite
 def specs(draw):
     n = draw(st.integers(1, 40))
