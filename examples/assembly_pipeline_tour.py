@@ -4,9 +4,9 @@ Walks a real momentum system through the pipeline the paper builds:
 
 1. Stage 1 — graph computation (exact sparsity, owned/shared split);
 2. Stage 2 — data-parallel local assembly (atomics, or the deterministic
-   and compensated variants of §3.2);
-3. Stage 3 — hypre global assembly via the six IJ API calls wrapping
-   Algorithms 1 and 2, in all three variants the paper discusses.
+   variant of §3.2);
+3. Stage 3 — hypre global assembly (Algorithms 1 and 2) in all three
+   variants the paper discusses.
 
 Run:  python examples/assembly_pipeline_tour.py
 """
@@ -14,12 +14,7 @@ Run:  python examples/assembly_pipeline_tour.py
 import numpy as np
 
 from repro import NaluWindSimulation, SimulationConfig
-from repro.assembly import (
-    HypreIJMatrix,
-    HypreIJVector,
-    assemble_global_matrix,
-    assemble_global_vector,
-)
+from repro.assembly import assemble_global_matrix, assemble_global_vector
 from repro.comm import SimWorld
 from repro.harness import format_table
 from repro.perf import CostModel, SUMMIT_GPU
@@ -53,7 +48,7 @@ def main() -> None:
         w = SimWorld(cfg.nranks)
         with w.phase_scope("asm"):
             am = assemble_global_matrix(w, num, local, variant=variant)
-            rhs = assemble_global_vector(w, num, local, variant=variant)
+            assemble_global_vector(w, num, local, variant=variant)
         cm = CostModel(SUMMIT_GPU)
         t = cm.phase_time(w, "asm").total
         rows.append(
@@ -73,27 +68,6 @@ def main() -> None:
             rows,
         )
     )
-
-    # The IJ interface: the same six API calls the paper lists.
-    w = SimWorld(cfg.nranks)
-    ij = HypreIJMatrix(w, num)
-    ijv = HypreIJVector(w, num)
-    for r in range(cfg.nranks):
-        own = local.own_matrix[r]
-        ij.set_values2(r, own.i, own.j, own.a)
-        snd = local.send_matrix[r]
-        if snd.nnz:
-            ij.add_to_values2(r, snd.i, snd.j, snd.a)
-        orhs = local.own_rhs[r]
-        ijv.set_values2(r, orhs.i, orhs.r)
-        srhs = local.send_rhs[r]
-        if srhs.n:
-            ijv.add_to_values2(r, srhs.i, srhs.r)
-    am = ij.assemble()
-    rhs = ijv.assemble()
-    ref = assemble_global_matrix(SimWorld(cfg.nranks), num, local)
-    err = abs(am.matrix.A - ref.matrix.A).max()
-    print(f"\nIJ-interface assembly matches pipeline output: max |diff| = {err:.2e}")
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ RL001   unstable sort: ``np.sort``/``np.argsort`` (or the ndarray method
 RL002   raw scatter-write: ``np.add.at``/``np.subtract.at`` in the
         device-kernel packages (``repro.assembly``/``linalg``/``amg``/
         ``smoothers``/``krylov``) or the physics driver (``repro.core``)
-        outside the registered scatter wrappers
+        outside the registered scatter wrapper
         (:data:`REGISTERED_SCATTER_QUALNAMES`) — bypasses the
-        atomic/deterministic/compensated mode contract and its cost
+        atomic/deterministic mode contract and its cost
         accounting, and in ``core`` is an order-for-order ``np.bincount``
         at several times the cost.  (``np.maximum.at``/``minimum.at`` are
         exempt: they are exactly associative/commutative, so order cannot
@@ -136,10 +136,8 @@ KERNEL_PACKAGES = ("assembly", "linalg", "amg", "smoothers", "krylov")
 SCATTER_PACKAGES = KERNEL_PACKAGES + ("core",)
 
 #: Qualified function names allowed to issue raw scatter-writes (RL002):
-#: the mode-aware Stage-2 accumulation wrappers in ``repro.assembly.local``.
-REGISTERED_SCATTER_QUALNAMES = frozenset(
-    {"LocalAssembler._scatter", "_segmented_kahan"}
-)
+#: the mode-aware Stage-2 accumulation wrapper in ``repro.assembly.local``.
+REGISTERED_SCATTER_QUALNAMES = frozenset({"LocalAssembler._scatter"})
 
 #: Sort kinds NumPy guarantees to be stable.
 _STABLE_KINDS = frozenset({"stable", "mergesort"})

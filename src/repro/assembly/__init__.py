@@ -13,22 +13,15 @@ from repro.assembly.global_assembly import (
     assemble_global_vector,
 )
 from repro.assembly.graph import EquationGraph, GraphSpec
-from repro.assembly.ij import HypreIJMatrix, HypreIJVector
 from repro.assembly.local import LocalAssembler, LocalSystem, RankCOO, RankRHS
 from repro.assembly.plan import AssemblyPlan
-from repro.assembly.primitives import (
-    reduce_by_key,
-    sort_reduce_by_key,
-    stable_sort_by_key,
-)
+from repro.assembly.primitives import sort_reduce_by_key
 
 __all__ = [
     "AssembledMatrix",
     "AssemblyPlan",
     "EquationGraph",
     "GraphSpec",
-    "HypreIJMatrix",
-    "HypreIJVector",
     "LocalAssembler",
     "LocalSystem",
     "RankCOO",
@@ -36,7 +29,5 @@ __all__ = [
     "VARIANTS",
     "assemble_global_matrix",
     "assemble_global_vector",
-    "reduce_by_key",
     "sort_reduce_by_key",
-    "stable_sort_by_key",
 ]

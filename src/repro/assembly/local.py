@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.assembly.graph import EquationGraph
+from repro.assembly.primitives import record_sort_cost, sort_reduce_by_key
 from repro.comm.simcomm import SimWorld
 
 
@@ -63,45 +64,7 @@ class LocalSystem:
 
 
 #: Accumulation modes for the data-parallel scatter (paper §3.2).
-SCATTER_MODES = ("atomic", "deterministic", "compensated")
-
-
-def _segmented_kahan(
-    target: np.ndarray, slots: np.ndarray, vals: np.ndarray
-) -> None:
-    """Compensated (Kahan) segmented summation into ``target``.
-
-    Contributions are grouped by slot and accumulated with an error term,
-    vectorized across slots round by round (the maximum contributions per
-    matrix entry is small — an entry receives at most one contribution per
-    incident edge).  This is the compensated summation the paper names as
-    a mitigation for atomic-order nondeterminism ("not yet been
-    implemented" there; implemented here).
-    """
-    order = np.argsort(slots, kind="stable")
-    s = slots[order]
-    v = vals[order]
-    if s.size == 0:
-        return
-    run_start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    run_id = np.cumsum(np.r_[True, s[1:] != s[:-1]]) - 1
-    pos = np.arange(s.size) - run_start[run_id]
-    targets = s[run_start]
-    comp = np.zeros(targets.size)
-    acc = np.zeros(targets.size)
-    # Kahan-Babuska-Neumaier: the compensation survives even when the new
-    # term exceeds the accumulator (plain Kahan loses that case).
-    for k in range(int(pos.max()) + 1):
-        sel = pos == k
-        rid = run_id[sel]
-        x = v[sel]
-        a = acc[rid]
-        t = a + x
-        big = np.abs(a) >= np.abs(x)
-        corr = np.where(big, (a - t) + x, (x - t) + a)
-        comp[rid] += corr
-        acc[rid] = t
-    np.add.at(target, targets, acc + comp)
+SCATTER_MODES = ("atomic", "deterministic")
 
 
 class LocalAssembler:
@@ -117,16 +80,14 @@ class LocalAssembler:
               paper's production choice);
             * ``"deterministic"`` — sort contributions by destination and
               reduce in a fixed order ("required significantly more memory
-              and a global sorting algorithm");
-            * ``"compensated"`` — deterministic order plus Kahan
-              compensation (the mitigation the paper proposes as future
-              work).
+              and a global sorting algorithm").
 
     NumPy runs no concurrent threads: ``np.add.at`` commits in list order,
-    so all three modes are run-to-run reproducible here.  What the last
-    two model is a per-entry summation order fixed by the canonical
-    contribution list — a *stable* sort on destination (lint rule RL001
-    keeps it stable) — where device atomics commit in arrival order.
+    so both modes are run-to-run reproducible here.  What
+    ``"deterministic"`` models is a per-entry summation order fixed by the
+    canonical contribution list — a *stable* sort on destination
+    (:func:`~repro.assembly.primitives.sort_reduce_by_key`) — where device
+    atomics commit in arrival order.
     """
 
     def __init__(
@@ -187,10 +148,8 @@ class LocalAssembler:
         if self.mode == "atomic":
             np.add.at(target, slots, vals)
             return
-        # Deterministic modes sort by destination first (costed as a
-        # device sort over the contribution list).
-        from repro.assembly.primitives import record_sort_cost
-
+        # Deterministic mode: sort by destination, reduce each run (costed
+        # as a device sort over the contribution list).
         n = slots.size
         total = float(self.graph.contrib_per_rank.sum()) or 1.0
         for r in range(self.graph.numbering.nranks):
@@ -198,17 +157,8 @@ class LocalAssembler:
             record_sort_cost(self.world, r, share, 8, kernel="asm_det_sort")
             self.world.charge_alloc(16.0 * share, ranks=[r])
             self.world.charge_alloc(-16.0 * share, ranks=[r])
-        if self.mode == "deterministic":
-            order = np.argsort(slots, kind="stable")
-            s_sorted = slots[order]
-            v_sorted = vals[order]
-            starts = np.flatnonzero(
-                np.r_[True, s_sorted[1:] != s_sorted[:-1]]
-            )
-            sums = np.add.reduceat(v_sorted, starts)
-            np.add.at(target, s_sorted[starts], sums)
-        else:  # compensated
-            _segmented_kahan(target, slots, vals)
+        (dest,), sums, _perm, _starts = sort_reduce_by_key((slots,), vals)
+        np.add.at(target, dest, sums)
 
     # -- matrix contributions --------------------------------------------------
 

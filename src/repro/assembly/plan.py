@@ -1,9 +1,9 @@
 """Pattern-frozen assembly plans (setup reuse across Picard iterations).
 
 The Stage-3 global assembly (Algorithms 1-2) is pattern-oblivious: every
-call re-runs ``stable_sort_by_key`` + ``reduce_by_key`` and re-splits the
-result into the ParCSR ``diag``/``offd`` blocks, even though the sparsity
-pattern only changes when the Stage-1 graph is rebuilt (mesh motion).
+call re-runs ``sort_reduce_by_key`` and re-splits the result into the
+ParCSR ``diag``/``offd`` blocks, even though the sparsity pattern only
+changes when the Stage-1 graph is rebuilt (mesh motion).
 Production hypre amortizes this by freezing the IJ pattern after the first
 assembly and doing value-only updates on subsequent fills.
 
@@ -24,9 +24,10 @@ order as the cold path of the plan's ``variant``, so the fast-path
 operator is bitwise identical to a cold assembly of the same fill.
 
 Plan validity is the caller's contract: a plan captured for one pattern
-must only be replayed on fills of that pattern.  ``EquationSystem`` keys
-plans on the :class:`~repro.assembly.graph.EquationGraph` revision;
-:class:`~repro.assembly.ij.HypreIJMatrix` compares staged index arrays.
+must only be replayed on fills of that pattern.  The
+:class:`~repro.assembly.graph.EquationGraph` revision is the one rule for
+that: ``EquationSystem`` keys its plan on it and drops the plan when the
+revision moves.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class _RankMatrixPlan:
     #: ``optimized``/``general`` variants: owned + received; for
     #: ``sparse_add``: owned + reduced-received).
     perm: np.ndarray
-    #: reduce_by_key segment starts aligned with ``perm``'s output.
+    #: Reduce segment starts aligned with ``perm``'s output.
     starts: np.ndarray
     #: ``sparse_add`` only: sort/reduce program for the received entries.
     recv_perm: np.ndarray | None = None
@@ -73,7 +74,7 @@ class _RankVectorPlan:
 
 
 def _segmented_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``np.add.reduceat`` with the empty-input guard reduce_by_key has."""
+    """``np.add.reduceat`` with the empty-input guard sort_reduce_by_key has."""
     if values.size == 0:
         return values[:0]
     return np.add.reduceat(values, starts)

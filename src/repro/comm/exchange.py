@@ -68,11 +68,6 @@ class RankExchange:
         """Number of distinct destination ranks."""
         return len(self.send_to)
 
-    @property
-    def n_neighbors_recv(self) -> int:
-        """Number of distinct source ranks."""
-        return len(self.recv_from)
-
 
 @dataclass
 class ExchangePattern:

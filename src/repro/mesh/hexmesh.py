@@ -48,16 +48,6 @@ class MeshStats:
     max_aspect_ratio: float
     volume_ratio: float
 
-    def as_row(self) -> dict:
-        """Row dict for report tables."""
-        return {
-            "nodes": self.n_nodes,
-            "cells": self.n_cells,
-            "edges": self.n_edges,
-            "max_AR": round(self.max_aspect_ratio, 1),
-            "vol_ratio": f"{self.volume_ratio:.1e}",
-        }
-
 
 class HexMesh:
     """One component mesh (background block or body-fitted blade block)."""

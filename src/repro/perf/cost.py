@@ -224,7 +224,3 @@ class CostModel:
         if phases is None:
             phases = sorted(set(world.ops.phases()) | set(world.traffic.phases()))
         return {ph: self.phase_time(world, ph) for ph in phases}
-
-    def total_time(self, world: SimWorld, phases: list[str] | None = None) -> float:
-        """Total simulated seconds over the selected phases."""
-        return sum(pt.total for pt in self.run_time(world, phases).values())

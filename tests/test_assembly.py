@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from repro.assembly import (
     EquationGraph,
     GraphSpec,
-    HypreIJMatrix,
-    HypreIJVector,
     LocalAssembler,
     assemble_global_matrix,
     assemble_global_vector,
-    reduce_by_key,
-    stable_sort_by_key,
+    sort_reduce_by_key,
 )
 from repro.comm import SimWorld
 from repro.partition import build_numbering
@@ -25,52 +22,60 @@ class TestPrimitives:
         i = np.array([2, 0, 2, 1])
         j = np.array([1, 5, 0, 3])
         v = np.array([10.0, 20.0, 30.0, 40.0])
-        (i_s, j_s), v_s = stable_sort_by_key((i, j), v)
-        assert i_s.tolist() == [0, 1, 2, 2]
-        assert j_s.tolist() == [5, 3, 0, 1]
-        assert v_s.tolist() == [20.0, 40.0, 30.0, 10.0]
+        (i_u, j_u), v_u, perm, starts = sort_reduce_by_key((i, j), v)
+        assert perm.tolist() == [1, 3, 2, 0]
+        assert starts.tolist() == [0, 1, 2, 3]
+        assert i_u.tolist() == [0, 1, 2, 2]
+        assert j_u.tolist() == [5, 3, 0, 1]
+        assert v_u.tolist() == [20.0, 40.0, 30.0, 10.0]
 
     def test_sort_stability(self):
         i = np.array([1, 1, 1])
         j = np.array([2, 2, 2])
         v = np.array([1.0, 2.0, 3.0])
-        (_i, _j), v_s = stable_sort_by_key((i, j), v)
-        assert v_s.tolist() == [1.0, 2.0, 3.0]
+        _keys, _v, perm, starts = sort_reduce_by_key((i, j), v)
+        assert perm.tolist() == [0, 1, 2]
+        assert starts.tolist() == [0]
 
     def test_reduce_by_key_sums_runs(self):
         i = np.array([0, 0, 1, 1, 1, 2])
         j = np.array([0, 0, 1, 1, 2, 2])
         v = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        (i_u, j_u), v_u = reduce_by_key((i, j), v)
+        (i_u, j_u), v_u, _perm, starts = sort_reduce_by_key((i, j), v)
+        assert starts.tolist() == [0, 2, 4, 5]
         assert i_u.tolist() == [0, 1, 1, 2]
         assert j_u.tolist() == [0, 1, 2, 2]
         assert v_u.tolist() == [3.0, 7.0, 5.0, 6.0]
 
     def test_reduce_empty(self):
-        (i_u,), v_u = reduce_by_key(
+        (i_u,), v_u, perm, starts = sort_reduce_by_key(
             (np.zeros(0, dtype=np.int64),), np.zeros(0)
         )
-        assert i_u.size == 0 and v_u.size == 0
+        assert i_u.size == v_u.size == perm.size == starts.size == 0
 
     def test_sort_requires_keys(self):
         with pytest.raises(ValueError):
-            stable_sort_by_key((), np.zeros(3))
+            sort_reduce_by_key((), np.zeros(3))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(0, 200))
     def test_property_sort_reduce_equals_coo_sum(self, seed, n):
-        """sort+reduce over random duplicated COO == scipy duplicate sum."""
+        """sort+reduce over random duplicated COO == scipy duplicate sum,
+        and the returned plan replays the sums."""
         from scipy import sparse
 
         rng = np.random.default_rng(seed)
         i = rng.integers(0, 10, n)
         j = rng.integers(0, 10, n)
         v = rng.standard_normal(n)
-        (i_s, j_s), v_s = stable_sort_by_key((i, j), v)
-        (i_u, j_u), v_u = reduce_by_key((i_s, j_s), v_s)
+        (i_u, j_u), v_u, perm, starts = sort_reduce_by_key((i, j), v)
+        keys = i_u * 10 + j_u
+        assert np.all(keys[1:] > keys[:-1])  # sorted and duplicate-free
         ref = sparse.coo_matrix((v, (i, j)), shape=(10, 10)).toarray()
         got = sparse.coo_matrix((v_u, (i_u, j_u)), shape=(10, 10)).toarray()
         assert np.allclose(got, ref, atol=1e-12)
+        if n:
+            assert np.array_equal(np.add.reduceat(v[perm], starts), v_u)
 
 
 def build_random_problem(seed=0, n=80, E=200, nranks=4, ncons=5):
@@ -341,61 +346,3 @@ class TestCoupledFringeGraph:
         la = LocalAssembler(w, g)
         with pytest.raises(RuntimeError):
             la.add_fringe_matrix(np.ones((1, 8)))
-
-
-class TestIJInterface:
-    def test_six_call_assembly_matches_direct(self):
-        rng = np.random.default_rng(4)
-        n = 24
-        nranks = 3
-        parts = rng.integers(0, nranks, n)
-        num = build_numbering(parts, nranks)
-        w = SimWorld(nranks)
-
-        ij = HypreIJMatrix(w, num)
-        ijv = HypreIJVector(w, num)
-        Aref = np.zeros((n, n))
-        bref = np.zeros(n)
-        # Set owned values first, then stage the off-rank additions — the
-        # semantics of the IJ API (sets land before the assemble-time adds).
-        for r in range(nranks):
-            lo, hi = num.offsets[r], num.offsets[r + 1]
-            rows = rng.integers(lo, hi, 12)
-            cols = rng.integers(0, n, 12)
-            vals = rng.standard_normal(12)
-            ij.set_values2(r, rows, cols, vals)
-            for i, j, v in zip(rows, cols, vals):
-                Aref[i, j] += v  # duplicates accumulate within SetValues2
-            owned_idx = np.arange(lo, hi)
-            ov = rng.standard_normal(owned_idx.size)
-            ijv.set_values2(r, owned_idx, ov)
-            bref[owned_idx] = ov
-        for r in range(nranks):
-            lo, hi = num.offsets[r], num.offsets[r + 1]
-            other = np.setdiff1d(np.arange(n), np.arange(lo, hi))
-            orows = rng.choice(other, 5)
-            ocols = rng.integers(0, n, 5)
-            ovals = rng.standard_normal(5)
-            ij.add_to_values2(r, orows, ocols, ovals)
-            for i, j, v in zip(orows, ocols, ovals):
-                Aref[i, j] += v
-            vrows = rng.choice(other, 4)
-            vvals = rng.standard_normal(4)
-            ijv.add_to_values2(r, vrows, vvals)
-            for i, v in zip(vrows, vvals):
-                bref[i] += v
-
-        am = ij.assemble()
-        rhs = ijv.assemble()
-        assert np.allclose(am.matrix.A.toarray(), Aref, atol=1e-12)
-        assert np.allclose(rhs.data, bref, atol=1e-12)
-
-    def test_set_values_rejects_foreign_rows(self):
-        parts = np.array([0, 0, 1, 1])
-        num = build_numbering(parts, 2)
-        w = SimWorld(2)
-        ij = HypreIJMatrix(w, num)
-        with pytest.raises(ValueError):
-            ij.set_values2(0, np.array([3]), np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            ij.add_to_values2(0, np.array([0]), np.array([0]), np.array([1.0]))

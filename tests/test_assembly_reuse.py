@@ -15,7 +15,6 @@ from repro.assembly import (
     AssemblyPlan,
     EquationGraph,
     GraphSpec,
-    HypreIJMatrix,
     LocalAssembler,
     assemble_global_matrix,
     assemble_global_vector,
@@ -274,51 +273,6 @@ class TestGraphRevision:
         )
         scal.assemble(**kwargs)
         assert scal._plan is None
-
-
-class TestIJReuse:
-    def test_ij_matrix_freezes_and_invalidates(self):
-        """Same staged pattern replays; a new pattern drops the plan."""
-        n, nranks = 12, 2
-        parts = np.repeat(np.arange(nranks), n // nranks)
-        num = build_numbering(parts, nranks)
-        w = SimWorld(nranks)
-        ij = HypreIJMatrix(w, num, reuse_plan=True)
-        i = np.arange(n, dtype=np.int64)
-
-        def stage(scale):
-            for r in range(nranks):
-                lo, hi = num.offsets[r], num.offsets[r + 1]
-                sel = slice(lo, hi)
-                ij.set_values2(
-                    r, i[sel], i[sel], scale * np.ones(hi - lo)
-                )
-                other = (lo + np.arange(2)) % n
-                other = other[(other < lo) | (other >= hi)]
-                ij.add_to_values2(
-                    r, other, other, scale * np.ones(other.size)
-                )
-
-        stage(1.0)
-        am1 = ij.assemble()
-        data1 = am1.matrix.A.data.copy()
-        plan = ij._plan
-        assert plan is not None and plan.matrix_ready
-        stage(2.0)
-        am2 = ij.assemble()
-        assert ij._plan is plan  # same pattern: reuse
-        assert am2.matrix is am1.matrix  # in-place value update
-        assert np.array_equal(am2.matrix.A.data, 2.0 * data1)
-        # Different pattern: plan dropped, recaptured on next assemble.
-        ij.set_values2(
-            0,
-            np.zeros(1, dtype=np.int64),
-            np.ones(1, dtype=np.int64),
-            np.ones(1),
-        )
-        assert ij._plan is None
-        ij.assemble()
-        assert ij._plan is not None and ij._plan is not plan
 
 
 class TestAMGRefresh:

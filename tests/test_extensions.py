@@ -1,16 +1,12 @@
-"""Tests for the extension features: CG, Chebyshev, deterministic/Kahan
+"""Tests for the extension features: CG, Chebyshev, deterministic
 assembly, and the exascale projection."""
-
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import sparse
 
 from repro.amg import AMGHierarchy, AMGOptions, AMGPreconditioner
-from repro.assembly.local import SCATTER_MODES, _segmented_kahan
+from repro.assembly.local import SCATTER_MODES
 from repro.comm import SimWorld
 from repro.core import SimulationConfig
 from repro.harness import paper_projection, project_capability
@@ -148,19 +144,22 @@ class TestChebyshev:
 
 
 class TestAssemblyModes:
-    def _run(self, mode):
+    def _run(self, mode, nranks=3):
         from repro import NaluWindSimulation
 
-        cfg = SimulationConfig(nranks=3, assembly_mode=mode)
+        cfg = SimulationConfig(nranks=nranks, assembly_mode=mode)
         sim = NaluWindSimulation("turbine_tiny", cfg)
         sim.step()
         return sim
 
-    def test_all_modes_produce_same_fields(self):
-        sims = {m: self._run(m) for m in SCATTER_MODES}
+    @pytest.mark.parametrize("nranks", [1, 3])
+    def test_all_modes_produce_same_fields(self, nranks):
+        # At one rank the shared-RHS scatter is empty.
+        sims = {m: self._run(m, nranks) for m in SCATTER_MODES}
         base = sims["atomic"].velocity
-        for m in ("deterministic", "compensated"):
-            assert np.allclose(sims[m].velocity, base, rtol=1e-10, atol=1e-12)
+        assert np.allclose(
+            sims["deterministic"].velocity, base, rtol=1e-10, atol=1e-12
+        )
 
     def test_deterministic_mode_costs_more(self):
         s_at = self._run("atomic")
@@ -174,31 +173,6 @@ class TestAssemblyModes:
         cfg = SimulationConfig(assembly_mode="bogus")
         with pytest.raises(ValueError):
             cfg.validate()
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 5000), n=st.integers(1, 400))
-    def test_property_kahan_matches_fsum(self, seed, n):
-        rng = np.random.default_rng(seed)
-        slots = rng.integers(0, 12, n)
-        vals = rng.standard_normal(n) * 10.0 ** rng.integers(
-            -6, 6, n
-        ).astype(float)
-        out = np.zeros(12)
-        _segmented_kahan(out, slots, vals)
-        for s in range(12):
-            ref = math.fsum(vals[slots == s])
-            assert out[s] == pytest.approx(ref, rel=1e-14, abs=1e-300)
-
-    def test_kahan_beats_naive_on_cancellation(self):
-        # Large alternating terms with a tiny survivor.
-        big = 1e16
-        vals = np.array([big, 1.0, -big, 1.0])
-        slots = np.zeros(4, dtype=np.int64)
-        naive = np.zeros(1)
-        np.add.at(naive, slots, vals)
-        kahan = np.zeros(1)
-        _segmented_kahan(kahan, slots, vals)
-        assert kahan[0] == pytest.approx(2.0)
 
 
 class TestCapabilityProjection:
