@@ -121,6 +121,9 @@ def fig9_sweep():
         cfg.nranks = r
         sim = NaluWindSimulation(make_turbine_refined(refine=REFINE), cfg)
         reports.append(sim.run(max(1, BENCH_STEPS // 2)))
+        # Stop its position helper, and free it before the next is built.
+        sim.close()
+        del sim
     return reports
 
 

@@ -41,7 +41,7 @@ from repro.assembly.primitives import (
     sort_reduce_by_key,
 )
 from repro.comm.simcomm import SimWorld
-from repro.linalg.parcsr import ParCSRMatrix
+from repro.linalg.parcsr import ParCSRMatrix, index_dtype
 from repro.linalg.parvector import ParVector
 from repro.partition.renumber import RankNumbering
 
@@ -67,6 +67,8 @@ def _split_send(
 
     Also returns the destination split bounds (or ``None`` for an empty
     COO) so a pattern-frozen plan can replay the split on values only.
+    Ids travel as ``int64`` (hypre's ``HYPRE_BigInt``), whatever width
+    the graph stores them at.
     """
     out: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [
         None
@@ -78,7 +80,11 @@ def _split_send(
         lo, hi = bounds[q], bounds[q + 1]
         if q == self_rank or hi <= lo:
             continue
-        out[q] = (coo.i[lo:hi], coo.j[lo:hi], coo.a[lo:hi])
+        out[q] = (
+            coo.i[lo:hi].astype(np.int64),
+            coo.j[lo:hi].astype(np.int64),
+            coo.a[lo:hi],
+        )
     return out, bounds
 
 
@@ -288,7 +294,7 @@ def assemble_global_vector(
             for q in range(nranks):
                 lo, hi = bounds[q], bounds[q + 1]
                 if q != r and hi > lo:
-                    row[q] = (srhs.i[lo:hi], srhs.r[lo:hi])
+                    row[q] = (srhs.i[lo:hi].astype(np.int64), srhs.r[lo:hi])
         send.append(row)
         if plan is not None:
             plan._vec_send_bounds.append(bounds)
@@ -319,8 +325,7 @@ def assemble_global_vector(
                 np.zeros(0)
             )
             target[:] = own.r  # step 6: RHS <- RHS_own
-            perm = np.zeros(0, dtype=np.int64)
-            starts = np.zeros(0, dtype=np.int64)
+            perm = starts = np.zeros(0, dtype=index_dtype(0))
             i_u = np.zeros(0, dtype=np.int64)
             if i_r.size:
                 (i_u,), v_u, perm, starts = sort_reduce_by_key((i_r,), v_r)
@@ -345,7 +350,7 @@ def assemble_global_vector(
                     own_n=own.n,
                     perm=perm,
                     starts=starts,
-                    target=i_u - lo,
+                    target=(i_u - lo).astype(index_dtype(own.n)),
                 )
             )
     if plan is not None:

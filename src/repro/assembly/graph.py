@@ -17,6 +17,12 @@ This implementation produces exactly those artifacts:
   position, so Stage 2 (local assembly) is a pure data-parallel scatter-add;
 * the analogous row patterns and slots for the RHS vectors.
 
+Every retained index array (row and column ids below ``n``, slots below
+the contribution count, edge-RHS positions below ``2E``) is built at
+:func:`~repro.linalg.parcsr.index_dtype`'s width: ``int32`` whenever those
+sizes fit.  The packed sort key, a product of ids, is ``int64``; Stage 3
+widens ids to ``int64`` where they cross the exchange.
+
 Work attribution follows the paper: an edge's contributions are computed by
 the rank owning its first endpoint, so contributions into rows owned by a
 different rank land in that rank's *shared* COO — the traffic Algorithm 1
@@ -32,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.comm.simcomm import SimWorld
+from repro.linalg.parcsr import index_dtype
 from repro.partition.renumber import RankNumbering
 
 #: Monotonic id source for :attr:`EquationGraph.revision`.
@@ -113,19 +120,29 @@ class EquationGraph:
         num = self.numbering
         spec = self.spec
         nranks = num.nranks
-        o2n = num.old_to_new
         offsets = num.offsets
+        n = self.n
+        E = spec.edges.shape[0]
+        n_fringe = 0
+        if (
+            spec.coupled_fringe
+            and spec.fringe_rows is not None
+            and spec.fringe_rows.size
+        ):
+            n_fringe = spec.fringe_rows.size
+        # Ids are below n, slots below the contribution count (at most
+        # 4E + n + 8·n_fringe) and edge-RHS positions below 2E.
+        idx = index_dtype(n, 4 * E + n + 8 * n_fringe, 2 * E)
+        # The packed sort key below stays under 2·nranks·n².
+        assert 2 * nranks * n * n < np.iinfo(np.int64).max, "key overflow"
+        o2n = num.old_to_new.astype(idx, copy=False)
 
-        is_con = np.zeros(self.n, dtype=bool)
+        is_con = np.zeros(n, dtype=bool)
         is_con[o2n[spec.constraint_rows]] = True
         self.is_constraint_new = is_con
 
         ea = o2n[spec.edges[:, 0]]
         eb = o2n[spec.edges[:, 1]]
-        E = ea.size
-        n = self.n
-        # The packed sort key below stays under 2·nranks·n².
-        assert 2 * nranks * n * n < np.iinfo(np.int64).max, "key overflow"
 
         def owner(new_ids: np.ndarray) -> np.ndarray:
             """Owning rank of rank-block global ids."""
@@ -141,7 +158,7 @@ class EquationGraph:
         vb = ~is_con[eb]
         a_va, b_va = ea[va], eb[va]
         a_vb, b_vb = ea[vb], eb[vb]
-        all_rows = np.arange(n, dtype=np.int64)
+        all_rows = np.arange(n, dtype=idx)
         rows = [a_va, a_va, b_vb, b_vb, all_rows]
         cols = [a_va, b_va, a_vb, b_vb, all_rows]
         cranks = [edge_rank[va], edge_rank[va], edge_rank[vb],
@@ -150,21 +167,16 @@ class EquationGraph:
         del a_va, b_va, a_vb, b_vb
 
         self.fringe_slots: np.ndarray | None = None
-        n_fringe = 0
-        if (
-            spec.coupled_fringe
-            and spec.fringe_rows is not None
-            and spec.fringe_rows.size
-        ):
+        if n_fringe:
             frows = np.repeat(o2n[spec.fringe_rows], 8)
-            n_fringe = spec.fringe_rows.size
             rows.append(frows)
             cols.append(o2n[spec.fringe_donors].reshape(-1))
             cranks.append(owner(frows))
             del frows
+        del o2n
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
-        key = np.concatenate(cranks)
+        key = np.concatenate(cranks)  # int64, as the packed key must be
         del cranks
         self.contrib_per_rank = np.bincount(key, minlength=nranks)
 
@@ -188,15 +200,14 @@ class EquationGraph:
         new_run[:1] = True
         np.not_equal(key[1:], key[:-1], out=new_run[1:])
         starts = np.flatnonzero(new_run)
-        u_key = key[starts]
+        u_grp = key[starts]
         del key, starts
-        self.nnz_total = u_key.size
-        u_gr = u_key // n
-        self.u_col = u_key - u_gr * n
-        del u_key
-        self.u_row = u_gr % n
-        u_grp = u_gr // n
-        del u_gr
+        self.nnz_total = u_grp.size
+        # Unpack in place: col, then row, leave the group in u_grp.
+        self.u_col = np.empty(self.nnz_total, dtype=idx)
+        self.u_row = np.empty(self.nnz_total, dtype=idx)
+        np.divmod(u_grp, n, out=(u_grp, self.u_col), casting="unsafe")
+        np.divmod(u_grp, n, out=(u_grp, self.u_row), casting="unsafe")
 
         # Group boundaries in the unique layout.
         self.groups: list[list[GroupLayout]] = []
@@ -214,16 +225,16 @@ class EquationGraph:
 
         # Invert the sort to get per-contribution slots in original order.
         n_contrib = order.size
-        uid_sorted = np.cumsum(new_run)
+        uid_sorted = np.cumsum(new_run, dtype=idx)
         del new_run
         uid_sorted -= 1
-        slots = np.empty(n_contrib, dtype=np.int64)
+        slots = np.empty(n_contrib, dtype=idx)
         slots[order] = uid_sorted
         del order, uid_sorted
 
         # Unpack slots back to their sources: edge e's block-k entry lives
         # at 4e + k; entries on constraint rows keep -1.
-        self.edge_slots = np.full(4 * E, -1, dtype=np.int64)
+        self.edge_slots = np.full(4 * E, -1, dtype=idx)
         by_edge = self.edge_slots.reshape(E, 4)
         lo = 0
         for k, valid in enumerate((va, va, vb, vb)):
@@ -266,11 +277,11 @@ class EquationGraph:
         # Shared RHS rows per computing rank (sorted unique), and slots for
         # each edge-RHS contribution: positive -> owned (global row id),
         # negative -> -(shared_flat_index + 1).
-        src_idx = np.flatnonzero(valid)
+        src_idx = np.arange(valid.size, dtype=rows.dtype)[valid]
         self.rhs_edge_rows = rows
         self.rhs_edge_src = src_idx  # position in the (2E,) edge-RHS layout
         self.rhs_shared_rows: list[np.ndarray] = []
-        self.rhs_edge_slot = np.full(2 * ea.size, -1, dtype=np.int64)
+        self.rhs_edge_slot = np.full(2 * ea.size, -1, dtype=rows.dtype)
         shared_offset = 0
         own_mask = ~shared
         self.rhs_edge_slot[src_idx[own_mask]] = rows[own_mask]

@@ -22,6 +22,8 @@ existing ParCSR storage — no re-sort, no re-split, no reallocation.  The
 replay applies the exact same floating-point operations in the exact same
 order as the cold path of the plan's ``variant``, so the fast-path
 operator is bitwise identical to a cold assembly of the same fill.
+Every cached permutation, segment start and target row is a rank-local
+position, held at :func:`~repro.linalg.parcsr.index_dtype`'s width.
 
 Plan validity is the caller's contract: a plan captured for one pattern
 must only be replayed on fills of that pattern.  The

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.simcomm import SimWorld
+from repro.linalg.parcsr import index_dtype
 
 #: Radix-sort pass count for 64-bit keys at 8 bits/pass.
 _SORT_PASSES = 8
@@ -63,7 +64,8 @@ def sort_reduce_by_key(
     starts are returned too, so a pattern-frozen
     :class:`~repro.assembly.plan.AssemblyPlan` can replay the value
     computation (``values[perm]`` followed by a segmented sum over
-    ``starts``) without re-sorting.
+    ``starts``) without re-sorting.  Both are positions in ``values``, so
+    they come back at :func:`~repro.linalg.parcsr.index_dtype`'s width.
 
     Args:
         keys: key arrays, most-significant first; at least one.
@@ -77,13 +79,19 @@ def sort_reduce_by_key(
     perm = np.lexsort(tuple(reversed(keys)))
     sorted_keys = tuple(k[perm] for k in keys)
     n = values.size
+    idx = index_dtype(n)
     if n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return tuple(k[:0] for k in keys), values[:0], perm, empty
+        empty = np.zeros(0, dtype=idx)
+        return tuple(k[:0] for k in keys), values[:0], empty, empty
     new_run = np.zeros(n, dtype=bool)
     new_run[0] = True
     for k in sorted_keys:
         new_run[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(new_run)
     summed = np.add.reduceat(values[perm], starts)
-    return tuple(k[starts] for k in sorted_keys), summed, perm, starts
+    return (
+        tuple(k[starts] for k in sorted_keys),
+        summed,
+        perm.astype(idx),
+        starts.astype(idx),
+    )

@@ -1,6 +1,11 @@
 """Distributed sparse linear algebra (the hypre ParCSR analogue)."""
 
-from repro.linalg.parcsr import ParCSRMatrix, RankBlocks, spmv_bytes
+from repro.linalg.parcsr import (
+    ParCSRMatrix,
+    RankBlocks,
+    index_dtype,
+    spmv_bytes,
+)
 from repro.linalg.parvector import ParVector
 from repro.linalg.spgemm import (
     galerkin_product,
@@ -14,6 +19,7 @@ __all__ = [
     "ParVector",
     "RankBlocks",
     "galerkin_product",
+    "index_dtype",
     "record_spgemm",
     "spgemm",
     "spgemm_products",

@@ -42,6 +42,14 @@ class SparsityPatternError(ValueError):
     """New values do not have the sparsity pattern the operator stores."""
 
 
+def index_dtype(*sizes: int) -> type:
+    """The dtype of a rank-local index array whose entries are bounded in
+    magnitude by ``sizes``: ``int32`` when every size is below ``2**31``
+    (scipy's rule for CSR indices), else ``int64``.  Global ids that cross
+    an exchange, and products of ids, stay ``int64`` regardless."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
 @dataclass
 class RankBlocks:
     """One rank's ParCSR storage."""
@@ -287,8 +295,7 @@ class ParCSRMatrix:
         new one), so every smoother built on this object shares it."""
         D, ro = self.D, self.row_offsets
         n = D.shape[0]
-        # Compact indices: scipy's int32 whenever every size fits.
-        idx = np.int32 if max(n, D.shape[1], D.nnz) < 2**31 else np.int64
+        idx = index_dtype(n, D.shape[1], D.nnz)
         rows = np.repeat(np.arange(n, dtype=idx), np.diff(D.indptr))
         cols = D.indices
 

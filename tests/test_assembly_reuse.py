@@ -124,6 +124,31 @@ class TestMatrixFastPath:
         assert_matrices_identical(am_fast.matrix, am_cold.matrix)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_plans_hold_32_bit_indices_and_send_64_bit_ids(self, variant):
+        """The cached positions are int32; the ids on the wire are int64
+        whatever width the graph stores them at (24 B per matrix entry,
+        16 B per RHS entry)."""
+        _rng, w, num, g, edges, cons = build_problem(seed=7)
+        assert g.u_row.dtype == g.rhs_shared_rows[0].dtype == np.int32
+        plan = AssemblyPlan(num, variant, graph=g, name="A")
+        local = fill_local(w, g, num, edges, cons, value_seed=1)
+        sent = w.traffic.message_bytes()
+        assemble_global_matrix(w, num, local, variant, plan=plan)
+        matrix_bytes = w.traffic.message_bytes() - sent
+        assemble_global_vector(w, num, local, variant, plan=plan)
+        vector_bytes = w.traffic.message_bytes() - sent - matrix_bytes
+        assert matrix_bytes == 24 * sum(c.nnz for c in local.send_matrix)
+        assert vector_bytes == 16 * sum(c.n for c in local.send_rhs)
+        arrays = [
+            a
+            for rp in plan._mat
+            for a in (rp.perm, rp.starts, rp.recv_perm, rp.recv_starts)
+            if a is not None
+        ] + [a for vp in plan._vec for a in (vp.perm, vp.starts, vp.target)]
+        assert len(arrays) >= 5 * num.nranks
+        assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_vector_replay_bitwise_equal_to_cold(self, variant):
         _rng, w, num, g, edges, cons = build_problem(seed=13)
         plan = AssemblyPlan(num, variant, graph=g, name="b")

@@ -4,8 +4,11 @@
 ``(group·n + row)·n + col`` with a stable ``argsort``;
 :class:`tests.graph_reference.ReferenceGraph` is the three-key ``lexsort``
 build it replaced.  Both sorts are stable over the same total order, so
-every retained array -- values and dtype -- and the ``graph_host`` charge
-must be identical, on the turbine meshes and on random specs.
+every retained array's values and shape, and the ``graph_host`` charge,
+must be identical, on the turbine meshes and on random specs.  The dtype
+is the one thing that differs: the reference keeps every array ``int64``,
+while the build stores its rank-local indices at the width
+:func:`~repro.linalg.parcsr.index_dtype` gives for the graph's sizes.
 """
 
 import numpy as np
@@ -15,8 +18,32 @@ from hypothesis import strategies as st
 
 from repro.assembly import EquationGraph, GraphSpec
 from repro.comm import SimWorld
+from repro.linalg import index_dtype
 from repro.partition import build_numbering
 from tests.graph_reference import ReferenceGraph, graph_arrays
+
+#: The retained arrays that are rank-local indices (lists by their name).
+LOCAL_INDICES = {
+    "edge_slots",
+    "diag_slots",
+    "fringe_slots",
+    "u_row",
+    "u_col",
+    "rhs_edge_rows",
+    "rhs_edge_src",
+    "rhs_edge_slot",
+    "rhs_shared_rows",
+}
+
+
+def index_width(spec):
+    """The rule's dtype for a graph of ``spec``: ids below ``n``, slots
+    below the contribution bound ``4E + n + 8·fringe``, edge-RHS positions
+    below ``2E``."""
+    E = spec.edges.shape[0]
+    fringe = spec.fringe_rows
+    n_fringe = fringe.size if spec.coupled_fringe and fringe is not None else 0
+    return np.dtype(index_dtype(spec.n, 4 * E + spec.n + 8 * n_fringe, 2 * E))
 
 
 def assert_same_graph(numbering, spec):
@@ -27,12 +54,23 @@ def assert_same_graph(numbering, spec):
     for name, ref in want.items():
         value = got[name]
         if isinstance(ref, np.ndarray):
-            assert value.dtype == ref.dtype, name
+            if name.split("[")[0] in LOCAL_INDICES:
+                assert value.dtype == index_width(spec), name
+            else:
+                assert value.dtype == ref.dtype, name
             assert value.shape == ref.shape, name
-            assert np.array_equal(value, ref), name
+            assert np.array_equal(value.astype(ref.dtype), ref), name
         else:
             assert value == ref, name
     assert worlds[0].ops.state_dict() == worlds[1].ops.state_dict()
+
+
+def test_the_index_width_rule_turns_at_two_to_the_31():
+    assert index_dtype(0) is np.int32
+    assert index_dtype(2**31 - 1) is np.int32
+    assert index_dtype(2**31) is np.int64
+    assert index_dtype(5, 2**31 - 1, 7) is np.int32
+    assert index_dtype(5, 2**31, 7) is np.int64
 
 
 @pytest.mark.parametrize(
@@ -119,3 +157,38 @@ def specs(draw):
 @given(case=specs())
 def test_random_graphs_match_the_reference(case):
     assert_same_graph(*case)
+
+
+def test_ids_stay_32_bit_where_their_packed_key_is_not(monkeypatch):
+    """With n² ≥ 2³¹ the packed key overflows 32 bits but no id does:
+    the sort sees an ``int64`` key, the retained ids are ``int32`` and
+    every array equals the reference's."""
+    n = 46_341
+    assert n * n >= 2**31
+    rng = np.random.default_rng(11)
+    cons = np.unique(rng.integers(0, n, size=300))
+    fringe = cons[:40]
+    spec = GraphSpec(
+        n=n,
+        edges=rng.integers(0, n, size=(3000, 2)),
+        constraint_rows=cons,
+        fringe_rows=fringe,
+        fringe_donors=rng.integers(0, n, size=(fringe.size, 8)),
+        coupled_fringe=True,
+    )
+    numbering = build_numbering(rng.integers(0, 3, n), 3)
+    assert index_width(spec) == np.int32
+
+    keys = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kw):
+        keys.append(a.dtype)
+        return argsort(a, *args, **kw)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    graph = EquationGraph(SimWorld(3), numbering, spec)
+    monkeypatch.undo()
+    assert keys == [np.dtype(np.int64)]
+    assert graph.u_row.dtype == graph.u_col.dtype == np.int32
+    assert_same_graph(numbering, spec)

@@ -136,7 +136,8 @@ def test_a_changed_dt_misses_and_gives_the_helperless_fields(
 ):
     want = reference_run(monkeypatch, 5, dt_change=(3, 0.025))
     sim = tiny()
-    sim.run(3)
+    sim.run(2)
+    sim.step()  # a bare step requests the next position
     sim.config.dt = 0.025
     inline_assembles.clear()
     sim.step()  # the reply was computed for the old dt
@@ -163,7 +164,8 @@ def test_set_state_consumes_the_reply_and_misses(
     sim = tiny()
     sim.run(1)
     snap = sim.state()
-    sim.run(2)
+    sim.step()
+    sim.step()
     inline_assembles.clear()
     sim.set_state(*snap)  # a reply for step 4's position is outstanding
     sim.step()
@@ -203,7 +205,8 @@ def test_a_killed_helper_means_inline_from_then_on(
 ):
     want = reference_run(monkeypatch, 5)
     sim = tiny()
-    sim.run(2)
+    sim.run(1)
+    sim.step()  # leaves a request outstanding
     pid = sim.comp._helper.pid
     os.kill(pid, signal.SIGKILL)
     inline_assembles.clear()
@@ -233,9 +236,35 @@ def test_no_helper_means_inline(monkeypatch, inline_assembles, why):
     assert len(inline_assembles) == 4
 
 
+def test_run_requests_only_positions_it_takes(monkeypatch, inline_assembles):
+    """``run(n)`` asks for the next position on its first n - 1 steps
+    only: a 1-step run forks no helper.  A bare ``step()`` always asks."""
+    requests = []
+    real = CompositeMesh.request_next_position
+
+    def counted(self, dt):
+        requests.append(dt)
+        real(self, dt)
+
+    monkeypatch.setattr(CompositeMesh, "request_next_position", counted)
+    one = tiny()
+    one.run(1)
+    assert requests == [] and one.comp._helper.pid == 0
+    inline_assembles.clear()
+    sim = tiny()
+    sim.run(4)
+    assert len(requests) == 3
+    assert len(inline_assembles) == 2  # construction and step 0
+    sim.run(2)  # nothing was requested for this run's first step
+    assert len(requests) == 4 and len(inline_assembles) == 3
+    sim.step()
+    assert len(requests) == 5
+    sim.close()
+
+
 def test_a_dropped_simulation_reaps_its_helper():
     sim = tiny()
-    sim.run(1)
+    sim.step()
     pid = sim.comp._helper.pid
     assert pid > 0 and not reaped(pid)
     del sim
