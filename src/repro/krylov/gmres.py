@@ -123,7 +123,12 @@ class GMRES:
             # few ranks).  Freed when the cycle's update completes.
             basis_per_rank = 2.0 * (m + 1) * 8.0 * n / world.size
             world.charge_alloc(basis_per_rank)
-            V = np.zeros((n, m + 1))
+            # The host basis grows with the Krylov space, so a cycle that
+            # converges in a few iterations touches a few columns, not
+            # m + 1.  Its capacity stays above the columns handed to
+            # ``orthogonalize``: a full-width slice is C-contiguous, and
+            # NumPy's products then take a path whose bits differ.
+            V = np.zeros((n, min(m + 1, 8)))
             Z: list[np.ndarray] = []
             H = np.zeros((m + 1, m))
             V[:, 0] = r.data / beta
@@ -135,6 +140,10 @@ class GMRES:
             k = 0
             breakdown = False
             for j in range(m):
+                if V.shape[1] < j + 2:
+                    grown = np.zeros((n, min(2 * V.shape[1], m + 1)))
+                    grown[:, : V.shape[1]] = V
+                    V = grown
                 z = self._precond(b.like(V[:, j].copy()))
                 Z.append(z.data.copy())
                 w = A.matvec(z, overlap=self.overlap)

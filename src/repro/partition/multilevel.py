@@ -13,9 +13,16 @@ graph-aware parts — with the classic multilevel scheme ParMETIS itself uses:
 Vertex weights (row nonzeros when partitioning a matrix graph) are balanced;
 edge weights guide the matching and the cut.
 
-Everything is vectorized: matching is done with rounds of mutual-heaviest-
-neighbor proposals (a Luby-style symmetric-proposal scheme) instead of a
-sequential greedy sweep.
+Matching is vectorized: rounds of mutual-heaviest-neighbor proposals (a
+Luby-style symmetric-proposal scheme) instead of a sequential greedy sweep.
+Refinement keeps its sequential greedy move loop, over the few boundary
+vertices whose gains a pass can change.
+
+The parts are a pure function of the canonical (sorted, duplicate-free,
+structurally symmetric) CSR graph, the vertex weights and the seed: the
+matching draws its tie-breaks for the edges in stored order, the coarse
+graphs are canonical CSR whose integer-valued weights sum exactly in any
+order, and refinement sums each row's weights per part in stored order.
 """
 
 from __future__ import annotations
@@ -24,6 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+
+def _csr_rows(A: sparse.csr_matrix) -> np.ndarray:
+    """Row index of every stored entry of ``A``."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
 
 
 def heavy_edge_matching(
@@ -43,50 +55,62 @@ def heavy_edge_matching(
         label, unmatched vertices get their own.
     """
     n = A.shape[0]
-    coo = sparse.triu(A, k=1).tocoo()
-    ei, ej, ew = coo.row, coo.col, coo.data
+    # The strict upper triangle in stored order: the edge order, and so
+    # which edge each random draw lands on, is fixed by the CSR arrays.
+    row = _csr_rows(A)
+    col = A.indices.astype(np.intp, copy=False)
+    upper = np.flatnonzero(col > row)
+    ei, ej, ew = row[upper], col[upper], A.data[upper]
     matched = np.zeros(n, dtype=bool)
     mate = np.arange(n, dtype=np.int64)
     if ei.size:
         wmax = float(ew.max())
         for _ in range(max_rounds):
-            active = ~matched[ei] & ~matched[ej]
-            if not np.any(active):
+            # Matched vertices stay matched, so only the edges with both
+            # endpoints free stay active; they keep their order, and with
+            # it their random draws.
+            free = np.flatnonzero(~(matched[ei] | matched[ej]))
+            if free.size < ei.size:
+                ei, ej, ew = ei[free], ej[free], ew[free]
+            if ei.size == 0:
                 break
             # Distinct priorities: heavy edges first, random tie-break.
-            prio = np.full(ei.size, -np.inf)
-            u = rng.random(int(active.sum()))
-            prio[active] = ew[active] + (1e-6 * wmax) * u
+            prio = ew + (1e-6 * wmax) * rng.random(ei.size)
             vmax = np.full(n, -np.inf)
             np.maximum.at(vmax, ei, prio)
             np.maximum.at(vmax, ej, prio)
-            win = active & (prio >= vmax[ei]) & (prio >= vmax[ej])
-            wi, wj = ei[win], ej[win]
-            if wi.size == 0:
+            win = np.flatnonzero((prio >= vmax[ei]) & (prio >= vmax[ej]))
+            if win.size == 0:
                 break
+            wi, wj = ei[win], ej[win]
             matched[wi] = True
             matched[wj] = True
             mate[wj] = wi
-    # Compress to contiguous aggregate ids (representative = min of pair).
+    # Compress to contiguous aggregate ids (representative = min of pair),
+    # numbering the representatives in ascending order.
     rep = np.minimum(mate, np.arange(n))
-    _, agg = np.unique(rep, return_inverse=True)
-    return agg
+    present = np.zeros(n, dtype=bool)
+    present[rep] = True
+    return (np.cumsum(present) - 1)[rep]
 
 
 def _coarsen(
     A: sparse.csr_matrix, vwgt: np.ndarray, agg: np.ndarray
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Build the coarse graph/weights induced by an aggregation."""
+    """Build the coarse graph/weights induced by an aggregation.
+
+    One COO aggregation of the edges between distinct aggregates into
+    canonical CSR (sorted, duplicates summed, no diagonal).  Edge and vertex
+    weights are integer-valued here, so the sums are exact in any order.
+    """
     nc = int(agg.max()) + 1
-    n = A.shape[0]
-    P = sparse.csr_matrix(
-        (np.ones(n), (np.arange(n), agg)), shape=(n, nc)
-    )
-    Ac = (P.T @ A @ P).tocsr()
-    Ac.setdiag(0.0)
-    Ac.eliminate_zeros()
-    vc = np.zeros(nc)
-    np.add.at(vc, agg, vwgt)
+    ar = agg[_csr_rows(A)]
+    ac = agg[A.indices]
+    off = ar != ac
+    Ac = sparse.coo_matrix(
+        (A.data[off], (ar[off], ac[off])), shape=(nc, nc)
+    ).tocsr()
+    vc = np.bincount(agg, weights=vwgt, minlength=nc)
     return Ac, vc
 
 
@@ -142,6 +166,52 @@ def _initial_partition(
     return parts
 
 
+def _row_entries(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stored positions of the entries of ``rows`` (each row in stored
+    order) and, per entry, the index of its row in ``rows``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    local = np.repeat(np.arange(rows.size), lens)
+    pos = np.arange(local.size) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens
+    )
+    return pos, local
+
+
+def _move_gains(
+    A: sparse.csr_matrix, parts: np.ndarray, rows: np.ndarray, nparts: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which of ``rows`` lie on a part boundary and, for each that does,
+    the neighbouring part it is best connected to and the cut gain of
+    moving it there (a row's edge weights are summed per part in stored
+    order)."""
+    if rows.size == A.shape[0]:
+        pos, local = slice(None), _csr_rows(A)
+    else:
+        pos, local = _row_entries(A.indptr, rows)
+    nbr = parts[A.indices[pos]]
+    own = parts[rows]
+    on_bnd = np.zeros(rows.size, dtype=bool)
+    on_bnd[local[nbr != own[local]]] = True
+    nb = int(np.count_nonzero(on_bnd))
+    slot = np.cumsum(on_bnd) - 1
+    e = np.flatnonzero(on_bnd[local])
+    # (``astype``: an empty weighted ``bincount`` comes back integer.)
+    conn = np.bincount(
+        slot[local[e]] * nparts + nbr[e],
+        weights=A.data[pos][e],
+        minlength=nb * nparts,
+    ).astype(np.float64, copy=False).reshape(nb, nparts)
+    own = own[on_bnd]
+    at = np.arange(nb)
+    internal = conn[at, own]
+    conn[at, own] = -np.inf
+    best = np.argmax(conn, axis=1)
+    return on_bnd, best, conn[at, best] - internal
+
+
 def _refine(
     A: sparse.csr_matrix,
     vwgt: np.ndarray,
@@ -150,58 +220,55 @@ def _refine(
     passes: int = 6,
     tol: float = 0.05,
 ) -> np.ndarray:
-    """Boundary FM-style refinement: greedy gain moves under balance."""
+    """Boundary FM-style refinement: greedy gain moves under balance.
+
+    Each pass moves boundary vertices with positive gain, heaviest gain
+    first (ties by vertex id), against live part weights.  Gains are kept
+    per vertex (``-inf`` off the boundary) and a pass recomputes them only
+    on the moved vertices and their neighbours, the rows whose gains a
+    move can change.
+    """
     parts = parts.copy()
     n = A.shape[0]
-    total = vwgt.sum()
-    target = total / nparts
-    cap = target * (1.0 + tol)
-    part_w = np.zeros(nparts)
-    np.add.at(part_w, parts, vwgt)
-
+    target = vwgt.sum() / nparts
+    cap = float(target * (1.0 + tol))
+    floor = float(0.25 * target)
+    part_w = np.bincount(parts, weights=vwgt, minlength=nparts).tolist()
+    gain = np.full(n, -np.inf)
+    best = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
     for _ in range(passes):
-        # Boundary vertices: endpoints of cut edges.
-        coo = A.tocoo()
-        cut_mask = parts[coo.row] != parts[coo.col]
-        if not np.any(cut_mask):
+        on_bnd, row_best, row_gain = _move_gains(A, parts, rows, nparts)
+        gain[rows] = -np.inf
+        bnd = rows[on_bnd]
+        gain[bnd] = row_gain
+        best[bnd] = row_best
+        cand = np.flatnonzero(gain > 0)
+        if cand.size == 0:
             break
-        bnd = np.unique(
-            np.concatenate([coo.row[cut_mask], coo.col[cut_mask]])
-        )
-        # Connectivity of boundary vertices to each part.
-        onehot = sparse.csr_matrix(
-            (np.ones(n), (np.arange(n), parts)), shape=(n, nparts)
-        )
-        conn = np.asarray((A[bnd] @ onehot).todense())  # (nb, nparts)
-        own = parts[bnd]
-        internal = conn[np.arange(bnd.size), own]
-        conn[np.arange(bnd.size), own] = -np.inf
-        best_part = np.argmax(conn, axis=1)
-        best_ext = conn[np.arange(bnd.size), best_part]
-        gain = best_ext - internal
-        movable = gain > 0
-        if not np.any(movable):
-            break
-        # Order by descending gain; apply sequentially against live part
-        # weights (cheap: boundary sets are small).
-        cand = np.flatnonzero(movable)
         cand = cand[np.argsort(-gain[cand], kind="stable")]
-        moved = 0
-        for c in cand:
-            v = bnd[c]
-            p, q = parts[v], best_part[c]
-            if p == q:
+        moved_v: list[int] = []
+        moved_q: list[int] = []
+        for v, p, q, w in zip(
+            cand.tolist(),
+            parts[cand].tolist(),
+            best[cand].tolist(),
+            vwgt[cand].tolist(),
+        ):
+            if part_w[q] + w > cap or part_w[p] - w < floor:
                 continue
-            if part_w[q] + vwgt[v] > cap:
-                continue
-            if part_w[p] - vwgt[v] < 0.25 * target:
-                continue
-            parts[v] = q
-            part_w[p] -= vwgt[v]
-            part_w[q] += vwgt[v]
-            moved += 1
-        if moved == 0:
+            moved_v.append(v)
+            moved_q.append(q)
+            part_w[p] -= w
+            part_w[q] += w
+        if not moved_v:
             break
+        moved = np.array(moved_v)
+        parts[moved] = moved_q
+        touched = np.zeros(n, dtype=bool)
+        touched[moved] = True
+        touched[A.indices[_row_entries(A.indptr, moved)[0]]] = True
+        rows = np.flatnonzero(touched)
     return parts
 
 
@@ -291,8 +358,10 @@ def multilevel_partition(
         ``(n,)`` part assignment in ``[0, nparts)``.
     """
     opt = options or MultilevelOptions()
-    A = sparse.csr_matrix(adjacency, copy=True).astype(np.float64)
-    A.setdiag(0.0)
+    # Canonical CSR without the diagonal and without stored zeros.
+    A = sparse.csr_matrix(adjacency, dtype=np.float64, copy=True)
+    A.sum_duplicates()
+    A.data[A.indices == _csr_rows(A)] = 0.0
     A.eliminate_zeros()
     n = A.shape[0]
     if nparts < 1:

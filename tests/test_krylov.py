@@ -54,6 +54,25 @@ class TestGramSchmidt:
         # Reconstruction: x == V h + w.
         assert np.allclose(V @ h + wvec, x, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", ["mgs", "cgs2", "one_reduce"])
+    def test_bits_do_not_depend_on_basis_capacity(self, variant):
+        """A basis held in the first k columns of a wider buffer gives the
+        same bits at every capacity above k, so GMRES may grow its buffer
+        with the Krylov space without moving a number."""
+        rng = np.random.default_rng(4)
+        n = 400
+        for k in (1, 2, 3, 4, 7, 8, 9, 16, 17, 50):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+            x = rng.standard_normal(n)
+            out = set()
+            for cap in (k + 1, k + 2, 2 * k + 1, 64):
+                buf = np.zeros((n, cap))
+                buf[:, :k] = Q
+                wvec = x.copy()
+                h, beta = orthogonalize(SimWorld(2), buf[:, :k], wvec, variant)
+                out.add((h.tobytes(), beta, wvec.tobytes()))
+            assert len(out) == 1, k
+
     def test_empty_basis(self):
         w = SimWorld(2)
         x = np.array([3.0, 4.0])
@@ -160,6 +179,32 @@ class TestGMRES:
         res = GMRES(M, tol=1e-10, restart=100).solve(b)
         h = res.residual_history
         assert all(b <= a * (1 + 1e-12) for a, b in zip(h[1:-1], h[2:]))
+
+    def test_basis_grows_but_stays_wider_than_what_it_orthogonalizes(
+        self, monkeypatch
+    ):
+        """The host basis starts at 8 columns and doubles on demand.  Every
+        slice handed to ``orthogonalize`` must be narrower than its buffer:
+        a full-width slice is C-contiguous, and for k <= 3 columns NumPy's
+        products then take a path whose bits differ."""
+        import repro.krylov.gmres as gmres_module
+
+        seen = []
+
+        def spy(world, V, w, variant):
+            seen.append((V.shape[1], V.strides[0] // V.itemsize))
+            return orthogonalize(world, V, w, variant)
+
+        monkeypatch.setattr(gmres_module, "orthogonalize", spy)
+        A = poisson2d(32)
+        w, M = par(A)
+        b = M.new_vector(np.ones(A.shape[0]))
+        res = GMRES(M, tol=1e-14, max_iters=45, restart=40).solve(b)
+        assert res.iterations == 45
+        widths = [capacity for _k, capacity in seen]
+        # 40 iterations in a 41-column cycle, then 5 in a 6-column one.
+        assert sorted(set(widths)) == [6, 8, 16, 32, 41]
+        assert all(k < capacity for k, capacity in seen)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 200), nranks=st.integers(1, 5))

@@ -16,6 +16,8 @@ from repro.partition import (
     nnz_per_rank,
     rcb_partition,
 )
+from repro.partition.multilevel import MultilevelOptions, _coarsen, _refine
+from tests import partition_reference as reference
 
 
 def grid_graph(nx, ny):
@@ -172,6 +174,56 @@ class TestMultilevel:
         vw = rng.random(g.shape[0]) + 0.5
         parts = multilevel_partition(g, nparts, vertex_weights=vw)
         assert np.bincount(parts, minlength=nparts).min() > 0
+
+
+def weighted_graph(seed):
+    """Random symmetric graph in canonical CSR, no diagonal, with integer
+    edge weights 2..8 and integer vertex weights 1..19."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 1500))
+    g = sparse.random(
+        n, n, density=rng.uniform(1, 6) / n,
+        random_state=np.random.RandomState(seed),
+    ).tocoo()
+    off = g.row != g.col
+    i, j, w = g.row[off], g.col[off], np.ceil(4 * g.data[off])
+    A = sparse.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(n, n),
+    ).tocsr()
+    return A, rng.integers(1, 20, size=n).astype(float)
+
+
+class TestAgainstReference:
+    """Matching, coarsening and refinement work on the CSR arrays; each
+    must equal its SciPy-product reference bit for bit on integer-weighted
+    graphs, and so must the parts."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_phases_and_parts_match(self, seed):
+        A, vw = weighted_graph(seed)
+        agg = heavy_edge_matching(A, np.random.default_rng(seed))
+        assert np.array_equal(
+            agg, reference.heavy_edge_matching(A, np.random.default_rng(seed))
+        )
+        Ac, vc = _coarsen(A, vw, agg)
+        Rc, rc = reference.coarsen(A, vw, agg)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(Ac, name), getattr(Rc, name))
+        assert np.array_equal(vc, rc)
+        nparts = 2 + seed % 7
+        parts = np.random.default_rng(seed).integers(0, nparts, A.shape[0])
+        assert np.array_equal(
+            _refine(A, vw, parts, nparts),
+            reference.refine(A, vw, parts, nparts),
+        )
+        # The partitioner drops a stored diagonal itself.
+        A = (A + sparse.diags(np.full(A.shape[0], 3.0))).tocsr()
+        opt = MultilevelOptions(coarsest_size=16 + 40 * seed, seed=seed)
+        assert np.array_equal(
+            multilevel_partition(A, nparts, vw, opt),
+            reference.multilevel_partition(A, nparts, vw, opt),
+        )
 
 
 class TestMetrics:
