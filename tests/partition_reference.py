@@ -131,7 +131,8 @@ def multilevel_partition(
     vertex_weights: np.ndarray | None = None,
     options: MultilevelOptions | None = None,
 ) -> np.ndarray:
-    """The package's driver loop over the reference phases."""
+    """``repro.partition.multilevel_partition``'s level loop over the
+    reference phases."""
     opt = options or MultilevelOptions()
     A = sparse.csr_matrix(adjacency, copy=True).astype(np.float64)
     A.setdiag(0.0)
