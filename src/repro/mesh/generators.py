@@ -133,24 +133,12 @@ class BladeSpec:
     n_span: int = 20
 
 
-def make_blade_mesh(
-    name: str,
+def blade_lattice(
     spec: BladeSpec,
     root_center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> HexMesh:
-    """Body-fitted O-grid around an idealized blade.
-
-    The grid is periodic in the wrap-around direction and geometrically
-    stretched away from the surface; with the default
-    ``first_cell_frac=2e-3`` the near-wall cells have aspect ratios of
-    O(10^2-10^3), reproducing the conditioning pathology of blade-resolved
-    meshes.
-
-    Returns:
-        :class:`HexMesh` with boundaries ``ylo``/``yhi`` relabeled to
-        ``wall`` (blade surface) and ``outer`` (overset fringe donor side),
-        and span ends ``zlo`` -> ``root``, ``zhi`` -> ``tip``.
-    """
+) -> np.ndarray:
+    """Node coordinates ``X[around, radial, span, 3]`` of the blade O-grid
+    of :func:`make_blade_mesh`."""
     u = np.linspace(0.0, 2.0 * np.pi, spec.n_around, endpoint=False)
     r = geometric_stretching(spec.n_radial, spec.first_cell_frac)
     s = np.linspace(0.0, 1.0, spec.n_span)
@@ -177,7 +165,28 @@ def make_blade_mesh(
     X[..., 0] = root_center[0] + surf_x + R * (out_x - surf_x)
     X[..., 1] = root_center[1] + surf_y + R * (out_y - surf_y)
     X[..., 2] = root_center[2] + S * spec.span
+    return X
 
+
+def make_blade_mesh(
+    name: str,
+    spec: BladeSpec,
+    root_center: tuple[float, float, float] = (0.0, 0.0, 0.0),
+) -> HexMesh:
+    """Body-fitted O-grid around an idealized blade.
+
+    The grid is periodic in the wrap-around direction and geometrically
+    stretched away from the surface; with the default
+    ``first_cell_frac=2e-3`` the near-wall cells have aspect ratios of
+    O(10^2-10^3), reproducing the conditioning pathology of blade-resolved
+    meshes.
+
+    Returns:
+        :class:`HexMesh` with boundaries ``ylo``/``yhi`` relabeled to
+        ``wall`` (blade surface) and ``outer`` (overset fringe donor side),
+        and span ends ``zlo`` -> ``root``, ``zhi`` -> ``tip``.
+    """
+    X = blade_lattice(spec, root_center)
     mesh = HexMesh.from_block(name, X, periodic=(True, False, False))
     # Radial direction is logical axis 1: ylo is the wall, yhi the outer rim.
     mesh.boundaries["wall"] = mesh.boundaries.pop("ylo")

@@ -11,12 +11,18 @@ every direction count by the refinement factor.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.mesh.generators import BladeSpec, make_background_mesh, make_blade_mesh
+from repro.mesh.generators import (
+    BladeSpec,
+    blade_lattice,
+    make_background_mesh,
+    make_blade_mesh,
+)
 from repro.mesh.hexmesh import HexMesh
 from repro.mesh.motion import RigidRotation
 
@@ -68,28 +74,39 @@ def _blade_spec(refine: int) -> BladeSpec:
 
 
 def _make_turbine_blades(
-    name_prefix: str,
-    hub: tuple[float, float, float],
-    refine: int,
+    hubs: list[tuple[float, float, float]],
+    spec: BladeSpec,
 ) -> tuple[list[HexMesh], list[RigidRotation]]:
-    """Three blades at 120-degree phase, rotating about +x through the hub."""
-    spec = _blade_spec(refine)
+    """Per hub (turbine ``t<i>``), three blades at 120-degree phase,
+    rotating about +x through the hub.
+
+    One blade mesh is built; every blade is a copy of it with its own
+    turbine's coordinates, phased by a rotation that recomputes the
+    metrics.  So topology, boundaries and coordinates, and after the phase
+    the metrics, are byte-equal to a :func:`make_blade_mesh` per blade.
+    """
     blades: list[HexMesh] = []
     rotations: list[RigidRotation] = []
     # Rotor spins about the inflow (x) axis at a notional 12.1 rpm (NREL
     # 5-MW rated rotor speed).
     omega = 12.1 * 2.0 * np.pi / 60.0
-    for k in range(3):
-        blade = make_blade_mesh(
-            f"{name_prefix}_blade{k}",
-            spec,
-            root_center=(hub[0], hub[1], hub[2] + 0.05 * ROTOR_RADIUS),
-        )
-        rot = RigidRotation(axis=(1.0, 0.0, 0.0), center=hub, omega=omega)
-        # Phase the blade to its azimuthal slot.
-        rot.rotate_by(blade, np.deg2rad(120.0 * k))
-        blades.append(blade)
-        rotations.append(rot)
+    base = None
+    for t, hub in enumerate(hubs):
+        root = (hub[0], hub[1], hub[2] + 0.05 * ROTOR_RADIUS)
+        if base is None:
+            base = make_blade_mesh(f"t{t}_blade0", spec, root_center=root)
+            coords = base.coords
+        else:
+            coords = blade_lattice(spec, root).reshape(-1, 3)
+        for k in range(3):
+            blade = copy.deepcopy(base)
+            blade.name = f"t{t}_blade{k}"
+            blade.coords[:] = coords
+            rot = RigidRotation(axis=(1.0, 0.0, 0.0), center=hub, omega=omega)
+            # Phase the blade to its azimuthal slot.
+            rot.rotate_by(blade, np.deg2rad(120.0 * k))
+            blades.append(blade)
+            rotations.append(rot)
     return blades, rotations
 
 
@@ -164,7 +181,7 @@ def make_turbine_low(refine: int = 1) -> TurbineMeshSystem:
             scaled analogue of the paper's refined mesh (Table 1, column 3).
     """
     hub = (0.0, 0.0, 0.0)
-    blades, rotations = _make_turbine_blades("t0", hub, refine)
+    blades, rotations = _make_turbine_blades([hub], _blade_spec(refine))
     bg = _make_background(
         "background", [hub], (28 * refine, 20 * refine, 20 * refine)
     )
@@ -203,19 +220,7 @@ def make_turbine_tiny() -> TurbineMeshSystem:
         first_cell_frac=4e-3,
         outer_radius=36.0,
     )
-    omega = 12.1 * 2.0 * np.pi / 60.0
-    blades: list[HexMesh] = []
-    rotations: list[RigidRotation] = []
-    for k in range(3):
-        blade = make_blade_mesh(
-            f"t0_blade{k}",
-            spec,
-            root_center=(hub[0], hub[1], hub[2] + 0.05 * ROTOR_RADIUS),
-        )
-        rot = RigidRotation(axis=(1.0, 0.0, 0.0), center=hub, omega=omega)
-        rot.rotate_by(blade, np.deg2rad(120.0 * k))
-        blades.append(blade)
-        rotations.append(rot)
+    blades, rotations = _make_turbine_blades([hub], spec)
     bg = _make_background("background", [hub], (16, 12, 12))
     return TurbineMeshSystem(
         name="turbine_tiny", background=bg, blades=blades, rotations=rotations
@@ -244,14 +249,13 @@ def make_turbine_dual() -> TurbineMeshSystem:
     """
     R = ROTOR_RADIUS
     hubs = [(0.0, 0.0, 0.0), (7.0 * R, 0.0, 0.0)]
-    blades0, rot0 = _make_turbine_blades("t0", hubs[0], refine=1)
-    blades1, rot1 = _make_turbine_blades("t1", hubs[1], refine=1)
+    blades, rotations = _make_turbine_blades(hubs, _blade_spec(1))
     bg = _make_background("background", hubs, (44, 22, 22))
     return TurbineMeshSystem(
         name="turbine_dual",
         background=bg,
-        blades=blades0 + blades1,
-        rotations=rot0 + rot1,
+        blades=blades,
+        rotations=rotations,
     )
 
 

@@ -11,17 +11,27 @@ near-body meshes:
 2. **Fringe classification** — background neighbors of holes become
    receptors from the blade meshes; blade ``outer``-boundary nodes become
    receptors from the background.
-3. **Donor search** — per receptor, candidate donor cells from a kd-tree on
-   donor cell centroids, filtered by the cells' bounding boxes; one Newton
-   inversion over every surviving (receptor, candidate) pair decides
-   trilinear containment, with inverse-distance fallback for receptors that
-   land between donor cells.  The search is batched across requests: one
-   search per step serves every hole-cut patch and every blade rim, and an
-   orphan-repair round re-searches only the background fringe receptors
-   outside their blade's patch.  A receptor's result depends on that
-   receptor alone, so reuse and batching leave every donor set bitwise
-   what one search per receptor would give.  The background never moves:
-   its search index is built once per assembler.
+3. **Donor search** — each receptor takes, among the ``candidate_k`` donor
+   cells with the nearest centroids whose padded bounding box holds it, the
+   nearest one that contains it (trilinear Newton inversion), with
+   inverse-distance fallback for receptors that land between donor cells.
+   The search is batched across requests: one search per step serves every
+   hole-cut patch and every blade rim, and an orphan-repair round
+   re-searches only the background fringe receptors outside their blade's
+   patch.  A receptor's result depends on that receptor alone, so reuse and
+   batching leave every donor set bitwise what one search per receptor
+   would give.
+
+Only what depends on the position is paid per ``assemble()``.  The
+background never moves and is a tensor product of three axes, so its
+candidate cells are one ``searchsorted`` per axis.  A rigid blade keeps its
+shape, so one body-frame index per shape (centroid and node kd-trees, cell
+boxes, hull thickness) is built once per assembler and serves every blade
+of that shape: a receptor enters a blade's frame through one 3x3 product.
+Newton still inverts the world-frame corners, and the distances that rank
+candidates are certified against the world-frame ones: a receptor whose
+choice round-off could change is searched again in the world frame, so
+every donor set is bitwise what world-frame kd-trees give.
 
 The result feeds the linear systems as constraint rows (paper §3.1:
 "Boundary-condition nodes, including periodic, Dirichlet, and overset DoFs
@@ -34,12 +44,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.mesh.hexmesh import HexMesh
 from repro.overset.trilinear import contains, invert_map, shape_functions
+
+#: Round-off allowance of a distance, relative to the largest coordinate
+#: of any mesh: far above the ulps that separate two frames' arithmetic,
+#: far below any cell size.
+_SLACK = 1e-10
 
 
 class NodeStatus(IntEnum):
@@ -100,43 +116,83 @@ class OversetConnectivity:
 SearchRequest = tuple[int, int, np.ndarray]
 
 
-class _DonorIndex:
-    """Search structures over one mesh, valid while its nodes stay put.
+def padded_boxes(
+    corners: np.ndarray, pad: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of each cell's bounding box, padded by ``pad`` of its
+    longest side.  A point with ``|xi| <= 1 + 1e-6`` in a trilinear hex lies
+    within ~3e-6 cell diameters of the corners' convex hull, so the default
+    pad flags no containing cell out."""
+    # Corner by corner: ``min``/``max`` over the middle axis is 4x slower,
+    # and either is exact.
+    lo = hi = corners[:, 0]
+    for i in range(1, corners.shape[1]):
+        lo, hi = np.minimum(lo, corners[:, i]), np.maximum(hi, corners[:, i])
+    p = pad * (hi - lo).max(axis=1, keepdims=True)
+    return lo - p, hi + p
 
-    The assembler keeps the background's for its whole life (the
-    background never moves) and makes one per blade in each ``assemble()``;
-    each structure is built on first use (the background never needs its
-    node tree, a mesh nobody receives from never needs its cell tree).
+
+def _hull_thickness(coords: np.ndarray, boundaries: dict) -> float:
+    """Median wall->outer separation (the O-grid shell thickness)."""
+    tree = cKDTree(coords[boundaries["outer"]])
+    d, _ = tree.query(coords[boundaries["wall"]], k=1)
+    return float(np.median(d))
+
+
+class _Candidates(NamedTuple):
+    """Cells that may hold each of ``m`` points.
+
+    ``rec``, ``cell`` and ``key`` are (point, cell) pairs, point-major and
+    by ascending ``key`` within a point: the centroid distance, within the
+    index's ``tol`` of the world-frame one, or the exact kNN rank.
+    ``nearest`` is each point's nearest-centroid cell where it is certain,
+    else -1; ``horizon`` is the distance below which every cell is listed.
     """
+
+    rec: np.ndarray
+    cell: np.ndarray
+    key: np.ndarray
+    nearest: np.ndarray
+    horizon: np.ndarray | None = None
+
+
+class _DonorIndex:
+    """World-frame search structures over one mesh, valid while its nodes
+    stay put: the exact path every other index falls back to.
+
+    Each structure is built on first use.
+    """
+
+    tol = 0.0
+    hull_tol = 0.0
 
     def __init__(self, mesh: HexMesh) -> None:
         self.mesh = mesh
+
+    @property
+    def exact(self) -> _DonorIndex:
+        return self
 
     @cached_property
     def node_tree(self) -> cKDTree:
         return cKDTree(self.mesh.coords)
 
     @cached_property
+    def hull(self) -> float:
+        return _hull_thickness(self.mesh.coords, self.mesh.boundaries)
+
+    @cached_property
     def _cell_search(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
         """``(tree, lo, hi)``: centroid kd-tree and padded per-cell AABBs."""
         corners = self.mesh.coords[self.mesh.cells]  # (ncell, 8, 3)
-        lo, hi = corners.min(axis=1), corners.max(axis=1)
-        pad = 1e-5 * (hi - lo).max(axis=1, keepdims=True)
-        return cKDTree(corners.mean(axis=1)), lo - pad, hi + pad
+        return cKDTree(corners.mean(axis=1)), *padded_boxes(corners)
 
-    def candidates(
-        self, pts: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The ``k`` nearest-centroid cells of each point; which can hold it.
+    def node_distance(self, pts: np.ndarray) -> np.ndarray:
+        return self.node_tree.query(pts, k=1)[0]
 
-        Returns:
-            ``(cand, in_box)``, both ``(m, k)``: cell ids by ascending
-            centroid distance, and whether the point lies in that cell's
-            bounding box padded by 1e-5 of its longest side.  A point with
-            ``|xi| <= 1 + 1e-6`` in a trilinear hex lies within ~3e-6 cell
-            diameters of the corners' convex hull, so no containing cell is
-            flagged out.
-        """
+    def candidates(self, pts: np.ndarray, k: int) -> _Candidates:
+        """The ``k`` nearest-centroid cells of each point whose padded box
+        holds it, keyed by rank."""
         tree, lo, hi = self._cell_search
         _, cand = tree.query(pts, k=k)
         cand = cand.reshape(pts.shape[0], k)
@@ -146,15 +202,273 @@ class _DonorIndex:
             p = pts[:, axis, None]
             in_box &= lo[cand, axis] <= p
             in_box &= p <= hi[cand, axis]
-        return cand, in_box
+        rec, rank = np.nonzero(in_box)
+        return _Candidates(rec, cand[rec, rank], rank, cand[:, 0])
+
+    def certain(self, pts, k, cands, key, found) -> np.ndarray:
+        """Every point's result is the world-frame one."""
+        return np.ones(pts.shape[0], dtype=bool)
+
+
+class _Lattice:
+    """A mesh whose nodes are the tensor product of three increasing axes,
+    numbered as an open structured block (the background).
+
+    A point's candidate cells are those whose slab holds it on every axis
+    (one ``searchsorted`` per axis), keyed by the distance to their
+    centroids, which are the tensor product of the axis midpoints.
+    """
+
+    def __init__(
+        self, mesh: HexMesh, axes: list[np.ndarray], tol: float
+    ) -> None:
+        self.mesh = mesh
+        self.axes = axes
+        self.mid = [0.5 * (a[:-1] + a[1:]) for a in axes]
+        # Twice the largest padding a cell's box gets: every padded box
+        # lies inside its slabs widened by this.
+        self.pad = 2e-5 * max(float(np.diff(a).max()) for a in axes)
+        self.tol = tol
+
+    @classmethod
+    def of(cls, mesh: HexMesh, tol: float) -> _Lattice | None:
+        """The lattice view of ``mesh``, or None if it is not one."""
+        shape, periodic = mesh.topology.shape, mesh.topology.periodic
+        if any(periodic):
+            return None
+        X = mesh.coords.reshape(*shape, 3)
+        axes = [X[:, 0, 0, 0], X[0, :, 0, 1], X[0, 0, :, 2]]
+        if not all(np.all(np.diff(a) > 0) for a in axes):
+            return None
+        if not np.array_equal(
+            X, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        ):
+            return None
+        ny, nz = shape[1], shape[2]
+        first = np.arange(X[..., 0].size).reshape(shape)[:-1, :-1, :-1]
+        step = ny * nz
+        corner = np.array(
+            [0, step, step + nz, nz, 1, step + 1, step + nz + 1, nz + 1]
+        )
+        if not np.array_equal(mesh.cells, first.reshape(-1, 1) + corner):
+            return None
+        return cls(mesh, axes, tol)
+
+    @cached_property
+    def exact(self) -> _DonorIndex:
+        return _DonorIndex(self.mesh)
+
+    def candidates(self, pts: np.ndarray, k: int) -> _Candidates:
+        """Every cell whose padded box may hold each point, keyed by
+        centroid distance."""
+        first, count = [], []
+        for a, x in enumerate(self.axes):
+            lo = np.searchsorted(x, pts[:, a] - self.pad, side="left") - 1
+            hi = np.searchsorted(x, pts[:, a] + self.pad, side="right") - 1
+            lo = np.maximum(lo, 0)
+            first.append(lo)
+            count.append(np.maximum(np.minimum(hi, x.size - 2) - lo + 1, 0))
+        total = count[0] * count[1] * count[2]
+        rec = np.repeat(np.arange(pts.shape[0]), total)
+        t = np.arange(rec.size) - np.repeat(np.cumsum(total) - total, total)
+        cz, cyz = count[2][rec], count[1][rec] * count[2][rec]
+        ijk = [
+            first[0][rec] + t // cyz,
+            first[1][rec] + (t % cyz) // cz,
+            first[2][rec] + t % cz,
+        ]
+        d2 = (pts[rec, 0] - self.mid[0][ijk[0]]) ** 2
+        d2 += (pts[rec, 1] - self.mid[1][ijk[1]]) ** 2
+        d2 += (pts[rec, 2] - self.mid[2][ijk[2]]) ** 2
+        key = np.sqrt(d2)
+        order = np.lexsort((key, rec))
+        ncy, ncz = self.axes[1].size - 1, self.axes[2].size - 1
+        cell = (ijk[0] * ncy + ijk[1]) * ncz + ijk[2]
+        return _Candidates(
+            rec[order],
+            cell[order],
+            key[order],
+            np.full(pts.shape[0], -1),
+        )
+
+    def certain(self, pts, k, cands, key, found) -> np.ndarray:
+        """A found cell is one of the world frame's ``k`` nearest when at
+        most ``k`` centroids lie within its distance plus round-off:
+        counted per ``(x, y)`` column of the lattice as one ``z`` window.
+        A miss needs the nearest centroid, which the world frame gives."""
+        rows = np.flatnonzero(found)
+        p, radius = pts[rows], key[rows] + 3.0 * self.tol
+        lo, width = [], []
+        for a in (0, 1):
+            lo.append(np.searchsorted(self.mid[a], p[:, a] - radius, "left"))
+            hi = np.searchsorted(self.mid[a], p[:, a] + radius, "right")
+            width.append(hi - lo[a])
+        total = width[0] * width[1]
+        col = np.repeat(np.arange(rows.size), total)
+        t = np.arange(col.size) - np.repeat(np.cumsum(total) - total, total)
+        x = self.mid[0][lo[0][col] + t // width[1][col]]
+        y = self.mid[1][lo[1][col] + t % width[1][col]]
+        rz2 = radius[col] ** 2 - (p[col, 0] - x) ** 2 - (p[col, 1] - y) ** 2
+        rz = np.sqrt(np.maximum(rz2, 0.0))
+        z = p[col, 2]
+        n = np.searchsorted(self.mid[2], z + rz, "right") - np.searchsorted(
+            self.mid[2], z - rz, "left"
+        )
+        count = np.bincount(col, weights=n * (rz2 >= 0), minlength=rows.size)
+        sure = np.zeros(pts.shape[0], dtype=bool)
+        sure[rows] = count <= k
+        return sure
+
+
+class _Shape:
+    """Body-frame search structures of one rigid mesh shape, built once.
+
+    The frame is where the first mesh of that shape stood when the
+    assembler was made; :meth:`fit` finds where a mesh of this shape
+    stands now relative to it.
+    """
+
+    def __init__(self, mesh: HexMesh) -> None:
+        self.coords = mesh.coords.copy()
+        self.cells = mesh.cells
+        self.boundaries = mesh.boundaries
+        self._mean = self.coords.mean(axis=0)
+        self._centered = self.coords - self._mean
+
+    @cached_property
+    def node_tree(self) -> cKDTree:
+        return cKDTree(self.coords)
+
+    @cached_property
+    def hull(self) -> float:
+        return _hull_thickness(self.coords, self.boundaries)
+
+    @cached_property
+    def cell_search(self) -> tuple[cKDTree, np.ndarray, np.ndarray]:
+        """Centroid kd-tree and cell boxes padded generously: the exact
+        world-frame box test follows in the search."""
+        corners = self.coords[self.cells]
+        return cKDTree(corners.mean(axis=1)), *padded_boxes(corners, 1e-3)
+
+    def same(self, mesh: HexMesh) -> bool:
+        """Whether ``mesh`` has this shape's cells and boundaries."""
+        return mesh.cells is self.cells or (
+            np.array_equal(mesh.cells, self.cells)
+            and self.boundaries.keys() == mesh.boundaries.keys()
+            and all(
+                np.array_equal(v, mesh.boundaries[s])
+                for s, v in self.boundaries.items()
+            )
+        )
+
+    def fit(
+        self, x: np.ndarray, limit: float
+    ) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """``(rot, shift, err)`` with ``x @ rot + shift`` within ``err`` of
+        this shape's nodes (the least-squares rigid motion), or None if
+        ``err`` exceeds ``limit``."""
+        mx = x.mean(axis=0)
+        u, _, vt = np.linalg.svd(self._centered.T @ (x - mx))
+        # Row form of the inverse of the Kabsch rotation, without a flip.
+        rot = (vt.T * [1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ u.T
+        shift = self._mean - mx @ rot
+        miss = x @ rot + shift - self.coords
+        err = float(np.sqrt((miss**2).sum(axis=1).max()))
+        return (rot, shift, err) if err <= limit else None
+
+
+class _Placed:
+    """A :class:`_Shape` where one mesh stands now: points enter its frame
+    as ``pts @ rot + shift``, where every distance is within ``tol`` of the
+    world-frame one."""
+
+    def __init__(
+        self,
+        shape: _Shape,
+        mesh: HexMesh,
+        rot: np.ndarray,
+        shift: np.ndarray,
+        tol: float,
+    ) -> None:
+        self.shape = shape
+        self.mesh = mesh
+        self.rot = rot
+        self.shift = shift
+        self.tol = tol
+        # The median of distances each within 2 * tol.
+        self.hull_tol = 2.0 * tol
+
+    @cached_property
+    def exact(self) -> _DonorIndex:
+        return _DonorIndex(self.mesh)
+
+    @property
+    def hull(self) -> float:
+        return self.shape.hull
+
+    def _body(self, pts: np.ndarray) -> np.ndarray:
+        return pts @ self.rot + self.shift
+
+    def node_distance(self, pts: np.ndarray) -> np.ndarray:
+        return self.shape.node_tree.query(self._body(pts), k=1)[0]
+
+    def candidates(self, pts: np.ndarray, k: int) -> _Candidates:
+        """The ``k`` nearest-centroid cells of each point whose generous
+        box holds it, keyed by distance; the ``k + 1``-th distance is the
+        horizon."""
+        tree, lo, hi = self.shape.cell_search
+        m = pts.shape[0]
+        kq = min(k + 1, self.shape.cells.shape[0])
+        q = self._body(pts)
+        dist, cand = tree.query(q, k=kq)
+        dist, cand = dist.reshape(m, kq), cand.reshape(m, kq)
+        top = cand[:, :k]
+        # Widened by ``tol``, which bounds how far the placement is from
+        # rigid: a containing cell's box still holds the point.
+        in_box = np.ones(top.shape, dtype=bool)
+        for axis in range(3):
+            p = q[:, axis, None]
+            in_box &= lo[top, axis] <= p + self.tol
+            in_box &= p - self.tol <= hi[top, axis]
+        rec, rank = np.nonzero(in_box)
+        # The world frame has the same nearest cell and the same k nearest
+        # where the gaps after the first and the k-th exceed round-off.
+        sure = np.ones(m, dtype=bool)
+        if kq > 1:
+            sure &= dist[:, 1] - dist[:, 0] > 2.0 * self.tol
+        horizon = np.full(m, np.inf)
+        if kq > k:
+            sure &= dist[:, k] - dist[:, k - 1] > 2.0 * self.tol
+            horizon = dist[:, k]
+        return _Candidates(
+            rec,
+            top[rec, rank],
+            dist[rec, rank],
+            np.where(sure, cand[:, 0], -1),
+            horizon,
+        )
+
+    def certain(self, pts, k, cands, key, found) -> np.ndarray:
+        """A found cell is one of the world frame's ``k`` nearest when
+        every unlisted cell is farther by more than round-off; a miss when
+        the ``k`` nearest and the nearest are the world frame's."""
+        return np.where(
+            found, key + 2.0 * self.tol < cands.horizon, cands.nearest >= 0
+        )
 
 
 class OversetAssembler:
     """Builds overset connectivity for background + near-body meshes.
 
-    The background must not move (rotor motion moves the blades only):
-    its search index, its node spacing and the blade rims are built once
-    per assembler.
+    The background must not move (rotor motion moves the blades only), and
+    a near-body mesh moves rigidly.  Built once per assembler and kept as
+    long as it lives: the background's lattice view (or its world-frame
+    index, if it is not a lattice), its node spacing, the blade rims and
+    one body-frame index per blade shape.  Per ``assemble()`` each blade
+    gets only its placement: a least-squares rigid fit of its coordinates
+    to its shape, which makes every result a function of the coordinates.
+    A blade that is not a rigid image of its shape (to 1e-6 of the largest
+    coordinate) is searched in the world frame.
     """
 
     def __init__(
@@ -180,7 +494,25 @@ class OversetAssembler:
         self.candidate_k = candidate_k
         self.nearbody_fringe_sides = nearbody_fringe_sides
         bg = meshes[background_index]
-        self._background_index = _DonorIndex(bg)
+        scale = max(float(np.abs(m.coords).max()) for m in meshes)
+        self._slack = _SLACK * scale
+        #: Farthest a blade may be from a rigid image of its shape.
+        self._limit = 1e-6 * scale
+        self._background = _Lattice.of(bg, self._slack) or _DonorIndex(bg)
+        # One body-frame index per blade shape: a blade takes the first
+        # shape it fits, or starts one.
+        shapes: list[_Shape] = []
+        self._shapes: dict[int, _Shape] = {}
+        for k, mesh in enumerate(meshes):
+            if k == background_index:
+                continue
+            for shape in shapes:
+                if shape.same(mesh) and shape.fit(mesh.coords, self._limit):
+                    break
+            else:
+                shape = _Shape(mesh)
+                shapes.append(shape)
+            self._shapes[k] = shape
         # Local background spacing (mean incident edge length per node):
         # hole cutting must leave the resulting fringe ring inside the
         # near-body hull or its receptors cannot find containing donors.
@@ -216,10 +548,7 @@ class OversetAssembler:
         """Run hole cutting, classification, donor search, orphan repair."""
         nb = self.background_index
         bg = self.meshes[nb]
-        index = [
-            self._background_index if k == nb else _DonorIndex(m)
-            for k, m in enumerate(self.meshes)
-        ]
+        index = self._index()
         statuses = [
             np.full(m.n_nodes, NodeStatus.FIELD, dtype=np.int8)
             for m in self.meshes
@@ -239,17 +568,21 @@ class OversetAssembler:
             wall = mesh.boundaries.get("wall")
             if wall is None or wall.size == 0:
                 continue
-            hull = self._hull_thickness(mesh)
-            cut = (
-                np.full(bg.n_nodes, float(self.hole_distance))
-                if self.hole_distance is not None
-                else np.maximum(hull - 1.2 * self._spacing, 0.35 * hull)
-            )
-            # Wall distance matters only below the cut distance: the tree
-            # prunes beyond the largest one and reports inf there.
-            d, _ = cKDTree(mesh.coords[wall]).query(
-                bg.coords, k=1, distance_upper_bound=cut.max()
-            )
+            ix = index[k]
+            if self.hole_distance is not None:
+                cut = np.full(bg.n_nodes, float(self.hole_distance))
+                slack = 0.0
+            else:
+                cut, slack = self._cut(ix.hull), ix.hull_tol
+            # Wall distance matters only below the cut distance: beyond the
+            # largest one it is inf.
+            d = self._wall_distance(mesh.coords[wall], cut.max() + slack)
+            if slack and np.any(
+                np.minimum(np.abs(d - cut), np.abs(d - 0.5 * cut)) <= slack
+            ):
+                # The body-frame hull thickness is within ``slack`` of the
+                # world-frame one; a decision that close takes the latter.
+                cut = self._cut(ix.exact.hull)
             cand = d < cut
             if not np.any(cand):
                 continue
@@ -347,9 +680,25 @@ class OversetAssembler:
             statuses=statuses, donor_sets=donor_sets + rim_sets
         )
 
+    def _index(self) -> list:
+        """Every mesh's donor index where the meshes stand now."""
+        index = []
+        for k, mesh in enumerate(self.meshes):
+            if k == self.background_index:
+                index.append(self._background)
+                continue
+            shape = self._shapes[k]
+            fit = shape.fit(mesh.coords, self._limit)
+            index.append(
+                _DonorIndex(mesh)
+                if fit is None
+                else _Placed(shape, mesh, *fit[:2], fit[2] + self._slack)
+            )
+        return index
+
     def _fringe_search(
         self,
-        index: list[_DonorIndex],
+        index: list,
         bg_fringe: np.ndarray,
         assigned: np.ndarray,
         patches: dict[int, tuple[np.ndarray, DonorSet, np.ndarray]],
@@ -397,19 +746,25 @@ class OversetAssembler:
 
     @staticmethod
     def _nearest_mesh(
-        index: list[_DonorIndex], pts: np.ndarray, exclude: int
+        index: list, pts: np.ndarray, exclude: int
     ) -> np.ndarray:
-        """Index of the nearest non-excluded mesh for each point."""
-        assigned = np.full(pts.shape[0], -1, dtype=np.int64)
-        best_d = np.full(pts.shape[0], np.inf)
-        for k, idx in enumerate(index):
-            if k == exclude:
-                continue
-            d, _ = idx.node_tree.query(pts, k=1)
-            closer = d < best_d
-            best_d[closer] = d[closer]
-            assigned[closer] = k
-        return assigned
+        """Index of the nearest non-excluded mesh for each point, the first
+        one on a tie.  A point whose order round-off could change is
+        measured again in the world frame."""
+        ks = [k for k in range(len(index)) if k != exclude]
+        if not ks:
+            return np.full(pts.shape[0], -1, dtype=np.int64)
+        d = np.stack([index[k].node_distance(pts) for k in ks])
+        tol = np.array([[index[k].tol] for k in ks])
+        best = np.argmin(d, axis=0)
+        col = np.arange(pts.shape[0])
+        rival = d - tol
+        rival[best, col] = np.inf
+        redo = np.flatnonzero(rival.min(axis=0) <= d[best, col] + tol[best, 0])
+        if redo.size and tol.any():
+            exact = [index[k].exact.node_distance(pts[redo]) for k in ks]
+            best[redo] = np.argmin(np.stack(exact), axis=0)
+        return np.array(ks, dtype=np.int64)[best]
 
     @staticmethod
     def _filter_set(ds: DonorSet, status: np.ndarray) -> DonorSet:
@@ -425,27 +780,33 @@ class OversetAssembler:
 
     # -- internals ----------------------------------------------------------------
 
-    def _hull_thickness(self, mesh: HexMesh) -> float:
-        """Median wall->outer separation (the O-grid shell thickness)."""
-        wall = mesh.boundaries["wall"]
-        outer = mesh.boundaries["outer"]
-        tree = cKDTree(mesh.coords[outer])
-        d, _ = tree.query(mesh.coords[wall], k=1)
-        return float(np.median(d))
+    def _cut(self, hull: float) -> np.ndarray:
+        """Per background node, the wall distance below which it is cut."""
+        return np.maximum(hull - 1.2 * self._spacing, 0.35 * hull)
+
+    def _wall_distance(self, wall: np.ndarray, bound: float) -> np.ndarray:
+        """Each background node's distance to the nearest ``wall`` point if
+        below ``bound``, else inf.  Only nodes in the walls' box grown by
+        ``bound`` can be that close, so only they are queried."""
+        coords = self.meshes[self.background_index].coords
+        grow = bound * (1.0 + 1e-9)
+        near = np.flatnonzero(
+            np.all(
+                (coords >= wall.min(axis=0) - grow)
+                & (coords <= wall.max(axis=0) + grow),
+                axis=1,
+            )
+        )
+        d = np.full(coords.shape[0], np.inf)
+        d[near] = cKDTree(wall).query(
+            coords[near], k=1, distance_upper_bound=bound
+        )[0]
+        return d
 
     def _search_donors(
-        self, index: list[_DonorIndex], requests: list[SearchRequest]
+        self, index: list, requests: list[SearchRequest]
     ) -> list[tuple[DonorSet, np.ndarray]]:
         """Donor cells + weights for a batch of receptor sets.
-
-        Each receptor takes the nearest-centroid-ranked candidate cell that
-        contains it.  Each donor mesh's kd-tree is queried once for all of
-        its requests; only candidates whose padded bounding box holds the
-        point can contain it, so those (receptor, candidate) pairs of every
-        request alone are inverted, in one Newton batch.  The query is per
-        point and ``invert_map`` per pair, so every receptor gets what a
-        search of it alone, walking down its list, would find — however the
-        requests are split, ordered or joined.
 
         Returns:
             one ``(donor_set, found)`` per request, in order: ``found``
@@ -453,71 +814,118 @@ class OversetAssembler:
             rest use the inverse-distance fallback and may be treated as
             orphans).
         """
-        if not requests:
-            return []
-        pts = [self.meshes[r].coords[ids] for r, _d, ids in requests]
-        cand: list[np.ndarray] = [np.empty(0)] * len(requests)
-        in_box = list(cand)
-        for d in dict.fromkeys(d for _r, d, _ids in requests):
-            mine = [i for i, req in enumerate(requests) if req[1] == d]
-            c, b = index[d].candidates(
-                np.concatenate([pts[i] for i in mine]),
-                min(self.candidate_k, self.meshes[d].cells.shape[0]),
+        jobs = [(d, self.meshes[r].coords[ids]) for r, d, ids in requests]
+        return [
+            (DonorSet(r, d, ids, donors, weights), found)
+            for (r, d, ids), (donors, weights, found) in zip(
+                requests, self._search_points(index, jobs)
             )
-            start = 0
-            for i in mine:
-                stop = start + pts[i].shape[0]
-                cand[i], in_box[i] = c[start:stop], b[start:stop]
-                start = stop
+        ]
 
-        # Every in-box pair of every request: request-major, then
-        # receptor-major with the rank ascending.
-        offsets = np.cumsum([0] + [p.shape[0] for p in pts])
-        recs, corner_ids, corners = [], [], []
-        for i, (_r, d, _ids) in enumerate(requests):
-            rec, rank = np.nonzero(in_box[i])
-            ids = self.meshes[d].cells[cand[i][rec, rank]]  # (pairs, 8)
-            recs.append(rec + offsets[i])
-            corner_ids.append(ids)
-            corners.append(self.meshes[d].coords[ids])
-        rec = np.concatenate(recs)
+    def _search_points(
+        self, index: list, jobs: list[tuple[int, np.ndarray]]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(donors, weights, found)`` per ``(donor_mesh, points)`` job.
+
+        Each point takes the nearest-centroid-ranked candidate cell that
+        contains it.  Each donor mesh's index is queried once for all of
+        its jobs; only candidates whose padded bounding box holds the point
+        can contain it, so those (point, candidate) pairs of every job
+        alone are inverted, in one Newton batch.  The query is per point
+        and ``invert_map`` per pair, so every point gets what a search of
+        it alone, walking down its list, would find — however the jobs are
+        split, ordered or joined.  The points whose cell, or whose miss, an
+        index cannot certify as the world frame's are searched again
+        through their mesh's world-frame index.
+        """
+        if not jobs:
+            return []
+        offsets = np.cumsum([0] + [p.shape[0] for _d, p in jobs])
+        pts = np.concatenate([p for _d, p in jobs])
+        n = pts.shape[0]
+        tol = np.zeros(n)
+        nearest = np.full(n, -1)
+        groups = []  # (donor mesh, rows, k, candidates)
+        rec, key, corner_ids, corners = [], [], [], []
+        for d in dict.fromkeys(d for d, _p in jobs):
+            rows = np.concatenate(
+                [
+                    np.arange(offsets[i], offsets[i + 1])
+                    for i, (dd, _p) in enumerate(jobs)
+                    if dd == d
+                ]
+            )
+            k = min(self.candidate_k, self.meshes[d].cells.shape[0])
+            c = index[d].candidates(pts[rows], k)
+            groups.append((d, rows, k, c))
+            tol[rows] = index[d].tol
+            nearest[rows] = c.nearest
+            rec.append(rows[c.rec])
+            key.append(c.key)
+            corner_ids.append(self.meshes[d].cells[c.cell])
+            corners.append(self.meshes[d].coords[corner_ids[-1]])
+        rec = np.concatenate(rec)
+        key = np.concatenate(key).astype(np.float64)
         corner_ids = np.concatenate(corner_ids)
-        xi, ok = invert_map(np.concatenate(corners), np.concatenate(pts)[rec])
+        corners = np.concatenate(corners)
+        lo, hi = padded_boxes(corners)
+        at = pts[rec]
+        box = np.flatnonzero(np.all((lo <= at) & (at <= hi), axis=1))
+        xi, ok = invert_map(corners[box], at[box])
         inside = np.flatnonzero(ok & contains(xi, tol=1e-6))
-        hit, first = np.unique(rec[inside], return_index=True)
-        best = inside[first]  # lowest-ranked containing candidate per hit
+        held = box[inside]  # containing pairs, point-major by key
+        hit, first = np.unique(rec[held], return_index=True)
+        pick = held[first]  # the lowest-keyed containing pair per point
 
-        out = []
-        for i, (receptor_mesh, donor_mesh, receptors) in enumerate(requests):
-            lo, hi = np.searchsorted(hit, offsets[i : i + 2])
-            mine, pick = hit[lo:hi] - offsets[i], best[lo:hi]
-            m = receptors.shape[0]
-            donors = np.empty((m, 8), dtype=np.int64)
-            weights = np.zeros((m, 8))
-            found = np.zeros(m, dtype=bool)
-            donors[mine] = corner_ids[pick]
-            weights[mine] = shape_functions(xi[pick])
-            found[mine] = True
+        found = np.zeros(n, dtype=bool)
+        found[hit] = True
+        donors = np.empty((n, 8), dtype=np.int64)
+        weights = np.zeros((n, 8))
+        donors[hit] = corner_ids[pick]
+        weights[hit] = shape_functions(xi[inside[first]])
+        # A second containing cell within round-off of the first could come
+        # first in the world frame.
+        sure = np.ones(n, dtype=bool)
+        second = first + 1
+        two = second < held.size
+        two[two] = rec[held[second[two]]] == hit[two]
+        sure[hit[two]] = (
+            key[held[second[two]]] - key[pick[two]] > 2.0 * tol[hit[two]]
+        )
+        pick_key = np.zeros(n)
+        pick_key[hit] = key[pick]
+        for d, rows, k, c in groups:
+            sure[rows] &= index[d].certain(
+                pts[rows], k, c, pick_key[rows], found[rows]
+            )
             # Fallback: inverse-distance weights on the nearest candidate
             # cell (receptors slightly outside the donor hull, e.g. at
             # domain rims).
-            miss = np.flatnonzero(~found)
+            miss = rows[~found[rows] & sure[rows]]
             if miss.size:
-                dmesh = self.meshes[donor_mesh]
-                ids = dmesh.cells[cand[i][miss, 0]]
+                dmesh = self.meshes[d]
+                ids = dmesh.cells[nearest[miss]]
                 dist = np.linalg.norm(
-                    dmesh.coords[ids] - pts[i][miss][:, None, :], axis=2
+                    dmesh.coords[ids] - pts[miss][:, None, :], axis=2
                 )
                 w = 1.0 / np.maximum(dist, 1e-30)
                 w /= w.sum(axis=1, keepdims=True)
                 donors[miss] = ids
                 weights[miss] = w
-            ds = DonorSet(
-                receptor_mesh=receptor_mesh,
-                donor_mesh=donor_mesh,
-                receptors=receptors,
-                donors=donors,
-                weights=weights,
+
+        redo = [(d, rows[~sure[rows]]) for d, rows, _k, _c in groups]
+        redo = [(d, rows) for d, rows in redo if rows.size]
+        if redo:
+            exact = list(index)
+            for d, _rows in redo:
+                exact[d] = index[d].exact
+            again = self._search_points(
+                exact, [(d, pts[rows]) for d, rows in redo]
             )
-            out.append((ds, found))
-        return out
+            for (_d, rows), (dn, wt, fd) in zip(redo, again):
+                donors[rows], weights[rows], found[rows] = dn, wt, fd
+
+        return [
+            (donors[a:b], weights[a:b], found[a:b])
+            for a, b in zip(offsets[:-1], offsets[1:])
+        ]

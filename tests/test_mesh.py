@@ -15,10 +15,14 @@ from repro.mesh import (
     make_blade_mesh,
     make_turbine_dual,
     make_turbine_low,
+    make_workload,
     node_adjacency,
     rotation_matrix,
 )
+from repro.mesh import turbine
+from repro.mesh.motion import RigidRotation
 from repro.mesh.topology import boundary_node_sets
+from repro.mesh.turbine import ROTOR_RADIUS
 
 
 def uniform_box(shape=(4, 4, 4), extent=1.0):
@@ -225,3 +229,60 @@ class TestTurbineWorkloads:
         s.advance_rotor(0.1)
         assert np.array_equal(s.background.coords, bg0)
         assert not np.allclose(s.blades[0].coords, bl0)
+
+    @pytest.mark.parametrize(
+        "name", ["turbine_tiny", "turbine_low", "turbine_dual"]
+    )
+    def test_copied_blades_equal_independent_builds(self, name):
+        """Each blade is a copy of one built blade mesh; it is byte-equal to
+        a ``make_blade_mesh`` of its own, phased by ``rotate_by``:
+        coordinates, metrics, boundaries and topology."""
+        s = make_workload(name)
+        spec = (
+            BladeSpec(
+                span=0.85 * ROTOR_RADIUS,
+                n_around=14,
+                n_radial=6,
+                n_span=8,
+                first_cell_frac=4e-3,
+                outer_radius=36.0,
+            )
+            if name == "turbine_tiny"
+            else turbine._blade_spec(1)
+        )
+        for blade, rot in zip(s.blades, s.rotations, strict=True):
+            hub = rot.center
+            want = make_blade_mesh(
+                blade.name,
+                spec,
+                root_center=(hub[0], hub[1], hub[2] + 0.05 * ROTOR_RADIUS),
+            )
+            phase = RigidRotation(rot.axis, hub, rot.omega)
+            phase.rotate_by(want, np.deg2rad(120.0 * int(blade.name[-1])))
+            assert phase.angle == rot.angle
+            assert blade.name == want.name
+            for attr in (
+                "coords",
+                "node_volume",
+                "edge_area",
+                "edge_length",
+                "edge_dir",
+                "cells",
+                "edges",
+                "edge_axis",
+            ):
+                got, ref = getattr(blade, attr), getattr(want, attr)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), attr
+            assert blade.topology.shape == want.topology.shape
+            assert blade.topology.periodic == want.topology.periodic
+            assert blade.boundaries.keys() == want.boundaries.keys()
+            for side, ids in want.boundaries.items():
+                assert blade.boundaries[side].tobytes() == ids.tobytes()
+            # Copies share no array with each other.
+            assert not any(
+                np.shares_memory(blade.coords, other.coords)
+                or np.shares_memory(blade.cells, other.cells)
+                for other in s.blades
+                if other is not blade
+            )

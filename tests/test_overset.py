@@ -22,7 +22,12 @@ from repro.overset import (
     shape_functions,
     shape_gradients,
 )
-from repro.overset.assembler import _DonorIndex
+from repro.overset import assembler
+from tests.overset_reference import (
+    ReferenceAssembler,
+    ReferenceIndex,
+    reference_search_points,
+)
 
 UNIT_HEX = np.array(
     [
@@ -382,22 +387,36 @@ def test_batched_search_matches_sequential_reference(name):
 @pytest.mark.parametrize("name", ["turbine_tiny", "turbine_low"])
 def test_padded_box_rejects_no_containing_cell(name):
     """Invert *every* (receptor, candidate) pair of every search: a pair
-    the padded AABB filter drops never passes ``ok & contains``."""
+    a filter drops never passes ``ok & contains``.  The filters are the
+    world-frame padded AABBs on the ``k`` nearest centroids, the
+    background lattice's axis slabs (on the same ``k`` cells) and a blade
+    shape's generous body-frame boxes (on its own ``k`` nearest)."""
     s = make_workload(name)
     s.advance_rotor(0.21)
     asm = OversetAssembler(s.meshes)
     _conn, calls = _traced_assemble(asm)
+    index = asm._index()
     passed = 0
     for receptor_mesh, donor_mesh, receptors, _found in calls:
         dmesh = s.meshes[donor_mesh]
         pts = s.meshes[receptor_mesh].coords[receptors]
-        cand, in_box = _DonorIndex(dmesh).candidates(pts, asm.candidate_k)
-        xi, ok = invert_map(
-            dmesh.coords[dmesh.cells[cand.ravel()]],
-            np.repeat(pts, cand.shape[1], axis=0),
-        )
+        k = asm.candidate_k
+        ix = index[donor_mesh]
+        if isinstance(ix, assembler._Placed):
+            _, cand = ix.shape.cell_search[0].query(ix._body(pts), k=k)
+        else:
+            cand, _ = ReferenceIndex(dmesh).candidates(pts, k)
+        corners = dmesh.coords[dmesh.cells[cand.ravel()]]
+        at = np.repeat(pts, k, axis=0)
+        lo, hi = assembler.padded_boxes(corners)
+        in_box = np.all((lo <= at) & (at <= hi), axis=1).reshape(cand.shape)
+        listed = ix.candidates(pts, k)
+        kept = np.zeros(cand.shape, dtype=bool)
+        for i in range(cand.shape[0]):
+            kept[i] = np.isin(cand[i], listed.cell[listed.rec == i])
+        xi, ok = invert_map(corners, at)
         inside = (ok & contains(xi, tol=1e-6)).reshape(cand.shape)
-        assert not np.any(inside & ~in_box)
+        assert not np.any(inside & ~(kept & in_box))
         passed += int(inside.sum())
     assert passed > 0
 
@@ -455,9 +474,8 @@ def test_connectivity_invariants_under_motion(name):
             )
         before = conn
 
-    # A blade's donor index lives for one assemble() and the background's
-    # for the assembler: one that has already searched two other rotor
-    # positions gives what a new one does.
+    # The indexes live as long as the assembler: one that has already
+    # searched two other rotor positions gives what a new one does.
     fresh = OversetAssembler(s.meshes).assemble()
     for got, want in zip(conn.statuses, fresh.statuses, strict=True):
         assert np.array_equal(got, want)
@@ -475,7 +493,7 @@ def _search_pool():
     s = make_workload("turbine_tiny")
     s.advance_rotor(0.21)
     asm = OversetAssembler(s.meshes)
-    index = [asm._background_index] + [_DonorIndex(m) for m in s.meshes[1:]]
+    index = asm._index()
     lo, hi = s.meshes[1].bounding_box()
     lo, hi = lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo)
     c = s.meshes[0].coords
@@ -536,9 +554,7 @@ def test_patch_reuse_equals_a_fresh_search():
         searched: dict[tuple[int, int], list[np.ndarray]] = {}
         for r, d, receptors, _found in calls:
             searched.setdefault((r, d), []).append(receptors)
-        index = [asm._background_index] + [
-            _DonorIndex(m) for m in s.meshes[1:]
-        ]
+        index = asm._index()
         reused = 0
         for ds in conn.donor_sets:
             if ds.receptor_mesh != asm.background_index:
@@ -556,3 +572,189 @@ def test_patch_reuse_equals_a_fresh_search():
         assert reused > conn.fringe_nodes(0).size // 2
         s.advance_rotor(0.37)
 
+
+
+def _assert_same_connectivity(got, want):
+    for a, b in zip(got.statuses, want.statuses, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(got.donor_sets, want.donor_sets, strict=True):
+        assert (a.receptor_mesh, a.donor_mesh) == (
+            b.receptor_mesh,
+            b.donor_mesh,
+        )
+        for field in ("receptors", "donors", "weights"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_same_results(got, want):
+    for (dn, wt, fd), (rdn, rwt, rfd) in zip(got, want, strict=True):
+        assert dn.tobytes() == rdn.tobytes()
+        assert wt.tobytes() == rwt.tobytes()
+        assert fd.tobytes() == rfd.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["turbine_tiny", "turbine_low", "turbine_dual"]
+)
+def test_assemble_and_every_search_equal_the_reference(name):
+    """At the golden positions (0, 1 and 2 calls of ``advance_rotor(0.37)``)
+    and two more, the lattice and body-frame indexes give the world-frame
+    reference's statuses and donor sets, and every search they make gives
+    its ``(donors, weights, found)``, bit for bit."""
+    s = make_workload(name)
+    asm = OversetAssembler(s.meshes)
+    ref = ReferenceAssembler(s.meshes)
+    for dt in (0.0, 0.37, 0.37, 1.9, 0.011):
+        if dt:
+            s.advance_rotor(dt)
+        conn, calls = _traced_assemble(asm)
+        _assert_same_connectivity(conn, ref.assemble())
+        index = ref.index()
+        for r, d, receptors, found in calls:
+            jobs = [(d, s.meshes[r].coords[receptors])]
+            (got,) = asm._search_points(asm._index(), jobs)
+            want = reference_search_points(
+                s.meshes, asm.candidate_k, index, jobs
+            )
+            _assert_same_results([got], want)
+            assert found.tobytes() == want[0][2].tobytes()
+
+
+def _adversarial_points(s, rng):
+    """Per donor mesh, points a search finds hard: on its nodes, cell faces
+    and cell edges (several containing cells), just outside its hull
+    (inside a padded box) and far outside it; for a blade also inside the
+    body."""
+    jobs = []
+    for d, mesh in enumerate(s.meshes):
+        pick = rng.choice(mesh.cells.shape[0], 40, replace=False)
+        corners = mesh.coords[mesh.cells[pick]]
+        on = [
+            corners[:, 0],
+            corners[:, [0, 1, 2, 3]].mean(axis=1),
+            0.5 * (corners[:, 0] + corners[:, 4]),
+        ]
+        if d == 0:
+            # The background's hull is its box: just outside the middle of
+            # each side, and far outside.
+            lo, hi = mesh.bounding_box()
+            out = np.repeat(0.5 * (lo + hi)[None], 8, axis=0)
+            for a in range(3):
+                out[2 * a, a] = lo[a] - 1e-7 * (hi[a] - lo[a])
+                out[2 * a + 1, a] = hi[a] + 1e-7 * (hi[a] - lo[a])
+            out[6:] += [[2.0, 0.0, 0.0], [0.0, -3.0, 0.0]] * (hi - lo)
+        else:
+            # ``outer`` and ``wall`` list the O-grid's rim and surface
+            # nodes in the same order: a radial line each.
+            outer = mesh.coords[mesh.boundaries["outer"]][::7]
+            wall = mesh.coords[mesh.boundaries["wall"]][::7]
+            out = np.concatenate(
+                [
+                    outer + 1e-7 * (outer - wall),
+                    wall + 0.1 * (wall - outer),
+                    outer + 2.0 * (outer - wall),
+                ]
+            )
+        jobs.append((d, np.concatenate(on + [out])))
+    return jobs
+
+
+@pytest.mark.parametrize("name", ["turbine_tiny", "turbine_dual"])
+def test_adversarial_points_equal_the_reference(name, monkeypatch):
+    """Points on nodes, faces and edges (several containing cells at
+    round-off distances), inside the pad and outside every hull: the
+    lattice and body-frame searches give the reference's results bit for
+    bit, and some of them only through the world-frame fallback."""
+    s = make_workload(name)
+    s.advance_rotor(0.21)
+    asm = OversetAssembler(s.meshes)
+    index = ReferenceAssembler(s.meshes).index()
+    jobs = _adversarial_points(s, np.random.default_rng(7))
+    fallbacks = []
+    real = assembler._DonorIndex.candidates
+
+    def counted(self, pts, k):
+        fallbacks.append(pts.shape[0])
+        return real(self, pts, k)
+
+    monkeypatch.setattr(assembler._DonorIndex, "candidates", counted)
+    got = asm._search_points(asm._index(), jobs)
+    _assert_same_results(
+        got, reference_search_points(s.meshes, asm.candidate_k, index, jobs)
+    )
+    assert sum(fallbacks) > 0
+    assert any(not fd.all() for _dn, _wt, fd in got)
+
+
+@pytest.mark.parametrize("name", ["turbine_tiny", "turbine_low"])
+def test_every_certificate_failing_still_gives_the_reference(
+    name, monkeypatch
+):
+    """With a round-off allowance of a tenth of the largest coordinate,
+    few body-frame or lattice choices are certain: the searches, the hull
+    thickness and the nearest blade are taken in the world frame, and the
+    result is still the reference's."""
+    monkeypatch.setattr(assembler, "_SLACK", 1e-1)
+    s = make_workload(name)
+    s.advance_rotor(0.37)
+    _assert_same_connectivity(
+        OversetAssembler(s.meshes).assemble(),
+        ReferenceAssembler(s.meshes).assemble(),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["turbine_tiny", "turbine_low", "turbine_dual"]
+)
+def test_one_body_frame_index_per_blade_shape(name):
+    """Every blade of these workloads is one shape (the dual's second rotor
+    too), placed within round-off of a rigid image of it at every
+    position."""
+    s = make_workload(name)
+    asm = OversetAssembler(s.meshes)
+    assert isinstance(asm._background, assembler._Lattice)
+    assert len({id(shape) for shape in asm._shapes.values()}) == 1
+    for _ in range(3):
+        for ix in asm._index()[1:]:
+            assert isinstance(ix, assembler._Placed)
+            assert ix.tol < 10 * asm._slack
+        s.advance_rotor(0.37)
+
+
+def test_a_deformed_blade_is_searched_in_the_world_frame():
+    """A blade that is no longer a rigid image of its shape gets the
+    world-frame index, and the reference's result."""
+    s = make_workload("turbine_tiny")
+    asm = OversetAssembler(s.meshes)
+    s.blades[1].coords[:, 2] *= 1.01
+    assert isinstance(asm._index()[2], assembler._DonorIndex)
+    _assert_same_connectivity(
+        asm.assemble(), ReferenceAssembler(s.meshes).assemble()
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["turbine_tiny", "turbine_low", "turbine_dual"]
+)
+def test_donor_weights_reproduce_linear_fields(name):
+    """The overset oracle: trilinear weights interpolate any linear field
+    exactly, so at every receptor of every donor set, after 0, 1 and 2
+    calls of ``advance_rotor(0.37)``, three random linear fields come back
+    to round-off relative to their range over the donor mesh."""
+    rng = np.random.default_rng(11)
+    s = make_workload(name)
+    asm = OversetAssembler(s.meshes)
+    for i in range(3):
+        if i:
+            s.advance_rotor(0.37)
+        conn = asm.assemble()
+        assert conn.donor_sets
+        for ds in conn.donor_sets:
+            x = s.meshes[ds.donor_mesh].coords
+            y = s.meshes[ds.receptor_mesh].coords[ds.receptors]
+            for a, b in zip(rng.normal(size=3), rng.normal(size=(3, 3))):
+                field = a + x @ b
+                scale = field.max() - field.min()
+                err = np.abs(ds.interpolate(field) - (a + y @ b))
+                assert err.max() <= 1e-11 * scale

@@ -177,6 +177,37 @@ def test_set_state_consumes_the_reply_and_misses(
     sim.close()
 
 
+def test_a_reply_taken_after_a_rewind_equals_an_inline_assemble(
+    inline_assembles,
+):
+    """After ``set_state`` rewinds past positions the helper has already
+    searched, the reply the main process takes is bitwise what an inline
+    ``assemble()`` of that position gives: a reply is a function of the
+    blade coordinates that were sent."""
+    sim = tiny()
+    sim.run(2)
+    snap = sim.state()
+    sim.step()
+    sim.step()
+    sim.set_state(*snap)
+    sim.step()  # set_state consumed the reply: a miss, then a request
+    inline_assembles.clear()
+    sim.step()
+    assert inline_assembles == []  # the reply was taken
+    got, want = sim.comp.connectivity, sim.comp._assembler.assemble()
+    for a, b in zip(got.statuses, want.statuses, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(got.donor_sets, want.donor_sets, strict=True):
+        assert (a.receptor_mesh, a.donor_mesh) == (
+            b.receptor_mesh,
+            b.donor_mesh,
+        )
+        for field in ("receptors", "donors", "weights"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    sim.close()
+
+
 def test_a_cold_restart_misses_once_and_is_bitwise(
     monkeypatch, tmp_path, inline_assembles
 ):

@@ -95,11 +95,13 @@ def test_background_index_is_built_once_across_steps():
         "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
     )
     asm = sim.comp._assembler
-    index = asm._background_index
-    tree = index._cell_search[0]
+    index = asm._background
+    shapes = [shape.cell_search[0] for shape in asm._shapes.values()]
     sim.run(2)
-    assert asm._background_index is index
-    assert index._cell_search[0] is tree
+    assert asm._background is index
+    assert [shape.cell_search[0] for shape in asm._shapes.values()] == shapes
+    # One shape serves the three blades.
+    assert len({id(tree) for tree in shapes}) == 1
 
 
 def test_a_simulation_owns_its_mesh():
