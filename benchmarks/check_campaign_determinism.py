@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Gate: campaign results are deterministic and the cache is exact.
 
-Three checks over one small topology-shared sweep:
+Three checks over one small sweep (``turbine_tiny``, one rank count,
+several seeds):
 
 1. **Parallel == serial, bitwise** — the sweep run on the inline
-   executor (``workers=0``, one plan cache) and on 2 forked workers
-   must store byte-identical result documents for every
-   job (``repro.campaign.result/1`` is canonical JSON of deterministic
+   executor (``workers=0``) and on 2 forked workers must store
+   byte-identical result documents for every job
+   (``repro.campaign.result/2`` is canonical JSON of deterministic
    quantities only, so scheduling cannot leak in).
 2. **Repeat sweep == 100% cache hits** — a fresh campaign pointed at
    the serial run's result store must serve every job from the cache

@@ -121,8 +121,7 @@ def fig9_sweep():
         cfg.nranks = r
         sim = NaluWindSimulation(make_turbine_refined(refine=REFINE), cfg)
         reports.append(sim.run(max(1, BENCH_STEPS // 2)))
-        # Stop its position helper, and free it before the next is built.
-        sim.close()
+        # Free it before the next is built.
         del sim
     return reports
 

@@ -283,14 +283,9 @@ def execute_job_payload(payload: dict, on_sim: Callable[[Any], None]) -> dict:
             config.restart_from = ""
             resumed = False
             sim = NaluWindSimulation(job.workload, config)
-        try:
-            on_sim(sim)
-            report = sim.run(job.steps)
-            doc = canonical_result(sim, report, job)
-        finally:
-            # A worker runs job after job: its position helper goes with
-            # the job, not at some later collection.
-            sim.close()
+        on_sim(sim)
+        report = sim.run(job.steps)
+        doc = canonical_result(sim, report, job)
         return {
             "ok": True,
             "doc": doc,

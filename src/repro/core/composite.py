@@ -19,7 +19,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.comm.simcomm import SimWorld
-from repro.core.position_helper import PositionHelper
 from repro.mesh.turbine import TurbineMeshSystem
 from repro.overset.assembler import (
     DonorSet,
@@ -68,7 +67,6 @@ class CompositeMesh:
         )
         self.n = int(self.mesh_offsets[-1])
         self._assembler = OversetAssembler(self.meshes)
-        self._helper = PositionHelper()
         self._static_sets()
         self.update_connectivity()
         self._partition()
@@ -117,19 +115,8 @@ class CompositeMesh:
 
     def update_connectivity(self) -> None:
         """(Re)build overset connectivity, refresh geometry arrays and
-        start a new :class:`PositionStore`.
-
-        Takes the position helper's reply when it was computed for exactly
-        these blade coordinates (:mod:`repro.core.position_helper`), and
-        assembles inline otherwise.
-        """
-        reply = self._helper.take(self.system.blades)
-        if reply is None:
-            self.connectivity: OversetConnectivity = (
-                self._assembler.assemble()
-            )
-        else:
-            self.connectivity, lsq_edges, lsq_normal = reply
+        start a new :class:`PositionStore`."""
+        self.connectivity: OversetConnectivity = self._assembler.assemble()
         off = self.mesh_offsets
         self.statuses = np.concatenate(
             [st for st in self.connectivity.statuses]
@@ -180,19 +167,6 @@ class CompositeMesh:
         #: What the operators derive from this position alone; the one
         #: reset point is here.
         self.store = PositionStore(self)
-        if reply is not None:
-            self.store.adopt(lsq_edges=lsq_edges, lsq_normal=lsq_normal)
-
-    def request_next_position(self, dt: float) -> None:
-        """Have the position helper compute the connectivity and
-        least-squares geometry one ``advance_rotor(dt)`` from here, for the
-        next :meth:`update_connectivity` to take."""
-        self._helper.request(self, dt)
-
-    def close(self) -> None:
-        """Stop the position helper now rather than when this object is
-        collected."""
-        self._helper.close()
 
     # -- decomposition ----------------------------------------------------------
 
@@ -290,8 +264,8 @@ class PositionStore:
 
     :meth:`CompositeMesh.update_connectivity` (which ``set_state`` also
     calls) replaces the store, and is its only reset point; within one
-    position every entry is computed on first use (or adopted from the
-    position helper's reply), then the same read-only object is returned.
+    position every entry is computed on first use, then the same
+    read-only object is returned.
     Holds the fringe and hole ids, every equation's constraint rows, and
     the edge geometry the operators read on each call.
     """
@@ -301,12 +275,6 @@ class PositionStore:
         # mesh, so a strong back-reference would be a reference cycle.
         self._comp = weakref.proxy(comp)
         self._constraint_rows: dict[str, np.ndarray] = {}
-
-    def adopt(self, **entries: tuple[np.ndarray, ...]) -> None:
-        """Take entries the position helper computed for this position
-        (bitwise what first use would compute here), read-only."""
-        for name, arrays in entries.items():
-            self.__dict__[name] = tuple(_readonly(a) for a in arrays)
 
     @cached_property
     def fringe(self) -> np.ndarray:

@@ -194,9 +194,6 @@ class NaluWindSimulation:
         # interprets n_steps as the *total* step count from t=0, so the
         # restart-vs-uninterrupted comparison uses identical call shapes.
         self._resume_total = bool(self.config.restart_from)
-        # Whether a step asks the position helper for the next position:
-        # run() clears it for its last step, whose request nothing takes.
-        self._request_next = True
         if self.config.restart_from:
             self.transaction.restart(self.config.restart_from)
 
@@ -384,11 +381,6 @@ class NaluWindSimulation:
         """
         return self.transaction.write_checkpoint()
 
-    def close(self) -> None:
-        """Stop the position helper now rather than when this simulation
-        is collected; later steps compute every position inline."""
-        self.comp.close()
-
     def drop_graphs(self) -> None:
         """End the lifetime of every equation's graph, plan and
         preconditioner (:meth:`EquationSystem.drop_graph`)."""
@@ -556,10 +548,6 @@ class NaluWindSimulation:
             with self.world.phase_scope("motion"):
                 self.system.advance_rotor(cfg.dt)
                 self.comp.update_connectivity()
-                # The next position is computed on the second core while
-                # this step solves (repro.core.position_helper).
-                if self._request_next:
-                    self.comp.request_next_position(cfg.dt)
             for eq in self.systems:
                 eq.update_graph()
             for k in range(cfg.picard_iterations):
@@ -588,9 +576,7 @@ class NaluWindSimulation:
 
         With ``config.checkpoint_every > 0`` a durable checkpoint is
         written after every Nth completed step (and is what the step
-        transaction's last rung rewinds to).  Only a step with steps left
-        after it asks the position helper for the next position, so a
-        1-step run forks none.
+        transaction's last rung rewinds to).
 
         On the first ``run()`` after a cold restart (``restart_from``),
         ``n_steps`` is the *total* step count from t=0 — the run advances
@@ -605,17 +591,13 @@ class NaluWindSimulation:
         else:
             advance = int(n_steps)
         target = self.step_index + advance
-        try:
-            while self.step_index < target:
-                self._request_next = self.step_index + 1 < target
-                if (
-                    self.step()
-                    and cfg.checkpoint_every
-                    and self.step_index % cfg.checkpoint_every == 0
-                ):
-                    self.write_checkpoint()
-        finally:
-            self._request_next = True
+        while self.step_index < target:
+            if (
+                self.step()
+                and cfg.checkpoint_every
+                and self.step_index % cfg.checkpoint_every == 0
+            ):
+                self.write_checkpoint()
         report = SimulationReport(
             config=self.config,
             workload=self.workload_name,

@@ -28,7 +28,7 @@ def live_children(pid: int) -> list[str]:
 def no_child_outlives_the_session():
     """Leak guard: once every test is done and every dropped object is
     collected, no child of this process may be alive or unreaped (a
-    position helper, a campaign worker, a subprocess)."""
+    campaign worker, a subprocess)."""
     yield
     if not os.path.isdir("/proc"):
         return

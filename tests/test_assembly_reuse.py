@@ -504,7 +504,6 @@ class TestPreconditionerRule:
         for _ in range(4):
             assert sim.step()
             seen.append([(eq.graph.revision, eq._plan) for eq in sim.systems])
-        sim.close()
         assert all(s == seen[0] for s in seen)
         assert setups == [0, 1, 2]
         for eq in sim.systems:

@@ -388,8 +388,6 @@ class TestSimulationRestart:
             ),
         )
         sim_b.run(2 * every)
-        for sim in (sim_a, sim_b):
-            sim.close()
 
         def end_state(sim):
             return (
@@ -421,7 +419,6 @@ class TestSimulationRestart:
             ),
         )
         sim_a.run(3)
-        sim_a.close()
         arrays, meta = read_checkpoint(str(ring / FILE_PATTERN.format(step=3)))
         del meta[DERIVED_SECTION]
         old = tmp_path / "old.ckpt"
@@ -446,7 +443,6 @@ class TestSimulationRestart:
             "amg_setup", lambda **_kw: setups.append(sim_b.step_index)
         )
         sim_b.run(5)
-        sim_b.close()
         assert sim_b.step_index == 5 and setups == [3]
         assert all(eq._graph_live for eq in sim_b.systems)
         assert np.isfinite(sim_b.pressure_field).all()

@@ -86,7 +86,6 @@ def run(label: str, **extra):
         workload, SimulationConfig.from_dict({**doc, **extra})
     )
     sim.run(steps)
-    sim.close()
     return sim
 
 

@@ -72,7 +72,6 @@ def record() -> dict:
                 workload, SimulationConfig.from_dict({**doc, **extra})
             )
             sim.run(steps)
-            sim.close()
             out[label] = digests(sim)
             if extra:
                 restarted = NaluWindSimulation(
@@ -82,7 +81,6 @@ def record() -> dict:
                     ),
                 )
                 restarted.run(steps)
-                restarted.close()
                 out[f"{label}_restart"] = digests(restarted)
     return out
 

@@ -5,14 +5,11 @@ back at its owner: the step transaction holds the simulation weakly, hub
 observers hold only the lists they append to, and the position store
 holds its mesh weakly and keys constraint rows by equation name.  So with
 the cyclic collector off, ``del sim`` frees the world, the composite mesh
-and every equation system at once, and the position helper's finalizer
-stops and reaps its process there and then, rather than at some later
-collection.  A sweep that builds one simulation after another never holds
-two.
+and every equation system at once, rather than at some later collection.
+A sweep that builds one simulation after another never holds two.
 """
 
 import gc
-import os
 import tracemalloc
 import weakref
 
@@ -20,7 +17,6 @@ import pytest
 
 from repro import NaluWindSimulation, SimulationConfig
 from repro.resilience.injection import FaultSpec
-from tests.conftest import live_children
 from tests.test_lifetime_golden import ALTPATHS
 
 
@@ -37,7 +33,7 @@ def no_gc():
 
 def run_and_drop(config, steps, check=None):
     """Build and step a simulation, drop its only reference: every part
-    must be dead and its position helper reaped."""
+    must be dead."""
     sim = NaluWindSimulation("turbine_tiny", config)
     sim.run(steps)
     if check is not None:
@@ -48,14 +44,9 @@ def run_and_drop(config, steps, check=None):
         "composite mesh": weakref.ref(sim.comp),
         **{eq.name: weakref.ref(eq) for eq in sim.systems},
     }
-    pid = sim.comp._helper.pid
     del sim
     alive = [name for name, ref in refs.items() if ref() is not None]
     assert not alive, f"alive after del: {alive}"
-    if pid:
-        assert not any(
-            c.split()[0] == str(pid) for c in live_children(os.getpid())
-        ), "the position helper outlived its simulation"
 
 
 CONFIGS = {

@@ -72,7 +72,6 @@ def test_a_nested_phase_keeps_the_outer_peak(traced):
 def test_graph_phase_high_water_and_report(traced):
     sim = NaluWindSimulation("turbine_tiny", SimulationConfig(nranks=2))
     report = sim.run(2)
-    sim.close()
     phases = report.telemetry.phases
     for eq, before in GRAPH_BEFORE.items():
         high = phases[f"{eq}/graph"]["high_water_bytes"] / MIB

@@ -3,7 +3,8 @@
 ``CompositeMesh.store`` (a :class:`~repro.core.composite.PositionStore`)
 holds the fringe and hole ids, every equation's constraint rows and the
 edge geometry the operators read; ``update_connectivity`` is its one reset
-point.  Also here: a simulation owns the mesh object it is handed.
+point, and each position is searched once, in the process that steps.
+Also here: a simulation owns the mesh object it is handed.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from repro import NaluWindSimulation, SimulationConfig
 from repro.mesh import make_workload
-from repro.overset import NodeStatus
+from repro.overset import NodeStatus, OversetAssembler
 
 STORE_ARRAYS = ("fringe", "hole", "face_vectors")
 STORE_PAIRS = ("lsq_edges", "lsq_normal")
@@ -102,6 +103,26 @@ def test_background_index_is_built_once_across_steps():
     assert [shape.cell_search[0] for shape in asm._shapes.values()] == shapes
     # One shape serves the three blades.
     assert len({id(tree) for tree in shapes}) == 1
+
+
+def test_one_donor_search_per_position(monkeypatch):
+    """Construction, each step and each ``set_state`` search their own
+    position once, here: no search is made ahead or elsewhere."""
+    calls = []
+    real = OversetAssembler.assemble
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(OversetAssembler, "assemble", counted)
+    sim = NaluWindSimulation("turbine_tiny", SimulationConfig(nranks=2))
+    assert len(calls) == 1
+    snapshot = sim.state()
+    sim.run(3)
+    assert len(calls) == 1 + 3
+    sim.set_state(*snapshot)
+    assert len(calls) == 1 + 3 + 1
 
 
 def test_a_simulation_owns_its_mesh():

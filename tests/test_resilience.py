@@ -818,8 +818,6 @@ class TestTransportFaultMatrix:
         )
         sim = NaluWindSimulation("turbine_tiny", cfg)
         rep = sim.run(6)
-        for s in (nominal, sim):
-            s.close()
         assert rep.recovery["recoveries"] == {"checkpoint_restore": 1}
         assert "step 5 -> 3" in rep.recovery["events"][-1]["detail"]
         for name in ("velocity", "pressure_field", "scalar_field", "mdot"):

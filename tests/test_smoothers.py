@@ -275,7 +275,6 @@ class TestBlockSplitCache:
             "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
         )
         sim.run(1)
-        sim.close()
         levels = sim.pressure._hierarchy.levels
         assert len(levels) >= 3
         for M in [lvl.A for lvl in levels] + [
