@@ -16,7 +16,7 @@ from repro.core.config import FaultSpec, SimulationConfig, SolverConfig
 from repro.perf.machines import MACHINES
 from repro.resilience.policy import RecoveryPolicy
 from repro.serialize import canonical_json, schema, stable_digest
-from tests.test_ledger import ALTPATHS
+from tests.goldens import declared, produce
 
 CONFIG_CLASSES = (
     SimulationConfig, SolverConfig, AMGOptions, RecoveryPolicy, FaultSpec,
@@ -307,107 +307,7 @@ def test_every_option_has_a_row_in_the_configuration_reference():
 
 # -- the config golden ------------------------------------------------------
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "config_golden.json")
 
-#: ``BENCHMARK.json`` workload configs as ``benchmarks/e2e/workloads.py``
-#: builds them at seed 0: (mesh, steps, ``from_dict`` overrides).
-BENCH_CONFIGS = {
-    "low_r12_default": ("turbine_low", 2, {"nranks": 12}),
-    "tiny_r2_motion": (
-        "turbine_tiny", 20,
-        {"nranks": 2, "picard_iterations": 1, "checkpoint_every": 8,
-         "checkpoint_dir": "ring"},
-    ),
-    "tiny_r2_motion_restart": (
-        "turbine_tiny", 20,
-        {"nranks": 2, "picard_iterations": 1, "checkpoint_every": 0,
-         "checkpoint_dir": "ring", "restart_from": "ring"},
-    ),
-    "low_r4_altpaths": ("turbine_low", 2, {"nranks": 4, **ALTPATHS}),
-    "faults_recovery_amg": (
-        "turbine_tiny", 3,
-        {
-            "nranks": 3,
-            "inflow_velocity": [7, 0.5, 0.0],
-            "faults": [
-                {"kind": "matrix_corrupt", "at": 2, "equation": "pressure",
-                 "mode": "scale", "magnitude": 1e6, "entries": 3},
-                {"kind": "worker_crash", "at": 1, "point": "ckpt",
-                 "job": "abc"},
-            ],
-            "fault_seed": 11,
-            "recovery": {
-                "ladder": ["expand_krylov", "rebuild_precond"],
-                "retry_scale": 3, "rollback": False, "dt_backoff": 0.25,
-                "max_step_retries": 1, "comm_max_retries": 4,
-            },
-            "amg": {
-                "theta": 0.5, "interp": "direct", "agg_levels": 0,
-                "smoother": "l1_jacobi", "smoother_symmetric": True,
-                "seed": 7,
-            },
-            "profile": True,
-            "profile_machine": "eagle-cpu",
-        },
-    ),
-}
-
-
-def _config_entry(workload, steps, overrides):
-    """What the golden pins of one resolved configuration."""
-    cfg = SimulationConfig.from_dict(overrides)
-    job = JobSpec(workload=workload, steps=steps, seed=0, overrides=overrides)
-    return {
-        "to_dict": canonical_json(cfg.to_dict()),
-        "ordered": json.dumps(cfg.to_dict()),
-        "stable_hash": cfg.stable_hash(),
-        "stable_hash_no_durability": cfg.stable_hash(
-            exclude=SimulationConfig.DURABILITY_KEYS
-        ),
-        "job": json.dumps(job.to_dict()),
-        "digest": job.digest(),
-    }
-
-
-def config_golden():
-    """Every serialised form the campaign cache and the checkpoint header
-    depend on, for the configurations the repo actually runs."""
-    doc = {"default": _config_entry("turbine_tiny", 1, {})}
-    for name, case in BENCH_CONFIGS.items():
-        doc[name] = _config_entry(*case)
-    sweep = CampaignSpec(
-        name="picard_sweep", workload="turbine_tiny", steps=2,
-        seeds=(0, 1, 2), base={"nranks": 2},
-        grid={"picard_iterations": [2, 3]},
-    )
-    doc["campaign_tiny_sweep"] = [
-        {
-            "job": json.dumps(job.to_dict()),
-            "digest": job.digest(),
-            "config": canonical_json(job.build_config().to_dict()),
-        }
-        for job in sweep.expand()
-    ]
-    for name, obj in (
-        ("SolverConfig", SolverConfig()),
-        ("AMGOptions", AMGOptions()),
-        ("RecoveryPolicy", RecoveryPolicy()),
-        ("FaultSpec", FaultSpec(kind="io_fail")),
-    ):
-        doc[name] = {
-            "to_dict": canonical_json(obj.to_dict()),
-            "ordered": json.dumps(obj.to_dict()),
-        }
-    doc["SolverConfig"]["stable_hash"] = SolverConfig().stable_hash()
-    return doc
-
-
-def test_config_golden_reproduced_byte_for_byte():
-    with open(GOLDEN, encoding="utf-8") as fh:
-        assert config_golden() == json.load(fh)
-
-
-if __name__ == "__main__":
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(config_golden(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def test_config_golden_reproduced_byte_for_byte(records):
+    golden = "config_golden.json"
+    assert produce(golden, records) == declared(golden)

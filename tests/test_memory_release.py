@@ -17,7 +17,7 @@ import pytest
 
 from repro import NaluWindSimulation, SimulationConfig
 from repro.resilience.injection import FaultSpec
-from tests.test_lifetime_golden import ALTPATHS
+from tests.goldens import ALTPATHS
 
 
 @pytest.fixture

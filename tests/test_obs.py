@@ -20,6 +20,7 @@ from repro.obs import (
     render_flat_report,
     render_span_tree,
 )
+from tests.goldens import declared
 
 
 class FakeClock:
@@ -140,11 +141,6 @@ class TestPhaseScope:
             cm.__exit__(None, None, None)
 
 
-GOLDEN = os.path.join(
-    os.path.dirname(__file__), "data", "phase_boundary_golden.json"
-)
-
-
 class TestPhaseBoundary:
     """``SimWorld.phase_scope`` attributes, spans and times a phase."""
 
@@ -181,24 +177,16 @@ class TestPhaseBoundary:
         assert span.duration == 1.0
         assert w.phase_wall == {"x": {"total_s": 1.0, "count": 1}}
 
-    def test_fake_clock_forest_matches_parent_golden(self):
+    def test_fake_clock_forest_matches_parent_golden(self, records):
         """Span forest and ``phases`` of turbine_tiny @2 ranks x 2 steps,
         recorded before the phase boundary moved into ``SimWorld``: the
         same clock reads per span, so the match is exact."""
-        cfg = SimulationConfig(nranks=2, clock=FakeClock())
-        report = NaluWindSimulation("turbine_tiny", cfg).run(2)
-        t = report.telemetry
-        rows = [
-            [depth, s.name, s.attrs, s.start, s.duration]
-            for root in t.spans
-            for depth, s in Span.from_dict(root).walk()
-        ]
-        with open(GOLDEN, encoding="utf-8") as fh:
-            golden = json.load(fh)
-        assert rows == golden["spans"]
-        assert t.phases == golden["phases"]
-        assert report.wall_times == {
-            label: wall["total_s"] for label, wall in t.phases.items()
+        run = records["phase_boundary"]
+        golden = declared("phase_boundary_golden.json")
+        assert run["spans"] == golden["spans"]
+        assert run["phases"] == golden["phases"]
+        assert run["wall_times"] == {
+            label: wall["total_s"] for label, wall in run["phases"].items()
         }
 
     def test_step_span_index_follows_step_index(self, tmp_path):
