@@ -6,11 +6,12 @@ produces (field digests, the ``ops``/``traffic`` ledger, step snapshots),
 the overset connectivity and the multilevel partition depend on the BLAS
 thread count, so :func:`measure` computes all of it in one child
 interpreter with one thread and ``PYTHONHASHSEED=0``, executing each run of
-:data:`RUNS` once.  The transport schedules, the serialised configs and
-the fake-clock span forest are computed in-process.  :class:`Records`
-computes each on first use and keeps it; tier-1 shares one instance
-through the ``records`` session fixture (``tests/conftest.py``), and each
-golden test compares ``produce(name, records)`` with ``declared(name)``.
+:data:`RUNS` once.  The ledger golden's runs (:data:`LEDGER_RUNS`), the
+transport schedules, the serialised configs and the fake-clock span forest
+are computed in-process.  :class:`Records` computes each on first use
+and keeps it; tier-1 shares one instance through the ``records`` session
+fixture (``tests/conftest.py``), and each golden test compares
+``produce(name, records)`` with ``declared(name)``.
 
 Regenerate every golden, from the repo root, with
 
@@ -114,16 +115,21 @@ RUNS = {
         "turbine_tiny", TINY_R2_ONE_PICARD, 20, checkpoint_every=8,
         restart=True,
     ),
-    "tiny_r3_default": Run("turbine_tiny", {"nranks": 3}, 2),
-    "tiny_r3_paper_cadence": Run(
-        "turbine_tiny", {"nranks": 3, "precond_rebuild_every": 1}, 2
-    ),
     "tiny_r3_altpaths": Run("turbine_tiny", {"nranks": 3, **ALTPATHS}, 2),
     "tiny_r3_altpaths_steps3": Run(
         "turbine_tiny", {"nranks": 3, **ALTPATHS}, 3
     ),
     "low_r12_default": Run("turbine_low", {"nranks": 12}, 2),
     "low_r4_altpaths": Run("turbine_low", {"nranks": 4, **ALTPATHS}, 2),
+}
+#: The ledger golden's key -> run.  These execute in-process, so tier-1
+#: checks every modeled count at its own BLAS thread count.
+LEDGER_RUNS = {
+    "default": Run("turbine_tiny", {"nranks": 3}, 2),
+    "paper_cadence": Run(
+        "turbine_tiny", {"nranks": 3, "precond_rebuild_every": 1}, 2
+    ),
+    "low_r4_altpaths": RUNS["tiny_r3_altpaths"],
 }
 #: Overset connectivity: these workloads after 0, 1 and 2 calls of
 #: ``advance_rotor(ROTOR_DT)``.
@@ -245,22 +251,30 @@ def partition_record() -> dict:
     return out
 
 
+def execute(label, run) -> dict:
+    """``run``'s record as ``label``, and its restart's as
+    ``<label>_restart``."""
+    out = {}
+    with tempfile.TemporaryDirectory() as ring:
+        docs = {label: run.config(ring)}
+        if run.restart:
+            docs[f"{label}_restart"] = run.restart_config(ring)
+        for key, doc in docs.items():
+            sim = NaluWindSimulation(
+                run.workload, SimulationConfig.from_dict(doc)
+            )
+            sim.run(run.steps)
+            out[key] = run_record(sim)
+            del sim
+    return out
+
+
 def child_records() -> dict:
     """Every thread-count-sensitive record, each run of :data:`RUNS`
     executed once (``executions`` counts them)."""
     runs, executions = {}, Counter()
     for label, run in RUNS.items():
-        with tempfile.TemporaryDirectory() as ring:
-            docs = {label: run.config(ring)}
-            if run.restart:
-                docs[f"{label}_restart"] = run.restart_config(ring)
-            for key, doc in docs.items():
-                sim = NaluWindSimulation(
-                    run.workload, SimulationConfig.from_dict(doc)
-                )
-                sim.run(run.steps)
-                runs[key] = run_record(sim)
-                del sim
+        runs.update(execute(label, run))
         executions[label] += 1
     return {
         "runs": runs,
@@ -285,9 +299,9 @@ def measure() -> dict:
         "import json, tests.goldens as g; "
         "print(json.dumps(g.child_records()))"
     )
-    out = subprocess.run(
+    out = subprocess.run(  # the child's stderr passes through
         [sys.executable, "-c", code],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -530,26 +544,41 @@ def phase_boundary_record() -> dict:
 
 
 IN_PROCESS = {
+    "ledger": lambda: {
+        key: execute(key, run)[key]["tallies"]
+        for key, run in LEDGER_RUNS.items()
+    },
     "transport": transport_record,
     "config": config_record,
     "phase_boundary": phase_boundary_record,
 }
 
 
+CHILD_KEYS = ("runs", "executions", "connectivity", "partition")
+
+
 class Records(dict):
     """Every record a golden projects, each computed on first use: the
-    child's keys (``runs``, ``executions``, ``connectivity``,
-    ``partition``) by one :func:`measure` (``children`` counts them), the
-    rest by their :data:`IN_PROCESS` function."""
+    :data:`CHILD_KEYS` by one :func:`measure` (``children`` counts them),
+    the rest by their :data:`IN_PROCESS` function.  A computation that
+    failed is not tried again: later reads raise from its error."""
 
     children = 0
 
     def __missing__(self, key):
-        if key in IN_PROCESS:
-            self[key] = IN_PROCESS[key]()
-        else:
-            self.children += 1
-            self.update(measure())
+        source = "child" if key in CHILD_KEYS else key
+        failed = self.get(("failed", source))
+        if failed:
+            raise RuntimeError(f"{source} failed earlier") from failed
+        try:
+            if source == "child":
+                self.children += 1
+                self.update(measure())
+            else:
+                self[key] = IN_PROCESS[key]()  # KeyError for an unknown key
+        except Exception as err:
+            self[("failed", source)] = err
+            raise
         return self[key]
 
 
@@ -574,11 +603,7 @@ GOLDENS = {
             tiny_r3_altpaths="tiny_r3_altpaths_steps3",
         ),
     },
-    "ledger_golden.json": lambda r: _part(
-        r, "tallies", default="tiny_r3_default",
-        paper_cadence="tiny_r3_paper_cadence",
-        low_r4_altpaths="tiny_r3_altpaths",
-    ),
+    "ledger_golden.json": lambda r: r["ledger"],
     "lifetime_golden.json": lambda r: {
         "fields": _part(
             r, "fields", "tiny_r2_steps20", "tiny_r3_altpaths", *LOW
@@ -616,8 +641,10 @@ def canonical(doc) -> str:
 
 
 def flatten(doc, path=()) -> dict:
-    """Key path -> value of every leaf of a JSON document (a list is one
-    leaf)."""
+    """Key path -> value of every leaf of a JSON document; a list item's
+    path part is its index."""
+    if isinstance(doc, list) and doc:
+        doc = {str(i): item for i, item in enumerate(doc)}
     if not (isinstance(doc, dict) and doc):
         return {path: doc}
     out = {}
@@ -651,7 +678,7 @@ def main() -> None:
         if rows:
             print("| key | old | new |\n|---|---|---|")
             for key, a, b in rows:
-                print(f"| `{key}` | `{a[:40]}` | `{b[:40]}` |")
+                print(f"| `{key}` | `{a}` | `{b}` |")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical(new))
 

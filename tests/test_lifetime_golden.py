@@ -1,15 +1,10 @@
 """Fields and modeled ledgers that lifetime bookkeeping must not move.
 
-``tests/data/lifetime_golden.json`` holds the field digests (``velocity``,
-``pressure_field``, ``scalar_field``, ``mdot``) of four registry runs
-(``tests/goldens.py``): ``tiny_r2_steps20`` (20 one-Picard steps of
-``turbine_tiny`` at 2 ranks), ``tiny_r3_altpaths`` (2 steps at 3 ranks
-under the ``low_r4_altpaths`` overrides), ``low_r12_default`` and
-``low_r4_altpaths`` (2 steps of ``turbine_low``); and the ``ops`` /
-``traffic`` hashes of the two ``turbine_low`` runs, whose pattern moves
-every step.  The 20-step run with a checkpoint every 8 steps must
-reproduce the checkpoint-free fields: a checkpoint write changes nothing
-a run computes.
+``tests/data/lifetime_golden.json`` holds the field digests of four runs
+of ``tests/goldens.py::RUNS`` and the ``ops`` / ``traffic`` hashes of the
+two ``turbine_low`` runs, whose pattern moves every step.  The 20-step
+run with a checkpoint every 8 steps must reproduce the checkpoint-free
+fields: a checkpoint write changes nothing a run computes.
 """
 
 import pytest

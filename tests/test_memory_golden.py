@@ -2,12 +2,9 @@
 
 ``tests/data/memory_golden.json`` holds the field digests, the ``ops`` /
 ``traffic`` hashes and the hash of the cumulative per-step phase
-snapshots of four registry runs (``tests/goldens.py``):
-``tiny_r2_ckpt8`` (20 one-Picard steps of ``turbine_tiny`` at 2 ranks,
-a checkpoint every 8 steps), ``tiny_r2_ckpt8_restart`` (a cold restart
-from its ring at step 16, run to step 20), ``low_r12_default`` and
-``low_r4_altpaths`` (2 steps of ``turbine_low``).  A graph, plan or
-operator freed earlier, or a simulation freed when it is dropped,
+snapshots of three runs of ``tests/goldens.py::RUNS`` and of
+``tiny_r2_ckpt8``'s cold restart from its ring at step 16.  A graph, plan
+or operator freed earlier, or a simulation freed when it is dropped,
 changes none of these.
 """
 

@@ -1,11 +1,10 @@
 """The multilevel partition of every canonical mesh graph, byte for byte.
 
 ``tests/data/partition_golden.json`` holds the sha256 of
-``partition_nodes(comp, "parmetis", nranks)`` (as ``int64`` bytes) for
-``turbine_tiny`` at 2 and 3 ranks, ``turbine_low`` at 4, 6, 12 and 24 ranks
-and ``turbine_dual`` at 12 ranks, from the registry's single-threaded
-child (``tests/goldens.py``: the initial bisection's dense eigensolver
-moves with the BLAS thread count).  The parts decide the rank numbering,
+``partition_nodes(comp, "parmetis", nranks)`` for each case of
+``tests/goldens.py::PARTITIONS``, from the registry's single-threaded
+child (the initial bisection's dense eigensolver moves with the BLAS
+thread count).  The parts decide the rank numbering,
 and through it every field, ledger and figure, so a rewrite of the
 partitioner must reproduce them exactly.
 """

@@ -1,11 +1,9 @@
 """Position-only work, pinned bit for bit.
 
-``tests/data/connectivity_golden.json`` holds, from the registry
-(``tests/goldens.py``), per workload (``turbine_tiny``, ``turbine_low``,
-``turbine_dual``) and rotor position (after 0, 1 and 2 calls of
-``advance_rotor(0.37)``) the sha256 of the overset statuses and of every
-donor set; and the field digests after 3 steps of ``turbine_tiny`` at 2
-ranks on defaults and at 3 ranks under the ``low_r4_altpaths`` overrides.
+``tests/data/connectivity_golden.json`` holds, per workload and rotor
+position of ``tests/goldens.py::connectivity_record``, the sha256 of the
+overset statuses and of every donor set; and the field digests of the
+registry's two 3-step ``turbine_tiny`` runs.
 """
 
 import pytest
