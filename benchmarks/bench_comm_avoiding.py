@@ -8,11 +8,11 @@ Two measurements, persisted together as
   (``matvec(overlap=True)``), against the synchronous baseline.  The
   priced wall time can only shrink (overlap is a monotone scheduling
   change) and the comm-wait fraction strictly drops at the 6-rank
-  points, with the hidden transfer accounted in
-  ``profile.overlap_saved_wait_s``.  (At high rank counts the *ratio*
-  may tick up even as wall time falls — hiding transfer shrinks the
-  denominator too — so the fraction is gated only where the paper's
-  fig8/fig9 sweeps start.)
+  points, with the hidden transfer accounted in the telemetry's
+  ``profile`` section (``summary.overlap_saved_wait_s``).  (At high rank
+  counts the *ratio* may tick up even as wall time falls — hiding
+  transfer shrinks the denominator too — so the fraction is gated only
+  where the paper's fig8/fig9 sweeps start.)
 * **Reduction contract** — preconditioned CG vs pipelined CG on a real
   assembled pressure-Poisson matrix: identical iteration counts, but
   ``2 + 2*iters`` vs ``2 + iters`` allreduces (one fused
@@ -50,12 +50,12 @@ def _profiled_point(workload, ranks: int, overlap: bool, n_steps: int):
     for sc in (cfg.momentum_solver, cfg.scalar_solver, cfg.pressure_solver):
         sc.overlap = overlap
     sim = NaluWindSimulation(workload, cfg)
-    report = sim.run(n_steps)
-    s = report.profile.summary
+    profile = sim.run(n_steps).telemetry.profile
+    s = profile["summary"]
     return {
         "ranks": ranks,
         "overlap": overlap,
-        "wall_time_s": float(report.profile.wall_time_s),
+        "wall_time_s": float(profile["wall_time_s"]),
         "wait_fraction": s["wait_fraction"],
         "comm_fraction": s["comm_fraction"],
         "overlap_rounds": s["overlap_rounds"],

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Gate the communication-avoiding solver contracts; fail on violation.
 
-Tier-2 gate companion to ``check_profile_regression.py``.  Two modes:
+Tier-2 gate companion to ``check_telemetry_regression.py``.  Two modes:
 
 * **self-check** (default, no arguments) — re-derive the contracts from
   scratch on small workloads:
@@ -14,7 +14,8 @@ Tier-2 gate companion to ``check_profile_regression.py``.  Two modes:
     payload corruption handled by the bounded retry protocol;
   - at 6 ranks the priced comm-wait fraction of a profiled run is
     *strictly* lower with the split halo exchange than without, and the
-    split rounds show up in ``profile.overlap_rounds``.
+    split rounds show up in the telemetry's ``profile`` section
+    (``summary.overlap_rounds``).
 
 * **artifact mode** (``BENCH_comm_avoiding.json``) — validate a bench
   artifact from ``bench_comm_avoiding.py``: every overlap point must
@@ -23,7 +24,7 @@ Tier-2 gate companion to ``check_profile_regression.py``.  Two modes:
   counts must match the contract.
 
 The self-check runs simulations, so the script imports ``repro`` (same
-pattern as ``check_profile_regression.py``).
+pattern as ``check_restart_determinism.py``).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def self_check() -> list[str]:
             f"fault-free profiled run (overlap={overlap}): {f}"
             for f in recovery_findings(rep.recovery)
         ]
-        s = rep.profile.summary
+        s = rep.telemetry.profile["summary"]
         fracs[overlap] = s
         if overlap and not s["overlap_rounds"] > 0:
             failures.append("no split rounds recorded in profiled run")

@@ -2,15 +2,19 @@
 """Diff two exported RunTelemetry JSON files; fail on drift.
 
 Tier-2 perf gate: compare a current run's telemetry against a committed
-baseline and exit non-zero when per-phase wall time or per-equation mean
-iteration counts drift beyond tolerance.  Works on the artifacts
-``benchmarks/conftest.py`` / ``python -m repro trace --output`` write.
+baseline and exit non-zero when per-phase wall time rises, or per-equation
+mean iteration counts drift, beyond tolerance.  When both documents carry
+a ``profile`` section (``python -m repro trace`` always writes one) its
+simulated clocks are compared too: they derive only from deterministic
+tallies, so their drift keys are held to :data:`PROFILE_TOL`.  Works on
+the artifacts ``benchmarks/conftest.py`` / ``python -m repro trace
+--output`` write.
 
 Usage::
 
     python benchmarks/check_telemetry_regression.py baseline.json current.json \
         [--phase-tol 0.5] [--iters-tol 0.1] [--min-phase-seconds 0.005] \
-        [--exact comm. ops. profile. assembly. amg.]
+        [--exact comm. ops. assembly. amg.]
 
 ``--exact`` is for comparing a parent commit's trace with a change's (same
 workload, same seed): every counter *and gauge* of the named families must
@@ -27,6 +31,9 @@ import json
 import sys
 
 SCHEMA = "repro.telemetry/1"
+
+#: Relative tolerance of the ``profile`` section's drift keys.
+PROFILE_TOL = 1e-6
 
 
 def load(path: str) -> dict:
@@ -87,7 +94,8 @@ def compare(
             continue
         if b < min_phase_seconds:
             continue
-        d = rel_drift(b, c)
+        # Only a rise fails: a faster phase is not a regression.
+        d = rel_drift(b, max(b, c))
         if d > phase_tol:
             failures.append(
                 f"phase {name!r} wall time drift {d * 100:.1f}% "
@@ -151,28 +159,8 @@ def compare(
                     f"({bres[key]} -> {cres[key]})"
                 )
 
-    # Overlapped-exchange profile gauges: the number of split halo
-    # rounds is deterministic (exact), while the priced hidden-wait
-    # rank-seconds may move within the iteration tolerance when the
-    # machine model is retuned.
-    bg = base.get("metrics", {}).get("gauges", {})
-    cg = cur.get("metrics", {}).get("gauges", {})
-    b_rounds = float(bg.get("profile.overlap_rounds", 0.0))
-    c_rounds = float(cg.get("profile.overlap_rounds", 0.0))
-    if b_rounds != c_rounds:
-        failures.append(
-            f"profile.overlap_rounds changed ({b_rounds:.0f} -> "
-            f"{c_rounds:.0f}): split-exchange schedule drifted"
-        )
-    b_saved = float(bg.get("profile.overlap_saved_wait_s", 0.0))
-    c_saved = float(cg.get("profile.overlap_saved_wait_s", 0.0))
-    d = rel_drift(b_saved, c_saved)
-    if d > iters_tol:
-        failures.append(
-            f"profile.overlap_saved_wait_s drift {d * 100:.1f}% "
-            f"({b_saved:.4f} -> {c_saved:.4f}) exceeds "
-            f"{iters_tol * 100:.0f}%"
-        )
+    if base.get("profile") and cur.get("profile"):
+        failures += compare_profiles(base["profile"], cur["profile"], iters_tol)
 
     # Recovery summary: failure/recovery-by-action counts must replay
     # identically (fault schedules are seeded).
@@ -188,6 +176,57 @@ def compare(
     return failures
 
 
+def compare_profiles(base: dict, cur: dict, iters_tol: float) -> list[str]:
+    """Drift of two ``profile`` sections: summary fractions and syncs,
+    per-phase wait/imbalance/syncs and the critical-path length within
+    :data:`PROFILE_TOL`; the split halo rounds exactly, and the priced
+    hidden-wait rank-seconds (which move when the machine model is
+    retuned) within ``iters_tol``."""
+    failures: list[str] = []
+
+    def check(what: str, b: float, c: float) -> None:
+        d = rel_drift(b, c)
+        if d > PROFILE_TOL:
+            failures.append(
+                f"profile {what} drift {d:.3g} ({b:.6g} -> {c:.6g}) "
+                f"exceeds {PROFILE_TOL:g}"
+            )
+
+    bs, cs = base["summary"], cur["summary"]
+    for key in ("comm_fraction", "wait_fraction", "syncs"):
+        check(f"summary.{key}", bs[key], cs[key])
+    bp, cp = base["phases"], cur["phases"]
+    for name in sorted(set(bp) | set(cp)):
+        if name not in bp or name not in cp:
+            failures.append(
+                f"profile phase {name!r} only in "
+                f"{'current' if name not in bp else 'baseline'}"
+            )
+            continue
+        for key in ("wait_s", "imbalance", "syncs"):
+            check(f"phase {name!r} {key}", bp[name][key], cp[name][key])
+    check(
+        "critical path length",
+        base["critical_path"]["total_s"],
+        cur["critical_path"]["total_s"],
+    )
+
+    if bs["overlap_rounds"] != cs["overlap_rounds"]:
+        failures.append(
+            f"profile overlap_rounds changed ({bs['overlap_rounds']:.0f} -> "
+            f"{cs['overlap_rounds']:.0f}): split-exchange schedule drifted"
+        )
+    b_saved, c_saved = bs["overlap_saved_wait_s"], cs["overlap_saved_wait_s"]
+    d = rel_drift(b_saved, c_saved)
+    if d > iters_tol:
+        failures.append(
+            f"profile overlap_saved_wait_s drift {d * 100:.1f}% "
+            f"({b_saved:.4f} -> {c_saved:.4f}) exceeds "
+            f"{iters_tol * 100:.0f}%"
+        )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns 0 on pass, 1 on drift."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -195,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("current", help="current RunTelemetry JSON")
     ap.add_argument(
         "--phase-tol", type=float, default=0.5,
-        help="max relative per-phase wall-time drift (default 0.5 = 50%%; "
+        help="max relative per-phase wall-time rise (default 0.5 = 50%%; "
         "wall clocks on shared CI hosts are noisy)",
     )
     ap.add_argument(
@@ -210,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--exact", nargs="*", default=[], metavar="PREFIX",
         help="counter/gauge name prefixes that must match exactly "
-        "(parent-vs-change traces), e.g. comm. ops. profile. assembly. amg.",
+        "(parent-vs-change traces), e.g. comm. ops. assembly. amg.",
     )
     args = ap.parse_args(argv)
 

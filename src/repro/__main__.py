@@ -4,12 +4,11 @@ Commands:
 
 * ``run`` — run a simulation workload and report solver statistics;
   any option beyond the shared flags comes from ``--config FILE``.
-* ``trace`` — run a workload and emit the machine-readable
-  :class:`~repro.obs.telemetry.RunTelemetry` JSON document (or the
-  human-readable span-tree / flat views).
-* ``profile`` — run a workload with the per-rank timeline profiler and
-  emit the ``repro.profile/1`` JSON document, a Chrome trace-event file
-  (loadable in Perfetto / ``chrome://tracing``), or a text summary.
+* ``trace`` — run a workload under the per-rank timeline profiler
+  (priced on ``--machine``) and emit the machine-readable
+  :class:`~repro.obs.telemetry.RunTelemetry` JSON document with its
+  ``profile`` section, the human-readable span-tree / flat views, or a
+  Chrome trace-event file (loadable in Perfetto / ``chrome://tracing``).
 * ``campaign`` — run (or resume) a sweep of jobs through the campaign
   service: content-addressed result cache, durable manifest, and the
   supervisor protocol (inline or in forked worker fault domains) with
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -97,8 +97,10 @@ def _add_output_flags(
 
 
 def _deliver(args: argparse.Namespace, text: str, what: str) -> None:
-    """Honor ``-o/--output``: write to the file or print to stdout."""
+    """Honor ``-o/--output``: write to the file (its directory created)
+    or print to stdout."""
     if args.output:
+        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {what} to {args.output}", file=sys.stderr)
@@ -120,8 +122,8 @@ def _add_sim_flags(
     ranks: int | None,
     ranks_help: str | None = None,
 ) -> None:
-    """The flags ``run``, ``trace`` and ``profile`` share, with the
-    subcommand's own defaults (``None`` keeps the config's value)."""
+    """The flags ``run`` and ``trace`` share, with the subcommand's own
+    defaults (``None`` keeps the config's value)."""
     parser.add_argument("--steps", type=int, default=steps)
     parser.add_argument("--ranks", type=int, default=ranks, help=ranks_help)
     parser.add_argument("--partition", choices=_choices("partition_method"))
@@ -231,52 +233,38 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import NaluWindSimulation
-    from repro.obs import render_flat_report, render_span_tree
-    from repro.obs.export import write_telemetry_json
-
-    sim = NaluWindSimulation(args.workload, _sim_config(args))
-    report = sim.run(args.steps)
-    telemetry = report.telemetry
-    if args.format == "json":
-        text = telemetry.to_json()
-    elif args.format == "tree":
-        text = render_span_tree(telemetry, max_depth=args.max_depth)
-    else:
-        text = render_flat_report(telemetry)
-    if args.output and args.format == "json":
-        write_telemetry_json(args.output, telemetry)
-        print(f"wrote json telemetry to {args.output}", file=sys.stderr)
-    else:
-        _deliver(args, text, f"{args.format} telemetry")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro import NaluWindSimulation
-    from repro.obs import render_profile_summary, to_chrome_trace
+    from repro.obs import (
+        render_flat_report,
+        render_profile_summary,
+        render_span_tree,
+        to_chrome_trace,
+    )
 
     cfg = _sim_config(args)
     cfg.profile = True
     cfg.profile_machine = args.machine
     sim = NaluWindSimulation(args.workload, cfg)
-    report = sim.run(args.steps)
-    profile = report.profile
+    telemetry = sim.run(args.steps).telemetry
     if args.format == "json":
-        text = profile.to_json()
+        text = telemetry.to_json()
+    elif args.format == "tree":
+        text = render_span_tree(telemetry, max_depth=args.max_depth)
     elif args.format == "chrome":
         text = json.dumps(
             to_chrome_trace(sim.world.profiler, workload=sim.workload_name),
             sort_keys=True,
         )
     else:
-        text = render_profile_summary(profile)
-    _deliver(args, text, f"{args.format} profile")
+        text = (
+            render_flat_report(telemetry)
+            + "\n\n"
+            + render_profile_summary(telemetry)
+        )
+    _deliver(args, text, f"{args.format} telemetry")
     return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    import os
-
     from repro.campaign import (
         Campaign,
         CampaignSpec,
@@ -462,12 +450,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_tr = sub.add_parser(
-        "trace", help="run a workload and emit run telemetry"
+        "trace",
+        help="run a workload under the per-rank timeline profiler and "
+             "emit its run telemetry",
     )
     p_tr.add_argument("workload", nargs="?", default="turbine_tiny")
     _add_sim_flags(p_tr, steps=1, ranks=2)
     p_tr.add_argument(
-        "--format", default="json", choices=["json", "tree", "flat"]
+        "--machine", default="summit-gpu",
+        help="machine model pricing the simulated rank clocks",
+    )
+    p_tr.add_argument(
+        "--format", default="json", choices=["json", "tree", "flat", "chrome"],
+        help="repro.telemetry/1 JSON, span tree, flat tables, or Chrome "
+             "trace events (default: json)",
     )
     p_tr.add_argument(
         "--max-depth", type=int, default=-1,
@@ -479,27 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_list_flag(p_tr)
     p_tr.set_defaults(func=_cmd_trace)
-
-    p_pf = sub.add_parser(
-        "profile",
-        help="run a workload under the per-rank timeline profiler",
-    )
-    p_pf.add_argument("workload", nargs="?", default="turbine_tiny")
-    _add_sim_flags(p_pf, steps=1, ranks=4)
-    p_pf.add_argument(
-        "--machine", default="summit-gpu",
-        help="machine model pricing the simulated rank clocks",
-    )
-    p_pf.add_argument(
-        "--format", default="json", choices=["json", "chrome", "summary"],
-        help="repro.profile/1 JSON, Chrome trace events, or text summary",
-    )
-    p_pf.add_argument(
-        "--output", "-o", default="",
-        help="write to this path instead of stdout",
-    )
-    _add_list_flag(p_pf)
-    p_pf.set_defaults(func=_cmd_profile)
 
     p_cp = sub.add_parser(
         "campaign",

@@ -61,7 +61,7 @@ class AnalysisReport:
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
 
-    def publish_metrics(self, metrics: MetricsRegistry) -> None:
+    def publish(self, metrics: MetricsRegistry) -> None:
         """Count findings into ``analysis.*`` telemetry counters.
 
         ``analysis.findings{rule=...}`` counts live findings;
@@ -107,7 +107,7 @@ def render_json(report: AnalysisReport) -> str:
     or ``KSxxx`` finding can appear.
     """
     metrics = MetricsRegistry()
-    report.publish_metrics(metrics)
+    report.publish(metrics)
     doc = {
         "schema": "repro.analysis/4",
         "findings": [f.to_dict() for f in sort_findings(report.findings)],

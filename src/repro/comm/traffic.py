@@ -138,7 +138,7 @@ class TrafficLog:
             out.setdefault(r, {"messages": 0, "bytes": 0})["bytes"] += b
         return out
 
-    def publish_metrics(self, registry) -> None:
+    def publish(self, registry) -> None:
         """Publish per-phase aggregates into a MetricsRegistry.
 
         Pull-style: called at telemetry-collection time so the per-message

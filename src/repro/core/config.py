@@ -140,8 +140,8 @@ class SimulationConfig(Config):
 
     # Observability (docs/observability.md).  ``profile`` attaches a
     # per-rank TimelineProfiler to the world, pricing simulated rank
-    # clocks on ``profile_machine``'s rates; the run report then carries
-    # a ``repro.profile/1`` document.  ``clock`` overrides the Tracer's
+    # clocks on ``profile_machine``'s rates; the run telemetry then
+    # carries a ``profile`` section.  ``clock`` overrides the Tracer's
     # wall-clock source (tests inject a deterministic fake clock so span
     # durations are assertable); None keeps ``time.perf_counter``.  It is
     # runtime-only: no serialised form, not in any hash.

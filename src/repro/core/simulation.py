@@ -40,7 +40,6 @@ from repro.obs.telemetry import (
     RunTelemetry,
     collect_run_telemetry,
 )
-from repro.obs.profile import RunProfile, collect_run_profile
 from repro.obs.timeline import TimelineProfiler
 from repro.obs.tracer import Tracer
 from repro.overset.assembler import NodeStatus
@@ -97,11 +96,9 @@ class SimulationReport:
     #: raw event list (zero / empty for a clean run) — see
     #: :meth:`repro.resilience.transaction.StepTransaction.summary`.
     recovery: dict[str, Any] = field(default_factory=dict)
-    #: Full machine-readable telemetry (attached by ``run()``).
+    #: Full machine-readable telemetry (attached by ``run()``); its
+    #: ``profile`` section is filled when ``config.profile`` is on.
     telemetry: RunTelemetry | None = None
-    #: Per-rank profile document (attached by ``run()`` when
-    #: ``config.profile`` is on; None otherwise).
-    profile: RunProfile | None = None
 
     def step_deltas(self) -> list[dict[str, PhaseAggregate]]:
         """Per-step phase aggregates (differences of the cumulatives)."""
@@ -613,19 +610,11 @@ class NaluWindSimulation:
             divergence_norms=list(self.divergence_norms),
             recovery=self.transaction.summary(),
         )
-        # Profile before telemetry: publish_metrics runs here, so the
-        # telemetry metrics snapshot carries the profile.* gauges.
-        if self.world.profiler is not None:
-            report.profile = self._collect_profile()
         report.telemetry = collect_run_telemetry(self, report)
         return report
 
-    def _collect_profile(self) -> RunProfile:
-        """Finalize the timeline, join the roofline, publish gauges."""
-        prof = self.world.profiler
-        prof.finalize()
-        join = roofline_join(self.world.ops, prof, prof.pricer)
-        profile = collect_run_profile(self, roofline=join)
-        profile.publish_metrics(self.world.metrics)
-        self.world.hub.emit("profile", profile=profile)
-        return profile
+    def roofline(self) -> dict[str, Any]:
+        """Roofline join of the run's kernel tallies with its timeline,
+        finalized here (needs ``config.profile``)."""
+        prof = self.world.profiler.finalize()
+        return roofline_join(self.world.ops, prof, prof.pricer)

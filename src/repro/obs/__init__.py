@@ -15,13 +15,13 @@ one structured stream:
 * :class:`~repro.obs.hooks.ObserverHub` — a callback protocol so tests
   and benchmarks attach observers without monkey-patching;
 * :class:`~repro.obs.telemetry.RunTelemetry` — the machine-readable run
-  report (``python -m repro trace``), JSON round-trippable;
-* :mod:`~repro.obs.export` — flat/tree text renderers and JSON writers;
+  record (``python -m repro trace``), JSON round-trippable; its
+  ``profile`` section (:func:`~repro.obs.telemetry.collect_run_profile`)
+  holds the per-rank timeline summary when the profiler ran;
+* :mod:`~repro.obs.export` — flat/tree/profile text renderers;
 * :class:`~repro.obs.timeline.TimelineProfiler` — per-rank simulated
   timelines with comm-wait attribution and critical-path extraction,
-  plus a Chrome-trace exporter (Perfetto-loadable);
-* :class:`~repro.obs.profile.RunProfile` — the ``repro.profile/1``
-  document (``python -m repro profile``), JSON round-trippable.
+  plus a Chrome-trace exporter (Perfetto-loadable).
 
 The package deliberately imports nothing from the rest of ``repro`` so
 any layer (comm, krylov, amg, core, harness) can depend on it without
@@ -30,8 +30,8 @@ cycles.
 
 from repro.obs.export import (
     render_flat_report,
+    render_profile_summary,
     render_span_tree,
-    write_telemetry_json,
 )
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import (
@@ -40,16 +40,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    PROFILE_SCHEMA,
-    RunProfile,
-    collect_run_profile,
-    render_profile_summary,
-)
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     AMGSetupStats,
     RunTelemetry,
+    collect_run_profile,
     collect_run_telemetry,
 )
 from repro.obs.timeline import Segment, TimelineProfiler, to_chrome_trace
@@ -62,8 +57,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObserverHub",
-    "PROFILE_SCHEMA",
-    "RunProfile",
     "RunTelemetry",
     "Segment",
     "Span",
@@ -76,5 +69,4 @@ __all__ = [
     "render_profile_summary",
     "render_span_tree",
     "to_chrome_trace",
-    "write_telemetry_json",
 ]

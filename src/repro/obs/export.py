@@ -1,21 +1,20 @@
-"""Text and JSON exporters for run telemetry.
+"""Text views of run telemetry.
 
-Two human-readable views of one :class:`~repro.obs.telemetry.RunTelemetry`
+Three human-readable views of one :class:`~repro.obs.telemetry.RunTelemetry`
 document:
 
 * :func:`render_span_tree` — the nested timeline (hypre's ``-print_level``
   style), one line per span with duration and self-time;
 * :func:`render_flat_report` — flat per-phase totals (and memory
   high-waters, when measured) plus convergence and AMG quality summaries,
-  the quick-look companion of Figs. 6-7.
-
-:func:`write_telemetry_json` persists the machine-readable document the
-regression checker diffs.
+  the quick-look companion of Figs. 6-7;
+* :func:`render_profile_summary` — the ``profile`` section: per-rank
+  accounting, per-phase imbalance and wait, the critical path and the
+  roofline join.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from repro.obs.telemetry import RunTelemetry
@@ -121,12 +120,75 @@ def render_flat_report(telemetry: RunTelemetry) -> str:
     return "\n".join(lines)
 
 
-def write_telemetry_json(path: str, telemetry: RunTelemetry) -> str:
-    """Write the JSON document to ``path`` (dirs created); returns path."""
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(telemetry.to_json())
-        fh.write("\n")
-    return path
+def render_profile_summary(telemetry: RunTelemetry, top: int = 8) -> str:
+    """Quick look at the ``profile`` section of one run's telemetry."""
+    t = telemetry
+    p = t.profile
+    s = p["summary"]
+    acc = s["accounted_s"]
+
+    def frac(key: str) -> float:
+        return 100.0 * s[key] / acc if acc > 0.0 else 0.0
+
+    lines = [
+        f"profile: {t.workload} ({t.nranks} ranks, {t.n_steps} steps) "
+        f"on {p['machine']}"
+    ]
+    lines.append("=" * len(lines[0]))
+    lines.append(
+        f"wall {p['wall_time_s']:.6f} s | rank-seconds: "
+        f"compute {frac('compute_s'):.1f}%  wait {frac('wait_s'):.1f}%  "
+        f"transfer {frac('transfer_s'):.1f}%  "
+        f"(comm fraction {s['comm_fraction']:.3f})"
+    )
+
+    lines.append("rank   compute [s]      wait [s]  transfer [s]  segments")
+    for r in range(t.nranks):
+        rt = p["ranks"][str(r)]
+        lines.append(
+            f"  {r:<4d} {rt['compute_s']:11.6f} {rt['wait_s']:13.6f} "
+            f"{rt['transfer_s']:13.6f} {int(rt['segments']):9d}"
+        )
+
+    lines.append(
+        "phase                                 mean [s]   imb  straggler"
+        "   wait [s]  syncs"
+    )
+    for label in sorted(p["phases"]):
+        ph = p["phases"][label]
+        lines.append(
+            f"  {label:<34s} {ph['compute_mean_s']:9.6f} "
+            f"{ph['imbalance']:5.2f} {int(ph['straggler_rank']):10d} "
+            f"{ph['wait_s']:10.6f} {int(ph['syncs']):6d}"
+        )
+
+    path = p["critical_path"]
+    segs = path["segments"]
+    lines.append(
+        f"critical path: {len(segs)} segments, {path['total_s']:.6f} s "
+        f"(wall {p['wall_time_s']:.6f} s)"
+    )
+    for g in sorted(segs, key=lambda g: -g["duration_s"])[:top]:
+        lines.append(
+            f"  rank {g['rank']:<3d} {g['kind']:<9s} "
+            f"{g['phase']:<30s} {g['duration_s']:.6f} s"
+        )
+
+    if p["roofline"]:
+        lines.append("roofline (achieved fraction of machine roof, by phase):")
+        for label in sorted(p["roofline"]):
+            entry = p["roofline"][label]
+            ks = ", ".join(
+                f"{k}={v['achieved_bw_frac']:.2f}bw"
+                if v["bound"] == "bandwidth"
+                else (
+                    f"{k}={v['achieved_flop_frac']:.2f}fl"
+                    if v["bound"] == "flops"
+                    else f"{k}=launch"
+                )
+                for k, v in sorted(entry["kernels"].items())
+            )
+            lines.append(
+                f"  {label:<34s} coverage {entry['coverage']:5.2f}  [{ks}]"
+            )
+    return "\n".join(lines)

@@ -4,14 +4,16 @@
 ``python -m repro trace`` emits and ``benchmarks/check_telemetry_regression.py``
 diffs: nested spans, per-equation phase totals, per-rank traffic, Krylov
 iteration/residual histories, AMG hierarchy quality, the metrics
-snapshot, and the run's physics diagnostics — everything the paper's
-figures consume, in one artifact.
+snapshot, the run's physics diagnostics and, when the timeline profiler
+ran, the per-rank ``profile`` section — everything the paper's figures
+consume, in one artifact.
 
 :func:`collect_run_telemetry` builds the document from a finished
 :class:`~repro.core.simulation.NaluWindSimulation` by *pulling* from the
 existing instrumentation objects (the world's tracer and per-phase wall
-record, traffic log, op recorder, solve records, AMG setup stats); it is
-duck-typed so this module keeps zero imports from the rest of ``repro``.
+record, traffic log, op recorder, solve records, AMG setup stats,
+timeline profiler); it is duck-typed so this module keeps zero imports
+from the rest of ``repro``.
 """
 
 from __future__ import annotations
@@ -113,6 +115,10 @@ class RunTelemetry:
     #: documents without it load as clean runs, so the schema tag stays
     #: ``repro.telemetry/1``.
     resilience: dict[str, Any] = field(default_factory=dict)
+    #: Per-rank timeline profile (see :func:`collect_run_profile`);
+    #: ``{}`` when ``config.profile`` is off.  Additive, like
+    #: ``resilience``.
+    profile: dict[str, Any] = field(default_factory=dict)
     divergence_norms: list[float] = field(default_factory=list)
     peak_alloc_bytes: float = 0.0
 
@@ -207,6 +213,81 @@ def _solves_section(systems: Any) -> dict[str, Any]:
     return out
 
 
+def collect_run_profile(sim: Any) -> dict[str, Any]:
+    """The ``profile`` section of a finished simulation's telemetry.
+
+    ``{}`` when ``sim.world.profiler`` is None.  Otherwise the
+    :class:`~repro.obs.timeline.TimelineProfiler` is finalized (through
+    ``sim.roofline()``, which joins the kernel tallies with it) and the
+    section holds per-rank time accounting (compute / wait / transfer),
+    per-phase load imbalance and comm wait, exchange statistics by kind,
+    the cross-rank critical path, the roofline join and run-level
+    totals.  The segment lists stay on the profiler (the Chrome-trace
+    exporter reads them there), so the section stays small enough to
+    diff.
+    """
+    prof = sim.world.profiler
+    if prof is None:
+        return {}
+    roofline = sim.roofline()
+
+    totals = prof.rank_totals()
+    compute = sum(rt["compute_s"] for rt in totals)
+    wait = sum(rt["wait_s"] for rt in totals)
+    transfer = sum(rt["transfer_s"] for rt in totals)
+    accounted = compute + wait + transfer
+
+    cstats = prof.phase_compute_stats()
+    comm = prof.phase_comm_stats()
+    phases: dict[str, dict[str, float]] = {}
+    for label in sorted(set(cstats) | set(comm)):
+        c = cstats.get(label, {})
+        x = comm.get(label, {})
+        phases[label] = {
+            "compute_max_s": c.get("max_s", 0.0),
+            "compute_mean_s": c.get("mean_s", 0.0),
+            "compute_min_s": c.get("min_s", 0.0),
+            "imbalance": c.get("imbalance", 1.0),
+            "straggler_rank": c.get("straggler_rank", 0.0),
+            "wait_s": x.get("wait_s", 0.0),
+            "transfer_s": x.get("transfer_s", 0.0),
+            "syncs": x.get("syncs", 0.0),
+            "collectives": x.get("collectives", 0.0),
+        }
+
+    path = prof.critical_path()
+    syncs = float(prof.sync_count())
+    return {
+        "machine": prof.pricer.machine.name,
+        # Simulated wall time: the latest rank's clock [s].
+        "wall_time_s": prof.wall_time,
+        "ranks": {str(r): dict(rt) for r, rt in enumerate(totals)},
+        "phases": phases,
+        "exchanges": {"syncs": syncs, "by_kind": prof.exchange_stats()},
+        "critical_path": {
+            "total_s": sum(seg["duration_s"] for seg in path),
+            "segments": path,
+        },
+        "roofline": roofline,
+        "summary": {
+            "compute_s": compute,
+            "wait_s": wait,
+            "transfer_s": transfer,
+            "accounted_s": accounted,
+            "comm_fraction": (
+                (wait + transfer) / accounted if accounted > 0.0 else 0.0
+            ),
+            "wait_fraction": wait / accounted if accounted > 0.0 else 0.0,
+            "syncs": syncs,
+            # Split halo rounds and the rank-seconds of wait the overlap
+            # removed relative to synchronous exchanges (0 when every
+            # exchange ran synchronously).
+            "overlap_rounds": float(prof.overlap_rounds),
+            "overlap_saved_wait_s": float(prof.overlap_saved_s),
+        },
+    }
+
+
 def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
     """Assemble a :class:`RunTelemetry` from a finished simulation.
 
@@ -223,8 +304,8 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
     world = sim.world
     cfg = sim.config
 
-    world.traffic.publish_metrics(world.metrics)
-    world.ops.publish_metrics(world.metrics)
+    world.traffic.publish(world.metrics)
+    world.ops.publish(world.metrics)
 
     resilience = (
         report.recovery if report is not None else sim.transaction.summary()
@@ -264,6 +345,7 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
         amg_setups=[s.to_dict() for s in sim.amg_setups],
         metrics=world.metrics.as_dict(),
         resilience=dict(resilience),
+        profile=collect_run_profile(sim),
         divergence_norms=divergence,
         peak_alloc_bytes=float(world.ops.peak_alloc()),
     )

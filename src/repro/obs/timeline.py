@@ -20,8 +20,8 @@ clocks priced by a machine model:
 
 The result is, per rank, a contiguous sequence of ``compute`` /
 ``wait`` / ``transfer`` segments whose durations sum exactly to the
-simulated wall time — the accounting identity
-``benchmarks/check_profile_regression.py`` pins.  Because wait segments
+simulated wall time — the accounting identity the run telemetry's
+``profile`` section carries (``tests/test_profile.py`` pins it).  Because wait segments
 remember *which* rank they waited on, the cross-rank critical path (the
 chain of segments bounding wall time) is recovered by walking backward
 from the last-finishing rank and hopping to the waited-on rank at every

@@ -149,10 +149,10 @@ class OpRecorder:
                 out.add(t.flops, t.bytes, t.launches)
         return out
 
-    def publish_metrics(self, registry) -> None:
+    def publish(self, registry) -> None:
         """Publish busiest-rank work per phase into a MetricsRegistry.
 
-        Pull-style (see TrafficLog.publish_metrics): gauges overwrite, so
+        Pull-style (see TrafficLog.publish): gauges overwrite, so
         publication is idempotent on cumulative tallies.
         """
         for ph in self.phases():

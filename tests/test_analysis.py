@@ -274,7 +274,7 @@ class TestSuppression:
         src = "import numpy as np\no = np.argsort(x)  # repro: allow(RL001)\n"
         report = lint_source(src, NEUTRAL)
         m = MetricsRegistry()
-        report.publish_metrics(m)
+        report.publish(m)
         assert m.counter("analysis.suppressed", rule="RL001").value == 1.0
         assert m.counter_total("analysis.findings") == 0.0
 
@@ -362,5 +362,5 @@ class TestReportPlumbing:
             "import numpy as np\no = np.argsort(x)\n", NEUTRAL
         )
         m = MetricsRegistry()
-        report.publish_metrics(m)
+        report.publish(m)
         assert m.counter("analysis.findings", rule="RL001").value == 1.0

@@ -31,11 +31,11 @@ class TestCLI:
 
     def test_subcommands_are_what_figures_gates_and_workloads_run(self):
         assert sorted(subcommands()) == [
-            "analyze", "campaign", "profile", "run", "trace"
+            "analyze", "campaign", "run", "trace"
         ]
 
 
-#: The flags of the three simulation-running subcommands, as ``--help``
+#: The flags of the two simulation-running subcommands, as ``--help``
 #: listed them before they shared ``_add_sim_flags``.
 SIM_FLAGS = {"--help", "--steps", "--ranks", "--partition", "--assembly",
              "--output", "--format", "--list"}
@@ -44,8 +44,7 @@ HELP_FLAGS = {
         "--workload", "--machine", "--config", "--checkpoint-every",
         "--checkpoint-dir", "--checkpoint-keep", "--restart-from", "--overlap",
     },
-    "trace": SIM_FLAGS | {"--max-depth"},
-    "profile": SIM_FLAGS | {"--machine"},
+    "trace": SIM_FLAGS | {"--max-depth", "--machine"},
 }
 
 
@@ -70,20 +69,19 @@ class TestSharedSimulationFlags:
         flags = ["--ranks", "3", "--partition", "rcb", "--assembly", "general"]
         docs = [
             _sim_config(build_parser().parse_args([command, *flags])).to_dict()
-            for command in ("run", "trace", "profile")
+            for command in ("run", "trace")
         ]
-        assert docs[0] == docs[1] == docs[2]
+        assert docs[0] == docs[1]
         assert (docs[0]["nranks"], docs[0]["partition_method"],
                 docs[0]["assembly_variant"]) == (3, "rcb", "general")
 
     def test_subcommand_defaults_stay_apart(self):
         parse = build_parser().parse_args
         assert [(parse([c]).steps, parse([c]).ranks)
-                for c in ("run", "trace", "profile")] == [(2, None), (1, 2), (1, 4)]
+                for c in ("run", "trace")] == [(2, None), (1, 2)]
         assert _sim_config(parse(["trace"])).nranks == 2
-        assert _sim_config(parse(["profile"])).nranks == 4
 
-    @pytest.mark.parametrize("command", ["run", "trace", "profile"])
+    @pytest.mark.parametrize("command", ["run", "trace"])
     def test_choices_are_the_owners_tuples(self, command):
         actions = subparser(command)._option_string_actions
         assert actions["--partition"].choices is PARTITION_METHODS

@@ -82,7 +82,7 @@ class TestTrafficLog:
         log.record_messages(1, 0, count=7, nbytes=70, phase="graph")
         log.record_message(1, 2, 8, "graph")
         reg = MetricsRegistry()
-        log.publish_metrics(reg)
+        log.publish(reg)
         assert reg.gauge("comm.total_messages").value == log.message_count()
         assert log.message_count() == 8
 
@@ -350,7 +350,7 @@ def traffic_queries(log):
     from repro.obs.metrics import MetricsRegistry
 
     reg = MetricsRegistry()
-    log.publish_metrics(reg)
+    log.publish(reg)
     phases = log.phases()
     return {
         "phases": phases,

@@ -609,6 +609,21 @@ class TestRegressionChecker:
         assert rc == 1
         assert "wall time drift" in capsys.readouterr().out
 
+    def test_phase_time_fails_only_on_a_rise(self, tiny_run, tmp_path):
+        """--phase-tol bounds a slowdown; an 80 % faster phase passes,
+        an 80 % slower one fails."""
+        _sim, report = tiny_run
+        checker = _load_checker()
+        doc = report.telemetry.to_dict()
+        doc["phases"]["motion"]["total_s"] = 0.10
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(doc))
+        cur = tmp_path / "cur.json"
+        for total, rc in ((0.02, 0), (0.18, 1)):
+            doc["phases"]["motion"]["total_s"] = total
+            cur.write_text(json.dumps(doc))
+            assert checker.main([str(base), str(cur)]) == rc
+
     def test_exact_families_catch_any_gauge_change(
         self, tiny_run, tmp_path, capsys
     ):
