@@ -8,29 +8,39 @@ much less — the effect the paper links to its large-rank-count variability.
 
 Both partitions of a row are the ones a simulation on that many ranks runs
 (``partition_nodes``, the rule ``CompositeMesh`` applies); nonzeros are
-counted on the pressure-pattern proxy ``pressure_pattern``.
+counted on the pressure-pattern proxy ``pressure_pattern``.  Beside the
+nnz spread each row gives the multilevel partition's own terms: its
+lightest and heaviest part over the mean of the weight it balances
+(degree + 1 on the node graph) and its edge cut.
 """
+
+import numpy as np
 
 from repro.comm import SimWorld
 from repro.core import CompositeMesh
 from repro.core.composite import partition_nodes, pressure_pattern
 from repro.harness import emit, format_table
 from repro.mesh import make_turbine_low, make_turbine_refined
-from repro.partition import balance_stats
+from repro.partition import balance_stats, edge_cut
 
 from conftest import REFINE
 
 
 def balance_rows(comp: CompositeMesh, ranks_list):
     """One table row per rank count: nnz balance of the partitions a
-    simulation on that many ranks runs, RCB and multilevel."""
+    simulation on that many ranks runs, RCB and multilevel, and the
+    multilevel partition's weight balance and edge cut."""
     A = pressure_pattern(comp)
+    graph = comp.node_graph()
+    vwgt = np.diff(graph.indptr) + 1.0
     rows = []
     for nranks in ranks_list:
-        bs_rcb, bs_ml = (
-            balance_stats(A, partition_nodes(comp, method, nranks))
+        rcb, ml = (
+            partition_nodes(comp, method, nranks)
             for method in ("rcb", "parmetis")
         )
+        bs_rcb, bs_ml = balance_stats(A, rcb), balance_stats(A, ml)
+        load = np.bincount(ml, weights=vwgt, minlength=nranks)
         rows.append(
             [
                 nranks,
@@ -38,6 +48,9 @@ def balance_rows(comp: CompositeMesh, ranks_list):
                 f"{bs_rcb.spread:.0f}",
                 f"{bs_ml.median:.0f}",
                 f"{bs_ml.spread:.0f}",
+                f"{load.min() / load.mean():.2f}",
+                f"{load.max() / load.mean():.3f}",
+                edge_cut(graph, ml),
                 f"{bs_rcb.spread / max(bs_ml.spread, 1):.1f}x",
             ]
         )
@@ -50,6 +63,9 @@ HEADERS = [
     "RCB spread",
     "ML median",
     "ML spread",
+    "ML min/mean",
+    "ML max/mean",
+    "ML cut",
     "spread ratio",
 ]
 

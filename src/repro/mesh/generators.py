@@ -16,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mesh.hexmesh import HexMesh
+from repro.mesh.topology import (
+    BlockTopology,
+    boundary_node_sets,
+    build_block_topology,
+)
 
 
 def graded_axis(lo: float, hi: float, n: int, cluster: float = 0.0, center: float = 0.5) -> np.ndarray:
@@ -168,6 +173,23 @@ def blade_lattice(
     return X
 
 
+#: The blade O-grid wraps around logical axis 0.
+BLADE_PERIODIC = (True, False, False)
+#: Lattice faces of the blade O-grid -> their roles: the radial axis 1 runs
+#: from the blade surface to the outer rim, axis 2 from root to tip.
+BLADE_BOUNDARIES = {"ylo": "wall", "yhi": "outer", "zlo": "root", "zhi": "tip"}
+
+
+def blade_block(spec: BladeSpec) -> tuple[BlockTopology, dict[str, np.ndarray]]:
+    """Topology and named boundary node sets of :func:`make_blade_mesh`'s
+    O-grid, which depend on ``spec``'s node counts only."""
+    shape = (spec.n_around, spec.n_radial, spec.n_span)
+    boundaries = boundary_node_sets(shape, BLADE_PERIODIC)
+    for face, role in BLADE_BOUNDARIES.items():
+        boundaries[role] = boundaries.pop(face)
+    return build_block_topology(shape, BLADE_PERIODIC), boundaries
+
+
 def make_blade_mesh(
     name: str,
     spec: BladeSpec,
@@ -187,10 +209,4 @@ def make_blade_mesh(
         and span ends ``zlo`` -> ``root``, ``zhi`` -> ``tip``.
     """
     X = blade_lattice(spec, root_center)
-    mesh = HexMesh.from_block(name, X, periodic=(True, False, False))
-    # Radial direction is logical axis 1: ylo is the wall, yhi the outer rim.
-    mesh.boundaries["wall"] = mesh.boundaries.pop("ylo")
-    mesh.boundaries["outer"] = mesh.boundaries.pop("yhi")
-    mesh.boundaries["root"] = mesh.boundaries.pop("zlo")
-    mesh.boundaries["tip"] = mesh.boundaries.pop("zhi")
-    return mesh
+    return HexMesh(name, X.reshape(-1, 3), *blade_block(spec))

@@ -47,11 +47,15 @@ class RigidRotation:
     omega: float
     angle: float = 0.0
 
-    def rotate_by(self, mesh: HexMesh, dtheta: float) -> None:
-        """Rotate ``mesh`` in place by ``dtheta`` radians."""
+    def rotated(self, coords: np.ndarray, dtheta: float) -> np.ndarray:
+        """``coords`` rotated by ``dtheta`` radians about the axis."""
         R = rotation_matrix(np.asarray(self.axis), dtheta)
         c = np.asarray(self.center)
-        mesh.coords[:] = (mesh.coords - c) @ R.T + c
+        return (coords - c) @ R.T + c
+
+    def rotate_by(self, mesh: HexMesh, dtheta: float) -> None:
+        """Rotate ``mesh`` in place by ``dtheta`` radians."""
+        mesh.coords[:] = self.rotated(mesh.coords, dtheta)
         self.angle += dtheta
         mesh.update_metrics()
 

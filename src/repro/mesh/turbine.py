@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.mesh.generators import (
     BladeSpec,
+    blade_block,
     blade_lattice,
     make_background_mesh,
-    make_blade_mesh,
 )
 from repro.mesh.hexmesh import HexMesh
 from repro.mesh.motion import RigidRotation
@@ -80,32 +80,33 @@ def _make_turbine_blades(
     """Per hub (turbine ``t<i>``), three blades at 120-degree phase,
     rotating about +x through the hub.
 
-    One blade mesh is built; every blade is a copy of it with its own
-    turbine's coordinates, phased by a rotation that recomputes the
-    metrics.  So topology, boundaries and coordinates, and after the phase
-    the metrics, are byte-equal to a :func:`make_blade_mesh` per blade.
+    The blade topology is built once and copied to every blade; each
+    blade's metrics are computed once, on its phased coordinates.  So every
+    blade is byte-equal to a :func:`make_blade_mesh` phased by
+    ``rotate_by``.
     """
     blades: list[HexMesh] = []
     rotations: list[RigidRotation] = []
     # Rotor spins about the inflow (x) axis at a notional 12.1 rpm (NREL
     # 5-MW rated rotor speed).
     omega = 12.1 * 2.0 * np.pi / 60.0
-    base = None
+    block = blade_block(spec)
     for t, hub in enumerate(hubs):
         root = (hub[0], hub[1], hub[2] + 0.05 * ROTOR_RADIUS)
-        if base is None:
-            base = make_blade_mesh(f"t{t}_blade0", spec, root_center=root)
-            coords = base.coords
-        else:
-            coords = blade_lattice(spec, root).reshape(-1, 3)
+        coords = blade_lattice(spec, root).reshape(-1, 3)
         for k in range(3):
-            blade = copy.deepcopy(base)
-            blade.name = f"t{t}_blade{k}"
-            blade.coords[:] = coords
-            rot = RigidRotation(axis=(1.0, 0.0, 0.0), center=hub, omega=omega)
             # Phase the blade to its azimuthal slot.
-            rot.rotate_by(blade, np.deg2rad(120.0 * k))
-            blades.append(blade)
+            phase = np.deg2rad(120.0 * k)
+            rot = RigidRotation(
+                axis=(1.0, 0.0, 0.0), center=hub, omega=omega, angle=phase
+            )
+            blades.append(
+                HexMesh(
+                    f"t{t}_blade{k}",
+                    rot.rotated(coords, phase),
+                    *copy.deepcopy(block),
+                )
+            )
             rotations.append(rot)
     return blades, rotations
 

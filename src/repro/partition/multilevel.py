@@ -4,10 +4,16 @@ The paper introduced ParMETIS-based mesh rebalancing to fix RCB's imbalance
 (§5.1); we reproduce the property it relies on — nonzero-balanced, compact,
 graph-aware parts — with the classic multilevel scheme ParMETIS itself uses:
 
-1. **Coarsen** by heavy-edge matching until the graph is small,
-2. **Initial partition** the coarsest graph by recursive spectral bisection
-   (Fiedler vector, weighted-median split),
-3. **Uncoarsen** and apply rounds of boundary Kernighan-Lin/FM-style
+1. **Set aside** the isolated vertices (an overset mesh's hole nodes carry
+   no active edge); they are dealt to the lightest parts at the end,
+2. **Coarsen** by heavy-edge matching until the graph is small, or until
+   one more level would hold a vertex too heavy to bisect near the target
+   weights (:data:`MAX_VERTEX_SHARE`),
+3. **Initial partition** the coarsest graph by recursive bisection: whole
+   components are packed toward each side's target weight and only the
+   component that straddles it is split, at the weighted target of its
+   Fiedler vector,
+4. **Uncoarsen** and apply rounds of boundary Kernighan-Lin/FM-style
    refinement at every level.
 
 Vertex weights (row nonzeros when partitioning a matrix graph) are balanced;
@@ -23,14 +29,33 @@ structurally symmetric) CSR graph, the vertex weights and the seed: the
 matching draws its tie-breaks for the edges in stored order, the coarse
 graphs are canonical CSR whose integer-valued weights sum exactly in any
 order, and refinement sums each row's weights per part in stored order.
+A Fiedler vector is only ever asked of a connected graph, where it is
+unique up to its sign, and the sign is fixed; so the parts do not move
+with the BLAS thread count.  Only that vector costs more than linear time:
+a dense subset eigensolve on small graphs, ``lobpcg`` on larger ones.
 """
 
 from __future__ import annotations
 
+import heapq
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import lobpcg
+
+#: Largest graph whose Fiedler vector a dense subset ``eigh`` computes;
+#: above it ``lobpcg`` does, and no dense Laplacian is formed.
+DENSE_FIEDLER_MAX = 1000
+#: Decimals kept of the Fiedler vector scaled to a largest magnitude of 1.
+FIEDLER_DECIMALS = 9
+#: Coarsening stops before a level whose heaviest vertex outweighs this
+#: share of a part's balance tolerance (``balance_tol`` times a part's
+#: weight), so a bisection of the coarsest graph can cut close to its
+#: target weight.
+MAX_VERTEX_SHARE = 0.5
 
 
 def _csr_rows(A: sparse.csr_matrix) -> np.ndarray:
@@ -114,13 +139,58 @@ def _coarsen(
     return Ac, vc
 
 
-def _fiedler_bisect(
+def _fiedler(A: sparse.csr_matrix) -> np.ndarray:
+    """Fiedler vector of a connected graph, scaled to a largest magnitude
+    of 1, rounded to :data:`FIEDLER_DECIMALS` decimals, and signed so that
+    its first entry (in vertex order) of magnitude at least 1/2 is
+    positive.
+
+    The sign is read off a large entry, not the largest: a symmetric graph
+    has its largest magnitude at two ends of opposite sign, and which of
+    the two comes out larger would be decided by the eigensolver's error.
+    The rounding keeps the exact ties of a symmetric graph tied under
+    round-off, so the stable sort of the vertices does not depend on it.
+
+    A subset ``eigh`` of the dense Laplacian computes it up to
+    :data:`DENSE_FIEDLER_MAX` vertices; above that, ``lobpcg`` from a
+    seeded start, orthogonal to the constants, on the sparse Laplacian.
+    """
+    n = A.shape[0]
+    deg = np.asarray(A.sum(axis=1)).ravel()
+    if n <= DENSE_FIEDLER_MAX:
+        L = -A.toarray()
+        L[np.diag_indices(n)] = deg
+        v = linalg.eigh(L, subset_by_index=[1, 1])[1][:, 0]
+    else:
+        L = (sparse.diags(deg) - A).tocsr()
+        X = np.random.default_rng(0).standard_normal((n, 4))
+        with warnings.catch_warnings():
+            # An unconverged iterate still orders the vertices usefully.
+            warnings.simplefilter("ignore", UserWarning)
+            vals, vecs = lobpcg(
+                L, X, M=sparse.diags(1.0 / deg), Y=np.ones((n, 1)),
+                tol=1e-6, maxiter=200, largest=False,
+            )
+        v = vecs[:, np.argmin(vals)]
+    v = np.round(v / np.abs(v).max(), FIEDLER_DECIMALS)
+    if v[np.argmax(np.abs(v) >= 0.5)] < 0:
+        v = -v
+    return v
+
+
+def _bisect(
     A: sparse.csr_matrix, vwgt: np.ndarray, ratio: float
 ) -> np.ndarray:
-    """Bisect a small graph with the Fiedler vector at the weighted median.
+    """Bisect a graph at the weight fraction ``ratio``.
+
+    Whole components are packed toward the target weight, heaviest first
+    (ties by lowest vertex id); only the component that straddles the
+    target is ordered by its Fiedler vector.  The cut then falls on the
+    prefix of that order whose weight is closest to the target, with at
+    least one vertex on each side.
 
     Args:
-        A: symmetric weighted adjacency (small; densified internally).
+        A: symmetric weighted adjacency.
         vwgt: vertex weights to balance.
         ratio: weight fraction assigned to side 0.
 
@@ -130,16 +200,26 @@ def _fiedler_bisect(
     n = A.shape[0]
     if n <= 2:
         return np.arange(n) >= max(1, round(n * ratio))
-    D = np.asarray(A.sum(axis=1)).ravel()
-    L = np.diag(D) - A.toarray()
-    # Second-smallest eigenvector of the Laplacian.
-    vals, vecs = np.linalg.eigh(L)
-    fiedler = vecs[:, 1]
-    order = np.argsort(fiedler, kind="stable")
-    csum = np.cumsum(vwgt[order])
+    # Components are labelled in order of their lowest vertex id.
+    ncomp, label = connected_components(A, directed=False)
+    comp_w = np.bincount(label, weights=vwgt, minlength=ncomp)
+    packing = np.lexsort((np.arange(ncomp), -comp_w))
+    rank = np.empty(ncomp, dtype=np.int64)
+    rank[packing] = np.arange(ncomp)
+    order = np.argsort(rank[label], kind="stable")
     target = vwgt.sum() * ratio
-    cut = int(np.searchsorted(csum, target))
-    cut = min(max(cut, 1), n - 1)
+    ends = np.cumsum(comp_w[packing])
+    j = int(np.searchsorted(ends, target, side="right"))
+    if j < ncomp and (j == 0 or ends[j - 1] < target):
+        stops = np.cumsum(np.bincount(label, minlength=ncomp)[packing])
+        seg = slice(stops[j - 1] if j else 0, stops[j])
+        members = order[seg]
+        if members.size > 2:
+            sub = A if ncomp == 1 else A[members][:, members].tocsr()
+            order[seg] = members[np.argsort(_fiedler(sub), kind="stable")]
+    # prefix[i] is the weight of order[:i]; the first closest one wins.
+    prefix = np.concatenate(([0.0], np.cumsum(vwgt[order])))
+    cut = min(max(int(np.argmin(np.abs(prefix - target))), 1), n - 1)
     side1 = np.zeros(n, dtype=bool)
     side1[order[cut:]] = True
     return side1
@@ -148,7 +228,7 @@ def _fiedler_bisect(
 def _initial_partition(
     A: sparse.csr_matrix, vwgt: np.ndarray, nparts: int
 ) -> np.ndarray:
-    """Recursive spectral bisection of the coarsest graph."""
+    """Recursive bisection of the coarsest graph (:func:`_bisect`)."""
     n = A.shape[0]
     parts = np.zeros(n, dtype=np.int64)
     stack = [(np.arange(n, dtype=np.int64), 0, nparts)]
@@ -160,7 +240,7 @@ def _initial_partition(
         kl = (k + 1) // 2
         kr = k - kl
         sub = A[idx][:, idx].tocsr()
-        side1 = _fiedler_bisect(sub, vwgt[idx], kl / k)
+        side1 = _bisect(sub, vwgt[idx], kl / k)
         stack.append((idx[~side1], base, kl))
         stack.append((idx[side1], base + kl, kr))
     return parts
@@ -328,15 +408,103 @@ def _rebalance(
     return parts
 
 
+def _drop_isolated(
+    A: sparse.csr_matrix, isolated: np.ndarray
+) -> sparse.csr_matrix:
+    """``A`` without its isolated vertices, still canonical CSR: the kept
+    rows keep their entries in stored order, renumbered."""
+    keep = np.flatnonzero(~isolated)
+    new_id = np.cumsum(~isolated) - 1
+    return sparse.csr_matrix(
+        (A.data, new_id[A.indices], np.append(A.indptr[keep], A.indptr[-1])),
+        shape=(keep.size, keep.size),
+    )
+
+
+def _deal_isolated(
+    parts: np.ndarray, vwgt: np.ndarray, isolated: np.ndarray, nparts: int
+) -> np.ndarray:
+    """Deal the isolated vertices, heaviest first (ties by id), each to the
+    part that is lightest at that moment (ties by part id)."""
+    loads = np.bincount(
+        parts[~isolated], weights=vwgt[~isolated], minlength=nparts
+    )
+    heap = [(float(w), p) for p, w in enumerate(loads)]
+    heapq.heapify(heap)
+    ids = np.flatnonzero(isolated)
+    ids = ids[np.argsort(-vwgt[ids], kind="stable")]
+    for v, w in zip(ids.tolist(), vwgt[ids].tolist()):
+        load, p = heapq.heappop(heap)
+        parts[v] = p
+        heapq.heappush(heap, (load + w, p))
+    return parts
+
+
 @dataclass
 class MultilevelOptions:
-    """Tuning knobs for :func:`multilevel_partition`."""
+    """Tuning knobs for :func:`multilevel_partition`.
+
+    ``coarsest_size`` (raised to ``24 * nparts``) is where coarsening
+    stops, unless :data:`MAX_VERTEX_SHARE` of ``balance_tol`` stops it
+    first; ``seed`` draws the matching's tie-breaks.  The initial bisection
+    has no knob: its eigensolver switches at the module constant
+    :data:`DENSE_FIEDLER_MAX`.
+    """
 
     coarsest_size: int = 384
     max_levels: int = 20
     refine_passes: int = 6
     balance_tol: float = 0.05
     seed: int = 0
+
+
+def _multilevel(
+    A: sparse.csr_matrix,
+    vwgt: np.ndarray,
+    nparts: int,
+    opt: MultilevelOptions,
+) -> np.ndarray:
+    """Coarsen, bisect, uncoarsen with refinement, then rebalance a graph
+    with no isolated vertex."""
+    rng = np.random.default_rng(opt.seed)
+
+    # Coarsening phase.
+    graphs = [A]
+    weights = [vwgt]
+    aggs: list[np.ndarray] = []
+    target = max(opt.coarsest_size, 24 * nparts)
+    heaviest = MAX_VERTEX_SHARE * opt.balance_tol * vwgt.sum() / nparts
+    while graphs[-1].shape[0] > target and len(graphs) < opt.max_levels:
+        agg = heavy_edge_matching(graphs[-1], rng)
+        nc = int(agg.max()) + 1
+        if nc >= graphs[-1].shape[0] * 0.95:
+            break  # matching stalled (e.g. star graphs)
+        Ac, vc = _coarsen(graphs[-1], weights[-1], agg)
+        if vc.max() > heaviest:
+            break  # too coarse to bisect near the target weights
+        graphs.append(Ac)
+        weights.append(vc)
+        aggs.append(agg)
+
+    # Initial partition on the coarsest level.
+    parts = _initial_partition(graphs[-1], weights[-1], nparts)
+    parts = _refine(
+        graphs[-1], weights[-1], parts, nparts, opt.refine_passes, opt.balance_tol
+    )
+
+    # Uncoarsening with refinement at every level.
+    for level in range(len(aggs) - 1, -1, -1):
+        parts = parts[aggs[level]]
+        parts = _refine(
+            graphs[level],
+            weights[level],
+            parts,
+            nparts,
+            opt.refine_passes,
+            opt.balance_tol,
+        )
+    # Enforce the balance constraint on the finest level.
+    return _rebalance(A, vwgt, parts, nparts, opt.balance_tol)
 
 
 def multilevel_partition(
@@ -375,40 +543,11 @@ def multilevel_partition(
     )
     if vwgt.shape != (n,):
         raise ValueError("vertex_weights must be one per vertex")
-    rng = np.random.default_rng(opt.seed)
-
-    # Coarsening phase.
-    graphs = [A]
-    weights = [vwgt]
-    aggs: list[np.ndarray] = []
-    target = max(opt.coarsest_size, 24 * nparts)
-    while graphs[-1].shape[0] > target and len(graphs) < opt.max_levels:
-        agg = heavy_edge_matching(graphs[-1], rng)
-        nc = int(agg.max()) + 1
-        if nc >= graphs[-1].shape[0] * 0.95:
-            break  # matching stalled (e.g. star graphs)
-        Ac, vc = _coarsen(graphs[-1], weights[-1], agg)
-        graphs.append(Ac)
-        weights.append(vc)
-        aggs.append(agg)
-
-    # Initial partition on the coarsest level.
-    parts = _initial_partition(graphs[-1], weights[-1], nparts)
-    parts = _refine(
-        graphs[-1], weights[-1], parts, nparts, opt.refine_passes, opt.balance_tol
-    )
-
-    # Uncoarsening with refinement at every level.
-    for level in range(len(aggs) - 1, -1, -1):
-        parts = parts[aggs[level]]
-        parts = _refine(
-            graphs[level],
-            weights[level],
-            parts,
-            nparts,
-            opt.refine_passes,
-            opt.balance_tol,
+    isolated = np.diff(A.indptr) == 0
+    parts = np.zeros(n, dtype=np.int64)
+    if not isolated.all():
+        keep = np.flatnonzero(~isolated)
+        parts[keep] = _multilevel(
+            _drop_isolated(A, isolated), vwgt[keep], nparts, opt
         )
-    # Enforce the balance constraint on the finest level.
-    parts = _rebalance(A, vwgt, parts, nparts, opt.balance_tol)
-    return parts
+    return _deal_isolated(parts, vwgt, isolated, nparts)

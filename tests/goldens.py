@@ -2,13 +2,14 @@
 every file under ``tests/data`` a projection of the records they produce.
 
 A record is computed in one of two places.  Everything a simulation run
-produces (field digests, the ``ops``/``traffic`` ledger, step snapshots),
-the overset connectivity and the multilevel partition depend on the BLAS
-thread count, so :func:`measure` computes all of it in one child
-interpreter with one thread and ``PYTHONHASHSEED=0``, executing each run of
-:data:`RUNS` once.  The ledger golden's runs (:data:`LEDGER_RUNS`), the
-transport schedules, the serialised configs and the fake-clock span forest
-are computed in-process.  :class:`Records` computes each on first use
+produces (field digests, the ``ops``/``traffic`` ledger, step snapshots)
+depends on the BLAS thread count, so :func:`measure` computes all of it in
+one child interpreter with one thread and ``PYTHONHASHSEED=0``, executing
+each run of :data:`RUNS` once.  The overset connectivity and the multilevel
+partition do not (``tests/test_partition_stability.py`` checks the
+partition at one and two threads); they, the ledger golden's runs
+(:data:`LEDGER_RUNS`), the transport schedules, the serialised configs and
+the fake-clock span forest are computed in-process.  :class:`Records` computes each on first use
 and keeps it; tier-1 shares one instance through the ``records`` session
 fixture (``tests/conftest.py``), and each golden test compares
 ``produce(name, records)`` with ``declared(name)``.
@@ -276,12 +277,7 @@ def child_records() -> dict:
     for label, run in RUNS.items():
         runs.update(execute(label, run))
         executions[label] += 1
-    return {
-        "runs": runs,
-        "executions": dict(executions),
-        "connectivity": connectivity_record(),
-        "partition": partition_record(),
-    }
+    return {"runs": runs, "executions": dict(executions)}
 
 
 def measure() -> dict:
@@ -420,9 +416,9 @@ def transport_snapshot(world, A, rhs, name) -> dict:
 
 def transport_record() -> dict:
     """Every schedule, in name order, on one ``turbine_tiny`` pressure
-    operator at 4 ranks (12 halo messages per round), partitioned by RCB:
-    the multilevel partition moves with the BLAS thread count, RCB does
-    not, so the pinned bytes hold on any machine."""
+    operator at 4 ranks (12 halo messages per round), partitioned by RCB,
+    so a change to the multilevel partitioner leaves the pinned bytes
+    alone."""
     operator = assemble_pressure(4, partition_method="rcb")
     return {name: transport_snapshot(*operator, name)
             for name in sorted(SCHEDULES)}
@@ -551,10 +547,12 @@ IN_PROCESS = {
     "transport": transport_record,
     "config": config_record,
     "phase_boundary": phase_boundary_record,
+    "connectivity": connectivity_record,
+    "partition": partition_record,
 }
 
 
-CHILD_KEYS = ("runs", "executions", "connectivity", "partition")
+CHILD_KEYS = ("runs", "executions")
 
 
 class Records(dict):

@@ -13,7 +13,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.partition.multilevel import (
+    MAX_VERTEX_SHARE,
     MultilevelOptions,
+    _deal_isolated,
+    _drop_isolated,
     _initial_partition,
     _rebalance,
 )
@@ -132,7 +135,8 @@ def multilevel_partition(
     options: MultilevelOptions | None = None,
 ) -> np.ndarray:
     """``repro.partition.multilevel_partition``'s level loop over the
-    reference phases."""
+    reference phases, between the package's own setting aside and dealing
+    of the isolated vertices."""
     opt = options or MultilevelOptions()
     A = sparse.csr_matrix(adjacency, copy=True).astype(np.float64)
     A.setdiag(0.0)
@@ -143,17 +147,31 @@ def multilevel_partition(
         if vertex_weights is None
         else np.asarray(vertex_weights, dtype=np.float64)
     )
+    isolated = np.diff(A.indptr) == 0
+    keep = np.flatnonzero(~isolated)
+    parts = np.zeros(n, dtype=np.int64)
+    if keep.size:
+        parts[keep] = _levels(
+            _drop_isolated(A, isolated), vwgt[keep], nparts, opt
+        )
+    return _deal_isolated(parts, vwgt, isolated, nparts)
+
+
+def _levels(A, vwgt, nparts, opt):
     rng = np.random.default_rng(opt.seed)
     graphs = [A]
     weights = [vwgt]
     aggs: list[np.ndarray] = []
     target = max(opt.coarsest_size, 24 * nparts)
+    heaviest = MAX_VERTEX_SHARE * opt.balance_tol * vwgt.sum() / nparts
     while graphs[-1].shape[0] > target and len(graphs) < opt.max_levels:
         agg = heavy_edge_matching(graphs[-1], rng)
         nc = int(agg.max()) + 1
         if nc >= graphs[-1].shape[0] * 0.95:
             break
         Ac, vc = coarsen(graphs[-1], weights[-1], agg)
+        if vc.max() > heaviest:
+            break
         graphs.append(Ac)
         weights.append(vc)
         aggs.append(agg)

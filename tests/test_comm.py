@@ -439,10 +439,20 @@ def pressure_matrix(assemble_tiny_pressure):
     return assemble_tiny_pressure(4)
 
 
+@pytest.fixture(scope="module")
+def rcb_pressure_matrix(assemble_tiny_pressure):
+    """The same operator partitioned by RCB: every rank pair exchanges, 12
+    messages per round, whatever the multilevel partitioner does."""
+    return assemble_tiny_pressure(4, partition_method="rcb")
+
+
 class TestFaultModelSeesSameWire:
     """Posting order, sequence numbers and the retry protocol are the
-    fault model's coordinates.  The pinned values were produced by the
-    per-message implementation this one replaced (commit 9fce510)."""
+    fault model's coordinates.  The counters were pinned on the per-message
+    implementation this one replaced (commit 9fce510), on the multilevel
+    parts of that time; the fired coordinates are this implementation's on
+    the RCB operator, whose wire does not move with the multilevel parts
+    (``transport_golden.json`` pins the per-message values on it)."""
 
     SPECS = (
         FaultSpec("message_drop", at=3),
@@ -451,10 +461,10 @@ class TestFaultModelSeesSameWire:
         FaultSpec("message_drop", at=20),
     )
     FIRED = [
-        ("message_drop", "pin/halo", 1, 2, 1),
-        ("message_corrupt", "pin/halo", 1, 2, 2),
-        ("message_duplicate", "pin/halo", 2, 0, 2),
-        ("message_drop", "pin/halo", 1, 2, 5),
+        ("message_drop", "pin/halo", 1, 0, 1),
+        ("message_corrupt", "pin/halo", 2, 3, 1),
+        ("message_duplicate", "pin/halo", 0, 1, 2),
+        ("message_drop", "pin/halo", 2, 1, 2),
     ]
     COUNTERS = {
         "comm.retries": 3,
@@ -463,9 +473,9 @@ class TestFaultModelSeesSameWire:
         "comm.duplicates_discarded": 1,
     }
 
-    def test_fired_faults_and_counters_match_pins(self, pressure_matrix):
-        w, A, rhs = pressure_matrix
-        assert A.pattern.total_messages() == 8
+    def test_fired_faults_and_counters_match_pins(self, rcb_pressure_matrix):
+        w, A, rhs = rcb_pressure_matrix
+        assert A.pattern.total_messages() == 12
         x = A.new_vector(rhs.data.copy())
         clean = A.matvec(x).data.copy()
         before = {k: w.metrics.counter_total(k) for k in self.COUNTERS}
@@ -495,25 +505,26 @@ class TestFaultModelSeesSameWire:
         assert {
             k: w.metrics.counter_total(k) - before[k] for k in self.COUNTERS
         } == self.COUNTERS
-        # 3 rounds of 8, 3 re-posts, 1 duplicate: one event each.
-        assert w.traffic.message_count() - sent == 28
-        assert events.count("p2p") == 28
+        # 3 rounds of 12, 3 re-posts, 1 duplicate: one event each.
+        assert w.traffic.message_count() - sent == 40
+        assert events.count("p2p") == 40
         assert w.pending_messages() == 0
 
-    def test_exhaustion_still_escalates(self, pressure_matrix):
-        w, A, rhs = pressure_matrix
+    def test_exhaustion_still_escalates(self, rcb_pressure_matrix):
+        w, A, rhs = rcb_pressure_matrix
         x = A.new_vector(rhs.data.copy())
         clean = A.matvec(x).data.copy()
         # Drop the first-received message and both its re-posts.  The
-        # round posts 8 messages, re-posts are opportunities 8 and 9; a
+        # round posts n messages, re-posts are opportunities n and n + 1; a
         # spec does not count an opportunity an earlier spec fired on.
+        n = A.pattern.total_messages()
         src, dst = A.pattern.receives[0][:2]
         first = A.pattern.channels.index((src, dst))
         w.fault_injector = FaultInjector(
             (
                 FaultSpec("message_drop", at=first),
-                FaultSpec("message_drop", at=7),
-                FaultSpec("message_drop", at=7),
+                FaultSpec("message_drop", at=n - 1),
+                FaultSpec("message_drop", at=n - 1),
             )
         )
         try:

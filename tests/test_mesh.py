@@ -234,7 +234,7 @@ class TestTurbineWorkloads:
         "name", ["turbine_tiny", "turbine_low", "turbine_dual"]
     )
     def test_copied_blades_equal_independent_builds(self, name):
-        """Each blade is a copy of one built blade mesh; it is byte-equal to
+        """Each blade shares one built blade topology; it is byte-equal to
         a ``make_blade_mesh`` of its own, phased by ``rotate_by``:
         coordinates, metrics, boundaries and topology."""
         s = make_workload(name)

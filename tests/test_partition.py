@@ -16,7 +16,13 @@ from repro.partition import (
     nnz_per_rank,
     rcb_partition,
 )
-from repro.partition.multilevel import MultilevelOptions, _coarsen, _refine
+from repro.partition.multilevel import (
+    DENSE_FIEDLER_MAX,
+    MultilevelOptions,
+    _coarsen,
+    _fiedler,
+    _refine,
+)
 from tests import partition_reference as reference
 
 
@@ -174,6 +180,114 @@ class TestMultilevel:
         vw = rng.random(g.shape[0]) + 0.5
         parts = multilevel_partition(g, nparts, vertex_weights=vw)
         assert np.bincount(parts, minlength=nparts).min() > 0
+
+
+def disjoint_union(*graphs):
+    """Block-diagonal union; vertex ids follow the graphs' order."""
+    return sparse.block_diag(graphs, format="csr")
+
+
+def with_isolated(A, ids):
+    """``A`` with isolated vertices inserted so that they get ``ids`` in
+    the result (the other vertices keep their order)."""
+    n = A.shape[0] + len(ids)
+    keep = np.setdiff1d(np.arange(n), ids)
+    coo = A.tocoo()
+    return sparse.csr_matrix(
+        (coo.data, (keep[coo.row], keep[coo.col])), shape=(n, n)
+    )
+
+
+class TestKnownOptima:
+    """Graphs whose best 2-way partition is known."""
+
+    def test_grid_below_the_coarsest_size_is_cut_across_its_long_side(self):
+        g = grid_graph(8, 16)
+        assert g.shape[0] < MultilevelOptions().coarsest_size
+        parts = multilevel_partition(g, 2)
+        assert edge_cut(g, parts) == 8
+        assert np.bincount(parts).tolist() == [64, 64]
+
+    def test_two_equal_components_are_one_part_each(self):
+        half = grid_graph(20, 20)
+        g = disjoint_union(half, half)
+        assert g.shape[0] > MultilevelOptions().coarsest_size
+        parts = multilevel_partition(g, 2)
+        assert edge_cut(g, parts) == 0
+        n = half.shape[0]
+        assert np.unique(parts[:n]).size == np.unique(parts[n:]).size == 1
+        assert parts[0] != parts[n]
+
+    def test_isolated_vertices_go_to_the_lightest_parts(self):
+        # The two 5 x 10 halves weigh 50 each.  Dealt heaviest first to the
+        # part lightest at the time: 30 to one, 20 then 10 to the other
+        # (50 + 20 < 80), then 5 to the first (80 = 80, the lower part id).
+        half = grid_graph(5, 10)
+        ids = [3, 57, 101, 103]
+        g = with_isolated(disjoint_union(half, half), ids)
+        vw = np.ones(g.shape[0])
+        vw[ids] = [10.0, 30.0, 5.0, 20.0]
+        parts = multilevel_partition(g, 2, vertex_weights=vw)
+        assert parts[57] == parts[101] == 0
+        assert parts[3] == parts[103] == 1
+        assert np.bincount(parts, weights=vw).tolist() == [85.0, 80.0]
+
+    def test_only_isolated_vertices(self):
+        g = sparse.csr_matrix((7, 7))
+        parts = multilevel_partition(g, 3, vertex_weights=np.arange(7.0))
+        # 6 -> 0, 5 -> 1, 4 -> 2, 3 -> 2, 2 -> 1, 1 -> 0, 0 -> 0.
+        assert parts.tolist() == [0, 0, 1, 2, 2, 1, 0]
+
+
+class TestFiedler:
+    @pytest.mark.parametrize("shape", [(12, 9), (50, 30)])
+    def test_sparse_and_dense_solvers_agree_and_fix_the_sign(self, shape):
+        # 108 vertices take the dense path, 1 500 the lobpcg path.  Both
+        # grids have a simple second eigenvalue whose vector is odd about
+        # the grid's middle: its largest magnitude ties at both ends, and
+        # the sign rule makes vertex 0's end the positive one.
+        g = grid_graph(*shape)
+        L = sparse.diags(np.asarray(g.sum(axis=1)).ravel()) - g
+        want = np.linalg.eigh(L.toarray())[1][:, 1]
+        want *= np.sign(want[0]) / np.abs(want).max()
+        got = _fiedler(g)
+        assert (g.shape[0] > DENSE_FIEDLER_MAX) == (shape == (50, 30))
+        assert np.allclose(got, want, atol=1e-4)
+
+
+@st.composite
+def components_and_holes(draw):
+    """A random graph of grid components and isolated vertices, ids
+    shuffled, with ``partition_nodes``' degree + 1 vertex weights."""
+    shapes = draw(
+        st.lists(st.tuples(st.integers(2, 24), st.integers(2, 24)),
+                 min_size=1, max_size=4)
+    )
+    holes = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**16))
+    g = disjoint_union(*(grid_graph(nx, ny) for nx, ny in shapes))
+    n = g.shape[0] + holes
+    ids = np.random.default_rng(seed).permutation(n)
+    g = with_isolated(g, np.sort(ids[:holes]))
+    perm = ids.argsort()
+    g = g[perm][:, perm].tocsr()
+    return g, np.diff(g.indptr) + 1.0
+
+
+class TestComponentsProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(case=components_and_holes(), nparts=st.integers(2, 8))
+    def test_valid_nonempty_and_balanced_where_feasible(self, case, nparts):
+        g, vw = case
+        parts = multilevel_partition(g, nparts, vertex_weights=vw)
+        assert parts.shape == (g.shape[0],)
+        assert parts.min() >= 0 and parts.max() < nparts
+        loads = np.bincount(parts, weights=vw, minlength=nparts)
+        if g.shape[0] >= nparts:
+            assert loads.min() > 0
+        # Feasible: every vertex weighs at most 1/40 of a part's share.
+        if vw.sum() >= 40 * vw.max() * nparts:
+            assert loads.max() / loads.mean() <= 1.05
 
 
 def weighted_graph(seed):

@@ -2,11 +2,10 @@
 
 ``tests/data/partition_golden.json`` holds the sha256 of
 ``partition_nodes(comp, "parmetis", nranks)`` for each case of
-``tests/goldens.py::PARTITIONS``, from the registry's single-threaded
-child (the initial bisection's dense eigensolver moves with the BLAS
-thread count).  The parts decide the rank numbering,
-and through it every field, ledger and figure, so a rewrite of the
-partitioner must reproduce them exactly.
+``tests/goldens.py::PARTITIONS``, computed in-process: the parts do not
+depend on the BLAS thread count (``tests/test_partition_stability.py``).
+The parts decide the rank numbering, and through it every field, ledger
+and figure, so a rewrite of the partitioner must reproduce them exactly.
 """
 
 import pytest

@@ -1,4 +1,4 @@
-"""Partition determinism: tie-breaks must not depend on sort internals.
+"""Partition determinism: the parts depend on the graph alone.
 
 The multilevel partitioner's rebalance pass drains overloaded parts in
 ascending vertex-weight order.  With quicksort the order of equal-weight
@@ -6,12 +6,21 @@ vertices depended on introsort pivot choices — i.e. on NumPy version and
 platform — which made the final partition (and everything downstream:
 rank numbering, assembly plans, telemetry) platform-dependent.  The
 stable sort pins ties to index order; these tests pin that behavior.
+
+Nor may the parts move with the BLAS thread count: the initial bisection
+asks for the Fiedler vector of connected graphs only, with its sign fixed.
 """
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 from scipy import sparse
 
 from repro.partition.multilevel import _rebalance, multilevel_partition
+from tests.goldens import PARTITIONS, ROOT
 
 
 def _star_graph(n: int) -> sparse.csr_matrix:
@@ -62,3 +71,33 @@ class TestRebalanceStability:
         b = multilevel_partition(A, 6, vertex_weights=vwgt)
         assert np.array_equal(a, b)
         assert np.unique(a).size == 6
+
+
+def partition_hashes(threads: int) -> dict:
+    """``goldens.partition_record()`` in a child interpreter whose BLAS
+    runs ``threads`` threads."""
+    path = (os.path.join(ROOT, "src"), ROOT, os.environ.get("PYTHONPATH"))
+    env = {
+        **os.environ,
+        "OMP_NUM_THREADS": str(threads),
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "MKL_NUM_THREADS": str(threads),
+        "PYTHONPATH": os.pathsep.join(p for p in path if p),
+    }
+    code = (
+        "import json, tests.goldens as g; "
+        "print(json.dumps(g.partition_record()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_parts_do_not_move_with_the_blas_thread_count():
+    one, two = partition_hashes(1), partition_hashes(2)
+    assert sorted(one) == sorted(
+        f"{w}@{n}" for w, ranks in PARTITIONS.items() for n in ranks
+    )
+    assert one == two
