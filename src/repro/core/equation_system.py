@@ -71,10 +71,13 @@ class SolveRecord:
 class HeldStorage:
     """Device bytes per rank of a derived object this process does not hold.
 
-    A cold restart puts one in the slot of an object it never built, and
-    :meth:`EquationSystem.update_graph` in the slot of the operator a
-    moved pattern ended, so the modeled allocator frees the bytes where
-    the object itself would have been released.
+    A cold restart puts one in the slot of an object it never built;
+    :meth:`EquationSystem.update_graph` puts one in the slot of the
+    operator a moved pattern ended, and
+    :meth:`EquationSystem.drop_preconditioner` of the pressure system in
+    the slot of the AMG hierarchy it ended.  The host frees the object at
+    once; the modeled allocator frees its bytes where the object itself
+    would have been released.
     """
 
     def __init__(self, world, per_rank: list[float]) -> None:
@@ -156,12 +159,12 @@ class EquationSystem:
         at construction.)
 
         A moved pattern (or one whose lifetime :meth:`drop_graph` ended)
-        ends the old graph, assembler, plan and operator *before* their
-        successors are built, so the two never coexist.  The assembler's
-        modeled storage is freed here, as always; the operator's slot
-        keeps a :class:`HeldStorage` of its bytes, so the modeled
-        allocator frees them at the next :meth:`assemble`, where the
-        operator itself would have been released.
+        ends the old graph, assembler, plan, operator and preconditioner
+        *before* their successors are built, so the two never coexist.
+        The assembler's modeled storage is freed here, as always; the
+        operator's slot keeps a :class:`HeldStorage` of its bytes, so the
+        modeled allocator frees them at the next :meth:`assemble`, where
+        the operator itself would have been released.
         """
         with self.world.phase_scope(self.phase("graph")):
             spec = GraphSpec(
@@ -179,6 +182,7 @@ class EquationSystem:
             ):
                 return
             del old
+            self.drop_preconditioner()
             if self.assembler is not None:
                 self.assembler.release()
             if self._matrix is not None:
@@ -204,9 +208,16 @@ class EquationSystem:
         self._graph_live = False
 
     def drop_preconditioner(self) -> None:
-        """End the lifetime of the preconditioner only: the next
-        :meth:`solve` sets it up afresh, on the graph and plan that live
-        on."""
+        """End the lifetime of the preconditioner: the next :meth:`solve`
+        sets it up afresh.
+
+        The one end point of that lifetime: :meth:`update_graph` on a
+        moved pattern, the start-up steps, a set-up or refresh that builds
+        a successor (before building it) and :meth:`reset_solver_caches`
+        call it, so the host never holds two.  A subclass whose
+        preconditioner keeps modeled storage parks its bytes in a
+        :class:`HeldStorage` here; the set-up that follows frees them.
+        """
         self._precond = None
 
     # -- the derived-state section of a checkpoint ---------------------------------
@@ -355,6 +366,7 @@ class EquationSystem:
         """Subclass hook: bring ``self._precond`` up to date with new
         values of ``A`` on the pattern it was set up for.  The default has
         nothing cheaper than building it again."""
+        self.drop_preconditioner()
         self._precond = self.make_preconditioner(A)
 
     def _update_preconditioner(self, A: ParCSRMatrix) -> None:
@@ -380,6 +392,7 @@ class EquationSystem:
             or self._precond_pattern != pattern
             or self._served >= bound
         ):
+            self.drop_preconditioner()
             self._precond = self.make_preconditioner(A)
             self._served = 0
         elif self._precond_values != self._values_stamp:
@@ -401,7 +414,7 @@ class EquationSystem:
         from a possibly-corrupted operator survives.
         """
         self._plan = None
-        self._precond = None
+        self.drop_preconditioner()
 
     def held_storage(self) -> dict[str, list[float]]:
         """Per-rank device bytes of each filled :attr:`HOLDERS` slot."""

@@ -16,7 +16,7 @@ from repro.amg.cycle import AMGPreconditioner
 from repro.amg.hierarchy import AMGHierarchy
 from repro.assembly.global_assembly import assemble_global_vector
 from repro.assembly.local import LocalAssembler
-from repro.core.equation_system import EquationSystem
+from repro.core.equation_system import EquationSystem, HeldStorage
 from repro.core.operators import (
     boundary_pressure_force,
     diffusion_coefficients,
@@ -197,17 +197,28 @@ class PressurePoissonSystem(EquationSystem):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._hierarchy: AMGHierarchy | None = None
+        #: The live hierarchy, or a :class:`HeldStorage` of the bytes of
+        #: the one :meth:`drop_preconditioner` ended.
+        self._hierarchy: AMGHierarchy | HeldStorage | None = None
         #: The fine-operator values the hierarchy was set up from (plan
         #: replay later overwrites the operator in place).
         self._setup_values: np.ndarray | None = None
+
+    def drop_preconditioner(self) -> None:
+        """Also ends the hierarchy: its levels, smoothers and, through
+        level 0, the operator it was set up on are freed on the host now;
+        its modeled storage at the next set-up, as before."""
+        super().drop_preconditioner()
+        if self._hierarchy is not None:
+            self._hierarchy = HeldStorage(self.world, self._hierarchy.held())
+        self._setup_values = None
 
     def make_preconditioner(self, A: ParCSRMatrix):
         if self._hierarchy is not None:
             self._hierarchy.release()
         self._setup_values = A.A.data.copy()
         h = AMGHierarchy(A, self.config.amg)
-        self._hierarchy = h  # kept for complexity diagnostics
+        self._hierarchy = h  # refreshed in place until drop_preconditioner
         return AMGPreconditioner(h)
 
     def derived(self) -> tuple[dict[str, np.ndarray], dict]:

@@ -144,8 +144,9 @@ class GMRES:
                     grown = np.zeros((n, min(2 * V.shape[1], m + 1)))
                     grown[:, : V.shape[1]] = V
                     V = grown
+                # Every preconditioner returns a fresh vector: keep it.
                 z = self._precond(b.like(V[:, j].copy()))
-                Z.append(z.data.copy())
+                Z.append(z.data)
                 w = A.matvec(z, overlap=self.overlap)
                 h, hj1 = orthogonalize(
                     world, V[:, : j + 1], w.data, self.gs_variant

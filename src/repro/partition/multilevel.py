@@ -119,10 +119,9 @@ def heavy_edge_matching(
     return (np.cumsum(present) - 1)[rep]
 
 
-def _coarsen(
-    A: sparse.csr_matrix, vwgt: np.ndarray, agg: np.ndarray
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Build the coarse graph/weights induced by an aggregation.
+def _coarsen(A: sparse.csr_matrix, agg: np.ndarray) -> sparse.csr_matrix:
+    """Build the coarse graph induced by an aggregation (the caller sums
+    its vertex weights, to stop before building a graph too coarse).
 
     One COO aggregation of the edges between distinct aggregates into
     canonical CSR (sorted, duplicates summed, no diagonal).  Edge and vertex
@@ -132,11 +131,9 @@ def _coarsen(
     ar = agg[_csr_rows(A)]
     ac = agg[A.indices]
     off = ar != ac
-    Ac = sparse.coo_matrix(
+    return sparse.coo_matrix(
         (A.data[off], (ar[off], ac[off])), shape=(nc, nc)
     ).tocsr()
-    vc = np.bincount(agg, weights=vwgt, minlength=nc)
-    return Ac, vc
 
 
 def _fiedler(A: sparse.csr_matrix) -> np.ndarray:
@@ -479,10 +476,10 @@ def _multilevel(
         nc = int(agg.max()) + 1
         if nc >= graphs[-1].shape[0] * 0.95:
             break  # matching stalled (e.g. star graphs)
-        Ac, vc = _coarsen(graphs[-1], weights[-1], agg)
+        vc = np.bincount(agg, weights=weights[-1], minlength=nc)
         if vc.max() > heaviest:
             break  # too coarse to bisect near the target weights
-        graphs.append(Ac)
+        graphs.append(_coarsen(graphs[-1], agg))
         weights.append(vc)
         aggs.append(agg)
 

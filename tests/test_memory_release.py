@@ -6,7 +6,8 @@ observers hold only the lists they append to, and the position store
 holds its mesh weakly and keys constraint rows by equation name.  So with
 the cyclic collector off, ``del sim`` frees the world, the composite mesh
 and every equation system at once, rather than at some later collection.
-A sweep that builds one simulation after another never holds two.
+A sweep that builds one simulation after another never holds two, and an
+equation never holds two preconditioners.
 """
 
 import gc
@@ -63,8 +64,45 @@ CONFIGS = {
 }
 
 
+@pytest.fixture
+def lifetimes(monkeypatch):
+    """Watch every AMG hierarchy and SGS2 smoother an equation builds.
+
+    Returns ``(built, alive)``: per equation the number built, and the
+    equation of each build that found its previous one still reachable.
+    With the collector off, an outgoing preconditioner (and, through a
+    hierarchy's level 0, its operator) must be freed before its successor
+    is built, so the host never holds two.
+    """
+    from repro.core import physics
+
+    last: dict[str, weakref.ref] = {}
+    built: dict[str, int] = {}
+    alive: list[str] = []
+
+    def watch(build, operand):
+        def wrapper(*args, **kwargs):
+            name = args[operand].name
+            if name in last and last[name]() is not None:
+                alive.append(name)
+            obj = build(*args, **kwargs)
+            last[name] = weakref.ref(obj)
+            built[name] = built.get(name, 0) + 1
+            return obj
+
+        return wrapper
+
+    monkeypatch.setattr(
+        physics, "AMGHierarchy", watch(physics.AMGHierarchy, 0)
+    )
+    monkeypatch.setattr(
+        physics, "make_smoother", watch(physics.make_smoother, 1)
+    )
+    return built, alive
+
+
 @pytest.mark.parametrize("label", sorted(CONFIGS))
-def test_dropped_simulation_is_freed(no_gc, label):
+def test_dropped_simulation_is_freed(no_gc, lifetimes, label):
     doc = dict(CONFIGS[label])
     faults = doc.pop("faults", ())
     cfg = SimulationConfig.from_dict(doc)
@@ -74,9 +112,14 @@ def test_dropped_simulation_is_freed(no_gc, label):
         assert sim.recovery_events
 
     run_and_drop(cfg, 3, recovered if faults else None)
+    built, alive = lifetimes
+    assert built["pressure"] >= 3 and built["momentum"] >= 3, built
+    assert not alive, f"previous preconditioner alive at a build: {alive}"
 
 
-def test_checkpointed_and_restarted_simulations_are_freed(no_gc, tmp_path):
+def test_checkpointed_and_restarted_simulations_are_freed(
+    no_gc, lifetimes, tmp_path
+):
     ring = str(tmp_path / "ring")
     cfg = {"nranks": 2, "checkpoint_dir": ring}
     run_and_drop(SimulationConfig.from_dict({**cfg, "checkpoint_every": 2}), 4)
@@ -87,6 +130,8 @@ def test_checkpointed_and_restarted_simulations_are_freed(no_gc, tmp_path):
     run_and_drop(
         SimulationConfig.from_dict({**cfg, "restart_from": ring}), 5, resumed
     )
+    built, alive = lifetimes
+    assert not alive, f"previous preconditioner alive at a build: {alive}"
 
 
 def test_simulations_in_a_row_keep_live_bytes_flat(no_gc):

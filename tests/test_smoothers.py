@@ -274,8 +274,13 @@ class TestBlockSplitCache:
         sim = NaluWindSimulation(
             "turbine_tiny", SimulationConfig(nranks=2, picard_iterations=1)
         )
+        # The start-up step ends its hierarchy: take it from its set-up.
+        hierarchies = []
+        sim.world.hub.subscribe(
+            "amg_setup", lambda hierarchy, **_kw: hierarchies.append(hierarchy)
+        )
         sim.run(1)
-        levels = sim.pressure._hierarchy.levels
+        levels = hierarchies[-1].levels
         assert len(levels) >= 3
         for M in [lvl.A for lvl in levels] + [
             sim.momentum._matrix, sim.scalar._matrix
