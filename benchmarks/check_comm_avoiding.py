@@ -125,7 +125,9 @@ def self_check() -> list[str]:
     w = SimWorld(2)
     rng = np.random.default_rng(0)
     V, _ = np.linalg.qr(rng.standard_normal((64, 6)))
-    orthogonalize(w, V, rng.standard_normal(64), "one_reduce")
+    orthogonalize(
+        w, V, rng.standard_normal(64), np.array([0, 32, 64]), "one_reduce"
+    )
     if w.traffic.collective_count() != 1:
         failures.append(
             f"one_reduce orthogonalizer charged "

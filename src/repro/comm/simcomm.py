@@ -428,8 +428,9 @@ class SimWorld:
         phase, on every sink: the traffic log, the hub's ``exchange``
         stream and the timeline profiler.  It charges; it moves no data
         (:meth:`allreduce` / :meth:`allgather` / :meth:`barrier` do, on
-        top of it) — for reductions whose arithmetic the caller does on
-        the global array, where per-rank partials would change the sum.
+        top of it) — for a reduction whose arithmetic the caller does
+        itself, such as the rank-ordered sum of
+        :func:`~repro.linalg.parvector.global_dot`.
         """
         phase = self.phase
         self.traffic.record_collective(kind, self.size, nbytes, phase)

@@ -58,7 +58,7 @@ class GMRES:
 
     def _precond(self, v: ParVector) -> ParVector:
         if self.M is None:
-            return v.copy()
+            return v
         return self.M.apply(v)
 
     # Restarted GMRES: ``b.norm`` and the residual norm the solve
@@ -127,7 +127,7 @@ class GMRES:
             # converges in a few iterations touches a few columns, not
             # m + 1.  Its capacity stays above the columns handed to
             # ``orthogonalize``: a full-width slice is C-contiguous, and
-            # NumPy's products then take a path whose bits differ.
+            # ``einsum`` then takes a path whose bits differ.
             V = np.zeros((n, min(m + 1, 8)))
             Z: list[np.ndarray] = []
             H = np.zeros((m + 1, m))
@@ -144,12 +144,13 @@ class GMRES:
                     grown = np.zeros((n, min(2 * V.shape[1], m + 1)))
                     grown[:, : V.shape[1]] = V
                     V = grown
-                # Every preconditioner returns a fresh vector: keep it.
+                # Every preconditioner returns a fresh vector, and the
+                # identity hands back this one: keep it.
                 z = self._precond(b.like(V[:, j].copy()))
                 Z.append(z.data)
                 w = A.matvec(z, overlap=self.overlap)
                 h, hj1 = orthogonalize(
-                    world, V[:, : j + 1], w.data, self.gs_variant
+                    world, V[:, : j + 1], w.data, b.offsets, self.gs_variant
                 )
                 H[: j + 1, j] = h
                 H[j + 1, j] = hj1

@@ -1,10 +1,11 @@
 """Distributed vectors in hypre's 1-D block-row layout.
 
 A :class:`ParVector` stores the global array once (the simulator runs all
-ranks in-process) and exposes zero-copy per-rank slices.  Reductions (dot,
-norm) are performed as per-rank partials plus a recorded ``MPI_Allreduce``
-— exactly the operations whose count the one-reduce GMRES variant
-(paper §4.2, ref [39]) is designed to minimize.
+ranks in-process) and exposes zero-copy per-rank slices.  Every global
+inner product in the package is one :func:`global_dot`: per-rank partials
+summed in rank order, the arithmetic of the recorded ``MPI_Allreduce`` —
+exactly the operations whose count the one-reduce GMRES variant (paper
+§4.2, ref [39]) is designed to minimize.
 """
 
 from __future__ import annotations
@@ -12,6 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.simcomm import SimWorld
+
+
+def global_dot(x: np.ndarray, y: np.ndarray, offsets) -> np.ndarray:
+    """``x^T y`` as a distributed code computes it: each rank's partial
+    on its own row block ``offsets[r]:offsets[r + 1]``, then the partials
+    summed in rank order.  ``x`` is a vector (one dot) or an ``(n, k)``
+    block of columns (``k`` dots).
+
+    Charges nothing: the caller charges the kernel and the allreduce.
+    The partials are ``einsum`` without BLAS, whose bits do not depend on
+    the thread count; ``np.dot`` and ``@`` split a long sum across
+    OpenBLAS threads, so their bits do.
+    """
+    spec = "ij,i->j" if x.ndim == 2 else "i,i->"
+    total = 0.0
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        total = total + np.einsum(spec, x[lo:hi], y[lo:hi], optimize=False)
+    return total
 
 
 class ParVector:
@@ -86,12 +105,9 @@ class ParVector:
 
     def dot(self, other: "ParVector") -> float:
         """Global dot product: per-rank partials + one allreduce."""
-        partials = [
-            float(np.dot(self.local(r), other.local(r)))
-            for r in range(self.world.size)
-        ]
         self._record_local("dot", 2.0, 2)
-        return float(self.world.allreduce(partials, sum))
+        self.world.collective("allreduce", 8)
+        return float(global_dot(self.data, other.data, self.offsets))
 
     def norm(self) -> float:
         """Global 2-norm (costs one reduction, like a dot)."""
@@ -109,21 +125,14 @@ def fused_dots(
     The communication-avoiding primitive: per-rank partials of every
     requested pair are stacked into one small vector and reduced in a
     single batched ``MPI_Allreduce`` of ``len(pairs)`` scalars, instead
-    of one reduction per dot.  Each scalar is the same left-to-right
-    sum of the same per-rank partials :meth:`ParVector.dot` computes,
-    so the fused results are bitwise identical to the sequential ones.
+    of one reduction per dot.  Each scalar is the :func:`global_dot`
+    :meth:`ParVector.dot` computes, so the fused results are bitwise
+    identical to the sequential ones.
     """
     if not pairs:
         return np.zeros(0)
     k = len(pairs)
-    world_size = world.size
-    partials = [
-        np.array(
-            [float(np.dot(a.local(r), b.local(r))) for a, b in pairs],
-            dtype=np.float64,
-        )
-        for r in range(world_size)
-    ]
+    out = np.array([global_dot(a.data, b.data, a.offsets) for a, b in pairs])
     # Per-rank compute share: k simultaneous dots stream 2k vectors.
     sizes = pairs[0][0].sizes
     world.charge(
@@ -131,4 +140,5 @@ def fused_dots(
         [2.0 * k * ln for ln in sizes],
         [8.0 * 2 * k * ln for ln in sizes],
     )
-    return np.asarray(world.allreduce(partials, sum), dtype=np.float64)
+    world.collective("allreduce", 8 * k)
+    return out

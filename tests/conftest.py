@@ -41,7 +41,7 @@ def no_child_outlives_the_session():
 @pytest.fixture(scope="session")
 def records():
     """Every record a golden projects (``tests/goldens.py``), each computed
-    once per session: the thread-count-sensitive runs in one child."""
+    once per session."""
     return Records()
 
 

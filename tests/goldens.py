@@ -1,18 +1,15 @@
 """The golden registry: each canonical run declared once and run once, and
 every file under ``tests/data`` a projection of the records they produce.
 
-A record is computed in one of two places.  Everything a simulation run
-produces (field digests, the ``ops``/``traffic`` ledger, step snapshots)
-depends on the BLAS thread count, so :func:`measure` computes all of it in
-one child interpreter with one thread and ``PYTHONHASHSEED=0``, executing
-each run of :data:`RUNS` once.  The overset connectivity and the multilevel
-partition do not (``tests/test_partition_stability.py`` checks the
-partition at one and two threads); they, the ledger golden's runs
-(:data:`LEDGER_RUNS`), the transport schedules, the serialised configs and
-the fake-clock span forest are computed in-process.  :class:`Records` computes each on first use
-and keeps it; tier-1 shares one instance through the ``records`` session
-fixture (``tests/conftest.py``), and each golden test compares
-``produce(name, records)`` with ``declared(name)``.
+Every record is computed in-process: the runs of :data:`RUNS` (field
+digests, the ``ops``/``traffic`` ledger, step snapshots), the overset
+connectivity, the multilevel partition, the transport schedules, the
+serialised configs and the fake-clock span forest.  None depends on the
+BLAS thread count (``tests/test_partition_stability.py`` checks the
+partition and a run at one and two threads).  :class:`Records` computes
+each on first use and keeps it; tier-1 shares one instance through the
+``records`` session fixture (``tests/conftest.py``), and each golden test
+compares ``produce(name, records)`` with ``declared(name)``.
 
 Regenerate every golden, from the repo root, with
 
@@ -30,10 +27,7 @@ import hashlib
 import itertools
 import json
 import os
-import subprocess
-import sys
 import tempfile
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +102,7 @@ class Run:
         }
 
 
-#: label -> run.  Every run executes once, in :func:`measure`'s child.
+#: label -> run.  Every run executes once, in :func:`runs_record`.
 RUNS = {
     "tiny_r2_steps3": Run("turbine_tiny", {"nranks": 2}, 3),
     "tiny_r2_steps20": Run("turbine_tiny", TINY_R2_ONE_PICARD, 20),
@@ -120,18 +114,16 @@ RUNS = {
     "tiny_r3_altpaths_steps3": Run(
         "turbine_tiny", {"nranks": 3, **ALTPATHS}, 3
     ),
+    "tiny_r3_default": Run("turbine_tiny", {"nranks": 3}, 2),
+    "tiny_r3_paper_cadence": Run(
+        "turbine_tiny", {"nranks": 3, "precond_rebuild_every": 1}, 2
+    ),
     "low_r12_default": Run("turbine_low", {"nranks": 12}, 2),
     "low_r4_altpaths": Run("turbine_low", {"nranks": 4, **ALTPATHS}, 2),
 }
-#: The ledger golden's key -> run.  These execute in-process, so tier-1
-#: checks every modeled count at its own BLAS thread count.
-LEDGER_RUNS = {
-    "default": Run("turbine_tiny", {"nranks": 3}, 2),
-    "paper_cadence": Run(
-        "turbine_tiny", {"nranks": 3, "precond_rebuild_every": 1}, 2
-    ),
-    "low_r4_altpaths": RUNS["tiny_r3_altpaths"],
-}
+#: The cross-thread check's run: the benchmark's operating point for one
+#: step.  No golden pins it.
+THREAD_RUN = Run("turbine_low", {"nranks": 12}, 1)
 #: Overset connectivity: these workloads after 0, 1 and 2 calls of
 #: ``advance_rotor(ROTOR_DT)``.
 CONNECTIVITY_WORKLOADS = ("turbine_tiny", "turbine_low", "turbine_dual")
@@ -270,39 +262,15 @@ def execute(label, run) -> dict:
     return out
 
 
-def child_records() -> dict:
-    """Every thread-count-sensitive record, each run of :data:`RUNS`
-    executed once (``executions`` counts them)."""
-    runs, executions = {}, Counter()
+def runs_record() -> dict:
+    """Every run of :data:`RUNS`, executed once, keyed by label."""
+    out = {}
     for label, run in RUNS.items():
-        runs.update(execute(label, run))
-        executions[label] += 1
-    return {"runs": runs, "executions": dict(executions)}
+        out.update(execute(label, run))
+    return out
 
 
-def measure() -> dict:
-    """:func:`child_records` in a fresh single-threaded interpreter."""
-    path = (os.path.join(ROOT, "src"), ROOT, os.environ.get("PYTHONPATH"))
-    env = {
-        **os.environ,
-        "OMP_NUM_THREADS": "1",
-        "OPENBLAS_NUM_THREADS": "1",
-        "MKL_NUM_THREADS": "1",
-        "PYTHONHASHSEED": "0",
-        "PYTHONPATH": os.pathsep.join(p for p in path if p),
-    }
-    code = (
-        "import json, tests.goldens as g; "
-        "print(json.dumps(g.child_records()))"
-    )
-    out = subprocess.run(  # the child's stderr passes through
-        [sys.executable, "-c", code],
-        cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-# -- in-process records -------------------------------------------------------
+# -- records of the comm, config and span layers ----------------------------
 
 # Posting order of the pattern is src-major over all 12 ordered pairs,
 # receive order dst-major: posting index i is received at position
@@ -539,11 +507,10 @@ def phase_boundary_record() -> dict:
     }
 
 
-IN_PROCESS = {
-    "ledger": lambda: {
-        key: execute(key, run)[key]["tallies"]
-        for key, run in LEDGER_RUNS.items()
-    },
+#: record name -> the function that computes it.
+RECORDS = {
+    "runs": runs_record,
+    "thread_run": lambda: execute("thread_run", THREAD_RUN)["thread_run"],
     "transport": transport_record,
     "config": config_record,
     "phase_boundary": phase_boundary_record,
@@ -552,30 +519,19 @@ IN_PROCESS = {
 }
 
 
-CHILD_KEYS = ("runs", "executions")
-
-
 class Records(dict):
-    """Every record a golden projects, each computed on first use: the
-    :data:`CHILD_KEYS` by one :func:`measure` (``children`` counts them),
-    the rest by their :data:`IN_PROCESS` function.  A computation that
-    failed is not tried again: later reads raise from its error."""
-
-    children = 0
+    """Every record a golden projects, each computed on first use by its
+    :data:`RECORDS` function.  A computation that failed is not tried
+    again: later reads raise from its error."""
 
     def __missing__(self, key):
-        source = "child" if key in CHILD_KEYS else key
-        failed = self.get(("failed", source))
+        failed = self.get(("failed", key))
         if failed:
-            raise RuntimeError(f"{source} failed earlier") from failed
+            raise RuntimeError(f"{key} failed earlier") from failed
         try:
-            if source == "child":
-                self.children += 1
-                self.update(measure())
-            else:
-                self[key] = IN_PROCESS[key]()  # KeyError for an unknown key
+            self[key] = RECORDS[key]()  # KeyError for an unknown key
         except Exception as err:
-            self[("failed", source)] = err
+            self[("failed", key)] = err
             raise
         return self[key]
 
@@ -601,7 +557,11 @@ GOLDENS = {
             tiny_r3_altpaths="tiny_r3_altpaths_steps3",
         ),
     },
-    "ledger_golden.json": lambda r: r["ledger"],
+    "ledger_golden.json": lambda r: _part(
+        r, "tallies", default="tiny_r3_default",
+        paper_cadence="tiny_r3_paper_cadence",
+        low_r4_altpaths="tiny_r3_altpaths",
+    ),
     "lifetime_golden.json": lambda r: {
         "fields": _part(
             r, "fields", "tiny_r2_steps20", "tiny_r3_altpaths", *LOW

@@ -438,8 +438,8 @@ def test_coarsening_rule_keeps_the_simulation_iteration_counts():
     """The end-to-end guard of the F-point rule, `tiny_r2_motion`'s shape:
     20 one-Picard steps of `turbine_tiny`@2.  Momentum and scalar never see
     AMG and must not move; pressure was 255 with the constraint rows on
-    every level (256 under multi-threaded BLAS, whose dot products round
-    differently) and is 252 (262) without them: parent + 5 % is the bound.
+    every level and 252 without them when first measured, and is 255 at
+    one and two BLAS threads now: parent + 5 % is the bound.
     Demoting isolated C-points in the second pass too reads 353.  One
     set-up per solve, so each count is that of a fresh hierarchy."""
     from repro import NaluWindSimulation, SimulationConfig

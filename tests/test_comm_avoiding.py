@@ -79,7 +79,7 @@ class TestReductionContracts:
             rng = np.random.default_rng(0)
             V, _ = np.linalg.qr(rng.standard_normal((64, j)))
             x = rng.standard_normal(64)
-            orthogonalize(w, V, x, variant)
+            orthogonalize(w, V, x, np.array([0, 32, 64]), variant)
             assert w.traffic.collective_count() == count, variant
 
     def test_cg_two_reductions_per_iteration(self):
@@ -272,7 +272,8 @@ def smoothed(**kw):
 def orthogonalized(V, w, variant):
     """``(collectives, len(h), beta)`` of one ``orthogonalize`` call."""
     world = SimWorld(2)
-    h, beta = orthogonalize(world, V, w.copy(), variant)
+    offsets = np.array([0, w.size // 2, w.size])
+    h, beta = orthogonalize(world, V, w.copy(), offsets, variant)
     return (world.traffic.collective_count(), h.size, beta)
 
 

@@ -1,10 +1,11 @@
 """The golden registry itself (``tests/goldens.py``): every file under
 ``tests/data`` is a declared projection, each projection produces exactly
 the document its file declares, the registry's writer is the only writer,
-and each child run executes once per session."""
+and each canonical run executes once per session."""
 
 import json
 import os
+from collections import Counter, defaultdict
 from unittest import mock
 
 import pytest
@@ -36,14 +37,28 @@ def test_golden_file_is_in_canonical_bytes(name):
     assert text == canonical(json.loads(text))
 
 
-def test_each_canonical_run_executes_once_in_one_child(records):
-    assert records["executions"] == {label: 1 for label in RUNS}
-    assert records.children == 1
+def test_each_canonical_run_executes_once(monkeypatch):
+    """Every golden that pins a run, the ledger golden included, projects
+    it from the one ``runs`` record."""
+    executed = Counter()
+
+    def fake_execute(label, run):
+        executed[label] += 1
+        keys = (label, f"{label}_restart") if run.restart else (label,)
+        parts = ("fields", "ledgers", "snapshots", "tallies")
+        return {key: dict.fromkeys(parts, key) for key in keys}
+
+    monkeypatch.setattr(goldens, "execute", fake_execute)
+    others = set(goldens.RECORDS) - {"runs"}
+    records = Records(dict.fromkeys(others, defaultdict(dict)))
+    for name in GOLDENS:
+        produce(name, records)
+    assert executed == dict.fromkeys(RUNS, 1)
 
 
 def test_a_failed_record_is_not_computed_again(monkeypatch):
     fail = mock.Mock(side_effect=ValueError("boom"))
-    monkeypatch.setitem(goldens.IN_PROCESS, "config", fail)
+    monkeypatch.setitem(goldens.RECORDS, "config", fail)
     records = Records()
     with pytest.raises(ValueError, match="boom"):
         records["config"]

@@ -24,11 +24,14 @@ def nonsym(n, seed=0):
     return A.tocsr()
 
 
+def blocks(n, nranks=2):
+    """Even block-row offsets of ``n`` rows over ``nranks`` ranks."""
+    return np.linspace(0, n, nranks + 1).astype(np.int64)
+
+
 def par(A, nranks=4):
-    n = A.shape[0]
     w = SimWorld(nranks)
-    offs = np.linspace(0, n, nranks + 1).astype(np.int64)
-    return w, ParCSRMatrix(w, A, offs)
+    return w, ParCSRMatrix(w, A, blocks(A.shape[0], nranks))
 
 
 class TestGramSchmidt:
@@ -37,7 +40,7 @@ class TestGramSchmidt:
         rng = np.random.default_rng(0)
         V = rng.standard_normal((20, 4))
         x = rng.standard_normal(20)
-        d = batched_dots(w, V, x)
+        d = batched_dots(w, V, x, blocks(20))
         assert np.allclose(d, V.T @ x)
         assert w.traffic.collective_count() == 1
 
@@ -48,7 +51,7 @@ class TestGramSchmidt:
         V, _ = np.linalg.qr(rng.standard_normal((50, 6)))
         x = rng.standard_normal(50)
         wvec = x.copy()
-        h, beta = orthogonalize(w, V, wvec, variant)
+        h, beta = orthogonalize(w, V, wvec, blocks(50), variant)
         assert np.abs(V.T @ wvec).max() < 1e-10
         assert beta == pytest.approx(np.linalg.norm(wvec), rel=1e-6)
         # Reconstruction: x == V h + w.
@@ -69,21 +72,25 @@ class TestGramSchmidt:
                 buf = np.zeros((n, cap))
                 buf[:, :k] = Q
                 wvec = x.copy()
-                h, beta = orthogonalize(SimWorld(2), buf[:, :k], wvec, variant)
+                h, beta = orthogonalize(
+                    SimWorld(2), buf[:, :k], wvec, blocks(n), variant
+                )
                 out.add((h.tobytes(), beta, wvec.tobytes()))
             assert len(out) == 1, k
 
     def test_empty_basis(self):
         w = SimWorld(2)
         x = np.array([3.0, 4.0])
-        h, beta = orthogonalize(w, np.zeros((2, 0)), x.copy(), "one_reduce")
+        h, beta = orthogonalize(
+            w, np.zeros((2, 0)), x.copy(), blocks(2), "one_reduce"
+        )
         assert h.size == 0
         assert beta == pytest.approx(5.0)
 
     def test_unknown_variant(self):
         w = SimWorld(1)
         with pytest.raises(ValueError):
-            orthogonalize(w, np.zeros((3, 1)), np.zeros(3), "qr")
+            orthogonalize(w, np.zeros((3, 1)), np.zeros(3), blocks(3, 1), "qr")
 
     def test_reduction_count_ordering(self):
         """one_reduce <= cgs2 <= mgs reductions per Arnoldi step."""
@@ -93,7 +100,7 @@ class TestGramSchmidt:
             rng = np.random.default_rng(0)
             V, _ = np.linalg.qr(rng.standard_normal((64, 8)))
             x = rng.standard_normal(64)
-            orthogonalize(w, V, x, variant)
+            orthogonalize(w, V, x, blocks(64, 4), variant)
             counts[variant] = w.traffic.collective_count()
         assert counts["one_reduce"] <= counts["cgs2"] <= counts["mgs"]
         assert counts["one_reduce"] == 1
@@ -191,9 +198,9 @@ class TestGMRES:
 
         seen = []
 
-        def spy(world, V, w, variant):
+        def spy(world, V, w, offsets, variant):
             seen.append((V.shape[1], V.strides[0] // V.itemsize))
-            return orthogonalize(world, V, w, variant)
+            return orthogonalize(world, V, w, offsets, variant)
 
         monkeypatch.setattr(gmres_module, "orthogonalize", spy)
         A = poisson2d(32)

@@ -2,9 +2,9 @@
 that every sink holds the same events.
 
 ``tests/data/ledger_golden.json`` pins, bit for bit, every count both
-sinks hold (``tests/goldens.py::ledger_tallies``) after each
-``LEDGER_RUNS`` run of ``turbine_tiny`` at 3 ranks x 2 steps, executed in
-this process at its own BLAS thread count.  Last moved when a start-up step stopped
+sinks hold (``tests/goldens.py::ledger_tallies``) after three ``RUNS``
+of ``turbine_tiny`` at 3 ranks x 2 steps: the default, the paper cadence
+and the alternative paths.  Last moved when a start-up step stopped
 ending the graphs and plans (it ends only the preconditioners): step 2
 keeps step 1's graph and replays its plan, so every
 ``*/graph|graph_host`` tally halves, the cold-assembly kernels

@@ -1,4 +1,5 @@
-"""Partition determinism: the parts depend on the graph alone.
+"""Determinism: the parts depend on the graph alone, and a run's results
+on the job alone.
 
 The multilevel partitioner's rebalance pass drains overloaded parts in
 ascending vertex-weight order.  With quicksort the order of equal-weight
@@ -7,8 +8,11 @@ platform — which made the final partition (and everything downstream:
 rank numbering, assembly plans, telemetry) platform-dependent.  The
 stable sort pins ties to index order; these tests pin that behavior.
 
-Nor may the parts move with the BLAS thread count: the initial bisection
-asks for the Fiedler vector of connected graphs only, with its sign fixed.
+Nor may anything move with the BLAS thread count: the initial bisection
+asks for the Fiedler vector of connected graphs only, with its sign fixed,
+and every Krylov inner product sums per-rank ``einsum`` partials in rank
+order (``repro.linalg.parvector.global_dot``).  :func:`record_at` is the
+suite's one child runner.
 """
 
 import json
@@ -73,9 +77,9 @@ class TestRebalanceStability:
         assert np.unique(a).size == 6
 
 
-def partition_hashes(threads: int) -> dict:
-    """``goldens.partition_record()`` in a child interpreter whose BLAS
-    runs ``threads`` threads."""
+def record_at(threads: int, name: str):
+    """The ``tests.goldens`` record ``name``, computed in a child
+    interpreter whose BLAS runs ``threads`` threads."""
     path = (os.path.join(ROOT, "src"), ROOT, os.environ.get("PYTHONPATH"))
     env = {
         **os.environ,
@@ -85,19 +89,28 @@ def partition_hashes(threads: int) -> dict:
         "PYTHONPATH": os.pathsep.join(p for p in path if p),
     }
     code = (
-        "import json, tests.goldens as g; "
-        "print(json.dumps(g.partition_record()))"
+        "import json, sys, tests.goldens as g; "
+        "print(json.dumps(g.Records()[sys.argv[1]]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, name],
         cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
 
 
 def test_parts_do_not_move_with_the_blas_thread_count():
-    one, two = partition_hashes(1), partition_hashes(2)
+    one, two = (record_at(t, "partition") for t in (1, 2))
     assert sorted(one) == sorted(
         f"{w}@{n}" for w, ranks in PARTITIONS.items() for n in ranks
     )
+    assert one == two
+
+
+def test_a_run_does_not_move_with_the_blas_thread_count():
+    """``turbine_low``@12 for one step: the field digests, both ledgers,
+    the step snapshots and every tally are equal at one and two threads.
+    Its pressure vectors are 22 900 long, where ``dgemv`` splits."""
+    one, two = (record_at(t, "thread_run") for t in (1, 2))
+    assert one["fields"] == two["fields"]
     assert one == two
