@@ -55,6 +55,11 @@ SETUP_LAUNCHES_PER_LEVEL = 600
 #: fewer kernels than full setup.
 REFRESH_LAUNCHES_PER_LEVEL = 60
 
+#: hypre-style interpolation truncation: at most this many entries per
+#: row of ``P``, none dropped by magnitude.
+TRUNC_MAX_ELEMENTS = 4
+TRUNC_TOL = 0.0
+
 INTERP_KINDS = {
     "direct": direct_interpolation,
     "bamg_direct": bamg_direct_interpolation,
@@ -78,8 +83,6 @@ class AMGOptions(Config):
     theta: float = field(default=0.25, metadata={"ge": 0.0, "lt": 1.0})
     interp: str = field(default="mm_ext", metadata={"choices": INTERP_KINDS})
     agg_levels: int = 2
-    trunc_max_elements: int = 4
-    trunc_tol: float = 0.0
     max_levels: int = 20
     coarse_size: int = 64
     smoother: str = field(
@@ -219,9 +222,7 @@ class AMGHierarchy:
                 self._record_setup_pass(A_l, "amg_pmis", passes=2.0)
                 P1 = self._interp(A_csr, S, cf1)
                 self._record_setup_pass(A_l, "amg_interp", passes=3.0)
-                P1 = truncate_interpolation(
-                    P1, opt.trunc_max_elements, opt.trunc_tol
-                )
+                P1 = truncate_interpolation(P1, TRUNC_MAX_ELEMENTS, TRUNC_TOL)
                 # First-stage Galerkin operator on the first-pass C set.
                 c1_offsets = self._coarse_offsets(cf1, fine_offsets)
                 A_c1 = spgemm(
@@ -238,9 +239,7 @@ class AMGHierarchy:
                 ).astype(np.int8)
                 S2 = strength_matrix(A_c1, opt.theta)
                 P2 = self._interp(A_c1, S2, cf2)
-                P2 = truncate_interpolation(
-                    P2, opt.trunc_max_elements, opt.trunc_tol
-                )
+                P2 = truncate_interpolation(P2, TRUNC_MAX_ELEMENTS, TRUNC_TOL)
                 P_csr = spgemm(
                     self.world, P1, P2, fine_offsets, "agg_p1p2"
                 )
@@ -250,7 +249,7 @@ class AMGHierarchy:
                 P_csr = self._interp(A_csr, S, cf)
                 self._record_setup_pass(A_l, "amg_interp", passes=3.0)
                 P_csr = truncate_interpolation(
-                    P_csr, opt.trunc_max_elements, opt.trunc_tol
+                    P_csr, TRUNC_MAX_ELEMENTS, TRUNC_TOL
                 )
 
             coarse_offsets = self._coarse_offsets(cf, fine_offsets)
@@ -280,15 +279,7 @@ class AMGHierarchy:
             self.levels.append(AMGLevel(A=A_next))
             level += 1
 
-        # Smoothers on all non-coarsest levels.
-        for lvl in self.levels[:-1]:
-            lvl.smoother = self._make_smoother(lvl.A)
-
-        # Coarsest solve: redundant direct factorization (each rank solves
-        # the gathered coarse system, a standard bottom-solver strategy).
-        Ac = self.levels[-1].A
-        self.coarse_lu = splu(Ac.A.tocsc())
-        self.world.collective("allgather", 8 * Ac.shape[0])
+        self._build_solvers()
 
         # Publish hierarchy-quality telemetry (paper §4.1: grid/operator
         # complexity drive the AMG tuning decisions) and notify observers.
@@ -304,6 +295,16 @@ class AMGHierarchy:
             stats.operator_complexity
         )
         self.world.hub.emit("amg_setup", hierarchy=self, stats=stats)
+
+    def _build_solvers(self) -> None:
+        """Smoothers on every level but the coarsest, and the coarsest
+        solve: a redundant direct factorization (each rank solves the
+        gathered coarse system, a standard bottom-solver strategy)."""
+        for lvl in self.levels[:-1]:
+            lvl.smoother = self._make_smoother(lvl.A)
+        Ac = self.levels[-1].A
+        self.coarse_lu = splu(Ac.A.tocsc())
+        self.world.collective("allgather", 8 * Ac.shape[0])
 
     # -- numeric refresh (pattern-frozen setup reuse) --------------------------------
 
@@ -353,13 +354,7 @@ class AMGHierarchy:
                 "amg_refresh_overhead", launches=REFRESH_LAUNCHES_PER_LEVEL
             )
 
-        for lvl in self.levels[:-1]:
-            lvl.smoother = self._make_smoother(lvl.A)
-
-        Ac = self.levels[-1].A
-        self.coarse_lu = splu(Ac.A.tocsc())
-        world.collective("allgather", 8 * Ac.shape[0])
-
+        self._build_solvers()
         self.world.metrics.counter("amg.refresh_count").inc()
         self.world.hub.emit("amg_refresh", hierarchy=self, stats=self.stats())
 

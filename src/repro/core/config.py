@@ -19,7 +19,7 @@ from typing import Callable
 from repro.amg.hierarchy import AMGOptions
 from repro.assembly.global_assembly import VARIANTS as ASSEMBLY_VARIANTS
 from repro.assembly.local import SCATTER_MODES
-from repro.krylov.api import KRYLOV_METHODS
+from repro.krylov import KRYLOV_METHODS
 from repro.krylov.gram_schmidt import VARIANTS as GS_VARIANTS
 from repro.partition import PARTITION_METHODS
 from repro.perf.machines import MACHINES
@@ -40,9 +40,6 @@ class SolverConfig(Config):
     gs_variant: str = field(
         default="one_reduce", metadata={"choices": GS_VARIANTS}
     )
-    # Keep per-iteration residual norms in the solve records / telemetry
-    # (convergence traces); off skips the per-iteration bookkeeping.
-    record_history: bool = True
     # Split halo exchange in solver SpMVs (matvec(overlap=True)): each
     # rank applies its diag block while boundary data is in flight.
     # Bitwise-identical solutions; only the communication schedule (and
@@ -65,7 +62,6 @@ class SimulationConfig(Config):
     inflow_velocity: tuple[float, float, float] = (8.0, 0.0, 0.0)
     dt: float = 0.05
     picard_iterations: int = field(default=4, metadata={"ge": 1})
-    rhie_chow: bool = True
     # Picard under-relaxation (SIMPLE-style): needed when the near-wall
     # advective CFL is large, where the nonlinear u <-> p fixed point can
     # diverge without damping.  The flux correction always uses the full

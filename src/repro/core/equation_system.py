@@ -57,9 +57,8 @@ PHASES = (
 class SolveRecord:
     """Iteration/convergence record of one linear solve.
 
-    ``residual_history`` holds per-iteration relative residual norms when
-    the equation's :class:`~repro.core.config.SolverConfig` has
-    ``record_history`` on (the default); empty otherwise.
+    ``residual_history`` holds the solve's per-iteration relative
+    residual norms.
     """
 
     iterations: int

@@ -414,17 +414,13 @@ class NaluWindSimulation:
         a, b = comp.edges[:, 0], comp.edges[:, 1]
         tau_edge = 0.5 * (tau_node[a] + tau_node[b])
         # The Rhie-Chow term of both fluxes below reads one pressure field.
-        grad_p_old = (
-            least_squares_gradient(comp, self.pressure_field)
-            if cfg.rhie_chow
-            else None
-        )
+        grad_p_old = least_squares_gradient(comp, self.pressure_field)
         mdot = mass_flux(
             comp,
             self.velocity,
             cfg.density,
-            pressure=self.pressure_field if cfg.rhie_chow else None,
-            tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure=self.pressure_field,
+            tau=tau_edge,
             pressure_gradient=grad_p_old,
         )
         A_m, rhs_u = self.momentum.assemble(
@@ -464,8 +460,8 @@ class NaluWindSimulation:
             comp,
             u_star,
             cfg.density,
-            pressure=self.pressure_field if cfg.rhie_chow else None,
-            tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure=self.pressure_field,
+            tau=tau_edge,
             pressure_gradient=grad_p_old,
         )
         # Overset constraint for the correction: enforce continuity of the

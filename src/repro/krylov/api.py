@@ -1,13 +1,8 @@
-"""Unified Krylov-solver API: result type, protocols, factory.
+"""Unified Krylov-solver API: result type, protocols, reduction contract.
 
-The solver-facing API redesign: every Krylov method returns the same
-:class:`KrylovResult`, satisfies the :class:`KrylovSolver` protocol, and is
-constructed through :func:`make_krylov_solver` from a
-:class:`~repro.core.config.SolverConfig`-like object (duck-typed, so the
-linear-algebra layer stays independent of the config layer).  Equation
-systems dispatch on ``cfg.method`` instead of hardwiring GMRES, which is
-how Nalu-Wind switches the continuity solve between hypre's PCG and the
-one-reduce GMRES.
+Every Krylov method returns the same :class:`KrylovResult` and satisfies
+the :class:`KrylovSolver` protocol; :func:`repro.krylov.make_krylov_solver`
+builds one from its ``cfg.method``.
 """
 
 from __future__ import annotations
@@ -15,12 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-from repro.linalg.parcsr import ParCSRMatrix
+import numpy as np
+
 from repro.linalg.parvector import ParVector
-
-#: Supported ``cfg.method`` values.
-KRYLOV_METHODS = ("gmres", "cg", "pipelined_cg")
-
 
 def reduction_contract(
     *, setup: int, per_iteration: int, per_restart: int = 0
@@ -85,6 +77,18 @@ class KrylovResult:
     method: str = ""
 
 
+def zero_rhs_result(b: ParVector, method: str) -> KrylovResult:
+    """``method``'s answer to ``b = 0``: ``x = 0``, converged at once."""
+    return KrylovResult(
+        x=b.like(np.zeros(b.n)),
+        iterations=0,
+        residual_norm=0.0,
+        converged=True,
+        residual_history=[0.0],
+        method=method,
+    )
+
+
 @runtime_checkable
 class KrylovSolver(Protocol):
     """The uniform solver surface the factory guarantees."""
@@ -92,70 +96,3 @@ class KrylovSolver(Protocol):
     def solve(
         self, b: ParVector, x0: ParVector | None = None
     ) -> KrylovResult: ...
-
-
-def make_krylov_solver(
-    A: ParCSRMatrix,
-    precond: Preconditioner | None = None,
-    cfg: object | None = None,
-) -> KrylovSolver:
-    """Build the configured Krylov solver for ``A``.
-
-    Args:
-        A: system operator.
-        precond: preconditioner action (None = identity).
-        cfg: any object carrying solver settings — typically a
-            :class:`~repro.core.config.SolverConfig`.  Recognized
-            attributes (all optional): ``method`` ("gmres" | "cg" |
-            "pipelined_cg"), ``tol``, ``max_iters``, ``overlap``
-            (split halo exchange in solver SpMVs), ``restart``,
-            ``gs_variant``, ``record_history``.  Missing attributes
-            fall back to the method's defaults.
-
-    Returns:
-        A :class:`KrylovSolver` whose ``solve`` returns
-        :class:`KrylovResult`.
-    """
-    method = getattr(cfg, "method", "gmres")
-    tol = getattr(cfg, "tol", 1e-6)
-    max_iters = getattr(cfg, "max_iters", 200)
-    record_history = getattr(cfg, "record_history", True)
-    overlap = getattr(cfg, "overlap", False)
-    if method == "gmres":
-        from repro.krylov.gmres import GMRES
-
-        return GMRES(
-            A,
-            preconditioner=precond,
-            tol=tol,
-            max_iters=max_iters,
-            restart=getattr(cfg, "restart", 50),
-            gs_variant=getattr(cfg, "gs_variant", "one_reduce"),
-            record_history=record_history,
-            overlap=overlap,
-        )
-    if method == "cg":
-        from repro.krylov.cg import CG
-
-        return CG(
-            A,
-            preconditioner=precond,
-            tol=tol,
-            max_iters=max_iters,
-            record_history=record_history,
-            overlap=overlap,
-        )
-    if method == "pipelined_cg":
-        from repro.krylov.pipelined_cg import PipelinedCG
-
-        return PipelinedCG(
-            A,
-            preconditioner=precond,
-            tol=tol,
-            max_iters=max_iters,
-            record_history=record_history,
-            overlap=overlap,
-        )
-    raise ValueError(
-        f"unknown Krylov method {method!r}; options {list(KRYLOV_METHODS)}"
-    )

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.krylov.api import KrylovResult, Preconditioner, reduction_contract
+from repro.krylov.api import (
+    KrylovResult,
+    Preconditioner,
+    reduction_contract,
+    zero_rhs_result,
+)
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector, fused_dots
 
@@ -28,8 +33,6 @@ class CG:
         preconditioner: SPD preconditioner action (None = identity).
         tol: relative residual tolerance.
         max_iters: iteration cap.
-        record_history: keep per-iteration relative residual norms in
-            ``KrylovResult.residual_history`` (off leaves it empty).
         overlap: run the SpMV halo exchanges split (``matvec(overlap=
             True)``): the diag block is applied while boundary data is
             in flight.  Bitwise-identical results, shorter halo waits.
@@ -41,14 +44,12 @@ class CG:
         preconditioner: Preconditioner | None = None,
         tol: float = 1e-6,
         max_iters: int = 500,
-        record_history: bool = True,
         overlap: bool = False,
     ) -> None:
         self.A = A
         self.M = preconditioner
         self.tol = tol
         self.max_iters = max_iters
-        self.record_history = record_history
         self.overlap = overlap
 
     def _precond(self, r: ParVector) -> ParVector:
@@ -64,14 +65,7 @@ class CG:
         x = b.like(np.zeros(b.n)) if x0 is None else x0.copy()
         bnorm = b.norm()
         if bnorm == 0.0:
-            return KrylovResult(
-                x=b.like(np.zeros(b.n)),
-                iterations=0,
-                residual_norm=0.0,
-                converged=True,
-                residual_history=[0.0] if self.record_history else [],
-                method="cg",
-            )
+            return zero_rhs_result(b, "cg")
         target = self.tol * bnorm
 
         r = A.residual(b, x)
@@ -79,7 +73,7 @@ class CG:
         p = z.copy()
         rz, rr = fused_dots(r.world, [(r, z), (r, r)])
         rnorm = float(np.sqrt(max(rr, 0.0)))
-        history = [rnorm / bnorm] if self.record_history else []
+        history = [rnorm / bnorm]
         it = 0
         while rnorm > target and it < self.max_iters:
             Ap = A.matvec(p, overlap=self.overlap)
@@ -100,8 +94,7 @@ class CG:
             p = z.copy().axpy(beta, p)
             rz = rz_new
             rnorm = float(np.sqrt(max(rr, 0.0)))
-            if self.record_history:
-                history.append(rnorm / bnorm)
+            history.append(rnorm / bnorm)
             it += 1
         return KrylovResult(
             x=x,

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.krylov.api import KrylovResult, Preconditioner, reduction_contract
+from repro.krylov.api import (
+    KrylovResult,
+    Preconditioner,
+    reduction_contract,
+    zero_rhs_result,
+)
 from repro.krylov.gram_schmidt import orthogonalize
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector
@@ -20,6 +25,11 @@ from repro.linalg.parvector import ParVector
 class GMRES:
     """Restarted, right-preconditioned GMRES.
 
+    A restart cycle holds its Krylov basis column-major (one contiguous
+    column per vector, grown by doubling) and the preconditioned
+    directions as the preconditioner's own vectors.  The residual
+    history is always kept.
+
     Args:
         A: system operator.
         preconditioner: right preconditioner ``M^-1`` (None = identity).
@@ -27,10 +37,6 @@ class GMRES:
         max_iters: total iteration cap.
         restart: Arnoldi basis size before restart.
         gs_variant: ``"mgs"``, ``"cgs2"`` or ``"one_reduce"``.
-        record_history: keep per-iteration relative residual norms in
-            ``KrylovResult.residual_history``.  Off leaves the history
-            empty and skips the per-iteration appends (hot-path cost is
-            then limited to the convergence test itself).
         overlap: run the SpMV halo exchanges split (``matvec(overlap=
             True)``): the diag block is applied while boundary data is
             in flight.  Bitwise-identical results, shorter halo waits.
@@ -44,7 +50,6 @@ class GMRES:
         max_iters: int = 200,
         restart: int = 50,
         gs_variant: str = "one_reduce",
-        record_history: bool = True,
         overlap: bool = False,
     ) -> None:
         self.A = A
@@ -53,7 +58,6 @@ class GMRES:
         self.max_iters = max_iters
         self.restart = restart
         self.gs_variant = gs_variant
-        self.record_history = record_history
         self.overlap = overlap
 
     def _precond(self, v: ParVector) -> ParVector:
@@ -73,7 +77,7 @@ class GMRES:
 
         Returns:
             :class:`~repro.krylov.api.KrylovResult` with the solution and
-            convergence record.
+            the relative residual norm of every iteration and restart.
         """
         A = self.A
         world = A.world
@@ -82,14 +86,7 @@ class GMRES:
 
         bnorm = b.norm()
         if bnorm == 0.0:
-            return KrylovResult(
-                x=b.like(np.zeros(n)),
-                iterations=0,
-                residual_norm=0.0,
-                converged=True,
-                residual_history=[0.0] if self.record_history else [],
-                method="gmres",
-            )
+            return zero_rhs_result(b, "gmres")
         target = self.tol * bnorm
 
         history: list[float] = []
@@ -97,8 +94,7 @@ class GMRES:
         while True:
             r = A.residual(b, x, overlap=self.overlap)
             beta = r.norm()
-            if self.record_history:
-                history.append(beta / bnorm)
+            history.append(beta / bnorm)
             # A non-finite residual cannot improve from here (every inner
             # product downstream is poisoned); return it for the guards
             # to classify instead of spinning NaN arithmetic to max_iters.
@@ -123,12 +119,11 @@ class GMRES:
             # few ranks).  Freed when the cycle's update completes.
             basis_per_rank = 2.0 * (m + 1) * 8.0 * n / world.size
             world.charge_alloc(basis_per_rank)
-            # The host basis grows with the Krylov space, so a cycle that
-            # converges in a few iterations touches a few columns, not
-            # m + 1.  Its capacity stays above the columns handed to
-            # ``orthogonalize``: a full-width slice is C-contiguous, and
-            # ``einsum`` then takes a path whose bits differ.
-            V = np.zeros((n, min(m + 1, 8)))
+            # The host basis is column-major, so each basis vector and
+            # every ``V[:, :k]`` handed to ``orthogonalize`` is contiguous.
+            # It grows with the Krylov space: a cycle that converges in a
+            # few iterations touches a few columns, not m + 1.
+            V = np.zeros((n, min(m + 1, 8)), order="F")
             Z: list[np.ndarray] = []
             H = np.zeros((m + 1, m))
             V[:, 0] = r.data / beta
@@ -141,7 +136,9 @@ class GMRES:
             breakdown = False
             for j in range(m):
                 if V.shape[1] < j + 2:
-                    grown = np.zeros((n, min(2 * V.shape[1], m + 1)))
+                    grown = np.zeros(
+                        (n, min(2 * V.shape[1], m + 1)), order="F"
+                    )
                     grown[:, : V.shape[1]] = V
                     V = grown
                 # Every preconditioner returns a fresh vector, and the
@@ -179,8 +176,7 @@ class GMRES:
                 g[j] = cs[j] * g[j]
                 total_iters += 1
                 k = j + 1
-                if self.record_history:
-                    history.append(abs(g[j + 1]) / bnorm)
+                history.append(abs(g[j + 1]) / bnorm)
                 if abs(g[j + 1]) <= target:
                     break
                 if hj1 <= 1e-300:
@@ -210,8 +206,7 @@ class GMRES:
             if breakdown or total_iters >= self.max_iters:
                 r = A.residual(b, x)
                 beta = r.norm()
-                if self.record_history:
-                    history.append(beta / bnorm)
+                history.append(beta / bnorm)
                 return KrylovResult(
                     x=x,
                     iterations=total_iters,

@@ -33,7 +33,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.krylov.api import KrylovResult, Preconditioner, reduction_contract
+from repro.krylov.api import (
+    KrylovResult,
+    Preconditioner,
+    reduction_contract,
+    zero_rhs_result,
+)
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.linalg.parvector import ParVector, fused_dots
 
@@ -46,7 +51,6 @@ class PipelinedCG:
         preconditioner: SPD preconditioner action (None = identity).
         tol: relative residual tolerance.
         max_iters: iteration cap.
-        record_history: keep per-iteration relative residual norms.
         overlap: run the SpMV halo exchanges split
             (``matvec(overlap=True)``) so interior compute also hides
             the point-to-point waits — the full communication-avoiding
@@ -59,14 +63,12 @@ class PipelinedCG:
         preconditioner: Preconditioner | None = None,
         tol: float = 1e-6,
         max_iters: int = 500,
-        record_history: bool = True,
         overlap: bool = False,
     ) -> None:
         self.A = A
         self.M = preconditioner
         self.tol = tol
         self.max_iters = max_iters
-        self.record_history = record_history
         self.overlap = overlap
 
     def _precond(self, r: ParVector) -> ParVector:
@@ -84,14 +86,7 @@ class PipelinedCG:
         x = b.like(np.zeros(b.n)) if x0 is None else x0.copy()
         bnorm = b.norm()
         if bnorm == 0.0:
-            return KrylovResult(
-                x=b.like(np.zeros(b.n)),
-                iterations=0,
-                residual_norm=0.0,
-                converged=True,
-                residual_history=[0.0] if self.record_history else [],
-                method="pipelined_cg",
-            )
+            return zero_rhs_result(b, "pipelined_cg")
         target = self.tol * bnorm
 
         r = A.residual(b, x, overlap=self.overlap)
@@ -109,8 +104,7 @@ class PipelinedCG:
             # preconditioner + SpMV below.
             gamma, delta, rr = fused_dots(world, [(r, u), (w, u), (r, r)])
             rnorm = float(np.sqrt(max(rr, 0.0)))
-            if self.record_history:
-                history.append(rnorm / bnorm)
+            history.append(rnorm / bnorm)
             if not np.isfinite(rnorm) or rnorm <= target:
                 break
             # Overlapped leg: m = M⁻¹w and n = Am proceed while the

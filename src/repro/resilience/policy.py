@@ -11,7 +11,7 @@ The policy here escalates through progressively more expensive actions:
 2. ``expand_krylov`` — retry with ``retry_scale``-times larger
    restart/iteration budgets;
 3. ``fallback_method`` — switch to the alternate Krylov method through
-   :func:`~repro.krylov.api.make_krylov_solver`;
+   :func:`~repro.krylov.make_krylov_solver`;
 4. ``rollback_restep`` (step level) — rewind to the step's in-memory
    state snapshot, halve the timestep, and re-step;
 5. ``checkpoint_restore`` (run level) — when even re-stepping fails,

@@ -111,9 +111,6 @@ RUNS = {
         restart=True,
     ),
     "tiny_r3_altpaths": Run("turbine_tiny", {"nranks": 3, **ALTPATHS}, 2),
-    "tiny_r3_altpaths_steps3": Run(
-        "turbine_tiny", {"nranks": 3, **ALTPATHS}, 3
-    ),
     "tiny_r3_default": Run("turbine_tiny", {"nranks": 3}, 2),
     "tiny_r3_paper_cadence": Run(
         "turbine_tiny", {"nranks": 3, "precond_rebuild_every": 1}, 2
@@ -553,8 +550,7 @@ GOLDENS = {
     "connectivity_golden.json": lambda r: {
         "connectivity": r["connectivity"],
         "fields": _part(
-            r, "fields", tiny_r2_default="tiny_r2_steps3",
-            tiny_r3_altpaths="tiny_r3_altpaths_steps3",
+            r, "fields", "tiny_r3_altpaths", tiny_r2_default="tiny_r2_steps3"
         ),
     },
     "ledger_golden.json": lambda r: _part(

@@ -512,7 +512,7 @@ class TestPipelinedCG:
         A = poisson2d(8)
         w, M = par(A, nranks=2)
         cfg = SolverConfig(method="pipelined_cg", tol=1e-8, overlap=True)
-        solver = make_krylov_solver(M, cfg=cfg)
+        solver = make_krylov_solver(M, None, cfg)
         assert isinstance(solver, PipelinedCG)
         assert solver.overlap is True
         res = solver.solve(M.new_vector(np.ones(A.shape[0])))

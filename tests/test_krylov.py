@@ -59,17 +59,18 @@ class TestGramSchmidt:
 
     @pytest.mark.parametrize("variant", ["mgs", "cgs2", "one_reduce"])
     def test_bits_do_not_depend_on_basis_capacity(self, variant):
-        """A basis held in the first k columns of a wider buffer gives the
-        same bits at every capacity above k, so GMRES may grow its buffer
-        with the Krylov space without moving a number."""
+        """A basis held in the first k columns of a column-major buffer
+        gives the same bits at every capacity, full width included, so
+        GMRES may grow its buffer with the Krylov space without moving a
+        number."""
         rng = np.random.default_rng(4)
         n = 400
         for k in (1, 2, 3, 4, 7, 8, 9, 16, 17, 50):
             Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
             x = rng.standard_normal(n)
             out = set()
-            for cap in (k + 1, k + 2, 2 * k + 1, 64):
-                buf = np.zeros((n, cap))
+            for cap in (k, k + 1, 2 * k + 1, 64):
+                buf = np.zeros((n, cap), order="F")
                 buf[:, :k] = Q
                 wvec = x.copy()
                 h, beta = orthogonalize(
@@ -190,16 +191,16 @@ class TestGMRES:
     def test_basis_grows_but_stays_wider_than_what_it_orthogonalizes(
         self, monkeypatch
     ):
-        """The host basis starts at 8 columns and doubles on demand.  Every
-        slice handed to ``orthogonalize`` must be narrower than its buffer:
-        a full-width slice is C-contiguous, and for k <= 3 columns NumPy's
-        products then take a path whose bits differ."""
+        """The host basis starts at 8 columns and doubles on demand; it is
+        column-major, so every slice handed to ``orthogonalize`` is
+        contiguous."""
         import repro.krylov.gmres as gmres_module
 
         seen = []
 
         def spy(world, V, w, offsets, variant):
-            seen.append((V.shape[1], V.strides[0] // V.itemsize))
+            assert V.flags.f_contiguous
+            seen.append((V.shape[1], V.base.shape[1]))
             return orthogonalize(world, V, w, offsets, variant)
 
         monkeypatch.setattr(gmres_module, "orthogonalize", spy)
@@ -212,6 +213,18 @@ class TestGMRES:
         # 40 iterations in a 41-column cycle, then 5 in a 6-column one.
         assert sorted(set(widths)) == [6, 8, 16, 32, 41]
         assert all(k < capacity for k, capacity in seen)
+
+    def test_first_cycle_solution_does_not_depend_on_restart(self):
+        """A solve that converges inside its first cycle returns the same
+        bits whether the cycle could hold one more vector or 60."""
+        A = poisson2d(12)
+        w, M = par(A)
+        b = M.new_vector(np.ones(A.shape[0]))
+        long = GMRES(M, tol=1e-8, restart=60).solve(b)
+        assert long.converged and long.iterations < 60
+        short = GMRES(M, tol=1e-8, restart=long.iterations + 1).solve(b)
+        assert short.iterations == long.iterations
+        assert short.x.data.tobytes() == long.x.data.tobytes()
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 200), nranks=st.integers(1, 5))

@@ -459,8 +459,8 @@ class TestRunTelemetry:
         assert t2.phases == report.telemetry.phases
 
 
-class TestRecordHistoryFlag:
-    def test_gmres_history_disabled(self, tiny_run):
+class TestResidualHistory:
+    def test_gmres_keeps_history(self, tiny_run):
         sim, _report = tiny_run
         from repro.krylov.gmres import GMRES
         from repro.linalg.parvector import ParVector
@@ -469,29 +469,13 @@ class TestRecordHistoryFlag:
         b = A.matvec(
             ParVector(sim.world, A.row_offsets, np.ones(A.shape[0]))
         )
-        res_on = GMRES(A, tol=1e-8, max_iters=20).solve(b)
-        res_off = GMRES(
-            A, tol=1e-8, max_iters=20, record_history=False
-        ).solve(b)
-        assert len(res_on.residual_history) >= res_on.iterations
-        assert res_off.residual_history == []
-        assert res_off.iterations == res_on.iterations
-        assert res_off.residual_norm == pytest.approx(res_on.residual_norm)
+        res = GMRES(A, tol=1e-8, max_iters=20).solve(b)
+        assert len(res.residual_history) >= res.iterations
 
     def test_solve_records_carry_history(self, tiny_run):
         sim, _report = tiny_run
         rec = sim.pressure.solve_records[0]
         assert len(rec.residual_history) >= rec.iterations
-
-    def test_config_flag_disables_record_history(self):
-        cfg = SimulationConfig(nranks=2)
-        cfg.momentum_solver.record_history = False
-        cfg.pressure_solver.record_history = False
-        cfg.scalar_solver.record_history = False
-        sim = NaluWindSimulation("turbine_tiny", cfg)
-        sim.step()
-        for eq in sim.systems:
-            assert all(r.residual_history == [] for r in eq.solve_records)
 
 
 class TestTraceCLI:
