@@ -33,7 +33,12 @@ from repro.amg.strength import aggressive_strength, strength_matrix
 from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.obs.telemetry import AMGSetupStats
-from repro.linalg.spgemm import galerkin_product, galerkin_refresh, spgemm
+from repro.linalg.spgemm import (
+    RefreshWork,
+    galerkin_product,
+    galerkin_refresh,
+    spgemm,
+)
 from repro.serialize import Config
 from repro.smoothers.factory import make_smoother, smoother_options
 
@@ -105,9 +110,11 @@ class AMGLevel:
     R: ParCSRMatrix | None = None
     smoother: object | None = None
     cf: np.ndarray | None = None
-    #: What one numeric refresh of the next level's operator charges
-    #: (:func:`~repro.linalg.spgemm.galerkin_product`'s second result).
-    refresh_work: list | None = None
+    #: What one numeric refresh of the next level's operator needs and
+    #: charges (:func:`~repro.linalg.spgemm.galerkin_product`'s second
+    #: result); it keeps the refresh's output permutation, so that dies
+    #: with the hierarchy.
+    refresh_work: RefreshWork | None = None
 
 
 class AMGHierarchy:
@@ -228,7 +235,10 @@ class AMGHierarchy:
                 A_c1 = spgemm(
                     self.world,
                     sparse.csr_matrix(P1.T),
-                    spgemm(self.world, A_csr, P1, fine_offsets, "agg_ap"),
+                    spgemm(
+                        self.world, A_csr, P1, fine_offsets, "agg_ap",
+                        sort=False,
+                    ),
                     c1_offsets,
                     "agg_rap",
                 )
@@ -273,6 +283,9 @@ class AMGHierarchy:
                 col_offsets=fine_offsets,
                 name=f"R{level}",
             )
+            # P's diag block is R's transposed (C-points stay with their
+            # owner), and P's values never change.
+            lvl.P.freeze_by_columns(lvl.R.D.T)
             A_next = ParCSRMatrix(
                 self.world, A_next_csr, coarse_offsets, name=f"A{level + 1}"
             )
@@ -324,13 +337,20 @@ class AMGHierarchy:
 
         Args:
             A: optionally, a replacement fine operator.  Must have the
-                same shape and sparsity (nnz) as the current level-0
-                operator; omit it when the operator was updated in place
-                by the assembly fast path.
+                same shape and sparsity pattern (``indptr`` and
+                ``indices``) as the current level-0 operator: the
+                refresh's products fill buffers sized at set-up.  Omit
+                it when the operator was updated in place by the
+                assembly fast path.
         """
         lvl0 = self.levels[0]
         if A is not None and A is not lvl0.A:
-            if A.shape != lvl0.A.shape or A.nnz != lvl0.A.nnz:
+            old = lvl0.A.A
+            if (
+                A.shape != old.shape
+                or not np.array_equal(A.A.indptr, old.indptr)
+                or not np.array_equal(A.A.indices, old.indices)
+            ):
                 raise ValueError(
                     "refresh requires an identical fine-level pattern; "
                     "rebuild the hierarchy instead"

@@ -217,6 +217,8 @@ class ParCSRMatrix:
             (A.data[off], ext_col, A.indptr - d_indptr),
             shape=(n, keys.size),
         )
+        #: What :meth:`matvec` multiplies by (see :meth:`freeze_by_columns`).
+        self._kernels = (self.D, self.O)
         # Rank r's values are D.data[d_bounds[r]:d_bounds[r+1]] (O alike).
         self._d_bounds = self.D.indptr[ro].astype(np.int64)
         self._o_bounds = self.O.indptr[ro].astype(np.int64)
@@ -328,6 +330,24 @@ class ParCSRMatrix:
             setup_work=(nnz.tolist(), (2.0 * 12.0 * nnz).tolist()),
         )
 
+    def freeze_by_columns(self, D: sparse.csc_matrix) -> None:
+        """Freeze the values and run :meth:`matvec` column by column.
+
+        ``D`` must hold ``self.D``'s entries (a prolongation passes its
+        restriction's ``R.D.T``, a zero-copy view); ``O`` is multiplied
+        through a CSC copy.  Each output entry still sums its row's
+        products in ascending column order from 0, so the result is
+        bitwise that of the row-major kernels, without their branchy
+        loop over ragged rows.  The value-update paths refuse from here on.
+        """
+        if D.shape != self.D.shape or D.nnz != self.D.nnz:
+            raise SparsityPatternError("D does not hold the diag block")
+        self._kernels = (D, self.O.tocsc())
+
+    def _check_unfrozen(self) -> None:
+        if self._kernels[0] is not self.D:
+            raise ValueError(f"{self.name}'s values are frozen")
+
     # -- value-only updates (pattern frozen) ---------------------------------------
 
     def update_rank_values(self, rank: int, values: np.ndarray) -> None:
@@ -339,6 +359,7 @@ class ParCSRMatrix:
         diag/offd blocks) are updated without touching indices,
         ``col_map_offd``, the exchange pattern, or the storage accounting.
         """
+        self._check_unfrozen()
         s, e = self._ent_bounds[rank], self._ent_bounds[rank + 1]
         if values.size != e - s:
             raise ValueError(
@@ -357,6 +378,7 @@ class ParCSRMatrix:
         recomputed Galerkin values into an existing level operator
         without rebuilding blocks or communication structure.
         """
+        self._check_unfrozen()
         A_new = sparse.csr_matrix(A_new)
         A_new.sort_indices()
         if (
@@ -417,18 +439,19 @@ class ParCSRMatrix:
         if x.n != self.shape[1]:
             raise ValueError("x size does not match matrix cols")
         world = self.world
+        D, O = self._kernels
         if overlap:
             with overlapped_halo(world, self.pattern, x.data, out=self._ext):
                 # Interior SpMV against owned data while halos are in flight.
-                interior = self.D @ x.data
+                interior = D @ x.data
                 world.charge("spmv", *self._diag_work)
             work = self._offd_work
         else:
             exchange_halo(world, self.pattern, x.data, out=self._ext)
-            interior = self.D @ x.data
+            interior = D @ x.data
             work = self._spmv_work
         result = np.add(
-            interior, self.O @ self._ext, out=None if y is None else y.data
+            interior, O @ self._ext, out=None if y is None else y.data
         )
         world.charge("spmv", *work)
         return ParVector(world, self.row_offsets, result) if y is None else y

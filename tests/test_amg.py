@@ -387,6 +387,28 @@ class TestHierarchy:
             assert built == attrs, name
 
 
+    def test_prolongation_runs_by_columns_bitwise(
+        self, assemble_tiny_pressure
+    ):
+        """``P``'s matvec multiplies by ``R.D.T`` and a CSC copy of
+        ``P.O``: bitwise what the row-major kernels give, and ``P``'s
+        values are frozen."""
+        w, A, _rhs = assemble_tiny_pressure(3)
+        h = AMGHierarchy(A)
+        rng = np.random.default_rng(3)
+        for lvl in h.levels[:-1]:
+            P = lvl.P
+            by_rows = ParCSRMatrix(w, P.A, P.row_offsets, P.col_offsets)
+            x = ParVector(w, P.col_offsets, rng.standard_normal(P.shape[1]))
+            for overlap in (False, True):
+                assert (
+                    P.matvec(x, overlap=overlap).data.tobytes()
+                    == by_rows.matvec(x, overlap=overlap).data.tobytes()
+                )
+            with pytest.raises(ValueError):
+                P.refresh_values(P.A)
+
+
 class TestVCycle:
     @pytest.mark.parametrize("interp", ["direct", "mm_ext", "mm_ext_i"])
     def test_standalone_vcycle_converges(self, interp):

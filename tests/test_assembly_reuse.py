@@ -342,6 +342,20 @@ class TestAMGRefresh:
         with pytest.raises(ValueError):
             h.refresh(other)
 
+    def test_refresh_rejects_a_moved_pattern_of_equal_nnz(self):
+        """The refresh's products fill buffers sized at set-up, so equal
+        shape and nnz are not enough: ``indices`` must not move."""
+        w = SimWorld(2)
+        M = self._poisson(w, n=64, nranks=2)
+        h = AMGHierarchy(M, AMGOptions(agg_levels=0, interp="direct"))
+        A = M.A.copy()
+        A.indices[1] = 2  # row 0: columns (0, 1) -> (0, 2)
+        moved = ParCSRMatrix(w, A, M.row_offsets)
+        assert moved.shape == M.shape and moved.nnz == M.nnz
+        with pytest.raises(ValueError):
+            h.refresh(moved)
+        assert h.levels[0].A is M
+
     def test_refresh_on_pressure_hierarchy_keeps_every_pattern(
         self, assemble_tiny_pressure
     ):
@@ -397,11 +411,11 @@ class TestAMGRefresh:
     def test_refresh_absorbs_a_planted_cancellation(self, monkeypatch):
         """scipy's ``@`` omits entries that cancel to exactly 0.  Whether
         a run hits such a cancellation is a matter of roundoff, so one is
-        planted: the first Galerkin product of the refresh before
-        pressure solve 10 (the third of the last step) comes back with an
-        entry missing.  The level's pattern is structural, so the entry
-        is stored as a zero and nothing else happens: set-ups only where
-        a step opens."""
+        planted: the numeric ``R (A P)`` product of the first level in the
+        refresh before pressure solve 10 (the third of the last step)
+        comes back with an entry missing.  The level's pattern is
+        structural, so the entry is stored as a zero and nothing else
+        happens: set-ups only where a step opens."""
         import importlib
 
         from repro.core import NaluWindSimulation
@@ -413,18 +427,25 @@ class TestAMGRefresh:
         )
         sim = NaluWindSimulation("turbine_tiny", cfg)
         solves_done = lambda: len(sim.pressure.solve_records)  # noqa: E731
-        real = spgemm_mod.values_on_pattern
-        planted = []
+        real = spgemm_mod.numeric_product
+        planted, products = [], []
 
-        def cancelling(pattern, C):
-            if solves_done() == 10 and not planted:
-                planted.append((pattern.nnz, C.nnz))
-                assert C.indices[1] != 0  # off the diagonal
-                C.data[1] = 0.0
+        def cancelling(A, B, nnz):
+            C = real(A, B, nnz)
+            if solves_done() == 10:
+                products.append(nnz)
+            if len(products) == 2 and not planted:
+                # The second product of the refresh: R (A P) into the
+                # first coarse level's pattern of ``nnz`` entries.
+                planted.append((nnz, C.nnz))
+                lo, hi = C.indptr[0], C.indptr[1]
+                k = lo + np.argsort(C.indices[lo:hi])[1]  # row 0's 2nd
+                assert C.indices[k] != 0  # off the diagonal
+                C.data[k] = 0.0
                 C.eliminate_zeros()
-            return real(pattern, C)
+            return C
 
-        monkeypatch.setattr(spgemm_mod, "values_on_pattern", cancelling)
+        monkeypatch.setattr(spgemm_mod, "numeric_product", cancelling)
         setups, absorbed = [], []
         sim.world.hub.subscribe(
             "amg_setup",

@@ -16,7 +16,13 @@ from repro.linalg import (
     spmv_bytes,
 )
 from repro.linalg.parcsr import SparsityPatternError
-from repro.linalg.spgemm import galerkin_refresh
+from repro.linalg.spgemm import (
+    galerkin_refresh,
+    numeric_product,
+    product_nnz,
+    structural_product,
+    values_on_pattern,
+)
 
 
 def random_system(n=120, nranks=4, density=0.05, seed=0):
@@ -409,6 +415,13 @@ class TestRefreshValues:
             assert np.array_equal(mine.offd.toarray(), offd.toarray())
 
 
+def values_like(M, value):
+    """``M``'s pattern holding ``value`` in every entry."""
+    M = M.copy()
+    M.data[:] = value
+    return M
+
+
 class TestSpGEMM:
     def test_products_count(self):
         A = sparse.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -531,8 +544,121 @@ class TestSpGEMM:
             )
         assert charged[0] == charged[1]
         assert set(charged[0]) == {"rap_ap_numeric", "rap_rap_numeric"}
-        for kernel, flops, nbytes in work:
+        for kernel, flops, nbytes in work.kernels:
             assert charged[0][kernel] == (sum(flops), sum(nbytes), 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)
+        ),
+        density=st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+        seed=st.integers(0, 10_000),
+        wide=st.booleans(),
+    )
+    def test_product_kernels_are_scipys_product(
+        self, dims, density, seed, wide
+    ):
+        """``product_nnz`` and ``numeric_product`` call SciPy's private
+        compiled kernels directly: they must be ``A @ B``'s own passes,
+        bit for bit and in its output order, on values that cancel to
+        exactly 0 (``{-1, +1}`` times a few magnitudes, whose sums round),
+        on empty rows and columns and on 64-bit index arrays."""
+        n, k, m = dims
+        rng = np.random.default_rng(seed)
+
+        def values(size):
+            return rng.choice([-1.0, 1.0], size) * rng.choice(
+                [1.0, 0.1, 3.7], size
+            )
+
+        def operand(rows, cols, salt):
+            M = sparse.random(
+                rows, cols, density, random_state=seed + salt,
+                format="csr", data_rvs=values,
+            )
+            # Empty one row of A and one column of B, so of the product.
+            if salt == 0 and rows:
+                M = sparse.diags(1.0 * (np.arange(rows) != 0)) @ M
+            if salt == 1 and cols:
+                M = M @ sparse.diags(1.0 * (np.arange(cols) != 0))
+            M = M.tocsr()
+            if wide:
+                M.indptr = M.indptr.astype(np.int64)
+                M.indices = M.indices.astype(np.int64)
+            return M
+
+        A = operand(n, k, 0)
+        B = operand(k, m, 1)
+        ref = A @ B
+        # abs() sorts its operand in place: count on copies.
+        structural = abs(A.copy()) @ abs(B.copy())
+        nnz = product_nnz(A, B)
+        assert nnz == structural.nnz
+        C = numeric_product(A, B, nnz)
+        # (The index width is not compared: on 64-bit operands SciPy's
+        # narrowing reads the unwritten tail of its buffers.)
+        assert np.array_equal(C.indptr, ref.indptr)
+        assert np.array_equal(C.indices, ref.indices)
+        assert C.data.tobytes() == ref.data.tobytes()
+        S = structural_product(A, B, sort=C.nnz != nnz)
+        if C.nnz == nnz:
+            assert S.indices.tobytes() == ref.indices.tobytes()
+        ref.sort_indices()
+        S.sort_indices()
+        assert np.array_equal(S.indptr, structural.indptr)
+        assert values_on_pattern(S, ref).tobytes() == S.data.tobytes()
+
+    def test_product_kernels_refuse_other_formats(self):
+        A = sparse.random(6, 5, 0.5, random_state=0, format="csr")
+        with pytest.raises(TypeError):
+            product_nnz(A, A.T)  # a CSC view: its arrays are not rows
+        with pytest.raises(TypeError):
+            numeric_product(A.tocsc(), A.T.tocsr(), 36)
+
+    def _cancel_in_ap(self, A, P, R, Ac, order):
+        """``A``'s values with one entry of ``A @ P`` cancelled to exactly
+        0, chosen so that SciPy's output order of ``R @ (A @ P)`` moves
+        while its entry count per row does not."""
+        counts = (values_like(A, 1.0) @ values_like(P, 1.0)).tocoo()
+        twos = counts.data == 2  # entries of exactly two products
+        Pc = P.tocsc()
+        for i, j in zip(counts.row[twos], counts.col[twos]):
+            row = A.indices[A.indptr[i] : A.indptr[i + 1]]
+            col = Pc.indices[Pc.indptr[j] : Pc.indptr[j + 1]]
+            k1, k2 = np.intersect1d(row, col)
+            A2 = A.copy()
+            A2[i, k2] = -A2[i, k1] * P[k1, j] / P[k2, j]
+            RAP = R @ (A2 @ P)
+            if np.array_equal(RAP.indptr, Ac.indptr) and not np.array_equal(
+                RAP.indices[order], Ac.indices
+            ):
+                return A2
+        raise AssertionError("no cancellation in A @ P moves R @ (A @ P)")
+
+    def test_galerkin_refresh_after_the_order_moved_is_the_sorted_path(self):
+        """The refresh keeps the permutation its first call captured; a
+        cancellation in ``A @ P`` moves SciPy's output order of ``R @ (A
+        @ P)``, the permutation no longer fits, and the refresh falls
+        back to sorting: bitwise what ``values_on_pattern`` gives."""
+        A, P, fine, coarse = self._galerkin_case()
+        R = sparse.csr_matrix(P.T)
+        w = SimWorld(2)
+        Ac, work = galerkin_product(w, R, A, P, fine, coarse)
+        A1 = A.copy()
+        A1.data = np.random.default_rng(7).standard_normal(A.nnz)
+        first = galerkin_refresh(w, R, A1, P, Ac, work)
+        order = work.order.copy()
+        RAP = R @ (A1 @ P)
+        RAP.sort_indices()
+        assert first.data.tobytes() == RAP.data.tobytes()
+        A2 = self._cancel_in_ap(A1, P, R, Ac, order)
+        assert (A2 @ P).nnz < work.ap_nnz
+        got = galerkin_refresh(w, R, A2, P, Ac, work)
+        RAP = R @ (A2 @ P)
+        RAP.sort_indices()
+        assert got.data.tobytes() == values_on_pattern(Ac, RAP).tobytes()
+        assert np.array_equal(work.order, order)
 
     def test_galerkin_refresh_rejects_a_moved_fine_pattern(self):
         A, P, fine, coarse = self._galerkin_case()
