@@ -11,7 +11,7 @@ near-body meshes:
 2. **Fringe classification** — background neighbors of holes become
    receptors from the blade meshes; blade ``outer``-boundary nodes become
    receptors from the background.
-3. **Donor search** — each receptor takes, among the ``candidate_k`` donor
+3. **Donor search** — each receptor takes, among the ``CANDIDATE_K`` donor
    cells with the nearest centroids whose padded bounding box holds it, the
    nearest one that contains it (trilinear Newton inversion), with
    inverse-distance fallback for receptors that land between donor cells.
@@ -28,10 +28,18 @@ candidate cells are one ``searchsorted`` per axis.  A rigid blade keeps its
 shape, so one body-frame index per shape (centroid and node kd-trees, cell
 boxes, hull thickness) is built once per assembler and serves every blade
 of that shape: a receptor enters a blade's frame through one 3x3 product.
-Newton still inverts the world-frame corners, and the distances that rank
-candidates are certified against the world-frame ones: a receptor whose
-choice round-off could change is searched again in the world frame, so
-every donor set is bitwise what world-frame kd-trees give.
+Newton still inverts the world-frame corners.
+
+Each index answers in its own frame: a receptor takes the lowest-keyed
+containing candidate of the index that serves its donor mesh.  On the
+background the key is the distance to the cell centroid; on a blade it is
+the distance in its body frame, which is where the blade's shape stood
+when the assembler was built (the workload's initial position).  The
+nearest blade and the hull thickness are measured in that frame too.
+``CompositeMesh`` builds one assembler per run, so every run and every
+cold restart of a job shares the frame.  A body-frame distance is the
+world-frame one to round-off, and ``tests/overset_reference.py`` holds
+every result on the shipped workloads to world-frame kd-trees bit for bit.
 
 The result feeds the linear systems as constraint rows (paper §3.1:
 "Boundary-condition nodes, including periodic, Dirichlet, and overset DoFs
@@ -52,10 +60,17 @@ from scipy.spatial import cKDTree
 from repro.mesh.hexmesh import HexMesh
 from repro.overset.trilinear import contains, invert_map, shape_functions
 
-#: Round-off allowance of a distance, relative to the largest coordinate
-#: of any mesh: far above the ulps that separate two frames' arithmetic,
-#: far below any cell size.
+#: Round-off allowance of a blade's placement, relative to the largest
+#: coordinate of any mesh: far above the ulps that separate two frames'
+#: arithmetic, far below any cell size.
 _SLACK = 1e-10
+#: Index of the background among the meshes.
+BACKGROUND = 0
+#: Donor-cell candidates per receptor in the search.
+CANDIDATE_K = 32
+#: A near-body mesh's sides that hang in the background flow (the O-grid
+#: rim plus the span ends): its fringe, less the wall.
+_FRINGE_SIDES = ("outer", "root", "tip")
 
 
 class NodeStatus(IntEnum):
@@ -143,35 +158,27 @@ class _Candidates(NamedTuple):
     """Cells that may hold each of ``m`` points.
 
     ``rec``, ``cell`` and ``key`` are (point, cell) pairs, point-major and
-    by ascending ``key`` within a point: the centroid distance, within the
-    index's ``tol`` of the world-frame one, or the exact kNN rank.
-    ``nearest`` is each point's nearest-centroid cell where it is certain,
-    else -1; ``horizon`` is the distance below which every cell is listed.
+    by ascending ``key`` within a point: the centroid distance in the
+    index's frame, or the kNN rank.  ``nearest`` is each point's
+    nearest-centroid cell, the stencil of a point no cell contains.
     """
 
     rec: np.ndarray
     cell: np.ndarray
     key: np.ndarray
     nearest: np.ndarray
-    horizon: np.ndarray | None = None
 
 
 class _DonorIndex:
     """World-frame search structures over one mesh, valid while its nodes
-    stay put: the exact path every other index falls back to.
+    stay put: the index of a background that is not a lattice and of a
+    blade that is not rigid.
 
     Each structure is built on first use.
     """
 
-    tol = 0.0
-    hull_tol = 0.0
-
     def __init__(self, mesh: HexMesh) -> None:
         self.mesh = mesh
-
-    @property
-    def exact(self) -> _DonorIndex:
-        return self
 
     @cached_property
     def node_tree(self) -> cKDTree:
@@ -205,10 +212,6 @@ class _DonorIndex:
         rec, rank = np.nonzero(in_box)
         return _Candidates(rec, cand[rec, rank], rank, cand[:, 0])
 
-    def certain(self, pts, k, cands, key, found) -> np.ndarray:
-        """Every point's result is the world-frame one."""
-        return np.ones(pts.shape[0], dtype=bool)
-
 
 class _Lattice:
     """A mesh whose nodes are the tensor product of three increasing axes,
@@ -219,19 +222,16 @@ class _Lattice:
     centroids, which are the tensor product of the axis midpoints.
     """
 
-    def __init__(
-        self, mesh: HexMesh, axes: list[np.ndarray], tol: float
-    ) -> None:
+    def __init__(self, mesh: HexMesh, axes: list[np.ndarray]) -> None:
         self.mesh = mesh
         self.axes = axes
         self.mid = [0.5 * (a[:-1] + a[1:]) for a in axes]
         # Twice the largest padding a cell's box gets: every padded box
         # lies inside its slabs widened by this.
         self.pad = 2e-5 * max(float(np.diff(a).max()) for a in axes)
-        self.tol = tol
 
     @classmethod
-    def of(cls, mesh: HexMesh, tol: float) -> _Lattice | None:
+    def of(cls, mesh: HexMesh) -> _Lattice | None:
         """The lattice view of ``mesh``, or None if it is not one."""
         shape, periodic = mesh.topology.shape, mesh.topology.periodic
         if any(periodic):
@@ -252,15 +252,16 @@ class _Lattice:
         )
         if not np.array_equal(mesh.cells, first.reshape(-1, 1) + corner):
             return None
-        return cls(mesh, axes, tol)
+        return cls(mesh, axes)
 
-    @cached_property
-    def exact(self) -> _DonorIndex:
-        return _DonorIndex(self.mesh)
+    def _cell(self, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The ids of cells ``(i, j, k)`` of the block."""
+        return (i * (self.axes[1].size - 1) + j) * (self.axes[2].size - 1) + k
 
     def candidates(self, pts: np.ndarray, k: int) -> _Candidates:
         """Every cell whose padded box may hold each point, keyed by
-        centroid distance."""
+        centroid distance.  The nearest centroid is the nearest midpoint
+        on each axis."""
         first, count = [], []
         for a, x in enumerate(self.axes):
             lo = np.searchsorted(x, pts[:, a] - self.pad, side="left") - 1
@@ -282,42 +283,15 @@ class _Lattice:
         d2 += (pts[rec, 2] - self.mid[2][ijk[2]]) ** 2
         key = np.sqrt(d2)
         order = np.lexsort((key, rec))
-        ncy, ncz = self.axes[1].size - 1, self.axes[2].size - 1
-        cell = (ijk[0] * ncy + ijk[1]) * ncz + ijk[2]
+        near = []
+        for a, mid in enumerate(self.mid):
+            p = pts[:, a]
+            up = np.minimum(np.searchsorted(mid, p), mid.size - 1)
+            down = np.maximum(up - 1, 0)
+            near.append(np.where(p - mid[down] <= mid[up] - p, down, up))
         return _Candidates(
-            rec[order],
-            cell[order],
-            key[order],
-            np.full(pts.shape[0], -1),
+            rec[order], self._cell(*ijk)[order], key[order], self._cell(*near)
         )
-
-    def certain(self, pts, k, cands, key, found) -> np.ndarray:
-        """A found cell is one of the world frame's ``k`` nearest when at
-        most ``k`` centroids lie within its distance plus round-off:
-        counted per ``(x, y)`` column of the lattice as one ``z`` window.
-        A miss needs the nearest centroid, which the world frame gives."""
-        rows = np.flatnonzero(found)
-        p, radius = pts[rows], key[rows] + 3.0 * self.tol
-        lo, width = [], []
-        for a in (0, 1):
-            lo.append(np.searchsorted(self.mid[a], p[:, a] - radius, "left"))
-            hi = np.searchsorted(self.mid[a], p[:, a] + radius, "right")
-            width.append(hi - lo[a])
-        total = width[0] * width[1]
-        col = np.repeat(np.arange(rows.size), total)
-        t = np.arange(col.size) - np.repeat(np.cumsum(total) - total, total)
-        x = self.mid[0][lo[0][col] + t // width[1][col]]
-        y = self.mid[1][lo[1][col] + t % width[1][col]]
-        rz2 = radius[col] ** 2 - (p[col, 0] - x) ** 2 - (p[col, 1] - y) ** 2
-        rz = np.sqrt(np.maximum(rz2, 0.0))
-        z = p[col, 2]
-        n = np.searchsorted(self.mid[2], z + rz, "right") - np.searchsorted(
-            self.mid[2], z - rz, "left"
-        )
-        count = np.bincount(col, weights=n * (rz2 >= 0), minlength=rows.size)
-        sure = np.zeros(pts.shape[0], dtype=bool)
-        sure[rows] = count <= k
-        return sure
 
 
 class _Shape:
@@ -379,28 +353,16 @@ class _Shape:
 
 class _Placed:
     """A :class:`_Shape` where one mesh stands now: points enter its frame
-    as ``pts @ rot + shift``, where every distance is within ``tol`` of the
-    world-frame one."""
+    as ``pts @ rot + shift``, within ``tol`` of where a rigid placement
+    would put them."""
 
     def __init__(
-        self,
-        shape: _Shape,
-        mesh: HexMesh,
-        rot: np.ndarray,
-        shift: np.ndarray,
-        tol: float,
+        self, shape: _Shape, rot: np.ndarray, shift: np.ndarray, tol: float
     ) -> None:
         self.shape = shape
-        self.mesh = mesh
         self.rot = rot
         self.shift = shift
         self.tol = tol
-        # The median of distances each within 2 * tol.
-        self.hull_tol = 2.0 * tol
-
-    @cached_property
-    def exact(self) -> _DonorIndex:
-        return _DonorIndex(self.mesh)
 
     @property
     def hull(self) -> float:
@@ -414,97 +376,51 @@ class _Placed:
 
     def candidates(self, pts: np.ndarray, k: int) -> _Candidates:
         """The ``k`` nearest-centroid cells of each point whose generous
-        box holds it, keyed by distance; the ``k + 1``-th distance is the
-        horizon."""
+        box holds it, keyed by body-frame distance."""
         tree, lo, hi = self.shape.cell_search
-        m = pts.shape[0]
-        kq = min(k + 1, self.shape.cells.shape[0])
         q = self._body(pts)
-        dist, cand = tree.query(q, k=kq)
-        dist, cand = dist.reshape(m, kq), cand.reshape(m, kq)
-        top = cand[:, :k]
+        dist, cand = tree.query(q, k=k)
+        dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
         # Widened by ``tol``, which bounds how far the placement is from
-        # rigid: a containing cell's box still holds the point.
-        in_box = np.ones(top.shape, dtype=bool)
+        # rigid: frame round-off never drops a containing cell.
+        in_box = np.ones(cand.shape, dtype=bool)
         for axis in range(3):
             p = q[:, axis, None]
-            in_box &= lo[top, axis] <= p + self.tol
-            in_box &= p - self.tol <= hi[top, axis]
+            in_box &= lo[cand, axis] <= p + self.tol
+            in_box &= p - self.tol <= hi[cand, axis]
         rec, rank = np.nonzero(in_box)
-        # The world frame has the same nearest cell and the same k nearest
-        # where the gaps after the first and the k-th exceed round-off.
-        sure = np.ones(m, dtype=bool)
-        if kq > 1:
-            sure &= dist[:, 1] - dist[:, 0] > 2.0 * self.tol
-        horizon = np.full(m, np.inf)
-        if kq > k:
-            sure &= dist[:, k] - dist[:, k - 1] > 2.0 * self.tol
-            horizon = dist[:, k]
-        return _Candidates(
-            rec,
-            top[rec, rank],
-            dist[rec, rank],
-            np.where(sure, cand[:, 0], -1),
-            horizon,
-        )
-
-    def certain(self, pts, k, cands, key, found) -> np.ndarray:
-        """A found cell is one of the world frame's ``k`` nearest when
-        every unlisted cell is farther by more than round-off; a miss when
-        the ``k`` nearest and the nearest are the world frame's."""
-        return np.where(
-            found, key + 2.0 * self.tol < cands.horizon, cands.nearest >= 0
-        )
+        return _Candidates(rec, cand[rec, rank], dist[rec, rank], cand[:, 0])
 
 
 class OversetAssembler:
     """Builds overset connectivity for background + near-body meshes.
 
-    The background must not move (rotor motion moves the blades only), and
-    a near-body mesh moves rigidly.  Built once per assembler and kept as
-    long as it lives: the background's lattice view (or its world-frame
-    index, if it is not a lattice), its node spacing, the blade rims and
-    one body-frame index per blade shape.  Per ``assemble()`` each blade
-    gets only its placement: a least-squares rigid fit of its coordinates
-    to its shape, which makes every result a function of the coordinates.
-    A blade that is not a rigid image of its shape (to 1e-6 of the largest
-    coordinate) is searched in the world frame.
+    ``meshes[BACKGROUND]`` is the background block.  It must not move
+    (rotor motion moves the blades only), and a near-body mesh moves
+    rigidly.  Built once per assembler and kept as long as it lives: the
+    background's lattice view (or its world-frame index, if it is not a
+    lattice), its node spacing, the blade rims and one body-frame index
+    per blade shape.  Per ``assemble()`` each blade gets only its
+    placement: a least-squares rigid fit of its coordinates to its shape,
+    which makes every result a function of the coordinates.  A blade that
+    is not a rigid image of its shape (to 1e-6 of the largest coordinate)
+    is searched in the world frame.
     """
 
-    def __init__(
-        self,
-        meshes: list[HexMesh],
-        background_index: int = 0,
-        hole_distance: float | None = None,
-        candidate_k: int = 32,
-        nearbody_fringe_sides: tuple[str, ...] = ("outer", "root", "tip"),
-    ) -> None:
-        """
-        Args:
-            meshes: all component meshes; one is the background.
-            background_index: which mesh is the background block.
-            hole_distance: background nodes closer than this to a near-body
-                *wall* are cut; default = 60% of each blade's outer radius
-                (estimated from its wall/outer geometry).
-            candidate_k: donor-cell candidates per receptor in the search.
-        """
+    def __init__(self, meshes: list[HexMesh]) -> None:
         self.meshes = meshes
-        self.background_index = background_index
-        self.hole_distance = hole_distance
-        self.candidate_k = candidate_k
-        self.nearbody_fringe_sides = nearbody_fringe_sides
-        bg = meshes[background_index]
+        bg = meshes[BACKGROUND]
         scale = max(float(np.abs(m.coords).max()) for m in meshes)
         self._slack = _SLACK * scale
         #: Farthest a blade may be from a rigid image of its shape.
         self._limit = 1e-6 * scale
-        self._background = _Lattice.of(bg, self._slack) or _DonorIndex(bg)
+        self._background = _Lattice.of(bg) or _DonorIndex(bg)
         # One body-frame index per blade shape: a blade takes the first
         # shape it fits, or starts one.
         shapes: list[_Shape] = []
         self._shapes: dict[int, _Shape] = {}
         for k, mesh in enumerate(meshes):
-            if k == background_index:
+            if k == BACKGROUND:
                 continue
             for shape in shapes:
                 if shape.same(mesh) and shape.fit(mesh.coords, self._limit):
@@ -523,17 +439,16 @@ class OversetAssembler:
             np.add.at(cnt, bg.edges[:, col], 1.0)
         spacing /= np.maximum(cnt, 1.0)
         self._spacing = spacing
-        # Fringe on each near-body mesh: every open side that hangs in the
-        # background flow (the O-grid rim plus the span ends), except the
+        # Fringe on each near-body mesh: its open sides, except the
         # physical wall, which keeps its no-slip Dirichlet condition.
         self._rims: list[tuple[int, np.ndarray]] = []
         for k, mesh in enumerate(meshes):
             sides = [
                 mesh.boundaries[s]
-                for s in nearbody_fringe_sides
+                for s in _FRINGE_SIDES
                 if s in mesh.boundaries
             ]
-            if k == background_index or not sides:
+            if k == BACKGROUND or not sides:
                 continue
             rim = np.unique(np.concatenate(sides))
             wall = mesh.boundaries.get("wall")
@@ -546,7 +461,7 @@ class OversetAssembler:
 
     def assemble(self) -> OversetConnectivity:
         """Run hole cutting, classification, donor search, orphan repair."""
-        nb = self.background_index
+        nb = BACKGROUND
         bg = self.meshes[nb]
         index = self._index()
         statuses = [
@@ -568,21 +483,10 @@ class OversetAssembler:
             wall = mesh.boundaries.get("wall")
             if wall is None or wall.size == 0:
                 continue
-            ix = index[k]
-            if self.hole_distance is not None:
-                cut = np.full(bg.n_nodes, float(self.hole_distance))
-                slack = 0.0
-            else:
-                cut, slack = self._cut(ix.hull), ix.hull_tol
+            cut = self._cut(index[k].hull)
             # Wall distance matters only below the cut distance: beyond the
             # largest one it is inf.
-            d = self._wall_distance(mesh.coords[wall], cut.max() + slack)
-            if slack and np.any(
-                np.minimum(np.abs(d - cut), np.abs(d - 0.5 * cut)) <= slack
-            ):
-                # The body-frame hull thickness is within ``slack`` of the
-                # world-frame one; a decision that close takes the latter.
-                cut = self._cut(ix.exact.hull)
+            d = self._wall_distance(mesh.coords[wall], cut.max())
             cand = d < cut
             if not np.any(cand):
                 continue
@@ -610,9 +514,7 @@ class OversetAssembler:
             good = np.zeros(bg.n_nodes, dtype=bool)
             good[patch[found]] = True
             inbody = np.zeros(bg.n_nodes, dtype=bool)
-            inbody[patch[~found]] = d[patch[~found]] < 0.5 * np.atleast_1d(
-                cut if np.ndim(cut) == 0 else cut[patch[~found]]
-            )
+            inbody[patch[~found]] = d[patch[~found]] < 0.5 * cut[patch[~found]]
             good |= inbody
             bad = np.zeros(bg.n_nodes, dtype=bool)
             bad[patch] = ~good[patch]
@@ -684,7 +586,7 @@ class OversetAssembler:
         """Every mesh's donor index where the meshes stand now."""
         index = []
         for k, mesh in enumerate(self.meshes):
-            if k == self.background_index:
+            if k == BACKGROUND:
                 index.append(self._background)
                 continue
             shape = self._shapes[k]
@@ -692,7 +594,7 @@ class OversetAssembler:
             index.append(
                 _DonorIndex(mesh)
                 if fit is None
-                else _Placed(shape, mesh, *fit[:2], fit[2] + self._slack)
+                else _Placed(shape, *fit[:2], fit[2] + self._slack)
             )
         return index
 
@@ -709,7 +611,6 @@ class OversetAssembler:
         search's row (a search is per receptor, so that row is what a fresh
         search finds); only the rest are searched, in one batch.
         """
-        nb = self.background_index
         parts = []  # (blade, receptors, rows in the patch result or -1)
         requests: list[SearchRequest] = []
         for k in np.unique(assigned):
@@ -723,7 +624,7 @@ class OversetAssembler:
                 row[hit] = pos[hit]
             parts.append((k, sel, row))
             if np.any(row < 0):
-                requests.append((nb, k, sel[row < 0]))
+                requests.append((BACKGROUND, k, sel[row < 0]))
         fresh = iter(self._search_donors(index, requests))
         out = []
         for k, sel, row in parts:
@@ -741,30 +642,20 @@ class OversetAssembler:
                 donors[~reused] = ds.donors
                 weights[~reused] = ds.weights
                 found[~reused] = sfound
-            out.append((DonorSet(nb, k, sel, donors, weights), found))
+            out.append((DonorSet(BACKGROUND, k, sel, donors, weights), found))
         return out
 
     @staticmethod
     def _nearest_mesh(
         index: list, pts: np.ndarray, exclude: int
     ) -> np.ndarray:
-        """Index of the nearest non-excluded mesh for each point, the first
-        one on a tie.  A point whose order round-off could change is
-        measured again in the world frame."""
+        """Index of the nearest non-excluded mesh for each point, each
+        measured in its own index's frame; the first one on a tie."""
         ks = [k for k in range(len(index)) if k != exclude]
         if not ks:
             return np.full(pts.shape[0], -1, dtype=np.int64)
         d = np.stack([index[k].node_distance(pts) for k in ks])
-        tol = np.array([[index[k].tol] for k in ks])
-        best = np.argmin(d, axis=0)
-        col = np.arange(pts.shape[0])
-        rival = d - tol
-        rival[best, col] = np.inf
-        redo = np.flatnonzero(rival.min(axis=0) <= d[best, col] + tol[best, 0])
-        if redo.size and tol.any():
-            exact = [index[k].exact.node_distance(pts[redo]) for k in ks]
-            best[redo] = np.argmin(np.stack(exact), axis=0)
-        return np.array(ks, dtype=np.int64)[best]
+        return np.array(ks, dtype=np.int64)[np.argmin(d, axis=0)]
 
     @staticmethod
     def _filter_set(ds: DonorSet, status: np.ndarray) -> DonorSet:
@@ -788,7 +679,7 @@ class OversetAssembler:
         """Each background node's distance to the nearest ``wall`` point if
         below ``bound``, else inf.  Only nodes in the walls' box grown by
         ``bound`` can be that close, so only they are queried."""
-        coords = self.meshes[self.background_index].coords
+        coords = self.meshes[BACKGROUND].coords
         grow = bound * (1.0 + 1e-9)
         near = np.flatnonzero(
             np.all(
@@ -827,26 +718,23 @@ class OversetAssembler:
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """``(donors, weights, found)`` per ``(donor_mesh, points)`` job.
 
-        Each point takes the nearest-centroid-ranked candidate cell that
-        contains it.  Each donor mesh's index is queried once for all of
-        its jobs; only candidates whose padded bounding box holds the point
-        can contain it, so those (point, candidate) pairs of every job
-        alone are inverted, in one Newton batch.  The query is per point
-        and ``invert_map`` per pair, so every point gets what a search of
-        it alone, walking down its list, would find — however the jobs are
-        split, ordered or joined.  The points whose cell, or whose miss, an
-        index cannot certify as the world frame's are searched again
-        through their mesh's world-frame index.
+        Each point takes the lowest-keyed candidate cell of its donor
+        mesh's index that contains it.  Each donor mesh's index is queried
+        once for all of its jobs; only candidates whose padded bounding box
+        holds the point can contain it, so those (point, candidate) pairs
+        of every job alone are inverted, in one Newton batch.  The query is
+        per point and ``invert_map`` per pair, so every point gets what a
+        search of it alone, walking down its list, would find — however the
+        jobs are split, ordered or joined.
         """
         if not jobs:
             return []
         offsets = np.cumsum([0] + [p.shape[0] for _d, p in jobs])
         pts = np.concatenate([p for _d, p in jobs])
         n = pts.shape[0]
-        tol = np.zeros(n)
         nearest = np.full(n, -1)
-        groups = []  # (donor mesh, rows, k, candidates)
-        rec, key, corner_ids, corners = [], [], [], []
+        groups = []  # (donor mesh, rows)
+        rec, corner_ids, corners = [], [], []
         for d in dict.fromkeys(d for d, _p in jobs):
             rows = np.concatenate(
                 [
@@ -855,17 +743,14 @@ class OversetAssembler:
                     if dd == d
                 ]
             )
-            k = min(self.candidate_k, self.meshes[d].cells.shape[0])
+            k = min(CANDIDATE_K, self.meshes[d].cells.shape[0])
             c = index[d].candidates(pts[rows], k)
-            groups.append((d, rows, k, c))
-            tol[rows] = index[d].tol
+            groups.append((d, rows))
             nearest[rows] = c.nearest
             rec.append(rows[c.rec])
-            key.append(c.key)
             corner_ids.append(self.meshes[d].cells[c.cell])
             corners.append(self.meshes[d].coords[corner_ids[-1]])
         rec = np.concatenate(rec)
-        key = np.concatenate(key).astype(np.float64)
         corner_ids = np.concatenate(corner_ids)
         corners = np.concatenate(corners)
         lo, hi = padded_boxes(corners)
@@ -875,33 +760,18 @@ class OversetAssembler:
         inside = np.flatnonzero(ok & contains(xi, tol=1e-6))
         held = box[inside]  # containing pairs, point-major by key
         hit, first = np.unique(rec[held], return_index=True)
-        pick = held[first]  # the lowest-keyed containing pair per point
 
         found = np.zeros(n, dtype=bool)
         found[hit] = True
         donors = np.empty((n, 8), dtype=np.int64)
         weights = np.zeros((n, 8))
-        donors[hit] = corner_ids[pick]
+        donors[hit] = corner_ids[held[first]]
         weights[hit] = shape_functions(xi[inside[first]])
-        # A second containing cell within round-off of the first could come
-        # first in the world frame.
-        sure = np.ones(n, dtype=bool)
-        second = first + 1
-        two = second < held.size
-        two[two] = rec[held[second[two]]] == hit[two]
-        sure[hit[two]] = (
-            key[held[second[two]]] - key[pick[two]] > 2.0 * tol[hit[two]]
-        )
-        pick_key = np.zeros(n)
-        pick_key[hit] = key[pick]
-        for d, rows, k, c in groups:
-            sure[rows] &= index[d].certain(
-                pts[rows], k, c, pick_key[rows], found[rows]
-            )
+        for d, rows in groups:
             # Fallback: inverse-distance weights on the nearest candidate
             # cell (receptors slightly outside the donor hull, e.g. at
             # domain rims).
-            miss = rows[~found[rows] & sure[rows]]
+            miss = rows[~found[rows]]
             if miss.size:
                 dmesh = self.meshes[d]
                 ids = dmesh.cells[nearest[miss]]
@@ -912,18 +782,6 @@ class OversetAssembler:
                 w /= w.sum(axis=1, keepdims=True)
                 donors[miss] = ids
                 weights[miss] = w
-
-        redo = [(d, rows[~sure[rows]]) for d, rows, _k, _c in groups]
-        redo = [(d, rows) for d, rows in redo if rows.size]
-        if redo:
-            exact = list(index)
-            for d, _rows in redo:
-                exact[d] = index[d].exact
-            again = self._search_points(
-                exact, [(d, pts[rows]) for d, rows in redo]
-            )
-            for (_d, rows), (dn, wt, fd) in zip(redo, again):
-                donors[rows], weights[rows], found[rows] = dn, wt, fd
 
         return [
             (donors[a:b], weights[a:b], found[a:b])

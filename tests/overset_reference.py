@@ -6,7 +6,8 @@ builds a world-frame kd-tree index per blade (:class:`ReferenceIndex`),
 queries every background node against every wall tree and measures each
 blade's hull thickness again; the background's index is a k = 32 centroid
 kNN.  Kept verbatim, apart from taking the search's points as given
-(:func:`reference_search_points`); do not optimize.  Every status, every
+(:func:`reference_search_points`) and reading the assembler's module
+constants; do not optimize.  Every status, every
 donor set and every search's ``(donors, weights, found)`` of the package's
 assembler must equal this one's bitwise (``tests/test_overset.py``).
 """
@@ -20,6 +21,8 @@ from scipy.spatial import cKDTree
 
 from repro.mesh.hexmesh import HexMesh
 from repro.overset.assembler import (
+    BACKGROUND,
+    CANDIDATE_K,
     DonorSet,
     NodeStatus,
     OversetAssembler,
@@ -136,15 +139,13 @@ def reference_search_points(
 class ReferenceAssembler(OversetAssembler):
     """The assembler with world-frame indexes rebuilt per ``assemble()``."""
 
-    def __init__(self, meshes: list[HexMesh], **kwargs) -> None:
-        super().__init__(meshes, **kwargs)
-        self._background_index = ReferenceIndex(
-            meshes[self.background_index]
-        )
+    def __init__(self, meshes: list[HexMesh]) -> None:
+        super().__init__(meshes)
+        self._background_index = ReferenceIndex(meshes[BACKGROUND])
 
     def index(self) -> list[ReferenceIndex]:
         """Fresh blade indexes and the assembler's background index."""
-        nb = self.background_index
+        nb = BACKGROUND
         return [
             self._background_index if k == nb else ReferenceIndex(m)
             for k, m in enumerate(self.meshes)
@@ -152,7 +153,7 @@ class ReferenceAssembler(OversetAssembler):
 
     def assemble(self) -> OversetConnectivity:
         """Run hole cutting, classification, donor search, orphan repair."""
-        nb = self.background_index
+        nb = BACKGROUND
         bg = self.meshes[nb]
         index = self.index()
         statuses = [
@@ -169,11 +170,7 @@ class ReferenceAssembler(OversetAssembler):
             if wall is None or wall.size == 0:
                 continue
             hull = self._hull_thickness(mesh)
-            cut = (
-                np.full(bg.n_nodes, float(self.hole_distance))
-                if self.hole_distance is not None
-                else np.maximum(hull - 1.2 * self._spacing, 0.35 * hull)
-            )
+            cut = np.maximum(hull - 1.2 * self._spacing, 0.35 * hull)
             # Wall distance matters only below the cut distance: the tree
             # prunes beyond the largest one and reports inf there.
             d, _ = cKDTree(mesh.coords[wall]).query(
@@ -199,9 +196,7 @@ class ReferenceAssembler(OversetAssembler):
             good = np.zeros(bg.n_nodes, dtype=bool)
             good[patch[found]] = True
             inbody = np.zeros(bg.n_nodes, dtype=bool)
-            inbody[patch[~found]] = d[patch[~found]] < 0.5 * np.atleast_1d(
-                cut if np.ndim(cut) == 0 else cut[patch[~found]]
-            )
+            inbody[patch[~found]] = d[patch[~found]] < 0.5 * cut[patch[~found]]
             good |= inbody
             bad = np.zeros(bg.n_nodes, dtype=bool)
             bad[patch] = ~good[patch]
@@ -288,7 +283,7 @@ class ReferenceAssembler(OversetAssembler):
             for (r, d, ids), (donors, weights, found) in zip(
                 requests,
                 reference_search_points(
-                    self.meshes, self.candidate_k, index, jobs
+                    self.meshes, CANDIDATE_K, index, jobs
                 ),
             )
         ]
